@@ -520,7 +520,7 @@ pub(crate) fn register_runtime_counters(
         "/runtime/tasks/pending",
         "tasks holding admission slots (queued, not yet started)",
         "1",
-        |i| match &i.gate {
+        |i| match &i.state.gate {
             Some(gate) => gate.pending(),
             None => i.scheduler.pending_tasks(),
         },
@@ -531,7 +531,7 @@ pub(crate) fn register_runtime_counters(
         "/runtime/tasks/peak-pending",
         "lifetime high-water mark of the pending-task count",
         "1",
-        |i| match &i.gate {
+        |i| match &i.state.gate {
             Some(gate) => gate.peak(),
             None => 0,
         },
@@ -542,7 +542,7 @@ pub(crate) fn register_runtime_counters(
         "/runtime/tasks/admitted",
         "spawns admitted through the task-budget gate",
         "1",
-        |i| i.gate.as_ref().map_or(0, |g| g.admitted() as i64),
+        |i| i.state.gate.as_ref().map_or(0, |g| g.admitted() as i64),
     );
     register_total_monotonic(
         registry,
@@ -550,7 +550,7 @@ pub(crate) fn register_runtime_counters(
         "/runtime/health/shed",
         "spawns rejected by the admission gate (Shed policy / try_spawn)",
         "1",
-        |i| i.gate.as_ref().map_or(0, |g| g.shed() as i64),
+        |i| i.state.gate.as_ref().map_or(0, |g| g.shed() as i64),
     );
     register_total_monotonic(
         registry,
@@ -558,7 +558,7 @@ pub(crate) fn register_runtime_counters(
         "/runtime/health/degraded-spawns",
         "spawns run inline in the caller because the gate was closed",
         "1",
-        |i| i.gate.as_ref().map_or(0, |g| g.degraded() as i64),
+        |i| i.state.gate.as_ref().map_or(0, |g| g.degraded() as i64),
     );
     register_total_monotonic(
         registry,
@@ -566,7 +566,7 @@ pub(crate) fn register_runtime_counters(
         "/runtime/health/blocked-spawns",
         "spawners that parked at least once waiting for admission",
         "1",
-        |i| i.gate.as_ref().map_or(0, |g| g.blocked() as i64),
+        |i| i.state.gate.as_ref().map_or(0, |g| g.blocked() as i64),
     );
     register_total_monotonic(
         registry,
@@ -574,7 +574,7 @@ pub(crate) fn register_runtime_counters(
         "/runtime/health/gate-closes",
         "open-to-closed transitions of the admission gate",
         "1",
-        |i| i.gate.as_ref().map_or(0, |g| g.closes() as i64),
+        |i| i.state.gate.as_ref().map_or(0, |g| g.closes() as i64),
     );
     register_total_raw(
         registry,
@@ -696,7 +696,7 @@ pub(crate) fn register_runtime_counters(
         "/runtime/slab/fallback-allocs",
         "spawns that took the heap path (oversized closure, external spawner, or slab exhaustion)",
         "1",
-        |i| i.fallback_allocs.load(Ordering::Relaxed) as i64,
+        |i| i.state.fallback_allocs.load(Ordering::Relaxed) as i64,
     );
 
     // Tracer self-measurement (the paper's ≤10% overhead envelope is

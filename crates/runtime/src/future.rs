@@ -8,272 +8,36 @@
 //! patterns (Fib, Sort, Strassen, …) without stackful coroutines, while
 //! external (non-worker) threads block on a waiter-counted gate.
 //!
-//! Completion is lock-light: `complete*` publishes the result under the
-//! state lock (uncontended for scheduled tasks — nothing else touches the
-//! state before readiness), flips the `ready` flag, and wakes waiters
-//! through an [`EventGate`] whose `notify` is a
-//! single atomic load when nobody blocks. Worker help-waits poll `ready`
-//! and never register with the gate, so the fork/join inner loop of
+//! Completion is lock-free: the runner publishes the outcome into the
+//! task's cell (the `slab` module), flips its `ready` flag, and wakes
+//! waiters through an [`EventGate`](crate::sync::EventGate) whose `notify`
+//! is a single atomic load when nobody blocks. Worker help-waits poll
+//! `ready` and never register with the gate, so the fork/join inner loop of
 //! spawn-heavy benchmarks never touches a condition variable.
 
-use std::any::Any;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::Mutex;
-
-use crate::cancel::TaskCancelled;
-use crate::sync::EventGate;
-use crate::worker;
-
-type DeferredFn = Box<dyn FnOnce() + Send>;
-
-enum State<T> {
-    /// Scheduled (or inline) but not finished.
-    Pending,
-    /// Deferred-launch closure waiting for the first `wait`/`get`.
-    Deferred(DeferredFn),
-    /// A thread took the deferred closure and is running it.
-    Running,
-    /// Value available (until taken by `get`).
-    Ready(Option<T>),
-    /// The task panicked; payload for `resume_unwind`.
-    Panicked(Option<Box<dyn Any + Send>>),
-    /// The task was cancelled before its body ran.
-    Cancelled,
-}
-
-pub(crate) struct Shared<T> {
-    state: Mutex<State<T>>,
-    ready: AtomicBool,
-    gate: EventGate,
-}
-
-impl<T> Shared<T> {
-    /// A fresh, pending shared state for embedding (see `runtime::TaskCell`
-    /// — the scheduled-task fast path allocates the state and the task body
-    /// in one `Arc`).
-    pub(crate) fn fresh() -> Self {
-        Shared {
-            state: Mutex::new(State::Pending),
-            ready: AtomicBool::new(false),
-            gate: EventGate::new(),
-        }
-    }
-
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Shared::fresh())
-    }
-
-    pub(crate) fn set_deferred(&self, f: DeferredFn) {
-        let mut s = self.state.lock();
-        debug_assert!(
-            matches!(*s, State::Pending),
-            "set_deferred on a non-pending future"
-        );
-        *s = State::Deferred(f);
-    }
-
-    /// Publish a final state: install it, flip `ready`, wake external
-    /// waiters (an atomic load when there are none — the common case).
-    fn finish(&self, state: State<T>) {
-        {
-            let mut s = self.state.lock();
-            *s = state;
-        }
-        // SeqCst pairs with the gate's waiter registration; see EventGate.
-        self.ready.store(true, Ordering::SeqCst);
-        self.gate.notify();
-    }
-
-    /// Install the result and wake every waiter.
-    pub(crate) fn complete(&self, value: T) {
-        self.finish(State::Ready(Some(value)));
-    }
-
-    /// Install a panic payload and wake every waiter.
-    pub(crate) fn complete_panicked(&self, payload: Box<dyn Any + Send>) {
-        self.finish(State::Panicked(Some(payload)));
-    }
-
-    /// Mark the future cancelled (task skipped at dispatch) and wake every
-    /// waiter; `get` re-raises [`TaskCancelled`].
-    pub(crate) fn complete_cancelled(&self) {
-        self.finish(State::Cancelled);
-    }
-
-    fn is_ready(&self) -> bool {
-        self.ready.load(Ordering::SeqCst)
-    }
-
-    fn is_cancelled(&self) -> bool {
-        self.is_ready() && matches!(*self.state.lock(), State::Cancelled)
-    }
-
-    /// Whether the future still carries an unstarted deferred closure.
-    fn is_deferred(&self) -> bool {
-        matches!(*self.state.lock(), State::Deferred(_))
-    }
-
-    /// Run the deferred closure if this future carries one and nobody beat
-    /// us to it. Returns true if we ran it (the future is then ready).
-    fn run_deferred_if_any(&self) -> bool {
-        let f = {
-            let mut s = self.state.lock();
-            match &mut *s {
-                State::Deferred(_) => {
-                    let State::Deferred(f) = std::mem::replace(&mut *s, State::Running) else {
-                        unreachable!()
-                    };
-                    Some(f)
-                }
-                _ => None,
-            }
-        };
-        match f {
-            Some(f) => {
-                // The closure completes the shared state itself (it is the
-                // same instrumented wrapper a scheduled task would run).
-                f();
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn wait(&self) {
-        if self.is_ready() {
-            return;
-        }
-        if self.run_deferred_if_any() {
-            return;
-        }
-        if worker::on_worker_thread() {
-            // Work-helping wait: execute other tasks instead of blocking
-            // the worker (the scheduler equivalent of HPX suspending the
-            // waiting lightweight thread). Never registers with the gate.
-            worker::help_while(|| !self.is_ready());
-        } else {
-            self.gate.wait_until(|| self.is_ready());
-        }
-    }
-
-    /// Bounded wait. Returns true when the future became ready in time.
-    ///
-    /// Never executes a deferred closure: a timed wait must complete in
-    /// bounded time, and the closure holds arbitrary user work.
-    fn wait_timeout(&self, timeout: Duration) -> bool {
-        if self.is_ready() {
-            return true;
-        }
-        if self.is_deferred() {
-            // Hand the future back untouched; `get`/`wait` are the calls
-            // that trigger deferred execution. (If another thread already
-            // claimed the closure the state is `Running` and we fall
-            // through to a normal bounded wait.)
-            return false;
-        }
-        let deadline = Instant::now() + timeout;
-        if worker::on_worker_thread() {
-            worker::help_while(|| !self.is_ready() && Instant::now() < deadline);
-            self.is_ready()
-        } else {
-            self.gate.wait_deadline(deadline, || self.is_ready())
-        }
-    }
-
-    fn take(&self) -> T {
-        let mut s = self.state.lock();
-        match &mut *s {
-            State::Ready(v) => v.take().expect("TaskFuture value taken twice"),
-            State::Panicked(p) => {
-                let payload = p.take().expect("TaskFuture panic taken twice");
-                std::panic::resume_unwind(payload)
-            }
-            State::Cancelled => std::panic::resume_unwind(Box::new(TaskCancelled)),
-            _ => unreachable!("take() called before the future completed"),
-        }
-    }
-
-    /// Gate waiters currently registered (diagnostics/tests).
-    #[cfg(test)]
-    fn gate_waiters(&self) -> usize {
-        self.gate.waiters()
-    }
-}
-
-/// Type-erased access to a task's [`Shared`] state. Implemented by
-/// [`Shared`] itself (ready-made futures) and by `runtime::TaskCell` (the
-/// single-allocation cell holding state *and* task body), so a
-/// [`TaskFuture`] needs exactly one `Arc` regardless of how the task runs.
-pub(crate) trait FutureCore<T>: Send + Sync {
-    fn shared(&self) -> &Shared<T>;
-}
-
-impl<T: Send> FutureCore<T> for Shared<T> {
-    fn shared(&self) -> &Shared<T> {
-        self
-    }
-}
-
-/// How a future reaches its task's completion state.
-enum Repr<T> {
-    /// One `Arc` shared with the task body (heap `TaskCell`, inline
-    /// tasks, ready-made futures).
-    Heap(Arc<dyn FutureCore<T>>),
-    /// A generation-checked handle into a worker slab slot (the
-    /// allocation-free spawn path; see [`crate::slab`]).
-    Slab(crate::slab::SlabJoin<T>),
-}
+use crate::slab::{Join, SpawnMeta};
 
 /// Handle to the eventual result of a spawned task.
 pub struct TaskFuture<T> {
-    repr: Repr<T>,
+    join: Join<T>,
 }
 
 impl<T: Send + 'static> TaskFuture<T> {
-    pub(crate) fn new(shared: Arc<Shared<T>>) -> Self {
-        TaskFuture {
-            repr: Repr::Heap(shared),
-        }
-    }
-
-    pub(crate) fn from_core(core: Arc<dyn FutureCore<T>>) -> Self {
-        TaskFuture {
-            repr: Repr::Heap(core),
-        }
-    }
-
-    pub(crate) fn from_slab(join: crate::slab::SlabJoin<T>) -> Self {
-        TaskFuture {
-            repr: Repr::Slab(join),
-        }
+    pub(crate) fn new(join: Join<T>) -> Self {
+        TaskFuture { join }
     }
 
     /// Whether the value (or a panic) is available without blocking.
     pub fn is_ready(&self) -> bool {
-        match &self.repr {
-            Repr::Heap(core) => core.shared().is_ready(),
-            Repr::Slab(join) => join.is_ready(),
-        }
+        self.join.is_ready()
     }
 
     /// Block until the task finishes (helping with other work when called
     /// on a worker thread), without consuming the future.
     pub fn wait(&self) {
-        match &self.repr {
-            Repr::Heap(core) => core.shared().wait(),
-            Repr::Slab(join) => join.wait(),
-        }
-    }
-
-    /// Consume the (ready) result. Both arms re-raise panics/cancellation.
-    fn take_now(mut self) -> T {
-        match &mut self.repr {
-            Repr::Heap(core) => core.shared().take(),
-            Repr::Slab(join) => join.take(),
-        }
+        self.join.wait();
     }
 
     /// Wait for and return the task's result.
@@ -281,9 +45,9 @@ impl<T: Send + 'static> TaskFuture<T> {
     /// # Panics
     ///
     /// Re-raises the task's panic if the task panicked.
-    pub fn get(self) -> T {
-        self.wait();
-        self.take_now()
+    pub fn get(mut self) -> T {
+        self.join.wait();
+        self.join.take()
     }
 
     /// The result if already available (consumes the future on success).
@@ -296,12 +60,9 @@ impl<T: Send + 'static> TaskFuture<T> {
     }
 
     /// Whether the task was cancelled before it ran. `get` on a cancelled
-    /// future re-raises [`TaskCancelled`].
+    /// future re-raises [`TaskCancelled`](crate::TaskCancelled).
     pub fn is_cancelled(&self) -> bool {
-        match &self.repr {
-            Repr::Heap(core) => core.shared().is_cancelled(),
-            Repr::Slab(join) => join.is_cancelled(),
-        }
+        self.join.is_cancelled()
     }
 
     /// Wait up to `timeout` for the result; on timeout the future is handed
@@ -319,14 +80,11 @@ impl<T: Send + 'static> TaskFuture<T> {
     ///
     /// # Panics
     ///
-    /// Re-raises the task's panic (or [`TaskCancelled`]) like `get`.
-    pub fn get_timeout(self, timeout: Duration) -> Result<T, TaskFuture<T>> {
-        let ready = match &self.repr {
-            Repr::Heap(core) => core.shared().wait_timeout(timeout),
-            Repr::Slab(join) => join.wait_timeout(timeout),
-        };
-        if ready {
-            Ok(self.take_now())
+    /// Re-raises the task's panic (or [`TaskCancelled`](crate::TaskCancelled))
+    /// like `get`.
+    pub fn get_timeout(mut self, timeout: Duration) -> Result<T, TaskFuture<T>> {
+        if self.join.wait_timeout(timeout) {
+            Ok(self.join.take())
         } else {
             Err(self)
         }
@@ -343,14 +101,49 @@ impl<T: Send + 'static> std::fmt::Debug for TaskFuture<T> {
 
 /// A future that is ready immediately (`hpx::make_ready_future`).
 pub fn ready_future<T: Send + 'static>(value: T) -> TaskFuture<T> {
-    let shared = Shared::new();
-    shared.complete(value);
-    TaskFuture::new(shared)
+    // An external cell born published: no runtime, no queue.
+    let (task, join) = crate::slab::place(None, None, SpawnMeta::bare(0), move || value);
+    let claimed = task.claim().expect("a fresh cell is unclaimed");
+    claimed.run().publish();
+    TaskFuture::new(join)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::TaskCancelled;
+    use crate::runtime::RuntimeState;
+    use crate::slab::{place, Task};
+    use rpx_counters::counter::Clock;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    /// A pending future over a cell nobody queued, plus its task handle:
+    /// `run(task)` completes it exactly as a worker would.
+    fn pending<T, F>(f: F) -> (Task, TaskFuture<T>)
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let (task, join) = place(None, None, SpawnMeta::bare(0), f);
+        (task, TaskFuture::new(join))
+    }
+
+    fn run(task: Task) {
+        task.claim().expect("unclaimed").run().publish();
+    }
+
+    /// A deferred future of a runtime with one (never started) worker.
+    fn deferred<T, F>(f: F) -> (Arc<RuntimeState>, TaskFuture<T>)
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let state = Arc::new(RuntimeState::new(1, Arc::new(Clock::new()), None, None));
+        let (task, join) = place(None, Some(&state), SpawnMeta::bare(0), f);
+        (state, TaskFuture::new(join.deferred(task)))
+    }
 
     #[test]
     fn ready_future_is_immediately_ready() {
@@ -361,62 +154,60 @@ mod tests {
 
     #[test]
     fn complete_wakes_external_waiter() {
-        let shared = Shared::new();
-        let f = TaskFuture::new(shared.clone());
-        let t = std::thread::spawn(move || f.get());
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        shared.complete(99);
-        assert_eq!(t.join().unwrap(), 99);
-        assert_eq!(shared.gate_waiters(), 0, "waiter must deregister");
+        let (task, f) = pending(|| 99);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| f.wait());
+            while f.join.gate_waiters() == 0 {
+                std::thread::yield_now();
+            }
+            run(task);
+            waiter.join().unwrap();
+        });
+        assert_eq!(f.join.gate_waiters(), 0, "waiter must deregister");
+        assert_eq!(f.get(), 99);
     }
 
     #[test]
     fn complete_without_waiters_skips_notification() {
-        let shared: Arc<Shared<i32>> = Shared::new();
-        assert_eq!(shared.gate_waiters(), 0);
-        shared.complete(1);
+        let (task, f) = pending(|| 1);
+        assert_eq!(f.join.gate_waiters(), 0);
+        run(task);
         // No waiter was ever registered; a later get() must still succeed
         // straight off the ready flag.
-        assert_eq!(shared.gate_waiters(), 0);
-        assert_eq!(TaskFuture::new(shared).get(), 1);
+        assert_eq!(f.join.gate_waiters(), 0);
+        assert_eq!(f.get(), 1);
     }
 
     #[test]
     fn try_get_returns_future_when_pending() {
-        let shared: Arc<Shared<i32>> = Shared::new();
-        let f = TaskFuture::new(shared.clone());
+        let (task, f) = pending(|| 1);
         let f = match f.try_get() {
             Ok(_) => panic!("future should not be ready"),
             Err(f) => f,
         };
-        shared.complete(1);
+        run(task);
         assert_eq!(f.try_get().ok(), Some(1));
     }
 
     #[test]
     fn deferred_runs_on_first_wait() {
-        let shared: Arc<Shared<i32>> = Shared::new();
-        let s2 = shared.clone();
-        shared.set_deferred(Box::new(move || s2.complete(7)));
-        let f = TaskFuture::new(shared);
+        let (state, f) = deferred(|| 7);
         assert!(!f.is_ready());
         assert_eq!(f.get(), 7);
+        let executed = state.stats[0].executed.load(Ordering::Relaxed);
+        assert_eq!(executed, 1, "a deferred run is an instrumented run");
     }
 
     #[test]
     fn get_timeout_never_runs_deferred_closure() {
-        // Regression: `wait_timeout` used to call `run_deferred_if_any()`
-        // unconditionally, so `get_timeout(Duration::ZERO)` executed the
-        // entire deferred closure — unbounded work on a timed wait.
-        use std::sync::atomic::AtomicBool;
-        let shared: Arc<Shared<i32>> = Shared::new();
+        // Regression: a timed wait used to run the deferred closure, so
+        // `get_timeout(Duration::ZERO)` executed unbounded work.
         let ran = Arc::new(AtomicBool::new(false));
-        let (s2, r2) = (shared.clone(), ran.clone());
-        shared.set_deferred(Box::new(move || {
+        let r2 = ran.clone();
+        let (_state, f) = deferred(move || {
             r2.store(true, Ordering::SeqCst);
-            s2.complete(7);
-        }));
-        let f = TaskFuture::new(shared);
+            7
+        });
         let t0 = Instant::now();
         let f = f
             .get_timeout(Duration::ZERO)
@@ -440,10 +231,31 @@ mod tests {
     }
 
     #[test]
+    fn dropped_deferred_future_drops_its_closure_unrun() {
+        struct SetOnDrop(Arc<AtomicBool>);
+        impl Drop for SetOnDrop {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let (ran, dropped) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (r2, held) = (ran.clone(), SetOnDrop(dropped.clone()));
+        let (state, f) = deferred(move || {
+            r2.store(true, Ordering::SeqCst);
+            drop(held);
+        });
+        drop(f);
+        assert!(dropped.load(Ordering::SeqCst) && !ran.load(Ordering::SeqCst));
+        assert_eq!(state.stats[0].executed.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
     fn panic_propagates_to_getter() {
-        let shared: Arc<Shared<i32>> = Shared::new();
-        shared.complete_panicked(Box::new("boom"));
-        let f = TaskFuture::new(shared);
+        let (task, f) = pending(|| -> i32 { panic!("boom") });
+        run(task);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f.get()))
             .expect_err("get() must re-raise the task panic");
         assert_eq!(*err.downcast_ref::<&str>().unwrap(), "boom");
@@ -451,21 +263,19 @@ mod tests {
 
     #[test]
     fn get_timeout_returns_future_on_expiry() {
-        let shared: Arc<Shared<i32>> = Shared::new();
-        let f = TaskFuture::new(shared.clone());
+        let (task, f) = pending(|| 4);
         let f = f
             .get_timeout(Duration::from_millis(10))
             .expect_err("future must come back on timeout");
-        assert_eq!(shared.gate_waiters(), 0, "expired waiter must deregister");
-        shared.complete(4);
+        assert_eq!(f.join.gate_waiters(), 0, "expired waiter must deregister");
+        run(task);
         assert_eq!(f.get_timeout(Duration::from_secs(1)).ok(), Some(4));
     }
 
     #[test]
     fn cancelled_future_raises_task_cancelled() {
-        let shared: Arc<Shared<i32>> = Shared::new();
-        shared.complete_cancelled();
-        let f = TaskFuture::new(shared);
+        let (task, f) = pending(|| 0);
+        drop(task); // a queue dropped with the task still in it
         assert!(f.is_cancelled());
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f.get()))
             .expect_err("get() must raise on a cancelled future");
@@ -474,9 +284,8 @@ mod tests {
 
     #[test]
     fn wait_is_idempotent() {
-        let shared = Shared::new();
-        shared.complete(5);
-        let f = TaskFuture::new(shared);
+        let (task, f) = pending(|| 5);
+        run(task);
         f.wait();
         f.wait();
         assert_eq!(f.get(), 5);

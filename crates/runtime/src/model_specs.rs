@@ -13,8 +13,8 @@ use rpx_model::sync::AtomicBool;
 use rpx_model::{check, check_expect_failure, mutation, thread, Config};
 
 use crate::admission::AdmissionGate;
-use crate::scheduler::{Runnable, Scheduler, SchedulerMode, Task, TaskRepr};
-use crate::slab::Slab;
+use crate::scheduler::{Scheduler, SchedulerMode};
+use crate::slab::{nop_task, Slab};
 use crate::sync::EventGate;
 
 /// Serializes the specs in this file: mutants arm a process-global
@@ -35,11 +35,6 @@ fn cfg() -> Config {
     }
 }
 
-struct Nop;
-impl Runnable for Nop {
-    fn run(&self) {}
-}
-
 /// Protocol 3 — sleeper-count/park-gate lost-wakeup pairing: a worker
 /// registers its unparker, re-probes the queues, and parks; a concurrent
 /// external push probes the sleeper count and unparks. The Dekker-style
@@ -54,7 +49,7 @@ fn sched_park_gate() {
         let local = s2.deques[0].lock().take().expect("deque unclaimed");
         loop {
             if let Some(t) = s2.find(0, &local).task {
-                break t.id;
+                break t.id();
             }
             // Register *before* the final queue re-probe: a push that
             // lands between the probe and the park must see the
@@ -69,13 +64,7 @@ fn sched_park_gate() {
         }
     });
     let id = sched.next_task_id();
-    sched.push(
-        Task {
-            repr: TaskRepr::Heap(Arc::new(Nop)),
-            id,
-        },
-        None,
-    );
+    sched.push(nop_task(id), None);
     let got = worker.join().unwrap();
     assert_eq!(got, id, "worker must pick up the pushed task");
 }
@@ -195,12 +184,12 @@ fn model_admission_reopen_relaxed_mutant_is_caught() {
 /// bump the slot's generation *before* pushing it onto a free list.
 /// Once the push lands, the owner can recycle the slot; if the old
 /// generation were still visible at that point, a stale
-/// `SlabSlotRef`/`SlabJoin` handle would validate against the recycled
+/// `Task`/`Join` handle would validate against the recycled
 /// slot and read the *next* task's state. The owner's drain
 /// (`swap(Acquire)`) pairs with the freer's `Release` push, so a
 /// successful alloc must already observe the bumped generation.
 fn slab_reclaim_generation() {
-    let slab = Arc::new(Slab::new(0, 1));
+    let slab = Slab::new(1, None);
     let idx = slab.alloc().expect("fresh slab has a free slot");
     let gen0 = slab.slot(idx).generation();
     let s2 = slab.clone();
@@ -258,7 +247,7 @@ fn model_slab_gen_bump_after_push_mutant_is_caught() {
 /// `next_free` on a drained node, losing the rest of the chain (here:
 /// slot `b` becomes unreachable and the recovery loop never finishes).
 fn slab_remote_return_publishes_chain() {
-    let slab = Arc::new(Slab::new(0, 2));
+    let slab = Slab::new(2, None);
     let a = slab.alloc().expect("slot a");
     let b = slab.alloc().expect("slot b");
     assert!(slab.alloc().is_none(), "slab drained");

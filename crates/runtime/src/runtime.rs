@@ -16,11 +16,11 @@ use crate::affinity::{BindSpec, Topology};
 use crate::anomaly::{AnomalyEvent, AnomalyLog};
 use crate::cancel::CancelToken;
 use crate::faults::{FaultInjector, FaultPlan, InjectedFault};
-use crate::future::{FutureCore, Shared, TaskFuture};
+use crate::future::TaskFuture;
 use crate::overload::OverloadState;
 use crate::policy::{LaunchPolicy, OverloadPolicy};
-use crate::scheduler::{Runnable, Scheduler, SchedulerMode, Task, TaskRepr};
-use crate::slab::{Slab, SlabJoin, SlabSlotRef, SpawnMeta};
+use crate::scheduler::{Scheduler, SchedulerMode};
+use crate::slab::{Claimed, Slab, SpawnMeta, SLAB_SLOTS};
 use crate::stats::WorkerStats;
 use crate::trace::{TaskSpan, TaskTracer};
 use crate::watchdog::{RestartPolicy, RestartState, RestartVerdict};
@@ -81,11 +81,6 @@ pub struct RuntimeConfig {
     /// per-socket injector segments and hierarchical victim order from
     /// the placement.
     pub bind: BindSpec,
-    /// Task slots per worker slab (the allocation-free spawn path).
-    /// `0` disables slabs (every spawn takes the heap fallback). Slots
-    /// are 128-byte-aligned cells of a few hundred bytes, so the default
-    /// costs on the order of 1–2 MiB per worker.
-    pub slab_slots: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -114,7 +109,6 @@ impl Default for RuntimeConfig {
             restart_backoff_max: Duration::from_millis(100),
             topology: None,
             bind: BindSpec::None,
-            slab_slots: 4096,
         }
     }
 }
@@ -129,7 +123,10 @@ impl RuntimeConfig {
     }
 }
 
-/// Counter-visible runtime state (shared with counter closures via `Weak`).
+/// What a task's lifecycle touches, from spawn to teardown: counters,
+/// clock, tracer, fault injector and admission gate. Task cells reach it
+/// without going through [`RuntimeInner`] (which owns the queues the cells
+/// sit in), so a deferred or still-queued cell may outlive the runtime.
 pub(crate) struct RuntimeState {
     pub clock: Arc<Clock>,
     pub stats: Vec<Arc<WorkerStats>>,
@@ -153,9 +150,41 @@ pub(crate) struct RuntimeState {
     /// Anomaly episodes the watchdog's detector recorded
     /// (feeds `/runtime/anomaly/*`; see [`crate::anomaly`]).
     pub anomalies: Arc<AnomalyLog>,
+    /// Active fault injector (None when the configured plan is inactive).
+    pub faults: Option<Arc<FaultInjector>>,
+    /// Admission gate (Some iff `config.max_pending` is set).
+    pub gate: Option<Arc<AdmissionGate>>,
+    /// Spawns that took an external cell instead of a slab slot
+    /// (external spawner, oversized closure, or slab exhaustion). Feeds
+    /// `/runtime/slab/fallback-allocs`.
+    pub fallback_allocs: AtomicU64,
 }
 
 impl RuntimeState {
+    pub(crate) fn new(
+        workers: usize,
+        clock: Arc<Clock>,
+        faults: Option<Arc<FaultInjector>>,
+        gate: Option<Arc<AdmissionGate>>,
+    ) -> Self {
+        RuntimeState {
+            clock,
+            stats: (0..workers).map(|_| Arc::new(WorkerStats::new())).collect(),
+            active: AtomicI64::new(0),
+            live: AtomicI64::new(0),
+            idle_lock: Mutex::new(()),
+            idle_cv: Condvar::new(),
+            tracer: TaskTracer::new(64 * 1024),
+            quiesce_cancel: AtomicBool::new(false),
+            live_workers: AtomicUsize::new(workers),
+            overload_state: AtomicI64::new(0),
+            anomalies: Arc::new(AnomalyLog::new(256)),
+            faults,
+            gate,
+            fallback_allocs: AtomicU64::new(0),
+        }
+    }
+
     pub(crate) fn note_task_finished(&self) {
         if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _g = self.idle_lock.lock();
@@ -165,28 +194,20 @@ impl RuntimeState {
 }
 
 pub(crate) struct RuntimeInner {
-    // Field order is load-bearing: `scheduler` (and its queues, which may
-    // hold `SlabSlotRef`s) must drop before `slabs` does.
+    // Field order is load-bearing: `scheduler` (and its queues, whose
+    // tasks may sit in slab slots) must drop before `slabs` does.
     pub scheduler: Scheduler,
-    /// Per-worker task slabs (the allocation-free spawn path). Indexed by
-    /// worker; sized by `config.slab_slots` (possibly 0 slots).
+    /// Per-worker task slabs (the allocation-free spawn path), indexed by
+    /// worker.
     pub slabs: Vec<Arc<Slab>>,
     /// Worker→hardware-thread placement (all `None` under
     /// [`BindSpec::None`]); workers pin themselves on loop entry.
     pub placement: Vec<Option<u32>>,
-    /// Spawns that took the heap `Arc<TaskCell>` path instead of a slab
-    /// slot (external spawn, oversized closure, or slab exhaustion).
-    /// Feeds `/runtime/slab/fallback-allocs`.
-    pub fallback_allocs: AtomicU64,
     pub state: Arc<RuntimeState>,
     pub registry: Arc<CounterRegistry>,
     pub pmu: Arc<Pmu>,
     pub shutdown: AtomicBool,
     pub config: RuntimeConfig,
-    /// Active fault injector (None when the configured plan is inactive).
-    pub faults: Option<Arc<FaultInjector>>,
-    /// Admission gate (Some iff `config.max_pending` is set).
-    pub gate: Option<Arc<AdmissionGate>>,
     /// Set by [`Runtime::quiesce`]: no new task enters a queue (spawns run
     /// inline, `try_spawn` fails).
     pub draining: AtomicBool,
@@ -274,19 +295,6 @@ impl Runtime {
         let workers = config.workers.max(1);
         let registry = CounterRegistry::new();
         let pmu = Pmu::new(workers);
-        let state = Arc::new(RuntimeState {
-            clock: registry.clock(),
-            stats: (0..workers).map(|_| Arc::new(WorkerStats::new())).collect(),
-            active: AtomicI64::new(0),
-            live: AtomicI64::new(0),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            tracer: TaskTracer::new(64 * 1024),
-            quiesce_cancel: AtomicBool::new(false),
-            live_workers: AtomicUsize::new(workers),
-            overload_state: AtomicI64::new(0),
-            anomalies: Arc::new(AnomalyLog::new(256)),
-        });
         let faults = config
             .faults
             .clone()
@@ -296,6 +304,7 @@ impl Runtime {
             let low = config.resume_pending.unwrap_or(high / 2);
             AdmissionGate::new(high, low)
         });
+        let state = Arc::new(RuntimeState::new(workers, registry.clock(), faults, gate));
         // Placement: resolve the topology (explicit or discovered), map
         // workers to hardware threads per the bind policy, and derive the
         // socket of each worker for the scheduler's injector segments and
@@ -310,23 +319,17 @@ impl Runtime {
         let inner = Arc::new(RuntimeInner {
             scheduler: Scheduler::with_topology(workers, config.mode, &worker_sockets),
             slabs: (0..workers)
-                .map(|i| Arc::new(Slab::new(i, config.slab_slots)))
+                .map(|_| Slab::new(SLAB_SLOTS, Some(state.clone())))
                 .collect(),
             placement,
-            fallback_allocs: AtomicU64::new(0),
             state,
             registry: registry.clone(),
             pmu: pmu.clone(),
             shutdown: AtomicBool::new(false),
             config: config.clone(),
-            faults,
-            gate,
             draining: AtomicBool::new(false),
             drain_hooks: Mutex::new(Vec::new()),
         });
-        for slab in &inner.slabs {
-            slab.attach_runtime(Arc::downgrade(&inner));
-        }
 
         crate::counters::register_runtime_counters(&registry, &inner);
         rpx_papi::register_papi_counters(&registry, &pmu, config.locality);
@@ -476,7 +479,7 @@ impl Runtime {
     /// active [`FaultPlan`]. Chaos tests use it to compare injected counts
     /// against the `/runtime/health/*` counters.
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.inner.faults.clone()
+        self.inner.state.faults.clone()
     }
 
     /// The runtime's counter registry.
@@ -557,7 +560,7 @@ impl Runtime {
     pub fn quiesce(&self, deadline: Duration) -> QuiesceReport {
         let inner = &self.inner;
         inner.draining.store(true, Ordering::SeqCst);
-        if let Some(gate) = &inner.gate {
+        if let Some(gate) = &inner.state.gate {
             gate.drain();
         }
         let drained = self.wait_idle_for(deadline);
@@ -593,6 +596,7 @@ impl Runtime {
     /// configured), for adaptive policies and monitoring.
     pub fn admission(&self) -> Option<AdmissionControl> {
         self.inner
+            .state
             .gate
             .as_ref()
             .map(|gate| AdmissionControl { gate: gate.clone() })
@@ -659,13 +663,6 @@ thread_local! {
     /// (`u64::MAX` = none). Saved/restored around each body so spans can
     /// record their causal parent even under nested help-execution.
     static CURRENT_TASK: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
-}
-
-/// The task id currently executing on this thread, if any — the causal
-/// parent of any task spawned right now.
-pub(crate) fn current_task_id() -> Option<u64> {
-    let id = CURRENT_TASK.with(|c| c.get());
-    (id != u64::MAX).then_some(id)
 }
 
 /// Weak, cloneable handle to a [`Runtime`], usable from inside tasks.
@@ -768,171 +765,6 @@ impl std::fmt::Debug for RuntimeHandle {
     }
 }
 
-/// The single allocation behind a spawned task: the instrumented body
-/// (scheduler side, via [`Runnable`]) and the future's shared state
-/// (waiter side, via [`FutureCore`]) live in one `Arc`. Spawning used to
-/// allocate a boxed wrapper closure *plus* an `Arc<Shared<T>>`; the cell
-/// collapses both into one allocation and one refcount.
-///
-/// All instrumentation happens *before* `complete()`, so a thread observing
-/// the future as ready is guaranteed to see the task in the counters —
-/// the ordering the paper's evaluate/reset sampling protocol relies on.
-///
-/// A `token` makes the dispatch cancellable: a task whose token is
-/// cancelled by dispatch time is skipped, its future completes cancelled.
-/// `faults` injects *recovered* task panics: the body raises and catches
-/// an [`InjectedFault`] unwind, counts it, then runs the real work — the
-/// result is still produced, which is what lets chaos tests assert both
-/// correct benchmark output and exact recovery counts.
-struct TaskCell<T, F> {
-    shared: Shared<T>,
-    /// The user closure, taken on first run (later runs are no-ops).
-    body: Mutex<Option<F>>,
-    state: Arc<RuntimeState>,
-    faults: Option<Arc<FaultInjector>>,
-    token: Option<CancelToken>,
-    /// The admission slot this task holds (queued tasks under admission
-    /// control only); returned via `note_started` when the body is taken.
-    gate: Option<Arc<AdmissionGate>>,
-    task_id: u64,
-    /// Causal parent: the task whose body issued this spawn (None when
-    /// spawned from outside any task).
-    parent: Option<u64>,
-    /// Interned spawn-site id (see [`crate::trace::site_name`]).
-    site: u32,
-    /// Spawn timestamp; start − spawn is the task's queue wait.
-    spawned_ns: u64,
-    /// Whether this task participates in the `live` count (scheduled
-    /// tasks; inline and deferred ones never enter a queue).
-    track_live: bool,
-}
-
-impl<T, F> TaskCell<T, F>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    fn new(
-        inner: &Arc<RuntimeInner>,
-        task_id: u64,
-        site: u32,
-        f: F,
-        track_live: bool,
-        token: Option<CancelToken>,
-        gate: Option<Arc<AdmissionGate>>,
-    ) -> Self {
-        TaskCell {
-            shared: Shared::fresh(),
-            body: Mutex::new(Some(f)),
-            state: inner.state.clone(),
-            faults: inner.faults.clone(),
-            token,
-            gate,
-            task_id,
-            parent: current_task_id(),
-            site,
-            spawned_ns: inner.state.clock.now_ns(),
-            track_live,
-        }
-    }
-
-    /// Run the task body with full instrumentation and complete the
-    /// embedded future. Idempotent: only the first caller gets the body.
-    fn run_body(&self) {
-        let Some(f) = self.body.lock().take() else {
-            return;
-        };
-        let state = &self.state;
-        // The task left the queue (it either runs now or is cancelled):
-        // return its admission slot so backpressured spawners proceed.
-        if let Some(gate) = &self.gate {
-            gate.note_started();
-        }
-        let idx = worker::current_worker_index().unwrap_or(0);
-        let cancelled = self.token.as_ref().is_some_and(CancelToken::is_cancelled)
-            || (self.track_live && state.quiesce_cancel.load(Ordering::Acquire));
-        if cancelled {
-            state.stats[idx].cancelled.fetch_add(1, Ordering::Relaxed);
-            self.shared.complete_cancelled();
-            if self.track_live {
-                state.note_task_finished();
-            }
-            return;
-        }
-        if let Some(faults) = &self.faults {
-            if faults.inject_task_panic() {
-                // Transient-fault-with-retry: exercise the unwind path,
-                // recover, and run the real body.
-                let _ =
-                    std::panic::catch_unwind(|| std::panic::panic_any(InjectedFault("task-panic")));
-                state.stats[idx].recovered.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        state.active.fetch_add(1, Ordering::Relaxed);
-        let nested_before = NESTED_EXEC_NS.with(|c| c.get());
-        // Mark this task as the causal parent of anything its body spawns
-        // (restored below — help-execution nests bodies on one thread).
-        let prev_task = CURRENT_TASK.with(|c| c.replace(self.task_id));
-        let start = state.clock.now_ns();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-        let end = state.clock.now_ns();
-        CURRENT_TASK.with(|c| c.set(prev_task));
-        state.active.fetch_sub(1, Ordering::Relaxed);
-        // Net execution time: subtract time spent executing *other* tasks
-        // while helping inside this task's waits, so `/threads/time/*`
-        // counts every task exactly once (HPX suspends the parent; we
-        // deduct instead — same accounting, different mechanism).
-        let gross = end.saturating_sub(start);
-        let nested_during = NESTED_EXEC_NS
-            .with(|c| c.get())
-            .saturating_sub(nested_before);
-        let net = gross.saturating_sub(nested_during);
-        NESTED_EXEC_NS.with(|c| c.set(nested_before + gross));
-        let wait_ns = start.saturating_sub(self.spawned_ns);
-        state.stats[idx].record_execution(net, wait_ns);
-        // The span records gross start..end plus `nested_ns`, so readers
-        // can reconstruct both views; net (gross − nested) is what the
-        // profile and the causal analyzer sum — matching the stats above.
-        state.tracer.record(TaskSpan {
-            task_id: self.task_id,
-            parent: self.parent,
-            site: self.site,
-            worker: idx as u32,
-            start_ns: start,
-            end_ns: end,
-            wait_ns,
-            nested_ns: nested_during,
-        });
-        match result {
-            Ok(v) => self.shared.complete(v),
-            Err(p) => self.shared.complete_panicked(p),
-        }
-        if self.track_live {
-            state.note_task_finished();
-        }
-    }
-}
-
-impl<T, F> Runnable for TaskCell<T, F>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    fn run(&self) {
-        self.run_body();
-    }
-}
-
-impl<T, F> FutureCore<T> for TaskCell<T, F>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    fn shared(&self) -> &Shared<T> {
-        &self.shared
-    }
-}
-
 /// Handle one worker crash in the supervisor loop: consume a restart token
 /// and back off, or trip the breaker and retire the worker. Returns `false`
 /// when the worker must not be respawned.
@@ -985,24 +817,26 @@ fn backoff_sleep(inner: &Arc<RuntimeInner>, stats: &WorkerStats, backoff: Durati
         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
-/// How an `Async`-policy spawn may proceed past the admission gate.
-enum Admit {
-    /// Queue the task; `Some` means it holds an admission slot.
-    Queue(Option<Arc<AdmissionGate>>),
-    /// Run inline in the caller (gate closed and the policy degrades, or
-    /// the runtime is draining).
+/// How a spawn proceeds once policy and admission have had their say.
+enum Launch {
+    /// Push onto a queue; `holds_gate` means it holds an admission slot.
+    Queue { holds_gate: bool },
+    /// Run in the caller before `spawn` returns (`Sync`, `Fork` on a
+    /// worker, gate closed and the policy degrades, or runtime draining).
     Inline,
+    /// Park in the future until its first `wait`/`get`.
+    Deferred,
 }
 
-fn admit_for_queue(inner: &Arc<RuntimeInner>, _spawner: Option<worker::WorkerRef>) -> Admit {
+fn admit_for_queue(inner: &RuntimeInner) -> Launch {
     if inner.draining.load(Ordering::SeqCst) {
-        return Admit::Inline;
+        return Launch::Inline;
     }
-    let Some(gate) = &inner.gate else {
-        return Admit::Queue(None);
+    let Some(gate) = &inner.state.gate else {
+        return Launch::Queue { holds_gate: false };
     };
     if gate.try_admit() {
-        return Admit::Queue(Some(gate.clone()));
+        return Launch::Queue { holds_gate: true };
     }
     match inner.config.overload_policy {
         // Backpressure — but only external threads may park: a *worker*
@@ -1012,151 +846,94 @@ fn admit_for_queue(inner: &Arc<RuntimeInner>, _spawner: Option<worker::WorkerRef
         // foreign runtime's worker would stall that runtime too.
         OverloadPolicy::Block if !worker::on_worker_thread() => {
             if gate.admit_blocking() {
-                Admit::Queue(Some(gate.clone()))
+                Launch::Queue { holds_gate: true }
             } else {
-                Admit::Inline // the gate drained while we were parked
+                Launch::Inline // the gate drained while we were parked
             }
         }
         _ => {
             gate.note_degraded();
-            Admit::Inline
+            Launch::Inline
         }
     }
 }
 
-/// Enqueue an admitted task (the `Async` hot path).
-///
-/// Fast path: a worker of this runtime spawning a task whose closure and
-/// output fit a slab slot takes one off its own free list and publishes a
-/// generation-checked slot reference — no allocation, no refcounts. The
-/// heap `Arc<TaskCell>` remains for external spawns, oversized closures,
-/// and slab exhaustion, counted in `/runtime/slab/fallback-allocs`.
-///
-/// The overhead window `t0..t1` now opens *before* task-cell creation
-/// (it used to open after the `Arc` allocation), so the measured ns/task
-/// includes slot/cell setup — a strictly wider, more honest window than
-/// the pre-slab numbers in EXPERIMENTS.md.
-fn queue_task<T, F>(
-    inner: &Arc<RuntimeInner>,
-    task_id: u64,
-    site: u32,
-    f: F,
-    token: Option<CancelToken>,
-    spawner: Option<worker::WorkerRef>,
-    gate: Option<Arc<AdmissionGate>>,
-) -> TaskFuture<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let t0 = inner.state.clock.now_ns();
-    inner.state.live.fetch_add(1, Ordering::AcqRel);
-    if crate::slab::task_fits::<T, F>() {
-        if let Some(w) = spawner {
-            let slab = &inner.slabs[w.index];
-            if let Some(idx) = slab.alloc() {
-                let spawn = SpawnMeta {
-                    task_id,
-                    parent: current_task_id().unwrap_or(u64::MAX),
-                    site,
-                    spawned_ns: t0,
-                    token,
-                    holds_gate: gate.is_some(),
-                };
-                // SAFETY: `idx` was just allocated on this (owner) thread.
-                let gen = unsafe { slab.init_task::<T, F>(idx, spawn, f) };
-                let task = Task {
-                    repr: TaskRepr::Slab(SlabSlotRef {
-                        slab: Arc::as_ptr(slab),
-                        idx,
-                        gen,
-                    }),
-                    id: task_id,
-                };
-                // SAFETY: `w.local` is the calling worker's own deque
-                // (see `WorkerRef`); this is the spawning thread.
-                inner.scheduler.push(task, Some(unsafe { &*w.local }));
-                let t1 = inner.state.clock.now_ns();
-                inner.state.stats[w.index].record_overhead(t1.saturating_sub(t0));
-                return TaskFuture::from_slab(SlabJoin::new(slab.clone(), idx, gen));
-            }
-        }
-    }
-    inner.fallback_allocs.fetch_add(1, Ordering::Relaxed);
-    let cell = Arc::new(TaskCell::new(inner, task_id, site, f, true, token, gate));
-    let task = Task {
-        repr: TaskRepr::Heap(cell.clone()),
-        id: task_id,
-    };
-    match spawner {
-        // SAFETY: as above — the worker's own deque, on its own thread.
-        Some(w) => inner.scheduler.push(task, Some(unsafe { &*w.local })),
-        None => inner.scheduler.push(task, None),
-    }
-    let t1 = inner.state.clock.now_ns();
-    let overhead_owner = spawner.map_or(0, |w| w.index);
-    inner.state.stats[overhead_owner].record_overhead(t1.saturating_sub(t0));
-    TaskFuture::from_core(cell)
-}
-
-/// Run a slab-resident task: the mirror of [`TaskCell::run_body`] with
-/// identical instrumentation order (gate return, cancellation check,
-/// fault injection, net/nested timing, span record — all *before* the
-/// completion publish, so a thread observing the future ready sees the
-/// task in the counters). Slab tasks are always queued, so they always
-/// track `live`.
-pub(crate) fn run_slab_task(inner: &Arc<RuntimeInner>, slot_ref: &SlabSlotRef) {
-    let slab = slot_ref.slab();
-    let idx = slot_ref.idx;
-    if !slab.claim(idx) {
-        return;
-    }
-    let state = &inner.state;
-    // SAFETY: we won the claim; meta/payload are ours until runner_done.
-    let (task_id, parent, site, spawned_ns, cancelled, holds_gate) = unsafe {
-        let meta = slab.meta(idx);
-        (
-            meta.spawn.task_id,
-            meta.spawn.parent,
-            meta.spawn.site,
-            meta.spawn.spawned_ns,
-            meta.spawn
-                .token
-                .as_ref()
-                .is_some_and(CancelToken::is_cancelled)
-                || state.quiesce_cancel.load(Ordering::Acquire),
-            meta.spawn.holds_gate,
-        )
-    };
-    if holds_gate {
-        if let Some(gate) = &inner.gate {
+/// A task that left the queue (it either runs now or is cancelled) returns
+/// its admission slot so backpressured spawners proceed.
+fn return_admission(state: &RuntimeState, spawn: &SpawnMeta) {
+    if spawn.holds_gate {
+        if let Some(gate) = &state.gate {
             gate.note_started();
         }
     }
-    let widx = worker::current_worker_index().unwrap_or(0);
-    if cancelled {
-        state.stats[widx].cancelled.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: claimant; drops the un-run closure, publishes cancelled.
-        unsafe { slab.cancel_claimed(idx) };
+}
+
+/// Complete a claimed task as cancelled without running it: at dispatch
+/// (token, quiesce deadline) or when its queue handle is dropped un-run.
+/// `widx` is the accounting worker within `state`'s runtime.
+pub(crate) fn cancel_task(state: &RuntimeState, widx: usize, task: Claimed) {
+    let track_live = task.spawn().track_live;
+    return_admission(state, task.spawn());
+    state.stats[widx].cancelled.fetch_add(1, Ordering::Relaxed);
+    task.cancel();
+    if track_live {
         state.note_task_finished();
-        slab.runner_done(idx);
-        return;
     }
-    if let Some(faults) = &inner.faults {
+}
+
+/// Run a claimed task with full instrumentation and publish its outcome.
+///
+/// All instrumentation happens *before* the publish, so a thread observing
+/// the future as ready is guaranteed to see the task in the counters —
+/// the ordering the paper's evaluate/reset sampling protocol relies on.
+///
+/// A cancelled token (or, for queued tasks, a passed quiesce deadline)
+/// skips the body and completes the future cancelled. The fault injector
+/// adds *recovered* task panics: the runner raises and catches an
+/// [`InjectedFault`] unwind, counts it, then runs the real work — the
+/// result is still produced, which is what lets chaos tests assert both
+/// correct benchmark output and exact recovery counts.
+///
+/// `widx` is the accounting worker within `state`'s runtime — the caller's
+/// own index if it is one of that runtime's workers, else 0 — never the
+/// index the calling thread has in some other runtime.
+pub(crate) fn run_task(state: &RuntimeState, widx: usize, task: Claimed) {
+    let spawn = task.spawn();
+    let (task_id, parent, site, spawned_ns, track_live) = (
+        spawn.task_id,
+        spawn.parent,
+        spawn.site,
+        spawn.spawned_ns,
+        spawn.track_live,
+    );
+    let cancelled = spawn.token.as_ref().is_some_and(CancelToken::is_cancelled)
+        || (track_live && state.quiesce_cancel.load(Ordering::Acquire));
+    if cancelled {
+        return cancel_task(state, widx, task);
+    }
+    return_admission(state, spawn);
+    if let Some(faults) = &state.faults {
         if faults.inject_task_panic() {
+            // Transient-fault-with-retry: exercise the unwind path,
+            // recover, and run the real body.
             let _ = std::panic::catch_unwind(|| std::panic::panic_any(InjectedFault("task-panic")));
             state.stats[widx].recovered.fetch_add(1, Ordering::Relaxed);
         }
     }
     state.active.fetch_add(1, Ordering::Relaxed);
     let nested_before = NESTED_EXEC_NS.with(|c| c.get());
+    // Mark this task as the causal parent of anything its body spawns
+    // (restored below — help-execution nests bodies on one thread).
     let prev_task = CURRENT_TASK.with(|c| c.replace(task_id));
     let start = state.clock.now_ns();
-    // SAFETY: claimant; consumes the closure (catches panics internally).
-    let outcome = unsafe { slab.run_claimed(idx) };
+    let ran = task.run();
     let end = state.clock.now_ns();
     CURRENT_TASK.with(|c| c.set(prev_task));
     state.active.fetch_sub(1, Ordering::Relaxed);
+    // Net execution time: subtract time spent executing *other* tasks
+    // while helping inside this task's waits, so `/threads/time/*`
+    // counts every task exactly once (HPX suspends the parent; we
+    // deduct instead — same accounting, different mechanism).
     let gross = end.saturating_sub(start);
     let nested_during = NESTED_EXEC_NS
         .with(|c| c.get())
@@ -1165,6 +942,9 @@ pub(crate) fn run_slab_task(inner: &Arc<RuntimeInner>, slot_ref: &SlabSlotRef) {
     NESTED_EXEC_NS.with(|c| c.set(nested_before + gross));
     let wait_ns = start.saturating_sub(spawned_ns);
     state.stats[widx].record_execution(net, wait_ns);
+    // The span records gross start..end plus `nested_ns`, so readers
+    // can reconstruct both views; net (gross − nested) is what the
+    // profile and the causal analyzer sum — matching the stats above.
     state.tracer.record(TaskSpan {
         task_id,
         parent: (parent != u64::MAX).then_some(parent),
@@ -1175,9 +955,81 @@ pub(crate) fn run_slab_task(inner: &Arc<RuntimeInner>, slot_ref: &SlabSlotRef) {
         wait_ns,
         nested_ns: nested_during,
     });
-    slab.publish(idx, outcome);
-    state.note_task_finished();
-    slab.runner_done(idx);
+    ran.publish();
+    if track_live {
+        state.note_task_finished();
+    }
+}
+
+/// Create the task's cell and launch it as decided.
+///
+/// For a queued task the overhead window `t0..t1` opens *before* the cell
+/// is created, so the measured ns/task includes slot/cell setup.
+fn launch<T, F>(
+    inner: &Arc<RuntimeInner>,
+    spawner: Option<worker::WorkerRef>,
+    how: Launch,
+    site: u32,
+    f: F,
+    token: Option<CancelToken>,
+) -> TaskFuture<T>
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    let state = &inner.state;
+    let (queued, holds_gate) = match how {
+        Launch::Queue { holds_gate } => (true, holds_gate),
+        Launch::Inline | Launch::Deferred => (false, false),
+    };
+    let t0 = state.clock.now_ns();
+    if queued {
+        state.live.fetch_add(1, Ordering::AcqRel);
+    }
+    let spawn = SpawnMeta {
+        task_id: inner.scheduler.next_task_id(),
+        // The task executing on this thread right now, if any.
+        parent: CURRENT_TASK.with(|c| c.get()),
+        site,
+        spawned_ns: t0,
+        token,
+        holds_gate,
+        track_live: queued,
+    };
+    let own_slab = spawner.map(|w| &inner.slabs[w.index]);
+    let (task, join) = crate::slab::place(own_slab, Some(state), spawn, f);
+    // Accounting worker: the spawner's own index, external callers on 0.
+    let widx = spawner.map_or(0, |w| w.index);
+    match how {
+        Launch::Queue { .. } => {
+            // SAFETY: `w.local` is the calling worker's own deque (see
+            // `WorkerRef`); this is the spawning thread.
+            let local = spawner.map(|w| unsafe { &*w.local });
+            inner.scheduler.push(task, local);
+            let t1 = state.clock.now_ns();
+            state.stats[widx].record_overhead(t1.saturating_sub(t0));
+            TaskFuture::new(join)
+        }
+        Launch::Inline => {
+            let claimed = task.claim().expect("a fresh cell is unclaimed");
+            run_task(state, widx, claimed);
+            TaskFuture::new(join)
+        }
+        Launch::Deferred => TaskFuture::new(join.deferred(task)),
+    }
+}
+
+/// Per-runtime worker identity of the caller, counted as a spawner: a
+/// worker of runtime A spawning into runtime B must not index B's
+/// stats/slabs with A's worker index.
+fn spawner_of(inner: &Arc<RuntimeInner>) -> Option<worker::WorkerRef> {
+    let spawner = worker::context_for(inner);
+    if let Some(w) = spawner {
+        inner.state.stats[w.index]
+            .spawned
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    spawner
 }
 
 fn spawn_inner<T, F>(
@@ -1191,44 +1043,16 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let task_id = inner.scheduler.next_task_id();
-    // Per-runtime worker identity: a worker of runtime A spawning into
-    // runtime B must not index B's stats/slabs with A's worker index.
-    let spawner = worker::context_for(inner);
-    if let Some(w) = spawner {
-        inner.state.stats[w.index]
-            .spawned
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    match policy {
-        LaunchPolicy::Sync => {
-            let cell = Arc::new(TaskCell::new(inner, task_id, site, f, false, token, None));
-            cell.run_body();
-            TaskFuture::from_core(cell)
-        }
-        LaunchPolicy::Fork if spawner.is_some() => {
-            // Continuation-stealing approximation: the child runs now, on
-            // this worker, with no queue round-trip (see LaunchPolicy::Fork).
-            let cell = Arc::new(TaskCell::new(inner, task_id, site, f, false, token, None));
-            cell.run_body();
-            TaskFuture::from_core(cell)
-        }
-        LaunchPolicy::Deferred => {
-            let cell = Arc::new(TaskCell::new(inner, task_id, site, f, false, token, None));
-            let c2 = cell.clone();
-            cell.shared.set_deferred(Box::new(move || c2.run_body()));
-            TaskFuture::from_core(cell)
-        }
-        LaunchPolicy::Async | LaunchPolicy::Fork => match admit_for_queue(inner, spawner) {
-            Admit::Queue(gate) => queue_task(inner, task_id, site, f, token, spawner, gate),
-            Admit::Inline => {
-                let cell = Arc::new(TaskCell::new(inner, task_id, site, f, false, token, None));
-                cell.run_body();
-                TaskFuture::from_core(cell)
-            }
-        },
-    }
+    let spawner = spawner_of(inner);
+    let how = match policy {
+        LaunchPolicy::Sync => Launch::Inline,
+        // Continuation-stealing approximation: the child runs now, on
+        // this worker, with no queue round-trip (see LaunchPolicy::Fork).
+        LaunchPolicy::Fork if spawner.is_some() => Launch::Inline,
+        LaunchPolicy::Deferred => Launch::Deferred,
+        LaunchPolicy::Async | LaunchPolicy::Fork => admit_for_queue(inner),
+    };
+    launch(inner, spawner, how, site, f, token)
 }
 
 /// The fallible spawn path: admission failure is the caller's problem —
@@ -1246,22 +1070,16 @@ where
     if inner.draining.load(Ordering::SeqCst) {
         return Err(SpawnError::Draining(f));
     }
-    let gate = match &inner.gate {
+    let holds_gate = match &inner.state.gate {
         Some(gate) => {
             if !gate.try_admit() {
                 gate.note_shed();
                 return Err(SpawnError::Overloaded(f));
             }
-            Some(gate.clone())
+            true
         }
-        None => None,
+        None => false,
     };
-    let task_id = inner.scheduler.next_task_id();
-    let spawner = worker::context_for(inner);
-    if let Some(w) = spawner {
-        inner.state.stats[w.index]
-            .spawned
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    Ok(queue_task(inner, task_id, site, f, token, spawner, gate))
+    let how = Launch::Queue { holds_gate };
+    Ok(launch(inner, spawner_of(inner), how, site, f, token))
 }

@@ -18,7 +18,6 @@
 //! attribute it — remote injectors and remote victims, always in batches
 //! so a cross-socket miss is amortized over up to half the victim's queue.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
@@ -27,35 +26,7 @@ use crossbeam::sync::Unparker;
 use crate::prim::{
     fence, mutation_armed, spin_loop, AtomicI64, AtomicU64, AtomicUsize, Mutex, Ordering,
 };
-use crate::slab::SlabSlotRef;
-
-/// A schedulable task body. Implemented by the runtime's heap task cell
-/// (`runtime::TaskCell`), which carries the instrumented wrapper logic
-/// *and* the future's shared state behind one `Arc`.
-pub(crate) trait Runnable: Send + Sync {
-    /// Run the task body exactly once; later calls must be no-ops.
-    fn run(&self);
-}
-
-/// How a queued task's body is stored.
-pub(crate) enum TaskRepr {
-    /// Slow path: one `Arc<TaskCell>` per spawn (external spawns,
-    /// oversized closures, slab exhaustion).
-    Heap(Arc<dyn Runnable>),
-    /// Fast path: a generation-checked reference into the spawning
-    /// worker's slab — no allocation, no refcounts.
-    Slab(SlabSlotRef),
-}
-
-/// A runnable task. Dropping it without running it tears the body down
-/// (the heap cell via `Arc`, the slab slot via its claim protocol), so
-/// queue destruction cannot leak closures or strand joiners.
-pub(crate) struct Task {
-    pub repr: TaskRepr,
-    /// Monotonic task id (used by scheduler tests and diagnostics).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub id: u64,
-}
+pub(crate) use crate::slab::Task;
 
 /// Queue discipline used by the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -484,19 +455,8 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slab::nop_task as task;
     use crossbeam::sync::Parker;
-
-    struct Nop;
-    impl Runnable for Nop {
-        fn run(&self) {}
-    }
-
-    fn task(id: u64) -> Task {
-        Task {
-            repr: TaskRepr::Heap(Arc::new(Nop)),
-            id,
-        }
-    }
 
     fn take(s: &Scheduler, index: usize, local: &Deque<Task>) -> Option<(Task, u64)> {
         let out = s.find(index, local);
@@ -511,9 +471,9 @@ mod tests {
         s.push(task(1), Some(&local));
         s.push(task(2), Some(&local));
         let (t, stolen) = take(&s, 0, &local).unwrap();
-        assert_eq!(t.id, 2, "own deque must be LIFO");
+        assert_eq!(t.id(), 2, "own deque must be LIFO");
         assert_eq!(stolen, 0, "local pops are not steals");
-        assert_eq!(take(&s, 0, &local).unwrap().0.id, 1);
+        assert_eq!(take(&s, 0, &local).unwrap().0.id(), 1);
         assert!(take(&s, 0, &local).is_none());
     }
 
@@ -523,7 +483,7 @@ mod tests {
         let local = s.deques[0].lock().take().unwrap();
         s.push(task(1), None);
         s.push(task(2), None);
-        let got = take(&s, 0, &local).unwrap().0.id;
+        let got = take(&s, 0, &local).unwrap().0.id();
         assert_eq!(got, 1, "injector must be FIFO");
     }
 
@@ -536,7 +496,7 @@ mod tests {
         s.push(task(2), Some(&local0));
         let (t, stolen) = take(&s, 1, &local1).unwrap();
         assert!(stolen >= 1, "victim tasks count as stolen");
-        assert_eq!(t.id, 1, "steals take the oldest task");
+        assert_eq!(t.id(), 1, "steals take the oldest task");
     }
 
     #[test]
@@ -549,7 +509,7 @@ mod tests {
         }
         let out = s.find(1, &local1);
         let t = out.task.unwrap();
-        assert_eq!(t.id, 0, "the returned task is the victim's oldest");
+        assert_eq!(t.id(), 0, "the returned task is the victim's oldest");
         assert_eq!(
             out.stolen_local,
             1 + local1.len() as u64,
@@ -576,7 +536,7 @@ mod tests {
             s.push(task(i), None);
         }
         let (t, stolen) = take(&s, 0, &local).unwrap();
-        assert_eq!(t.id, 0, "injector is FIFO");
+        assert_eq!(t.id(), 0, "injector is FIFO");
         assert_eq!(stolen, 0, "injector claims are not steals");
         assert!(
             !local.is_empty(),
@@ -591,7 +551,7 @@ mod tests {
         s.push(task(7), Some(&local));
         // Task must be findable by the *other* worker too.
         let local1 = s.deques[1].lock().take().unwrap();
-        assert_eq!(take(&s, 1, &local1).unwrap().0.id, 7);
+        assert_eq!(take(&s, 1, &local1).unwrap().0.id(), 7);
     }
 
     #[test]
@@ -604,7 +564,7 @@ mod tests {
         s.push(task(10), Some(&local1)); // same-socket victim
         s.push(task(20), Some(&local2)); // remote victim
         let out = s.find(0, &local0);
-        assert_eq!(out.task.unwrap().id, 10, "socket-local victim wins");
+        assert_eq!(out.task.unwrap().id(), 10, "socket-local victim wins");
         assert_eq!(out.stolen_local, 1);
         assert_eq!(out.stolen_remote, 0);
         assert_eq!(
@@ -621,14 +581,14 @@ mod tests {
         s.push(task(20), Some(&local2));
         s.push(task(21), Some(&local2));
         let out = s.find(0, &local0);
-        assert_eq!(out.task.unwrap().id, 20);
+        assert_eq!(out.task.unwrap().id(), 20);
         assert_eq!(out.stolen_local, 0);
         assert!(out.stolen_remote >= 1, "cross-socket tasks count as remote");
         // A miss must still report the remote probe window.
         let local1 = s.deques[1].lock().take().unwrap();
-        let drained: Vec<u64> = std::iter::from_fn(|| take(&s, 0, &local0).map(|(t, _)| t.id))
+        let drained: Vec<u64> = std::iter::from_fn(|| take(&s, 0, &local0).map(|(t, _)| t.id()))
             .chain(std::iter::from_fn(|| {
-                take(&s, 1, &local1).map(|(t, _)| t.id)
+                take(&s, 1, &local1).map(|(t, _)| t.id())
             }))
             .collect();
         assert!(drained.contains(&21));
@@ -648,7 +608,7 @@ mod tests {
         // Every task remains findable from one worker (remote phase).
         let local0 = s.deques[0].lock().take().unwrap();
         let mut ids: Vec<u64> =
-            std::iter::from_fn(|| take(&s, 0, &local0).map(|(t, _)| t.id)).collect();
+            std::iter::from_fn(|| take(&s, 0, &local0).map(|(t, _)| t.id())).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }
@@ -758,7 +718,7 @@ mod tests {
         let local1 = s.deques[1].lock().take().unwrap();
         let mut ids = Vec::new();
         while let Some((t, _)) = take(&s, 1, &local1) {
-            ids.push(t.id);
+            ids.push(t.id());
         }
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2], "no task lost in re-parenting");

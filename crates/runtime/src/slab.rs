@@ -1,27 +1,40 @@
-//! Per-worker task slabs: the allocation-free spawn path.
+//! The task cell: the one representation of a spawned task, and the
+//! per-worker slabs that make the common placement allocation-free.
 //!
-//! Each worker owns a [`Slab`] of fixed-size [`Slot`]s. A spawn from a
-//! worker thread whose closure and output fit [`PAYLOAD_BYTES`] takes a
-//! slot off the owner-local free list, writes the closure in place, and
-//! pushes a generation-checked [`SlabSlotRef`] into the scheduler —
-//! no allocator, no refcounts. Slots freed by another thread (a thief
-//! that ran the task, or a future dropped off-worker) return through a
-//! lock-free Treiber stack the owner drains on its next allocation.
+//! A cell is a [`Slot`] header followed, in the same allocation, by its
+//! payload (first the closure, later the output or panic payload). It
+//! lives in one of two places, decided by [`place`]:
 //!
-//! # Slot lifecycle
+//! - **Slab-resident** — a worker of this runtime spawning a task whose
+//!   closure and output fit [`PAYLOAD_BYTES`] takes a slot off its own
+//!   [`Slab`]'s free list and writes the closure in place: no allocator,
+//!   no refcounts. Slots freed by another thread (a thief that ran the
+//!   task, or a future dropped off-worker) return through a lock-free
+//!   Treiber stack the owner drains on its next allocation.
+//! - **External** — every other spawn (non-worker caller, oversized
+//!   closure, exhausted slab) takes one heap allocation of header plus a
+//!   payload sized for that `(T, F)`, counted in
+//!   `/runtime/slab/fallback-allocs` and freed by the second releaser.
 //!
-//! A slot moves through three phases guarded by two atomics:
+//! Placement is storage only. Both kinds follow the protocol below
+//! through the same handles: [`Task`] (queue side), [`Claimed`] and
+//! [`Ran`] (whoever won the claim), [`Join`] (future side).
 //!
-//! 1. **Claim** — exactly one of {runner, queue-teardown} wins
-//!    `lifecycle.fetch_or(CLAIMED)` and owns the closure.
-//! 2. **Completion** — the claimant publishes an outcome
-//!    (`outcome` + `ready` + gate notify), mirroring
-//!    [`crate::future::Shared::finish`].
+//! # Cell lifecycle
+//!
+//! A cell moves through three phases guarded by two atomics:
+//!
+//! 1. **Claim** — exactly one contender wins
+//!    `lifecycle.fetch_or(CLAIMED)` and owns the closure: the worker
+//!    that dequeued the task or the queue's teardown for a queued cell;
+//!    the first `wait`/`get` or the future's drop for a deferred one.
+//! 2. **Completion** — the claimant publishes an outcome (`outcome`,
+//!    then `ready` with `SeqCst`, then the gate notify).
 //! 3. **Release** — the runner sets `RUNNER_DONE`, the future side sets
 //!    `FUTURE_DONE` (plus `TAKEN` if it consumed the output). Whichever
 //!    RMW observes the other side's bit already set performs cleanup and
-//!    frees the slot. The RMW total order on `lifecycle` makes the
-//!    cleanup exactly-once.
+//!    frees the cell. The RMW total order on `lifecycle` makes the
+//!    cleanup exactly-once — it is the cell's whole reference count.
 //!
 //! # Generation protocol
 //!
@@ -42,22 +55,29 @@
 //! freer's `next_free` store — and its generation bump — visible to the
 //! draining owner (see the `slab-remote-push-relaxed` model mutant).
 
-use crate::prim::{mutation_armed, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use crate::runtime::RuntimeInner;
+use crate::prim::{mutation_armed, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use crate::runtime::RuntimeState;
 use crate::sync::EventGate;
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
-use std::mem::MaybeUninit;
+use std::mem::{offset_of, ManuallyDrop, MaybeUninit};
 use std::panic::AssertUnwindSafe;
-use std::sync::{OnceLock, Weak};
+use std::ptr::NonNull;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Free-list terminator.
 const NIL: usize = usize::MAX;
 
-/// Inline payload capacity per slot; closures or outputs larger than
-/// this (or more aligned than [`PAYLOAD_ALIGN`]) take the heap
-/// fallback path in `queue_task`.
+/// Slots per worker slab. Slots are 128-byte-aligned cells of a few
+/// hundred bytes, so this costs on the order of 1–2 MiB per worker; a
+/// spawn that finds them all in flight takes an external cell instead.
+pub(crate) const SLAB_SLOTS: usize = 4096;
+
+/// Inline payload capacity of a slab slot; closures or outputs larger
+/// than this (or more aligned than [`PAYLOAD_ALIGN`]) take an external
+/// cell.
 pub(crate) const PAYLOAD_BYTES: usize = 128;
 pub(crate) const PAYLOAD_ALIGN: usize = 16;
 
@@ -68,12 +88,12 @@ const FUTURE_DONE: u8 = 4;
 const TAKEN: u8 = 8;
 
 // Outcome codes published by the claimant.
-pub(crate) const OUTCOME_PENDING: u8 = 0;
-pub(crate) const OUTCOME_VALUE: u8 = 1;
-pub(crate) const OUTCOME_PANICKED: u8 = 2;
-pub(crate) const OUTCOME_CANCELLED: u8 = 3;
+const OUTCOME_PENDING: u8 = 0;
+const OUTCOME_VALUE: u8 = 1;
+const OUTCOME_PANICKED: u8 = 2;
+const OUTCOME_CANCELLED: u8 = 3;
 
-/// `true` when `F -> T` fits a slot inline (the panic payload
+/// `true` when `F -> T` fits a slab slot inline (the panic payload
 /// `Box<dyn Any + Send>` is two words and always fits).
 pub(crate) const fn task_fits<T, F>() -> bool {
     std::mem::size_of::<F>() <= PAYLOAD_BYTES
@@ -82,9 +102,9 @@ pub(crate) const fn task_fits<T, F>() -> bool {
         && std::mem::align_of::<T>() <= PAYLOAD_ALIGN
 }
 
-/// Type-erased operations over a slot's payload, monomorphized per
-/// `(T, F)` pair — the slab itself stays non-generic.
-pub(crate) struct SlotVTable {
+/// Type-erased operations over a cell's payload, monomorphized per
+/// `(T, F)` pair — the cell header itself stays non-generic.
+struct SlotVTable {
     /// Consume the closure in place, leave the output (or panic
     /// payload) in place, return the outcome code.
     run: unsafe fn(*mut u8) -> u8,
@@ -93,6 +113,8 @@ pub(crate) struct SlotVTable {
     /// Drop an un-taken output (`OUTCOME_VALUE`) or panic payload
     /// (`OUTCOME_PANICKED`) in place.
     drop_output: unsafe fn(*mut u8, u8),
+    /// Free an external cell's allocation (never called on a slab slot).
+    dealloc: unsafe fn(NonNull<Slot>),
 }
 
 struct VTableOf<T, F>(PhantomData<fn(F) -> T>);
@@ -102,6 +124,7 @@ impl<T: Send + 'static, F: FnOnce() -> T + Send + 'static> VTableOf<T, F> {
         run: Self::run,
         drop_closure: Self::drop_closure,
         drop_output: Self::drop_output,
+        dealloc: Self::dealloc,
     };
 
     unsafe fn run(p: *mut u8) -> u8 {
@@ -129,6 +152,10 @@ impl<T: Send + 'static, F: FnOnce() -> T + Send + 'static> VTableOf<T, F> {
             _ => {}
         }
     }
+
+    unsafe fn dealloc(cell: NonNull<Slot>) {
+        drop(Box::from_raw(cell.cast::<External<T, F>>().as_ptr()));
+    }
 }
 
 /// Per-task metadata supplied by the spawner.
@@ -141,25 +168,48 @@ pub(crate) struct SpawnMeta {
     pub token: Option<crate::cancel::CancelToken>,
     /// The spawn passed admission and owes the gate a `note_started`.
     pub holds_gate: bool,
+    /// The task was counted into `live` (queued tasks; inline and
+    /// deferred ones never enter a queue).
+    pub track_live: bool,
+}
+
+impl SpawnMeta {
+    /// Metadata of a cell no runtime accounts for (`ready_future`, tests).
+    pub(crate) fn bare(task_id: u64) -> Self {
+        SpawnMeta {
+            task_id,
+            parent: u64::MAX,
+            site: crate::trace::UNKNOWN_SITE,
+            spawned_ns: 0,
+            token: None,
+            holds_gate: false,
+            track_live: false,
+        }
+    }
 }
 
 /// `SpawnMeta` plus the monomorphized vtable, written by the spawner
 /// before the task is published (the queue push is the release edge)
 /// and read by the claimant afterwards.
-pub(crate) struct SlotMeta {
+struct SlotMeta {
     vtable: &'static SlotVTable,
-    pub spawn: SpawnMeta,
+    spawn: SpawnMeta,
 }
 
-#[repr(C, align(16))]
-struct PayloadArea(MaybeUninit<[u8; PAYLOAD_BYTES]>);
+/// Where a cell lives, fixed when its storage is created.
+enum Home {
+    /// Slot `index` of `slab`, whose runtime accounts for the task.
+    Slab { slab: *const Slab, index: u32 },
+    /// Its own heap allocation, carrying the runtime reference a slab
+    /// would provide (`None`: a cell no runtime accounts for).
+    Heap(Option<Arc<RuntimeState>>),
+}
 
-/// One recyclable task cell. 128-byte aligned so two slots never share
-/// a cache-line pair (avoids false sharing between the owner writing
-/// one slot and a thief completing its neighbor).
-#[repr(align(128))]
+/// The cell header. The payload follows it in the same allocation, at
+/// `payload_offset` bytes from the header's address.
+#[repr(C)]
 pub(crate) struct Slot {
-    /// Bumped (Release) every time the slot is freed, *before* the
+    /// Bumped (Release) every time a slab slot is freed, *before* the
     /// free-list push. Handles validate with Acquire loads.
     gen: AtomicU64,
     /// Free-list link; `NIL` when allocated or terminal.
@@ -168,34 +218,37 @@ pub(crate) struct Slot {
     lifecycle: AtomicU8,
     /// OUTCOME_* code; written by the claimant before `ready`.
     outcome: AtomicU8,
-    /// Completion flag, mirrors `Shared::ready` (store SeqCst after
-    /// the outcome, load SeqCst in `is_ready` — same protocol as the
-    /// heap future, see DESIGN.md §10).
-    ready: crate::prim::AtomicBool,
+    /// Completion flag: stored SeqCst after the outcome, loaded SeqCst
+    /// in `is_ready` (pairs with the gate's waiter registration, see
+    /// DESIGN.md §10).
+    ready: AtomicBool,
     /// Wakes external waiters; workers help-execute instead.
     gate: EventGate,
     meta: UnsafeCell<Option<SlotMeta>>,
-    payload: UnsafeCell<PayloadArea>,
+    home: Home,
+    payload_offset: u32,
 }
 
-// SAFETY: access to `meta`/`payload` is handed off through the
+// SAFETY: access to `meta` and the payload is handed off through the
 // claim/publish protocol documented on the module; every cross-thread
 // edge is an acquire/release (or SeqCst) pair on `lifecycle`, `ready`,
-// or the free-list heads.
+// or the free-list heads. `home` is immutable after construction and
+// its `Slab` pointer outlives every handle (see `Task`, `Join`).
 unsafe impl Send for Slot {}
 unsafe impl Sync for Slot {}
 
 impl Slot {
-    fn new() -> Self {
+    fn new(home: Home, payload_offset: usize) -> Self {
         Slot {
             gen: AtomicU64::new(0),
             next_free: AtomicUsize::new(NIL),
             lifecycle: AtomicU8::new(0),
             outcome: AtomicU8::new(OUTCOME_PENDING),
-            ready: crate::prim::AtomicBool::new(false),
+            ready: AtomicBool::new(false),
             gate: EventGate::new(),
             meta: UnsafeCell::new(None),
-            payload: UnsafeCell::new(PayloadArea(MaybeUninit::uninit())),
+            home,
+            payload_offset: payload_offset as u32,
         }
     }
 
@@ -203,16 +256,8 @@ impl Slot {
         self.gen.load(Ordering::Acquire)
     }
 
-    pub(crate) fn is_ready(&self) -> bool {
+    fn is_ready(&self) -> bool {
         self.ready.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn outcome(&self) -> u8 {
-        self.outcome.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn gate(&self) -> &EventGate {
-        &self.gate
     }
 
     /// Publish completion: outcome, then ready (SeqCst), then wake.
@@ -221,59 +266,189 @@ impl Slot {
         self.ready.store(true, Ordering::SeqCst);
         self.gate.notify();
     }
+}
 
-    fn payload_ptr(&self) -> *mut u8 {
-        self.payload.get().cast::<u8>()
+/// The payload's address.
+///
+/// # Safety
+/// `cell` must point at a live cell and carry provenance over its whole
+/// allocation (as every pointer minted by [`Slab::cell`] and
+/// [`External::alloc`] does).
+unsafe fn payload(cell: NonNull<Slot>) -> *mut u8 {
+    let offset = (*cell.as_ptr()).payload_offset as usize;
+    cell.as_ptr().cast::<u8>().add(offset)
+}
+
+/// Arm freshly obtained storage with a task; returns the cell's current
+/// generation for the handle pair.
+///
+/// # Safety
+/// `cell` must be storage for `(T, F)` (an `External<T, F>`, or a slab
+/// slot with `task_fits::<T, F>()`) that no handle refers to yet.
+unsafe fn arm<T, F>(cell: NonNull<Slot>, spawn: SpawnMeta, f: F) -> u64
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    let slot = cell.as_ref();
+    slot.lifecycle.store(0, Ordering::Relaxed);
+    slot.outcome.store(OUTCOME_PENDING, Ordering::Relaxed);
+    slot.ready.store(false, Ordering::Relaxed);
+    *slot.meta.get() = Some(SlotMeta {
+        vtable: &VTableOf::<T, F>::TABLE,
+        spawn,
+    });
+    payload(cell).cast::<F>().write(f);
+    slot.gen.load(Ordering::Relaxed)
+}
+
+/// Try to become the cell's claimant (exactly-once).
+///
+/// # Safety
+/// `cell` must be live: the caller holds a handle that has not released.
+unsafe fn try_claim(cell: NonNull<Slot>) -> Option<Claimed> {
+    let prev = (*cell.as_ptr())
+        .lifecycle
+        .fetch_or(CLAIMED, Ordering::AcqRel);
+    (prev & CLAIMED == 0).then_some(Claimed(cell))
+}
+
+/// One side's release: set `mine`; if the other side's bit is already
+/// there this RMW is the second release and cleans the cell up. Takes
+/// the cell by pointer, not `&Slot`: a first releaser's cell may be
+/// freed by the other side the moment the RMW lands.
+///
+/// # Safety
+/// The caller's side must be live and must not touch the cell again.
+unsafe fn release(cell: NonNull<Slot>, mine: u8, theirs: u8) {
+    let prev = (*cell.as_ptr()).lifecycle.fetch_or(mine, Ordering::AcqRel);
+    if prev & theirs != 0 {
+        cleanup(cell, prev | mine);
+    }
+}
+
+/// Exactly-once teardown after both sides released: drop whatever is
+/// left in the payload, drop the metadata, then recycle the slot or
+/// free the external allocation.
+///
+/// # Safety
+/// Both RUNNER_DONE and FUTURE_DONE are set in `bits` and the lifecycle
+/// RMW total order picked the caller as the second releaser — no other
+/// thread touches the cell until it is freed.
+unsafe fn cleanup(cell: NonNull<Slot>, bits: u8) {
+    let slot = cell.as_ref();
+    let meta = (*slot.meta.get()).take().expect("cell torn down once");
+    let outcome = slot.outcome.load(Ordering::Relaxed);
+    if bits & TAKEN == 0 && matches!(outcome, OUTCOME_VALUE | OUTCOME_PANICKED) {
+        (meta.vtable.drop_output)(payload(cell), outcome);
+    }
+    let dealloc = meta.vtable.dealloc;
+    drop(meta);
+    match slot.home {
+        Home::Slab { slab, index } => {
+            let by_owner = std::ptr::eq(crate::worker::current_slab_ptr(), slab);
+            (*slab).free_slot(index, by_owner);
+        }
+        Home::Heap(_) => dealloc(cell),
+    }
+}
+
+#[repr(C, align(16))]
+struct PayloadArea(MaybeUninit<[u8; PAYLOAD_BYTES]>);
+
+/// A slab-resident cell. 128-byte aligned so two slots never share a
+/// cache-line pair (avoids false sharing between the owner writing one
+/// slot and a thief completing its neighbor).
+#[repr(C, align(128))]
+struct Resident {
+    slot: Slot,
+    payload: UnsafeCell<PayloadArea>,
+}
+
+/// Layout carrier: room and alignment for whichever of the three the
+/// payload currently holds.
+#[repr(C)]
+#[allow(dead_code)]
+union Payload<T, F> {
+    closure: ManuallyDrop<F>,
+    output: ManuallyDrop<T>,
+    panic: ManuallyDrop<Box<dyn Any + Send>>,
+}
+
+/// An external cell: header plus a payload sized for this `(T, F)`.
+#[repr(C)]
+struct External<T, F> {
+    slot: Slot,
+    payload: UnsafeCell<MaybeUninit<Payload<T, F>>>,
+}
+
+impl<T, F> External<T, F> {
+    fn alloc(state: Option<Arc<RuntimeState>>) -> NonNull<Slot> {
+        let cell = Box::new(External::<T, F> {
+            slot: Slot::new(Home::Heap(state), offset_of!(Self, payload)),
+            payload: UnsafeCell::new(MaybeUninit::uninit()),
+        });
+        NonNull::from(Box::leak(cell)).cast()
     }
 }
 
 /// A worker's slot arena. The owner allocates; anyone may free.
 pub(crate) struct Slab {
-    slots: Box<[Slot]>,
+    slots: Box<[Resident]>,
     /// Owner-private free list head (plain loads/stores suffice, but it
     /// lives in an atomic so the model checker can see it).
     local_head: AtomicUsize,
     /// Treiber stack of slots freed by other threads.
     remote_head: AtomicUsize,
-    owner: usize,
-    /// Back-reference for queue-teardown bookkeeping; set once by
-    /// `Runtime::new` after the inner Arc exists.
-    runtime: OnceLock<Weak<RuntimeInner>>,
+    /// The runtime whose tasks live here (`None` in slab unit tests);
+    /// what a cancelled or deferred cell settles its accounts with.
+    state: Option<Arc<RuntimeState>>,
     allocs: AtomicU64,
     local_frees: AtomicU64,
     remote_frees: AtomicU64,
     exhausted: AtomicU64,
 }
 
+// SAFETY: the slots synchronize as documented on `Slot`; the free lists
+// and counters are atomics.
 unsafe impl Send for Slab {}
 unsafe impl Sync for Slab {}
 
 impl Slab {
-    pub(crate) fn new(owner: usize, capacity: usize) -> Self {
-        let slots: Box<[Slot]> = (0..capacity).map(|_| Slot::new()).collect();
-        for (i, s) in slots.iter().enumerate() {
-            let next = if i + 1 < capacity { i + 1 } else { NIL };
-            s.next_free.store(next, Ordering::Relaxed);
-        }
-        Slab {
-            slots,
-            local_head: AtomicUsize::new(if capacity == 0 { NIL } else { 0 }),
-            remote_head: AtomicUsize::new(NIL),
-            owner,
-            runtime: OnceLock::new(),
-            allocs: AtomicU64::new(0),
-            local_frees: AtomicU64::new(0),
-            remote_frees: AtomicU64::new(0),
-            exhausted: AtomicU64::new(0),
-        }
+    pub(crate) fn new(capacity: usize, state: Option<Arc<RuntimeState>>) -> Arc<Self> {
+        Arc::new_cyclic(|me| {
+            let slab = me.as_ptr();
+            let slots: Box<[Resident]> = (0..capacity)
+                .map(|i| {
+                    let home = Home::Slab {
+                        slab,
+                        index: i as u32,
+                    };
+                    let slot = Slot::new(home, offset_of!(Resident, payload));
+                    let next = if i + 1 < capacity { i + 1 } else { NIL };
+                    slot.next_free.store(next, Ordering::Relaxed);
+                    Resident {
+                        slot,
+                        payload: UnsafeCell::new(PayloadArea(MaybeUninit::uninit())),
+                    }
+                })
+                .collect();
+            Slab {
+                slots,
+                local_head: AtomicUsize::new(if capacity == 0 { NIL } else { 0 }),
+                remote_head: AtomicUsize::new(NIL),
+                state,
+                allocs: AtomicU64::new(0),
+                local_frees: AtomicU64::new(0),
+                remote_frees: AtomicU64::new(0),
+                exhausted: AtomicU64::new(0),
+            }
+        })
     }
 
-    pub(crate) fn attach_runtime(&self, inner: Weak<RuntimeInner>) {
-        let _ = self.runtime.set(inner);
-    }
-
-    pub(crate) fn slot(&self, idx: u32) -> &Slot {
-        &self.slots[idx as usize]
+    /// Slot `idx` as a cell pointer covering header and payload.
+    fn cell(&self, idx: u32) -> NonNull<Slot> {
+        NonNull::from(&self.slots[idx as usize]).cast()
     }
 
     pub(crate) fn allocs(&self) -> u64 {
@@ -312,9 +487,10 @@ impl Slab {
                 return None;
             }
         }
-        let next = self.slots[head].next_free.load(Ordering::Relaxed);
+        let slot = &self.slots[head].slot;
+        let next = slot.next_free.load(Ordering::Relaxed);
         self.local_head.store(next, Ordering::Relaxed);
-        self.slots[head].next_free.store(NIL, Ordering::Relaxed);
+        slot.next_free.store(NIL, Ordering::Relaxed);
         // Owner-only counter, as above.
         self.allocs
             .store(self.allocs.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
@@ -325,7 +501,7 @@ impl Slab {
     /// sequenced *before* the list push so no other thread can observe
     /// a recycled slot still carrying the old generation.
     pub(crate) fn free_slot(&self, idx: u32, by_owner: bool) {
-        let slot = &self.slots[idx as usize];
+        let slot = &self.slots[idx as usize].slot;
         let bump_first = !mutation_armed("slab-gen-bump-after-push");
         if bump_first {
             slot.gen.fetch_add(1, Ordering::Release);
@@ -365,212 +541,205 @@ impl Slab {
             slot.gen.fetch_add(1, Ordering::Release);
         }
     }
+}
 
-    /// Initialize a freshly allocated slot with a task. Returns the
-    /// slot's current generation for the handle pair.
-    ///
-    /// # Safety
-    /// `idx` must have just been returned by `alloc` on this thread and
-    /// not yet published.
-    pub(crate) unsafe fn init_task<T, F>(&self, idx: u32, spawn: SpawnMeta, f: F) -> u64
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        debug_assert!(task_fits::<T, F>());
-        let slot = &self.slots[idx as usize];
-        slot.lifecycle.store(0, Ordering::Relaxed);
-        slot.outcome.store(OUTCOME_PENDING, Ordering::Relaxed);
-        slot.ready.store(false, Ordering::Relaxed);
-        *slot.meta.get() = Some(SlotMeta {
-            vtable: &VTableOf::<T, F>::TABLE,
-            spawn,
-        });
-        slot.payload_ptr().cast::<F>().write(f);
-        slot.gen.load(Ordering::Relaxed)
-    }
-
-    /// Try to become the slot's claimant (exactly-once).
-    pub(crate) fn claim(&self, idx: u32) -> bool {
-        let prev = self.slots[idx as usize]
-            .lifecycle
-            .fetch_or(CLAIMED, Ordering::AcqRel);
-        prev & CLAIMED == 0
-    }
-
-    /// Read the claimed slot's metadata.
-    ///
-    /// # Safety
-    /// The caller must have won `claim(idx)` and not yet called
-    /// `runner_done`.
-    pub(crate) unsafe fn meta(&self, idx: u32) -> &SlotMeta {
-        (*self.slots[idx as usize].meta.get())
-            .as_ref()
-            .expect("claimed slot has metadata")
-    }
-
-    /// Run the closure in place and publish the outcome.
-    ///
-    /// # Safety
-    /// Claimant only; the closure must not have been consumed yet.
-    pub(crate) unsafe fn run_claimed(&self, idx: u32) -> u8 {
-        let slot = &self.slots[idx as usize];
-        let vtable = self.meta(idx).vtable;
-        (vtable.run)(slot.payload_ptr())
-    }
-
-    /// Drop the un-run closure and publish a cancelled outcome.
-    ///
-    /// # Safety
-    /// Claimant only; the closure must not have been consumed yet.
-    pub(crate) unsafe fn cancel_claimed(&self, idx: u32) {
-        let slot = &self.slots[idx as usize];
-        let vtable = self.meta(idx).vtable;
-        (vtable.drop_closure)(slot.payload_ptr());
-        slot.publish(OUTCOME_CANCELLED);
-    }
-
-    pub(crate) fn publish(&self, idx: u32, outcome: u8) {
-        self.slots[idx as usize].publish(outcome);
-    }
-
-    /// Runner-side release. Cleans up and frees if the future side has
-    /// already detached.
-    pub(crate) fn runner_done(&self, idx: u32) {
-        let prev = self.slots[idx as usize]
-            .lifecycle
-            .fetch_or(RUNNER_DONE, Ordering::AcqRel);
-        if prev & FUTURE_DONE != 0 {
-            self.cleanup(idx, prev | RUNNER_DONE);
+/// Decide where a new task's cell lives and arm it: a slot of `own_slab`
+/// — the calling thread's own slab, i.e. the caller is a worker of this
+/// runtime — when the task fits and a slot is free, an external cell
+/// accounted to `state` otherwise. Every launch policy goes through here.
+pub(crate) fn place<T, F>(
+    own_slab: Option<&Arc<Slab>>,
+    state: Option<&Arc<RuntimeState>>,
+    spawn: SpawnMeta,
+    f: F,
+) -> (Task, Join<T>)
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    let slot = match own_slab {
+        Some(own) if task_fits::<T, F>() => {
+            own.alloc().map(|idx| (own.cell(idx), Some(own.clone())))
         }
-    }
-
-    /// Future-side release (`taken` = the output was consumed). Cleans
-    /// up and frees if the runner has already finished.
-    pub(crate) fn future_done(&self, idx: u32, taken: bool) {
-        let bits = FUTURE_DONE | if taken { TAKEN } else { 0 };
-        let prev = self.slots[idx as usize]
-            .lifecycle
-            .fetch_or(bits, Ordering::AcqRel);
-        if prev & RUNNER_DONE != 0 {
-            self.cleanup(idx, prev | bits);
+        _ => None,
+    };
+    let (cell, slab) = slot.unwrap_or_else(|| {
+        if let Some(state) = state {
+            state.fallback_allocs.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Exactly-once teardown after both sides released: drop whatever
-    /// is left in the payload, drop the metadata, recycle the slot.
-    fn cleanup(&self, idx: u32, bits: u8) {
-        let slot = &self.slots[idx as usize];
-        // SAFETY: both RUNNER_DONE and FUTURE_DONE are set and the
-        // lifecycle RMW total order picked us as the second releaser —
-        // no other thread touches the slot until it is freed.
-        unsafe {
-            let meta = (*slot.meta.get()).take().expect("slot torn down once");
-            let outcome = slot.outcome.load(Ordering::Relaxed);
-            if bits & TAKEN == 0 && matches!(outcome, OUTCOME_VALUE | OUTCOME_PANICKED) {
-                (meta.vtable.drop_output)(slot.payload_ptr(), outcome);
-            }
-            drop(meta);
-        }
-        let by_owner = std::ptr::eq(crate::worker::current_slab_ptr(), self);
-        self.free_slot(idx, by_owner);
-    }
-
-    /// Queue-teardown path: the task was dropped without running
-    /// (runtime shutdown, deque drop, quiesce straggler). Completes the
-    /// future as cancelled so joiners unblock.
-    pub(crate) fn teardown_queued(&self, idx: u32) {
-        if !self.claim(idx) {
-            return;
-        }
-        // SAFETY: we won the claim, so we own closure + metadata.
-        unsafe {
-            let meta = self.meta(idx);
-            if let Some(inner) = self.runtime.get().and_then(Weak::upgrade) {
-                if meta.spawn.holds_gate {
-                    if let Some(gate) = &inner.gate {
-                        gate.note_started();
-                    }
-                }
-                let widx = if inner.state.stats.is_empty() {
-                    None
-                } else {
-                    Some(self.owner.min(inner.state.stats.len() - 1))
-                };
-                if let Some(w) = widx {
-                    inner.state.stats[w]
-                        .cancelled
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                self.cancel_claimed(idx);
-                inner.state.note_task_finished();
-            } else {
-                self.cancel_claimed(idx);
-            }
-        }
-        self.runner_done(idx);
-    }
+        (External::<T, F>::alloc(state.cloned()), None)
+    });
+    // SAFETY: fresh storage for this `(T, F)` — a slot just allocated on
+    // its owner thread that the task fits, or a new `External<T, F>`.
+    let gen = unsafe { arm::<T, F>(cell, spawn, f) };
+    (Task { cell, gen }, Join::new(cell, gen, slab))
 }
 
 /// The scheduler-side handle: identifies one queued task instance.
-/// Dropping it without running the task tears the task down (cancelled
-/// completion), exactly like dropping a heap `Task` drops its
-/// `Arc<TaskCell>`.
-pub(crate) struct SlabSlotRef {
-    pub slab: *const Slab,
-    pub idx: u32,
-    pub gen: u64,
+/// Dropping it without running the task tears the task down — the
+/// future completes cancelled and the runtime's ledgers are settled —
+/// so queue destruction cannot leak closures or strand joiners.
+pub(crate) struct Task {
+    cell: NonNull<Slot>,
+    gen: u64,
 }
 
-// SAFETY: the referenced `Slab` lives in `RuntimeInner` *after* the
-// scheduler field, so every queue (and thus every `SlabSlotRef`) drops
-// before the slab does; the slab itself is `Sync`.
-unsafe impl Send for SlabSlotRef {}
-unsafe impl Sync for SlabSlotRef {}
+// SAFETY: a slab-resident cell's `Slab` lives in `RuntimeInner` *after*
+// the scheduler field, so every queue (and thus every `Task`) drops
+// before the slab does; an external cell lives until its second
+// release, which a live `Task` has not made. The cell itself is `Sync`.
+unsafe impl Send for Task {}
+unsafe impl Sync for Task {}
 
-impl SlabSlotRef {
-    pub(crate) fn slab(&self) -> &Slab {
-        // SAFETY: see the Send/Sync argument above.
-        unsafe { &*self.slab }
+impl Task {
+    /// Become the task's claimant. `None` when another contender already
+    /// owns the closure (a deferred cell raced by a second waiter).
+    pub(crate) fn claim(self) -> Option<Claimed> {
+        let task = ManuallyDrop::new(self);
+        debug_assert_eq!(task.slot().generation(), task.gen);
+        // SAFETY: this handle has not released.
+        unsafe { try_claim(task.cell) }
+    }
+
+    fn slot(&self) -> &Slot {
+        // SAFETY: this handle has not released.
+        unsafe { self.cell.as_ref() }
     }
 }
 
-impl Drop for SlabSlotRef {
+impl Drop for Task {
     fn drop(&mut self) {
-        debug_assert_eq!(self.slab().slot(self.idx).generation(), self.gen);
-        self.slab().teardown_queued(self.idx);
+        debug_assert_eq!(self.slot().generation(), self.gen);
+        // SAFETY: this handle has not released.
+        let Some(claimed) = (unsafe { try_claim(self.cell) }) else {
+            return;
+        };
+        match claimed.state() {
+            Some(state) => {
+                let widx = crate::worker::index_in(&state);
+                crate::runtime::cancel_task(&state, widx, claimed);
+            }
+            None => claimed.cancel(),
+        }
+    }
+}
+
+/// Proof of having won the claim: sole owner of the closure and the
+/// metadata. Must end in [`Claimed::run`] or [`Claimed::cancel`].
+#[must_use]
+pub(crate) struct Claimed(NonNull<Slot>);
+
+impl Claimed {
+    fn meta(&self) -> &SlotMeta {
+        // SAFETY: the claimant owns the metadata until it releases.
+        unsafe { (*self.0.as_ref().meta.get()).as_ref() }.expect("claimed cell has metadata")
+    }
+
+    pub(crate) fn spawn(&self) -> &SpawnMeta {
+        &self.meta().spawn
+    }
+
+    /// The runtime that accounts for this task. Cloned out of the cell:
+    /// the caller keeps using it after the release that may free the
+    /// cell's own reference.
+    pub(crate) fn state(&self) -> Option<Arc<RuntimeState>> {
+        // SAFETY: the claimant has not released; a slab outlives its
+        // cells' handles.
+        match unsafe { &self.0.as_ref().home } {
+            Home::Slab { slab, .. } => unsafe { (**slab).state.clone() },
+            Home::Heap(state) => state.clone(),
+        }
+    }
+
+    /// Run the closure in place (panics are caught into the outcome).
+    pub(crate) fn run(self) -> Ran {
+        let run = self.meta().vtable.run;
+        // SAFETY: claimant; `self` is consumed, so the closure is read
+        // out exactly once.
+        let outcome = unsafe { run(payload(self.0)) };
+        Ran {
+            cell: self.0,
+            outcome,
+        }
+    }
+
+    /// Drop the un-run closure, publish a cancelled outcome and release
+    /// the runner side.
+    pub(crate) fn cancel(self) {
+        let drop_closure = self.meta().vtable.drop_closure;
+        // SAFETY: claimant; the closure has not been consumed. The
+        // release is this side's last access.
+        unsafe {
+            drop_closure(payload(self.0));
+            self.0.as_ref().publish(OUTCOME_CANCELLED);
+            release(self.0, RUNNER_DONE, FUTURE_DONE);
+        }
+    }
+}
+
+/// A claimed cell whose closure has run: the outcome is in the payload
+/// but not yet visible to the future.
+#[must_use]
+pub(crate) struct Ran {
+    cell: NonNull<Slot>,
+    outcome: u8,
+}
+
+impl Ran {
+    /// Publish the outcome and release the runner side.
+    pub(crate) fn publish(self) {
+        // SAFETY: still the claimant; the release is the last access.
+        unsafe {
+            self.cell.as_ref().publish(self.outcome);
+            release(self.cell, RUNNER_DONE, FUTURE_DONE);
+        }
     }
 }
 
 /// The future-side handle held by `TaskFuture`. Typed: it knows the
 /// output is a `T` and reads it straight out of the payload.
-pub(crate) struct SlabJoin<T> {
-    slab: std::sync::Arc<Slab>,
-    idx: u32,
+pub(crate) struct Join<T> {
+    cell: NonNull<Slot>,
     gen: u64,
+    /// Keeps a slab-resident cell's arena alive past its runtime.
+    _slab: Option<Arc<Slab>>,
     consumed: bool,
+    /// The cell was never queued: this handle also stands in for its
+    /// [`Task`], so the first `wait` runs it and a drop tears it down.
+    deferred: bool,
     _result: PhantomData<fn() -> T>,
 }
 
 // SAFETY: the payload transfer (runner writes `T`, joiner reads it) is
-// ordered by the SeqCst `ready` flag, same as `Shared<T>`.
-unsafe impl<T: Send> Send for SlabJoin<T> {}
-unsafe impl<T: Send> Sync for SlabJoin<T> {}
+// ordered by the SeqCst `ready` flag; a deferred closure is `Send`.
+unsafe impl<T: Send> Send for Join<T> {}
+unsafe impl<T: Send> Sync for Join<T> {}
 
-impl<T: Send + 'static> SlabJoin<T> {
-    pub(crate) fn new(slab: std::sync::Arc<Slab>, idx: u32, gen: u64) -> Self {
-        SlabJoin {
-            slab,
-            idx,
+impl<T> Join<T> {
+    fn new(cell: NonNull<Slot>, gen: u64, slab: Option<Arc<Slab>>) -> Self {
+        Join {
+            cell,
             gen,
+            _slab: slab,
             consumed: false,
+            deferred: false,
             _result: PhantomData,
         }
     }
 
+    /// Keep `task` out of every queue: it runs on this handle's first
+    /// untimed wait instead.
+    pub(crate) fn deferred(mut self, task: Task) -> Self {
+        debug_assert_eq!(task.cell, self.cell);
+        std::mem::forget(task);
+        self.deferred = true;
+        self
+    }
+
     fn slot(&self) -> &Slot {
-        let s = self.slab.slot(self.idx);
-        debug_assert_eq!(s.generation(), self.gen, "slab handle outlived its slot");
+        // SAFETY: the future side has not released.
+        let s = unsafe { self.cell.as_ref() };
+        debug_assert_eq!(s.generation(), self.gen, "handle outlived its cell");
         s
     }
 
@@ -579,46 +748,68 @@ impl<T: Send + 'static> SlabJoin<T> {
     }
 
     pub(crate) fn is_cancelled(&self) -> bool {
-        self.slot().is_ready() && self.slot().outcome() == OUTCOME_CANCELLED
+        let slot = self.slot();
+        slot.is_ready() && slot.outcome.load(Ordering::Relaxed) == OUTCOME_CANCELLED
     }
 
-    /// Block until complete: workers help-execute, external threads
-    /// wait on the slot's gate (mirrors `Shared::wait`).
+    /// The deferred cell's stand-in queue handle.
+    fn as_task(&self) -> Task {
+        Task {
+            cell: self.cell,
+            gen: self.gen,
+        }
+    }
+
+    /// Block until complete. A deferred cell runs here, on the first
+    /// caller to win its claim; otherwise workers help-execute other
+    /// tasks (the scheduler equivalent of HPX suspending the waiting
+    /// lightweight thread) and external threads wait on the cell's gate.
     pub(crate) fn wait(&self) {
         if self.is_ready() {
             return;
+        }
+        if self.deferred {
+            if let Some(claimed) = self.as_task().claim() {
+                let state = claimed.state().expect("a deferred cell has a runtime");
+                let widx = crate::worker::index_in(&state);
+                return crate::runtime::run_task(&state, widx, claimed);
+            }
         }
         if crate::worker::on_worker_thread() {
             crate::worker::help_while(|| !self.is_ready());
         } else {
             let slot = self.slot();
-            slot.gate().wait_until(|| slot.is_ready());
+            slot.gate.wait_until(|| slot.is_ready());
         }
     }
 
-    /// Like `wait` but bounded; returns readiness.
-    pub(crate) fn wait_timeout(&self, timeout: std::time::Duration) -> bool {
+    /// Like `wait` but bounded; returns readiness. Never starts a
+    /// deferred closure — a timed wait must not take on unbounded work —
+    /// so an unstarted deferred cell reports not-ready immediately.
+    pub(crate) fn wait_timeout(&self, timeout: Duration) -> bool {
         if self.is_ready() {
             return true;
         }
-        let deadline = std::time::Instant::now() + timeout;
+        if self.deferred && self.slot().lifecycle.load(Ordering::Acquire) & CLAIMED == 0 {
+            return false;
+        }
+        let deadline = Instant::now() + timeout;
         if crate::worker::on_worker_thread() {
-            crate::worker::help_while(|| !self.is_ready() && std::time::Instant::now() < deadline);
+            crate::worker::help_while(|| !self.is_ready() && Instant::now() < deadline);
         } else {
             let slot = self.slot();
-            slot.gate().wait_deadline(deadline, || slot.is_ready());
+            slot.gate.wait_deadline(deadline, || slot.is_ready());
         }
         self.is_ready()
     }
 
-    /// Consume the completed output. Panics/propagates like
-    /// `Shared::take`.
+    /// Consume the completed output, re-raising a panic or cancellation.
     pub(crate) fn take(&mut self) -> T {
-        let (outcome, payload) = {
-            let slot = self.slot();
-            assert!(slot.is_ready(), "take called before completion");
-            (slot.outcome(), slot.payload_ptr())
-        };
+        let slot = self.slot();
+        assert!(slot.is_ready(), "take called before completion");
+        let outcome = slot.outcome.load(Ordering::Relaxed);
+        // SAFETY: the future side has not released.
+        let payload = unsafe { payload(self.cell) };
         match outcome {
             OUTCOME_VALUE => {
                 self.consumed = true;
@@ -635,31 +826,97 @@ impl<T: Send + 'static> SlabJoin<T> {
                 std::panic::resume_unwind(boxed)
             }
             OUTCOME_CANCELLED => std::panic::resume_unwind(Box::new(crate::cancel::TaskCancelled)),
-            other => unreachable!("ready slot with outcome {other}"),
+            other => unreachable!("ready cell with outcome {other}"),
         }
     }
 }
 
-impl<T> Drop for SlabJoin<T> {
+impl<T> Drop for Join<T> {
     fn drop(&mut self) {
-        self.slab.future_done(self.idx, self.consumed);
+        if self.deferred {
+            // Never waited on: tear it down as a dropped queue would.
+            drop(self.as_task());
+        }
+        let bits = FUTURE_DONE | if self.consumed { TAKEN } else { 0 };
+        // SAFETY: the future side's one release, its last access.
+        unsafe { release(self.cell, bits, RUNNER_DONE) };
     }
 }
+
+/// Test-only views into cells, shared by this crate's unit tests and
+/// model specs.
+#[cfg(test)]
+mod probes {
+    use super::*;
+
+    /// A no-op task in an external cell, for tests that only move tasks
+    /// through queues. Dropped un-run it tears down like any other cell.
+    pub(crate) fn nop_task(id: u64) -> Task {
+        place(None, None, SpawnMeta::bare(id), || ()).0
+    }
+
+    impl Task {
+        /// The id the spawner gave the task.
+        pub(crate) fn id(&self) -> u64 {
+            // SAFETY: the metadata is stable until the claim, and only
+            // this handle can claim.
+            unsafe { (*self.slot().meta.get()).as_ref() }
+                .expect("queued cell has metadata")
+                .spawn
+                .task_id
+        }
+    }
+
+    impl Slab {
+        pub(crate) fn slot(&self, idx: u32) -> &Slot {
+            &self.slots[idx as usize].slot
+        }
+    }
+
+    impl<T> Join<T> {
+        /// External waiters registered on the cell's gate.
+        pub(crate) fn gate_waiters(&self) -> usize {
+            self.slot().gate.waiters()
+        }
+    }
+}
+#[cfg(test)]
+pub(crate) use probes::nop_task;
 
 #[cfg(all(test, not(rpx_model)))]
 mod tests {
     use super::*;
+    use crate::admission::AdmissionGate;
+    use crate::cancel::TaskCancelled;
+    use crate::scheduler::{Scheduler, SchedulerMode};
+    use rpx_counters::counter::Clock;
     use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
-    use std::sync::Arc;
 
-    fn meta(task_id: u64) -> SpawnMeta {
-        SpawnMeta {
-            task_id,
-            parent: u64::MAX,
-            site: 0,
-            spawned_ns: 0,
-            token: None,
-            holds_gate: false,
+    /// Bumps its counter when dropped: closures and outputs holding one
+    /// prove exactly-once release.
+    struct Probe(&'static StdAtomicUsize);
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, StdOrdering::SeqCst);
+        }
+    }
+
+    /// Both placements of one task: a slot of a one-slot slab, and an
+    /// external cell (no slab to take a slot from).
+    fn both<T, F>(f: impl Fn() -> F) -> [(Option<Arc<Slab>>, Task, Join<T>); 2]
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let slab = Slab::new(1, None);
+        let (t0, j0) = place(Some(&slab), None, SpawnMeta::bare(1), f());
+        let (t1, j1) = place(None, None, SpawnMeta::bare(2), f());
+        [(Some(slab), t0, j0), (None, t1, j1)]
+    }
+
+    fn assert_recycled(slab: Option<Arc<Slab>>) {
+        if let Some(slab) = slab {
+            assert_eq!(slab.alloc(), Some(0), "both sides released: slot recycled");
         }
     }
 
@@ -675,7 +932,7 @@ mod tests {
 
     #[test]
     fn alloc_free_recycles_lifo_and_bumps_generation() {
-        let slab = Slab::new(0, 2);
+        let slab = Slab::new(2, None);
         let a = slab.alloc().unwrap();
         let b = slab.alloc().unwrap();
         assert_eq!((a, b), (0, 1));
@@ -691,7 +948,7 @@ mod tests {
 
     #[test]
     fn remote_frees_drain_on_owner_alloc() {
-        let slab = Arc::new(Slab::new(0, 2));
+        let slab = Slab::new(2, None);
         let a = slab.alloc().unwrap();
         let b = slab.alloc().unwrap();
         let s2 = Arc::clone(&slab);
@@ -712,93 +969,151 @@ mod tests {
     }
 
     #[test]
+    fn placement_follows_fit_and_free_slots() {
+        let slab = Slab::new(1, None);
+        let (t0, j0) = place(Some(&slab), None, SpawnMeta::bare(0), || 1u8);
+        assert_eq!(slab.allocs(), 1, "fits, slot free: slab-resident");
+        let (t1, j1) = place(Some(&slab), None, SpawnMeta::bare(1), || 2u8);
+        assert_eq!((slab.allocs(), slab.exhausted()), (1, 1), "slab full");
+        let big = [7u8; PAYLOAD_BYTES + 1];
+        drop((t0, j0));
+        let (t2, mut j2) = place(Some(&slab), None, SpawnMeta::bare(2), move || big);
+        assert_eq!(slab.allocs(), 1, "oversized: external despite a free slot");
+        t2.claim().unwrap().run().publish();
+        assert_eq!(j2.take()[PAYLOAD_BYTES], 7);
+        drop((t1, j1));
+    }
+
+    #[test]
     fn run_publishes_value_and_join_takes_it() {
-        let slab = Arc::new(Slab::new(0, 1));
-        let idx = slab.alloc().unwrap();
-        let gen = unsafe { slab.init_task::<u64, _>(idx, meta(1), || 41 + 1) };
-        assert!(slab.claim(idx));
-        let outcome = unsafe { slab.run_claimed(idx) };
-        slab.publish(idx, outcome);
-        slab.runner_done(idx);
-        let mut join = SlabJoin::<u64>::new(Arc::clone(&slab), idx, gen);
-        assert!(join.is_ready());
-        assert_eq!(join.take(), 42);
-        drop(join);
-        // Both sides released: the slot recycled.
-        assert_eq!(slab.alloc(), Some(idx));
+        for (slab, task, mut join) in both(|| || 41 + 1) {
+            assert!(!join.is_ready());
+            task.claim().unwrap().run().publish();
+            assert!(join.is_ready());
+            assert_eq!(join.take(), 42);
+            drop(join);
+            assert_recycled(slab);
+        }
     }
 
     #[test]
     fn panic_payload_propagates_through_join() {
-        let slab = Arc::new(Slab::new(0, 1));
-        let idx = slab.alloc().unwrap();
-        let gen = unsafe { slab.init_task::<(), _>(idx, meta(2), || panic!("slab boom")) };
-        assert!(slab.claim(idx));
-        let outcome = unsafe { slab.run_claimed(idx) };
-        assert_eq!(outcome, OUTCOME_PANICKED);
-        slab.publish(idx, outcome);
-        slab.runner_done(idx);
-        let mut join = SlabJoin::<()>::new(Arc::clone(&slab), idx, gen);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| join.take())).unwrap_err();
-        assert_eq!(err.downcast_ref::<&str>(), Some(&"slab boom"));
+        for (_slab, task, mut join) in both(|| || -> () { panic!("cell boom") }) {
+            task.claim().unwrap().run().publish();
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| join.take())).unwrap_err();
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"cell boom"));
+        }
     }
 
     #[test]
     fn untaken_output_is_dropped_exactly_once() {
         static DROPS: StdAtomicUsize = StdAtomicUsize::new(0);
-        struct Probe;
-        impl Drop for Probe {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, StdOrdering::SeqCst);
-            }
+        for (i, (slab, task, join)) in both(|| || Probe(&DROPS)).into_iter().enumerate() {
+            task.claim().unwrap().run().publish();
+            drop(join); // never taken
+            assert_eq!(DROPS.load(StdOrdering::SeqCst), i + 1);
+            assert_recycled(slab);
         }
-        let slab = Arc::new(Slab::new(0, 1));
-        let idx = slab.alloc().unwrap();
-        let gen = unsafe { slab.init_task::<Probe, _>(idx, meta(3), || Probe) };
-        assert!(slab.claim(idx));
-        let outcome = unsafe { slab.run_claimed(idx) };
-        slab.publish(idx, outcome);
-        slab.runner_done(idx);
-        let join = SlabJoin::<Probe>::new(Arc::clone(&slab), idx, gen);
-        drop(join); // never taken
-        assert_eq!(DROPS.load(StdOrdering::SeqCst), 1);
-        assert_eq!(slab.alloc(), Some(idx));
     }
 
     #[test]
-    fn teardown_queued_cancels_and_drops_closure() {
+    fn either_release_order_frees_the_cell_once() {
         static DROPS: StdAtomicUsize = StdAtomicUsize::new(0);
-        struct Held;
-        impl Drop for Held {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, StdOrdering::SeqCst);
-            }
+        // Future side first: the runner's release is the second one.
+        for (i, (slab, task, join)) in both(|| || Probe(&DROPS)).into_iter().enumerate() {
+            drop(join);
+            task.claim().unwrap().run().publish();
+            assert_eq!(DROPS.load(StdOrdering::SeqCst), i + 1);
+            assert_recycled(slab);
         }
-        let slab = Arc::new(Slab::new(0, 1));
-        let idx = slab.alloc().unwrap();
-        let held = Held;
-        let gen = unsafe { slab.init_task::<(), _>(idx, meta(4), move || drop(held)) };
-        let join = SlabJoin::<()>::new(Arc::clone(&slab), idx, gen);
-        slab.teardown_queued(idx);
-        assert_eq!(DROPS.load(StdOrdering::SeqCst), 1, "closure dropped un-run");
-        assert!(join.is_cancelled());
-        drop(join);
-        assert_eq!(slab.alloc(), Some(idx));
     }
 
     #[test]
-    fn second_teardown_claim_is_a_noop() {
-        let slab = Arc::new(Slab::new(0, 1));
-        let idx = slab.alloc().unwrap();
-        let gen = unsafe { slab.init_task::<u64, _>(idx, meta(5), || 7) };
-        assert!(slab.claim(idx));
-        let outcome = unsafe { slab.run_claimed(idx) };
-        slab.publish(idx, outcome);
-        // Late queue-teardown (e.g. a dropped duplicate ref) loses the
-        // claim and must not disturb the published value.
-        slab.teardown_queued(idx);
-        slab.runner_done(idx);
-        let mut join = SlabJoin::<u64>::new(Arc::clone(&slab), idx, gen);
-        assert_eq!(join.take(), 7);
+    fn dropped_task_cancels_and_drops_closure() {
+        static DROPS: StdAtomicUsize = StdAtomicUsize::new(0);
+        let held = || {
+            let held = Probe(&DROPS);
+            move || drop(held)
+        };
+        for (i, (slab, task, mut join)) in both(held).into_iter().enumerate() {
+            drop(task);
+            assert_eq!(
+                DROPS.load(StdOrdering::SeqCst),
+                i + 1,
+                "closure dropped un-run"
+            );
+            assert!(join.is_cancelled());
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| join.take())).unwrap_err();
+            assert!(err.downcast_ref::<TaskCancelled>().is_some());
+            drop(join);
+            assert_recycled(slab);
+        }
+    }
+
+    #[test]
+    fn losing_the_claim_is_a_noop() {
+        for (_slab, task, mut join) in both(|| || 7u64) {
+            let dup = Task {
+                cell: task.cell,
+                gen: task.gen,
+            };
+            let ran = task.claim().unwrap().run();
+            // A late teardown (e.g. a second waiter on a deferred cell)
+            // loses the claim and must not disturb the outcome.
+            assert!(dup.claim().is_none());
+            ran.publish();
+            assert_eq!(join.take(), 7);
+        }
+    }
+
+    /// One teardown for both placements: a queue dropped with un-run
+    /// tasks cancels their futures, releases each cell exactly once, and
+    /// settles the `live` count and the admission gate.
+    #[test]
+    fn dropped_queue_tears_down_both_placements_alike() {
+        static DROPS: StdAtomicUsize = StdAtomicUsize::new(0);
+        let gate = AdmissionGate::new(8, 4);
+        let state = Arc::new(RuntimeState::new(
+            1,
+            Arc::new(Clock::new()),
+            None,
+            Some(gate.clone()),
+        ));
+        let slab = Slab::new(1, Some(state.clone()));
+        let scheduler = Scheduler::new(1, SchedulerMode::LocalQueues);
+        let mut joins = Vec::new();
+        for own_slab in [Some(&slab), None] {
+            assert!(gate.try_admit());
+            state.live.fetch_add(1, Ordering::AcqRel);
+            let spawn = SpawnMeta {
+                holds_gate: true,
+                track_live: true,
+                ..SpawnMeta::bare(0)
+            };
+            let held = Probe(&DROPS);
+            let (task, join) = place(own_slab, Some(&state), spawn, move || drop(held));
+            scheduler.push(task, None);
+            joins.push(join);
+        }
+        assert_eq!((slab.allocs(), gate.pending()), (1, 2));
+        assert_eq!(state.fallback_allocs.load(Ordering::Relaxed), 1);
+
+        drop(scheduler);
+
+        assert_eq!(
+            DROPS.load(StdOrdering::SeqCst),
+            2,
+            "each closure dropped once"
+        );
+        assert_eq!(state.live.load(Ordering::Acquire), 0);
+        assert_eq!(gate.pending(), 0, "admission slots returned");
+        assert_eq!(state.stats[0].cancelled.load(Ordering::Relaxed), 2);
+        for mut join in joins {
+            assert!(join.is_cancelled());
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| join.take())).unwrap_err();
+            assert!(err.downcast_ref::<TaskCancelled>().is_some());
+        }
+        assert_eq!(DROPS.load(StdOrdering::SeqCst), 2);
+        assert_eq!(slab.alloc(), Some(0), "slot recycled");
     }
 }

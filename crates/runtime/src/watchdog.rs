@@ -210,7 +210,7 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
 /// and publish the verdict (`/runtime/health/overload-state`).
 fn overload_tick(inner: &Arc<RuntimeInner>, detector: &mut OverloadDetector, interval: Duration) {
     let stats = &inner.state.stats;
-    let (pending, capacity) = match &inner.gate {
+    let (pending, capacity) = match &inner.state.gate {
         Some(gate) => (gate.pending(), gate.limits().0 as i64),
         // Admission off: depth scoring is disabled (capacity 0); the
         // detector still sees steal storms and idle collapse.
@@ -244,10 +244,11 @@ fn anomaly_tick(
 ) {
     let stats = &inner.state.stats;
     let injected_steals = inner
+        .state
         .faults
         .as_ref()
         .map_or(0, |f| f.steal_storm_steals(tick));
-    let pending = match &inner.gate {
+    let pending = match &inner.state.gate {
         Some(gate) => gate.pending(),
         None => inner.scheduler.pending_tasks(),
     };

@@ -20,13 +20,16 @@ use crossbeam::sync::Parker;
 use rpx_counters::counter::Clock;
 
 use crate::faults::InjectedFault;
-use crate::runtime::RuntimeInner;
+use crate::runtime::{RuntimeInner, RuntimeState};
 use crate::scheduler::{Scheduler, Task};
 use crate::stats::WorkerStats;
 
 struct Ctx {
     index: usize,
     inner: Weak<RuntimeInner>,
+    /// Identity of the runtime's task-lifecycle state (compared, never
+    /// dereferenced).
+    state: *const RuntimeState,
     /// Pointer to the worker's own deque, valid for the lifetime of the
     /// worker loop; only ever dereferenced from this thread.
     local: *const Deque<Task>,
@@ -81,8 +84,21 @@ pub(crate) fn context_for(inner: &Arc<RuntimeInner>) -> Option<WorkerRef> {
     })
 }
 
+/// The worker whose statistics account for work the calling thread does on
+/// behalf of `state`'s runtime: the caller's own index if it is one of that
+/// runtime's workers, else slot 0 — never the index it has in some other
+/// runtime (see [`context_for`]).
+pub(crate) fn index_in(state: &RuntimeState) -> usize {
+    CTX.with(|c| {
+        c.borrow()
+            .as_ref()
+            .filter(|ctx| std::ptr::eq(ctx.state, state))
+            .map_or(0, |ctx| ctx.index)
+    })
+}
+
 /// The calling worker's slab, or null when not on a worker thread. Used
-/// by `Slab::cleanup` to decide between the owner-local free list and
+/// by the cell cleanup to decide between the owner-local free list and
 /// the cross-worker return path.
 pub(crate) fn current_slab_ptr() -> *const crate::slab::Slab {
     CTX.with(|c| c.borrow().as_ref().map_or(std::ptr::null(), |ctx| ctx.slab))
@@ -146,9 +162,9 @@ impl Drop for PendingBatch<'_> {
     }
 }
 
-/// Run one found task. Execution timing/accounting lives inside the task
-/// cell (see `runtime::TaskCell::run_body`) so it is ordered before the
-/// future's completion; here we only account the scheduler-side events.
+/// Run one found task. Execution timing/accounting lives in
+/// `runtime::run_task` so it is ordered before the future's completion;
+/// here we only account the scheduler-side events.
 /// The `pending` decrement is the caller's job (batched via
 /// [`PendingBatch`]).
 pub(crate) fn execute_task(
@@ -180,15 +196,8 @@ pub(crate) fn execute_task(
                 .fetch_add(stolen_remote, Ordering::Relaxed);
         }
     }
-    let Task { repr, id: _ } = task;
-    match repr {
-        crate::scheduler::TaskRepr::Heap(run) => run.run(),
-        crate::scheduler::TaskRepr::Slab(slot_ref) => {
-            crate::runtime::run_slab_task(inner, &slot_ref);
-            // The run claimed the slot; forgetting the ref skips the
-            // teardown claim its Drop would otherwise attempt.
-            std::mem::forget(slot_ref);
-        }
+    if let Some(claimed) = task.claim() {
+        crate::runtime::run_task(&inner.state, index, claimed);
     }
 }
 
@@ -233,6 +242,7 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, index: usize) {
         *c.borrow_mut() = Some(Ctx {
             index,
             inner: Arc::downgrade(&inner),
+            state: Arc::as_ptr(&inner.state),
             local,
             slab: Arc::as_ptr(&inner.slabs[index]),
         });
@@ -309,7 +319,7 @@ fn run_loop(inner: &Arc<RuntimeInner>, index: usize, deque: &Deque<Task>) {
                 // Injected stall sits between claiming the task and running
                 // it: `live > 0` for the whole sleep, so the watchdog has a
                 // guaranteed window to observe the frozen heartbeat.
-                if let Some(faults) = &inner.faults {
+                if let Some(faults) = &inner.state.faults {
                     if let Some(stall) = faults.inject_stall() {
                         std::thread::sleep(stall);
                     }
@@ -318,7 +328,7 @@ fn run_loop(inner: &Arc<RuntimeInner>, index: usize, deque: &Deque<Task>) {
                 // Injected worker kill fires only after the task completed:
                 // the unwind holds no task, so respawning loses nothing
                 // (`batch` flushes on drop during the unwind).
-                if let Some(faults) = &inner.faults {
+                if let Some(faults) = &inner.state.faults {
                     if faults.inject_worker_kill() {
                         std::panic::panic_any(InjectedFault("worker-kill"));
                     }
@@ -394,20 +404,9 @@ pub(crate) fn help_while(pred: impl Fn() -> bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{Runnable, SchedulerMode};
+    use crate::scheduler::SchedulerMode;
+    use crate::slab::nop_task;
     use std::time::Instant;
-
-    struct Nop;
-    impl Runnable for Nop {
-        fn run(&self) {}
-    }
-
-    fn nop_task(id: u64) -> Task {
-        Task {
-            repr: crate::scheduler::TaskRepr::Heap(Arc::new(Nop)),
-            id,
-        }
-    }
 
     #[test]
     fn pending_batch_flushes_at_threshold_and_on_drop() {

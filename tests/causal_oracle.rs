@@ -190,10 +190,14 @@ fn real_runtime_fib_profile_matches_spawn_oracle() {
     let tracer = rt.tracer();
     tracer.enable();
     let sp = RpxSpawner::new(rt.handle());
-    let t0 = std::time::Instant::now();
+    // The window is read from the clock that stamps the spans: comparing
+    // TSC-stamped busy time against an `Instant` window lets calibration
+    // error between the two domains push a saturated worker past 100%.
+    let clock = rt.registry().clock();
+    let t0 = clock.now_ns();
     assert_eq!(fib::run(&sp, FibInput { n: N }), 144);
     rt.wait_idle();
-    let wall_ns = t0.elapsed().as_nanos() as u64;
+    let wall_ns = clock.now_ns() - t0;
     tracer.disable();
 
     let spans = tracer.spans();

@@ -275,3 +275,81 @@ fn recursive_fork_join_via_task_cells() {
     assert!(overhead.value >= 0);
     rt.shutdown();
 }
+
+/// Regression: an inline run (`Sync`, `Deferred`, degrade-inline) indexed
+/// the task's runtime's per-worker stats with the calling thread's index in
+/// *its own* runtime. On worker 3 of a 4-worker runtime A, a task of a
+/// 1-worker runtime B read `B.stats[3]` and panicked out of `spawn_with`.
+/// Inline runs by a non-member account to B's slot 0.
+#[test]
+fn inline_runs_on_a_foreign_worker_account_to_their_own_runtime() {
+    const A_WORKERS: usize = 4;
+    let a = Runtime::new(RuntimeConfig::with_workers(A_WORKERS));
+    let b = Arc::new(Runtime::new(RuntimeConfig::with_workers(1)));
+    let executed_on_b = |b: &Runtime| {
+        b.registry()
+            .evaluate("/threads{locality#0/total}/count/cumulative", false)
+            .unwrap()
+            .value
+    };
+    let before = executed_on_b(&b);
+    // One task per worker of A, all held at a barrier, so every worker
+    // index is taken and the task on the highest one does the inline runs.
+    let barrier = Arc::new(std::sync::Barrier::new(A_WORKERS));
+    let tasks: Vec<_> = (0..A_WORKERS)
+        .map(|_| {
+            let (b, barrier) = (b.clone(), barrier.clone());
+            a.spawn(move || {
+                barrier.wait();
+                if Runtime::current_worker() != Some(A_WORKERS - 1) {
+                    return 0;
+                }
+                let sync = b.spawn_with(LaunchPolicy::Sync, || 20);
+                let deferred = b.spawn_with(LaunchPolicy::Deferred, || 22);
+                sync.get() + deferred.get()
+            })
+        })
+        .collect();
+    let sum: i32 = tasks.into_iter().map(|f| f.get()).sum();
+    assert_eq!(sum, 42, "exactly one task sat on A's highest worker");
+    assert_eq!(
+        executed_on_b(&b) - before,
+        2,
+        "both ran, counted once each on B"
+    );
+    a.shutdown();
+    Arc::try_unwrap(b).expect("sole owner").shutdown();
+}
+
+/// A worker that spawns more children than its slab has slots before
+/// joining any overflows into external cells: same values, the overflow
+/// visible in `exhausted`/`fallback-allocs`, and every slot back on a free
+/// list once the runtime is idle.
+#[test]
+fn slab_exhaustion_falls_back_to_external_cells() {
+    // Comfortably past the per-worker slab capacity (4096 slots).
+    const CHILDREN: u64 = 6000;
+    let rt = Runtime::new(RuntimeConfig::with_workers(1));
+    let h = rt.handle();
+    let sum = rt
+        .spawn(move || {
+            let children: Vec<_> = (0..CHILDREN).map(|i| h.spawn(move || i * 3)).collect();
+            children.into_iter().map(|f| f.get()).sum::<u64>()
+        })
+        .get();
+    assert_eq!(sum, 3 * CHILDREN * (CHILDREN - 1) / 2);
+    rt.wait_idle();
+    let read = |name: &str| {
+        let path = format!("/runtime{{locality#0/total}}/slab/{name}");
+        rt.registry().evaluate(&path, false).unwrap().value
+    };
+    let exhausted = read("exhausted");
+    assert!(exhausted > 0, "the slab must have run dry");
+    assert!(read("fallback-allocs") >= exhausted);
+    assert_eq!(
+        read("allocs"),
+        read("local-frees") + read("remote-frees"),
+        "every slot taken was returned"
+    );
+    rt.shutdown();
+}

@@ -38,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use rpx::runtime::{Runtime, RuntimeConfig, RuntimeHandle};
+use rpx::runtime::{LaunchPolicy, Runtime, RuntimeConfig, RuntimeHandle};
 
 fn fib(h: &RuntimeHandle, n: u64) -> u64 {
     if n < 2 {
@@ -47,6 +47,18 @@ fn fib(h: &RuntimeHandle, n: u64) -> u64 {
     let h2 = h.clone();
     let a = h.spawn(move || fib(&h2, n - 1));
     let b = fib(h, n - 2);
+    a.get() + b
+}
+
+/// The same tree with every child launched `Fork`: on a worker that is an
+/// inline run, which takes its cell from the slab like a queued spawn.
+fn fib_fork(h: &RuntimeHandle, n: u64) -> u64 {
+    if n < 2 {
+        return n;
+    }
+    let h2 = h.clone();
+    let a = h.spawn_with(LaunchPolicy::Fork, move || fib_fork(&h2, n - 1));
+    let b = fib_fork(h, n - 2);
     a.get() + b
 }
 
@@ -94,6 +106,25 @@ fn steady_state_spawns_do_not_touch_the_heap() {
     assert!(
         fallback * 100 < tasks,
         "heap fallback must be rare: {fallback}/{tasks}"
+    );
+
+    // Inline launches: a root task (external, one heap cell) forks the
+    // whole tree on its worker. Every fork runs before `spawn_with`
+    // returns, in a slab slot — no queue, and no allocation either.
+    let tasks_before = read("/threads{locality#0/total}/count/cumulative");
+    let heap_before = ALLOCS.load(Ordering::Relaxed);
+    let h2 = h.clone();
+    assert_eq!(rt.spawn(move || fib_fork(&h2, 16)).get(), 987);
+    rt.wait_idle();
+    let heap_delta = ALLOCS.load(Ordering::Relaxed) - heap_before;
+    let tasks = read("/threads{locality#0/total}/count/cumulative") - tasks_before;
+    assert!(
+        tasks >= 1_500,
+        "fib(16) forks over a thousand tasks: {tasks}"
+    );
+    assert!(
+        heap_delta < 100,
+        "{tasks} inline launches on a worker allocated {heap_delta} times"
     );
 
     rt.shutdown();
