@@ -200,8 +200,8 @@ impl MemorySink {
     }
 
     /// An empty in-memory sink keeping only the `capacity` most recent
-    /// batches; evictions are counted exactly in [`dropped_handle`]
-    /// (Self::dropped_handle).
+    /// batches; evictions are counted exactly in
+    /// [`dropped_handle`](Self::dropped_handle).
     pub fn bounded(capacity: usize) -> Self {
         MemorySink {
             capacity: Some(capacity.max(1)),

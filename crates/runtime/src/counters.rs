@@ -11,6 +11,11 @@
 //!
 //! Every per-worker counter is discoverable as
 //! `{locality#L/worker-thread#N}` and aggregated as `{locality#L/total}`.
+//! `worker-thread#N` reads worker N's ledger shard — what that thread
+//! itself did. `total` adds the external shard: work done for the runtime
+//! by threads that are not its workers (the spawn cost of root tasks,
+//! inline and deferred runs, queue teardown), which has no instance of
+//! its own.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
@@ -22,7 +27,7 @@ use rpx_counters::value::{CounterInfo, CounterKind};
 use rpx_counters::CounterError;
 
 use crate::runtime::RuntimeInner;
-use crate::stats::WorkerStats;
+use crate::stats::Shard;
 
 enum Sel {
     Total,
@@ -79,7 +84,7 @@ fn register_worker_monotonic(
     type_path: &'static str,
     help: &'static str,
     unit: &'static str,
-    read: fn(&WorkerStats) -> u64,
+    read: fn(&Shard) -> u64,
 ) {
     let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
     let (object, counter) = split_type_path(type_path);
@@ -95,10 +100,10 @@ fn register_worker_monotonic(
                 let Some(inner) = weak.upgrade() else {
                     return 0;
                 };
-                let stats = &inner.state.stats;
+                let ledger = &inner.state.ledger;
                 (match sel {
-                    Sel::Total => stats.iter().map(|s| read(s)).sum::<u64>(),
-                    Sel::One(w) => read(&stats[w]),
+                    Sel::Total => ledger.total(read),
+                    Sel::One(w) => read(ledger.worker(w)),
                 }) as i64
             });
             let info = CounterInfo::new(
@@ -115,7 +120,7 @@ fn register_worker_monotonic(
 }
 
 /// Register a monotonic per-worker counter read from that worker's task
-/// slab (the allocation-free spawn path) rather than its `WorkerStats`.
+/// slab (the allocation-free spawn path) rather than its ledger shard.
 fn register_slab_monotonic(
     registry: &Arc<CounterRegistry>,
     inner: &Arc<RuntimeInner>,
@@ -161,7 +166,7 @@ fn register_worker_average(
     inner: &Arc<RuntimeInner>,
     type_path: &'static str,
     help: &'static str,
-    read: fn(&WorkerStats) -> (u64, u64),
+    read: fn(&Shard) -> (u64, u64),
 ) {
     let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
     let (object, counter) = split_type_path(type_path);
@@ -177,13 +182,13 @@ fn register_worker_average(
                 let Some(inner) = weak.upgrade() else {
                     return (0, 0);
                 };
-                let stats = &inner.state.stats;
+                let ledger = &inner.state.ledger;
                 match sel {
-                    Sel::Total => stats.iter().fold((0, 0), |(s, c), w| {
+                    Sel::Total => ledger.shards().iter().fold((0, 0), |(s, c), w| {
                         let (ws, wc) = read(w);
                         (s + ws, c + wc)
                     }),
-                    Sel::One(w) => read(&stats[w]),
+                    Sel::One(w) => read(ledger.worker(w)),
                 }
             });
             let info = CounterInfo::new(name.canonical(), CounterKind::Average, help, "ns");
@@ -398,21 +403,21 @@ pub(crate) fn register_runtime_counters(
         inner,
         "/threads/time/average",
         "average task execution time (Task Duration / grain size)",
-        WorkerStats::exec_pair,
+        Shard::exec_pair,
     );
     register_worker_average(
         registry,
         inner,
         "/threads/time/average-overhead",
         "average per-task scheduling cost (Task Overhead)",
-        WorkerStats::overhead_pair,
+        Shard::overhead_pair,
     );
     register_worker_average(
         registry,
         inner,
         "/threads/time/average-wait",
         "average time tasks spend queued before execution",
-        WorkerStats::wait_pair,
+        Shard::wait_pair,
     );
 
     // Idle rate in units of 0.01% (HPX convention).
@@ -435,23 +440,14 @@ pub(crate) fn register_runtime_counters(
                     let Some(inner) = weak.upgrade() else {
                         return 0;
                     };
-                    let stats = &inner.state.stats;
+                    let ledger = &inner.state.ledger;
+                    let idle = |s: &Shard| s.idle_ns.load(Ordering::Relaxed);
+                    let busy = |s: &Shard| {
+                        s.exec_ns.load(Ordering::Relaxed) + s.overhead_ns.load(Ordering::Relaxed)
+                    };
                     let (idle, busy) = match sel {
-                        Sel::Total => stats.iter().fold((0u64, 0u64), |(i, b), s| {
-                            (
-                                i + s.idle_ns.load(Ordering::Relaxed),
-                                b + s.exec_ns.load(Ordering::Relaxed)
-                                    + s.overhead_ns.load(Ordering::Relaxed),
-                            )
-                        }),
-                        Sel::One(w) => {
-                            let s = &stats[w];
-                            (
-                                s.idle_ns.load(Ordering::Relaxed),
-                                s.exec_ns.load(Ordering::Relaxed)
-                                    + s.overhead_ns.load(Ordering::Relaxed),
-                            )
-                        }
+                        Sel::Total => (ledger.total(idle), ledger.total(busy)),
+                        Sel::One(w) => (idle(ledger.worker(w)), busy(ledger.worker(w))),
                     };
                     if idle + busy == 0 {
                         return 0;
@@ -477,7 +473,7 @@ pub(crate) fn register_runtime_counters(
         "/threads/count/instantaneous/active",
         "tasks currently executing",
         "1",
-        |i| i.state.active.load(Ordering::Relaxed).max(0),
+        |i| i.state.ledger.flow().active() as i64,
     );
     register_total_raw(
         registry,
@@ -485,18 +481,19 @@ pub(crate) fn register_runtime_counters(
         "/threads/count/instantaneous/pending",
         "tasks queued, not yet started",
         "1",
-        |i| i.scheduler.pending_tasks(),
+        |i| i.state.ledger.flow().pending() as i64,
     );
-    // Accounting drift detector: the pending counter's public view clamps
-    // at zero, so genuine underflows (a decrement without a matching push)
-    // would otherwise be invisible. Any nonzero value here is a bug.
+    // Accounting drift detector: the derived gauges clamp at zero, so a
+    // start or finish the ledger cannot match to an earlier step (a skipped
+    // `note_queued`/`note_started`) would otherwise be invisible. Any
+    // nonzero value here is a bug.
     register_total_monotonic(
         registry,
         inner,
         "/runtime/health/pending-underflows",
-        "times the pending-task counter was decremented below zero (accounting drift)",
+        "task starts and finishes the ledger cannot match to an earlier step (accounting drift)",
         "1",
-        |i| i.scheduler.pending_underflows() as i64,
+        |i| i.state.ledger.flow().underflows() as i64,
     );
     register_total_raw(
         registry,
@@ -505,15 +502,14 @@ pub(crate) fn register_runtime_counters(
         "executing tasks as a percentage of workers",
         "%",
         |i| {
-            let active = i.state.active.load(Ordering::Relaxed).max(0);
+            let active = i.state.ledger.flow().active() as i64;
             (active * 100 / i.config.workers.max(1) as i64).min(100)
         },
     );
 
     // Overload-protection counters (DESIGN.md §14). `/runtime/tasks/*`
     // reads the admission gate when one is configured — exact, CAS-guarded
-    // accounting — and falls back to the scheduler's batched (approximate)
-    // view otherwise.
+    // accounting — and falls back to the ledger's derived view otherwise.
     register_total_raw(
         registry,
         inner,
@@ -522,7 +518,7 @@ pub(crate) fn register_runtime_counters(
         "1",
         |i| match &i.state.gate {
             Some(gate) => gate.pending(),
-            None => i.scheduler.pending_tasks(),
+            None => i.state.ledger.flow().pending() as i64,
         },
     );
     register_total_raw(
@@ -696,7 +692,10 @@ pub(crate) fn register_runtime_counters(
         "/runtime/slab/fallback-allocs",
         "spawns that took the heap path (oversized closure, external spawner, or slab exhaustion)",
         "1",
-        |i| i.state.fallback_allocs.load(Ordering::Relaxed) as i64,
+        |i| {
+            let fallbacks = |s: &Shard| s.fallback_allocs.load(Ordering::Relaxed);
+            i.state.ledger.total(fallbacks) as i64
+        },
     );
 
     // Tracer self-measurement (the paper's ≤10% overhead envelope is

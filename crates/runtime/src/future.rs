@@ -194,8 +194,10 @@ mod tests {
         let (state, f) = deferred(|| 7);
         assert!(!f.is_ready());
         assert_eq!(f.get(), 7);
-        let executed = state.stats[0].executed.load(Ordering::Relaxed);
+        // The test thread is nobody's worker: the external shard.
+        let executed = state.ledger.external().executed.load(Ordering::Relaxed);
         assert_eq!(executed, 1, "a deferred run is an instrumented run");
+        assert!(state.ledger.is_idle(), "entered and left the ledger");
     }
 
     #[test]
@@ -249,7 +251,11 @@ mod tests {
         });
         drop(f);
         assert!(dropped.load(Ordering::SeqCst) && !ran.load(Ordering::SeqCst));
-        assert_eq!(state.stats[0].executed.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            state.ledger.total(|s| s.executed.load(Ordering::Relaxed)),
+            0
+        );
+        assert!(state.ledger.is_idle(), "the teardown settled the ledger");
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod policy;
 mod prim;
 mod scheduler;
 pub(crate) mod slab;
-pub mod stats;
+mod stats;
 pub mod sync;
 pub mod trace;
 mod watchdog;

@@ -1,6 +1,7 @@
-//! Model-checked specs for the scheduler's sleeper/park-gate protocol and
-//! the [`crate::sync::EventGate`], with paired deliberately-broken mutants
-//! proving the checker catches each lost-wakeup class.
+//! Model-checked specs for the scheduler's sleeper/park-gate protocol, the
+//! [`crate::sync::EventGate`], the admission gate, the slab, and the task
+//! ledger's quiescence protocol, with paired deliberately-broken mutants
+//! proving the checker catches each lost-wakeup or false-idle class.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg rpx_model"`; run with
 //! `RUSTFLAGS="--cfg rpx_model" cargo test -p rpx-runtime model_`.
@@ -12,9 +13,13 @@ use crossbeam::sync::Parker;
 use rpx_model::sync::AtomicBool;
 use rpx_model::{check, check_expect_failure, mutation, thread, Config};
 
+use rpx_counters::counter::Clock;
+
 use crate::admission::AdmissionGate;
+use crate::runtime::RuntimeState;
 use crate::scheduler::{Scheduler, SchedulerMode};
 use crate::slab::{nop_task, Slab};
+use crate::stats::Ledger;
 use crate::sync::EventGate;
 
 /// Serializes the specs in this file: mutants arm a process-global
@@ -63,7 +68,7 @@ fn sched_park_gate() {
             s2.deregister_sleeper(0);
         }
     });
-    let id = sched.next_task_id();
+    let id = sched.reserve_task_ids(1);
     sched.push(nop_task(id), None);
     let got = worker.join().unwrap();
     assert_eq!(got, id, "worker must pick up the pushed task");
@@ -294,6 +299,119 @@ fn model_slab_remote_push_relaxed_mutant_is_caught() {
     assert!(
         failure.message.contains("deadlock") || failure.message.contains("step budget"),
         "expected the unpublished chain to strand a slot, got: {}",
+        failure.message
+    );
+}
+
+/// Protocol 8 — ledger read order: `Ledger::flow` sums `finished` before
+/// `started` before `queued`. A task's `queued` bump happens-before its
+/// `finished` bump, and a parent bumps `queued` for its child before its
+/// own `finished`, so a reading that counts a task as finished also counts
+/// everything it spawned as queued: a balanced reading means nothing is
+/// live. Here root task A spawns B and finishes; a concurrent reader that
+/// sees the ledger balanced must find B's side effect in place.
+fn ledger_balanced_reading_proves_quiescence() {
+    let ledger = Arc::new(Ledger::new(1));
+    let b_ran = Arc::new(AtomicBool::new(false));
+    ledger.external().note_queued(); // A, spawned from outside
+    let (l2, b2) = (ledger.clone(), b_ran.clone());
+    let worker = thread::spawn(move || {
+        let shard = l2.worker(0);
+        shard.note_started(true); // A starts,
+        shard.note_queued(); //      spawns B,
+        shard.note_finished(); //    and finishes.
+        shard.note_started(true);
+        b2.store(true, Ordering::Relaxed);
+        shard.note_finished();
+    });
+    while !ledger.is_idle() {
+        thread::yield_now();
+    }
+    assert!(
+        b_ran.load(Ordering::Relaxed),
+        "ledger read as idle while a task was still live"
+    );
+    worker.join().unwrap();
+}
+
+#[test]
+fn model_ledger_balanced_reading_proves_quiescence() {
+    let _g = serial();
+    mutation::disarm_all();
+    check(
+        "model_ledger_balanced_reading_proves_quiescence",
+        cfg(),
+        ledger_balanced_reading_proves_quiescence,
+    );
+}
+
+#[test]
+fn model_ledger_read_queued_first_mutant_is_caught() {
+    let _g = serial();
+    mutation::disarm_all();
+    mutation::arm("ledger-read-queued-first");
+    let failure = check_expect_failure(
+        "model_ledger_read_queued_first_mutant_is_caught",
+        cfg(),
+        ledger_balanced_reading_proves_quiescence,
+    );
+    mutation::disarm_all();
+    assert!(
+        failure.message.contains("still live"),
+        "expected a false idle, got: {}",
+        failure.message
+    );
+}
+
+/// Protocol 9 — idle-edge wake-up: no task touches the idle gate on its
+/// way out; a worker probes it at the find-miss that follows
+/// (`worker::idle_step`, after `register_sleeper`'s `SeqCst` fence), and
+/// a `wait_idle` caller registers, fences, and reads the ledger. Whichever
+/// fence comes last in the `SeqCst` order sees the other side: the waiter
+/// reads a balanced ledger and returns, or the worker sees the
+/// registration and broadcasts. A lost wake-up parks the waiter forever.
+fn idle_edge_wakes_idle_waiter() {
+    let state = Arc::new(RuntimeState::new(1, Arc::new(Clock::new()), None, None));
+    let sched = Arc::new(Scheduler::new(1, SchedulerMode::LocalQueues));
+    // The last task is running on the worker when the waiter arrives.
+    state.ledger.worker(0).note_queued();
+    state.ledger.worker(0).note_started(true);
+    let (state2, sched2) = (state.clone(), sched.clone());
+    let worker = thread::spawn(move || {
+        let parker = Parker::new();
+        let shutdown = std::sync::atomic::AtomicBool::new(false);
+        state2.ledger.worker(0).note_finished();
+        crate::worker::idle_step(&sched2, &shutdown, &parker, &state2, 0, 0);
+    });
+    assert!(state.wait_idle(None));
+    worker.join().unwrap();
+}
+
+#[test]
+fn model_idle_edge_wakes_idle_waiter() {
+    let _g = serial();
+    mutation::disarm_all();
+    check(
+        "model_idle_edge_wakes_idle_waiter",
+        cfg(),
+        idle_edge_wakes_idle_waiter,
+    );
+}
+
+#[test]
+fn model_idle_wait_fence_relaxed_mutant_is_caught() {
+    let _g = serial();
+    mutation::disarm_all();
+    mutation::arm("idle-wait-fence-relaxed");
+    let failure = check_expect_failure(
+        "model_idle_wait_fence_relaxed_mutant_is_caught",
+        cfg(),
+        idle_edge_wakes_idle_waiter,
+    );
+    mutation::disarm_all();
+    assert!(
+        failure.message.contains("deadlock") || failure.message.contains("step budget"),
+        "expected the unfenced waiter to miss the last finish, got: {}",
         failure.message
     );
 }

@@ -37,3 +37,18 @@ mod imp {
 }
 
 pub(crate) use imp::*;
+
+/// Gives a word that many threads write a 128-byte line pair of its own
+/// (two 64-byte lines: the adjacent-line prefetcher pulls them together),
+/// so the read-mostly fields declared beside it stay shared-clean.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct Padded<T>(pub T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}

@@ -1,11 +1,11 @@
 //! The runtime facade: configuration, worker lifecycle, and the spawn API.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use rpx_counters::counter::Clock;
 use rpx_counters::CounterRegistry;
@@ -19,9 +19,11 @@ use crate::faults::{FaultInjector, FaultPlan, InjectedFault};
 use crate::future::TaskFuture;
 use crate::overload::OverloadState;
 use crate::policy::{LaunchPolicy, OverloadPolicy};
+use crate::prim::{self, Padded};
 use crate::scheduler::{Scheduler, SchedulerMode};
 use crate::slab::{Claimed, Slab, SpawnMeta, SLAB_SLOTS};
-use crate::stats::WorkerStats;
+use crate::stats::{Ledger, Shard};
+use crate::sync::EventGate;
 use crate::trace::{TaskSpan, TaskTracer};
 use crate::watchdog::{RestartPolicy, RestartState, RestartVerdict};
 use crate::{watchdog, worker};
@@ -129,24 +131,17 @@ impl RuntimeConfig {
 /// sit in), so a deferred or still-queued cell may outlive the runtime.
 pub(crate) struct RuntimeState {
     pub clock: Arc<Clock>,
-    pub stats: Vec<Arc<WorkerStats>>,
-    /// Tasks currently executing.
-    pub active: AtomicI64,
-    /// Tasks scheduled but not yet finished (pending + active).
-    pub live: AtomicI64,
-    pub idle_lock: Mutex<()>,
-    pub idle_cv: Condvar,
+    /// Per-thread task accounting; the `live`/`pending`/`active` gauges
+    /// are derived from it on read (see [`crate::stats`]).
+    pub ledger: Ledger,
+    /// Where `wait_idle`/`quiesce` callers park (see
+    /// [`RuntimeState::wait_idle`]).
+    idle: EventGate,
     /// Optional task-lifetime tracing (off by default; see [`TaskTracer`]).
     pub tracer: Arc<TaskTracer>,
     /// Set by [`Runtime::quiesce`] once the drain deadline passes: queued
     /// tasks are cancelled at dispatch instead of executed.
     pub quiesce_cancel: AtomicBool,
-    /// Workers not retired by a tripped restart breaker (effective
-    /// parallelism; feeds `/runtime/health/live-workers`).
-    pub live_workers: AtomicUsize,
-    /// Latest [`OverloadState`] the watchdog's detector published
-    /// (feeds `/runtime/health/overload-state`).
-    pub overload_state: AtomicI64,
     /// Anomaly episodes the watchdog's detector recorded
     /// (feeds `/runtime/anomaly/*`; see [`crate::anomaly`]).
     pub anomalies: Arc<AnomalyLog>,
@@ -154,10 +149,16 @@ pub(crate) struct RuntimeState {
     pub faults: Option<Arc<FaultInjector>>,
     /// Admission gate (Some iff `config.max_pending` is set).
     pub gate: Option<Arc<AdmissionGate>>,
-    /// Spawns that took an external cell instead of a slab slot
-    /// (external spawner, oversized closure, or slab exhaustion). Feeds
-    /// `/runtime/slab/fallback-allocs`.
-    pub fallback_allocs: AtomicU64,
+    // Everything above is read on the per-task path and written at most a
+    // few times in a runtime's life; the words below are rewritten while
+    // it runs (the watchdog stores its verdict every tick), so they are
+    // padded away.
+    /// Workers not retired by a tripped restart breaker (effective
+    /// parallelism; feeds `/runtime/health/live-workers`).
+    pub live_workers: Padded<AtomicUsize>,
+    /// Latest [`OverloadState`] the watchdog's detector published
+    /// (feeds `/runtime/health/overload-state`).
+    pub overload_state: Padded<AtomicI64>,
 }
 
 impl RuntimeState {
@@ -169,27 +170,71 @@ impl RuntimeState {
     ) -> Self {
         RuntimeState {
             clock,
-            stats: (0..workers).map(|_| Arc::new(WorkerStats::new())).collect(),
-            active: AtomicI64::new(0),
-            live: AtomicI64::new(0),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
+            ledger: Ledger::new(workers),
+            idle: EventGate::new(),
             tracer: TaskTracer::new(64 * 1024),
             quiesce_cancel: AtomicBool::new(false),
-            live_workers: AtomicUsize::new(workers),
-            overload_state: AtomicI64::new(0),
             anomalies: Arc::new(AnomalyLog::new(256)),
             faults,
             gate,
-            fallback_allocs: AtomicU64::new(0),
+            live_workers: Padded(AtomicUsize::new(workers)),
+            overload_state: Padded(AtomicI64::new(0)),
         }
     }
 
-    pub(crate) fn note_task_finished(&self) {
-        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.idle_lock.lock();
-            self.idle_cv.notify_all();
+    /// Block until every task in the ledger has finished, or `timeout`
+    /// passes; returns whether the runtime went idle.
+    ///
+    /// No task touches the idle gate on its way out. Instead every thread
+    /// that advances `finished` later passes a `SeqCst` fence and then
+    /// probes the gate ([`notify_if_idle`](Self::notify_if_idle)): a
+    /// worker at its next find-miss, which it reaches before it can park;
+    /// any other thread at once ([`settle_idle`](Self::settle_idle)). The
+    /// waiter registers on the gate, fences, and reads the ledger. Of the
+    /// fences involved, the last in the `SeqCst` order belongs either to
+    /// the waiter — whose reading then includes every finish, so it
+    /// returns — or to a finisher, who then sees both the registration and
+    /// a balanced ledger, and broadcasts (the `idle-wait-fence-relaxed`
+    /// model mutant drops the waiter's fence and loses the wake-up).
+    pub(crate) fn wait_idle(&self, timeout: Option<Duration>) -> bool {
+        let idle = || {
+            if prim::mutation_armed("idle-wait-fence-relaxed") {
+                prim::fence(Ordering::Acquire);
+            } else {
+                prim::fence(Ordering::SeqCst);
+            }
+            self.ledger.is_idle()
+        };
+        // A timeout too long to express as a deadline is no timeout.
+        match timeout.and_then(|t| Instant::now().checked_add(t)) {
+            None => {
+                self.idle.wait_until(idle);
+                true
+            }
+            Some(deadline) => self.idle.wait_deadline(deadline, idle),
         }
+    }
+
+    /// Wake the idle waiters if there are any and the ledger balances. The
+    /// caller must have passed a `SeqCst` fence since its last ledger
+    /// write.
+    pub(crate) fn notify_if_idle(&self) {
+        if self.idle.waiters() > 0 && self.ledger.is_idle() {
+            self.idle.notify();
+        }
+    }
+
+    /// [`notify_if_idle`](Self::notify_if_idle) for a thread with no
+    /// find-miss edge ahead of it: a non-worker that finished a task, a
+    /// worker retiring for good.
+    pub(crate) fn settle_idle(&self) {
+        prim::fence(Ordering::SeqCst);
+        self.notify_if_idle();
+    }
+
+    #[cfg(test)]
+    pub(crate) fn idle_waiters(&self) -> usize {
+        self.idle.waiters()
     }
 }
 
@@ -411,7 +456,7 @@ impl Runtime {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        spawn_inner(&self.inner, policy, site, f, None)
+        spawn_inner(&self.inner, self.spawner(), policy, site, f, None)
     }
 
     /// Fallible spawn (`Async` policy): fails fast — never blocks, never
@@ -426,7 +471,7 @@ impl Runtime {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        try_spawn_inner(&self.inner, site, f, None)
+        try_spawn_inner(&self.inner, self.spawner(), site, f, None)
     }
 
     /// Spawn a task bound to `token`: if the token is cancelled before the
@@ -441,12 +486,14 @@ impl Runtime {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
+        let token = Some(token.clone());
         spawn_inner(
             &self.inner,
+            self.spawner(),
             LaunchPolicy::Async,
             site,
             f,
-            Some(token.clone()),
+            token,
         )
     }
 
@@ -467,12 +514,18 @@ impl Runtime {
         let token = CancelToken::with_deadline(deadline);
         let fut = spawn_inner(
             &self.inner,
+            self.spawner(),
             LaunchPolicy::Async,
             site,
             f,
             Some(token.clone()),
         );
         (fut, token)
+    }
+
+    /// The calling thread's identity as one of this runtime's workers.
+    fn spawner(&self) -> Option<worker::WorkerRef> {
+        worker::context_for(Arc::as_ptr(&self.inner))
     }
 
     /// The active fault injector, if this runtime was configured with an
@@ -515,29 +568,9 @@ impl Runtime {
         }
     }
 
-    /// Block until no scheduled task is pending or running.
+    /// Block until no task is pending or running.
     pub fn wait_idle(&self) {
-        let state = &self.inner.state;
-        let mut guard = state.idle_lock.lock();
-        while state.live.load(Ordering::Acquire) > 0 {
-            state.idle_cv.wait(&mut guard);
-        }
-    }
-
-    /// Like [`wait_idle`](Self::wait_idle) with a timeout; returns whether
-    /// the runtime went idle.
-    fn wait_idle_for(&self, timeout: Duration) -> bool {
-        let state = &self.inner.state;
-        let t0 = Instant::now();
-        let mut guard = state.idle_lock.lock();
-        while state.live.load(Ordering::Acquire) > 0 {
-            let remaining = timeout.saturating_sub(t0.elapsed());
-            if remaining.is_zero() {
-                return false;
-            }
-            let _ = state.idle_cv.wait_for(&mut guard, remaining);
-        }
-        true
+        self.inner.state.wait_idle(None);
     }
 
     /// Gracefully drain the runtime. The protocol:
@@ -563,17 +596,16 @@ impl Runtime {
         if let Some(gate) = &inner.state.gate {
             gate.drain();
         }
-        let drained = self.wait_idle_for(deadline);
+        let state = &inner.state;
+        let drained = state.wait_idle(Some(deadline));
         let mut cancelled = 0;
         if !drained {
-            let before =
-                crate::stats::total(&inner.state.stats, |s| s.cancelled.load(Ordering::Relaxed));
-            inner.state.quiesce_cancel.store(true, Ordering::SeqCst);
+            let cancelled_so_far = || state.ledger.total(|s| s.cancelled.load(Ordering::Relaxed));
+            let before = cancelled_so_far();
+            state.quiesce_cancel.store(true, Ordering::SeqCst);
             inner.scheduler.wake_all();
-            let _ = self.wait_idle_for(deadline);
-            cancelled =
-                crate::stats::total(&inner.state.stats, |s| s.cancelled.load(Ordering::Relaxed))
-                    .saturating_sub(before);
+            let _ = state.wait_idle(Some(deadline));
+            cancelled = cancelled_so_far().saturating_sub(before);
         }
         for hook in inner.drain_hooks.lock().iter() {
             hook();
@@ -581,7 +613,7 @@ impl Runtime {
         QuiesceReport {
             drained,
             cancelled,
-            remaining: inner.state.live.load(Ordering::Acquire).max(0) as u64,
+            remaining: state.ledger.flow().live(),
         }
     }
 
@@ -628,6 +660,10 @@ impl Runtime {
         // registers after must observe the flag in its own probe.
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.scheduler.wake_all();
+        if let Some(w) = &self.watchdog {
+            // The watchdog parks between ticks; don't wait one out.
+            w.thread().unpark();
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -672,6 +708,33 @@ pub struct RuntimeHandle {
 }
 
 impl RuntimeHandle {
+    /// Run `f` with the runtime and the caller's identity as one of its
+    /// workers. A worker borrows the runtime its own loop keeps alive, so
+    /// spawning from inside a task upgrades no `Weak` — no write to the
+    /// reference count every worker would otherwise share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the runtime has been dropped.
+    fn with_runtime<R>(&self, f: impl FnOnce(&RuntimeInner, Option<worker::WorkerRef>) -> R) -> R {
+        let ptr = self.inner.as_ptr();
+        match worker::context_for(ptr) {
+            // SAFETY: the calling thread is inside the worker loop of the
+            // runtime at `ptr`, which holds a strong reference to it until
+            // after this call returns (see `worker::context_for`); and the
+            // address cannot have been reused for another runtime, because
+            // `self.inner` still holds the allocation.
+            spawner @ Some(_) => f(unsafe { &*ptr }, spawner),
+            None => {
+                let inner = self
+                    .inner
+                    .upgrade()
+                    .expect("RuntimeHandle used after Runtime was dropped");
+                f(&inner, None)
+            }
+        }
+    }
+
     /// Spawn with the default (`Async`) policy.
     ///
     /// # Panics
@@ -694,11 +757,7 @@ impl RuntimeHandle {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        let inner = self
-            .inner
-            .upgrade()
-            .expect("RuntimeHandle used after Runtime was dropped");
-        spawn_inner(&inner, policy, site, f, None)
+        self.with_runtime(|inner, spawner| spawn_inner(inner, spawner, policy, site, f, None))
     }
 
     /// Fallible spawn; see [`Runtime::try_spawn`].
@@ -713,11 +772,7 @@ impl RuntimeHandle {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        let inner = self
-            .inner
-            .upgrade()
-            .expect("RuntimeHandle used after Runtime was dropped");
-        try_spawn_inner(&inner, site, f, None)
+        self.with_runtime(|inner, spawner| try_spawn_inner(inner, spawner, site, f, None))
     }
 
     /// Spawn a task bound to `token`; see [`Runtime::spawn_cancellable`].
@@ -728,11 +783,10 @@ impl RuntimeHandle {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        let inner = self
-            .inner
-            .upgrade()
-            .expect("RuntimeHandle used after Runtime was dropped");
-        spawn_inner(&inner, LaunchPolicy::Async, site, f, Some(token.clone()))
+        let token = Some(token.clone());
+        self.with_runtime(|inner, spawner| {
+            spawn_inner(inner, spawner, LaunchPolicy::Async, site, f, token)
+        })
     }
 
     /// Spawn with a dispatch deadline; see [`Runtime::spawn_with_deadline`].
@@ -747,12 +801,11 @@ impl RuntimeHandle {
         F: FnOnce() -> T + Send + 'static,
     {
         let site = crate::trace::site_id(std::panic::Location::caller());
-        let inner = self
-            .inner
-            .upgrade()
-            .expect("RuntimeHandle used after Runtime was dropped");
         let token = CancelToken::with_deadline(deadline);
-        let fut = spawn_inner(&inner, LaunchPolicy::Async, site, f, Some(token.clone()));
+        let bound = Some(token.clone());
+        let fut = self.with_runtime(|inner, spawner| {
+            spawn_inner(inner, spawner, LaunchPolicy::Async, site, f, bound)
+        });
         (fut, token)
     }
 }
@@ -769,10 +822,10 @@ impl std::fmt::Debug for RuntimeHandle {
 /// and back off, or trip the breaker and retire the worker. Returns `false`
 /// when the worker must not be respawned.
 fn supervise_crash(inner: &Arc<RuntimeInner>, index: usize, restart: &mut RestartState) -> bool {
-    let stats = &inner.state.stats[index];
+    let stats = inner.state.ledger.worker(index);
     match restart.on_crash(Instant::now()) {
         RestartVerdict::Respawn { backoff } => {
-            stats.restarts.fetch_add(1, Ordering::Relaxed);
+            stats.note_restart();
             backoff_sleep(inner, stats, backoff);
             true
         }
@@ -788,17 +841,20 @@ fn supervise_crash(inner: &Arc<RuntimeInner>, index: usize, restart: &mut Restar
                 .is_ok();
             if !claimed {
                 // Sole survivor: keep respawning, at the maximum backoff.
-                stats.restarts.fetch_add(1, Ordering::Relaxed);
+                stats.note_restart();
                 backoff_sleep(inner, stats, inner.config.restart_backoff_max);
                 return true;
             }
-            stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
+            stats.note_breaker_trip();
             stats.retired.store(true, Ordering::Release);
             // Re-parent the dead worker's queued tasks into the global
             // injector so the surviving workers drain them — shrinking
             // parallelism loses no task.
             inner.scheduler.reparent_to_injector(index);
             inner.scheduler.wake_all();
+            // This worker will not pass another find-miss; if the task it
+            // died after was the last one, the idle waiters hear it here.
+            inner.state.settle_idle();
             false
         }
     }
@@ -806,15 +862,13 @@ fn supervise_crash(inner: &Arc<RuntimeInner>, index: usize, restart: &mut Restar
 
 /// Sleep out a restart backoff (sliced, so shutdown stays responsive) and
 /// account it into `/runtime/health/restart-backoff`.
-fn backoff_sleep(inner: &Arc<RuntimeInner>, stats: &WorkerStats, backoff: Duration) {
+fn backoff_sleep(inner: &Arc<RuntimeInner>, stats: &Shard, backoff: Duration) {
     let t0 = Instant::now();
     while t0.elapsed() < backoff && !inner.shutdown.load(Ordering::Acquire) {
         let remaining = backoff.saturating_sub(t0.elapsed());
         std::thread::sleep(remaining.min(Duration::from_millis(1)));
     }
-    stats
-        .backoff_ns
-        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    stats.note_backoff(t0.elapsed().as_nanos() as u64);
 }
 
 /// How a spawn proceeds once policy and admission have had their say.
@@ -868,17 +922,25 @@ fn return_admission(state: &RuntimeState, spawn: &SpawnMeta) {
     }
 }
 
+/// A task's run or cancellation is over and its outcome published:
+/// advance `finished` on the thread's shard — the whole of the per-task
+/// exit accounting for a worker (see [`RuntimeState::wait_idle`]).
+fn finish_task(state: &RuntimeState, shard: &Shard) {
+    shard.note_finished();
+    if shard.is_shared() {
+        state.settle_idle();
+    }
+}
+
 /// Complete a claimed task as cancelled without running it: at dispatch
 /// (token, quiesce deadline) or when its queue handle is dropped un-run.
-/// `widx` is the accounting worker within `state`'s runtime.
-pub(crate) fn cancel_task(state: &RuntimeState, widx: usize, task: Claimed) {
-    let track_live = task.spawn().track_live;
+/// `shard` is the calling thread's shard in `state`'s ledger.
+pub(crate) fn cancel_task(state: &RuntimeState, shard: &Shard, task: Claimed) {
     return_admission(state, task.spawn());
-    state.stats[widx].cancelled.fetch_add(1, Ordering::Relaxed);
+    shard.note_started(task.spawn().queued);
+    shard.note_cancelled();
     task.cancel();
-    if track_live {
-        state.note_task_finished();
-    }
+    finish_task(state, shard);
 }
 
 /// Run a claimed task with full instrumentation and publish its outcome.
@@ -894,22 +956,23 @@ pub(crate) fn cancel_task(state: &RuntimeState, widx: usize, task: Claimed) {
 /// result is still produced, which is what lets chaos tests assert both
 /// correct benchmark output and exact recovery counts.
 ///
-/// `widx` is the accounting worker within `state`'s runtime — the caller's
-/// own index if it is one of that runtime's workers, else 0 — never the
-/// index the calling thread has in some other runtime.
-pub(crate) fn run_task(state: &RuntimeState, widx: usize, task: Claimed) {
+/// `shard` is the calling thread's shard in `state`'s ledger — its own if
+/// it is one of that runtime's workers, else the external one
+/// ([`worker::shard_in`]) — never the slot its index in some other
+/// runtime would select.
+pub(crate) fn run_task(state: &RuntimeState, shard: &Shard, task: Claimed) {
     let spawn = task.spawn();
-    let (task_id, parent, site, spawned_ns, track_live) = (
+    let (task_id, parent, site, spawned_ns, queued) = (
         spawn.task_id,
         spawn.parent,
         spawn.site,
         spawn.spawned_ns,
-        spawn.track_live,
+        spawn.queued,
     );
     let cancelled = spawn.token.as_ref().is_some_and(CancelToken::is_cancelled)
-        || (track_live && state.quiesce_cancel.load(Ordering::Acquire));
+        || (queued && state.quiesce_cancel.load(Ordering::Acquire));
     if cancelled {
-        return cancel_task(state, widx, task);
+        return cancel_task(state, shard, task);
     }
     return_admission(state, spawn);
     if let Some(faults) = &state.faults {
@@ -917,10 +980,10 @@ pub(crate) fn run_task(state: &RuntimeState, widx: usize, task: Claimed) {
             // Transient-fault-with-retry: exercise the unwind path,
             // recover, and run the real body.
             let _ = std::panic::catch_unwind(|| std::panic::panic_any(InjectedFault("task-panic")));
-            state.stats[widx].recovered.fetch_add(1, Ordering::Relaxed);
+            shard.note_recovered();
         }
     }
-    state.active.fetch_add(1, Ordering::Relaxed);
+    shard.note_started(queued);
     let nested_before = NESTED_EXEC_NS.with(|c| c.get());
     // Mark this task as the causal parent of anything its body spawns
     // (restored below — help-execution nests bodies on one thread).
@@ -929,7 +992,6 @@ pub(crate) fn run_task(state: &RuntimeState, widx: usize, task: Claimed) {
     let ran = task.run();
     let end = state.clock.now_ns();
     CURRENT_TASK.with(|c| c.set(prev_task));
-    state.active.fetch_sub(1, Ordering::Relaxed);
     // Net execution time: subtract time spent executing *other* tasks
     // while helping inside this task's waits, so `/threads/time/*`
     // counts every task exactly once (HPX suspends the parent; we
@@ -941,7 +1003,7 @@ pub(crate) fn run_task(state: &RuntimeState, widx: usize, task: Claimed) {
     let net = gross.saturating_sub(nested_during);
     NESTED_EXEC_NS.with(|c| c.set(nested_before + gross));
     let wait_ns = start.saturating_sub(spawned_ns);
-    state.stats[widx].record_execution(net, wait_ns);
+    shard.record_execution(net, wait_ns);
     // The span records gross start..end plus `nested_ns`, so readers
     // can reconstruct both views; net (gross − nested) is what the
     // profile and the causal analyzer sum — matching the stats above.
@@ -949,16 +1011,14 @@ pub(crate) fn run_task(state: &RuntimeState, widx: usize, task: Claimed) {
         task_id,
         parent: (parent != u64::MAX).then_some(parent),
         site,
-        worker: widx as u32,
+        worker: shard.index(),
         start_ns: start,
         end_ns: end,
         wait_ns,
         nested_ns: nested_during,
     });
     ran.publish();
-    if track_live {
-        state.note_task_finished();
-    }
+    finish_task(state, shard);
 }
 
 /// Create the task's cell and launch it as decided.
@@ -966,7 +1026,7 @@ pub(crate) fn run_task(state: &RuntimeState, widx: usize, task: Claimed) {
 /// For a queued task the overhead window `t0..t1` opens *before* the cell
 /// is created, so the measured ns/task includes slot/cell setup.
 fn launch<T, F>(
-    inner: &Arc<RuntimeInner>,
+    inner: &RuntimeInner,
     spawner: Option<worker::WorkerRef>,
     how: Launch,
     site: u32,
@@ -978,62 +1038,66 @@ where
     F: FnOnce() -> T + Send + 'static,
 {
     let state = &inner.state;
+    // The spawner's own shard; external callers share one.
+    let shard = match spawner {
+        Some(w) => state.ledger.worker(w.index),
+        None => state.ledger.external(),
+    };
     let (queued, holds_gate) = match how {
         Launch::Queue { holds_gate } => (true, holds_gate),
         Launch::Inline | Launch::Deferred => (false, false),
     };
     let t0 = state.clock.now_ns();
-    if queued {
-        state.live.fetch_add(1, Ordering::AcqRel);
-    }
     let spawn = SpawnMeta {
-        task_id: inner.scheduler.next_task_id(),
+        task_id: shard.next_task_id(|n| inner.scheduler.reserve_task_ids(n)),
         // The task executing on this thread right now, if any.
         parent: CURRENT_TASK.with(|c| c.get()),
         site,
         spawned_ns: t0,
         token,
         holds_gate,
-        track_live: queued,
+        queued,
     };
     let own_slab = spawner.map(|w| &inner.slabs[w.index]);
     let (task, join) = crate::slab::place(own_slab, Some(state), spawn, f);
-    // Accounting worker: the spawner's own index, external callers on 0.
-    let widx = spawner.map_or(0, |w| w.index);
+    if !task.is_slab_resident() {
+        shard.note_fallback_alloc();
+    }
     match how {
         Launch::Queue { .. } => {
+            // Counted before the push publishes the task: whoever starts
+            // it — and so whoever reads its `started` — sees it `queued`.
+            shard.note_queued();
             // SAFETY: `w.local` is the calling worker's own deque (see
             // `WorkerRef`); this is the spawning thread.
             let local = spawner.map(|w| unsafe { &*w.local });
             inner.scheduler.push(task, local);
             let t1 = state.clock.now_ns();
-            state.stats[widx].record_overhead(t1.saturating_sub(t0));
+            shard.record_overhead(t1.saturating_sub(t0));
             TaskFuture::new(join)
         }
         Launch::Inline => {
             let claimed = task.claim().expect("a fresh cell is unclaimed");
-            run_task(state, widx, claimed);
+            run_task(state, shard, claimed);
             TaskFuture::new(join)
         }
         Launch::Deferred => TaskFuture::new(join.deferred(task)),
     }
 }
 
-/// Per-runtime worker identity of the caller, counted as a spawner: a
-/// worker of runtime A spawning into runtime B must not index B's
-/// stats/slabs with A's worker index.
-fn spawner_of(inner: &Arc<RuntimeInner>) -> Option<worker::WorkerRef> {
-    let spawner = worker::context_for(inner);
+/// Count a spawn by one of the runtime's own workers.
+fn note_spawn(inner: &RuntimeInner, spawner: Option<worker::WorkerRef>) {
     if let Some(w) = spawner {
-        inner.state.stats[w.index]
-            .spawned
-            .fetch_add(1, Ordering::Relaxed);
+        inner.state.ledger.worker(w.index).note_spawned();
     }
-    spawner
 }
 
+/// `spawner` is the caller's identity as a worker of *this* runtime
+/// ([`worker::context_for`]): a worker of runtime A spawning into runtime
+/// B must not index B's shards and slabs with A's worker index.
 fn spawn_inner<T, F>(
-    inner: &Arc<RuntimeInner>,
+    inner: &RuntimeInner,
+    spawner: Option<worker::WorkerRef>,
     policy: LaunchPolicy,
     site: u32,
     f: F,
@@ -1043,7 +1107,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let spawner = spawner_of(inner);
+    note_spawn(inner, spawner);
     let how = match policy {
         LaunchPolicy::Sync => Launch::Inline,
         // Continuation-stealing approximation: the child runs now, on
@@ -1058,7 +1122,8 @@ where
 /// The fallible spawn path: admission failure is the caller's problem —
 /// the closure comes back inside the error.
 fn try_spawn_inner<T, F>(
-    inner: &Arc<RuntimeInner>,
+    inner: &RuntimeInner,
+    spawner: Option<worker::WorkerRef>,
     site: u32,
     f: F,
     token: Option<CancelToken>,
@@ -1080,6 +1145,7 @@ where
         }
         None => false,
     };
+    note_spawn(inner, spawner);
     let how = Launch::Queue { holds_gate };
-    Ok(launch(inner, spawner_of(inner), how, site, f, token))
+    Ok(launch(inner, spawner, how, site, f, token))
 }

@@ -24,7 +24,7 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use crossbeam::sync::Unparker;
 
 use crate::prim::{
-    fence, mutation_armed, spin_loop, AtomicI64, AtomicU64, AtomicUsize, Mutex, Ordering,
+    fence, mutation_armed, spin_loop, AtomicU64, AtomicUsize, Mutex, Ordering, Padded,
 };
 pub(crate) use crate::slab::Task;
 
@@ -100,28 +100,30 @@ pub(crate) struct Scheduler {
     victims_remote: Vec<Vec<usize>>,
     /// Other segments' injectors per worker, rotation order.
     remote_segments: Vec<Vec<usize>>,
-    /// Round-robin cursor for external pushes.
-    next_segment: AtomicUsize,
     /// Local deque of each worker, parked here until its thread claims it.
     pub deques: Vec<Mutex<Option<Deque<Task>>>>,
     pub stealers: Vec<Stealer<Task>>,
-    /// Tasks queued but not yet started. Workers batch their decrements
-    /// (see `worker::PendingBatch`), so transient over-counts are expected;
-    /// negative drift is not, and is tracked by `underflows`.
-    pub pending: AtomicI64,
-    /// Observed `pending` underflows (decrement beyond zero) — drift in the
-    /// spawn/start accounting. Exposed as
-    /// `/runtime/health/pending-underflows`.
-    pub underflows: AtomicU64,
-    /// Monotonic id source.
-    pub next_id: AtomicU64,
+    // Everything above is written once, at construction, and read by every
+    // `push` and `find`; the words below are written while the runtime
+    // runs, so each group is padded onto lines of its own.
+    /// Round-robin cursor for external pushes.
+    next_segment: Padded<AtomicUsize>,
+    /// Task-id source. Workers reserve ids in blocks (see
+    /// `stats::Shard::next_task_id`), so this is off the per-task path.
+    next_id: Padded<AtomicU64>,
+    sleep: Padded<Sleepers>,
+}
+
+/// Parked workers, written on every park and unpark and probed by every
+/// `push`.
+struct Sleepers {
     /// Workers currently parked (worker index, unparker), waiting to be
     /// woken on new work.
-    pub sleepers: Mutex<Vec<(usize, Unparker)>>,
-    /// Mirror of `sleepers.len()`, written under the `sleepers` lock and
-    /// probed lock-free by `wake_one`/`wake_all` so the spawn path skips
-    /// the mutex whenever no worker is parked.
-    sleeper_count: AtomicUsize,
+    list: Mutex<Vec<(usize, Unparker)>>,
+    /// Mirror of `list.len()`, written under the `list` lock and probed
+    /// lock-free by `wake_one`/`wake_all` so the spawn path skips the
+    /// mutex whenever no worker is parked.
+    count: AtomicUsize,
 }
 
 impl Scheduler {
@@ -182,19 +184,21 @@ impl Scheduler {
             victims_local,
             victims_remote,
             remote_segments,
-            next_segment: AtomicUsize::new(0),
             deques: deques.into_iter().map(|d| Mutex::new(Some(d))).collect(),
             stealers,
-            pending: AtomicI64::new(0),
-            underflows: AtomicU64::new(0),
-            next_id: AtomicU64::new(0),
-            sleepers: Mutex::new(Vec::new()),
-            sleeper_count: AtomicUsize::new(0),
+            next_segment: Padded(AtomicUsize::new(0)),
+            next_id: Padded(AtomicU64::new(0)),
+            sleep: Padded(Sleepers {
+                list: Mutex::new(Vec::new()),
+                count: AtomicUsize::new(0),
+            }),
         }
     }
 
-    pub(crate) fn next_task_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
+    /// Reserve `n` consecutive task ids nobody else gets; returns the
+    /// first.
+    pub(crate) fn reserve_task_ids(&self, n: u64) -> u64 {
+        self.next_id.fetch_add(n, Ordering::Relaxed)
     }
 
     /// Injector segments in use (1 unless NUMA placement is active).
@@ -206,9 +210,9 @@ impl Scheduler {
     /// Enqueue a task. `local` is the spawning worker's own deque when the
     /// spawn happens on a worker thread (push-local for locality), `None`
     /// for external spawns (which round-robin across the per-socket
-    /// injector segments).
+    /// injector segments). The spawner has already counted the task into
+    /// its ledger shard (`Shard::note_queued`).
     pub(crate) fn push(&self, task: Task, local: Option<&Deque<Task>>) {
-        self.pending.fetch_add(1, Ordering::Relaxed);
         match (self.mode, local) {
             (SchedulerMode::LocalQueues, Some(deque)) => deque.push(task),
             _ => {
@@ -330,36 +334,6 @@ impl Scheduler {
         self.injectors.iter().any(|i| !i.is_empty()) || self.stealers.iter().any(|s| !s.is_empty())
     }
 
-    /// Approximate number of queued tasks. Clamped at zero: workers batch
-    /// their decrements, so the raw value can transiently over-count, and
-    /// accounting bugs could push it negative — real drift is surfaced via
-    /// [`Scheduler::pending_underflows`] instead of silently hidden here.
-    pub(crate) fn pending_tasks(&self) -> i64 {
-        self.pending.load(Ordering::Relaxed).max(0)
-    }
-
-    /// Record `n` tasks leaving the queue (batched by workers). Underflow
-    /// means a decrement without a matching `push` — counted (and fatal
-    /// under debug assertions) rather than clamped away.
-    pub(crate) fn note_started_n(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let prev = self.pending.fetch_sub(n as i64, Ordering::Relaxed);
-        if prev < n as i64 {
-            self.underflows.fetch_add(1, Ordering::Relaxed);
-            debug_assert!(
-                prev >= n as i64,
-                "pending underflow: started {n} with only {prev} pending"
-            );
-        }
-    }
-
-    /// Times the `pending` counter was decremented below zero.
-    pub(crate) fn pending_underflows(&self) -> u64 {
-        self.underflows.load(Ordering::Relaxed)
-    }
-
     /// Park registration: the worker registers its unparker *before* its
     /// final work check so a concurrent push cannot be lost. Re-registering
     /// the same worker is a no-op (the list stays bounded by worker count).
@@ -370,20 +344,20 @@ impl Scheduler {
     /// always observes the other — see DESIGN.md §"hot path".
     pub(crate) fn register_sleeper(&self, index: usize, unparker: Unparker) {
         {
-            let mut s = self.sleepers.lock();
+            let mut s = self.sleep.list.lock();
             if !s.iter().any(|(i, _)| *i == index) {
                 s.push((index, unparker));
             }
-            self.sleeper_count.store(s.len(), Ordering::SeqCst);
+            self.sleep.count.store(s.len(), Ordering::SeqCst);
         }
         fence(Ordering::SeqCst);
     }
 
     /// Remove the worker's registration after it wakes (by token or timeout).
     pub(crate) fn deregister_sleeper(&self, index: usize) {
-        let mut s = self.sleepers.lock();
+        let mut s = self.sleep.list.lock();
         s.retain(|(i, _)| *i != index);
-        self.sleeper_count.store(s.len(), Ordering::SeqCst);
+        self.sleep.count.store(s.len(), Ordering::SeqCst);
     }
 
     /// Wake one parked worker, if any. When none is parked — the steady
@@ -399,13 +373,13 @@ impl Scheduler {
         } else {
             fence(Ordering::SeqCst);
         }
-        if self.sleeper_count.load(Ordering::Relaxed) == 0 {
+        if self.sleep.count.load(Ordering::Relaxed) == 0 {
             return;
         }
         let u = {
-            let mut s = self.sleepers.lock();
+            let mut s = self.sleep.list.lock();
             let u = s.pop();
-            self.sleeper_count.store(s.len(), Ordering::SeqCst);
+            self.sleep.count.store(s.len(), Ordering::SeqCst);
             u
         };
         if let Some((_, u)) = u {
@@ -417,27 +391,27 @@ impl Scheduler {
     /// [`Scheduler::wake_one`].
     pub(crate) fn wake_all(&self) {
         fence(Ordering::SeqCst);
-        if self.sleeper_count.load(Ordering::Relaxed) == 0 {
+        if self.sleep.count.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let mut s = self.sleepers.lock();
+        let mut s = self.sleep.list.lock();
         for (_, u) in s.drain(..) {
             u.unpark();
         }
-        self.sleeper_count.store(0, Ordering::SeqCst);
+        self.sleep.count.store(0, Ordering::SeqCst);
     }
 
     /// Sleepers currently registered (tests/diagnostics; immediately stale).
     #[cfg(test)]
     pub(crate) fn sleeper_count(&self) -> usize {
-        self.sleeper_count.load(Ordering::SeqCst)
+        self.sleep.count.load(Ordering::SeqCst)
     }
 
     /// Move every task parked in worker `index`'s deque into the worker's
     /// own injector segment. Used by the restart circuit breaker: a
     /// retired worker's queued tasks must drain through the survivors.
-    /// `pending` is untouched — the tasks are still queued, just somewhere
-    /// reachable. Returns the number of tasks moved.
+    /// The ledger is untouched — the tasks are still queued, just
+    /// somewhere reachable. Returns the number of tasks moved.
     pub(crate) fn reparent_to_injector(&self, index: usize) -> u64 {
         let guard = self.deques[index].lock();
         let mut moved = 0;
@@ -620,52 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_tracks_pushes_and_starts() {
-        let s = Scheduler::new(1, SchedulerMode::LocalQueues);
-        let local = s.deques[0].lock().take().unwrap();
-        assert_eq!(s.pending_tasks(), 0);
-        s.push(task(1), Some(&local));
-        s.push(task(2), Some(&local));
-        assert_eq!(s.pending_tasks(), 2);
-        let _ = take(&s, 0, &local).unwrap();
-        s.note_started_n(1);
-        assert_eq!(s.pending_tasks(), 1);
-    }
-
-    #[test]
-    fn batched_starts_decrement_pending() {
-        let s = Scheduler::new(1, SchedulerMode::LocalQueues);
-        let local = s.deques[0].lock().take().unwrap();
-        for i in 0..5 {
-            s.push(task(i), Some(&local));
-        }
-        s.note_started_n(0); // no-op
-        assert_eq!(s.pending_tasks(), 5);
-        s.note_started_n(3);
-        assert_eq!(s.pending_tasks(), 2);
-        s.note_started_n(2);
-        assert_eq!(s.pending_tasks(), 0);
-        assert_eq!(s.pending_underflows(), 0);
-    }
-
-    #[test]
-    fn pending_underflow_is_counted_not_clamped_away() {
-        let s = Scheduler::new(1, SchedulerMode::LocalQueues);
-        assert_eq!(s.pending_underflows(), 0);
-        // A decrement with nothing pending is an accounting bug: fatal
-        // under debug assertions, counted (and still clamped in
-        // pending_tasks) in release.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.note_started_n(1)));
-        if cfg!(debug_assertions) {
-            assert!(r.is_err(), "underflow must trip the debug assertion");
-        } else {
-            assert!(r.is_ok());
-        }
-        assert_eq!(s.pending_underflows(), 1, "drift must be surfaced");
-        assert_eq!(s.pending_tasks(), 0, "public view stays clamped");
-    }
-
-    #[test]
     fn sleeper_count_mirrors_registrations() {
         let s = Scheduler::new(2, SchedulerMode::LocalQueues);
         let p0 = Parker::new();
@@ -712,7 +640,6 @@ mod tests {
             *s.deques[0].lock() = Some(local);
         }
         assert_eq!(s.reparent_to_injector(0), 3);
-        assert_eq!(s.pending_tasks(), 3, "reparenting keeps tasks pending");
         // Worker 1 drains them from the injector in FIFO order... the
         // batch refill puts extras in its own deque, all still findable.
         let local1 = s.deques[1].lock().take().unwrap();
@@ -726,10 +653,32 @@ mod tests {
     }
 
     #[test]
-    fn task_ids_are_unique() {
+    fn reserved_task_id_ranges_do_not_overlap() {
         let s = Scheduler::new(1, SchedulerMode::LocalQueues);
-        let a = s.next_task_id();
-        let b = s.next_task_id();
-        assert_ne!(a, b);
+        let a = s.reserve_task_ids(1024);
+        let b = s.reserve_task_ids(1);
+        let c = s.reserve_task_ids(1);
+        assert!(b >= a + 1024 && c > b);
+    }
+
+    #[test]
+    fn run_time_words_sit_apart_from_the_read_mostly_fields() {
+        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let line = |p: usize| p / 128;
+        let read_mostly = [
+            &s.injectors as *const _ as usize,
+            &s.stealers as *const _ as usize,
+            &s.victims_local as *const _ as usize,
+        ];
+        let written = [
+            &s.next_segment as *const _ as usize,
+            &s.next_id as *const _ as usize,
+            &s.sleep as *const _ as usize,
+        ];
+        for (i, w) in written.iter().enumerate() {
+            assert_eq!(w % 128, 0);
+            assert!(read_mostly.iter().all(|r| line(*r) != line(*w)));
+            assert!(written[..i].iter().all(|o| line(*o) != line(*w)));
+        }
     }
 }

@@ -168,9 +168,10 @@ pub(crate) struct SpawnMeta {
     pub token: Option<crate::cancel::CancelToken>,
     /// The spawn passed admission and owes the gate a `note_started`.
     pub holds_gate: bool,
-    /// The task was counted into `live` (queued tasks; inline and
-    /// deferred ones never enter a queue).
-    pub track_live: bool,
+    /// The spawner pushed the task onto a queue and counted it `queued`
+    /// in its ledger shard (inline and deferred launches enter the ledger
+    /// only when they start).
+    pub queued: bool,
 }
 
 impl SpawnMeta {
@@ -183,7 +184,7 @@ impl SpawnMeta {
             spawned_ns: 0,
             token: None,
             holds_gate: false,
-            track_live: false,
+            queued: false,
         }
     }
 }
@@ -563,12 +564,7 @@ where
         }
         _ => None,
     };
-    let (cell, slab) = slot.unwrap_or_else(|| {
-        if let Some(state) = state {
-            state.fallback_allocs.fetch_add(1, Ordering::Relaxed);
-        }
-        (External::<T, F>::alloc(state.cloned()), None)
-    });
+    let (cell, slab) = slot.unwrap_or_else(|| (External::<T, F>::alloc(state.cloned()), None));
     // SAFETY: fresh storage for this `(T, F)` — a slot just allocated on
     // its owner thread that the task fits, or a new `External<T, F>`.
     let gen = unsafe { arm::<T, F>(cell, spawn, f) };
@@ -601,6 +597,12 @@ impl Task {
         unsafe { try_claim(task.cell) }
     }
 
+    /// Whether the cell sits in a slab slot (as opposed to an external
+    /// allocation, which `/runtime/slab/fallback-allocs` counts).
+    pub(crate) fn is_slab_resident(&self) -> bool {
+        matches!(self.slot().home, Home::Slab { .. })
+    }
+
     fn slot(&self) -> &Slot {
         // SAFETY: this handle has not released.
         unsafe { self.cell.as_ref() }
@@ -616,8 +618,7 @@ impl Drop for Task {
         };
         match claimed.state() {
             Some(state) => {
-                let widx = crate::worker::index_in(&state);
-                crate::runtime::cancel_task(&state, widx, claimed);
+                crate::runtime::cancel_task(&state, crate::worker::shard_in(&state), claimed)
             }
             None => claimed.cancel(),
         }
@@ -771,8 +772,7 @@ impl<T> Join<T> {
         if self.deferred {
             if let Some(claimed) = self.as_task().claim() {
                 let state = claimed.state().expect("a deferred cell has a runtime");
-                let widx = crate::worker::index_in(&state);
-                return crate::runtime::run_task(&state, widx, claimed);
+                return crate::runtime::run_task(&state, crate::worker::shard_in(&state), claimed);
             }
         }
         if crate::worker::on_worker_thread() {
@@ -1068,7 +1068,8 @@ mod tests {
 
     /// One teardown for both placements: a queue dropped with un-run
     /// tasks cancels their futures, releases each cell exactly once, and
-    /// settles the `live` count and the admission gate.
+    /// settles the ledger — on the external shard, the dropping thread
+    /// being nobody's worker — and the admission gate.
     #[test]
     fn dropped_queue_tears_down_both_placements_alike() {
         static DROPS: StdAtomicUsize = StdAtomicUsize::new(0);
@@ -1084,10 +1085,10 @@ mod tests {
         let mut joins = Vec::new();
         for own_slab in [Some(&slab), None] {
             assert!(gate.try_admit());
-            state.live.fetch_add(1, Ordering::AcqRel);
+            state.ledger.external().note_queued();
             let spawn = SpawnMeta {
                 holds_gate: true,
-                track_live: true,
+                queued: true,
                 ..SpawnMeta::bare(0)
             };
             let held = Probe(&DROPS);
@@ -1096,7 +1097,7 @@ mod tests {
             joins.push(join);
         }
         assert_eq!((slab.allocs(), gate.pending()), (1, 2));
-        assert_eq!(state.fallback_allocs.load(Ordering::Relaxed), 1);
+        assert_eq!(state.ledger.flow().pending(), 2);
 
         drop(scheduler);
 
@@ -1105,9 +1106,12 @@ mod tests {
             2,
             "each closure dropped once"
         );
-        assert_eq!(state.live.load(Ordering::Acquire), 0);
+        assert!(state.ledger.is_idle());
+        assert_eq!(state.ledger.flow().underflows(), 0);
         assert_eq!(gate.pending(), 0, "admission slots returned");
-        assert_eq!(state.stats[0].cancelled.load(Ordering::Relaxed), 2);
+        let cancelled = |s: &crate::stats::Shard| s.cancelled.load(Ordering::Relaxed);
+        assert_eq!(cancelled(state.ledger.external()), 2);
+        assert_eq!(cancelled(state.ledger.worker(0)), 0);
         for mut join in joins {
             assert!(join.is_cancelled());
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| join.take())).unwrap_err();

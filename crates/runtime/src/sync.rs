@@ -101,8 +101,10 @@ impl EventGate {
         }
     }
 
-    /// Number of threads currently registered as blocked (or registering).
-    /// Diagnostic only — the value is immediately stale.
+    /// Number of threads currently registered as blocked (or registering);
+    /// immediately stale. A signaller may read it — under the same
+    /// publish-before-probe rule as [`EventGate::notify`] — to skip work
+    /// that only matters when someone waits.
     pub fn waiters(&self) -> usize {
         self.waiters.load(Ordering::SeqCst)
     }

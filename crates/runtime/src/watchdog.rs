@@ -2,7 +2,7 @@
 //! records stall episodes into the `/runtime/health/stalls` counter, and
 //! runs the overload detector over the counter stream.
 //!
-//! Every worker bumps [`WorkerStats::heartbeat`](crate::stats::WorkerStats)
+//! Every worker bumps its shard's [`heartbeat`](crate::stats::Shard)
 //! once per scheduling-loop iteration and once per work-helping iteration —
 //! and from nowhere inside task bodies. The watchdog samples the heartbeats
 //! every `watchdog_interval`: a heartbeat that stays static for longer than
@@ -30,7 +30,6 @@ use std::time::{Duration, Instant};
 use crate::anomaly::{AnomalyDetector, AnomalySignals};
 use crate::overload::{OverloadDetector, OverloadSignals};
 use crate::runtime::{RuntimeConfig, RuntimeInner};
-use crate::stats;
 
 /// Token-bucket restart budget + exponential backoff parameters (derived
 /// from [`RuntimeConfig`]; one copy per worker supervisor).
@@ -129,9 +128,9 @@ struct Watch {
     in_stall: bool,
 }
 
-/// Spawn the watchdog thread for `inner`. The thread exits when the
-/// runtime shuts down (or is dropped); join the handle after setting the
-/// shutdown flag.
+/// Spawn the watchdog thread for `inner`. The thread parks between ticks
+/// and exits when the runtime shuts down (or is dropped): set the shutdown
+/// flag, unpark it, then join the handle.
 pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
     let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
     let interval = inner.config.watchdog_interval;
@@ -146,12 +145,20 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
             let mut detector = OverloadDetector::new();
             let mut anomaly = AnomalyDetector::new();
             let mut tick: u64 = 0;
+            let mut next_tick = Instant::now() + interval;
             loop {
-                std::thread::sleep(interval);
+                // Parked, not asleep: `stop_workers` unparks us, so a
+                // shutdown does not wait out the interval. A park may also
+                // return early for no reason; only the clock ends a tick.
+                std::thread::park_timeout(next_tick.saturating_duration_since(Instant::now()));
                 let Some(inner) = weak.upgrade() else { return };
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                if Instant::now() < next_tick {
+                    continue;
+                }
+                next_tick = Instant::now() + interval;
                 overload_tick(&inner, &mut detector, interval);
                 anomaly_tick(&inner, &mut anomaly, interval, tick);
                 // Clock hygiene: cross-check the TSC fast path against
@@ -162,7 +169,7 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
                 clock.check_drift();
                 tick += 1;
                 let now = Instant::now();
-                let stats = &inner.state.stats;
+                let stats = inner.state.ledger.workers();
                 if watches.len() != stats.len() {
                     watches = stats
                         .iter()
@@ -177,8 +184,7 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
                 // Only a static heartbeat *while work exists* is a stall —
                 // parked idle workers still beat every park timeout, so
                 // this mostly guards against miscounting during startup.
-                let busy = inner.state.live.load(Ordering::Acquire) > 0
-                    || inner.scheduler.pending_tasks() > 0;
+                let busy = inner.state.ledger.flow().live() > 0;
                 for (watch, s) in watches.iter_mut().zip(stats.iter()) {
                     if s.retired.load(Ordering::Acquire) {
                         // Tripped breaker: the heartbeat is frozen forever;
@@ -195,7 +201,7 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
                         && now.duration_since(watch.since) >= threshold
                     {
                         watch.in_stall = true;
-                        s.stalls.fetch_add(1, Ordering::Relaxed);
+                        s.note_stall();
                         // Kick sleepers so the stalled worker's queued tasks
                         // get stolen instead of waiting the stall out.
                         inner.scheduler.wake_all();
@@ -209,20 +215,20 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
 /// Feed one watchdog tick of counter readings to the overload detector
 /// and publish the verdict (`/runtime/health/overload-state`).
 fn overload_tick(inner: &Arc<RuntimeInner>, detector: &mut OverloadDetector, interval: Duration) {
-    let stats = &inner.state.stats;
+    let ledger = &inner.state.ledger;
     let (pending, capacity) = match &inner.state.gate {
         Some(gate) => (gate.pending(), gate.limits().0 as i64),
         // Admission off: depth scoring is disabled (capacity 0); the
         // detector still sees steal storms and idle collapse.
-        None => (inner.scheduler.pending_tasks(), 0),
+        None => (ledger.flow().pending() as i64, 0),
     };
     let live_workers = inner.state.live_workers.load(Ordering::Acquire) as u64;
     let state = detector.tick(OverloadSignals {
         pending,
         capacity,
-        steals: stats::total(stats, |s| s.stolen.load(Ordering::Relaxed)),
-        executed: stats::total(stats, |s| s.executed.load(Ordering::Relaxed)),
-        idle_ns: stats::total(stats, |s| s.idle_ns.load(Ordering::Relaxed)),
+        steals: ledger.total(|s| s.stolen.load(Ordering::Relaxed)),
+        executed: ledger.total(|s| s.executed.load(Ordering::Relaxed)),
+        idle_ns: ledger.total(|s| s.idle_ns.load(Ordering::Relaxed)),
         tick_budget_ns: interval.as_nanos() as u64 * live_workers.max(1),
     });
     inner
@@ -242,7 +248,7 @@ fn anomaly_tick(
     interval: Duration,
     tick: u64,
 ) {
-    let stats = &inner.state.stats;
+    let ledger = &inner.state.ledger;
     let injected_steals = inner
         .state
         .faults
@@ -250,15 +256,15 @@ fn anomaly_tick(
         .map_or(0, |f| f.steal_storm_steals(tick));
     let pending = match &inner.state.gate {
         Some(gate) => gate.pending(),
-        None => inner.scheduler.pending_tasks(),
+        None => ledger.flow().pending() as i64,
     };
     let live_workers = inner.state.live_workers.load(Ordering::Acquire) as u64;
     detector.tick(
         AnomalySignals {
-            steals: stats::total(stats, |s| s.stolen.load(Ordering::Relaxed)) + injected_steals,
-            executed: stats::total(stats, |s| s.executed.load(Ordering::Relaxed)),
-            exec_ns: stats::total(stats, |s| s.exec_ns.load(Ordering::Relaxed)),
-            idle_ns: stats::total(stats, |s| s.idle_ns.load(Ordering::Relaxed)),
+            steals: ledger.total(|s| s.stolen.load(Ordering::Relaxed)) + injected_steals,
+            executed: ledger.total(|s| s.executed.load(Ordering::Relaxed)),
+            exec_ns: ledger.total(|s| s.exec_ns.load(Ordering::Relaxed)),
+            idle_ns: ledger.total(|s| s.idle_ns.load(Ordering::Relaxed)),
             tick_budget_ns: interval.as_nanos() as u64 * live_workers.max(1),
             pending,
             now_ns: inner.state.clock.now_ns(),

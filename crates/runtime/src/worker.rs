@@ -1,56 +1,57 @@
 //! Worker threads: the scheduling loop, the thread-local worker context,
 //! and the work-helping wait used by futures.
 //!
-//! Dispatch accounting is batched: each scheduling loop folds its
-//! `pending`-counter decrements into a [`PendingBatch`] and publishes them
-//! every [`PendingBatch::FLUSH_EVERY`] tasks (and whenever the loop runs
-//! dry), so the fork/join inner loop does one shared-counter RMW per batch
-//! instead of per task. The park decision does not read `pending` at all —
-//! it probes the queues directly (`Scheduler::has_queued_work`), so batch
-//! staleness can never strand a worker.
+//! Everything a scheduling loop writes per task lands in the worker's own
+//! ledger shard ([`crate::stats::Shard`]), and everything it reads beyond
+//! that is borrowed from the `Arc<RuntimeInner>` the loop itself holds —
+//! the per-task path upgrades no `Weak` and clones no `Arc`. The park
+//! decision probes the queues directly (`Scheduler::has_queued_work`), and
+//! the find-miss edge is also where `wait_idle` callers are woken (see
+//! [`idle_step`]).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::deque::Worker as Deque;
 use crossbeam::sync::Parker;
 
-use rpx_counters::counter::Clock;
-
 use crate::faults::InjectedFault;
 use crate::runtime::{RuntimeInner, RuntimeState};
 use crate::scheduler::{Scheduler, Task};
-use crate::stats::WorkerStats;
+use crate::stats::Shard;
 
+/// What a worker thread knows about itself while its loop runs. Every
+/// pointer targets something the loop's stack frame keeps alive — the
+/// `Arc<RuntimeInner>` argument of [`worker_loop`] and the deque in its
+/// `LoopGuard` — and the context is cleared before that frame unwinds, so
+/// a context read on this thread is never dangling.
+#[derive(Clone, Copy)]
 struct Ctx {
     index: usize,
-    inner: Weak<RuntimeInner>,
-    /// Identity of the runtime's task-lifecycle state (compared, never
-    /// dereferenced).
+    inner: *const RuntimeInner,
+    /// Identity of the runtime's task-lifecycle state.
     state: *const RuntimeState,
-    /// Pointer to the worker's own deque, valid for the lifetime of the
-    /// worker loop; only ever dereferenced from this thread.
+    /// The worker's own deque; only ever dereferenced from this thread.
     local: *const Deque<Task>,
-    /// Pointer to the worker's own slab (kept alive by `RuntimeInner`,
-    /// which this thread holds an `Arc` to for the loop's lifetime).
+    /// The worker's own slab.
     slab: *const crate::slab::Slab,
 }
 
 thread_local! {
-    static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
+    static CTX: Cell<Option<Ctx>> = const { Cell::new(None) };
 }
 
 /// Whether the calling thread is one of a runtime's workers.
 pub(crate) fn on_worker_thread() -> bool {
-    CTX.with(|c| c.borrow().is_some())
+    CTX.get().is_some()
 }
 
 /// The calling worker's index within its runtime, if any. Exposed through
 /// [`crate::runtime::Runtime::current_worker`].
 pub(crate) fn current_worker_index() -> Option<usize> {
-    CTX.with(|c| c.borrow().as_ref().map(|ctx| ctx.index))
+    CTX.get().map(|ctx| ctx.index)
 }
 
 /// A worker's identity within one specific runtime: its index plus its
@@ -63,141 +64,73 @@ pub(crate) struct WorkerRef {
     pub local: *const Deque<Task>,
 }
 
-/// The calling worker's identity, but only when it belongs to *this*
-/// runtime. Spawn paths must use this instead of
+/// The calling worker's identity, but only when it belongs to the runtime
+/// at `inner`. Spawn paths must use this instead of
 /// [`current_worker_index`]: a worker of runtime A spawning into runtime
 /// B must not index B's per-worker state with A's index. The identity
-/// check compares pointers (`Weak::as_ptr`), so the spawn hot path pays
-/// no refcount RMW.
-pub(crate) fn context_for(inner: &Arc<RuntimeInner>) -> Option<WorkerRef> {
-    CTX.with(|c| {
-        c.borrow().as_ref().and_then(|ctx| {
-            if std::ptr::eq(ctx.inner.as_ptr(), Arc::as_ptr(inner)) {
-                Some(WorkerRef {
-                    index: ctx.index,
-                    local: ctx.local,
-                })
-            } else {
-                None
-            }
+/// check compares pointers, so the spawn hot path pays no refcount RMW;
+/// a `Some` also proves the runtime at `inner` is alive for as long as
+/// the caller stays inside the current task (the worker loop holds it).
+pub(crate) fn context_for(inner: *const RuntimeInner) -> Option<WorkerRef> {
+    CTX.get()
+        .filter(|ctx| std::ptr::eq(ctx.inner, inner))
+        .map(|ctx| WorkerRef {
+            index: ctx.index,
+            local: ctx.local,
         })
-    })
 }
 
-/// The worker whose statistics account for work the calling thread does on
-/// behalf of `state`'s runtime: the caller's own index if it is one of that
-/// runtime's workers, else slot 0 — never the index it has in some other
-/// runtime (see [`context_for`]).
-pub(crate) fn index_in(state: &RuntimeState) -> usize {
-    CTX.with(|c| {
-        c.borrow()
-            .as_ref()
-            .filter(|ctx| std::ptr::eq(ctx.state, state))
-            .map_or(0, |ctx| ctx.index)
-    })
+/// The ledger shard that accounts for work the calling thread does on
+/// behalf of `state`'s runtime: the caller's own if it is one of that
+/// runtime's workers, else the external shard — never the index it has
+/// in some other runtime (see [`context_for`]).
+pub(crate) fn shard_in(state: &RuntimeState) -> &Shard {
+    match CTX.get().filter(|ctx| std::ptr::eq(ctx.state, state)) {
+        Some(ctx) => state.ledger.worker(ctx.index),
+        None => state.ledger.external(),
+    }
 }
 
 /// The calling worker's slab, or null when not on a worker thread. Used
 /// by the cell cleanup to decide between the owner-local free list and
 /// the cross-worker return path.
 pub(crate) fn current_slab_ptr() -> *const crate::slab::Slab {
-    CTX.with(|c| c.borrow().as_ref().map_or(std::ptr::null(), |ctx| ctx.slab))
+    CTX.get().map_or(std::ptr::null(), |ctx| ctx.slab)
 }
 
-fn current() -> Option<(usize, Arc<RuntimeInner>, *const Deque<Task>)> {
-    CTX.with(|c| {
-        c.borrow().as_ref().and_then(|ctx| {
-            ctx.inner
-                .upgrade()
-                .map(|inner| (ctx.index, inner, ctx.local))
-        })
-    })
-}
-
-/// Thread-local accumulator for `pending`-counter decrements. A scheduling
-/// loop notes each claimed task here; the shared `pending` atomic is only
-/// touched on flush — every [`PendingBatch::FLUSH_EVERY`] claims, whenever
-/// the loop runs dry, and on drop (which also covers unwinds, so an
-/// injected worker kill cannot leak accounting).
-pub(crate) struct PendingBatch<'a> {
-    scheduler: &'a Scheduler,
-    count: Cell<u64>,
-}
-
-impl<'a> PendingBatch<'a> {
-    /// Claims folded into one shared-counter update. Chosen small enough
-    /// that `/threads/count/instantaneous/pending` stays useful (staleness
-    /// is bounded by `workers × FLUSH_EVERY`) and large enough to take the
-    /// shared RMW off the per-task path.
-    pub(crate) const FLUSH_EVERY: u64 = 32;
-
-    pub(crate) fn new(scheduler: &'a Scheduler) -> Self {
-        PendingBatch {
-            scheduler,
-            count: Cell::new(0),
-        }
-    }
-
-    /// Note one claimed task; publishes the batch at the flush threshold.
-    pub(crate) fn note_started(&self) {
-        let n = self.count.get() + 1;
-        if n >= Self::FLUSH_EVERY {
-            self.count.set(0);
-            self.scheduler.note_started_n(n);
-        } else {
-            self.count.set(n);
-        }
-    }
-
-    /// Publish any accumulated decrements now.
-    pub(crate) fn flush(&self) {
-        let n = self.count.replace(0);
-        self.scheduler.note_started_n(n);
-    }
-}
-
-impl Drop for PendingBatch<'_> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-/// Run one found task. Execution timing/accounting lives in
-/// `runtime::run_task` so it is ordered before the future's completion;
-/// here we only account the scheduler-side events.
-/// The `pending` decrement is the caller's job (batched via
-/// [`PendingBatch`]).
-pub(crate) fn execute_task(
-    inner: &Arc<RuntimeInner>,
+/// One `find` on behalf of worker `index`, with its scheduler-side
+/// accounting: the remote-probe window always, and on a hit the dispatch
+/// overhead since `t0` plus the steals. Execution timing lives in
+/// `runtime::run_task` so it is ordered before the future's completion.
+fn find_task(
+    inner: &RuntimeInner,
     index: usize,
-    task: Task,
-    stolen_local: u64,
-    stolen_remote: u64,
-) {
-    let stolen = stolen_local + stolen_remote;
-    if stolen > 0 {
-        // `stolen` counts every task the find moved off another worker's
-        // deque: the task we are about to run plus any batch-steal extras
-        // now parked in our local deque. Those extras come back out as
-        // local (stolen == 0) finds, so crediting them here keeps
-        // `/threads/count/stolen` equal to "tasks migrated between
-        // workers" without double counting. The local/remote split drives
-        // `/threads/count/steals-{local,remote}`.
-        let stats = &inner.state.stats[index];
-        stats.stolen.fetch_add(stolen, Ordering::Relaxed);
-        if stolen_local > 0 {
-            stats
-                .stolen_local
-                .fetch_add(stolen_local, Ordering::Relaxed);
-        }
-        if stolen_remote > 0 {
-            stats
-                .stolen_remote
-                .fetch_add(stolen_remote, Ordering::Relaxed);
-        }
-    }
+    shard: &Shard,
+    deque: &Deque<Task>,
+    t0: u64,
+) -> Option<Task> {
+    let found = inner.scheduler.find(index, deque);
+    // Sub-attribution of the find window: time spent probing remote
+    // sockets, successful or not. The overall balance is untouched (the
+    // window still lands in overhead or idle); this lets the causal
+    // profiler separate placement misses from granularity.
+    shard.record_remote_probe(found.remote_probe_ns);
+    let task = found.task?;
+    shard.record_overhead(inner.state.clock.now_ns().saturating_sub(t0));
+    // The steal counts cover every task the find moved off another
+    // worker's deque: the one returned plus any batch-steal extras now
+    // parked in our local deque. Those extras come back out as local
+    // (unstolen) finds, so crediting them here keeps
+    // `/threads/count/stolen` equal to "tasks migrated between workers"
+    // without double counting.
+    shard.record_steals(found.stolen_local, found.stolen_remote);
+    Some(task)
+}
+
+/// Run one found task on worker `shard`.
+fn execute_task(state: &RuntimeState, shard: &Shard, task: Task) {
     if let Some(claimed) = task.claim() {
-        crate::runtime::run_task(&inner.state, index, claimed);
+        crate::runtime::run_task(state, shard, claimed);
     }
 }
 
@@ -207,14 +140,14 @@ pub(crate) fn execute_task(
 /// lossless: the next `worker_loop` on this slot claims the same deque
 /// with all queued tasks intact.
 struct LoopGuard<'a> {
-    inner: &'a Arc<RuntimeInner>,
+    inner: &'a RuntimeInner,
     index: usize,
     deque: Option<Deque<Task>>,
 }
 
 impl Drop for LoopGuard<'_> {
     fn drop(&mut self) {
-        CTX.with(|c| *c.borrow_mut() = None);
+        CTX.set(None);
         *self.inner.scheduler.deques[self.index].lock() = self.deque.take();
     }
 }
@@ -238,15 +171,13 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, index: usize) {
         let _ = crate::affinity::pin_current_thread(hw);
     }
     let local: *const Deque<Task> = guard.deque.as_ref().expect("deque just parked") as *const _;
-    CTX.with(|c| {
-        *c.borrow_mut() = Some(Ctx {
-            index,
-            inner: Arc::downgrade(&inner),
-            state: Arc::as_ptr(&inner.state),
-            local,
-            slab: Arc::as_ptr(&inner.slabs[index]),
-        });
-    });
+    CTX.set(Some(Ctx {
+        index,
+        inner: Arc::as_ptr(&inner),
+        state: Arc::as_ptr(&inner.state),
+        local,
+        slab: Arc::as_ptr(&inner.slabs[index]),
+    }));
 
     // SAFETY: `local` points into `guard`, which outlives `run_loop` and is
     // not moved after the pointer is taken.
@@ -259,6 +190,12 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, index: usize) {
 /// find, the registration, and any park — to `idle_ns`. Returns false when
 /// the loop should exit (shutdown).
 ///
+/// This is also the edge at which `wait_idle`/`quiesce` callers are
+/// woken. A worker that finishes a task gets here before it can go quiet,
+/// and `register_sleeper` ends in the `SeqCst` fence that orders this
+/// worker's ledger stores before its probe of the idle gate — the per-task
+/// path itself never looks at the waiters (see `RuntimeState::wait_idle`).
+///
 /// Extracted from `run_loop` so the accounting is unit-testable: the
 /// register-then-recheck path used to `continue` without accruing the
 /// elapsed time to either `idle_ns` or `overhead_ns`, silently dropping
@@ -267,9 +204,8 @@ pub(crate) fn idle_step(
     scheduler: &Scheduler,
     shutdown: &AtomicBool,
     parker: &Parker,
+    state: &RuntimeState,
     index: usize,
-    stats: &WorkerStats,
-    clock: &Clock,
     t0: u64,
 ) -> bool {
     if shutdown.load(Ordering::Acquire) {
@@ -279,6 +215,7 @@ pub(crate) fn idle_step(
     // guaranteed to either be seen by the probe or unpark us (the fence
     // pairing is documented on `Scheduler::register_sleeper`).
     scheduler.register_sleeper(index, parker.unparker().clone());
+    state.notify_if_idle();
     // `SeqCst` so the shutdown store (also `SeqCst`) is covered by the same
     // fence pairing as a task push: either `wake_all` sees our
     // registration, or we see the flag here.
@@ -286,65 +223,44 @@ pub(crate) fn idle_step(
         parker.park_timeout(Duration::from_micros(500));
     }
     scheduler.deregister_sleeper(index);
-    let t1 = clock.now_ns();
-    stats.record_idle(t1.saturating_sub(t0));
+    let t1 = state.clock.now_ns();
+    state
+        .ledger
+        .worker(index)
+        .record_idle(t1.saturating_sub(t0));
     !shutdown.load(Ordering::Acquire)
 }
 
-fn run_loop(inner: &Arc<RuntimeInner>, index: usize, deque: &Deque<Task>) {
+fn run_loop(inner: &RuntimeInner, index: usize, deque: &Deque<Task>) {
     let parker = Parker::new();
-    let state = inner.state.clone();
-    let stats = state.stats[index].clone();
-    let batch = PendingBatch::new(&inner.scheduler);
+    let state: &RuntimeState = &inner.state;
+    let shard = state.ledger.worker(index);
 
     loop {
-        stats.beat();
+        shard.beat();
         let t0 = state.clock.now_ns();
-        let found = inner.scheduler.find(index, deque);
-        if found.remote_probe_ns > 0 {
-            // Sub-attribution of the find window: time spent probing
-            // remote sockets, successful or not. The overall balance is
-            // untouched (the window still lands in overhead/idle below);
-            // this lets the causal profiler separate placement misses
-            // from granularity.
-            stats
-                .steal_probe_remote_ns
-                .fetch_add(found.remote_probe_ns, Ordering::Relaxed);
-        }
-        match found.task {
+        match find_task(inner, index, shard, deque, t0) {
             Some(task) => {
-                batch.note_started();
-                let t1 = state.clock.now_ns();
-                stats.record_overhead(t1.saturating_sub(t0));
-                // Injected stall sits between claiming the task and running
-                // it: `live > 0` for the whole sleep, so the watchdog has a
-                // guaranteed window to observe the frozen heartbeat.
-                if let Some(faults) = &inner.state.faults {
+                // Injected stall sits between taking the task and running
+                // it: the task is live for the whole sleep, so the
+                // watchdog has a guaranteed window to observe the frozen
+                // heartbeat.
+                if let Some(faults) = &state.faults {
                     if let Some(stall) = faults.inject_stall() {
                         std::thread::sleep(stall);
                     }
                 }
-                execute_task(inner, index, task, found.stolen_local, found.stolen_remote);
+                execute_task(state, shard, task);
                 // Injected worker kill fires only after the task completed:
-                // the unwind holds no task, so respawning loses nothing
-                // (`batch` flushes on drop during the unwind).
-                if let Some(faults) = &inner.state.faults {
+                // the unwind holds no task, so respawning loses nothing.
+                if let Some(faults) = &state.faults {
                     if faults.inject_worker_kill() {
                         std::panic::panic_any(InjectedFault("worker-kill"));
                     }
                 }
             }
             None => {
-                batch.flush();
-                if !idle_step(
-                    &inner.scheduler,
-                    &inner.shutdown,
-                    &parker,
-                    index,
-                    &stats,
-                    &state.clock,
-                    t0,
-                ) {
+                if !idle_step(&inner.scheduler, &inner.shutdown, &parker, state, index, t0) {
                     break;
                 }
             }
@@ -356,36 +272,27 @@ fn run_loop(inner: &Arc<RuntimeInner>, index: usize, deque: &Deque<Task>) {
 /// the calling worker; spin/yield briefly when no work is available. Falls
 /// back to yielding when called off a worker thread.
 pub(crate) fn help_while(pred: impl Fn() -> bool) {
-    let Some((index, inner, local)) = current() else {
+    let Some(ctx) = CTX.get() else {
         while pred() {
             std::thread::yield_now();
         }
         return;
     };
-    // SAFETY: `local` is this thread's own deque; see `worker_loop`.
-    let deque = unsafe { &*local };
-    let stats = inner.state.stats[index].clone();
-    let batch = PendingBatch::new(&inner.scheduler);
+    // SAFETY: this thread's worker loop is below us on the stack and keeps
+    // both the runtime and its deque alive (see `Ctx`).
+    let (inner, deque) = unsafe { (&*ctx.inner, &*ctx.local) };
+    let state: &RuntimeState = &inner.state;
+    let shard = state.ledger.worker(ctx.index);
     let mut idle_spins: u32 = 0;
     while pred() {
-        stats.beat();
-        let t0 = inner.state.clock.now_ns();
-        let found = inner.scheduler.find(index, deque);
-        if found.remote_probe_ns > 0 {
-            stats
-                .steal_probe_remote_ns
-                .fetch_add(found.remote_probe_ns, Ordering::Relaxed);
-        }
-        match found.task {
+        shard.beat();
+        let t0 = state.clock.now_ns();
+        match find_task(inner, ctx.index, shard, deque, t0) {
             Some(task) => {
-                batch.note_started();
-                let t1 = inner.state.clock.now_ns();
-                stats.record_overhead(t1.saturating_sub(t0));
-                execute_task(&inner, index, task, found.stolen_local, found.stolen_remote);
+                execute_task(state, shard, task);
                 idle_spins = 0;
             }
             None => {
-                batch.flush();
                 idle_spins = idle_spins.saturating_add(1);
                 if idle_spins < 16 {
                     std::hint::spin_loop();
@@ -394,8 +301,8 @@ pub(crate) fn help_while(pred: impl Fn() -> bool) {
                 } else {
                     std::thread::sleep(Duration::from_micros(20));
                 }
-                let t1 = inner.state.clock.now_ns();
-                stats.record_idle(t1.saturating_sub(t0));
+                let t1 = state.clock.now_ns();
+                shard.record_idle(t1.saturating_sub(t0));
             }
         }
     }
@@ -406,31 +313,11 @@ mod tests {
     use super::*;
     use crate::scheduler::SchedulerMode;
     use crate::slab::nop_task;
+    use rpx_counters::counter::Clock;
     use std::time::Instant;
 
-    #[test]
-    fn pending_batch_flushes_at_threshold_and_on_drop() {
-        let s = Scheduler::new(1, SchedulerMode::LocalQueues);
-        let n = PendingBatch::FLUSH_EVERY + 3;
-        for i in 0..n {
-            s.push(nop_task(i), None);
-        }
-        {
-            let batch = PendingBatch::new(&s);
-            for _ in 0..PendingBatch::FLUSH_EVERY - 1 {
-                batch.note_started();
-            }
-            // Below threshold: nothing published yet.
-            assert_eq!(s.pending_tasks(), n as i64);
-            batch.note_started();
-            assert_eq!(s.pending_tasks(), 3, "threshold must publish the batch");
-            batch.note_started();
-            batch.note_started();
-            batch.note_started();
-            assert_eq!(s.pending_tasks(), 3, "decrements buffered again");
-        }
-        assert_eq!(s.pending_tasks(), 0, "drop must flush the remainder");
-        assert_eq!(s.pending_underflows(), 0);
+    fn one_worker_state() -> RuntimeState {
+        RuntimeState::new(1, Arc::new(Clock::new()), None, None)
     }
 
     /// Regression: the register-sleeper → recheck → continue path used to
@@ -440,21 +327,20 @@ mod tests {
     #[test]
     fn idle_step_accrues_idle_time_even_when_work_is_queued() {
         let s = Scheduler::new(1, SchedulerMode::LocalQueues);
-        let clock = Clock::new();
-        let stats = WorkerStats::new();
+        let state = one_worker_state();
         let parker = Parker::new();
         let shutdown = AtomicBool::new(false);
         // Queued work forces the no-park exit (the old `continue` branch).
         s.push(nop_task(1), None);
-        let t0 = clock.now_ns();
+        let t0 = state.clock.now_ns();
         std::thread::sleep(Duration::from_millis(2));
         let t_entry = Instant::now();
-        assert!(idle_step(&s, &shutdown, &parker, 0, &stats, &clock, t0));
+        assert!(idle_step(&s, &shutdown, &parker, &state, 0, t0));
         assert!(
             t_entry.elapsed() < Duration::from_millis(400),
             "queued work must skip the park"
         );
-        let idle = stats.idle_ns.load(Ordering::Relaxed);
+        let idle = state.ledger.worker(0).idle_ns.load(Ordering::Relaxed);
         assert!(
             idle >= 2_000_000,
             "the whole window since t0 must be idle-accounted, got {idle}ns"
@@ -465,13 +351,12 @@ mod tests {
     #[test]
     fn idle_step_parks_and_accrues_when_no_work() {
         let s = Scheduler::new(1, SchedulerMode::LocalQueues);
-        let clock = Clock::new();
-        let stats = WorkerStats::new();
+        let state = one_worker_state();
         let parker = Parker::new();
         let shutdown = AtomicBool::new(false);
-        let t0 = clock.now_ns();
-        assert!(idle_step(&s, &shutdown, &parker, 0, &stats, &clock, t0));
-        let idle = stats.idle_ns.load(Ordering::Relaxed);
+        let t0 = state.clock.now_ns();
+        assert!(idle_step(&s, &shutdown, &parker, &state, 0, t0));
+        let idle = state.ledger.worker(0).idle_ns.load(Ordering::Relaxed);
         assert!(
             idle >= 300_000,
             "park window must be idle-accounted, got {idle}ns"
@@ -482,11 +367,50 @@ mod tests {
     #[test]
     fn idle_step_exits_on_shutdown() {
         let s = Scheduler::new(1, SchedulerMode::LocalQueues);
-        let clock = Clock::new();
-        let stats = WorkerStats::new();
+        let state = one_worker_state();
         let parker = Parker::new();
         let shutdown = AtomicBool::new(true);
-        let t0 = clock.now_ns();
-        assert!(!idle_step(&s, &shutdown, &parker, 0, &stats, &clock, t0));
+        let t0 = state.clock.now_ns();
+        assert!(!idle_step(&s, &shutdown, &parker, &state, 0, t0));
+    }
+
+    /// The find-miss edge is where idle waiters are woken: a waiter blocked
+    /// on an unbalanced ledger returns once the last finish is followed by
+    /// an `idle_step`, and not before.
+    #[test]
+    fn idle_step_wakes_idle_waiters_once_the_ledger_balances() {
+        let s = Scheduler::new(1, SchedulerMode::LocalQueues);
+        let state = one_worker_state();
+        let parker = Parker::new();
+        let shutdown = AtomicBool::new(false);
+        let shard = state.ledger.worker(0);
+        shard.note_queued();
+        shard.note_started(true);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| state.wait_idle(None));
+            while state.idle_waiters() == 0 {
+                std::thread::yield_now();
+            }
+            // An idle edge with the task still running wakes nobody.
+            assert!(idle_step(
+                &s,
+                &shutdown,
+                &parker,
+                &state,
+                0,
+                state.clock.now_ns()
+            ));
+            assert!(!waiter.is_finished());
+            shard.note_finished();
+            assert!(idle_step(
+                &s,
+                &shutdown,
+                &parker,
+                &state,
+                0,
+                state.clock.now_ns()
+            ));
+            assert!(waiter.join().unwrap());
+        });
     }
 }

@@ -110,8 +110,9 @@ fn exec_overhead_idle_account_for_worker_wall_time() {
 
     // Spin tasks long enough that the window dwarfs startup slack, then
     // wait for idle *before* collecting futures so the main thread never
-    // help-executes (helper execution is attributed to worker 0 and would
-    // inflate the accounted total past the workers' own wall time).
+    // help-executes (work it did would land in the external shard, which
+    // `total` includes, and inflate the accounted total past the workers'
+    // own wall time).
     let futures: Vec<_> = (0..400)
         .map(|_| {
             rt.spawn(|| {
@@ -154,8 +155,8 @@ fn exec_overhead_idle_account_for_worker_wall_time() {
     // Every worker accounts (exec + overhead + idle) against its own wall
     // clock, so the total must come out near workers × elapsed. The bounds
     // are generous: startup slack lowers it, and spawn-path overhead from
-    // the (non-worker) main thread lands in worker 0's ledger and raises
-    // it slightly.
+    // the (non-worker) main thread lands in the external shard, which
+    // `total` includes, and raises it slightly.
     let expected = WORKERS as i64 * wall;
     assert!(
         accounted > expected / 3,
@@ -203,5 +204,45 @@ fn cumulative_count_is_monotone_and_resets_exactly() {
     let v4 = reg.evaluate(TOTAL_COUNT, false).unwrap().value;
     assert_eq!(v4, per_run, "reset must rebase the cumulative count");
 
+    rt.shutdown();
+}
+
+/// Work done for a runtime by threads that are not its workers — here the
+/// spawn cost of a root task and two inline runs on the test thread —
+/// accounts to the ledger's external shard: the `total` instance includes
+/// it, no `worker-thread#N` instance does (worker 0 used to absorb it).
+#[test]
+fn external_threads_account_to_total_but_to_no_worker_instance() {
+    use rpx::runtime::LaunchPolicy;
+    const WORKERS: usize = 2;
+    let rt = Runtime::new(RuntimeConfig::with_workers(WORKERS));
+    let eval = |instance: &str, counter: &str| {
+        let path = format!("/threads{{locality#0/{instance}}}/{counter}");
+        rt.registry().evaluate(&path, false).unwrap().value
+    };
+    let per_worker = |counter: &str| -> i64 {
+        (0..WORKERS)
+            .map(|w| eval(&format!("worker-thread#{w}"), counter))
+            .sum()
+    };
+
+    // Two inline runs on this thread, one queued task run by a worker.
+    assert_eq!(rt.spawn_with(LaunchPolicy::Sync, || 1).get(), 1);
+    assert_eq!(rt.spawn_with(LaunchPolicy::Deferred, || 2).get(), 2);
+    assert_eq!(rt.spawn(|| 3).get(), 3);
+    rt.wait_idle();
+
+    assert_eq!(eval("total", "count/cumulative"), 3);
+    assert_eq!(
+        per_worker("count/cumulative"),
+        1,
+        "only the queued task ran on a worker"
+    );
+    // The root spawn's cost was paid by this thread, not by a worker; the
+    // workers' own overhead is the dispatch of that one task.
+    assert!(
+        eval("total", "time/cumulative-overhead") > per_worker("time/cumulative-overhead"),
+        "the external spawn's overhead must show in total only"
+    );
     rt.shutdown();
 }

@@ -1,7 +1,8 @@
 //! Integration tests for the spawn/join hot path: lost-wakeup freedom
 //! under concurrent external spawning and parking workers, the timed-wait
-//! semantics of deferred futures, and the pending-accounting health
-//! counter.
+//! semantics of deferred futures, and the exactness of the per-worker task
+//! ledger (`wait_idle`, the pending/active gauges, the drift counter, task
+//! ids).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,29 +101,155 @@ fn pending_underflows_counter_reads_zero_on_healthy_run() {
         )
         .unwrap();
     assert_eq!(v.value, 0, "healthy runs must show zero accounting drift");
-    // After the run drains, the batched pending counter converges to zero:
-    // workers publish buffered decrements on their next find-miss, so give
-    // them a moment rather than racing the flush.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let pending = rt
-            .registry()
-            .evaluate(
-                "/threads{locality#0/total}/count/instantaneous/pending",
-                false,
-            )
-            .unwrap();
-        if pending.value == 0 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "drained runtime still shows {} pending tasks",
-            pending.value
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // The pending gauge is derived from the ledger `wait_idle` just read
+    // as balanced: it is zero now, not eventually.
+    let pending = rt
+        .registry()
+        .evaluate(
+            "/threads{locality#0/total}/count/instantaneous/pending",
+            false,
+        )
+        .unwrap();
+    assert_eq!(
+        pending.value, 0,
+        "drained runtime still shows pending tasks"
+    );
     rt.shutdown();
+}
+
+/// Ledger exactness under everything that moves a task between shards:
+/// two external threads spawn detached roots (external shard → injector),
+/// the roots spawn detached children and grandchildren from inside tasks
+/// (worker shards → local deques), and three otherwise idle workers steal.
+/// Nobody joins anything, so `wait_idle` is the only completion signal: it
+/// must never return while a side effect is missing, round after round,
+/// and the derived gauges must read exactly zero each time it does.
+#[test]
+fn ledger_stays_exact_under_detached_spawns_steals_and_external_spawners() {
+    const ROUNDS: u64 = 1000;
+    const SPAWNERS: u64 = 2;
+    const CHILDREN: u64 = 8;
+    // A root, its children, and a grandchild under every second child.
+    const TASKS_PER_ROOT: u64 = 1 + CHILDREN + CHILDREN / 2;
+    let rt = Runtime::new(RuntimeConfig::with_workers(4));
+    let done = Arc::new(AtomicU64::new(0));
+    let eval = |path: &str| rt.registry().evaluate(path, false).unwrap().value;
+    // Spawners and the waiter meet twice per round: after the spawns (so
+    // they happen-before the `wait_idle`), and after the check.
+    let barrier = std::sync::Barrier::new(SPAWNERS as usize + 1);
+
+    std::thread::scope(|s| {
+        for _ in 0..SPAWNERS {
+            s.spawn(|| {
+                for _ in 0..ROUNDS {
+                    let (h, done) = (rt.handle(), done.clone());
+                    drop(rt.spawn(move || {
+                        for child in 0..CHILDREN {
+                            let (h2, done) = (h.clone(), done.clone());
+                            drop(h.spawn(move || {
+                                if child % 2 == 0 {
+                                    let done = done.clone();
+                                    drop(h2.spawn(move || {
+                                        done.fetch_add(1, Ordering::Relaxed);
+                                    }));
+                                }
+                                done.fetch_add(1, Ordering::Relaxed);
+                            }));
+                        }
+                        done.fetch_add(1, Ordering::Relaxed);
+                    }));
+                    barrier.wait();
+                    barrier.wait();
+                }
+            });
+        }
+        for round in 1..=ROUNDS {
+            barrier.wait();
+            rt.wait_idle();
+            assert_eq!(
+                done.load(Ordering::Relaxed),
+                round * SPAWNERS * TASKS_PER_ROOT,
+                "round {round}: wait_idle returned with a task's side effect missing"
+            );
+            for gauge in ["pending", "active"] {
+                let path = format!("/threads{{locality#0/total}}/count/instantaneous/{gauge}");
+                assert_eq!(eval(&path), 0, "round {round}: {gauge} gauge");
+            }
+            barrier.wait();
+        }
+    });
+
+    let total = (ROUNDS * SPAWNERS * TASKS_PER_ROOT) as i64;
+    assert_eq!(eval("/threads{locality#0/total}/count/cumulative"), total);
+    assert_eq!(
+        eval("/runtime{locality#0/total}/health/pending-underflows"),
+        0
+    );
+    assert!(
+        eval("/threads{locality#0/total}/count/stolen") > 0,
+        "the idle workers must have stolen some of it"
+    );
+    rt.shutdown();
+}
+
+/// Workers draw task ids from private blocks and external threads one at a
+/// time from the same source; the causal profiler dedups spans by id, so
+/// an id handed out twice would silently merge two tasks. Every worker
+/// spawns well past one block here.
+#[test]
+fn task_ids_stay_unique_across_workers_and_external_spawners() {
+    const ROOTS: usize = 8;
+    const CHILDREN: usize = 2500;
+    let rt = Runtime::new(RuntimeConfig::with_workers(4));
+    let tracer = rt.tracer();
+    tracer.enable();
+    let roots: Vec<_> = (0..ROOTS)
+        .map(|_| {
+            let h = rt.handle();
+            rt.spawn(move || {
+                let children: Vec<_> = (0..CHILDREN).map(|i| h.spawn(move || i)).collect();
+                children.into_iter().map(|f| f.get()).sum::<usize>()
+            })
+        })
+        .collect();
+    for root in roots {
+        assert_eq!(root.get(), CHILDREN * (CHILDREN - 1) / 2);
+    }
+    rt.wait_idle();
+    tracer.disable();
+    assert_eq!(tracer.dropped(), 0, "well under the 64k-span ring");
+    let spans = tracer.spans();
+    assert_eq!(spans.len(), ROOTS * (CHILDREN + 1));
+    let spawners: std::collections::BTreeSet<u32> = spans.iter().map(|s| s.worker).collect();
+    assert!(
+        spawners.len() > 1,
+        "one worker ran everything: {spawners:?}"
+    );
+    let mut ids: Vec<u64> = spans.iter().map(|s| s.task_id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), spans.len(), "a task id was handed out twice");
+    rt.shutdown();
+}
+
+/// Regression: the watchdog used to `sleep` a whole interval before it
+/// looked at the shutdown flag, so every `shutdown` (and every drop of a
+/// runtime) waited one out — 20 ms by default, six times per taskbench
+/// ladder pass. It parks now and `shutdown` unparks it.
+#[test]
+fn shutdown_does_not_wait_out_the_watchdog_interval() {
+    let t0 = std::time::Instant::now();
+    let rt = Runtime::new(RuntimeConfig {
+        watchdog_interval: Duration::from_secs(2),
+        ..RuntimeConfig::with_workers(1)
+    });
+    assert_eq!(rt.spawn(|| 6 * 7).get(), 42);
+    rt.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_millis(500),
+        "new + shutdown took {:?} with a 2 s watchdog interval",
+        t0.elapsed()
+    );
 }
 
 /// Regression for the park gate under the lock-free deques: workers park
@@ -280,7 +407,7 @@ fn recursive_fork_join_via_task_cells() {
 /// the task's runtime's per-worker stats with the calling thread's index in
 /// *its own* runtime. On worker 3 of a 4-worker runtime A, a task of a
 /// 1-worker runtime B read `B.stats[3]` and panicked out of `spawn_with`.
-/// Inline runs by a non-member account to B's slot 0.
+/// Inline runs by a non-member account to B's external shard.
 #[test]
 fn inline_runs_on_a_foreign_worker_account_to_their_own_runtime() {
     const A_WORKERS: usize = 4;

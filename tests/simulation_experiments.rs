@@ -124,7 +124,7 @@ fn alignment_speedup_matches_paper_factor() {
     let eff = |sweep: &rpx_bench::SweepOutcome| sweep.speedup_at(20).unwrap() / 20.0;
     let (coarse_eff, fine_eff) = (eff(&coarse), eff(&fine));
     assert!(
-        coarse_eff >= 0.5 && coarse_eff <= 1.05,
+        (0.5..=1.05).contains(&coarse_eff),
         "alignment efficiency at 20 cores: {coarse_eff:.2} (paper: 17/20 = 0.85)"
     );
     assert!(
