@@ -47,7 +47,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rpx_counters::{Counter, CounterError, CounterName, CounterRegistry, CounterValue};
+use rpx_counters::{CounterError, CounterName, CounterRegistry, CounterValue, ResolvedQuery};
 
 /// A bounded integer knob adjusted by policies and read on hot paths.
 #[derive(Clone)]
@@ -238,7 +238,10 @@ pub mod rules {
 struct ArmedPolicy {
     #[allow(dead_code)] // kept for debugger/diagnostic visibility
     name: String,
-    resolved: Vec<(CounterName, Arc<dyn Counter>)>,
+    /// The policy's counters, re-resolved when the registry topology moves
+    /// (a respawned worker must not leave a `worker-thread#*` policy reading
+    /// stale handles).
+    query: ResolvedQuery,
     period: Duration,
     reset_on_read: bool,
     rule: Rule,
@@ -272,13 +275,9 @@ impl PolicyEngine {
     ) -> Result<Self, CounterError> {
         let mut armed = Vec::with_capacity(policies.len());
         for p in policies {
-            let mut resolved = Vec::new();
-            for spec in &p.counters {
-                resolved.extend(registry.get_counters(spec)?);
-            }
             armed.push(ArmedPolicy {
                 name: p.name,
-                resolved,
+                query: ResolvedQuery::resolve(registry, &p.counters)?,
                 period: p.period,
                 reset_on_read: p.reset_on_read,
                 rule: p.rule.unwrap_or_else(|| Box::new(|_| {})),
@@ -291,6 +290,7 @@ impl PolicyEngine {
         let stats = Arc::new(EngineStats::default());
         let (stop2, stats2) = (stop.clone(), stats.clone());
         let clock = registry.clock();
+        let registry = registry.clone();
         let handle = std::thread::Builder::new()
             .name("rpx-apex-policy-engine".into())
             .spawn(move || {
@@ -300,16 +300,22 @@ impl PolicyEngine {
                     let mut next_wake = now + Duration::from_millis(50);
                     for p in &mut armed {
                         if now >= p.next_due {
+                            p.query.refresh();
+                            let read_t0 = clock.now_ns();
                             let readings: Vec<(CounterName, CounterValue)> = p
-                                .resolved
+                                .query
+                                .handles()
                                 .iter()
-                                .map(|(n, c)| (n.clone(), c.get_value(p.reset_on_read)))
+                                .map(|h| (h.name.clone(), h.counter.get_value(p.reset_on_read)))
                                 .collect();
+                            let t0 = clock.now_ns();
+                            // A policy's reads cost what a sampler's do:
+                            // they belong in `/counters/overhead/*`.
+                            registry.record_query_overhead(t0.saturating_sub(read_t0), 1);
                             let ctx = PolicyContext {
                                 readings: &readings,
                                 fires: p.fires,
                             };
-                            let t0 = clock.now_ns();
                             (p.rule)(&ctx);
                             stats2
                                 .rule_ns
@@ -523,6 +529,63 @@ mod tests {
             observed + remainder,
             50,
             "per-interval deltas must sum to the total"
+        );
+    }
+
+    /// A `worker-thread#*` policy must read the workers of the topology
+    /// as it is at each firing, not as it was at start, and each firing's
+    /// reads are one batch in `/counters/overhead/*`.
+    #[test]
+    fn wildcard_policy_follows_topology_and_accounts_its_reads() {
+        use rpx_counters::value::{CounterInfo, CounterKind};
+        use rpx_counters::{counter::RawCounter, Counter, CounterInstance};
+
+        let reg = CounterRegistry::new();
+        let workers = Arc::new(AtomicI64::new(1));
+        let (w2, clock) = (workers.clone(), reg.clock());
+        reg.register_type(
+            CounterInfo::new("/threads/count", CounterKind::Raw, "h", "1"),
+            Arc::new(move |name, _| {
+                let info = CounterInfo::new(name.canonical(), CounterKind::Raw, "h", "1");
+                Ok(
+                    Arc::new(RawCounter::new(info, clock.clone(), Arc::new(|| 1)))
+                        as Arc<dyn Counter>,
+                )
+            }),
+            Some(Arc::new(move |f: &mut dyn FnMut(CounterName)| {
+                for w in 0..w2.load(Ordering::Relaxed) {
+                    f(CounterName::new("threads", "count")
+                        .with_instance(CounterInstance::worker(0, w as u32)));
+                }
+            })),
+        );
+        let seen = Arc::new(AtomicI64::new(0));
+        let s2 = seen.clone();
+        let policy = Policy::new(
+            "per-worker",
+            vec!["/threads{locality#0/worker-thread#*}/count".into()],
+        )
+        .with_period(Duration::from_millis(1))
+        .with_rule(move |ctx| s2.store(ctx.readings.len() as i64, Ordering::Relaxed));
+        let engine = PolicyEngine::start(&reg, vec![policy]).unwrap();
+        assert!(wait_until(2_000, || seen.load(Ordering::Relaxed) == 1));
+
+        // A worker joins: one generation bump, and the next firing reads it.
+        workers.store(3, Ordering::Relaxed);
+        reg.bump_generation();
+        assert!(
+            wait_until(2_000, || seen.load(Ordering::Relaxed) == 3),
+            "policy still reads {} counters",
+            seen.load(Ordering::Relaxed)
+        );
+        let fires = engine.stats().fires.load(Ordering::Relaxed) as i64;
+        engine.stop();
+        let batches = reg
+            .evaluate("/counters{locality#0/total}/overhead/count", false)
+            .unwrap();
+        assert!(
+            batches.value >= fires,
+            "every firing is one accounted batch"
         );
     }
 

@@ -300,24 +300,80 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A running background sampler; dropping it stops sampling.
-pub struct Sampler {
-    stop: Arc<AtomicBool>,
-    health: Arc<SamplerHealth>,
-    flush: Arc<FlushShared>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Rendezvous between [`Sampler::flush_now`] callers and the sampling
-/// thread: a request/completion sequence pair. `flush_now` bumps
-/// `requests`; the loop reads `requests` *before* sampling a batch and
-/// copies that value into `completed` *after* the batch reached the sink,
-/// so `completed >= r` proves a complete batch was taken entirely after
-/// request `r` was made.
+/// A periodic loop that stops promptly and can be flushed out of cycle:
+/// the tick thread behind [`Sampler`] and the `rpx-serve` publisher.
+///
+/// The flush rendezvous is a request/completion sequence pair.
+/// [`flush_now`](Self::flush_now) bumps `requests`; [`run`](Self::run)
+/// reads `requests` *before* a tick and copies that value into `completed`
+/// *after* it, so `completed >= r` proves a complete tick ran entirely
+/// after request `r` was made.
 #[derive(Default)]
-struct FlushShared {
+pub struct TickLoop {
+    stop: AtomicBool,
     requests: AtomicU64,
     completed: AtomicU64,
+}
+
+impl TickLoop {
+    /// Run `tick` now and then every `interval`, on the calling thread,
+    /// until [`stop`](Self::stop).
+    pub fn run(&self, interval: Duration, mut tick: impl FnMut()) {
+        while !self.stopped() {
+            // Flush requests made before this point are satisfied by the
+            // tick this iteration runs.
+            let request = self.requests.load(Ordering::Acquire);
+            tick();
+            self.completed.store(request, Ordering::Release);
+            // Sleep in short slices so stop() and flush_now() are prompt:
+            // a flush request arriving mid-sleep cuts the interval short
+            // and starts the next tick immediately.
+            let mut remaining = interval;
+            while remaining > Duration::ZERO
+                && !self.stopped()
+                && self.requests.load(Ordering::Acquire) <= request
+            {
+                let slice = remaining.min(Duration::from_millis(5));
+                std::thread::sleep(slice);
+                remaining -= slice;
+            }
+        }
+    }
+
+    /// Force an immediate out-of-cycle tick and block until one *complete*
+    /// tick — started entirely after this call — has run. Returns `false`
+    /// if that did not happen within ~5 s (e.g. the loop was stopped
+    /// concurrently).
+    pub fn flush_now(&self) -> bool {
+        let target = self.requests.fetch_add(1, Ordering::AcqRel) + 1;
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            if self.completed.load(Ordering::Acquire) >= target {
+                return true;
+            }
+            if self.stopped() || std::time::Instant::now() >= deadline {
+                return self.completed.load(Ordering::Acquire) >= target;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Ask [`run`](Self::run) to return after the tick in progress.
+    pub fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+    }
+
+    /// Whether [`stop`](Self::stop) was called.
+    pub fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+}
+
+/// A running background sampler; dropping it stops sampling.
+pub struct Sampler {
+    ticks: Arc<TickLoop>,
+    health: Arc<SamplerHealth>,
+    handle: Option<JoinHandle<()>>,
 }
 
 /// Per-counter resilience state inside the sampling loop.
@@ -354,12 +410,10 @@ impl Sampler {
         );
         let mut query = ResolvedQuery::resolve(registry, &config.counters)?;
         let clock = registry.clock();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
+        let ticks = Arc::new(TickLoop::default());
+        let ticks2 = ticks.clone();
         let health2 = health.clone();
         let registry = registry.clone();
-        let flush = Arc::new(FlushShared::default());
-        let flush2 = flush.clone();
         let handle = std::thread::Builder::new()
             .name("rpx-counter-sampler".into())
             .spawn(move || {
@@ -368,10 +422,7 @@ impl Sampler {
                 // Resilience state keyed by canonical name so it survives
                 // re-expansion for counters present across the change.
                 let mut states: HashMap<String, ReadState> = HashMap::new();
-                while !stop2.load(Ordering::Acquire) {
-                    // Flush requests made before this point are satisfied
-                    // by the batch this iteration records.
-                    let flush_req = flush2.requests.load(Ordering::Acquire);
+                ticks2.run(config.interval, || {
                     if query.refresh() {
                         // The resolved set changed: announce the new schema
                         // (CSV emits a fresh header row) and drop state for
@@ -408,21 +459,7 @@ impl Sampler {
                         .sink_dropped
                         .store(sink.dropped(), Ordering::Relaxed);
                     sequence += 1;
-                    flush2.completed.store(flush_req, Ordering::Release);
-                    // Sleep in short slices so stop() and flush_now() are
-                    // prompt: a flush request arriving mid-sleep cuts the
-                    // interval short and starts the next batch immediately.
-                    let mut remaining = config.interval;
-                    let slice = Duration::from_millis(5);
-                    while remaining > Duration::ZERO
-                        && !stop2.load(Ordering::Acquire)
-                        && flush2.requests.load(Ordering::Acquire) <= flush_req
-                    {
-                        let d = remaining.min(slice);
-                        std::thread::sleep(d);
-                        remaining = remaining.saturating_sub(d);
-                    }
-                }
+                });
                 sink.finish();
                 health2
                     .sink_dropped
@@ -430,9 +467,8 @@ impl Sampler {
             })
             .map_err(|e| CounterError::SpawnFailed(format!("sampler thread: {e}")))?;
         Ok(Sampler {
-            stop,
+            ticks,
             health,
-            flush,
             handle: Some(handle),
         })
     }
@@ -445,17 +481,7 @@ impl Sampler {
     /// the flush did not complete within ~5 s (e.g. the sampler was
     /// stopped concurrently).
     pub fn flush_now(&self) -> bool {
-        let target = self.flush.requests.fetch_add(1, Ordering::AcqRel) + 1;
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            if self.flush.completed.load(Ordering::Acquire) >= target {
-                return true;
-            }
-            if self.stop.load(Ordering::Acquire) || std::time::Instant::now() >= deadline {
-                return self.flush.completed.load(Ordering::Acquire) >= target;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        self.ticks.flush_now()
     }
 
     /// Failure accounting of this sampling run (live; shared with the
@@ -470,7 +496,7 @@ impl Sampler {
     }
 
     fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.ticks.stop();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }

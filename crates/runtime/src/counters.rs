@@ -1,5 +1,6 @@
-//! Registration of the runtime's intrinsic counters — the `/threads/*`,
-//! `/scheduler/*`, and `/runtime/*` names the paper's metrics are built on.
+//! The runtime's intrinsic counters — the `/threads/*`, `/scheduler/*` and
+//! `/runtime/*` names the paper's metrics are built on — as one declaration
+//! table ([`COUNTERS`]) over the task ledger, registered by one function.
 //!
 //! | Counter | Paper metric |
 //! |---|---|
@@ -9,721 +10,555 @@
 //! | `/threads/time/cumulative-overhead` | Scheduling Overhead |
 //! | `/threads/count/cumulative` | number of tasks executed |
 //!
-//! Every per-worker counter is discoverable as
+//! A row read from shards or slabs is discoverable per worker as
 //! `{locality#L/worker-thread#N}` and aggregated as `{locality#L/total}`.
 //! `worker-thread#N` reads worker N's ledger shard — what that thread
 //! itself did. `total` adds the external shard: work done for the runtime
 //! by threads that are not its workers (the spawn cost of root tasks,
 //! inline and deferred runs, queue teardown), which has no instance of
-//! its own.
+//! its own. A row read from the whole runtime exists only as `total`.
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
-use rpx_counters::counter::{AverageCounter, MonotonicCounter, RawCounter};
+use rpx_counters::counter::{AverageCounter, ElapsedTimeCounter, MonotonicCounter, RawCounter};
 use rpx_counters::name::{CounterInstance, CounterName, InstanceIndex};
-use rpx_counters::registry::CounterRegistry;
 use rpx_counters::value::{CounterInfo, CounterKind};
 use rpx_counters::CounterError;
 
+use crate::prim::{AtomicU64, Ordering};
 use crate::runtime::RuntimeInner;
+use crate::signals::AnomalyKind;
+use crate::slab::Slab;
 use crate::stats::Shard;
+use Source::*;
 
-enum Sel {
-    Total,
-    One(usize),
+/// Where a counter's value comes from and, with that, its kind: a row
+/// cannot pair a source with a counter kind that cannot read it.
+#[derive(Clone, Copy)]
+enum Source {
+    /// Monotone, per worker: a summable ledger-shard field.
+    Sum(fn(&Shard) -> &AtomicU64),
+    /// Average, per worker: a summable `(sum, count)` of shard statistics.
+    Mean(fn(&Shard) -> (u64, u64)),
+    /// Raw, per worker: a summable `(part, whole)` of shard statistics,
+    /// reported as `part / whole` in units of 0.01 %.
+    Share(fn(&Shard) -> (u64, u64)),
+    /// Monotone, per worker: a statistic of the worker's task slab.
+    SlabSum(fn(&Slab) -> u64),
+    /// Monotone, total only: a count kept by the runtime as a whole.
+    Count(fn(&RuntimeInner) -> i64),
+    /// Raw, total only: an instantaneous reading of the whole runtime.
+    Gauge(fn(&RuntimeInner) -> i64),
+    /// Elapsed time on the registry clock: no runtime state, and (as the
+    /// registry's own elapsed-time type) any instance name.
+    Uptime,
 }
 
-fn selector(name: &CounterName, workers: usize) -> Result<Sel, CounterError> {
-    match &name.instance {
-        None => Ok(Sel::Total),
-        Some(inst) if inst.is_total() => Ok(Sel::Total),
-        Some(inst) => {
-            let w = inst
-                .children
-                .iter()
-                .find(|c| c.name == "worker-thread")
-                .and_then(|c| match c.index {
-                    Some(InstanceIndex::At(i)) => Some(i as usize),
-                    _ => None,
-                })
-                .ok_or_else(|| {
-                    CounterError::UnknownInstance(format!(
-                        "`{name}`: expected total or worker-thread#N"
-                    ))
-                })?;
-            if w >= workers {
-                return Err(CounterError::UnknownInstance(format!(
-                    "`{name}`: runtime has {workers} workers"
-                )));
-            }
-            Ok(Sel::One(w))
-        }
-    }
-}
-
-fn worker_discoverer(
-    object: &str,
-    counter: &str,
-    locality: u32,
-    workers: usize,
-) -> rpx_counters::registry::CounterDiscoverer {
-    let base = CounterName::new(object, counter);
-    Arc::new(move |f: &mut dyn FnMut(CounterName)| {
-        f(base.reinstantiate(CounterInstance::total(locality)));
-        for w in 0..workers as u32 {
-            f(base.reinstantiate(CounterInstance::worker(locality, w)));
-        }
-    })
-}
-
-/// Register a monotonic per-worker counter whose value is `read(stats)`.
-fn register_worker_monotonic(
-    registry: &Arc<CounterRegistry>,
-    inner: &Arc<RuntimeInner>,
-    type_path: &'static str,
-    help: &'static str,
+/// One counter type: everything registration, discovery and the docs need
+/// to know about it.
+struct Decl {
+    path: &'static str,
     unit: &'static str,
-    read: fn(&Shard) -> u64,
-) {
-    let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
-    let (object, counter) = split_type_path(type_path);
-    let workers = inner.config.workers;
-    let locality = inner.config.locality;
-    let clock = registry.clock();
-    registry.register_type(
-        CounterInfo::new(type_path, CounterKind::MonotonicallyIncreasing, help, unit),
-        Arc::new(move |name, _reg| {
-            let sel = selector(name, workers)?;
-            let weak = weak.clone();
-            let value: rpx_counters::counter::ValueFn = Arc::new(move || {
-                let Some(inner) = weak.upgrade() else {
-                    return 0;
-                };
-                let ledger = &inner.state.ledger;
-                (match sel {
-                    Sel::Total => ledger.total(read),
-                    Sel::One(w) => read(ledger.worker(w)),
-                }) as i64
-            });
-            let info = CounterInfo::new(
-                name.canonical(),
-                CounterKind::MonotonicallyIncreasing,
-                help,
-                unit,
-            );
-            Ok(Arc::new(MonotonicCounter::new(info, clock.clone(), value))
-                as Arc<dyn rpx_counters::Counter>)
-        }),
-        Some(worker_discoverer(object, counter, locality, workers)),
-    );
-}
-
-/// Register a monotonic per-worker counter read from that worker's task
-/// slab (the allocation-free spawn path) rather than its ledger shard.
-fn register_slab_monotonic(
-    registry: &Arc<CounterRegistry>,
-    inner: &Arc<RuntimeInner>,
-    type_path: &'static str,
     help: &'static str,
-    read: fn(&crate::slab::Slab) -> u64,
-) {
-    let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
-    let (object, counter) = split_type_path(type_path);
-    let workers = inner.config.workers;
-    let locality = inner.config.locality;
-    let clock = registry.clock();
-    registry.register_type(
-        CounterInfo::new(type_path, CounterKind::MonotonicallyIncreasing, help, "1"),
-        Arc::new(move |name, _reg| {
-            let sel = selector(name, workers)?;
-            let weak = weak.clone();
-            let value: rpx_counters::counter::ValueFn = Arc::new(move || {
-                let Some(inner) = weak.upgrade() else {
-                    return 0;
-                };
-                (match sel {
-                    Sel::Total => inner.slabs.iter().map(|s| read(s)).sum::<u64>(),
-                    Sel::One(w) => read(&inner.slabs[w]),
-                }) as i64
-            });
-            let info = CounterInfo::new(
-                name.canonical(),
-                CounterKind::MonotonicallyIncreasing,
-                help,
-                "1",
-            );
-            Ok(Arc::new(MonotonicCounter::new(info, clock.clone(), value))
-                as Arc<dyn rpx_counters::Counter>)
-        }),
-        Some(worker_discoverer(object, counter, locality, workers)),
-    );
+    source: Source,
 }
 
-/// Register an average (sum, count) per-worker counter.
-fn register_worker_average(
-    registry: &Arc<CounterRegistry>,
-    inner: &Arc<RuntimeInner>,
-    type_path: &'static str,
-    help: &'static str,
-    read: fn(&Shard) -> (u64, u64),
-) {
-    let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
-    let (object, counter) = split_type_path(type_path);
-    let workers = inner.config.workers;
-    let locality = inner.config.locality;
-    let clock = registry.clock();
-    registry.register_type(
-        CounterInfo::new(type_path, CounterKind::Average, help, "ns"),
-        Arc::new(move |name, _reg| {
-            let sel = selector(name, workers)?;
-            let weak = weak.clone();
-            let pair: rpx_counters::counter::PairFn = Arc::new(move || {
-                let Some(inner) = weak.upgrade() else {
-                    return (0, 0);
-                };
-                let ledger = &inner.state.ledger;
-                match sel {
-                    Sel::Total => ledger.shards().iter().fold((0, 0), |(s, c), w| {
-                        let (ws, wc) = read(w);
-                        (s + ws, c + wc)
-                    }),
-                    Sel::One(w) => read(ledger.worker(w)),
-                }
-            });
-            let info = CounterInfo::new(name.canonical(), CounterKind::Average, help, "ns");
-            Ok(Arc::new(AverageCounter::new(info, clock.clone(), pair))
-                as Arc<dyn rpx_counters::Counter>)
-        }),
-        Some(worker_discoverer(object, counter, locality, workers)),
-    );
+fn load(field: &AtomicU64) -> u64 {
+    field.load(Ordering::Relaxed)
 }
 
-/// Register a total-only raw gauge.
-fn register_total_raw(
-    registry: &Arc<CounterRegistry>,
-    inner: &Arc<RuntimeInner>,
-    type_path: &'static str,
-    help: &'static str,
-    unit: &'static str,
-    read: fn(&RuntimeInner) -> i64,
-) {
-    let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
-    let (object, counter) = split_type_path(type_path);
-    let locality = inner.config.locality;
-    let clock = registry.clock();
-    registry.register_type(
-        CounterInfo::new(type_path, CounterKind::Raw, help, unit),
-        Arc::new(move |name, _reg| {
-            // Accept the bare name or the total instance.
-            match &name.instance {
-                None => {}
-                Some(i) if i.is_total() => {}
-                Some(_) => {
-                    return Err(CounterError::UnknownInstance(format!(
-                        "`{name}` exists only as the total instance"
-                    )))
-                }
-            }
-            let weak = weak.clone();
-            let value: rpx_counters::counter::ValueFn =
-                Arc::new(move || weak.upgrade().map(|i| read(&i)).unwrap_or(0));
-            let info = CounterInfo::new(name.canonical(), CounterKind::Raw, help, unit);
-            Ok(Arc::new(RawCounter::new(info, clock.clone(), value))
-                as Arc<dyn rpx_counters::Counter>)
+const COUNTERS: &[Decl] = &[
+    Decl {
+        path: "/threads/count/cumulative",
+        unit: "1",
+        help: "number of tasks executed",
+        source: Sum(|s| &s.executed),
+    },
+    Decl {
+        path: "/threads/time/cumulative",
+        unit: "ns",
+        help: "cumulative time spent executing task bodies",
+        source: Sum(|s| &s.exec_ns),
+    },
+    Decl {
+        path: "/threads/time/cumulative-overhead",
+        unit: "ns",
+        help: "cumulative scheduling cost (spawn + dispatch paths)",
+        source: Sum(|s| &s.overhead_ns),
+    },
+    Decl {
+        path: "/threads/count/stolen",
+        unit: "1",
+        help: "tasks stolen from other workers' queues",
+        source: Sum(|s| &s.stolen),
+    },
+    Decl {
+        path: "/threads/count/steals-local",
+        unit: "1",
+        help: "steals from victims on this worker's own socket segment",
+        source: Sum(|s| &s.stolen_local),
+    },
+    Decl {
+        path: "/threads/count/steals-remote",
+        unit: "1",
+        help: "steals from victims on a remote socket segment",
+        source: Sum(|s| &s.stolen_remote),
+    },
+    Decl {
+        path: "/threads/time/steal-probe-remote",
+        unit: "ns",
+        help: "time spent probing remote-socket queues, hit or miss (idle sub-attribution)",
+        source: Sum(|s| &s.steal_probe_remote_ns),
+    },
+    Decl {
+        path: "/threads/count/spawned",
+        unit: "1",
+        help: "tasks spawned by this worker",
+        source: Sum(|s| &s.spawned),
+    },
+    Decl {
+        path: "/threads/time/average",
+        unit: "ns",
+        help: "average task execution time (Task Duration / grain size)",
+        source: Mean(|s| (load(&s.exec_ns), load(&s.executed))),
+    },
+    // HPX reports overhead per executed task, not per scheduling operation.
+    Decl {
+        path: "/threads/time/average-overhead",
+        unit: "ns",
+        help: "average per-task scheduling cost (Task Overhead)",
+        source: Mean(|s| (load(&s.overhead_ns), load(&s.executed))),
+    },
+    Decl {
+        path: "/threads/time/average-wait",
+        unit: "ns",
+        help: "average time tasks spend queued before execution",
+        source: Mean(|s| (load(&s.wait_ns), load(&s.executed))),
+    },
+    // Idle over idle + busy, in units of 0.01 % (HPX convention).
+    Decl {
+        path: "/threads/idle-rate",
+        unit: "0.01%",
+        help: "fraction of wall time workers spent without work",
+        source: Share(|s| {
+            let idle = load(&s.idle_ns);
+            (idle, idle + load(&s.exec_ns) + load(&s.overhead_ns))
         }),
-        Some({
-            let base = CounterName::new(object, counter);
-            Arc::new(move |f: &mut dyn FnMut(CounterName)| {
-                f(base.reinstantiate(CounterInstance::total(locality)));
-            })
+    },
+    Decl {
+        path: "/threads/count/instantaneous/active",
+        unit: "1",
+        help: "tasks currently executing",
+        source: Gauge(|i| i.state.ledger.flow().active() as i64),
+    },
+    Decl {
+        path: "/threads/count/instantaneous/pending",
+        unit: "1",
+        help: "tasks queued, not yet started",
+        source: Gauge(|i| i.state.ledger.flow().pending() as i64),
+    },
+    Decl {
+        path: "/scheduler/utilization/instantaneous",
+        unit: "%",
+        help: "executing tasks as a percentage of workers",
+        source: Gauge(|i| {
+            let active = i.state.ledger.flow().active() as i64;
+            (active * 100 / i.config.workers.max(1) as i64).min(100)
         }),
-    );
-}
-
-/// Register a total-only monotonically increasing counter.
-fn register_total_monotonic(
-    registry: &Arc<CounterRegistry>,
-    inner: &Arc<RuntimeInner>,
-    type_path: &'static str,
-    help: &'static str,
-    unit: &'static str,
-    read: fn(&RuntimeInner) -> i64,
-) {
-    let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
-    let (object, counter) = split_type_path(type_path);
-    let locality = inner.config.locality;
-    let clock = registry.clock();
-    registry.register_type(
-        CounterInfo::new(type_path, CounterKind::MonotonicallyIncreasing, help, unit),
-        Arc::new(move |name, _reg| {
-            match &name.instance {
-                None => {}
-                Some(i) if i.is_total() => {}
-                Some(_) => {
-                    return Err(CounterError::UnknownInstance(format!(
-                        "`{name}` exists only as the total instance"
-                    )))
-                }
-            }
-            let weak = weak.clone();
-            let value: rpx_counters::counter::ValueFn =
-                Arc::new(move || weak.upgrade().map(|i| read(&i)).unwrap_or(0));
-            let info = CounterInfo::new(
-                name.canonical(),
-                CounterKind::MonotonicallyIncreasing,
-                help,
-                unit,
-            );
-            Ok(Arc::new(MonotonicCounter::new(info, clock.clone(), value))
-                as Arc<dyn rpx_counters::Counter>)
-        }),
-        Some({
-            let base = CounterName::new(object, counter);
-            Arc::new(move |f: &mut dyn FnMut(CounterName)| {
-                f(base.reinstantiate(CounterInstance::total(locality)));
-            })
-        }),
-    );
-}
-
-fn split_type_path(type_path: &'static str) -> (&'static str, &'static str) {
-    let rest = type_path
-        .strip_prefix('/')
-        .expect("type path starts with /");
-    rest.split_once('/')
-        .expect("type path has /object/counter form")
-}
-
-/// Register every runtime counter with `registry`. Called by
-/// [`Runtime::new`](crate::runtime::Runtime::new).
-pub(crate) fn register_runtime_counters(
-    registry: &Arc<CounterRegistry>,
-    inner: &Arc<RuntimeInner>,
-) {
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/threads/count/cumulative",
-        "number of tasks executed",
-        "1",
-        |s| s.executed.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/threads/time/cumulative",
-        "cumulative time spent executing task bodies",
-        "ns",
-        |s| s.exec_ns.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/threads/time/cumulative-overhead",
-        "cumulative scheduling cost (spawn + dispatch paths)",
-        "ns",
-        |s| s.overhead_ns.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/threads/count/stolen",
-        "tasks stolen from other workers' queues",
-        "1",
-        |s| s.stolen.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/threads/count/steals-local",
-        "steals from victims on this worker's own socket segment",
-        "1",
-        |s| s.stolen_local.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/threads/count/steals-remote",
-        "steals from victims on a remote socket segment",
-        "1",
-        |s| s.stolen_remote.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/threads/time/steal-probe-remote",
-        "time spent probing remote-socket queues, hit or miss (idle sub-attribution)",
-        "ns",
-        |s| s.steal_probe_remote_ns.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/threads/count/spawned",
-        "tasks spawned by this worker",
-        "1",
-        |s| s.spawned.load(Ordering::Relaxed),
-    );
-    // Health counters backing the fault-tolerance layer (DESIGN.md §health).
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/runtime/health/restarts",
-        "worker-loop respawns after a panic escaped a task wrapper",
-        "1",
-        |s| s.restarts.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/runtime/health/stalls",
-        "stall episodes detected by the watchdog (static heartbeat with work pending)",
-        "1",
-        |s| s.stalls.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/runtime/health/cancelled-tasks",
-        "tasks skipped at dispatch because their cancel token was cancelled",
-        "1",
-        |s| s.cancelled.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/runtime/health/recovered-tasks",
-        "injected task panics caught and retried at dispatch",
-        "1",
-        |s| s.recovered.load(Ordering::Relaxed),
-    );
-    register_worker_average(
-        registry,
-        inner,
-        "/threads/time/average",
-        "average task execution time (Task Duration / grain size)",
-        Shard::exec_pair,
-    );
-    register_worker_average(
-        registry,
-        inner,
-        "/threads/time/average-overhead",
-        "average per-task scheduling cost (Task Overhead)",
-        Shard::overhead_pair,
-    );
-    register_worker_average(
-        registry,
-        inner,
-        "/threads/time/average-wait",
-        "average time tasks spend queued before execution",
-        Shard::wait_pair,
-    );
-
-    // Idle rate in units of 0.01% (HPX convention).
-    {
-        let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
-        let workers = inner.config.workers;
-        let locality = inner.config.locality;
-        let clock = registry.clock();
-        registry.register_type(
-            CounterInfo::new(
-                "/threads/idle-rate",
-                CounterKind::Raw,
-                "fraction of wall time workers spent without work",
-                "0.01%",
-            ),
-            Arc::new(move |name, _reg| {
-                let sel = selector(name, workers)?;
-                let weak = weak.clone();
-                let value: rpx_counters::counter::ValueFn = Arc::new(move || {
-                    let Some(inner) = weak.upgrade() else {
-                        return 0;
-                    };
-                    let ledger = &inner.state.ledger;
-                    let idle = |s: &Shard| s.idle_ns.load(Ordering::Relaxed);
-                    let busy = |s: &Shard| {
-                        s.exec_ns.load(Ordering::Relaxed) + s.overhead_ns.load(Ordering::Relaxed)
-                    };
-                    let (idle, busy) = match sel {
-                        Sel::Total => (ledger.total(idle), ledger.total(busy)),
-                        Sel::One(w) => (idle(ledger.worker(w)), busy(ledger.worker(w))),
-                    };
-                    if idle + busy == 0 {
-                        return 0;
-                    }
-                    ((idle as f64 / (idle + busy) as f64) * 10_000.0).round() as i64
-                });
-                let info = CounterInfo::new(
-                    name.canonical(),
-                    CounterKind::Raw,
-                    "fraction of wall time workers spent without work",
-                    "0.01%",
-                );
-                Ok(Arc::new(RawCounter::new(info, clock.clone(), value))
-                    as Arc<dyn rpx_counters::Counter>)
-            }),
-            Some(worker_discoverer("threads", "idle-rate", locality, workers)),
-        );
-    }
-
-    register_total_raw(
-        registry,
-        inner,
-        "/threads/count/instantaneous/active",
-        "tasks currently executing",
-        "1",
-        |i| i.state.ledger.flow().active() as i64,
-    );
-    register_total_raw(
-        registry,
-        inner,
-        "/threads/count/instantaneous/pending",
-        "tasks queued, not yet started",
-        "1",
-        |i| i.state.ledger.flow().pending() as i64,
-    );
+    },
+    // Health counters backing the fault-tolerance layer (DESIGN.md §9).
+    Decl {
+        path: "/runtime/health/restarts",
+        unit: "1",
+        help: "worker-loop respawns after a panic escaped a task wrapper",
+        source: Sum(|s| &s.restarts),
+    },
+    Decl {
+        path: "/runtime/health/stalls",
+        unit: "1",
+        help: "stall episodes detected by the watchdog (static heartbeat with work pending)",
+        source: Sum(|s| &s.stalls),
+    },
+    Decl {
+        path: "/runtime/health/cancelled-tasks",
+        unit: "1",
+        help: "tasks skipped at dispatch because their cancel token was cancelled",
+        source: Sum(|s| &s.cancelled),
+    },
+    Decl {
+        path: "/runtime/health/recovered-tasks",
+        unit: "1",
+        help: "injected task panics caught and retried at dispatch",
+        source: Sum(|s| &s.recovered),
+    },
+    Decl {
+        path: "/runtime/health/restart-backoff",
+        unit: "ns",
+        help: "time the supervisor spent backing off between worker respawns",
+        source: Sum(|s| &s.backoff_ns),
+    },
+    Decl {
+        path: "/runtime/health/breaker-trips",
+        unit: "1",
+        help: "restart budgets exhausted (worker retired by the circuit breaker)",
+        source: Sum(|s| &s.breaker_trips),
+    },
+    Decl {
+        path: "/runtime/health/live-workers",
+        unit: "1",
+        help: "workers not retired by a tripped restart breaker",
+        source: Gauge(|i| i.state.live_workers.load(Ordering::Acquire) as i64),
+    },
     // Accounting drift detector: the derived gauges clamp at zero, so a
     // start or finish the ledger cannot match to an earlier step (a skipped
     // `note_queued`/`note_started`) would otherwise be invisible. Any
     // nonzero value here is a bug.
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/health/pending-underflows",
-        "task starts and finishes the ledger cannot match to an earlier step (accounting drift)",
-        "1",
-        |i| i.state.ledger.flow().underflows() as i64,
-    );
-    register_total_raw(
-        registry,
-        inner,
-        "/scheduler/utilization/instantaneous",
-        "executing tasks as a percentage of workers",
-        "%",
-        |i| {
-            let active = i.state.ledger.flow().active() as i64;
-            (active * 100 / i.config.workers.max(1) as i64).min(100)
-        },
-    );
-
-    // Overload-protection counters (DESIGN.md §14). `/runtime/tasks/*`
-    // reads the admission gate when one is configured — exact, CAS-guarded
+    Decl {
+        path: "/runtime/health/pending-underflows",
+        unit: "1",
+        help: "task starts and finishes the ledger cannot match to an earlier step (accounting drift)",
+        source: Count(|i| i.state.ledger.flow().underflows() as i64),
+    },
+    // Overload protection (DESIGN.md §14). `/runtime/tasks/*` reads the
+    // admission gate when one is configured — exact, CAS-guarded
     // accounting — and falls back to the ledger's derived view otherwise.
-    register_total_raw(
-        registry,
-        inner,
-        "/runtime/tasks/pending",
-        "tasks holding admission slots (queued, not yet started)",
-        "1",
-        |i| match &i.state.gate {
+    Decl {
+        path: "/runtime/tasks/pending",
+        unit: "1",
+        help: "tasks holding admission slots (queued, not yet started)",
+        source: Gauge(|i| match &i.state.gate {
             Some(gate) => gate.pending(),
             None => i.state.ledger.flow().pending() as i64,
-        },
-    );
-    register_total_raw(
-        registry,
-        inner,
-        "/runtime/tasks/peak-pending",
-        "lifetime high-water mark of the pending-task count",
-        "1",
-        |i| match &i.state.gate {
-            Some(gate) => gate.peak(),
-            None => 0,
-        },
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/tasks/admitted",
-        "spawns admitted through the task-budget gate",
-        "1",
-        |i| i.state.gate.as_ref().map_or(0, |g| g.admitted() as i64),
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/health/shed",
-        "spawns rejected by the admission gate (Shed policy / try_spawn)",
-        "1",
-        |i| i.state.gate.as_ref().map_or(0, |g| g.shed() as i64),
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/health/degraded-spawns",
-        "spawns run inline in the caller because the gate was closed",
-        "1",
-        |i| i.state.gate.as_ref().map_or(0, |g| g.degraded() as i64),
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/health/blocked-spawns",
-        "spawners that parked at least once waiting for admission",
-        "1",
-        |i| i.state.gate.as_ref().map_or(0, |g| g.blocked() as i64),
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/health/gate-closes",
-        "open-to-closed transitions of the admission gate",
-        "1",
-        |i| i.state.gate.as_ref().map_or(0, |g| g.closes() as i64),
-    );
-    register_total_raw(
-        registry,
-        inner,
-        "/runtime/health/overload-state",
-        "overload detector verdict (0 normal, 1 elevated, 2 overloaded)",
-        "1",
-        |i| i.state.overload_state.load(Ordering::Acquire),
-    );
-    register_total_raw(
-        registry,
-        inner,
-        "/runtime/health/live-workers",
-        "workers not retired by a tripped restart breaker",
-        "1",
-        |i| i.state.live_workers.load(Ordering::Acquire) as i64,
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/runtime/health/restart-backoff",
-        "time the supervisor spent backing off between worker respawns",
-        "ns",
-        |s| s.backoff_ns.load(Ordering::Relaxed),
-    );
-    register_worker_monotonic(
-        registry,
-        inner,
-        "/runtime/health/breaker-trips",
-        "restart budgets exhausted (worker retired by the circuit breaker)",
-        "1",
-        |s| s.breaker_trips.load(Ordering::Relaxed),
-    );
-
-    // Anomaly-detector episode counts (DESIGN.md §15). Counters expose
-    // *episodes*, not ticks: a storm that holds for 50 watchdog ticks is
-    // one increment, so a policy thresholding on these reacts to events,
+        }),
+    },
+    Decl {
+        path: "/runtime/tasks/peak-pending",
+        unit: "1",
+        help: "lifetime high-water mark of the pending-task count",
+        source: Gauge(|i| i.state.gate.as_ref().map_or(0, |g| g.peak())),
+    },
+    Decl {
+        path: "/runtime/tasks/admitted",
+        unit: "1",
+        help: "spawns admitted through the task-budget gate",
+        source: Count(|i| i.state.gate.as_ref().map_or(0, |g| g.admitted() as i64)),
+    },
+    Decl {
+        path: "/runtime/health/shed",
+        unit: "1",
+        help: "spawns rejected by the admission gate (Shed policy / try_spawn)",
+        source: Count(|i| i.state.gate.as_ref().map_or(0, |g| g.shed() as i64)),
+    },
+    Decl {
+        path: "/runtime/health/degraded-spawns",
+        unit: "1",
+        help: "spawns run inline in the caller because the gate was closed",
+        source: Count(|i| i.state.gate.as_ref().map_or(0, |g| g.degraded() as i64)),
+    },
+    Decl {
+        path: "/runtime/health/blocked-spawns",
+        unit: "1",
+        help: "spawners that parked at least once waiting for admission",
+        source: Count(|i| i.state.gate.as_ref().map_or(0, |g| g.blocked() as i64)),
+    },
+    Decl {
+        path: "/runtime/health/gate-closes",
+        unit: "1",
+        help: "open-to-closed transitions of the admission gate",
+        source: Count(|i| i.state.gate.as_ref().map_or(0, |g| g.closes() as i64)),
+    },
+    Decl {
+        path: "/runtime/health/overload-state",
+        unit: "1",
+        help: "overload detector verdict (0 normal, 1 elevated, 2 overloaded)",
+        source: Gauge(|i| i.state.overload_state.load(Ordering::Acquire)),
+    },
+    // Anomaly episodes, not ticks: a storm that holds for 50 watchdog ticks
+    // is one increment, so a policy thresholding on these reacts to events,
     // not durations.
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/anomaly/steal-storms",
-        "steal-storm episodes (steal/exec ratio spiked over its EWMA baseline)",
-        "1",
-        |i| {
-            i.state
-                .anomalies
-                .count(crate::anomaly::AnomalyKind::StealStorm) as i64
-        },
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/anomaly/granularity-collapses",
-        "granularity-collapse episodes (mean task grain fell far below baseline)",
-        "1",
-        |i| {
-            i.state
-                .anomalies
-                .count(crate::anomaly::AnomalyKind::GranularityCollapse) as i64
-        },
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/anomaly/idle-spikes",
-        "idle-spike episodes (cores starved while a backlog existed)",
-        "1",
-        |i| {
-            i.state
-                .anomalies
-                .count(crate::anomaly::AnomalyKind::IdleSpike) as i64
-        },
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/anomaly/events",
-        "anomaly episodes of any kind (what an adaptive policy thresholds on)",
-        "1",
-        |i| i.state.anomalies.total() as i64,
-    );
-
+    Decl {
+        path: "/runtime/anomaly/steal-storms",
+        unit: "1",
+        help: "steal-storm episodes (steal/exec ratio spiked over its EWMA baseline)",
+        source: Count(|i| i.state.anomalies.count(AnomalyKind::StealStorm) as i64),
+    },
+    Decl {
+        path: "/runtime/anomaly/granularity-collapses",
+        unit: "1",
+        help: "granularity-collapse episodes (mean task grain fell far below baseline)",
+        source: Count(|i| i.state.anomalies.count(AnomalyKind::GranularityCollapse) as i64),
+    },
+    Decl {
+        path: "/runtime/anomaly/idle-spikes",
+        unit: "1",
+        help: "idle-spike episodes (cores starved while a backlog existed)",
+        source: Count(|i| i.state.anomalies.count(AnomalyKind::IdleSpike) as i64),
+    },
+    Decl {
+        path: "/runtime/anomaly/events",
+        unit: "1",
+        help: "anomaly episodes of any kind (what an adaptive policy thresholds on)",
+        source: Count(|i| i.state.anomalies.total() as i64),
+    },
     // Slab health (DESIGN.md §16). An allocation-free steady state shows
     // growing `allocs`/`*-frees` with `exhausted` and `fallback-allocs`
     // flat at zero; anything else means the slab is undersized or spawns
     // are arriving from non-worker threads.
-    register_slab_monotonic(
-        registry,
-        inner,
-        "/runtime/slab/allocs",
-        "task slots claimed from this worker's slab",
-        crate::slab::Slab::allocs,
-    );
-    register_slab_monotonic(
-        registry,
-        inner,
-        "/runtime/slab/local-frees",
-        "slots returned to the owning worker's free list directly",
-        crate::slab::Slab::local_frees,
-    );
-    register_slab_monotonic(
-        registry,
-        inner,
-        "/runtime/slab/remote-frees",
-        "slots returned through the cross-worker return stack",
-        crate::slab::Slab::remote_frees,
-    );
-    register_slab_monotonic(
-        registry,
-        inner,
-        "/runtime/slab/exhausted",
-        "slab allocation attempts that found no free slot (heap fallback taken)",
-        crate::slab::Slab::exhausted,
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/slab/fallback-allocs",
-        "spawns that took the heap path (oversized closure, external spawner, or slab exhaustion)",
-        "1",
-        |i| {
-            let fallbacks = |s: &Shard| s.fallback_allocs.load(Ordering::Relaxed);
-            i.state.ledger.total(fallbacks) as i64
-        },
-    );
-
+    Decl {
+        path: "/runtime/slab/allocs",
+        unit: "1",
+        help: "task slots claimed from this worker's slab",
+        source: SlabSum(Slab::allocs),
+    },
+    Decl {
+        path: "/runtime/slab/local-frees",
+        unit: "1",
+        help: "slots returned to the owning worker's free list directly",
+        source: SlabSum(Slab::local_frees),
+    },
+    Decl {
+        path: "/runtime/slab/remote-frees",
+        unit: "1",
+        help: "slots returned through the cross-worker return stack",
+        source: SlabSum(Slab::remote_frees),
+    },
+    Decl {
+        path: "/runtime/slab/exhausted",
+        unit: "1",
+        help: "slab allocation attempts that found no free slot (heap fallback taken)",
+        source: SlabSum(Slab::exhausted),
+    },
+    Decl {
+        path: "/runtime/slab/fallback-allocs",
+        unit: "1",
+        help: "spawns that took the heap path (oversized closure, external spawner, or slab exhaustion)",
+        source: Count(|i| i.state.ledger.total(|s| load(&s.fallback_allocs)) as i64),
+    },
     // Tracer self-measurement (the paper's ≤10% overhead envelope is
     // checked against exactly these).
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/trace/overhead-time",
-        "time spent inside TaskTracer::record (tracing self-measurement)",
-        "ns",
-        |i| i.state.tracer.overhead_ns() as i64,
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/trace/records",
-        "task spans recorded by the tracer (including overwritten ones)",
-        "1",
-        |i| i.state.tracer.records() as i64,
-    );
-    register_total_monotonic(
-        registry,
-        inner,
-        "/runtime/trace/dropped",
-        "task spans overwritten by ring-buffer wraparound",
-        "1",
-        |i| i.state.tracer.dropped() as i64,
-    );
+    Decl {
+        path: "/runtime/trace/overhead-time",
+        unit: "ns",
+        help: "time spent inside TaskTracer::record (tracing self-measurement)",
+        source: Count(|i| i.state.tracer.overhead_ns() as i64),
+    },
+    Decl {
+        path: "/runtime/trace/records",
+        unit: "1",
+        help: "task spans recorded by the tracer (including overwritten ones)",
+        source: Count(|i| i.state.tracer.records() as i64),
+    },
+    Decl {
+        path: "/runtime/trace/dropped",
+        unit: "1",
+        help: "task spans overwritten by ring-buffer wraparound",
+        source: Count(|i| i.state.tracer.dropped() as i64),
+    },
+    Decl {
+        path: "/runtime/uptime",
+        unit: "ns",
+        help: "time since the runtime started",
+        source: Uptime,
+    },
+];
 
-    registry.register_elapsed("/runtime/uptime", "time since the runtime started");
+impl Decl {
+    fn kind(&self) -> CounterKind {
+        match self.source {
+            Sum(_) | SlabSum(_) | Count(_) => CounterKind::MonotonicallyIncreasing,
+            Mean(_) => CounterKind::Average,
+            Share(_) | Gauge(_) => CounterKind::Raw,
+            Uptime => CounterKind::ElapsedTime,
+        }
+    }
+
+    fn per_worker(&self) -> bool {
+        matches!(self.source, Sum(_) | Mean(_) | Share(_) | SlabSum(_))
+    }
+
+    /// The worker a concrete instance name selects (`None`: the total).
+    fn select(&self, name: &CounterName, workers: usize) -> Result<Option<usize>, CounterError> {
+        let inst = match &name.instance {
+            Some(inst) if !inst.is_total() && !matches!(self.source, Uptime) => inst,
+            _ => return Ok(None),
+        };
+        let unknown = |why: String| Err(CounterError::UnknownInstance(format!("`{name}`{why}")));
+        let worker = inst.children.iter().find(|c| c.name == "worker-thread");
+        match worker.and_then(|c| c.index) {
+            _ if !self.per_worker() => unknown(" exists only as the total instance".into()),
+            Some(InstanceIndex::At(w)) if (w as usize) < workers => Ok(Some(w as usize)),
+            Some(InstanceIndex::At(_)) => unknown(format!(": runtime has {workers} workers")),
+            _ => unknown(": expected total or worker-thread#N".into()),
+        }
+    }
+
+    /// The `(sum, count)` of a pair source over the shards `worker` selects.
+    fn pair(&self, inner: &RuntimeInner, worker: Option<usize>) -> (u64, u64) {
+        let (Mean(pair) | Share(pair)) = self.source else {
+            return (0, 0);
+        };
+        let (shards, _) = scope(inner, worker);
+        let sums = shards.iter().map(pair);
+        sums.fold((0, 0), |(sum, count), (s, c)| (sum + s, count + c))
+    }
+
+    /// The scalar reading of any other source.
+    fn value(&self, inner: &RuntimeInner, worker: Option<usize>) -> i64 {
+        let (shards, slabs) = scope(inner, worker);
+        match self.source {
+            Sum(field) => shards.iter().map(|s| load(field(s))).sum::<u64>() as i64,
+            SlabSum(stat) => slabs.iter().map(|s| stat(s)).sum::<u64>() as i64,
+            Count(read) | Gauge(read) => read(inner),
+            Share(_) => match self.pair(inner, worker) {
+                (_, 0) => 0,
+                (part, whole) => (part as f64 / whole as f64 * 10_000.0).round() as i64,
+            },
+            Mean(_) | Uptime => 0,
+        }
+    }
+}
+
+/// The shards and slabs an instance covers: one worker's, or for the total
+/// all of them (the external shard included).
+fn scope(inner: &RuntimeInner, worker: Option<usize>) -> (&[Shard], &[Arc<Slab>]) {
+    let shards = inner.state.ledger.shards();
+    match worker {
+        Some(w) => (&shards[w..=w], &inner.slabs[w..=w]),
+        None => (shards, &inner.slabs),
+    }
+}
+
+/// Register every runtime counter with the runtime's registry. Called by
+/// [`Runtime::new`](crate::runtime::Runtime::new). This one function owns
+/// what is common to all rows: instance selection, the weak back-reference
+/// (a counter must not keep its runtime alive, and reads 0 once it is
+/// gone), `total` + `worker-thread#N` discovery, and the choice of counter
+/// type by kind.
+pub(crate) fn register_runtime_counters(inner: &Arc<RuntimeInner>) {
+    let (workers, locality) = (inner.config.workers, inner.config.locality);
+    for decl in COUNTERS {
+        let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
+        let clock = inner.registry.clock();
+        let base: CounterName = decl.path.parse().expect("declared type paths parse");
+        let instances = if decl.per_worker() { workers as u32 } else { 0 };
+        inner.registry.register_type(
+            CounterInfo::new(decl.path, decl.kind(), decl.help, decl.unit),
+            Arc::new(move |name, _registry| {
+                let worker = decl.select(name, workers)?;
+                let info = CounterInfo::new(name.canonical(), decl.kind(), decl.help, decl.unit);
+                let (clock, weak, weak2) = (clock.clone(), weak.clone(), weak.clone());
+                let value = move || weak.upgrade().map_or(0, |i| decl.value(&i, worker));
+                let pair = move || weak2.upgrade().map_or((0, 0), |i| decl.pair(&i, worker));
+                Ok(match decl.kind() {
+                    CounterKind::ElapsedTime => Arc::new(ElapsedTimeCounter::new(info, clock)),
+                    CounterKind::Average => {
+                        Arc::new(AverageCounter::new(info, clock, Arc::new(pair)))
+                    }
+                    CounterKind::MonotonicallyIncreasing => {
+                        Arc::new(MonotonicCounter::new(info, clock, Arc::new(value)))
+                    }
+                    _ => Arc::new(RawCounter::new(info, clock, Arc::new(value))),
+                })
+            }),
+            Some(Arc::new(move |found: &mut dyn FnMut(CounterName)| {
+                if matches!(decl.source, Uptime) {
+                    return found(base.clone());
+                }
+                found(base.reinstantiate(CounterInstance::total(locality)));
+                for w in 0..instances {
+                    found(base.reinstantiate(CounterInstance::worker(locality, w)));
+                }
+            })),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::{RuntimeConfig, RuntimeState};
+    use crate::scheduler::{Scheduler, SchedulerMode};
+    use crate::slab::SLAB_SLOTS;
+    use rpx_counters::registry::CounterRegistry;
+
+    /// A runtime's data with its counters registered and no threads, so
+    /// the ledger holds exactly what a test writes into it.
+    fn thread_less_runtime(workers: usize) -> Arc<RuntimeInner> {
+        let registry = CounterRegistry::new();
+        let state = Arc::new(RuntimeState::new(workers, registry.clock(), None, None));
+        let inner = Arc::new(RuntimeInner {
+            scheduler: Scheduler::new(workers, SchedulerMode::LocalQueues),
+            slabs: (0..workers)
+                .map(|_| Slab::new(SLAB_SLOTS, Some(state.clone())))
+                .collect(),
+            placement: vec![None; workers],
+            state,
+            registry: registry.clone(),
+            pmu: rpx_papi::Pmu::new(workers),
+            shutdown: Default::default(),
+            config: RuntimeConfig::with_workers(workers),
+            draining: Default::default(),
+            drain_hooks: Default::default(),
+        });
+        register_runtime_counters(&inner);
+        inner
+    }
+
+    /// Row by row over the table: `worker-thread#N` reads shard N alone,
+    /// `total` every worker plus the external shard.
+    #[test]
+    fn total_is_every_worker_plus_the_external_shard() {
+        let inner = thread_less_runtime(2);
+        let ledger = &inner.state.ledger;
+        // Every field a row reads holds 3 on worker 0, 5 on worker 1 and 7
+        // on the external shard.
+        for (shard, n) in [
+            (ledger.worker(0), 3),
+            (ledger.worker(1), 5),
+            (ledger.external(), 7),
+        ] {
+            for decl in COUNTERS {
+                if let Sum(field) = decl.source {
+                    field(shard).store(n, Ordering::Relaxed);
+                }
+            }
+            shard.wait_ns.store(n, Ordering::Relaxed);
+            shard.idle_ns.store(n, Ordering::Relaxed);
+        }
+        for decl in COUNTERS.iter().filter(|d| d.per_worker()) {
+            let (object, counter) = decl.path[1..].split_once('/').unwrap();
+            let eval = |instance: &str| {
+                let name = format!("/{object}{{locality#0/{instance}}}/{counter}");
+                inner.registry.evaluate(&name, false).unwrap()
+            };
+            let read = [
+                eval("worker-thread#0"),
+                eval("worker-thread#1"),
+                eval("total"),
+            ];
+            let (values, counts) = (read.map(|v| v.value), read.map(|v| v.count));
+            match decl.source {
+                Sum(_) => assert_eq!(values, [3, 5, 15], "{}", decl.path),
+                // n nanoseconds over n tasks.
+                Mean(_) => assert_eq!((values, counts), ([1; 3], [3, 5, 15]), "{}", decl.path),
+                // n idle out of n idle + n executing + n scheduling.
+                Share(_) => assert_eq!(values, [3_333; 3], "{}", decl.path),
+                // No task ran: the slabs are untouched.
+                _ => assert_eq!(values, [0; 3], "{}", decl.path),
+            }
+        }
+    }
+
+    /// Task Overhead is scheduling cost per *executed task*, however many
+    /// scheduling operations the cost was recorded in.
+    #[test]
+    fn average_overhead_divides_by_executed_tasks() {
+        let inner = thread_less_runtime(1);
+        let shard = inner.state.ledger.worker(0);
+        shard.record_overhead(10);
+        shard.record_overhead(30);
+        shard.record_execution(1000, 0);
+        let name = "/threads{locality#0/total}/time/average-overhead";
+        assert_eq!(inner.registry.evaluate(name, false).unwrap().value, 40);
+    }
 }

@@ -53,17 +53,16 @@
 
 pub mod admission;
 pub mod affinity;
-pub mod anomaly;
 pub mod cancel;
 mod counters;
 pub mod faults;
 pub mod future;
 #[cfg(all(test, rpx_model))]
 mod model_specs;
-pub mod overload;
 pub mod policy;
 mod prim;
 mod scheduler;
+mod signals;
 pub(crate) mod slab;
 mod stats;
 pub mod sync;
@@ -75,14 +74,13 @@ pub mod runtime;
 
 pub use admission::AdmissionControl;
 pub use affinity::{BindSpec, Topology};
-pub use anomaly::{AnomalyEvent, AnomalyKind};
 pub use cancel::{CancelToken, TaskCancelled};
 pub use faults::{FaultInjector, FaultPlan, InjectedFault, UnknownFaultVars, KNOWN_FAULT_VARS};
 pub use future::{ready_future, TaskFuture};
-pub use overload::OverloadState;
 pub use policy::{LaunchPolicy, OverloadPolicy};
 pub use runtime::{QuiesceReport, Runtime, RuntimeConfig, RuntimeHandle, SpawnError};
 pub use scheduler::SchedulerMode;
+pub use signals::{AnomalyEvent, AnomalyKind, OverloadState};
 pub use trace::{site_name, TaskSpan, TaskTracer, UNKNOWN_SITE};
 
 #[cfg(test)]

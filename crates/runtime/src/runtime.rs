@@ -13,14 +13,13 @@ use rpx_papi::Pmu;
 
 use crate::admission::{AdmissionControl, AdmissionGate};
 use crate::affinity::{BindSpec, Topology};
-use crate::anomaly::{AnomalyEvent, AnomalyLog};
 use crate::cancel::CancelToken;
 use crate::faults::{FaultInjector, FaultPlan, InjectedFault};
 use crate::future::TaskFuture;
-use crate::overload::OverloadState;
 use crate::policy::{LaunchPolicy, OverloadPolicy};
 use crate::prim::{self, Padded};
 use crate::scheduler::{Scheduler, SchedulerMode};
+use crate::signals::{AnomalyEvent, AnomalyLog, OverloadState};
 use crate::slab::{Claimed, Slab, SpawnMeta, SLAB_SLOTS};
 use crate::stats::{Ledger, Shard};
 use crate::sync::EventGate;
@@ -143,7 +142,7 @@ pub(crate) struct RuntimeState {
     /// tasks are cancelled at dispatch instead of executed.
     pub quiesce_cancel: AtomicBool,
     /// Anomaly episodes the watchdog's detector recorded
-    /// (feeds `/runtime/anomaly/*`; see [`crate::anomaly`]).
+    /// (feeds `/runtime/anomaly/*`; see [`crate::signals`]).
     pub anomalies: Arc<AnomalyLog>,
     /// Active fault injector (None when the configured plan is inactive).
     pub faults: Option<Arc<FaultInjector>>,
@@ -376,7 +375,7 @@ impl Runtime {
             drain_hooks: Mutex::new(Vec::new()),
         });
 
-        crate::counters::register_runtime_counters(&registry, &inner);
+        crate::counters::register_runtime_counters(&inner);
         rpx_papi::register_papi_counters(&registry, &pmu, config.locality);
 
         let restart_policy = RestartPolicy::from_config(&config);
@@ -642,7 +641,7 @@ impl Runtime {
 
     /// Anomaly episodes the watchdog's detector has recorded so far,
     /// oldest first (episode *counts* are also exposed as the
-    /// `/runtime/anomaly/*` counters; see [`crate::anomaly`]).
+    /// `/runtime/anomaly/*` counters).
     pub fn anomalies(&self) -> Vec<AnomalyEvent> {
         self.inner.state.anomalies.events()
     }

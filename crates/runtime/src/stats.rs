@@ -292,31 +292,6 @@ impl Shard {
         self.id_next.store(next + 1, Ordering::Relaxed);
         next
     }
-
-    /// Snapshot of (exec_ns, executed) for average counters.
-    pub fn exec_pair(&self) -> (u64, u64) {
-        (
-            self.exec_ns.load(Ordering::Relaxed),
-            self.executed.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Snapshot of (overhead_ns, executed) for the average-overhead counter.
-    /// HPX reports overhead per executed task, not per scheduling op.
-    pub fn overhead_pair(&self) -> (u64, u64) {
-        (
-            self.overhead_ns.load(Ordering::Relaxed),
-            self.executed.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Snapshot of (wait_ns, executed) for the average-wait counter.
-    pub fn wait_pair(&self) -> (u64, u64) {
-        (
-            self.wait_ns.load(Ordering::Relaxed),
-            self.executed.load(Ordering::Relaxed),
-        )
-    }
 }
 
 /// One consistent reading of the flow counters, summed over all shards.
@@ -423,6 +398,46 @@ impl Ledger {
     pub fn is_idle(&self) -> bool {
         self.flow().live() == 0
     }
+
+    /// Read everything the watchdog looks at: the flow reading, then one
+    /// pass over the shards for the statistic sums and the heartbeats.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = Snapshot {
+            flow: self.flow(),
+            steals: 0,
+            executed: 0,
+            exec_ns: 0,
+            idle_ns: 0,
+            heartbeats: Vec::with_capacity(self.workers().len()),
+        };
+        for s in self.shards.iter() {
+            snap.steals += s.stolen.load(Ordering::Relaxed);
+            snap.executed += s.executed.load(Ordering::Relaxed);
+            snap.exec_ns += s.exec_ns.load(Ordering::Relaxed);
+            snap.idle_ns += s.idle_ns.load(Ordering::Relaxed);
+            if !s.shared {
+                let live = !s.retired.load(Ordering::Acquire);
+                snap.heartbeats
+                    .push(live.then(|| s.heartbeat.load(Ordering::Relaxed)));
+            }
+        }
+        snap
+    }
+}
+
+/// One reading of the whole ledger, taken by the watchdog once per tick.
+#[derive(Debug)]
+pub struct Snapshot {
+    pub flow: Flow,
+    /// Tasks stolen, tasks executed, nanoseconds in task bodies and
+    /// nanoseconds idle: cumulative, summed over every shard.
+    pub steals: u64,
+    pub executed: u64,
+    pub exec_ns: u64,
+    pub idle_ns: u64,
+    /// Each worker's heartbeat, `None` once its breaker tripped (the
+    /// heartbeat of a retired worker is frozen by design).
+    pub heartbeats: Vec<Option<u64>>,
 }
 
 #[cfg(test)]
@@ -435,19 +450,31 @@ mod tests {
         let s = ledger.worker(0);
         s.record_execution(100, 20);
         s.record_execution(300, 40);
-        assert_eq!(s.exec_pair(), (400, 2));
-        assert_eq!(s.wait_pair(), (60, 2));
+        s.record_overhead(10);
+        s.record_overhead(30);
+        let read = |f: &AtomicU64| f.load(Ordering::Relaxed);
+        assert_eq!((read(&s.exec_ns), read(&s.wait_ns)), (400, 60));
+        assert_eq!((read(&s.executed), read(&s.overhead_ops)), (2, 2));
+        assert_eq!(read(&s.overhead_ns), 40);
     }
 
     #[test]
-    fn overhead_pair_uses_executed_denominator() {
-        let ledger = Ledger::new(1);
-        let s = ledger.worker(0);
-        s.record_overhead(10);
-        s.record_overhead(30);
-        s.record_execution(1000, 0);
-        assert_eq!(s.overhead_pair(), (40, 1));
-        assert_eq!(s.overhead_ops.load(Ordering::Relaxed), 2);
+    fn snapshot_sums_every_shard_and_skips_retired_heartbeats() {
+        let ledger = Ledger::new(2);
+        ledger.worker(0).record_execution(10, 0);
+        ledger.worker(1).record_steals(2, 1);
+        ledger.worker(1).record_idle(7);
+        ledger.worker(1).beat();
+        ledger.external().record_execution(5, 0);
+        ledger.external().note_queued();
+        ledger.worker(0).retired.store(true, Ordering::Release);
+        let snap = ledger.snapshot();
+        assert_eq!(
+            (snap.steals, snap.executed, snap.exec_ns, snap.idle_ns),
+            (3, 2, 15, 7)
+        );
+        assert_eq!(snap.flow.pending(), 1);
+        assert_eq!(snap.heartbeats, vec![None, Some(1)]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Worker watchdog: a supervisor thread that heartbeats the workers,
 //! records stall episodes into the `/runtime/health/stalls` counter, and
-//! runs the overload detector over the counter stream.
+//! feeds the [signal detector](crate::signals) one ledger reading per tick.
 //!
 //! Every worker bumps its shard's [`heartbeat`](crate::stats::Shard)
 //! once per scheduling-loop iteration and once per work-helping iteration —
@@ -27,9 +27,9 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::anomaly::{AnomalyDetector, AnomalySignals};
-use crate::overload::{OverloadDetector, OverloadSignals};
-use crate::runtime::{RuntimeConfig, RuntimeInner};
+use crate::runtime::{RuntimeConfig, RuntimeInner, RuntimeState};
+use crate::signals::{Detector, Sample};
+use crate::stats::Snapshot;
 
 /// Token-bucket restart budget + exponential backoff parameters (derived
 /// from [`RuntimeConfig`]; one copy per worker supervisor).
@@ -118,12 +118,12 @@ impl RestartState {
     }
 }
 
-/// Per-worker observation state.
+/// Per-worker stall-observation state.
 struct Watch {
     /// Last heartbeat value seen.
     heartbeat: u64,
-    /// When that value was first seen.
-    since: Instant,
+    /// Registry-clock time that value was first seen.
+    since_ns: u64,
     /// Whether the current static stretch was already counted as a stall.
     in_stall: bool,
 }
@@ -134,7 +134,7 @@ struct Watch {
 pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
     let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
     let interval = inner.config.watchdog_interval;
-    let threshold = inner.config.stall_threshold;
+    let threshold_ns = inner.config.stall_threshold.as_nanos() as u64;
     // The registry clock's TSC drift cross-check rides the watchdog tick
     // (the Clock holds no back-reference, so this keeps nothing alive).
     let clock = inner.registry.clock();
@@ -142,8 +142,7 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
         .name("rpx-watchdog".into())
         .spawn(move || {
             let mut watches: Vec<Watch> = Vec::new();
-            let mut detector = OverloadDetector::new();
-            let mut anomaly = AnomalyDetector::new();
+            let mut detector = Detector::default();
             let mut tick: u64 = 0;
             let mut next_tick = Instant::now() + interval;
             loop {
@@ -159,8 +158,10 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
                     continue;
                 }
                 next_tick = Instant::now() + interval;
-                overload_tick(&inner, &mut detector, interval);
-                anomaly_tick(&inner, &mut anomaly, interval, tick);
+                // The tick's one timestamp and one ledger reading: the
+                // signals and the stall check below see the same instant.
+                let now_ns = clock.now_ns();
+                let snap = observe(&inner.state, &mut detector, tick, now_ns);
                 // Clock hygiene: cross-check the TSC fast path against
                 // Instant and re-derive its multiplier on drift, so long
                 // runs don't accumulate skew in every duration counter
@@ -168,14 +169,13 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
                 // run is younger than the minimum observation window).
                 clock.check_drift();
                 tick += 1;
-                let now = Instant::now();
-                let stats = inner.state.ledger.workers();
-                if watches.len() != stats.len() {
-                    watches = stats
+                if watches.len() != snap.heartbeats.len() {
+                    watches = snap
+                        .heartbeats
                         .iter()
-                        .map(|s| Watch {
-                            heartbeat: s.heartbeat.load(Ordering::Relaxed),
-                            since: now,
+                        .map(|h| Watch {
+                            heartbeat: h.unwrap_or(0),
+                            since_ns: now_ns,
                             in_stall: false,
                         })
                         .collect();
@@ -184,24 +184,25 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
                 // Only a static heartbeat *while work exists* is a stall —
                 // parked idle workers still beat every park timeout, so
                 // this mostly guards against miscounting during startup.
-                let busy = inner.state.ledger.flow().live() > 0;
-                for (watch, s) in watches.iter_mut().zip(stats.iter()) {
-                    if s.retired.load(Ordering::Acquire) {
-                        // Tripped breaker: the heartbeat is frozen forever;
-                        // not a stall.
+                let busy = snap.flow.live() > 0;
+                for (index, (watch, heartbeat)) in
+                    watches.iter_mut().zip(&snap.heartbeats).enumerate()
+                {
+                    // A retired worker's heartbeat is frozen forever; not
+                    // a stall.
+                    let Some(heartbeat) = *heartbeat else {
                         continue;
-                    }
-                    let heartbeat = s.heartbeat.load(Ordering::Relaxed);
+                    };
                     if heartbeat != watch.heartbeat {
                         watch.heartbeat = heartbeat;
-                        watch.since = now;
+                        watch.since_ns = now_ns;
                         watch.in_stall = false;
                     } else if busy
                         && !watch.in_stall
-                        && now.duration_since(watch.since) >= threshold
+                        && now_ns.saturating_sub(watch.since_ns) >= threshold_ns
                     {
                         watch.in_stall = true;
-                        s.note_stall();
+                        inner.state.ledger.worker(index).note_stall();
                         // Kick sleepers so the stalled worker's queued tasks
                         // get stolen instead of waiting the stall out.
                         inner.scheduler.wake_all();
@@ -212,70 +213,80 @@ pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
         .expect("failed to spawn watchdog thread")
 }
 
-/// Feed one watchdog tick of counter readings to the overload detector
-/// and publish the verdict (`/runtime/health/overload-state`).
-fn overload_tick(inner: &Arc<RuntimeInner>, detector: &mut OverloadDetector, interval: Duration) {
-    let ledger = &inner.state.ledger;
-    let (pending, capacity) = match &inner.state.gate {
-        Some(gate) => (gate.pending(), gate.limits().0 as i64),
-        // Admission off: depth scoring is disabled (capacity 0); the
-        // detector still sees steal storms and idle collapse.
-        None => (ledger.flow().pending() as i64, 0),
-    };
-    let live_workers = inner.state.live_workers.load(Ordering::Acquire) as u64;
-    let state = detector.tick(OverloadSignals {
-        pending,
-        capacity,
-        steals: ledger.total(|s| s.stolen.load(Ordering::Relaxed)),
-        executed: ledger.total(|s| s.executed.load(Ordering::Relaxed)),
-        idle_ns: ledger.total(|s| s.idle_ns.load(Ordering::Relaxed)),
-        tick_budget_ns: interval.as_nanos() as u64 * live_workers.max(1),
-    });
-    inner
-        .state
-        .overload_state
-        .store(state.as_i64(), Ordering::Release);
-}
-
-/// Feed one watchdog tick of counter readings to the anomaly detector;
-/// new episodes land in `state.anomalies` (the `/runtime/anomaly/*`
-/// counters). An injected steal storm ([`FaultPlan::steal_storm_ticks`]
-/// (crate::faults::FaultPlan)) adds synthetic steals here — and only here,
-/// so the scheduler's real steal counters stay truthful.
-fn anomaly_tick(
-    inner: &Arc<RuntimeInner>,
-    detector: &mut AnomalyDetector,
-    interval: Duration,
-    tick: u64,
-) {
-    let ledger = &inner.state.ledger;
-    let injected_steals = inner
-        .state
+/// One tick of observation: read the ledger once, hand the detector the
+/// sample, publish its verdict (`/runtime/health/overload-state`; new
+/// anomaly episodes land in `state.anomalies`) and return the reading for
+/// the stall check. An injected steal storm
+/// ([`FaultPlan::steal_storm_ticks`](crate::faults::FaultPlan)) adds
+/// synthetic steals here — and only here, so the scheduler's real steal
+/// counters stay truthful.
+fn observe(state: &RuntimeState, detector: &mut Detector, tick: u64, now_ns: u64) -> Snapshot {
+    let snap = state.ledger.snapshot();
+    let injected_steals = state
         .faults
         .as_ref()
         .map_or(0, |f| f.steal_storm_steals(tick));
-    let pending = match &inner.state.gate {
-        Some(gate) => gate.pending(),
-        None => ledger.flow().pending() as i64,
+    let (pending, capacity) = match &state.gate {
+        Some(gate) => (gate.pending(), gate.limits().0 as i64),
+        None => (snap.flow.pending() as i64, 0),
     };
-    let live_workers = inner.state.live_workers.load(Ordering::Acquire) as u64;
-    detector.tick(
-        AnomalySignals {
-            steals: ledger.total(|s| s.stolen.load(Ordering::Relaxed)) + injected_steals,
-            executed: ledger.total(|s| s.executed.load(Ordering::Relaxed)),
-            exec_ns: ledger.total(|s| s.exec_ns.load(Ordering::Relaxed)),
-            idle_ns: ledger.total(|s| s.idle_ns.load(Ordering::Relaxed)),
-            tick_budget_ns: interval.as_nanos() as u64 * live_workers.max(1),
+    let verdict = detector.tick(
+        Sample {
+            now_ns,
+            steals: snap.steals + injected_steals,
+            executed: snap.executed,
+            exec_ns: snap.exec_ns,
+            idle_ns: snap.idle_ns,
+            live_workers: state.live_workers.load(Ordering::Acquire) as u64,
             pending,
-            now_ns: inner.state.clock.now_ns(),
+            capacity,
         },
-        &inner.state.anomalies,
+        &state.anomalies,
     );
+    state
+        .overload_state
+        .store(verdict.as_i64(), Ordering::Release);
+    snap
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultInjector, FaultPlan};
+    use crate::signals::{AnomalyKind, OverloadState};
+
+    /// An injected steal storm reaches the one storm predicate, so the
+    /// overload verdict and the anomaly episode move together: Elevated
+    /// for exactly the stormy ticks, one episode, and Normal again two
+    /// calm ticks later.
+    #[test]
+    fn injected_steal_storm_moves_verdict_and_episode_together() {
+        let plan = FaultPlan {
+            steal_storm_ticks: 6,
+            ..FaultPlan::default()
+        };
+        let clock = Arc::new(rpx_counters::counter::Clock::new());
+        let state = RuntimeState::new(2, clock, Some(FaultInjector::new(plan)), None);
+        let mut detector = Detector::default();
+        let verdicts: Vec<i64> = (0..12)
+            .map(|tick| {
+                observe(&state, &mut detector, tick, tick * 10_000_000);
+                state.overload_state.load(Ordering::Acquire)
+            })
+            .collect();
+        let (normal, elevated) = (
+            OverloadState::Normal.as_i64(),
+            OverloadState::Elevated.as_i64(),
+        );
+        // Tick 0 primes; ticks 1–6 carry the injected steals; the verdict
+        // steps down after two calm ticks.
+        let mut expected = vec![normal];
+        expected.extend([elevated; 6]);
+        expected.extend([elevated, normal, normal, normal, normal]);
+        assert_eq!(verdicts, expected);
+        assert_eq!(state.anomalies.count(AnomalyKind::StealStorm), 1);
+        assert_eq!(state.anomalies.total(), 1);
+    }
 
     fn policy(budget: u32, window_ms: u64, backoff_ms: u64, max_ms: u64) -> RestartPolicy {
         RestartPolicy {

@@ -5,12 +5,13 @@
 use std::collections::HashSet;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use rpx_counters::sampler::TickLoop;
 use rpx_counters::value::CounterKind;
 use rpx_counters::{CounterError, CounterRegistry};
 use rpx_runtime::Runtime;
@@ -53,9 +54,8 @@ struct Subscriber {
 struct Shared {
     engine: Arc<ScrapeEngine>,
     stats: Arc<ServeStats>,
-    stop: AtomicBool,
-    flush_requests: AtomicU64,
-    flush_completed: AtomicU64,
+    /// The publisher's tick loop; its stop flag also ends the accept loop.
+    ticks: TickLoop,
     subscribers: Mutex<Vec<Subscriber>>,
     interval: Duration,
 }
@@ -110,20 +110,6 @@ impl Shared {
             }
         });
     }
-
-    fn flush_now(&self) -> bool {
-        let target = self.flush_requests.fetch_add(1, Ordering::AcqRel) + 1;
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            if self.flush_completed.load(Ordering::Acquire) >= target {
-                return true;
-            }
-            if self.stop.load(Ordering::Acquire) || std::time::Instant::now() >= deadline {
-                return self.flush_completed.load(Ordering::Acquire) >= target;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
 }
 
 /// A running telemetry server; [`shutdown`](Server::shutdown) (or drop)
@@ -152,9 +138,7 @@ impl Server {
         let shared = Arc::new(Shared {
             stats: engine.stats(),
             engine,
-            stop: AtomicBool::new(false),
-            flush_requests: AtomicU64::new(0),
-            flush_completed: AtomicU64::new(0),
+            ticks: TickLoop::default(),
             subscribers: Mutex::new(Vec::new()),
             interval: config.interval,
         });
@@ -165,10 +149,14 @@ impl Server {
             .spawn(move || accept_loop(listener, accept_shared))
             .map_err(|e| CounterError::SpawnFailed(format!("accept thread: {e}")))?;
 
-        let publish_shared = shared.clone();
+        let publisher = shared.clone();
         let publisher = std::thread::Builder::new()
             .name("rpx-serve-publish".into())
-            .spawn(move || publish_loop(publish_shared))
+            .spawn(move || {
+                publisher
+                    .ticks
+                    .run(publisher.interval, || publisher.publish_tick())
+            })
             .map_err(|e| CounterError::SpawnFailed(format!("publisher thread: {e}")))?;
 
         Ok(Server {
@@ -197,7 +185,7 @@ impl Server {
     /// batch — started entirely after this call — reached the rings and
     /// subscribers. The quiesce-time final scrape.
     pub fn flush_now(&self) -> bool {
-        self.shared.flush_now()
+        self.shared.ticks.flush_now()
     }
 
     /// Stop the listener and publisher and join them.
@@ -206,7 +194,7 @@ impl Server {
     }
 
     fn stop_inner(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.ticks.stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -227,39 +215,20 @@ impl Drop for Server {
 pub fn attach_runtime(runtime: &Runtime, server: &Server) {
     let shared = server.shared.clone();
     runtime.add_drain_hook(move || {
-        if !shared.stop.load(Ordering::Acquire) {
-            shared.flush_now();
+        if !shared.ticks.stopped() {
+            shared.ticks.flush_now();
         }
     });
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.stop.load(Ordering::Acquire) {
+    while !shared.ticks.stopped() {
         match listener.accept() {
             Ok((stream, _)) => handle_connection(stream, &shared),
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn publish_loop(shared: Arc<Shared>) {
-    while !shared.stop.load(Ordering::Acquire) {
-        let flush_req = shared.flush_requests.load(Ordering::Acquire);
-        shared.publish_tick();
-        shared.flush_completed.store(flush_req, Ordering::Release);
-        // Sliced sleep: stop and flush_now stay prompt.
-        let mut remaining = shared.interval;
-        let slice = Duration::from_millis(5);
-        while remaining > Duration::ZERO
-            && !shared.stop.load(Ordering::Acquire)
-            && shared.flush_requests.load(Ordering::Acquire) <= flush_req
-        {
-            let d = remaining.min(slice);
-            std::thread::sleep(d);
-            remaining = remaining.saturating_sub(d);
         }
     }
 }

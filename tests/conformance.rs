@@ -246,3 +246,130 @@ fn external_threads_account_to_total_but_to_no_worker_instance() {
     );
     rt.shutdown();
 }
+
+/// The runtime's counters are one declaration table (`rpx-runtime`'s
+/// `counters.rs`), registered type by type; this test walks that table as
+/// the registry holds it. The catalogue — every discoverable instance's
+/// name, kind and unit, and the instance errors — is the one captured from
+/// the commit before the table existed, every row evaluates for each
+/// instance it declares, and the documented catalogue (DESIGN.md §4, the
+/// README's counter listings) names exactly what is declared.
+#[test]
+fn runtime_counter_catalogue_matches_declarations() {
+    use rpx::counters::{CounterError, CounterKind};
+    use rpx::runtime::LaunchPolicy;
+    const WORKERS: usize = 2;
+    let rt = Runtime::new(RuntimeConfig::with_workers(WORKERS));
+    let reg = rt.registry();
+    let rows: Vec<_> = reg
+        .counter_types()
+        .into_iter()
+        .filter(|t| {
+            let owned = ["/threads/", "/scheduler/", "/runtime/"];
+            owned.iter().any(|object| t.name.starts_with(object))
+        })
+        .collect();
+
+    let mut discovered: Vec<String> = rows
+        .iter()
+        .flat_map(|t| reg.discover_instances(&t.name))
+        .map(|name| {
+            let info = reg.get_counter(&name).expect("discovered").info();
+            format!("{} {:?} {}", info.name, info.kind, info.unit)
+        })
+        .collect();
+    discovered.sort();
+    let mut golden: Vec<&str> = include_str!("golden/runtime_catalogue.txt")
+        .lines()
+        .collect();
+    golden.sort();
+    assert_eq!(discovered, golden, "names, kinds and units are unchanged");
+
+    // Work on both sides of the worker boundary, then quiescence, so the
+    // sums below are stable.
+    assert_eq!(rt.spawn_with(LaunchPolicy::Sync, || 1).get(), 1);
+    let futures: Vec<_> = (0..200u64).map(|i| rt.spawn(move || i)).collect();
+    assert_eq!(futures.into_iter().map(|f| f.get()).sum::<u64>(), 19_900);
+    rt.wait_idle();
+
+    let unknown = |r: Result<_, CounterError>| matches!(r, Err(CounterError::UnknownInstance(_)));
+    for t in &rows {
+        let (object, counter) = t.name[1..].split_once('/').expect("type path");
+        let eval = |instance: &str| {
+            let name = format!("/{object}{{locality#0/{instance}}}/{counter}");
+            reg.evaluate(&name, false)
+        };
+        let worker = |w: usize| eval(&format!("worker-thread#{w}"));
+        let per_worker = reg.discover_instances(&t.name).len() == 1 + WORKERS;
+        if per_worker {
+            let workers: i64 = (0..WORKERS)
+                .map(|w| {
+                    worker(w)
+                        .unwrap_or_else(|e| panic!("{}: {e}", t.name))
+                        .value
+                })
+                .sum();
+            let total = eval("total").expect("total evaluates").value;
+            if t.kind == CounterKind::MonotonicallyIncreasing {
+                // A slab has no external part; a shard sum has one (at
+                // least the spawns this thread made), never negative.
+                let external = total - workers;
+                let slab = t.name.starts_with("/runtime/slab/");
+                assert!(external >= 0 && !(slab && external > 0), "{}", t.name);
+            }
+            assert!(unknown(worker(WORKERS)), "{}: worker out of range", t.name);
+            assert!(
+                unknown(eval("pool#0")),
+                "{}: neither total nor worker",
+                t.name
+            );
+        } else {
+            eval("total").unwrap_or_else(|e| panic!("{}: {e}", t.name));
+            // The elapsed-time type takes any instance name.
+            let total_only = t.kind != CounterKind::ElapsedTime;
+            assert_eq!(unknown(worker(0)), total_only, "{}: total only", t.name);
+        }
+    }
+
+    // DESIGN.md §4 lists the table row for row.
+    let documented = |text: &'static str| -> Vec<&'static str> {
+        let block = text.split("<!-- runtime-counters -->").nth(1);
+        let rows = block.expect("catalogue block").lines();
+        let mut rows: Vec<_> = rows.filter(|l| l.starts_with("| `/")).collect();
+        rows.sort();
+        rows
+    };
+    let mut declared: Vec<String> = rows
+        .iter()
+        .map(|t| {
+            let kind = match t.kind {
+                CounterKind::Raw => "raw",
+                CounterKind::MonotonicallyIncreasing => "monotonic",
+                CounterKind::Average => "average",
+                CounterKind::ElapsedTime => "elapsed-time",
+                CounterKind::AggregateStatistics => "statistics",
+            };
+            let instances = match reg.discover_instances(&t.name).len() {
+                1 if t.kind == CounterKind::ElapsedTime => "any",
+                1 => "total",
+                _ => "total, worker-thread#N",
+            };
+            format!("| `{}` | {kind} | {} | {instances} |", t.name, t.unit)
+        })
+        .collect();
+    declared.sort();
+    assert_eq!(documented(include_str!("../DESIGN.md")), declared);
+
+    // Every counter the README spells out in full is a declared one.
+    for line in include_str!("../README.md").lines() {
+        let spelled = ["/threads{", "/scheduler{", "/runtime{"];
+        if spelled.iter().any(|object| line.starts_with(object)) {
+            let name = line.split_whitespace().next().expect("non-empty");
+            let (object, rest) = name.split_once('{').expect("instance");
+            let counter = rest.split_once('}').expect("closing brace").1;
+            let path = format!("{object}{counter}");
+            assert!(rows.iter().any(|t| t.name == path), "README: {name}");
+        }
+    }
+    rt.shutdown();
+}
