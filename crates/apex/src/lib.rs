@@ -290,7 +290,6 @@ impl PolicyEngine {
         let stats = Arc::new(EngineStats::default());
         let (stop2, stats2) = (stop.clone(), stats.clone());
         let clock = registry.clock();
-        let registry = registry.clone();
         let handle = std::thread::Builder::new()
             .name("rpx-apex-policy-engine".into())
             .spawn(move || {
@@ -301,17 +300,13 @@ impl PolicyEngine {
                     for p in &mut armed {
                         if now >= p.next_due {
                             p.query.refresh();
-                            let read_t0 = clock.now_ns();
-                            let readings: Vec<(CounterName, CounterValue)> = p
+                            // An accounted batch: a policy's reads cost what
+                            // a sampler's do (`/counters/overhead/*`), and a
+                            // counter that panics reads as unavailable.
+                            let (_, readings) = p
                                 .query
-                                .handles()
-                                .iter()
-                                .map(|h| (h.name.clone(), h.counter.get_value(p.reset_on_read)))
-                                .collect();
+                                .batch(|h, t0| (h.name.clone(), h.read(p.reset_on_read, t0)));
                             let t0 = clock.now_ns();
-                            // A policy's reads cost what a sampler's do:
-                            // they belong in `/counters/overhead/*`.
-                            registry.record_query_overhead(t0.saturating_sub(read_t0), 1);
                             let ctx = PolicyContext {
                                 readings: &readings,
                                 fires: p.fires,
@@ -587,6 +582,42 @@ mod tests {
             batches.value >= fires,
             "every firing is one accounted batch"
         );
+    }
+
+    #[test]
+    fn a_panicking_counter_does_not_stop_the_policy_engine() {
+        let (reg, _gauge) = registry_with_gauge(7);
+        let panicked = Arc::new(AtomicI64::new(0));
+        let p2 = panicked.clone();
+        reg.register_raw(
+            "/app/broken",
+            "h",
+            "1",
+            Arc::new(move || {
+                p2.fetch_add(1, Ordering::Relaxed);
+                panic!("injected counter-read failure")
+            }),
+        );
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let seen = Arc::new(parking_lot::Mutex::new((None, None)));
+        let s2 = seen.clone();
+        let policy = Policy::new("mixed", vec!["/app/broken".into(), "/app/metric".into()])
+            .with_period(Duration::from_millis(1))
+            .with_rule(move |ctx| {
+                *s2.lock() = (ctx.value("/app/broken"), ctx.value("/app/metric"))
+            });
+        let engine = PolicyEngine::start(&reg, vec![policy]).unwrap();
+        let fires = || engine.stats().fires.load(Ordering::Relaxed);
+        assert!(wait_until(2_000, || panicked.load(Ordering::Relaxed) >= 1));
+        let after_panic = fires();
+        let alive = wait_until(2_000, || fires() >= after_panic + 3);
+        std::panic::set_hook(prev);
+        assert!(alive, "policies stopped firing after a counter panicked");
+        // The failed reading reached the rule as unavailable, beside a
+        // healthy one.
+        assert_eq!(*seen.lock(), (None, Some(7.0)));
+        engine.stop();
     }
 
     #[test]

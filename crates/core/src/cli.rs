@@ -181,15 +181,16 @@ impl CounterCli {
         }
         let mut sink = make_sink(&self.options)?;
         // Resolve once through the handle-cached path; the final read is
-        // lock-free and accounted in the overhead counters like any other
-        // batch.
+        // lock-free, accounted in the overhead counters like any other
+        // batch, and guarded: a counter that panics prints as unavailable
+        // instead of losing the whole shutdown report.
         let query = ResolvedQuery::resolve(&self.registry, &self.options.print_counters)?;
-        let names = query.names();
-        let readings = query.evaluate(false);
-        sink.begin(&names);
+        let (timestamp_ns, readings) =
+            query.batch(|h, t0| (h.canonical.clone(), h.read(false, t0)));
+        sink.begin(&query.names());
         sink.record(&crate::sampler::SampleBatch {
             sequence: 0,
-            timestamp_ns: self.registry.clock().now_ns(),
+            timestamp_ns,
             readings,
         });
         sink.finish();

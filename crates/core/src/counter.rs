@@ -460,12 +460,6 @@ pub trait Counter: Send + Sync {
     /// Restart accumulation without reading.
     fn reset(&self);
 
-    /// Hook invoked when the counter becomes part of the active set.
-    fn start(&self) {}
-
-    /// Hook invoked when the counter leaves the active set.
-    fn stop(&self) {}
-
     /// Downcast hook for counters with richer payloads than a scalar
     /// (e.g. [`crate::histogram::HistogramCounter`]).
     fn as_any(&self) -> Option<&dyn std::any::Any> {

@@ -20,6 +20,9 @@
 //!   a factory + discovery function; *instances* are created and cached
 //!   when names are resolved. Derived counters (`/arithmetics/*`,
 //!   `/statistics/*`) combine other counters.
+//! - **Resolved set** ([`query::ResolvedQuery`]): the one place a list of
+//!   specs becomes live handles and stays current across topology changes;
+//!   every reader below is an instance of it.
 //! - **Active set**: `add_active` + [`registry::CounterRegistry::evaluate_active_counters`] /
 //!   [`registry::CounterRegistry::reset_active_counters`] implement the
 //!   paper's per-sample measurement protocol.

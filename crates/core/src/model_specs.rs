@@ -1,7 +1,8 @@
-//! Model-checked spec for the registry's snapshot-publication protocol
-//! (stamp-before-expand vs. concurrent generation bump), with a paired
-//! deliberately-broken mutant proving the checker catches the stale-
-//! snapshot bug.
+//! Model-checked specs for the resolved set's publication protocol
+//! (stamp-before-expand vs. concurrent generation bump), entered through
+//! the registry's active set and through `ResolvedQuery::refresh`, with a
+//! paired deliberately-broken mutant proving the checker catches the
+//! stale-resolution bug.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg rpx_model"`; run with
 //! `RUSTFLAGS="--cfg rpx_model" cargo test -p rpx-counters model_`.
@@ -13,6 +14,7 @@ use rpx_model::{check, check_expect_failure, mutation, thread, Config};
 
 use crate::counter::{Counter, RawCounter};
 use crate::name::{CounterInstance, CounterName};
+use crate::query::ResolvedQuery;
 use crate::registry::CounterRegistry;
 use crate::value::{CounterInfo, CounterKind};
 
@@ -67,7 +69,7 @@ fn registry_snapshot_vs_bump() {
     register_growable(&reg, workers.clone());
     reg.add_active("/threads{locality#0/worker-thread#*}/count")
         .unwrap();
-    // Force the racing `active_snapshot` below into a rebuild.
+    // Force the racing `active_names` below into a rebuild.
     reg.bump_generation();
     let (r2, w2) = (reg.clone(), workers.clone());
     let bumper = thread::spawn(move || {
@@ -75,12 +77,52 @@ fn registry_snapshot_vs_bump() {
         r2.bump_generation();
     });
     // Racing rebuild: may expand before or after the topology change.
-    let _ = reg.active_snapshot();
+    let _ = reg.active_names();
     bumper.join().unwrap();
     let names = reg.active_names();
     assert!(
         names.iter().any(|n| n.contains("worker-thread#1")),
         "topology change lost after bump: {names:?}"
+    );
+}
+
+/// The same race entered the way the sampler, the scrape engine and the
+/// policy engine do: a `refresh` racing the bump may miss the change, but
+/// the refresh after the join must see it.
+fn query_refresh_vs_bump() {
+    let reg = CounterRegistry::new();
+    let workers = Arc::new(AtomicI64::new(1));
+    register_growable(&reg, workers.clone());
+    let query = ResolvedQuery::resolve(
+        &reg,
+        &["/threads{locality#0/worker-thread#*}/count".to_string()],
+    )
+    .unwrap();
+    // Force the racing `refresh` below into a re-expansion.
+    reg.bump_generation();
+    let (r2, w2) = (reg.clone(), workers.clone());
+    let bumper = thread::spawn(move || {
+        w2.store(2, Ordering::Relaxed);
+        r2.bump_generation();
+    });
+    query.refresh();
+    bumper.join().unwrap();
+    query.refresh();
+    let names = query.names();
+    assert!(
+        names.iter().any(|n| n.contains("worker-thread#1")),
+        "topology change lost after bump: {names:?}"
+    );
+}
+
+#[test]
+fn model_query_refresh_vs_generation_bump() {
+    let _g = serial();
+    mutation::disarm_all();
+    check(
+        "model_query_refresh_vs_generation_bump",
+        cfg(),
+        query_refresh_vs_bump,
     );
 }
 

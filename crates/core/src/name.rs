@@ -148,14 +148,6 @@ impl CounterInstance {
         }
     }
 
-    /// The wildcard worker instance: `locality#loc/worker-thread#*`.
-    pub fn all_workers(locality: u32) -> Self {
-        CounterInstance {
-            parent: InstancePart::indexed("locality", locality),
-            children: vec![InstancePart::wildcard("worker-thread")],
-        }
-    }
-
     /// Whether any component carries the `#*` wildcard.
     pub fn has_wildcard(&self) -> bool {
         self.parent.is_wildcard() || self.children.iter().any(|c| c.is_wildcard())

@@ -3,34 +3,32 @@
 //! demand when a name is resolved; an *active set* supports the paper's
 //! `evaluate_active_counters` / `reset_active_counters` protocol.
 //!
-//! # Snapshot-based query engine
+//! # The active set is a resolved query
 //!
-//! The active set is published as an immutable [`ActiveSnapshot`]: readers
-//! (`evaluate_active_counters`, the [`Sampler`](crate::sampler::Sampler)
-//! tick, `active_names`) clone one `Arc` and then call
+//! The active set is one [`ResolvedQuery`] that `add_active` /
+//! `remove_active` edit: readers (`evaluate_active_counters`,
+//! `active_names`) clone its published handle list and then call
 //! [`Counter::get_value`] with **no registry lock held**, so a counter may
 //! freely re-enter the registry — resolve children, list the active set,
 //! evaluate other counters — without self-deadlocking, and concurrent
 //! `add_active`/`remove_active` calls never serialize against a running
-//! evaluation. Writers rebuild and atomically publish a new snapshot.
-//!
-//! Wildcard queries are *live*: the snapshot stores the originating queries
-//! plus a registry **generation** stamp. Any topology change (a counter
+//! evaluation. Wildcard queries are *live*: any topology change (a counter
 //! type registered or unregistered late, a worker respawned by the runtime
 //! watchdog — signalled through [`CounterRegistry::bump_generation`]) makes
-//! the published snapshot stale, and the next evaluation re-expands the
-//! queries against the current instance population. See DESIGN.md §12 for
-//! the full protocol and its memory-ordering argument.
+//! the published list stale, and the next evaluation re-expands the queries
+//! against the current instance population. See [`crate::query`] and
+//! DESIGN.md §12 for the protocol and its memory-ordering argument.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use crate::prim::{mutation_armed, AtomicU64, Mutex, Ordering, RwLock};
+use crate::prim::{AtomicU64, Ordering, RwLock};
 
-use crate::counter::{AverageCounter, ElapsedTimeCounter, MonotonicCounter, RawCounter};
+use crate::counter::{AverageCounter, MonotonicCounter, RawCounter};
 use crate::counter::{Clock, Counter, PairFn, ValueCell, ValueFn};
 use crate::error::CounterError;
 use crate::name::{CounterInstance, CounterName, InstanceIndex};
+use crate::query::ResolvedQuery;
 use crate::value::{CounterInfo, CounterKind, CounterValue};
 
 /// Factory creating a counter instance for a concrete (non-wildcard) name.
@@ -55,50 +53,6 @@ struct CounterTypeEntry {
     discoverer: Option<CounterDiscoverer>,
 }
 
-/// One resolved entry of an [`ActiveSnapshot`]: a concrete name, its
-/// canonical string (cached — rendering a name allocates), and the live
-/// counter handle.
-pub struct ActiveHandle {
-    /// The concrete (wildcard-expanded) counter name.
-    pub name: CounterName,
-    /// `name.canonical()`, cached at snapshot build time.
-    pub canonical: String,
-    /// The resolved counter instance.
-    pub counter: Arc<dyn Counter>,
-}
-
-/// An immutable, atomically published view of the resolved active set.
-///
-/// Evaluation paths clone the `Arc<ActiveSnapshot>` and drop every registry
-/// lock before touching a counter; the `generation` stamp records which
-/// registry topology the wildcard expansion saw, so readers can detect
-/// staleness with one atomic load.
-pub struct ActiveSnapshot {
-    /// Registry generation the expansion was taken against.
-    pub generation: u64,
-    /// Resolved entries in query insertion order (deduplicated).
-    pub entries: Vec<ActiveHandle>,
-}
-
-impl ActiveSnapshot {
-    fn empty() -> Arc<Self> {
-        Arc::new(ActiveSnapshot {
-            generation: 0,
-            entries: Vec::new(),
-        })
-    }
-}
-
-/// Mutable active-set configuration: the originating queries (wildcards
-/// preserved) and concrete names explicitly removed from underneath a
-/// wildcard query. Guarded by one mutex that is **never** held across a
-/// `Counter::get_value` call; it only serializes snapshot rebuilds.
-#[derive(Default)]
-struct ActiveConfig {
-    queries: Vec<CounterName>,
-    excluded: HashSet<String>,
-}
-
 /// Central registry of counter types and live counter instances.
 ///
 /// One registry exists per runtime (per "locality"); every subsystem
@@ -107,14 +61,12 @@ pub struct CounterRegistry {
     clock: Arc<Clock>,
     types: RwLock<BTreeMap<String, CounterTypeEntry>>,
     instances: RwLock<HashMap<String, Arc<dyn Counter>>>,
-    /// Active-set configuration (queries + exclusions); serializes rebuilds.
-    active: Mutex<ActiveConfig>,
-    /// The published resolved active set. The lock guards only the pointer
-    /// swap — readers clone the `Arc` and release immediately.
-    snapshot: RwLock<Arc<ActiveSnapshot>>,
+    /// The active set: the stored queries and exclusions plus their
+    /// published resolution (holds this registry weakly — no cycle).
+    active: ResolvedQuery,
     /// Topology generation: bumped on type (un)registration and by the
-    /// runtime on worker respawn; a snapshot whose stamp lags this value is
-    /// re-expanded on the next evaluation.
+    /// runtime on worker respawn; a resolved query whose stamp lags this
+    /// value is re-expanded on its next refresh.
     generation: AtomicU64,
     /// Self-measurement: cumulative wall time spent evaluating active /
     /// sampled batches, exposed as `/counters/overhead/time`.
@@ -129,12 +81,12 @@ impl CounterRegistry {
     /// (`/arithmetics/*`, `/statistics/*`) and the self-measurement
     /// counters (`/counters/overhead/*`) are registered automatically.
     pub fn new() -> Arc<Self> {
-        let reg = Arc::new(CounterRegistry {
-            clock: Arc::new(Clock::new()),
+        let clock = Arc::new(Clock::new());
+        let reg = Arc::new_cyclic(|weak| CounterRegistry {
+            active: ResolvedQuery::unresolved(weak.clone(), clock.clone(), Box::new(|_, _| ())),
+            clock,
             types: RwLock::new(BTreeMap::new()),
             instances: RwLock::new(HashMap::new()),
-            active: Mutex::new(ActiveConfig::default()),
-            snapshot: RwLock::new(ActiveSnapshot::empty()),
             generation: AtomicU64::new(1),
             overhead_time_ns: AtomicU64::new(0),
             overhead_batches: AtomicU64::new(0),
@@ -182,24 +134,22 @@ impl CounterRegistry {
     /// topology [generation](Self::generation).
     pub fn unregister_type(&self, type_path: &str) {
         self.types.write().remove(type_path);
-        let prefix_obj = type_path.to_owned();
         self.instances.write().retain(|name, _| {
             name.parse::<CounterName>()
-                .map(|n| n.type_path() != prefix_obj)
+                .map(|n| n.type_path() != type_path)
                 .unwrap_or(true)
         });
         self.bump_generation();
     }
 
-    /// The current topology generation. Snapshots and
-    /// [`ResolvedQuery`](crate::query::ResolvedQuery) handles stamped with
-    /// an older value re-expand their wildcards before the next use.
+    /// The current topology generation. A [`ResolvedQuery`] stamped with
+    /// an older value re-expands its wildcards on its next refresh.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Advance the topology generation, invalidating every published
-    /// snapshot and cached query resolution. Called internally on type
+    /// Advance the topology generation, invalidating every resolved
+    /// query (the active set included). Called internally on type
     /// (un)registration; the runtime calls it when the instance population
     /// behind a discoverer changes (e.g. a worker was respawned by the
     /// watchdog supervisor) so running samplers re-expand `worker-thread#*`
@@ -255,8 +205,18 @@ impl CounterRegistry {
     /// Non-wildcard names pass through unchanged (as a single-element vec).
     /// Wildcards are matched against the type's discovered instances.
     pub fn expand(&self, name: &CounterName) -> Result<Vec<CounterName>, CounterError> {
+        let rendered = self.expand_rendered(name)?;
+        Ok(rendered.into_iter().map(|(_, n)| n).collect())
+    }
+
+    /// [`expand`](Self::expand), keeping the canonical string each name
+    /// was sorted by so the resolved query renders every name once.
+    pub(crate) fn expand_rendered(
+        &self,
+        name: &CounterName,
+    ) -> Result<Vec<(String, CounterName)>, CounterError> {
         if !name.has_wildcard() {
-            return Ok(vec![name.clone()]);
+            return Ok(vec![(name.canonical(), name.clone())]);
         }
         let candidates = self.discover_instances(&name.type_path());
         if candidates.is_empty() {
@@ -264,15 +224,15 @@ impl CounterRegistry {
                 "no discoverable instances for wildcard name `{name}`"
             )));
         }
-        let mut out: Vec<CounterName> = candidates
+        let mut out: Vec<(String, CounterName)> = candidates
             .into_iter()
             .filter(|c| wildcard_matches(name, c))
             .map(|mut c| {
                 c.parameters = name.parameters.clone();
-                c
+                (c.canonical(), c)
             })
             .collect();
-        out.sort_by_key(|n| n.to_string());
+        out.sort_by(|a, b| a.0.cmp(&b.0));
         if out.is_empty() {
             return Err(CounterError::UnknownInstance(format!(
                 "wildcard name `{name}` matched no instances"
@@ -293,8 +253,17 @@ impl CounterRegistry {
                 "cannot instantiate wildcard name `{name}`; expand it first"
             )));
         }
-        let canonical = name.canonical();
-        if let Some(c) = self.instances.read().get(&canonical) {
+        self.instantiate(name, &name.canonical())
+    }
+
+    /// [`get_counter`](Self::get_counter) for a wildcard-free `name` whose
+    /// `canonical` form the caller already rendered.
+    pub(crate) fn instantiate(
+        self: &Arc<Self>,
+        name: &CounterName,
+        canonical: &str,
+    ) -> Result<Arc<dyn Counter>, CounterError> {
+        if let Some(c) = self.instances.read().get(canonical) {
             return Ok(c.clone());
         }
         let factory = {
@@ -308,7 +277,9 @@ impl CounterRegistry {
         // recurse into `get_counter` for their children.
         let counter = factory(name, self)?;
         let mut instances = self.instances.write();
-        let entry = instances.entry(canonical).or_insert_with(|| counter);
+        let entry = instances
+            .entry(canonical.to_owned())
+            .or_insert_with(|| counter);
         Ok(entry.clone())
     }
 
@@ -342,7 +313,7 @@ impl CounterRegistry {
     // Active set (the paper's measurement protocol)
     // ------------------------------------------------------------------
 
-    /// Add counters (wildcards allowed) to the active set and `start` them.
+    /// Add counters (wildcards allowed) to the active set.
     ///
     /// Resolution errors surface eagerly (an unknown type or a wildcard
     /// matching nothing is an error *now*), but the query itself stays
@@ -350,37 +321,10 @@ impl CounterRegistry {
     /// join the set on the evaluation after the next generation bump.
     /// Returns the number of concrete counters the call added.
     pub fn add_active(self: &Arc<Self>, name: &str) -> Result<usize, CounterError> {
-        let parsed: CounterName = name.parse()?;
-        // Validate eagerly, before mutating the configuration.
-        for n in self.expand(&parsed)? {
-            self.get_counter(&n)?;
-        }
-        let mut config = self.active.lock();
-        let previous: HashSet<String> = self
-            .snapshot
-            .read()
-            .entries
-            .iter()
-            .map(|e| e.canonical.clone())
-            .collect();
-        // Re-adding un-excludes: the freshest intent wins.
-        if let Ok(names) = self.expand(&parsed) {
-            for n in &names {
-                config.excluded.remove(&n.canonical());
-            }
-        }
-        if !config.queries.contains(&parsed) {
-            config.queries.push(parsed);
-        }
-        let snap = self.rebuild_locked(&config);
-        Ok(snap
-            .entries
-            .iter()
-            .filter(|e| !previous.contains(&e.canonical))
-            .count())
+        self.active.add(self, name.parse()?)
     }
 
-    /// Remove counters from the active set and `stop` them.
+    /// Remove counters from the active set.
     ///
     /// The name is parsed and canonicalized before matching, so any
     /// spelling that parses to the same structured name (`worker-thread#07`
@@ -389,123 +333,20 @@ impl CounterRegistry {
     /// whole query; a concrete name that was expanded *from* a wildcard
     /// query is excluded individually while the query stays live.
     pub fn remove_active(self: &Arc<Self>, name: &str) -> bool {
-        // Unparseable input can still name a stored raw query string.
-        let canonical = name
-            .parse::<CounterName>()
-            .map(|p| p.canonical())
-            .unwrap_or_else(|_| name.to_owned());
-        let mut config = self.active.lock();
-        let before = config.queries.len();
-        config.queries.retain(|q| q.canonical() != canonical);
-        let mut removed = config.queries.len() != before;
-        if !removed {
-            // Not a stored query — maybe a concrete expansion of one.
-            let covered = self
-                .snapshot
-                .read()
-                .entries
-                .iter()
-                .any(|e| e.canonical == canonical);
-            if covered {
-                removed = config.excluded.insert(canonical);
-            }
-        }
-        if removed {
-            self.rebuild_locked(&config);
-        }
-        removed
+        // Stored queries are parsed names, so an unparseable one names none.
+        let Ok(parsed) = name.parse::<CounterName>() else {
+            return false;
+        };
+        self.active.remove(self, &parsed.canonical())
     }
 
     /// Canonical names currently in the active set, in query insertion
-    /// order. Holds no lock while returning — safe to call from inside a
-    /// counter's `get_value`.
+    /// order, re-expanded first if the registry topology moved. Holds no
+    /// lock while returning — safe to call from inside a counter's
+    /// `get_value`.
     pub fn active_names(self: &Arc<Self>) -> Vec<String> {
-        self.active_snapshot()
-            .entries
-            .iter()
-            .map(|e| e.canonical.clone())
-            .collect()
-    }
-
-    /// The current resolved active set, re-expanded first if the registry
-    /// topology moved since it was published. The returned snapshot is
-    /// immutable; callers iterate it without any registry lock.
-    pub fn active_snapshot(self: &Arc<Self>) -> Arc<ActiveSnapshot> {
-        let snap = self.snapshot.read().clone();
-        if snap.generation == self.generation() {
-            return snap;
-        }
-        let config = self.active.lock();
-        self.rebuild_locked(&config)
-    }
-
-    /// Re-expand the active queries and publish a fresh snapshot. The
-    /// `active` mutex (held by the caller) serializes rebuilds; expansion
-    /// and instantiation take only the short-lived `types`/`instances`
-    /// locks, never across a counter call. Queries that currently match
-    /// nothing stay stored and contribute no entries.
-    fn rebuild_locked(self: &Arc<Self>, config: &ActiveConfig) -> Arc<ActiveSnapshot> {
-        // Stamp before expanding: a concurrent bump mid-expansion leaves
-        // the published snapshot stale, so the next reader re-expands —
-        // changes are never lost, at worst re-observed once more.
-        let mut generation = self.generation();
-        let mut entries = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        for query in &config.queries {
-            let Ok(names) = self.expand(query) else {
-                continue;
-            };
-            for name in names {
-                let canonical = name.canonical();
-                if config.excluded.contains(&canonical) || !seen.insert(canonical.clone()) {
-                    continue;
-                }
-                if let Ok(counter) = self.get_counter(&name) {
-                    entries.push(ActiveHandle {
-                        name,
-                        canonical,
-                        counter,
-                    });
-                }
-            }
-        }
-        if mutation_armed("registry-stamp-after-expand") {
-            // Mutant: stamping *after* expansion lets a concurrent bump
-            // land mid-expansion and mark a stale expansion as fresh —
-            // the lost-topology-change the model-checked registry spec
-            // must catch.
-            generation = self.generation();
-        }
-        let snap = Arc::new(ActiveSnapshot {
-            generation,
-            entries,
-        });
-        let previous = {
-            let mut w = self.snapshot.write();
-            std::mem::replace(&mut *w, snap.clone())
-        };
-        // Lifecycle diff: start counters entering the set, stop leavers.
-        let old: HashSet<&str> = previous
-            .entries
-            .iter()
-            .map(|e| e.canonical.as_str())
-            .collect();
-        let new: HashSet<&str> = snap.entries.iter().map(|e| e.canonical.as_str()).collect();
-        for e in snap
-            .entries
-            .iter()
-            .filter(|e| !old.contains(e.canonical.as_str()))
-        {
-            e.counter.start();
-        }
-        for e in previous
-            .entries
-            .iter()
-            .filter(|e| !new.contains(e.canonical.as_str()))
-        {
-            e.counter.stop();
-        }
-        snap
+        self.active.refresh();
+        self.active.names()
     }
 
     /// Evaluate every active counter (the paper's
@@ -513,36 +354,28 @@ impl CounterRegistry {
     /// atomically with the read.
     ///
     /// No registry lock is held across any `get_value` call: the resolved
-    /// set is an immutable snapshot, so counters may re-enter the registry
+    /// set is an immutable list, so counters may re-enter the registry
     /// and concurrent `add_active`/`remove_active` calls never block the
-    /// evaluation (they publish a new snapshot for the *next* batch). The
+    /// evaluation (they publish a new list for the *next* batch). The
     /// batch's wall time is accumulated into `/counters/overhead/time`.
     pub fn evaluate_active_counters(self: &Arc<Self>, reset: bool) -> Vec<(String, CounterValue)> {
-        let t0 = self.clock.now_ns();
-        let snap = self.active_snapshot();
-        let out: Vec<(String, CounterValue)> = snap
-            .entries
-            .iter()
-            .map(|e| (e.canonical.clone(), e.counter.get_value(reset)))
-            .collect();
-        self.record_query_overhead(self.clock.now_ns().saturating_sub(t0), 1);
-        out
+        self.active.refresh();
+        self.active.evaluate(reset)
     }
 
     /// Reset every active counter without reading
     /// (`hpx::reset_active_counters`). Lock-free against evaluations, like
     /// [`evaluate_active_counters`](Self::evaluate_active_counters).
     pub fn reset_active_counters(self: &Arc<Self>) {
-        let snap = self.active_snapshot();
-        for e in snap.entries.iter() {
-            e.counter.reset();
+        self.active.refresh();
+        for h in self.active.handles().iter() {
+            h.counter.reset();
         }
     }
 
     /// Fold one evaluated batch into the self-measurement counters
     /// (`/counters/overhead/time`, `/counters/overhead/count`). Called by
-    /// the active-set evaluation and by the
-    /// [`Sampler`](crate::sampler::Sampler) tick.
+    /// every reader of a [`ResolvedQuery`] batch.
     pub fn record_query_overhead(&self, elapsed_ns: u64, batches: u64) {
         self.overhead_time_ns
             .fetch_add(elapsed_ns, Ordering::Relaxed);
@@ -620,22 +453,6 @@ impl CounterRegistry {
         );
     }
 
-    /// Register an elapsed-time counter under `type_path`.
-    pub fn register_elapsed(self: &Arc<Self>, type_path: &str, help: &str) {
-        let clock = self.clock();
-        let info = CounterInfo::new(type_path, CounterKind::ElapsedTime, help, "ns");
-        let info2 = info.clone();
-        self.register_type(
-            info,
-            Arc::new(move |name, _reg| {
-                let mut i = info2.clone();
-                i.name = name.canonical();
-                Ok(Arc::new(ElapsedTimeCounter::new(i, clock.clone())) as Arc<dyn Counter>)
-            }),
-            single_instance_discoverer(type_path),
-        );
-    }
-
     /// Register an application-owned settable value; returns the cell the
     /// application writes through. The counter is immediately instantiable
     /// under `type_path`.
@@ -666,7 +483,7 @@ impl std::fmt::Debug for CounterRegistry {
         f.debug_struct("CounterRegistry")
             .field("types", &self.types.read().len())
             .field("instances", &self.instances.read().len())
-            .field("active", &self.snapshot.read().entries.len())
+            .field("active", &self.active.handles().len())
             .field("generation", &self.generation())
             .finish()
     }

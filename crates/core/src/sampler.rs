@@ -16,10 +16,9 @@
 //! [`ResolvedQuery`], not once per tick and not once per run. When the
 //! topology moves (a worker respawned, a type registered late), the next
 //! tick re-expands any wildcard specs, re-announces the schema to the sink,
-//! and keeps sampling — per-counter backoff state survives for counters
-//! present across the change.
+//! and keeps sampling — per-counter backoff state lives in the handle's
+//! slot, so it survives for counters present across the change.
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,9 +27,8 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::counter::Counter;
 use crate::error::CounterError;
-use crate::query::ResolvedQuery;
+use crate::query::{QueryHandle, ResolvedQuery};
 use crate::registry::CounterRegistry;
 use crate::value::CounterValue;
 
@@ -376,8 +374,8 @@ pub struct Sampler {
     handle: Option<JoinHandle<()>>,
 }
 
-/// Per-counter resilience state inside the sampling loop.
-#[derive(Default, Clone)]
+/// Per-counter resilience state, kept in the counter's handle slot.
+#[derive(Default)]
 struct ReadState {
     consecutive_failures: u32,
     /// Batches left to skip (emit a placeholder without evaluating).
@@ -408,48 +406,28 @@ impl Sampler {
             "1",
             Arc::new(move || h.sink_dropped() as i64),
         );
-        let mut query = ResolvedQuery::resolve(registry, &config.counters)?;
-        let clock = registry.clock();
+        let query = ResolvedQuery::resolve_with(registry, &config.counters, |_, _| {
+            Arc::new(Mutex::new(ReadState::default()))
+        })?;
         let ticks = Arc::new(TickLoop::default());
         let ticks2 = ticks.clone();
         let health2 = health.clone();
-        let registry = registry.clone();
         let handle = std::thread::Builder::new()
             .name("rpx-counter-sampler".into())
             .spawn(move || {
                 sink.begin(&query.names());
                 let mut sequence: u64 = 0;
-                // Resilience state keyed by canonical name so it survives
-                // re-expansion for counters present across the change.
-                let mut states: HashMap<String, ReadState> = HashMap::new();
                 ticks2.run(config.interval, || {
                     if query.refresh() {
                         // The resolved set changed: announce the new schema
-                        // (CSV emits a fresh header row) and drop state for
-                        // counters that left the set.
+                        // (CSV emits a fresh header row).
                         sink.begin(&query.names());
-                        let names: std::collections::HashSet<String> =
-                            query.names().into_iter().collect();
-                        states.retain(|n, _| names.contains(n));
                     }
-                    let timestamp_ns = clock.now_ns();
-                    let readings: Vec<(String, CounterValue)> = query
-                        .handles()
-                        .iter()
-                        .map(|h| {
-                            let st = states.entry(h.canonical.clone()).or_default();
-                            let v = sample_one(
-                                &h.counter,
-                                config.reset_on_read,
-                                st,
-                                &health2,
-                                timestamp_ns,
-                                sequence,
-                            );
-                            (h.canonical.clone(), v)
-                        })
-                        .collect();
-                    registry.record_query_overhead(clock.now_ns().saturating_sub(timestamp_ns), 1);
+                    let (timestamp_ns, readings) = query.batch(|h, timestamp_ns| {
+                        let v =
+                            sample_one(h, config.reset_on_read, &health2, timestamp_ns, sequence);
+                        (h.canonical.clone(), v)
+                    });
                     sink.record(&SampleBatch {
                         sequence,
                         timestamp_ns,
@@ -514,21 +492,19 @@ impl Drop for Sampler {
 /// (skipped batches still emit the placeholder, so every batch keeps the
 /// full set of readings and CSV rows keep their width).
 fn sample_one(
-    counter: &Arc<dyn Counter>,
+    handle: &QueryHandle<Arc<Mutex<ReadState>>>,
     reset: bool,
-    st: &mut ReadState,
     health: &SamplerHealth,
     timestamp_ns: u64,
     sequence: u64,
 ) -> CounterValue {
+    let mut st = handle.slot.lock();
     if st.skip > 0 {
         st.skip -= 1;
         return CounterValue::unavailable(timestamp_ns);
     }
-    let result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| counter.get_value(reset)));
-    match result {
-        Ok(v) if v.status.is_ok() => {
+    match handle.read(reset, timestamp_ns) {
+        v if v.status.is_ok() => {
             st.consecutive_failures = 0;
             v
         }
@@ -555,6 +531,7 @@ fn sample_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counter::ValueFn;
     use std::sync::atomic::AtomicI64;
 
     #[test]
@@ -783,13 +760,18 @@ mod tests {
         assert_eq!(fields(header), fields(s.lines().nth(1).unwrap()));
     }
 
+    /// One registry, three consumers of the one resolved-set protocol —
+    /// the active set, a bare query and the sampler: after a bump with a
+    /// grown discoverer all three report the same new names, and the
+    /// sampler's backoff for a failing counter is still in progress.
     #[test]
     fn sampler_picks_up_topology_changes() {
+        use crate::counter::{Counter, RawCounter};
         use crate::name::{CounterInstance, CounterName};
         use crate::value::{CounterInfo, CounterKind};
 
         let reg = CounterRegistry::new();
-        let workers = Arc::new(AtomicI64::new(1));
+        let workers = Arc::new(AtomicI64::new(2));
         let w2 = workers.clone();
         let info = CounterInfo::new("/threads/count", CounterKind::Raw, "h", "1");
         let clock = reg.clock();
@@ -798,11 +780,13 @@ mod tests {
             Arc::new(move |name, _| {
                 let mut i = CounterInfo::new("/threads/count", CounterKind::Raw, "h", "1");
                 i.name = name.canonical();
-                Ok(Arc::new(crate::counter::RawCounter::new(
-                    i,
-                    clock.clone(),
-                    Arc::new(|| 1),
-                )) as Arc<dyn Counter>)
+                // Worker 0's counter fails on every read.
+                let broken = i.name.contains("worker-thread#0");
+                let read: ValueFn = Arc::new(move || {
+                    assert!(!broken, "injected counter failure");
+                    1
+                });
+                Ok(Arc::new(RawCounter::new(i, clock.clone(), read)) as Arc<dyn Counter>)
             }),
             Some(Arc::new(move |f: &mut dyn FnMut(CounterName)| {
                 for w in 0..w2.load(Ordering::Relaxed) {
@@ -811,41 +795,51 @@ mod tests {
                 }
             })),
         );
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
 
+        let spec = "/threads{locality#0/worker-thread#*}/count".to_string();
+        reg.add_active(&spec).unwrap();
+        let query = ResolvedQuery::resolve(&reg, std::slice::from_ref(&spec)).unwrap();
         let sink = MemorySink::new();
         let batches = sink.batches();
+        // Interval far longer than the test: after the start-up tick, each
+        // flush_now is exactly one tick.
         let sampler = Sampler::start(
             &reg,
-            SamplerConfig::new(
-                vec!["/threads{locality#0/worker-thread#*}/count".into()],
-                Duration::from_millis(2),
-            ),
+            SamplerConfig::new(vec![spec], Duration::from_secs(60)),
             Box::new(sink),
         )
         .unwrap();
-
-        while batches.lock().len() < 2 {
+        let health = sampler.health();
+        while batches.lock().is_empty() {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(batches.lock()[0].readings.len(), 1);
+        // Second consecutive failure: worker 0 enters a >= 3-tick backoff.
+        assert!(sampler.flush_now());
+        assert_eq!((health.read_errors(), health.backoffs()), (2, 1));
+        assert_eq!(batches.lock().last().unwrap().readings.len(), 2);
 
         // Topology change mid-run: one generation bump, and the next tick
         // re-expands the wildcard without restarting the sampler.
         workers.store(3, Ordering::Relaxed);
         reg.bump_generation();
-        let seen = batches.lock().len();
-        while batches.lock().last().map(|b| b.readings.len()).unwrap_or(0) < 3 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        assert!(sampler.flush_now());
         sampler.stop();
+        std::panic::set_hook(prev);
 
-        let collected = batches.lock();
-        let wide = collected.iter().skip(seen).find(|b| b.readings.len() == 3);
-        let wide = wide.expect("a post-bump batch samples all three workers");
-        assert!(wide
-            .readings
-            .iter()
-            .any(|(n, _)| n == "/threads{locality#0/worker-thread#2}/count"));
+        let wide = batches.lock().last().cloned().unwrap();
+        let sampled: Vec<String> = wide.readings.iter().map(|(n, _)| n.clone()).collect();
+        assert_eq!(sampled.len(), 3, "the post-bump batch samples all three");
+        assert!(sampled[2].contains("worker-thread#2"));
+        assert_eq!(reg.active_names(), sampled);
+        assert!(query.refresh());
+        assert_eq!(query.names(), sampled);
+        // The backoff survived the re-expansion: worker 0 was skipped, not
+        // read a third time, and the newcomer was really evaluated.
+        assert_eq!(health.read_errors(), 2);
+        assert!(!wide.readings[0].1.status.is_ok());
+        assert_eq!(wide.readings[2].1.value, 1);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Counter values and counter metadata.
 
-use std::time::{SystemTime, UNIX_EPOCH};
-
 use serde::{Deserialize, Serialize};
 
 /// The semantic kind of a counter, mirroring HPX's counter types.
@@ -156,15 +154,6 @@ impl CounterInfo {
             version: 1,
         }
     }
-}
-
-/// Wall-clock time in nanoseconds since the Unix epoch; used only for
-/// display, never for measuring intervals.
-pub fn wall_clock_ns() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -27,6 +27,11 @@ use crate::trace::{TaskSpan, TaskTracer};
 use crate::watchdog::{RestartPolicy, RestartState, RestartVerdict};
 use crate::{watchdog, worker};
 
+/// Worker stack size. The paper had to move Alignment's large arrays to
+/// the heap because of small task stacks; our workers carry the whole
+/// stack, so it is generous.
+const WORKER_STACK_BYTES: usize = 8 << 20;
+
 /// Runtime configuration (the knobs of Table IV).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -36,10 +41,6 @@ pub struct RuntimeConfig {
     pub mode: SchedulerMode,
     /// Locality id used in counter instance names (single-node: 0).
     pub locality: u32,
-    /// Worker stack size in bytes (the paper had to move Alignment's large
-    /// arrays to the heap because of small task stacks; our workers carry
-    /// the whole stack, so the default is generous).
-    pub stack_size: usize,
     /// Fault-injection plan for chaos testing; defaults to
     /// [`FaultPlan::from_env`] (`None` — disabled — unless `RPX_FAULT_*`
     /// variables are set).
@@ -72,10 +73,6 @@ pub struct RuntimeConfig {
     pub restart_backoff: Duration,
     /// Upper bound for the exponential restart backoff.
     pub restart_backoff_max: Duration,
-    /// Machine topology to schedule against. `None` (default) discovers
-    /// it from sysfs ([`Topology::discover`]); tests and simulations pass
-    /// an explicit shape.
-    pub topology: Option<Topology>,
     /// Worker→hardware-thread placement policy. [`BindSpec::None`]
     /// (default) neither pins threads nor segments the scheduler; any
     /// other value pins each worker via `sched_setaffinity` and derives
@@ -92,7 +89,6 @@ impl Default for RuntimeConfig {
                 .unwrap_or(1),
             mode: SchedulerMode::LocalQueues,
             locality: 0,
-            stack_size: 8 << 20,
             // Fail fast on misspelled RPX_FAULT_* knobs: silently running a
             // chaos suite with injection disabled is worse than aborting.
             faults: FaultPlan::from_env().unwrap_or_else(|e| panic!("rpx: {e}")),
@@ -108,7 +104,6 @@ impl Default for RuntimeConfig {
             restart_window: Duration::from_secs(10),
             restart_backoff: Duration::from_millis(1),
             restart_backoff_max: Duration::from_millis(100),
-            topology: None,
             bind: BindSpec::None,
         }
     }
@@ -349,12 +344,12 @@ impl Runtime {
             AdmissionGate::new(high, low)
         });
         let state = Arc::new(RuntimeState::new(workers, registry.clock(), faults, gate));
-        // Placement: resolve the topology (explicit or discovered), map
-        // workers to hardware threads per the bind policy, and derive the
+        // Placement: discover the topology from sysfs, map workers to
+        // hardware threads per the bind policy, and derive the
         // socket of each worker for the scheduler's injector segments and
         // victim ordering. `BindSpec::None` keeps everything on one
         // segment — identical scheduling to a topology-blind build.
-        let topo = config.topology.unwrap_or_else(Topology::discover);
+        let topo = Topology::discover();
         let placement: Vec<Option<u32>> = config.bind.placement(&topo, workers as u32);
         let worker_sockets: Vec<u32> = placement
             .iter()
@@ -385,7 +380,7 @@ impl Runtime {
                 let policy = restart_policy;
                 std::thread::Builder::new()
                     .name(format!("rpx-worker-{index}"))
-                    .stack_size(config.stack_size)
+                    .stack_size(WORKER_STACK_BYTES)
                     // Supervisor loop: a panic escaping the worker loop (an
                     // injected worker kill, or a real bug outside a task
                     // wrapper) is caught here; the loop is re-entered on the

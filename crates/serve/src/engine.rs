@@ -1,28 +1,26 @@
-//! The sharded scrape front-end: generation-cached counter handles,
-//! per-counter history rings, and exact drop accounting.
+//! The scrape front-end: a resolved counter set whose handle slots carry
+//! the export state — dictionary ids, per-counter history rings — plus
+//! exact drop accounting.
 //!
 //! ## Scrape-vs-update memory ordering
 //!
-//! A scrape never takes a registry lock. Each shard stores its export
-//! entries as an `Arc<Vec<Arc<ExportEntry>>>` behind a `parking_lot`
-//! `RwLock` that is held only long enough to clone the outer `Arc`; the
-//! actual evaluation walks the cloned list with no lock at all. Counter
-//! updates on the hot path are plain relaxed atomic increments inside the
-//! runtime; a scrape reads them through `Counter::get_value`, which uses
-//! acquire loads where a counter maintains multi-word state. The scrape
-//! therefore observes each counter atomically but the *batch* is not a
-//! cross-counter snapshot — the same contract the in-process sampler and
-//! HPX itself provide. Topology changes are detected by comparing the
-//! registry's generation (acquire load) against the engine's stamp; the
-//! swap of a shard's entry list is an `Arc` store under the write lock, so
-//! a scraper either sees the whole old list or the whole new one.
+//! A scrape never takes a registry lock: it clones the
+//! [`ResolvedQuery`]'s published handle list and evaluates it with no lock
+//! at all (DESIGN.md §12 has the refresh protocol). Counter updates on the
+//! hot path are plain relaxed atomic increments inside the runtime; a
+//! scrape reads them through `Counter::get_value`, which uses acquire
+//! loads where a counter maintains multi-word state. The scrape therefore
+//! observes each counter atomically but the *batch* is not a cross-counter
+//! snapshot — the same contract the in-process sampler and HPX itself
+//! provide. A re-expansion publishes a whole new list, so a scraper sees
+//! either the whole old export set or the whole new one.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-use rpx_counters::counter::Counter;
+use parking_lot::Mutex;
+use rpx_counters::query::QueryHandle;
 use rpx_counters::value::CounterInfo;
 use rpx_counters::{CounterError, CounterRegistry, ResolvedQuery};
 
@@ -101,10 +99,10 @@ impl HistoryRing {
 }
 
 /// One exported counter: stable identity (`id`, `canonical`), cached
-/// metadata, the live handle, and its history ring. The entry — and with
-/// it the ring and the binary-stream dictionary id — survives topology
-/// refreshes as long as the canonical name stays resolvable; only the
-/// handle inside is swapped.
+/// metadata and its history ring. It lives in the counter's handle slot,
+/// so the entry — and with it the ring and the binary-stream dictionary
+/// id — survives topology refreshes as long as the canonical name stays
+/// resolvable.
 pub struct ExportEntry {
     /// Stable dictionary id for the binary stream.
     pub id: u32,
@@ -112,9 +110,10 @@ pub struct ExportEntry {
     pub canonical: String,
     /// Counter metadata at resolution time (kind, help, unit).
     pub info: CounterInfo,
-    counter: RwLock<Arc<dyn Counter>>,
     /// Recent samples for subscriber backfill.
     pub ring: HistoryRing,
+    /// Position in the export order (see [`ScrapeEngine::export_order`]).
+    shard: usize,
 }
 
 /// Self-measurement of the serve layer, exported as
@@ -142,28 +141,20 @@ impl ServeStats {
     }
 }
 
-struct Shard {
-    entries: RwLock<Arc<Vec<Arc<ExportEntry>>>>,
-}
-
-/// Sharded, generation-cached scrape engine over one registry.
+/// Generation-cached scrape engine over one registry.
 pub struct ScrapeEngine {
     registry: Arc<CounterRegistry>,
-    query: Mutex<ResolvedQuery>,
-    by_name: Mutex<HashMap<String, Arc<ExportEntry>>>,
-    shards: Vec<Shard>,
-    /// Topology generation the shard lists were built against.
-    generation: AtomicU64,
-    next_id: AtomicU64,
+    /// The export set; each handle's slot is its [`ExportEntry`].
+    query: ResolvedQuery<Arc<ExportEntry>>,
+    shards: usize,
     seq: AtomicU64,
-    history_cap: usize,
     stats: Arc<ServeStats>,
 }
 
 impl ScrapeEngine {
     /// Resolve `specs` (wildcards allowed; unknown names are an error
-    /// *now*) and build the shard lists. Registers the serve
-    /// self-measurement counters on `registry`.
+    /// *now*). Registers the serve self-measurement counters on
+    /// `registry`. `shards` fixes the export order only.
     pub fn new(
         registry: &Arc<CounterRegistry>,
         specs: &[String],
@@ -174,24 +165,25 @@ impl ScrapeEngine {
         // export specs may include the serve layer's own counters.
         let stats = Arc::new(ServeStats::default());
         register_serve_counters(registry, &stats);
-        let query = ResolvedQuery::resolve(registry, specs)?;
-        let engine = Arc::new(ScrapeEngine {
+        let shards = shards.max(1);
+        let next_id = AtomicU64::new(0);
+        let dropped = stats.history_dropped.clone();
+        let query = ResolvedQuery::resolve_with(registry, specs, move |canonical, counter| {
+            Arc::new(ExportEntry {
+                id: next_id.fetch_add(1, Ordering::Relaxed) as u32,
+                canonical: canonical.to_owned(),
+                info: counter.info(),
+                ring: HistoryRing::new(history_cap, dropped.clone()),
+                shard: shard_of(canonical, shards),
+            })
+        })?;
+        Ok(Arc::new(ScrapeEngine {
             registry: registry.clone(),
-            generation: AtomicU64::new(query.generation()),
-            query: Mutex::new(query),
-            by_name: Mutex::new(HashMap::new()),
-            shards: (0..shards.max(1))
-                .map(|_| Shard {
-                    entries: RwLock::new(Arc::new(Vec::new())),
-                })
-                .collect(),
-            next_id: AtomicU64::new(0),
+            query,
+            shards,
             seq: AtomicU64::new(0),
-            history_cap,
             stats,
-        });
-        engine.rebuild();
-        Ok(engine)
+        }))
     }
 
     /// The registry this engine scrapes.
@@ -205,105 +197,60 @@ impl ScrapeEngine {
     }
 
     /// Re-resolve the specs if the registry topology moved. Entries whose
-    /// canonical name survives keep their ring and dictionary id; only
-    /// the counter handle is refreshed. Returns `true` if the export set
-    /// changed.
+    /// canonical name survives keep their ring and dictionary id. Returns
+    /// `true` if the export set changed.
     pub fn refresh_if_stale(&self) -> bool {
-        if self.registry.generation() == self.generation.load(Ordering::Acquire) {
-            return false;
-        }
-        self.rebuild()
+        self.query.refresh()
     }
 
-    fn rebuild(&self) -> bool {
-        let mut query = self.query.lock();
-        // Stamp first (like ResolvedQuery): a concurrent bump re-triggers.
-        self.generation
-            .store(self.registry.generation(), Ordering::Release);
-        query.refresh();
-        let mut by_name = self.by_name.lock();
-        let mut fresh: HashMap<String, Arc<ExportEntry>> = HashMap::new();
-        let mut shard_lists: Vec<Vec<Arc<ExportEntry>>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut created = false;
-        for h in query.handles() {
-            let entry = match by_name.remove(&h.canonical) {
-                Some(e) => {
-                    *e.counter.write() = h.counter.clone();
-                    e
-                }
-                None => {
-                    created = true;
-                    Arc::new(ExportEntry {
-                        id: self.next_id.fetch_add(1, Ordering::Relaxed) as u32,
-                        canonical: h.canonical.clone(),
-                        info: h.counter.info(),
-                        counter: RwLock::new(h.counter.clone()),
-                        ring: HistoryRing::new(
-                            self.history_cap,
-                            self.stats.history_dropped.clone(),
-                        ),
-                    })
-                }
-            };
-            shard_lists[shard_of(&h.canonical, self.shards.len())].push(entry.clone());
-            fresh.insert(h.canonical.clone(), entry);
+    /// The order every payload lists counters in: by FNV-1a shard of the
+    /// canonical name, resolution order within a shard — stable between
+    /// refreshes because a name never changes shard.
+    fn export_order<'a>(
+        &self,
+        handles: &'a [QueryHandle<Arc<ExportEntry>>],
+    ) -> impl Iterator<Item = &'a QueryHandle<Arc<ExportEntry>>> {
+        let mut by_shard = vec![Vec::new(); self.shards];
+        for h in handles {
+            by_shard[h.slot.shard].push(h);
         }
-        // Whatever is left in the old index resolved to nothing anymore.
-        let changed = created || !by_name.is_empty();
-        *by_name = fresh;
-        for (shard, list) in self.shards.iter().zip(shard_lists) {
-            *shard.entries.write() = Arc::new(list);
-        }
-        changed
+        by_shard.into_iter().flatten()
     }
 
-    /// Every export entry, shard order (stable between refreshes).
+    /// Every export entry, in export order.
     pub fn entries(&self) -> Vec<Arc<ExportEntry>> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let list = shard.entries.read().clone();
-            out.extend(list.iter().cloned());
-        }
-        out
+        let handles = self.query.handles();
+        self.export_order(&handles)
+            .map(|h| h.slot.clone())
+            .collect()
     }
 
     /// Scrape every exported counter: evaluate the cached handles (no
-    /// registry lock), push each sample into its entry's history ring,
-    /// and return the batch. The batch's wall time is folded into the
-    /// serve stats *and* the registry's own query-overhead counters, so
-    /// the paper's overhead envelope includes remote scrapers.
+    /// registry lock; a counter that panics reads as not ok), push each
+    /// sample into its entry's history ring, and return the batch. The
+    /// batch's wall time is folded into the serve stats *and* the
+    /// registry's own query-overhead counters, so the paper's overhead
+    /// envelope includes remote scrapers.
     pub fn collect(&self) -> Vec<(Arc<ExportEntry>, Sample)> {
-        self.refresh_if_stale();
+        self.query.refresh();
         let clock = self.registry.clock();
         let t0 = clock.now_ns();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let list = shard.entries.read().clone();
-            for entry in list.iter() {
-                let counter = entry.counter.read().clone();
-                let value = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    counter.get_value(false)
-                }));
-                let sample = match value {
-                    Ok(v) => Sample {
-                        seq,
-                        timestamp_ns: v.timestamp_ns,
-                        value: v.scaled(),
-                        ok: v.status.is_ok(),
-                    },
-                    Err(_) => Sample {
-                        seq,
-                        timestamp_ns: t0,
-                        value: 0.0,
-                        ok: false,
-                    },
+        let handles = self.query.handles();
+        let out: Vec<(Arc<ExportEntry>, Sample)> = self
+            .export_order(&handles)
+            .map(|h| {
+                let v = h.read(false, t0);
+                let sample = Sample {
+                    seq,
+                    timestamp_ns: v.timestamp_ns,
+                    value: v.scaled(),
+                    ok: v.status.is_ok(),
                 };
-                entry.ring.push(sample);
-                out.push((entry.clone(), sample));
-            }
-        }
+                h.slot.ring.push(sample);
+                (h.slot.clone(), sample)
+            })
+            .collect();
         let dt = clock.now_ns().saturating_sub(t0);
         self.stats.scrape_count.fetch_add(1, Ordering::Relaxed);
         self.stats.scrape_time_ns.fetch_add(dt, Ordering::Relaxed);
@@ -313,8 +260,7 @@ impl ScrapeEngine {
 }
 
 fn shard_of(canonical: &str, shards: usize) -> usize {
-    // FNV-1a over the canonical name: stable across refreshes so an
-    // entry stays on its shard.
+    // FNV-1a over the canonical name: stable across refreshes.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in canonical.bytes() {
         h ^= b as u64;
@@ -422,21 +368,116 @@ mod tests {
         assert_eq!(exported.value, 6);
     }
 
+    /// `/pool{locality#0/worker-thread#N}/size` for N below `count`: a
+    /// stand-in for the runtime's live topology.
+    fn register_growable(reg: &Arc<CounterRegistry>, count: Arc<AtomicI64>) {
+        use rpx_counters::counter::{Counter, RawCounter};
+        use rpx_counters::value::CounterKind;
+        use rpx_counters::{CounterInstance, CounterName};
+        let clock = reg.clock();
+        reg.register_type(
+            CounterInfo::new("/pool/size", CounterKind::Raw, "h", "1"),
+            Arc::new(move |name, _| {
+                let mut i = CounterInfo::new("/pool/size", CounterKind::Raw, "h", "1");
+                i.name = name.canonical();
+                Ok(Arc::new(RawCounter::new(i, clock.clone(), Arc::new(|| 1))) as Arc<dyn Counter>)
+            }),
+            Some(Arc::new(move |f: &mut dyn FnMut(CounterName)| {
+                for w in 0..count.load(Ordering::Relaxed) {
+                    f(CounterName::new("pool", "size")
+                        .with_instance(CounterInstance::worker(0, w as u32)));
+                }
+            })),
+        );
+    }
+
+    const POOL: &str = "/pool{locality#0/worker-thread#*}/size";
+
+    /// The serve-side leg of `sampler_picks_up_topology_changes`: after a
+    /// bump with a grown discoverer the engine exports the names the
+    /// active set and a bare query report, and the entries that stayed
+    /// keep their dictionary id and ring contents.
     #[test]
     fn refresh_preserves_entry_identity_across_generations() {
-        let (reg, engine, _v) = engine_with(&["/app/requests"], 8);
+        let reg = CounterRegistry::new();
+        let workers = Arc::new(AtomicI64::new(2));
+        register_growable(&reg, workers.clone());
+        reg.add_active(POOL).unwrap();
+        let query = ResolvedQuery::resolve(&reg, &[POOL.into()]).unwrap();
+        let engine = ScrapeEngine::new(&reg, &[POOL.into()], 4, 8).unwrap();
         engine.collect();
-        let before = engine.entries();
-        let (id, ring_len) = (before[0].id, before[0].ring.tail(8).len());
+        let before: Vec<(String, u32, Vec<Sample>)> = engine
+            .entries()
+            .iter()
+            .map(|e| (e.canonical.clone(), e.id, e.ring.tail(8)))
+            .collect();
+        assert_eq!(before.len(), 2);
+
+        workers.store(3, Ordering::Relaxed);
         reg.bump_generation();
         engine.collect();
         let after = engine.entries();
-        assert_eq!(after[0].id, id, "dictionary id must survive a bump");
-        assert_eq!(
-            after[0].ring.tail(8).len(),
-            ring_len + 1,
-            "ring must survive a bump and keep accumulating"
-        );
+        let mut exported: Vec<String> = after.iter().map(|e| e.canonical.clone()).collect();
+        exported.sort();
+        assert_eq!(exported, reg.active_names());
+        query.refresh();
+        assert_eq!(exported, query.names());
+        for (canonical, id, ring) in before {
+            let entry = after.iter().find(|e| e.canonical == canonical).unwrap();
+            assert_eq!(entry.id, id, "dictionary id must survive a bump");
+            let tail = entry.ring.tail(8);
+            assert_eq!(tail[..ring.len()], ring[..], "ring must survive a bump");
+            assert_eq!(tail.len(), ring.len() + 1, "…and keep accumulating");
+        }
+        let newcomer = after.iter().find(|e| e.canonical.contains("#2")).unwrap();
+        assert_eq!(newcomer.id, 2, "ids are issued in resolution order");
+    }
+
+    /// Two scrapers and a topology that grows under them: every instance
+    /// ends up exported, under one dictionary id each.
+    #[test]
+    fn concurrent_collects_during_bumps_lose_nothing_and_reuse_no_id() {
+        const GROWN: i64 = 24;
+        let reg = CounterRegistry::new();
+        let workers = Arc::new(AtomicI64::new(1));
+        register_growable(&reg, workers.clone());
+        let engine = ScrapeEngine::new(&reg, &[POOL.into()], 4, 2).unwrap();
+        let start = std::sync::Barrier::new(3);
+        let seen: Vec<Vec<(u32, String)>> = std::thread::scope(|s| {
+            let scrapers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let mut seen = Vec::new();
+                        // Scrape until the fully grown set was exported.
+                        loop {
+                            let batch = engine.collect();
+                            seen.extend(batch.iter().map(|(e, _)| (e.id, e.canonical.clone())));
+                            if batch.len() as i64 == GROWN {
+                                return seen;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                start.wait();
+                for w in 2..=GROWN {
+                    workers.store(w, Ordering::Relaxed);
+                    reg.bump_generation();
+                }
+            });
+            scrapers.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let mut by_id = std::collections::BTreeMap::new();
+        for (id, canonical) in seen.into_iter().flatten() {
+            let owner = by_id.entry(id).or_insert_with(|| canonical.clone());
+            assert_eq!(*owner, canonical, "dictionary id {id} issued twice");
+        }
+        let names: std::collections::BTreeSet<&String> = by_id.values().collect();
+        assert_eq!(names.len(), by_id.len(), "a counter got a second id");
+        assert_eq!(by_id.len() as i64, GROWN, "an instance was lost");
+        assert_eq!(engine.entries().len() as i64, GROWN);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct ServeConfig {
     pub interval: Duration,
     /// History-ring capacity per exported counter.
     pub history: usize,
-    /// Scrape front-end shards.
+    /// Payload-order shards (see [`ScrapeEngine::new`]).
     pub shards: usize,
     /// Counter specs to export (wildcards allowed).
     pub specs: Vec<String>,

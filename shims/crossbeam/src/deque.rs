@@ -10,13 +10,10 @@
 //! read. See DESIGN.md §"Lock-free scheduler queues" for the full
 //! memory-ordering argument and the buffer-reclamation strategy.
 //!
-//! Two owner flavors are provided, mirroring crossbeam 0.8:
-//! [`Worker::new_lifo`] (owner pops the most recently pushed task) and
-//! [`Worker::new_fifo`] (owner pops the oldest task, taking the same end
-//! stealers do). Stealers always take the oldest task.
+//! The owner pops the most recently pushed task ([`Worker::new_lifo`], the
+//! only flavor the scheduler builds); stealers always take the oldest.
 
 use std::cell::Cell;
-use std::fmt;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::ptr;
@@ -25,7 +22,7 @@ use std::ptr;
 // never block a thread that holds the scheduler token.
 use std::sync::{Arc, Mutex};
 
-use crate::primitives::{fence, mutation_armed, spin_loop, AtomicIsize, AtomicPtr, Ordering};
+use crate::primitives::{fence, mutation_armed, AtomicIsize, AtomicPtr, Ordering};
 
 pub use crate::injector::Injector;
 
@@ -133,8 +130,7 @@ impl<T> Inner<T> {
         self.len() == 0
     }
 
-    /// One canonical Chase–Lev steal from the top end. Shared by
-    /// [`Stealer::steal`] and the owner-FIFO `pop` flavor.
+    /// One canonical Chase–Lev steal from the top end.
     fn steal_one(&self) -> Steal<T> {
         let t = self.top.load(Ordering::Acquire);
         // Order the `top` load before the `bottom` load; pairs with the
@@ -189,15 +185,6 @@ impl<T> Drop for Inner<T> {
     }
 }
 
-/// Which end the owner's `pop` takes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flavor {
-    /// Owner pops the most recently pushed task (bottom end).
-    Lifo,
-    /// Owner pops the oldest task (top end, same as stealers).
-    Fifo,
-}
-
 /// A worker-owned deque: the owner pushes and pops on one thread; any
 /// number of [`Stealer`]s take the oldest task concurrently.
 ///
@@ -206,45 +193,27 @@ enum Flavor {
 /// worker respawn, but never be shared).
 pub struct Worker<T> {
     inner: Arc<Inner<T>>,
-    flavor: Flavor,
     /// Suppresses `Sync` (see type-level docs).
     _not_sync: PhantomData<Cell<()>>,
 }
 
 impl<T> Worker<T> {
-    fn with_capacity(min_cap: usize, flavor: Flavor) -> Self {
+    /// New deque whose owner pops in LIFO order.
+    pub fn new_lifo() -> Self {
+        Worker::new_lifo_with_min_capacity(MIN_CAP)
+    }
+
+    /// Shim extension (not in crossbeam's API): a LIFO deque starting from
+    /// a tiny buffer, so tests can force growth and index wraparound.
+    pub fn new_lifo_with_min_capacity(min_cap: usize) -> Self {
         assert!(
             min_cap.is_power_of_two() && min_cap >= 2,
             "deque capacity must be a power of two >= 2"
         );
         Worker {
             inner: Arc::new(Inner::new(min_cap)),
-            flavor,
             _not_sync: PhantomData,
         }
-    }
-
-    /// New deque whose owner pops in LIFO order.
-    pub fn new_lifo() -> Self {
-        Worker::with_capacity(MIN_CAP, Flavor::Lifo)
-    }
-
-    /// New deque whose owner pops in FIFO order (the owner takes the same
-    /// end stealers do, through the same claim protocol).
-    pub fn new_fifo() -> Self {
-        Worker::with_capacity(MIN_CAP, Flavor::Fifo)
-    }
-
-    /// Shim extension (not in crossbeam's API): a LIFO deque starting from
-    /// a tiny buffer, so tests can force growth and index wraparound.
-    pub fn new_lifo_with_min_capacity(min_cap: usize) -> Self {
-        Worker::with_capacity(min_cap, Flavor::Lifo)
-    }
-
-    /// Shim extension: FIFO counterpart of
-    /// [`Worker::new_lifo_with_min_capacity`].
-    pub fn new_fifo_with_min_capacity(min_cap: usize) -> Self {
-        Worker::with_capacity(min_cap, Flavor::Fifo)
     }
 
     /// Push onto the owner's end.
@@ -289,21 +258,8 @@ impl<T> Worker<T> {
         retired.push(old);
     }
 
-    /// Pop from the owner's end (LIFO flavor: most recently pushed first;
-    /// FIFO flavor: oldest first, racing stealers through the top-end
-    /// claim protocol).
+    /// Pop from the owner's end: most recently pushed first.
     pub fn pop(&self) -> Option<T> {
-        if self.flavor == Flavor::Fifo {
-            loop {
-                match self.inner.steal_one() {
-                    Steal::Success(v) => return Some(v),
-                    Steal::Empty => return None,
-                    // A lost race means a stealer succeeded; the queue
-                    // shrank, so retrying is finite.
-                    Steal::Retry => spin_loop(),
-                }
-            }
-        }
         let b = self.inner.bottom.load(Ordering::Relaxed).wrapping_sub(1);
         // Publish the provisional claim of slot `b`, then read `top`. The
         // SeqCst fence pairs with the one in `steal_one`: either the
@@ -366,12 +322,6 @@ impl<T> Worker<T> {
         Stealer {
             inner: self.inner.clone(),
         }
-    }
-}
-
-impl<T> fmt::Debug for Worker<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Worker").field("len", &self.len()).finish()
     }
 }
 
@@ -451,12 +401,6 @@ impl<T> Stealer<T> {
     }
 }
 
-impl<T> fmt::Debug for Stealer<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Stealer").field("len", &self.len()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,20 +415,6 @@ mod tests {
         assert_eq!(s.steal(), Steal::Success(1), "stealers take the oldest");
         assert_eq!(w.pop(), Some(3), "owner takes the newest");
         assert_eq!(w.pop(), Some(2));
-        assert_eq!(w.pop(), None);
-        assert_eq!(s.steal(), Steal::Empty);
-    }
-
-    #[test]
-    fn fifo_owner_pops_oldest() {
-        let w = Worker::new_fifo();
-        w.push(1);
-        w.push(2);
-        w.push(3);
-        assert_eq!(w.pop(), Some(1), "FIFO owner takes the oldest");
-        let s = w.stealer();
-        assert_eq!(s.steal(), Steal::Success(2));
-        assert_eq!(w.pop(), Some(3));
         assert_eq!(w.pop(), None);
         assert_eq!(s.steal(), Steal::Empty);
     }
@@ -510,18 +440,6 @@ mod tests {
             w.push(i);
         }
         for i in (0..1000).rev() {
-            assert_eq!(w.pop(), Some(i));
-        }
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn growth_preserves_contents_fifo() {
-        let w = Worker::new_fifo_with_min_capacity(2);
-        for i in 0..1000 {
-            w.push(i);
-        }
-        for i in 0..1000 {
             assert_eq!(w.pop(), Some(i));
         }
         assert_eq!(w.pop(), None);

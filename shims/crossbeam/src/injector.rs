@@ -18,7 +18,6 @@
 //! scheduler queues").
 
 use std::cell::UnsafeCell;
-use std::fmt;
 use std::mem::MaybeUninit;
 use std::ptr;
 
@@ -240,20 +239,11 @@ impl<T> Injector<T> {
         }
     }
 
-    /// Dequeue a batch into `dest`, returning the oldest task directly.
-    /// See [`Injector::steal_batch_and_pop_counted`].
-    pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        match self.steal_batch_and_pop_counted(dest) {
-            Steal::Success((v, _)) => Steal::Success(v),
-            Steal::Empty => Steal::Empty,
-            Steal::Retry => Steal::Retry,
-        }
-    }
-
-    /// Shim extension: like [`Injector::steal_batch_and_pop`], but also
-    /// reports how many *extra* tasks were moved into `dest`. One call
-    /// transfers up to half of the announced queue, capped at
-    /// `MAX_BATCH`; a competing consumer ends the batch early.
+    /// Dequeue a batch into `dest`, returning the oldest task directly
+    /// and how many *extra* tasks were moved into `dest` (crossbeam's
+    /// `steal_batch_and_pop` plus the count). One call transfers up to
+    /// half of the announced queue, capped at `MAX_BATCH`; a competing
+    /// consumer ends the batch early.
     pub fn steal_batch_and_pop_counted(&self, dest: &Worker<T>) -> Steal<(T, usize)> {
         let announced = self.len();
         let first = match self.steal() {
@@ -313,14 +303,6 @@ impl<T> Drop for Injector<T> {
     }
 }
 
-impl<T> fmt::Debug for Injector<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Injector")
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,8 +314,8 @@ mod tests {
         inj.push(20);
         let dest = Worker::new_lifo();
         assert_eq!(
-            inj.steal_batch_and_pop(&dest),
-            Steal::Success(10),
+            inj.steal_batch_and_pop_counted(&dest),
+            Steal::Success((10, 1)),
             "batch steal returns the oldest"
         );
         // The batch moved the follow-up task into `dest`.

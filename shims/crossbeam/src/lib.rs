@@ -7,16 +7,15 @@
 //!   per the C11 formulation of Lê et al. (PPoPP 2013) — a growable
 //!   circular buffer, owner-side `pop` racing stealer-side `steal` with a
 //!   `SeqCst` CAS on `top`, and `SeqCst` fences ordering the owner's
-//!   `bottom` decrement against stealer reads. Both LIFO and FIFO owner
-//!   flavors are real (FIFO owners pop through the steal-end claim
-//!   protocol, not an alias of LIFO).
+//!   `bottom` decrement against stealer reads. The owner pops LIFO (the
+//!   only flavor the scheduler builds).
 //! - [`deque::Injector`] is a lock-free segmented FIFO: a linked list of
 //!   31-slot blocks with CAS-claimed indices, freed by the consumer that
 //!   completes a block's last consume (no epoch machinery needed).
-//! - `steal_batch_and_pop` really batches: one call transfers up to half
-//!   of the victim's queue (capped at 32 tasks) into the destination
-//!   deque; the `*_counted` variants additionally report how many tasks
-//!   moved, which the runtime's `/threads/count/stolen` counter uses.
+//! - Batch steals really batch: one call transfers up to half of the
+//!   victim's queue (capped at 32 tasks) into the destination deque; the
+//!   `*_counted` variants the scheduler calls additionally report how many
+//!   tasks moved, which the runtime's `/threads/count/stolen` counter uses.
 //!
 //! Steal operations return [`deque::Steal::Retry`] when a CAS race is
 //! lost; callers must treat it as "someone else made progress, re-probe"

@@ -39,16 +39,9 @@ fn cfg() -> Config {
 /// growth: every pushed item is delivered exactly once, split between the
 /// owner and one concurrent stealer. Starts from capacity 2 so the pushes
 /// grow the buffer while the stealer may hold a stale buffer pointer.
-/// Checked for both owner flavors: LIFO owners pop the bottom end, FIFO
-/// owners pop through the steal-end claim protocol (subsumes the
-/// `fifo_flavor_owner_races_stealers_exact_once` stress case).
-fn deque_exact_once_flavor(fifo: bool) {
+fn deque_exact_once() {
     const ITEMS: usize = 4;
-    let w = if fifo {
-        Worker::new_fifo_with_min_capacity(2)
-    } else {
-        Worker::new_lifo_with_min_capacity(2)
-    };
+    let w = Worker::new_lifo_with_min_capacity(2);
     for i in 0..ITEMS {
         w.push(i);
     }
@@ -92,10 +85,6 @@ fn deque_exact_once_flavor(fifo: bool) {
     );
 }
 
-fn deque_exact_once() {
-    deque_exact_once_flavor(false)
-}
-
 #[test]
 fn model_deque_owner_pop_vs_steal_exact_once() {
     let _g = serial();
@@ -104,17 +93,6 @@ fn model_deque_owner_pop_vs_steal_exact_once() {
         "model_deque_owner_pop_vs_steal_exact_once",
         cfg(),
         deque_exact_once,
-    );
-}
-
-#[test]
-fn model_deque_fifo_owner_races_stealer_exact_once() {
-    let _g = serial();
-    mutation::disarm_all();
-    check(
-        "model_deque_fifo_owner_races_stealer_exact_once",
-        cfg(),
-        || deque_exact_once_flavor(true),
     );
 }
 

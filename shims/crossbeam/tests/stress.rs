@@ -222,11 +222,6 @@ fn growth_and_wraparound_under_concurrent_steals() {
     board.assert_complete();
 }
 
-// The FIFO owner-vs-stealers exact-once case moved to the model-checked
-// specs (`model_deque_fifo_owner_races_stealer_exact_once` in
-// `src/model_specs.rs`), which explore the interleavings deterministically
-// instead of relying on scheduler noise.
-
 /// MPMC stress on the segmented injector: P producers pushing disjoint id
 /// ranges, C consumers mixing single and batched steals; exact-once across
 /// block boundaries and block frees.
