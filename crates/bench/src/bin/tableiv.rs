@@ -1,6 +1,7 @@
 //! Regenerate Table IV's experiment synopsis: the configuration-space
 //! comparisons the paper ran to pick its protocol — launch policies,
-//! hyper-threading on/off, allocator, and queue discipline.
+//! hyper-threading on/off, allocator, and queue discipline — plus the
+//! simulator's steal-cost sensitivity (DESIGN.md §7 ablation 4).
 //!
 //! ```text
 //! cargo run --release -p rpx-bench --bin tableiv
@@ -9,6 +10,7 @@
 use std::time::Instant;
 
 use rpx_bench::platform_header;
+use rpx_counters::stats::median_of;
 use rpx_inncabs::{Benchmark, InputScale};
 use rpx_runtime::{LaunchPolicy, Runtime, RuntimeConfig, RuntimeHandle, SchedulerMode};
 use rpx_simnode::{simulate, HpxCostModel, MachineConfig, SimConfig, SimRuntimeKind};
@@ -21,11 +23,6 @@ fn fib(h: &RuntimeHandle, policy: LaunchPolicy, n: u64) -> u64 {
     let a = h.spawn_with(policy, move || fib(&h2, policy, n - 1));
     let b = fib(h, policy, n - 2);
     a.get() + b
-}
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
 }
 
 fn main() {
@@ -48,7 +45,7 @@ fn main() {
                 t0.elapsed().as_secs_f64() * 1e3
             })
             .collect();
-        println!("   {:<10} {:>10.2} ms", policy.name(), median_ms(samples));
+        println!("   {:<10} {:>10.2} ms", policy.name(), median_of(&samples));
     }
     rt.shutdown();
 
@@ -125,8 +122,26 @@ fn main() {
                 t0.elapsed().as_secs_f64() * 1e3
             })
             .collect();
-        println!("   {:<14} {:>10.2} ms", label, median_ms(samples));
+        println!("   {:<14} {:>10.2} ms", label, median_of(&samples));
         rt.shutdown();
+    }
+
+    // ------------------------------------------------------------------
+    // 5. Steal-cost sensitivity (simulated): how the virtual makespan
+    //    responds to the cost model's steal parameter (default 1 200 ns).
+    // ------------------------------------------------------------------
+    println!("\n5. Steal-cost sensitivity (simulated, UTS at 8 cores):");
+    let g = Benchmark::Uts.sim_graph(InputScale::Paper);
+    for steal_ns in [300u64, 1_200, 6_000] {
+        let mut config = SimConfig::hpx(8);
+        if let SimRuntimeKind::Hpx { cost, .. } = &mut config.runtime {
+            cost.steal_ns = steal_ns;
+        }
+        let r = simulate(&g, &config);
+        println!(
+            "   steal_ns {steal_ns:>5} {:>9.3} ms",
+            r.makespan_ns as f64 / 1e6
+        );
     }
 
     println!("\nprotocol conclusion (as in the paper): async policy, HT treated as\noff for clarity, tcmalloc-like allocation, local queues + stealing");

@@ -60,18 +60,13 @@ pub struct RuntimeConfig {
     pub resume_pending: Option<usize>,
     /// What happens to a spawn while the admission gate is closed.
     pub overload_policy: OverloadPolicy,
-    /// Restart budget per worker: maximum supervisor respawns within
-    /// `restart_window` before the circuit breaker trips and the worker is
-    /// retired (its queued tasks re-parent into the global injector). The
-    /// token bucket refills continuously at `budget / window`.
+    /// Restart budget per worker: maximum supervisor respawns within the
+    /// 10 s refill window before the circuit breaker trips and the worker
+    /// is retired (its queued tasks re-parent into the global injector).
+    /// The token bucket refills continuously at `budget / window`.
     pub restart_budget: u32,
-    /// Token-bucket refill window for `restart_budget`; also the calm
-    /// period after which the consecutive-crash backoff resets.
-    pub restart_window: Duration,
-    /// Minimum backoff before a crashed worker is respawned; doubles per
-    /// consecutive crash up to `restart_backoff_max`.
-    pub restart_backoff: Duration,
-    /// Upper bound for the exponential restart backoff.
+    /// Upper bound for the exponential restart backoff, which starts at
+    /// 1 ms and doubles per consecutive crash.
     pub restart_backoff_max: Duration,
     /// Worker→hardware-thread placement policy. [`BindSpec::None`]
     /// (default) neither pins threads nor segments the scheduler; any
@@ -101,8 +96,6 @@ impl Default for RuntimeConfig {
             // of kills) never trip in ordinary chaos runs; a genuine crash
             // loop exhausts it within a window.
             restart_budget: 64,
-            restart_window: Duration::from_secs(10),
-            restart_backoff: Duration::from_millis(1),
             restart_backoff_max: Duration::from_millis(100),
             bind: BindSpec::None,
         }

@@ -31,8 +31,16 @@ use crate::runtime::{RuntimeConfig, RuntimeInner, RuntimeState};
 use crate::signals::{Detector, Sample};
 use crate::stats::Snapshot;
 
-/// Token-bucket restart budget + exponential backoff parameters (derived
-/// from [`RuntimeConfig`]; one copy per worker supervisor).
+/// Token-bucket refill window for the restart budget; also the calm
+/// period after which the consecutive-crash backoff resets.
+const RESTART_WINDOW: Duration = Duration::from_secs(10);
+/// Backoff before the first respawn of a crash streak; doubles per
+/// consecutive crash up to `RuntimeConfig::restart_backoff_max`.
+const RESTART_BACKOFF: Duration = Duration::from_millis(1);
+
+/// Token-bucket restart budget + exponential backoff parameters (the two
+/// constants above plus the two [`RuntimeConfig`] knobs; one copy per
+/// worker supervisor).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RestartPolicy {
     /// Maximum respawns per `window` (bucket capacity and refill amount).
@@ -50,9 +58,9 @@ impl RestartPolicy {
     pub fn from_config(config: &RuntimeConfig) -> Self {
         RestartPolicy {
             budget: config.restart_budget.max(1),
-            window: config.restart_window.max(Duration::from_millis(1)),
-            backoff: config.restart_backoff,
-            backoff_max: config.restart_backoff_max.max(config.restart_backoff),
+            window: RESTART_WINDOW,
+            backoff: RESTART_BACKOFF,
+            backoff_max: config.restart_backoff_max.max(RESTART_BACKOFF),
         }
     }
 }

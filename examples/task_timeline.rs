@@ -8,6 +8,7 @@
 //! # then load /tmp/rpx_trace.json in chrome://tracing or ui.perfetto.dev
 //! ```
 
+use rpx::causal::CausalProfiler;
 use rpx::inncabs::{self, RpxSpawner};
 use rpx::runtime::{Runtime, RuntimeConfig};
 
@@ -46,6 +47,10 @@ fn main() {
             busy_ns as f64 / tasks.max(1) as f64
         );
     }
+
+    // The same spans as a work/span profile with per-site what-if
+    // projections (DESIGN.md §15).
+    println!("\n{}", CausalProfiler::from_spans(&spans).report(4));
 
     let path = std::env::temp_dir().join("rpx_trace.json");
     std::fs::write(&path, tracer.to_chrome_trace()).expect("write trace");

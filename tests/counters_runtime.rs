@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use rpx::counters::sampler::{MemorySink, Sampler, SamplerConfig};
+use rpx::counters::stats::median_of;
 use rpx::counters::CounterName;
 use rpx::runtime::{Runtime, RuntimeConfig};
 
@@ -189,11 +190,9 @@ fn counter_overhead_is_small_for_moderate_tasks() {
 
     // Warm up, then take medians of 3.
     let _ = run(false);
-    let mut base: Vec<_> = (0..3).map(|_| run(false)).collect();
-    let mut inst: Vec<_> = (0..3).map(|_| run(true)).collect();
-    base.sort();
-    inst.sort();
-    let (b, i) = (base[1].as_secs_f64(), inst[1].as_secs_f64());
+    let median_s =
+        |with_counters: bool| median_of(&[0; 3].map(|_| run(with_counters).as_secs_f64()));
+    let (b, i) = (median_s(false), median_s(true));
     let overhead = (i - b) / b * 100.0;
     // Generous CI bound (the paper's bound is 10% at *very* fine grain;
     // noise on a 1-vCPU host can dominate).
