@@ -42,11 +42,11 @@
 //! assert!(knob.get() < 4, "high load must throttle the knob");
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
+use rpx_counters::sampler::TickLoop;
 use rpx_counters::{CounterError, CounterName, CounterRegistry, CounterValue, ResolvedQuery};
 
 /// A bounded integer knob adjusted by policies and read on hot paths.
@@ -121,23 +121,25 @@ pub struct PolicyContext<'a> {
 }
 
 impl PolicyContext<'_> {
-    /// The scaled value of the reading whose name starts with `prefix`
+    /// Scaled values of the valid readings whose name starts with `prefix`
     /// (readings are wildcard-expanded, so prefix match is the ergonomic
-    /// lookup). Returns `None` if absent or invalid.
-    pub fn value(&self, prefix: &str) -> Option<f64> {
+    /// lookup).
+    fn values<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = f64> + 'a {
         self.readings
             .iter()
-            .find(|(n, v)| n.to_string().starts_with(prefix) && v.status.is_ok())
+            .filter(move |(n, v)| n.to_string().starts_with(prefix) && v.status.is_ok())
             .map(|(_, v)| v.scaled())
+    }
+
+    /// The scaled value of the first reading whose name starts with
+    /// `prefix`. Returns `None` if absent or invalid.
+    pub fn value(&self, prefix: &str) -> Option<f64> {
+        self.values(prefix).next()
     }
 
     /// Sum of scaled values over readings starting with `prefix`.
     pub fn sum(&self, prefix: &str) -> f64 {
-        self.readings
-            .iter()
-            .filter(|(n, v)| n.to_string().starts_with(prefix) && v.status.is_ok())
-            .map(|(_, v)| v.scaled())
-            .sum()
+        self.values(prefix).sum()
     }
 }
 
@@ -242,10 +244,11 @@ struct ArmedPolicy {
     /// (a respawned worker must not leave a `worker-thread#*` policy reading
     /// stale handles).
     query: ResolvedQuery,
-    period: Duration,
+    period_ns: u64,
     reset_on_read: bool,
     rule: Rule,
-    next_due: Duration,
+    /// Registry-clock time of the next firing (0: due at once).
+    next_due_ns: u64,
     fires: u64,
 }
 
@@ -261,9 +264,8 @@ pub struct EngineStats {
 
 /// The background policy evaluator; dropping it stops the thread.
 pub struct PolicyEngine {
-    stop: Arc<AtomicBool>,
+    ticks: TickLoop,
     stats: Arc<EngineStats>,
-    handle: Option<JoinHandle<()>>,
 }
 
 impl PolicyEngine {
@@ -278,64 +280,54 @@ impl PolicyEngine {
             armed.push(ArmedPolicy {
                 name: p.name,
                 query: ResolvedQuery::resolve(registry, &p.counters)?,
-                period: p.period,
+                period_ns: u64::try_from(p.period.as_nanos()).unwrap_or(u64::MAX),
                 reset_on_read: p.reset_on_read,
                 rule: p.rule.unwrap_or_else(|| Box::new(|_| {})),
-                next_due: Duration::ZERO,
+                next_due_ns: 0,
                 fires: 0,
             });
         }
 
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(EngineStats::default());
-        let (stop2, stats2) = (stop.clone(), stats.clone());
+        let stats2 = stats.clone();
         let clock = registry.clock();
-        let handle = std::thread::Builder::new()
-            .name("rpx-apex-policy-engine".into())
-            .spawn(move || {
-                let epoch = std::time::Instant::now();
-                while !stop2.load(Ordering::Acquire) {
-                    let now = epoch.elapsed();
-                    let mut next_wake = now + Duration::from_millis(50);
-                    for p in &mut armed {
-                        if now >= p.next_due {
-                            p.query.refresh();
-                            // An accounted batch: a policy's reads cost what
-                            // a sampler's do (`/counters/overhead/*`), and a
-                            // counter that panics reads as unavailable.
-                            let (_, readings) = p
-                                .query
-                                .batch(|h, t0| (h.name.clone(), h.read(p.reset_on_read, t0)));
-                            let t0 = clock.now_ns();
-                            let ctx = PolicyContext {
-                                readings: &readings,
-                                fires: p.fires,
-                            };
-                            (p.rule)(&ctx);
-                            stats2
-                                .rule_ns
-                                .fetch_add(clock.now_ns().saturating_sub(t0), Ordering::Relaxed);
-                            stats2.fires.fetch_add(1, Ordering::Relaxed);
-                            p.fires += 1;
-                            p.next_due = now + p.period;
-                        }
-                        next_wake = next_wake.min(p.next_due);
-                    }
-                    let sleep = next_wake
-                        .saturating_sub(epoch.elapsed())
-                        .min(Duration::from_millis(5));
-                    if !sleep.is_zero() {
-                        std::thread::sleep(sleep);
-                    }
+        // Each tick fires the policies that are due at its stamp and asks
+        // to be run again when the earliest of the rest is.
+        let tick = move |now_ns: u64| {
+            let mut next_ns = u64::MAX;
+            for p in &mut armed {
+                if now_ns >= p.next_due_ns {
+                    p.query.refresh();
+                    // An accounted batch: a policy's reads cost what a
+                    // sampler's do (`/counters/overhead/*`), and a counter
+                    // that panics reads as unavailable.
+                    let (_, readings) = p
+                        .query
+                        .batch(|h, t0| (h.name.clone(), h.read(p.reset_on_read, t0)));
+                    let t0 = clock.now_ns();
+                    let ctx = PolicyContext {
+                        readings: &readings,
+                        fires: p.fires,
+                    };
+                    (p.rule)(&ctx);
+                    stats2
+                        .rule_ns
+                        .fetch_add(clock.now_ns().saturating_sub(t0), Ordering::Relaxed);
+                    stats2.fires.fetch_add(1, Ordering::Relaxed);
+                    p.fires += 1;
+                    p.next_due_ns = now_ns.saturating_add(p.period_ns);
                 }
-            })
-            .expect("failed to spawn policy engine thread");
-
-        Ok(PolicyEngine {
-            stop,
-            stats,
-            handle: Some(handle),
-        })
+                next_ns = next_ns.min(p.next_due_ns);
+            }
+            Duration::from_nanos(next_ns - now_ns)
+        };
+        let ticks = TickLoop::spawn(
+            "rpx-apex-policy-engine",
+            registry.clock(),
+            Duration::ZERO,
+            tick,
+        )?;
+        Ok(PolicyEngine { ticks, stats })
     }
 
     /// Engine self-metrics.
@@ -362,21 +354,8 @@ impl PolicyEngine {
     }
 
     /// Stop the engine and join its thread.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for PolicyEngine {
-    fn drop(&mut self) {
-        self.stop_inner();
+    pub fn stop(self) {
+        self.ticks.stop();
     }
 }
 
@@ -640,6 +619,36 @@ mod tests {
                 .unwrap_or(false)
         }));
         engine.stop();
+    }
+
+    /// Re-registering `/apex/*` replaces what a read of the first
+    /// engine's counters cached: the second engine reports its own totals.
+    #[test]
+    fn a_second_engine_reports_its_own_fires() {
+        let (reg, _gauge) = registry_with_gauge(1);
+        let policy = |period| Policy::new("noop", vec!["/app/metric".into()]).with_period(period);
+        let fires = |reg: &Arc<CounterRegistry>| reg.evaluate("/apex/fires", false).unwrap().value;
+
+        let a = PolicyEngine::start(&reg, vec![policy(Duration::from_millis(1))]).unwrap();
+        a.register_counters(&reg);
+        assert!(wait_until(2_000, || fires(&reg) >= 3));
+        a.stop();
+
+        // B fires once at start-up and then not for a minute.
+        let b = PolicyEngine::start(&reg, vec![policy(Duration::from_secs(60))]).unwrap();
+        b.register_counters(&reg);
+        let stats = b.stats();
+        assert!(wait_until(2_000, || stats.fires.load(Ordering::Relaxed) == 1));
+        assert_eq!(
+            fires(&reg),
+            1,
+            "`/apex/fires` still reads the stopped engine"
+        );
+
+        let t0 = std::time::Instant::now();
+        b.stop();
+        let stop = t0.elapsed();
+        assert!(stop < Duration::from_millis(50), "stop waited {stop:?}");
     }
 
     #[test]

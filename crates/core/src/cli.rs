@@ -199,20 +199,16 @@ impl CounterCli {
 }
 
 fn make_sink(options: &CounterCliOptions) -> Result<Box<dyn SampleSink>, CounterError> {
-    let sink: Box<dyn SampleSink> = match (&options.destination, options.format) {
-        (None, CounterFormat::Csv) => Box::new(CsvSink::new(std::io::stdout())),
-        (None, CounterFormat::Json) => Box::new(JsonSink::new(std::io::stdout())),
-        (Some(path), format) => {
-            let file = File::create(path).map_err(|e| {
-                CounterError::CreationFailed(format!("cannot create `{path}`: {e}"))
-            })?;
-            match format {
-                CounterFormat::Csv => Box::new(CsvSink::new(BufWriter::new(file))),
-                CounterFormat::Json => Box::new(JsonSink::new(BufWriter::new(file))),
-            }
-        }
+    let out: Box<dyn std::io::Write + Send> = match &options.destination {
+        None => Box::new(std::io::stdout()),
+        Some(path) => Box::new(BufWriter::new(File::create(path).map_err(|e| {
+            CounterError::CreationFailed(format!("cannot create `{path}`: {e}"))
+        })?)),
     };
-    Ok(sink)
+    Ok(match options.format {
+        CounterFormat::Csv => Box::new(CsvSink::new(out)),
+        CounterFormat::Json => Box::new(JsonSink::new(out)),
+    })
 }
 
 #[cfg(test)]

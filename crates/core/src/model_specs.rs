@@ -1,8 +1,8 @@
 //! Model-checked specs for the resolved set's publication protocol
 //! (stamp-before-expand vs. concurrent generation bump), entered through
-//! the registry's active set and through `ResolvedQuery::refresh`, with a
-//! paired deliberately-broken mutant proving the checker catches the
-//! stale-resolution bug.
+//! the registry's active set and through `ResolvedQuery::refresh`, and for
+//! `TickLoop`'s flush rendezvous — each with a paired deliberately-broken
+//! mutant proving the checker catches the bug.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg rpx_model"`; run with
 //! `RUSTFLAGS="--cfg rpx_model" cargo test -p rpx-counters model_`.
@@ -12,10 +12,12 @@ use std::sync::{Arc, Mutex as StdMutex, MutexGuard, OnceLock};
 
 use rpx_model::{check, check_expect_failure, mutation, thread, Config};
 
-use crate::counter::{Counter, RawCounter};
+use crate::counter::{Clock, Counter, RawCounter};
 use crate::name::{CounterInstance, CounterName};
+use crate::prim::AtomicU64;
 use crate::query::ResolvedQuery;
 use crate::registry::CounterRegistry;
+use crate::sampler::TickLoop;
 use crate::value::{CounterInfo, CounterKind};
 
 /// Serializes the specs in this file: mutants arm a process-global
@@ -151,6 +153,74 @@ fn model_registry_stamp_after_expand_mutant_is_caught() {
     assert!(
         failure.message.contains("topology change lost"),
         "expected a lost topology change, got: {}",
+        failure.message
+    );
+}
+
+/// `TickLoop`'s flush rendezvous: a ticker with its start-up tick due at
+/// once, a flusher, and this thread as the stopper. A `flush_now` that
+/// returns `true` has seen a whole tick that began after it asked (ticks
+/// number themselves as they begin and publish the number as they end, and
+/// the flusher reads both through nothing but the loop's own mutex), and
+/// whichever way the stop falls, every thread comes home.
+fn tickloop_flush_vs_stop() {
+    const MINUTE: std::time::Duration = std::time::Duration::from_secs(60);
+    let began = Arc::new(AtomicU64::new(0));
+    let ended = Arc::new(AtomicU64::new(0));
+    let (b, e) = (began.clone(), ended.clone());
+    let ticks = TickLoop::spawn(
+        "spec-ticks",
+        Arc::new(Clock::new()),
+        std::time::Duration::ZERO,
+        move |_| {
+            let number = b.fetch_add(1, Ordering::Relaxed) + 1;
+            e.store(number, Ordering::Relaxed);
+            MINUTE
+        },
+    )
+    .unwrap();
+    let ticks = Arc::new(ticks);
+    let t = ticks.clone();
+    let flusher = thread::spawn(move || {
+        let before = began.load(Ordering::Relaxed);
+        if t.flush_now() {
+            let whole = ended.load(Ordering::Relaxed);
+            assert!(
+                whole > before,
+                "flush_now returned before a later tick ended: tick {whole} \
+                 ended, {before} had begun at the request"
+            );
+        }
+    });
+    ticks.stop();
+    flusher.join().unwrap();
+}
+
+#[test]
+fn model_tickloop_flush_sees_a_whole_later_tick() {
+    let _g = serial();
+    mutation::disarm_all();
+    check(
+        "model_tickloop_flush_sees_a_whole_later_tick",
+        cfg(),
+        tickloop_flush_vs_stop,
+    );
+}
+
+#[test]
+fn model_tickloop_complete_before_tick_mutant_is_caught() {
+    let _g = serial();
+    mutation::disarm_all();
+    mutation::arm("tickloop-complete-before-tick");
+    let failure = check_expect_failure(
+        "model_tickloop_complete_before_tick_mutant_is_caught",
+        cfg(),
+        tickloop_flush_vs_stop,
+    );
+    mutation::disarm_all();
+    assert!(
+        failure.message.contains("before a later tick ended"),
+        "expected an early flush return, got: {}",
         failure.message
     );
 }

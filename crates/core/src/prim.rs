@@ -1,5 +1,7 @@
 //! `cfg(rpx_model)` indirection for the registry's snapshot-publication
-//! primitives (generation counter, snapshot `RwLock`, active-set mutex).
+//! primitives (generation counter, snapshot `RwLock`, active-set mutex) and
+//! for what [`TickLoop`](crate::sampler::TickLoop) is built from (mutex,
+//! condition variable, a thread it can join).
 //!
 //! Production builds re-export `std::sync::atomic` and the workspace
 //! `parking_lot` shim — pure renaming, zero overhead. Under
@@ -15,8 +17,9 @@
 
 #[cfg(not(rpx_model))]
 mod imp {
-    pub use parking_lot::{Mutex, RwLock};
+    pub use parking_lot::{Condvar, Mutex, RwLock};
     pub use std::sync::atomic::{AtomicU64, Ordering};
+    pub use std::thread;
 
     #[inline(always)]
     pub fn mutation_armed(_name: &str) -> bool {
@@ -27,7 +30,8 @@ mod imp {
 #[cfg(rpx_model)]
 mod imp {
     pub use rpx_model::mutation::armed as mutation_armed;
-    pub use rpx_model::sync::{AtomicU64, Mutex, Ordering, RwLock};
+    pub use rpx_model::sync::{AtomicU64, Condvar, Mutex, Ordering, RwLock};
+    pub use rpx_model::thread;
 }
 
 pub(crate) use imp::*;

@@ -108,10 +108,11 @@ impl CounterRegistry {
     // ------------------------------------------------------------------
 
     /// Register a counter type. `info.name` must be the type path
-    /// (`/object/countername`). Re-registration replaces the entry.
-    /// Registration bumps the topology [generation](Self::generation), so
-    /// live wildcard queries pick the new type's instances up on their
-    /// next evaluation.
+    /// (`/object/countername`). Re-registration replaces the entry and
+    /// evicts the cached instances the replaced factory made, so the next
+    /// read goes through the new one. Registration bumps the topology
+    /// [generation](Self::generation), so live wildcard queries pick the
+    /// new type's instances up on their next evaluation.
     pub fn register_type(
         &self,
         info: CounterInfo,
@@ -119,14 +120,14 @@ impl CounterRegistry {
         discoverer: Option<CounterDiscoverer>,
     ) {
         let key = info.name.clone();
-        self.types.write().insert(
-            key,
-            CounterTypeEntry {
-                info,
-                factory,
-                discoverer,
-            },
-        );
+        let entry = CounterTypeEntry {
+            info,
+            factory,
+            discoverer,
+        };
+        if self.types.write().insert(key.clone(), entry).is_some() {
+            self.evict_instances(&key);
+        }
         self.bump_generation();
     }
 
@@ -134,12 +135,16 @@ impl CounterRegistry {
     /// topology [generation](Self::generation).
     pub fn unregister_type(&self, type_path: &str) {
         self.types.write().remove(type_path);
+        self.evict_instances(type_path);
+        self.bump_generation();
+    }
+
+    fn evict_instances(&self, type_path: &str) {
         self.instances.write().retain(|name, _| {
             name.parse::<CounterName>()
                 .map(|n| n.type_path() != type_path)
                 .unwrap_or(true)
         });
-        self.bump_generation();
     }
 
     /// The current topology generation. A [`ResolvedQuery`] stamped with
@@ -386,20 +391,35 @@ impl CounterRegistry {
     // Convenience registration helpers for simple single-instance types
     // ------------------------------------------------------------------
 
-    /// Register a pull-based raw gauge under `type_path`, instantiable with
-    /// any (or no) instance name.
-    pub fn register_raw(self: &Arc<Self>, type_path: &str, help: &str, unit: &str, read: ValueFn) {
+    /// Register a type whose every instance is `make(info, clock)`, `info`
+    /// being the type's with the instance's canonical name filled in.
+    fn register_made(
+        self: &Arc<Self>,
+        info: CounterInfo,
+        discoverer: Option<CounterDiscoverer>,
+        make: impl Fn(CounterInfo, Arc<Clock>) -> Arc<dyn Counter> + Send + Sync + 'static,
+    ) {
         let clock = self.clock();
-        let info = CounterInfo::new(type_path, CounterKind::Raw, help, unit);
-        let info2 = info.clone();
+        let template = info.clone();
         self.register_type(
             info,
             Arc::new(move |name, _reg| {
-                let mut i = info2.clone();
-                i.name = name.canonical();
-                Ok(Arc::new(RawCounter::new(i, clock.clone(), read.clone())) as Arc<dyn Counter>)
+                let mut info = template.clone();
+                info.name = name.canonical();
+                Ok(make(info, clock.clone()))
             }),
+            discoverer,
+        );
+    }
+
+    /// Register a pull-based raw gauge under `type_path`, instantiable with
+    /// any (or no) instance name.
+    pub fn register_raw(self: &Arc<Self>, type_path: &str, help: &str, unit: &str, read: ValueFn) {
+        let info = CounterInfo::new(type_path, CounterKind::Raw, help, unit);
+        self.register_made(
+            info,
             single_instance_discoverer(type_path),
+            move |i, clock| Arc::new(RawCounter::new(i, clock, read.clone())),
         );
     }
 
@@ -411,20 +431,11 @@ impl CounterRegistry {
         unit: &str,
         read: ValueFn,
     ) {
-        let clock = self.clock();
         let info = CounterInfo::new(type_path, CounterKind::MonotonicallyIncreasing, help, unit);
-        let info2 = info.clone();
-        self.register_type(
+        self.register_made(
             info,
-            Arc::new(move |name, _reg| {
-                let mut i = info2.clone();
-                i.name = name.canonical();
-                Ok(
-                    Arc::new(MonotonicCounter::new(i, clock.clone(), read.clone()))
-                        as Arc<dyn Counter>,
-                )
-            }),
             single_instance_discoverer(type_path),
+            move |i, clock| Arc::new(MonotonicCounter::new(i, clock, read.clone())),
         );
     }
 
@@ -436,20 +447,11 @@ impl CounterRegistry {
         unit: &str,
         read: PairFn,
     ) {
-        let clock = self.clock();
         let info = CounterInfo::new(type_path, CounterKind::Average, help, unit);
-        let info2 = info.clone();
-        self.register_type(
+        self.register_made(
             info,
-            Arc::new(move |name, _reg| {
-                let mut i = info2.clone();
-                i.name = name.canonical();
-                Ok(
-                    Arc::new(AverageCounter::new(i, clock.clone(), read.clone()))
-                        as Arc<dyn Counter>,
-                )
-            }),
             single_instance_discoverer(type_path),
+            move |i, clock| Arc::new(AverageCounter::new(i, clock, read.clone())),
         );
     }
 
@@ -467,11 +469,8 @@ impl CounterRegistry {
         let c2 = cell.clone();
         self.register_type(
             info,
-            Arc::new(move |name, _reg| {
-                // All instances of an app value share the one cell.
-                let _ = name;
-                Ok(c2.clone() as Arc<dyn Counter>)
-            }),
+            // All instances of an app value share the one cell.
+            Arc::new(move |_name, _reg| Ok(c2.clone() as Arc<dyn Counter>)),
             single_instance_discoverer(type_path),
         );
         cell
@@ -529,27 +528,15 @@ fn register_overhead_counters(reg: &Arc<CounterRegistry>) {
     for (path, help, unit, read) in specs {
         let weak = Arc::downgrade(reg);
         let value: ValueFn = Arc::new(move || weak.upgrade().map_or(0, |r| read(&r)));
-        let clock = reg.clock();
         let info = CounterInfo::new(path, CounterKind::MonotonicallyIncreasing, help, unit);
-        let info2 = info.clone();
-        let advertised: CounterName = match path.parse::<CounterName>() {
-            Ok(n) => n.with_instance(CounterInstance::total(0)),
-            Err(_) => continue,
+        let Ok(advertised) = path.parse::<CounterName>() else {
+            continue;
         };
-        reg.register_type(
-            info,
-            Arc::new(move |name, _reg| {
-                let mut i = info2.clone();
-                i.name = name.canonical();
-                Ok(
-                    Arc::new(MonotonicCounter::new(i, clock.clone(), value.clone()))
-                        as Arc<dyn Counter>,
-                )
-            }),
-            Some(Arc::new(move |f: &mut dyn FnMut(CounterName)| {
-                f(advertised.clone())
-            })),
-        );
+        let advertised = advertised.with_instance(CounterInstance::total(0));
+        let discoverer: CounterDiscoverer = Arc::new(move |f| f(advertised.clone()));
+        reg.register_made(info, Some(discoverer), move |i, clock| {
+            Arc::new(MonotonicCounter::new(i, clock, value.clone()))
+        });
     }
     // Signed gauge: the last TSC−Instant error a completed drift check
     // observed (ppm). Raw, not monotonic — it moves both ways.
@@ -565,11 +552,8 @@ fn register_overhead_counters(reg: &Arc<CounterRegistry>) {
 
 /// Discoverer advertising exactly the bare type path as the only instance.
 fn single_instance_discoverer(type_path: &str) -> Option<CounterDiscoverer> {
-    let name: Result<CounterName, _> = type_path.parse();
-    match name {
-        Ok(n) => Some(Arc::new(move |f: &mut dyn FnMut(CounterName)| f(n.clone()))),
-        Err(_) => None,
-    }
+    let name: CounterName = type_path.parse().ok()?;
+    Some(Arc::new(move |f| f(name.clone())))
 }
 
 /// Whether concrete name `c` is matched by wildcard pattern `p`.

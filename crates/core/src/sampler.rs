@@ -20,14 +20,15 @@
 //! slot, so it survives for counters present across the change.
 
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::counter::Clock;
 use crate::error::CounterError;
+use crate::prim;
 use crate::query::{QueryHandle, ResolvedQuery};
 use crate::registry::CounterRegistry;
 use crate::value::CounterValue;
@@ -298,80 +299,146 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A periodic loop that stops promptly and can be flushed out of cycle:
-/// the tick thread behind [`Sampler`] and the `rpx-serve` publisher.
+/// The one owner of a periodic thread: "run `tick` every so often until
+/// stopped", for the [`Sampler`], the `rpx-serve` publisher and accept
+/// poll, the apex policy engine and the runtime's watchdog (DESIGN.md,
+/// "Time and ticks").
 ///
-/// The flush rendezvous is a request/completion sequence pair.
-/// [`flush_now`](Self::flush_now) bumps `requests`; [`run`](Self::run)
-/// reads `requests` *before* a tick and copies that value into `completed`
-/// *after* it, so `completed >= r` proves a complete tick ran entirely
-/// after request `r` was made.
-#[derive(Default)]
+/// The thread waits on a condition variable until its next due time on
+/// the registry [`Clock`], a [`flush_now`](Self::flush_now) or a
+/// [`stop`](Self::stop), so neither of those waits out a sleep. Each tick
+/// is handed one `now_ns` from that clock and returns the delay, counted
+/// from that stamp, to the next one.
+///
+/// The flush rendezvous is a request/completion sequence pair under the
+/// one mutex. `flush_now` bumps `requests`; the thread reads `requests`
+/// *before* a tick and copies that value into `completed` *after* it, so
+/// `completed >= r` proves a complete tick ran entirely after request `r`
+/// was made.
 pub struct TickLoop {
-    stop: AtomicBool,
-    requests: AtomicU64,
-    completed: AtomicU64,
+    shared: Arc<TickShared>,
+    thread: prim::Mutex<Option<prim::thread::JoinHandle<()>>>,
+}
+
+struct TickShared {
+    clock: Arc<Clock>,
+    state: prim::Mutex<TickState>,
+    /// Notified on every `state` change: the thread waits here between
+    /// ticks, flushers wait here for `completed`.
+    changed: prim::Condvar,
+}
+
+#[derive(Default)]
+struct TickState {
+    stop: bool,
+    requests: u64,
+    completed: u64,
 }
 
 impl TickLoop {
-    /// Run `tick` now and then every `interval`, on the calling thread,
-    /// until [`stop`](Self::stop).
-    pub fn run(&self, interval: Duration, mut tick: impl FnMut()) {
-        while !self.stopped() {
-            // Flush requests made before this point are satisfied by the
-            // tick this iteration runs.
-            let request = self.requests.load(Ordering::Acquire);
-            tick();
-            self.completed.store(request, Ordering::Release);
-            // Sleep in short slices so stop() and flush_now() are prompt:
-            // a flush request arriving mid-sleep cuts the interval short
-            // and starts the next tick immediately.
-            let mut remaining = interval;
-            while remaining > Duration::ZERO
-                && !self.stopped()
-                && self.requests.load(Ordering::Acquire) <= request
-            {
-                let slice = remaining.min(Duration::from_millis(5));
-                std::thread::sleep(slice);
-                remaining -= slice;
-            }
-        }
+    /// Start a thread called `name` that runs `tick` after `first` and
+    /// then after each delay `tick` returns, until [`stop`](Self::stop)
+    /// or drop. Fails with [`CounterError::SpawnFailed`] if the OS refuses
+    /// the thread.
+    pub fn spawn(
+        name: &str,
+        clock: Arc<Clock>,
+        first: Duration,
+        mut tick: impl FnMut(u64) -> Duration + Send + 'static,
+    ) -> Result<Self, CounterError> {
+        let shared = Arc::new(TickShared {
+            clock,
+            state: prim::Mutex::new(TickState::default()),
+            changed: prim::Condvar::new(),
+        });
+        let s = shared.clone();
+        let thread = prim::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                let mut due_ns = after(s.clock.now_ns(), first);
+                let mut state = s.state.lock();
+                while !state.stop {
+                    let wait_ns = due_ns.saturating_sub(s.clock.now_ns());
+                    if wait_ns > 0 && state.requests <= state.completed {
+                        // Woken early or for no reason, the conditions above
+                        // are simply read again: only the clock ends a wait.
+                        s.changed
+                            .wait_for(&mut state, Duration::from_nanos(wait_ns));
+                        continue;
+                    }
+                    // Flush requests made before this point are satisfied by
+                    // the tick this iteration runs.
+                    let request = state.requests;
+                    if prim::mutation_armed("tickloop-complete-before-tick") {
+                        state.completed = request;
+                        s.changed.notify_all();
+                    }
+                    drop(state);
+                    let now_ns = s.clock.now_ns();
+                    due_ns = after(now_ns, tick(now_ns));
+                    state = s.state.lock();
+                    state.completed = request;
+                    s.changed.notify_all();
+                }
+            })
+            .map_err(|e| CounterError::SpawnFailed(format!("{name} thread: {e}")))?;
+        Ok(TickLoop {
+            shared,
+            thread: prim::Mutex::new(Some(thread)),
+        })
     }
 
     /// Force an immediate out-of-cycle tick and block until one *complete*
     /// tick — started entirely after this call — has run. Returns `false`
-    /// if that did not happen within ~5 s (e.g. the loop was stopped
-    /// concurrently).
+    /// if that did not happen within ~5 s or the loop was stopped first.
     pub fn flush_now(&self) -> bool {
-        let target = self.requests.fetch_add(1, Ordering::AcqRel) + 1;
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let s = &self.shared;
+        let deadline_ns = after(s.clock.now_ns(), Duration::from_secs(5));
+        let mut state = s.state.lock();
+        state.requests += 1;
+        let target = state.requests;
+        s.changed.notify_all();
         loop {
-            if self.completed.load(Ordering::Acquire) >= target {
-                return true;
+            let wait_ns = deadline_ns.saturating_sub(s.clock.now_ns());
+            if state.completed >= target || state.stop || wait_ns == 0 {
+                return state.completed >= target;
             }
-            if self.stopped() || std::time::Instant::now() >= deadline {
-                return self.completed.load(Ordering::Acquire) >= target;
-            }
-            std::thread::sleep(Duration::from_millis(1));
+            s.changed
+                .wait_for(&mut state, Duration::from_nanos(wait_ns));
         }
     }
 
-    /// Ask [`run`](Self::run) to return after the tick in progress.
+    /// End the loop after the tick in progress, if any, and join the
+    /// thread. Idempotent; dropping the loop does the same.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.shared.state.lock().stop = true;
+        self.shared.changed.notify_all();
+        if let Some(thread) = self.thread.lock().take() {
+            let _ = thread.join();
+        }
     }
 
     /// Whether [`stop`](Self::stop) was called.
     pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.shared.state.lock().stop
     }
+}
+
+impl Drop for TickLoop {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// `now_ns + delay`, saturating (a tick may ask for "never").
+fn after(now_ns: u64, delay: Duration) -> u64 {
+    now_ns.saturating_add(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX))
 }
 
 /// A running background sampler; dropping it stops sampling.
 pub struct Sampler {
-    ticks: Arc<TickLoop>,
+    ticks: TickLoop,
     health: Arc<SamplerHealth>,
-    handle: Option<JoinHandle<()>>,
 }
 
 /// Per-counter resilience state, kept in the counter's handle slot.
@@ -380,6 +447,92 @@ struct ReadState {
     consecutive_failures: u32,
     /// Batches left to skip (emit a placeholder without evaluating).
     skip: u64,
+}
+
+/// What the sampling thread owns. Dropping it — the loop has ended —
+/// finishes the sink.
+struct Sampling {
+    query: ResolvedQuery<Arc<Mutex<ReadState>>>,
+    sink: Box<dyn SampleSink>,
+    health: Arc<SamplerHealth>,
+    reset_on_read: bool,
+    interval: Duration,
+    sequence: u64,
+}
+
+impl Sampling {
+    /// Sample one batch into the sink; returns the delay to the next.
+    fn tick(&mut self) -> Duration {
+        if self.query.refresh() {
+            // The resolved set changed: announce the new schema (CSV
+            // emits a fresh header row).
+            self.sink.begin(&self.query.names());
+        }
+        let (timestamp_ns, readings) = self
+            .query
+            .batch(|h, timestamp_ns| (h.canonical.clone(), self.sample_one(h, timestamp_ns)));
+        self.sink.record(&SampleBatch {
+            sequence: self.sequence,
+            timestamp_ns,
+            readings,
+        });
+        self.mirror_drops();
+        self.sequence += 1;
+        self.interval
+    }
+
+    /// Evaluate one counter defensively. A panic or non-ok status becomes an
+    /// unavailable placeholder and pushes the counter into exponential backoff
+    /// (skipped batches still emit the placeholder, so every batch keeps the
+    /// full set of readings and CSV rows keep their width).
+    fn sample_one(
+        &self,
+        handle: &QueryHandle<Arc<Mutex<ReadState>>>,
+        timestamp_ns: u64,
+    ) -> CounterValue {
+        let mut st = handle.slot.lock();
+        if st.skip > 0 {
+            st.skip -= 1;
+            return CounterValue::unavailable(timestamp_ns);
+        }
+        match handle.read(self.reset_on_read, timestamp_ns) {
+            v if v.status.is_ok() => {
+                st.consecutive_failures = 0;
+                v
+            }
+            _ => {
+                self.health.read_errors.fetch_add(1, Ordering::Relaxed);
+                st.consecutive_failures = st.consecutive_failures.saturating_add(1);
+                if st.consecutive_failures > 1 {
+                    // Repeated failure: back off 2, 4, ... up to 32 intervals,
+                    // jittered by one batch so a set of counters broken by the
+                    // same cause doesn't retry in lockstep forever.
+                    let base = 1u64
+                        .checked_shl(st.consecutive_failures.min(6))
+                        .unwrap_or(MAX_BACKOFF_INTERVALS)
+                        .min(MAX_BACKOFF_INTERVALS);
+                    let jitter =
+                        splitmix64(self.sequence ^ (st.consecutive_failures as u64) << 32) & 1;
+                    st.skip = base - 1 + jitter;
+                    self.health.backoffs.fetch_add(1, Ordering::Relaxed);
+                }
+                CounterValue::unavailable(timestamp_ns)
+            }
+        }
+    }
+
+    fn mirror_drops(&self) {
+        self.health
+            .sink_dropped
+            .store(self.sink.dropped(), Ordering::Relaxed);
+    }
+}
+
+impl Drop for Sampling {
+    fn drop(&mut self) {
+        self.sink.finish();
+        self.mirror_drops();
+    }
 }
 
 impl Sampler {
@@ -395,10 +548,7 @@ impl Sampler {
     ) -> Result<Self, CounterError> {
         let health = Arc::new(SamplerHealth::default());
         // Export the sink-drop mirror before resolving, so the sampler can
-        // watch its own drops. Unregister first: re-registration replaces
-        // the type entry but not a cached instance, and a fresh sampler
-        // run must not report a predecessor's drops.
-        registry.unregister_type("/counters/sampler/dropped");
+        // watch its own drops.
         let h = health.clone();
         registry.register_monotonic(
             "/counters/sampler/dropped",
@@ -409,46 +559,20 @@ impl Sampler {
         let query = ResolvedQuery::resolve_with(registry, &config.counters, |_, _| {
             Arc::new(Mutex::new(ReadState::default()))
         })?;
-        let ticks = Arc::new(TickLoop::default());
-        let ticks2 = ticks.clone();
-        let health2 = health.clone();
-        let handle = std::thread::Builder::new()
-            .name("rpx-counter-sampler".into())
-            .spawn(move || {
-                sink.begin(&query.names());
-                let mut sequence: u64 = 0;
-                ticks2.run(config.interval, || {
-                    if query.refresh() {
-                        // The resolved set changed: announce the new schema
-                        // (CSV emits a fresh header row).
-                        sink.begin(&query.names());
-                    }
-                    let (timestamp_ns, readings) = query.batch(|h, timestamp_ns| {
-                        let v =
-                            sample_one(h, config.reset_on_read, &health2, timestamp_ns, sequence);
-                        (h.canonical.clone(), v)
-                    });
-                    sink.record(&SampleBatch {
-                        sequence,
-                        timestamp_ns,
-                        readings,
-                    });
-                    health2
-                        .sink_dropped
-                        .store(sink.dropped(), Ordering::Relaxed);
-                    sequence += 1;
-                });
-                sink.finish();
-                health2
-                    .sink_dropped
-                    .store(sink.dropped(), Ordering::Relaxed);
-            })
-            .map_err(|e| CounterError::SpawnFailed(format!("sampler thread: {e}")))?;
-        Ok(Sampler {
-            ticks,
-            health,
-            handle: Some(handle),
-        })
+        sink.begin(&query.names());
+        let mut sampling = Sampling {
+            query,
+            sink,
+            health: health.clone(),
+            reset_on_read: config.reset_on_read,
+            interval: config.interval,
+            sequence: 0,
+        };
+        let clock = registry.clock();
+        let ticks = TickLoop::spawn("rpx-counter-sampler", clock, Duration::ZERO, move |_| {
+            sampling.tick()
+        })?;
+        Ok(Sampler { ticks, health })
     }
 
     /// Force an immediate out-of-cycle sample and block until one
@@ -469,62 +593,8 @@ impl Sampler {
     }
 
     /// Stop sampling and wait for the thread to flush its sink.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
+    pub fn stop(self) {
         self.ticks.stop();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Sampler {
-    fn drop(&mut self) {
-        self.stop_inner();
-    }
-}
-
-/// Evaluate one counter defensively. A panic or non-ok status becomes an
-/// unavailable placeholder and pushes the counter into exponential backoff
-/// (skipped batches still emit the placeholder, so every batch keeps the
-/// full set of readings and CSV rows keep their width).
-fn sample_one(
-    handle: &QueryHandle<Arc<Mutex<ReadState>>>,
-    reset: bool,
-    health: &SamplerHealth,
-    timestamp_ns: u64,
-    sequence: u64,
-) -> CounterValue {
-    let mut st = handle.slot.lock();
-    if st.skip > 0 {
-        st.skip -= 1;
-        return CounterValue::unavailable(timestamp_ns);
-    }
-    match handle.read(reset, timestamp_ns) {
-        v if v.status.is_ok() => {
-            st.consecutive_failures = 0;
-            v
-        }
-        _ => {
-            health.read_errors.fetch_add(1, Ordering::Relaxed);
-            st.consecutive_failures = st.consecutive_failures.saturating_add(1);
-            if st.consecutive_failures > 1 {
-                // Repeated failure: back off 2, 4, ... up to 32 intervals,
-                // jittered by one batch so a set of counters broken by the
-                // same cause doesn't retry in lockstep forever.
-                let base = 1u64
-                    .checked_shl(st.consecutive_failures.min(6))
-                    .unwrap_or(MAX_BACKOFF_INTERVALS)
-                    .min(MAX_BACKOFF_INTERVALS);
-                let jitter = splitmix64(sequence ^ (st.consecutive_failures as u64) << 32) & 1;
-                st.skip = base - 1 + jitter;
-                health.backoffs.fetch_add(1, Ordering::Relaxed);
-            }
-            CounterValue::unavailable(timestamp_ns)
-        }
     }
 }
 
@@ -881,6 +951,115 @@ mod tests {
         let last = batches.lock().last().cloned().unwrap();
         assert_eq!(last.readings[0].1.value, 9, "each flush yields a fresh row");
         sampler.stop();
+    }
+
+    /// A loop on a fresh clock whose tick counts itself and then asks for
+    /// `delay(count)`.
+    fn counting_loop(
+        first: Duration,
+        delay: impl Fn(u64) -> Duration + Send + 'static,
+    ) -> (TickLoop, Arc<AtomicU64>) {
+        let count = Arc::new(AtomicU64::new(0));
+        let c = count.clone();
+        let ticks = TickLoop::spawn("test-ticks", Arc::new(Clock::new()), first, move |_| {
+            delay(c.fetch_add(1, Ordering::SeqCst) + 1)
+        })
+        .unwrap();
+        (ticks, count)
+    }
+
+    const MINUTE: Duration = Duration::from_secs(60);
+
+    #[test]
+    fn stop_does_not_wait_out_the_interval() {
+        let (ticks, count) = counting_loop(Duration::ZERO, |_| MINUTE);
+        assert!(ticks.flush_now());
+        let t0 = std::time::Instant::now();
+        ticks.stop();
+        assert!(
+            t0.elapsed() < Duration::from_millis(50),
+            "{:?}",
+            t0.elapsed()
+        );
+        assert!(ticks.stopped());
+        // The thread is gone: nothing ticks any more, and a second stop
+        // has nothing left to join.
+        let after_stop = count.load(Ordering::SeqCst);
+        ticks.stop();
+        assert!(!ticks.flush_now());
+        assert_eq!(count.load(Ordering::SeqCst), after_stop);
+
+        let reg = CounterRegistry::new();
+        reg.register_raw("/test/v", "h", "1", Arc::new(|| 1));
+        let config = SamplerConfig::new(vec!["/test/v".into()], MINUTE);
+        let sampler = Sampler::start(&reg, config, Box::new(MemorySink::new())).unwrap();
+        assert!(sampler.flush_now());
+        let t0 = std::time::Instant::now();
+        sampler.stop();
+        assert!(
+            t0.elapsed() < Duration::from_millis(50),
+            "{:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn drop_joins_the_tick_thread() {
+        // The tick owns a value whose drop is visible: once the loop is
+        // dropped the thread has ended and released what it owned.
+        let owned = Arc::new(());
+        let o = owned.clone();
+        let ticks = TickLoop::spawn("test-ticks", Arc::new(Clock::new()), MINUTE, move |_| {
+            let _keep = &o;
+            MINUTE
+        })
+        .unwrap();
+        assert_eq!(Arc::strong_count(&owned), 2);
+        drop(ticks);
+        assert_eq!(Arc::strong_count(&owned), 1);
+    }
+
+    #[test]
+    fn the_delay_a_tick_returns_is_honoured() {
+        // First tick a minute in (never, here); a flush runs tick 1, which
+        // asks for 1 ms; tick 2 asks for a minute again.
+        let (ticks, count) = counting_loop(MINUTE, |n| {
+            if n == 1 {
+                Duration::from_millis(1)
+            } else {
+                MINUTE
+            }
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(count.load(Ordering::SeqCst), 0, "first tick is not due");
+        assert!(ticks.flush_now());
+        let t0 = std::time::Instant::now();
+        while count.load(Ordering::SeqCst) < 2 && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(count.load(Ordering::SeqCst), 2, "the 1 ms delay ran tick 2");
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(count.load(Ordering::SeqCst), 2, "tick 3 is a minute away");
+    }
+
+    #[test]
+    fn flush_racing_stop_never_hangs_or_reports_a_tick_that_did_not_run() {
+        for round in 0..200 {
+            let (ticks, count) = counting_loop(MINUTE, |_| MINUTE);
+            let ticks = Arc::new(ticks);
+            let t2 = ticks.clone();
+            let flusher = std::thread::spawn(move || t2.flush_now());
+            if round % 2 == 0 {
+                std::thread::yield_now();
+            }
+            ticks.stop();
+            let flushed = flusher.join().unwrap();
+            // Either the flush got its whole tick in before the stop or it
+            // was turned away (the tick may still have run, cut off from
+            // its report); it never reports a tick that did not run.
+            let ran = count.load(Ordering::SeqCst);
+            assert!(ran == 1 || (ran == 0 && !flushed), "round {round}");
+        }
     }
 
     #[test]

@@ -47,6 +47,30 @@ where
     }
 }
 
+/// The slice of `std::thread::Builder` the production crates use, so a
+/// facade can re-export either. Model threads are scheduled by the engine
+/// and carry no name.
+#[derive(Default)]
+pub struct Builder;
+
+impl Builder {
+    pub fn new() -> Self {
+        Builder
+    }
+
+    pub fn name(self, _name: String) -> Self {
+        self
+    }
+
+    pub fn spawn<F, T>(self, f: F) -> std::io::Result<JoinHandle<T>>
+    where
+        F: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
+    {
+        Ok(spawn(f))
+    }
+}
+
 impl<T> JoinHandle<T> {
     pub fn join(self) -> std::thread::Result<T> {
         if let Some(tid) = self.tid {

@@ -173,30 +173,13 @@ impl FaultPlan {
             unknown.sort();
             return Err(UnknownFaultVars(unknown));
         }
-        let var = parse_u64_var;
-        let seed = var("RPX_FAULT_SEED");
-        let task_panic = var("RPX_FAULT_TASK_PANIC_PPM");
-        let worker_kill = var("RPX_FAULT_WORKER_KILL_PPM");
-        let stall = var("RPX_FAULT_STALL_PPM");
-        let stall_ms = var("RPX_FAULT_STALL_MS");
-        let counter_fail = var("RPX_FAULT_COUNTER_FAIL_PPM");
-        let steal_storm = var("RPX_FAULT_STEAL_STORM_TICKS");
-        let max = var("RPX_FAULT_MAX");
-        if [
-            &seed,
-            &task_panic,
-            &worker_kill,
-            &stall,
-            &stall_ms,
-            &counter_fail,
-            &steal_storm,
-            &max,
-        ]
-        .iter()
-        .all(|v| v.is_none())
-        {
+        // One value per `KNOWN_FAULT_VARS` row, in the table's order.
+        let values = KNOWN_FAULT_VARS.map(parse_u64_var);
+        if values.iter().all(Option::is_none) {
             return Ok(None);
         }
+        let [seed, task_panic, worker_kill, stall, stall_ms, counter_fail, steal_storm, max] =
+            values;
         let defaults = FaultPlan::default();
         Ok(Some(FaultPlan {
             seed: seed.unwrap_or(defaults.seed),

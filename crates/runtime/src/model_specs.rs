@@ -52,8 +52,9 @@ fn sched_park_gate() {
     let worker = thread::spawn(move || {
         let parker = Parker::new();
         let local = s2.deques[0].lock().take().expect("deque unclaimed");
+        let clock = Clock::new();
         loop {
-            if let Some(t) = s2.find(0, &local).task {
+            if let Some(t) = s2.find(0, &local, &clock).task {
                 break t.id();
             }
             // Register *before* the final queue re-probe: a push that

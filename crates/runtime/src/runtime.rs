@@ -3,11 +3,12 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use rpx_counters::counter::Clock;
+use rpx_counters::sampler::TickLoop;
 use rpx_counters::CounterRegistry;
 use rpx_papi::Pmu;
 
@@ -193,7 +194,7 @@ impl RuntimeState {
             self.ledger.is_idle()
         };
         // A timeout too long to express as a deadline is no timeout.
-        match timeout.and_then(|t| Instant::now().checked_add(t)) {
+        match timeout.and_then(|t| std::time::Instant::now().checked_add(t)) {
             None => {
                 self.idle.wait_until(idle);
                 true
@@ -318,7 +319,7 @@ pub struct QuiesceReport {
 pub struct Runtime {
     inner: Arc<RuntimeInner>,
     threads: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
+    watchdog: TickLoop,
 }
 
 impl Runtime {
@@ -412,11 +413,10 @@ impl Runtime {
             })
             .collect();
 
-        let watchdog = Some(watchdog::spawn(&inner));
         Runtime {
+            watchdog: watchdog::spawn(&inner),
             inner,
             threads,
-            watchdog,
         }
     }
 
@@ -497,17 +497,8 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let site = crate::trace::site_id(std::panic::Location::caller());
         let token = CancelToken::with_deadline(deadline);
-        let fut = spawn_inner(
-            &self.inner,
-            self.spawner(),
-            LaunchPolicy::Async,
-            site,
-            f,
-            Some(token.clone()),
-        );
-        (fut, token)
+        (self.spawn_cancellable(&token, f), token)
     }
 
     /// The calling thread's identity as one of this runtime's workers.
@@ -647,25 +638,18 @@ impl Runtime {
         // registers after must observe the flag in its own probe.
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.scheduler.wake_all();
-        if let Some(w) = &self.watchdog {
-            // The watchdog parks between ticks; don't wait one out.
-            w.thread().unpark();
-        }
+        self.watchdog.stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
-        }
-        if let Some(w) = self.watchdog.take() {
-            let _ = w.join();
         }
     }
 }
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        if !self.threads.is_empty() {
-            // Best-effort stop without draining; prefer calling `shutdown()`.
-            self.stop_workers();
-        }
+        // Best-effort stop without draining (a no-op after `shutdown()`,
+        // which is the call to prefer).
+        self.stop_workers();
     }
 }
 
@@ -787,13 +771,8 @@ impl RuntimeHandle {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let site = crate::trace::site_id(std::panic::Location::caller());
         let token = CancelToken::with_deadline(deadline);
-        let bound = Some(token.clone());
-        let fut = self.with_runtime(|inner, spawner| {
-            spawn_inner(inner, spawner, LaunchPolicy::Async, site, f, bound)
-        });
-        (fut, token)
+        (self.spawn_cancellable(&token, f), token)
     }
 }
 
@@ -810,7 +789,7 @@ impl std::fmt::Debug for RuntimeHandle {
 /// when the worker must not be respawned.
 fn supervise_crash(inner: &Arc<RuntimeInner>, index: usize, restart: &mut RestartState) -> bool {
     let stats = inner.state.ledger.worker(index);
-    match restart.on_crash(Instant::now()) {
+    match restart.on_crash(inner.state.clock.now_ns()) {
         RestartVerdict::Respawn { backoff } => {
             stats.note_restart();
             backoff_sleep(inner, stats, backoff);
@@ -850,12 +829,14 @@ fn supervise_crash(inner: &Arc<RuntimeInner>, index: usize, restart: &mut Restar
 /// Sleep out a restart backoff (sliced, so shutdown stays responsive) and
 /// account it into `/runtime/health/restart-backoff`.
 fn backoff_sleep(inner: &Arc<RuntimeInner>, stats: &Shard, backoff: Duration) {
-    let t0 = Instant::now();
-    while t0.elapsed() < backoff && !inner.shutdown.load(Ordering::Acquire) {
-        let remaining = backoff.saturating_sub(t0.elapsed());
+    let clock = &inner.state.clock;
+    let t0 = clock.now_ns();
+    let elapsed = || Duration::from_nanos(clock.now_ns().saturating_sub(t0));
+    while elapsed() < backoff && !inner.shutdown.load(Ordering::Acquire) {
+        let remaining = backoff.saturating_sub(elapsed());
         std::thread::sleep(remaining.min(Duration::from_millis(1)));
     }
-    stats.note_backoff(t0.elapsed().as_nanos() as u64);
+    stats.note_backoff(elapsed().as_nanos() as u64);
 }
 
 /// How a spawn proceeds once policy and admission have had their say.
@@ -990,20 +971,27 @@ pub(crate) fn run_task(state: &RuntimeState, shard: &Shard, task: Claimed) {
     let net = gross.saturating_sub(nested_during);
     NESTED_EXEC_NS.with(|c| c.set(nested_before + gross));
     let wait_ns = start.saturating_sub(spawned_ns);
+    if state.tracer.is_enabled() {
+        // The span records gross start..end plus `nested_ns`, so readers
+        // can reconstruct both views; net (gross − nested) is what the
+        // profile and the causal analyzer sum — matching the stats below.
+        state.tracer.record(TaskSpan {
+            task_id,
+            parent: (parent != u64::MAX).then_some(parent),
+            site,
+            worker: shard.index(),
+            start_ns: start,
+            end_ns: end,
+            wait_ns,
+            nested_ns: nested_during,
+        });
+        // The tracer's cost on the clock that stamped the span: from the
+        // task's `end` to here, one more read (DESIGN.md §15).
+        state
+            .tracer
+            .note_overhead(state.clock.now_ns().saturating_sub(end));
+    }
     shard.record_execution(net, wait_ns);
-    // The span records gross start..end plus `nested_ns`, so readers
-    // can reconstruct both views; net (gross − nested) is what the
-    // profile and the causal analyzer sum — matching the stats above.
-    state.tracer.record(TaskSpan {
-        task_id,
-        parent: (parent != u64::MAX).then_some(parent),
-        site,
-        worker: shard.index(),
-        start_ns: start,
-        end_ns: end,
-        wait_ns,
-        nested_ns: nested_during,
-    });
     ran.publish();
     finish_task(state, shard);
 }

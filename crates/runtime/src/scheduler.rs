@@ -18,10 +18,9 @@
 //! attribute it — remote injectors and remote victims, always in batches
 //! so a cross-socket miss is amortized over up to half the victim's queue.
 
-use std::time::Instant;
-
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use crossbeam::sync::Unparker;
+use rpx_counters::counter::Clock;
 
 use crate::prim::{
     fence, mutation_armed, spin_loop, AtomicU64, AtomicUsize, Mutex, Ordering, Padded,
@@ -241,7 +240,7 @@ impl Scheduler {
     /// task (batches included), split local/remote by victim socket;
     /// injector claims are not steals. `remote_probe_ns` accrues whenever
     /// the remote phase runs, found or not.
-    pub(crate) fn find(&self, index: usize, local: &Deque<Task>) -> FindOutcome {
+    pub(crate) fn find(&self, index: usize, local: &Deque<Task>, clock: &Clock) -> FindOutcome {
         let mut out = FindOutcome::empty();
         if self.mode == SchedulerMode::GlobalQueue {
             // Single-task steals only: batching would strand tasks in the
@@ -288,7 +287,7 @@ impl Scheduler {
             // dry. Timed so placement misses are attributable separately
             // from granularity in idle-time accounting.
             if has_remote {
-                let probe_start = Instant::now();
+                let probe_start = clock.now_ns();
                 let mut found: Option<(Task, u64)> = None;
                 'remote: {
                     for &rseg in &self.remote_segments[index] {
@@ -312,7 +311,7 @@ impl Scheduler {
                         }
                     }
                 }
-                out.remote_probe_ns += probe_start.elapsed().as_nanos() as u64;
+                out.remote_probe_ns += clock.now_ns().saturating_sub(probe_start);
                 if let Some((t, stolen)) = found {
                     out.stolen_remote = stolen;
                     return out.with_task(t);
@@ -433,7 +432,7 @@ mod tests {
     use crossbeam::sync::Parker;
 
     fn take(s: &Scheduler, index: usize, local: &Deque<Task>) -> Option<(Task, u64)> {
-        let out = s.find(index, local);
+        let out = s.find(index, local, &Clock::new());
         let stolen = out.stolen();
         out.task.map(|t| (t, stolen))
     }
@@ -481,7 +480,7 @@ mod tests {
         for i in 0..8 {
             s.push(task(i), Some(&local0));
         }
-        let out = s.find(1, &local1);
+        let out = s.find(1, &local1, &Clock::new());
         let t = out.task.unwrap();
         assert_eq!(t.id(), 0, "the returned task is the victim's oldest");
         assert_eq!(
@@ -537,7 +536,7 @@ mod tests {
         let local2 = s.deques[2].lock().take().unwrap();
         s.push(task(10), Some(&local1)); // same-socket victim
         s.push(task(20), Some(&local2)); // remote victim
-        let out = s.find(0, &local0);
+        let out = s.find(0, &local0, &Clock::new());
         assert_eq!(out.task.unwrap().id(), 10, "socket-local victim wins");
         assert_eq!(out.stolen_local, 1);
         assert_eq!(out.stolen_remote, 0);
@@ -554,7 +553,7 @@ mod tests {
         let local2 = s.deques[2].lock().take().unwrap();
         s.push(task(20), Some(&local2));
         s.push(task(21), Some(&local2));
-        let out = s.find(0, &local0);
+        let out = s.find(0, &local0, &Clock::new());
         assert_eq!(out.task.unwrap().id(), 20);
         assert_eq!(out.stolen_local, 0);
         assert!(out.stolen_remote >= 1, "cross-socket tasks count as remote");
@@ -566,7 +565,7 @@ mod tests {
             }))
             .collect();
         assert!(drained.contains(&21));
-        let miss = s.find(2, &local2);
+        let miss = s.find(2, &local2, &Clock::new());
         assert!(miss.task.is_none());
     }
 

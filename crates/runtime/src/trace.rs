@@ -14,16 +14,16 @@
 //!
 //! Tracing is off by default; enabling it installs a bounded ring buffer
 //! so long runs cannot exhaust memory (oldest events are dropped, counted).
-//! The tracer measures its own recording cost ([`TaskTracer::overhead_ns`],
-//! exported as `/runtime/trace/overhead-time`), so the paper's ≤10 %
-//! instrumentation envelope is checkable from inside the process.
+//! The runtime times each recording on the clock that stamped the span
+//! ([`TaskTracer::overhead_ns`], exported as `/runtime/trace/overhead-time`),
+//! so the paper's ≤10 % instrumentation envelope is checkable from inside
+//! the process.
 
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::Location;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -152,13 +152,22 @@ impl TaskSpan {
 pub struct TaskTracer {
     enabled: AtomicBool,
     capacity: usize,
-    spans: Mutex<Vec<TaskSpan>>,
-    next: AtomicU64,
-    dropped: AtomicU64,
-    /// Self-measurement: wall time spent inside `record` and spans
-    /// recorded, so the tracer's own cost is a counter like any other.
+    ring: Mutex<Ring>,
+    /// Self-measurement: time the runtime spent recording spans, so the
+    /// tracer's own cost is a counter like any other.
     overhead_ns: AtomicU64,
-    records: AtomicU64,
+}
+
+/// The span buffer and its one cursor. Span `n` since the last `clear`
+/// lives in slot `n % capacity`, so the drop and record counts are read
+/// off the cursor instead of being counted beside it.
+#[derive(Default)]
+struct Ring {
+    spans: Vec<TaskSpan>,
+    /// Spans recorded since the last `clear`.
+    written: u64,
+    /// Spans recorded before it.
+    earlier: u64,
 }
 
 impl TaskTracer {
@@ -167,11 +176,8 @@ impl TaskTracer {
         Arc::new(TaskTracer {
             enabled: AtomicBool::new(false),
             capacity: capacity.max(1),
-            spans: Mutex::new(Vec::new()),
-            next: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(Ring::default()),
             overhead_ns: AtomicU64::new(0),
-            records: AtomicU64::new(0),
         })
     }
 
@@ -195,38 +201,38 @@ impl TaskTracer {
         if !self.is_enabled() {
             return;
         }
-        let t0 = Instant::now();
-        {
-            let mut spans = self.spans.lock();
-            if spans.len() == self.capacity {
-                // Ring behaviour: overwrite the oldest slot.
-                let idx = (self.next.fetch_add(1, Ordering::Relaxed) as usize) % self.capacity;
-                spans[idx] = span;
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                spans.push(span);
-            }
+        let mut ring = self.ring.lock();
+        let slot = (ring.written % self.capacity as u64) as usize;
+        if slot < ring.spans.len() {
+            // Ring behaviour: overwrite the oldest slot.
+            ring.spans[slot] = span;
+        } else {
+            ring.spans.push(span);
         }
-        self.records.fetch_add(1, Ordering::Relaxed);
-        self.overhead_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        ring.written += 1;
+    }
+
+    /// Account `ns` spent recording one span (`run_task` measures it).
+    pub(crate) fn note_overhead(&self, ns: u64) {
+        self.overhead_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Copy out the captured spans (ring order is not chronological once
     /// the buffer wrapped; sorted by `start_ns` here).
     pub fn spans(&self) -> Vec<TaskSpan> {
-        let mut v = self.spans.lock().clone();
+        let mut v = self.ring.lock().spans.clone();
         v.sort_by_key(|s| s.start_ns);
         v
     }
 
     /// Spans that were overwritten after the buffer filled.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        let ring = self.ring.lock();
+        ring.written.saturating_sub(self.capacity as u64)
     }
 
-    /// Cumulative wall time spent recording spans (the tracer's own cost;
-    /// `/runtime/trace/overhead-time`).
+    /// Cumulative time the runtime spent recording spans (the tracer's
+    /// own cost; `/runtime/trace/overhead-time`).
     pub fn overhead_ns(&self) -> u64 {
         self.overhead_ns.load(Ordering::Relaxed)
     }
@@ -234,16 +240,18 @@ impl TaskTracer {
     /// Spans recorded since construction (including later-overwritten
     /// ones; `/runtime/trace/records`).
     pub fn records(&self) -> u64 {
-        self.records.load(Ordering::Relaxed)
+        let ring = self.ring.lock();
+        ring.earlier + ring.written
     }
 
     /// Clear captured spans and the drop count (the self-measurement
     /// accumulators keep counting — they describe the tracer, not the
     /// capture window).
     pub fn clear(&self) {
-        self.spans.lock().clear();
-        self.next.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
+        let mut ring = self.ring.lock();
+        ring.spans.clear();
+        ring.earlier += ring.written;
+        ring.written = 0;
     }
 
     /// Export as Chrome Trace Event Format (a JSON array of complete

@@ -1,10 +1,10 @@
-//! Worker watchdog: a supervisor thread that heartbeats the workers,
+//! Worker watchdog: a [`TickLoop`] tick that heartbeats the workers,
 //! records stall episodes into the `/runtime/health/stalls` counter, and
 //! feeds the [signal detector](crate::signals) one ledger reading per tick.
 //!
 //! Every worker bumps its shard's [`heartbeat`](crate::stats::Shard)
 //! once per scheduling-loop iteration and once per work-helping iteration —
-//! and from nowhere inside task bodies. The watchdog samples the heartbeats
+//! and from nowhere inside task bodies. The tick samples the heartbeats
 //! every `watchdog_interval`: a heartbeat that stays static for longer than
 //! `stall_threshold` while the runtime has live or pending work means the
 //! worker is wedged inside a task (a stall). Each episode is counted once
@@ -24,8 +24,9 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use rpx_counters::sampler::TickLoop;
 
 use crate::runtime::{RuntimeConfig, RuntimeInner, RuntimeState};
 use crate::signals::{Detector, Sample};
@@ -76,15 +77,16 @@ pub(crate) enum RestartVerdict {
 
 /// Per-worker restart accounting: a continuously-refilling token bucket
 /// plus a consecutive-crash counter driving the exponential backoff. Pure
-/// logic (the caller supplies `now`), so it unit tests deterministically.
+/// logic (the caller supplies the registry clock's `now_ns`), so it unit
+/// tests deterministically.
 pub(crate) struct RestartState {
     policy: RestartPolicy,
     /// Fractional tokens available; starts full.
     tokens: f64,
     /// Crashes since the last calm period (> window without a crash).
     consecutive: u32,
-    /// Instant of the previous crash (None before the first).
-    last_crash: Option<Instant>,
+    /// Clock time of the previous crash (None before the first).
+    last_crash_ns: Option<u64>,
 }
 
 impl RestartState {
@@ -93,15 +95,15 @@ impl RestartState {
             policy,
             tokens: policy.budget as f64,
             consecutive: 0,
-            last_crash: None,
+            last_crash_ns: None,
         }
     }
 
-    /// Account one crash at `now` and decide the worker's fate.
-    pub fn on_crash(&mut self, now: Instant) -> RestartVerdict {
+    /// Account one crash at `now_ns` and decide the worker's fate.
+    pub fn on_crash(&mut self, now_ns: u64) -> RestartVerdict {
         let budget = self.policy.budget as f64;
-        if let Some(last) = self.last_crash {
-            let elapsed = now.saturating_duration_since(last);
+        if let Some(last_ns) = self.last_crash_ns {
+            let elapsed = Duration::from_nanos(now_ns.saturating_sub(last_ns));
             // Continuous refill at budget/window, capped at the budget.
             let refill = budget * elapsed.as_secs_f64() / self.policy.window.as_secs_f64();
             self.tokens = (self.tokens + refill).min(budget);
@@ -110,7 +112,7 @@ impl RestartState {
                 self.consecutive = 0;
             }
         }
-        self.last_crash = Some(now);
+        self.last_crash_ns = Some(now_ns);
         if self.tokens < 1.0 {
             return RestartVerdict::Trip;
         }
@@ -136,89 +138,70 @@ struct Watch {
     in_stall: bool,
 }
 
-/// Spawn the watchdog thread for `inner`. The thread parks between ticks
-/// and exits when the runtime shuts down (or is dropped): set the shutdown
-/// flag, unpark it, then join the handle.
-pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> JoinHandle<()> {
+/// Start the watchdog for `inner`: first tick one interval in, then every
+/// `watchdog_interval` until the returned loop is stopped or dropped.
+pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> TickLoop {
     let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
     let interval = inner.config.watchdog_interval;
     let threshold_ns = inner.config.stall_threshold.as_nanos() as u64;
     // The registry clock's TSC drift cross-check rides the watchdog tick
     // (the Clock holds no back-reference, so this keeps nothing alive).
     let clock = inner.registry.clock();
-    std::thread::Builder::new()
-        .name("rpx-watchdog".into())
-        .spawn(move || {
-            let mut watches: Vec<Watch> = Vec::new();
-            let mut detector = Detector::default();
-            let mut tick: u64 = 0;
-            let mut next_tick = Instant::now() + interval;
-            loop {
-                // Parked, not asleep: `stop_workers` unparks us, so a
-                // shutdown does not wait out the interval. A park may also
-                // return early for no reason; only the clock ends a tick.
-                std::thread::park_timeout(next_tick.saturating_duration_since(Instant::now()));
-                let Some(inner) = weak.upgrade() else { return };
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if Instant::now() < next_tick {
-                    continue;
-                }
-                next_tick = Instant::now() + interval;
-                // The tick's one timestamp and one ledger reading: the
-                // signals and the stall check below see the same instant.
-                let now_ns = clock.now_ns();
-                let snap = observe(&inner.state, &mut detector, tick, now_ns);
-                // Clock hygiene: cross-check the TSC fast path against
-                // Instant and re-derive its multiplier on drift, so long
-                // runs don't accumulate skew in every duration counter
-                // (counter.rs documents the policy; cheap no-op while the
-                // run is younger than the minimum observation window).
-                clock.check_drift();
-                tick += 1;
-                if watches.len() != snap.heartbeats.len() {
-                    watches = snap
-                        .heartbeats
-                        .iter()
-                        .map(|h| Watch {
-                            heartbeat: h.unwrap_or(0),
-                            since_ns: now_ns,
-                            in_stall: false,
-                        })
-                        .collect();
-                    continue;
-                }
-                // Only a static heartbeat *while work exists* is a stall —
-                // parked idle workers still beat every park timeout, so
-                // this mostly guards against miscounting during startup.
-                let busy = snap.flow.live() > 0;
-                for (index, (watch, heartbeat)) in
-                    watches.iter_mut().zip(&snap.heartbeats).enumerate()
-                {
-                    // A retired worker's heartbeat is frozen forever; not
-                    // a stall.
-                    let Some(heartbeat) = *heartbeat else {
-                        continue;
-                    };
-                    if heartbeat != watch.heartbeat {
-                        watch.heartbeat = heartbeat;
-                        watch.since_ns = now_ns;
-                        watch.in_stall = false;
-                    } else if busy
-                        && !watch.in_stall
-                        && now_ns.saturating_sub(watch.since_ns) >= threshold_ns
-                    {
-                        watch.in_stall = true;
-                        inner.state.ledger.worker(index).note_stall();
-                        // Kick sleepers so the stalled worker's queued tasks
-                        // get stolen instead of waiting the stall out.
-                        inner.scheduler.wake_all();
-                    }
-                }
+    let mut watches: Vec<Watch> = Vec::new();
+    let mut detector = Detector::default();
+    let mut tick: u64 = 0;
+    TickLoop::spawn("rpx-watchdog", clock.clone(), interval, move |now_ns| {
+        let Some(inner) = weak.upgrade() else {
+            return interval;
+        };
+        // The signals and the stall check below see the tick's one stamp
+        // and one ledger reading.
+        let snap = observe(&inner.state, &mut detector, tick, now_ns);
+        // Clock hygiene: cross-check the TSC fast path and re-derive its
+        // multiplier on drift, so long runs don't accumulate skew in every
+        // duration counter (counter.rs documents the policy; cheap no-op
+        // while the run is younger than the minimum observation window).
+        clock.check_drift();
+        tick += 1;
+        if watches.len() != snap.heartbeats.len() {
+            watches = snap
+                .heartbeats
+                .iter()
+                .map(|h| Watch {
+                    heartbeat: h.unwrap_or(0),
+                    since_ns: now_ns,
+                    in_stall: false,
+                })
+                .collect();
+            return interval;
+        }
+        // Only a static heartbeat *while work exists* is a stall —
+        // parked idle workers still beat every park timeout, so
+        // this mostly guards against miscounting during startup.
+        let busy = snap.flow.live() > 0;
+        for (index, (watch, heartbeat)) in watches.iter_mut().zip(&snap.heartbeats).enumerate() {
+            // A retired worker's heartbeat is frozen forever; not a stall.
+            let Some(heartbeat) = *heartbeat else {
+                continue;
+            };
+            if heartbeat != watch.heartbeat {
+                watch.heartbeat = heartbeat;
+                watch.since_ns = now_ns;
+                watch.in_stall = false;
+            } else if busy
+                && !watch.in_stall
+                && now_ns.saturating_sub(watch.since_ns) >= threshold_ns
+            {
+                watch.in_stall = true;
+                inner.state.ledger.worker(index).note_stall();
+                // Kick sleepers so the stalled worker's queued tasks
+                // get stolen instead of waiting the stall out.
+                inner.scheduler.wake_all();
             }
-        })
-        .expect("failed to spawn watchdog thread")
+        }
+        interval
+    })
+    .expect("failed to spawn watchdog thread")
 }
 
 /// One tick of observation: read the ledger once, hand the detector the
@@ -296,6 +279,11 @@ mod tests {
         assert_eq!(state.anomalies.total(), 1);
     }
 
+    /// Milliseconds on the clock `on_crash` is fed from, in ns.
+    fn ms(ms: u64) -> u64 {
+        ms * 1_000_000
+    }
+
     fn policy(budget: u32, window_ms: u64, backoff_ms: u64, max_ms: u64) -> RestartPolicy {
         RestartPolicy {
             budget,
@@ -308,16 +296,16 @@ mod tests {
     #[test]
     fn budget_allows_exactly_budget_respawns_then_trips() {
         let mut st = RestartState::new(policy(3, 60_000, 1, 8));
-        let t0 = Instant::now();
+        let t0_ns = 7_000_000_000u64;
         for i in 0..3 {
-            let v = st.on_crash(t0 + Duration::from_millis(i));
+            let v = st.on_crash(t0_ns + ms(i));
             assert!(
                 matches!(v, RestartVerdict::Respawn { .. }),
                 "crash {i} within budget must respawn"
             );
         }
         assert_eq!(
-            st.on_crash(t0 + Duration::from_millis(3)),
+            st.on_crash(t0_ns + ms(3)),
             RestartVerdict::Trip,
             "crash budget+1 must trip the breaker"
         );
@@ -326,10 +314,10 @@ mod tests {
     #[test]
     fn backoff_doubles_and_caps() {
         let mut st = RestartState::new(policy(100, 60_000, 2, 10));
-        let t0 = Instant::now();
+        let t0_ns = 7_000_000_000u64;
         let expected_ms = [2, 4, 8, 10, 10];
         for (i, want) in expected_ms.iter().enumerate() {
-            match st.on_crash(t0 + Duration::from_millis(i as u64)) {
+            match st.on_crash(t0_ns + ms(i as u64)) {
                 RestartVerdict::Respawn { backoff } => {
                     assert_eq!(backoff, Duration::from_millis(*want), "crash {i}");
                 }
@@ -341,11 +329,11 @@ mod tests {
     #[test]
     fn calm_window_resets_consecutive_backoff() {
         let mut st = RestartState::new(policy(100, 100, 2, 64));
-        let t0 = Instant::now();
-        st.on_crash(t0);
-        st.on_crash(t0 + Duration::from_millis(1));
-        st.on_crash(t0 + Duration::from_millis(2)); // backoff now 8ms
-        let v = st.on_crash(t0 + Duration::from_millis(200)); // > window later
+        let t0_ns = 7_000_000_000u64;
+        st.on_crash(t0_ns);
+        st.on_crash(t0_ns + ms(1));
+        st.on_crash(t0_ns + ms(2)); // backoff now 8ms
+        let v = st.on_crash(t0_ns + ms(200)); // > window later
         assert_eq!(
             v,
             RestartVerdict::Respawn {
@@ -358,21 +346,18 @@ mod tests {
     #[test]
     fn tokens_refill_over_time() {
         let mut st = RestartState::new(policy(2, 100, 1, 1));
-        let t0 = Instant::now();
-        assert!(matches!(st.on_crash(t0), RestartVerdict::Respawn { .. }));
+        let t0_ns = 7_000_000_000u64;
+        assert!(matches!(st.on_crash(t0_ns), RestartVerdict::Respawn { .. }));
         assert!(matches!(
-            st.on_crash(t0 + Duration::from_millis(1)),
+            st.on_crash(t0_ns + ms(1)),
             RestartVerdict::Respawn { .. }
         ));
         // Bucket empty; 1ms later it has refilled only 0.02 tokens.
-        assert_eq!(
-            st.on_crash(t0 + Duration::from_millis(2)),
-            RestartVerdict::Trip
-        );
+        assert_eq!(st.on_crash(t0_ns + ms(2)), RestartVerdict::Trip);
         // After a full window the bucket is full again (sustained slow
         // crash rates below budget/window respawn forever).
         assert!(matches!(
-            st.on_crash(t0 + Duration::from_millis(200)),
+            st.on_crash(t0_ns + ms(200)),
             RestartVerdict::Respawn { .. }
         ));
     }
@@ -380,9 +365,9 @@ mod tests {
     #[test]
     fn backoff_shift_saturates_on_long_streaks() {
         let mut st = RestartState::new(policy(u32::MAX, 60_000, 1, 5));
-        let t0 = Instant::now();
+        let t0_ns = 7_000_000_000u64;
         for i in 0..40u64 {
-            match st.on_crash(t0 + Duration::from_millis(i)) {
+            match st.on_crash(t0_ns + ms(i)) {
                 RestartVerdict::Respawn { backoff } => {
                     assert!(
                         backoff <= Duration::from_millis(5),

@@ -109,7 +109,7 @@ fn find_task(
     deque: &Deque<Task>,
     t0: u64,
 ) -> Option<Task> {
-    let found = inner.scheduler.find(index, deque);
+    let found = inner.scheduler.find(index, deque, &inner.state.clock);
     // Sub-attribution of the find window: time spent probing remote
     // sockets, successful or not. The overall balance is untouched (the
     // window still lands in overhead or idle); this lets the causal

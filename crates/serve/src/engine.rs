@@ -300,9 +300,6 @@ fn register_serve_counters(registry: &Arc<CounterRegistry>, stats: &Arc<ServeSta
         ),
     ];
     for (name, help, unit, read) in specs {
-        // A fresh engine must not report a predecessor's totals: replace
-        // the type entry *and* the cached instance.
-        registry.unregister_type(name);
         let stats = stats.clone();
         registry.register_monotonic(name, help, unit, Arc::new(move || read(&stats) as i64));
     }

@@ -1,13 +1,13 @@
 //! The dependency-free telemetry listener: HTTP/1.1 text exposition and
-//! binary stream subscribers on one TCP port, plus the publisher thread
-//! that feeds history rings and subscribers at a fixed cadence.
+//! binary stream subscribers on one TCP port, plus the publisher that
+//! feeds history rings and subscribers at a fixed cadence. Both are
+//! [`TickLoop`] ticks.
 
 use std::collections::HashSet;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -54,10 +54,7 @@ struct Subscriber {
 struct Shared {
     engine: Arc<ScrapeEngine>,
     stats: Arc<ServeStats>,
-    /// The publisher's tick loop; its stop flag also ends the accept loop.
-    ticks: TickLoop,
     subscribers: Mutex<Vec<Subscriber>>,
-    interval: Duration,
 }
 
 impl Shared {
@@ -112,12 +109,18 @@ impl Shared {
     }
 }
 
+/// How often the listener is polled for new connections.
+const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
+
 /// A running telemetry server; [`shutdown`](Server::shutdown) (or drop)
 /// stops it.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    // Dropped in this order: stop accepting, then stop publishing; the
+    // subscriber sockets close with the last `Shared` reference.
+    _accept: TickLoop,
+    publisher: Arc<TickLoop>,
 }
 
 impl Server {
@@ -128,41 +131,45 @@ impl Server {
         config: ServeConfig,
     ) -> Result<Server, CounterError> {
         let engine = ScrapeEngine::new(registry, &config.specs, config.shards, config.history)?;
-        let listener = TcpListener::bind(&config.addr)
+        let (listener, addr) = TcpListener::bind(&config.addr)
             .and_then(|l| l.local_addr().map(|a| (l, a)))
             .map_err(|e| CounterError::SpawnFailed(format!("bind {}: {e}", config.addr)))?;
-        let (listener, addr) = listener;
         listener
             .set_nonblocking(true)
             .map_err(|e| CounterError::SpawnFailed(format!("nonblocking listener: {e}")))?;
         let shared = Arc::new(Shared {
             stats: engine.stats(),
             engine,
-            ticks: TickLoop::default(),
             subscribers: Mutex::new(Vec::new()),
-            interval: config.interval,
         });
 
-        let accept_shared = shared.clone();
-        let accept = std::thread::Builder::new()
-            .name("rpx-serve-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))
-            .map_err(|e| CounterError::SpawnFailed(format!("accept thread: {e}")))?;
+        let s = shared.clone();
+        let interval = config.interval;
+        let publish = move |_| {
+            s.publish_tick();
+            interval
+        };
+        let publisher = TickLoop::spawn(
+            "rpx-serve-publish",
+            registry.clock(),
+            Duration::ZERO,
+            publish,
+        )?;
 
-        let publisher = shared.clone();
-        let publisher = std::thread::Builder::new()
-            .name("rpx-serve-publish".into())
-            .spawn(move || {
-                publisher
-                    .ticks
-                    .run(publisher.interval, || publisher.publish_tick())
-            })
-            .map_err(|e| CounterError::SpawnFailed(format!("publisher thread: {e}")))?;
+        let s = shared.clone();
+        let accept = move |_| {
+            while let Ok((stream, _)) = listener.accept() {
+                handle_connection(stream, &s);
+            }
+            ACCEPT_INTERVAL
+        };
+        let accept = TickLoop::spawn("rpx-serve-accept", registry.clock(), Duration::ZERO, accept)?;
 
         Ok(Server {
             addr,
             shared,
-            threads: vec![accept, publisher],
+            _accept: accept,
+            publisher: Arc::new(publisher),
         })
     }
 
@@ -185,52 +192,25 @@ impl Server {
     /// batch — started entirely after this call — reached the rings and
     /// subscribers. The quiesce-time final scrape.
     pub fn flush_now(&self) -> bool {
-        self.shared.ticks.flush_now()
+        self.publisher.flush_now()
     }
 
     /// Stop the listener and publisher and join them.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.shared.ticks.stop();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        // Final courtesy: close subscriber sockets.
-        self.shared.subscribers.lock().clear();
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop_inner();
-    }
+    pub fn shutdown(self) {}
 }
 
 /// Wire a server to a runtime so quiescing flushes one final complete
 /// scrape into the rings and streams before workers park — the remote
 /// twin of the sampler's drain-hook flush.
 pub fn attach_runtime(runtime: &Runtime, server: &Server) {
-    let shared = server.shared.clone();
+    // Weak: the hook outlives the server, and must not keep its publisher
+    // running.
+    let publisher = Arc::downgrade(&server.publisher);
     runtime.add_drain_hook(move || {
-        if !shared.ticks.stopped() {
-            shared.ticks.flush_now();
+        if let Some(publisher) = publisher.upgrade() {
+            publisher.flush_now();
         }
     });
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.ticks.stopped() {
-        match listener.accept() {
-            Ok((stream, _)) => handle_connection(stream, &shared),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -349,5 +329,30 @@ fn serve_http(mut stream: TcpStream, head: [u8; 4], shared: &Arc<Shared>) {
             .stats
             .bytes
             .fetch_add(response.len() as u64, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shutdown_does_not_wait_out_the_publish_interval() {
+        let registry = CounterRegistry::new();
+        registry.register_raw("/app/v", "h", "1", Arc::new(|| 1));
+        let config = ServeConfig {
+            interval: Duration::from_secs(60),
+            specs: vec!["/app/v".into()],
+            ..ServeConfig::default()
+        };
+        let server = Server::start(&registry, config).unwrap();
+        assert!(server.flush_now(), "the publisher is up");
+        let t0 = std::time::Instant::now();
+        server.shutdown();
+        let shutdown = t0.elapsed();
+        assert!(
+            shutdown < Duration::from_millis(50),
+            "shutdown waited {shutdown:?}"
+        );
     }
 }

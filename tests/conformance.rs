@@ -373,3 +373,22 @@ fn runtime_counter_catalogue_matches_declarations() {
     }
     rt.shutdown();
 }
+
+/// README.md and DESIGN.md each list the fault-injection knobs once (the
+/// paragraph that ends on `RPX_FAULT_MAX`); the list is `KNOWN_FAULT_VARS`.
+#[test]
+fn documented_fault_knobs_are_the_known_ones() {
+    let docs = [
+        ("README.md", include_str!("../README.md")),
+        ("DESIGN.md", include_str!("../DESIGN.md")),
+    ];
+    for (file, text) in docs {
+        let list = text
+            .split("\n\n")
+            .find(|paragraph| paragraph.contains("`RPX_FAULT_MAX`"))
+            .unwrap_or_else(|| panic!("{file} lists no fault knobs"));
+        for knob in rpx::runtime::KNOWN_FAULT_VARS {
+            assert!(list.contains(&format!("`{knob}`")), "{file}: {knob}");
+        }
+    }
+}
