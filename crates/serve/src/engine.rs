@@ -24,6 +24,8 @@ use rpx_counters::query::QueryHandle;
 use rpx_counters::value::CounterInfo;
 use rpx_counters::{CounterError, CounterRegistry, ResolvedQuery};
 
+use crate::text;
+
 /// One scraped value, stamped with the engine-wide scrape sequence so a
 /// subscriber that receives both a backfill and the live stream can
 /// deduplicate exactly.
@@ -48,48 +50,60 @@ pub struct Sample {
 /// `/counters/serve/dropped` — never silent.
 pub struct HistoryRing {
     cap: usize,
-    buf: Mutex<VecDeque<Sample>>,
-    dropped: AtomicU64,
-    dropped_total: Arc<AtomicU64>,
+    state: Mutex<RingState>,
+}
+
+struct RingState {
+    buf: VecDeque<Sample>,
+    dropped: u64,
 }
 
 impl HistoryRing {
-    fn new(cap: usize, dropped_total: Arc<AtomicU64>) -> Self {
+    fn new(cap: usize) -> Self {
+        let cap = cap.max(1);
         HistoryRing {
-            cap: cap.max(1),
-            buf: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
-            dropped_total,
+            cap,
+            // Sized once: a ring never holds more than `cap` samples.
+            state: Mutex::new(RingState {
+                buf: VecDeque::with_capacity(cap),
+                dropped: 0,
+            }),
         }
     }
 
-    fn push(&self, s: Sample) {
-        let mut buf = self.buf.lock();
-        while buf.len() >= self.cap {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.dropped_total.fetch_add(1, Ordering::Relaxed);
+    /// Append `s` and return how many samples that evicted; the caller
+    /// owes the engine-wide total that many.
+    fn push(&self, s: Sample) -> u64 {
+        let mut state = self.state.lock();
+        let mut evicted = 0;
+        while state.buf.len() >= self.cap {
+            state.buf.pop_front();
+            evicted += 1;
         }
-        buf.push_back(s);
+        state.dropped += evicted;
+        state.buf.push_back(s);
+        evicted
     }
 
     /// The most recent sample, if any scrape happened yet.
     pub fn latest(&self) -> Option<Sample> {
-        self.buf.lock().back().copied()
+        self.state.lock().buf.back().copied()
     }
 
     /// The most recent `n` samples, oldest first.
     pub fn tail(&self, n: usize) -> Vec<Sample> {
-        let buf = self.buf.lock();
-        buf.iter()
-            .skip(buf.len().saturating_sub(n))
+        let state = self.state.lock();
+        state
+            .buf
+            .iter()
+            .skip(state.buf.len().saturating_sub(n))
             .copied()
             .collect()
     }
 
     /// Samples evicted from this ring so far (exact).
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.state.lock().dropped
     }
 
     /// Capacity of the ring.
@@ -99,9 +113,10 @@ impl HistoryRing {
 }
 
 /// One exported counter: stable identity (`id`, `canonical`), cached
-/// metadata and its history ring. It lives in the counter's handle slot,
-/// so the entry — and with it the ring and the binary-stream dictionary
-/// id — survives topology refreshes as long as the canonical name stays
+/// metadata, its history ring, and what every text payload says about it
+/// apart from the value. It lives in the counter's handle slot, so the
+/// entry — and with it the ring and the binary-stream dictionary id —
+/// survives topology refreshes as long as the canonical name stays
 /// resolvable.
 pub struct ExportEntry {
     /// Stable dictionary id for the binary stream.
@@ -112,8 +127,34 @@ pub struct ExportEntry {
     pub info: CounterInfo,
     /// Recent samples for subscriber backfill.
     pub ring: HistoryRing,
-    /// Position in the export order (see [`ScrapeEngine::export_order`]).
+    /// Text-exposition metric family, resolved from `canonical` once (see
+    /// [`text::resolve_exposition`]).
+    pub(crate) family: String,
+    /// Text-exposition sample line up to the value, resolved likewise.
+    pub(crate) head: String,
+    /// Position in the export order (see [`ExportSet`]).
     shard: usize,
+}
+
+impl ExportEntry {
+    pub(crate) fn new(
+        id: u32,
+        canonical: &str,
+        info: CounterInfo,
+        history_cap: usize,
+        shards: usize,
+    ) -> Self {
+        let (family, head) = text::resolve_exposition(canonical);
+        ExportEntry {
+            id,
+            canonical: canonical.to_owned(),
+            info,
+            ring: HistoryRing::new(history_cap),
+            family,
+            head,
+            shard: shard_of(canonical, shards),
+        }
+    }
 }
 
 /// Self-measurement of the serve layer, exported as
@@ -122,12 +163,15 @@ pub struct ExportEntry {
 pub struct ServeStats {
     /// Completed scrapes (text endpoint + publisher ticks).
     pub scrape_count: AtomicU64,
-    /// Total ns spent evaluating scrape batches.
+    /// Total ns spent producing scrape payloads: evaluating batches,
+    /// rendering them for the text endpoint, encoding them for binary
+    /// subscribers.
     pub scrape_time_ns: AtomicU64,
     /// Response/stream payload bytes written to clients.
     pub bytes: AtomicU64,
-    /// History-ring evictions, engine-wide.
-    pub history_dropped: Arc<AtomicU64>,
+    /// History-ring evictions, engine-wide: the sum of every ring's
+    /// [`HistoryRing::dropped`] whenever no scrape is in flight.
+    pub history_dropped: AtomicU64,
     /// Binary-stream frames dropped because a subscriber could not keep
     /// up (its connection is then closed — a stalled stream must not
     /// stall the publisher).
@@ -141,12 +185,38 @@ impl ServeStats {
     }
 }
 
+type Handles = Arc<Vec<QueryHandle<Arc<ExportEntry>>>>;
+
+/// A published handle list with the order every payload lists it in: by
+/// FNV-1a shard of the canonical name, resolution order within a shard —
+/// stable between refreshes because a name never changes shard.
+struct ExportSet {
+    handles: Handles,
+    /// Indices into `handles`, in export order.
+    order: Vec<u32>,
+}
+
+impl ExportSet {
+    fn new(handles: Handles) -> Self {
+        let mut order: Vec<u32> = (0..handles.len() as u32).collect();
+        // Stable, so resolution order survives within a shard.
+        order.sort_by_key(|&i| handles[i as usize].slot.shard);
+        ExportSet { handles, order }
+    }
+
+    fn iter(&self) -> impl ExactSizeIterator<Item = &QueryHandle<Arc<ExportEntry>>> {
+        self.order.iter().map(|&i| &self.handles[i as usize])
+    }
+}
+
 /// Generation-cached scrape engine over one registry.
 pub struct ScrapeEngine {
     registry: Arc<CounterRegistry>,
     /// The export set; each handle's slot is its [`ExportEntry`].
     query: ResolvedQuery<Arc<ExportEntry>>,
-    shards: usize,
+    /// The export order of the handle list `query` published last, keyed
+    /// by that list's identity: a re-expansion publishes a new `Arc`.
+    export: Mutex<Arc<ExportSet>>,
     seq: AtomicU64,
     stats: Arc<ServeStats>,
 }
@@ -167,20 +237,21 @@ impl ScrapeEngine {
         register_serve_counters(registry, &stats);
         let shards = shards.max(1);
         let next_id = AtomicU64::new(0);
-        let dropped = stats.history_dropped.clone();
         let query = ResolvedQuery::resolve_with(registry, specs, move |canonical, counter| {
-            Arc::new(ExportEntry {
-                id: next_id.fetch_add(1, Ordering::Relaxed) as u32,
-                canonical: canonical.to_owned(),
-                info: counter.info(),
-                ring: HistoryRing::new(history_cap, dropped.clone()),
-                shard: shard_of(canonical, shards),
-            })
+            let id = next_id.fetch_add(1, Ordering::Relaxed) as u32;
+            Arc::new(ExportEntry::new(
+                id,
+                canonical,
+                counter.info(),
+                history_cap,
+                shards,
+            ))
         })?;
+        let export = Mutex::new(Arc::new(ExportSet::new(query.handles())));
         Ok(Arc::new(ScrapeEngine {
             registry: registry.clone(),
             query,
-            shards,
+            export,
             seq: AtomicU64::new(0),
             stats,
         }))
@@ -203,26 +274,21 @@ impl ScrapeEngine {
         self.query.refresh()
     }
 
-    /// The order every payload lists counters in: by FNV-1a shard of the
-    /// canonical name, resolution order within a shard — stable between
-    /// refreshes because a name never changes shard.
-    fn export_order<'a>(
-        &self,
-        handles: &'a [QueryHandle<Arc<ExportEntry>>],
-    ) -> impl Iterator<Item = &'a QueryHandle<Arc<ExportEntry>>> {
-        let mut by_shard = vec![Vec::new(); self.shards];
-        for h in handles {
-            by_shard[h.slot.shard].push(h);
+    /// The currently published handles in export order. The order is
+    /// recomputed only when `query` published a new list; concurrent
+    /// scrapers holding different lists each get a consistent set.
+    fn export_set(&self) -> Arc<ExportSet> {
+        let handles = self.query.handles();
+        let mut export = self.export.lock();
+        if !Arc::ptr_eq(&export.handles, &handles) {
+            *export = Arc::new(ExportSet::new(handles));
         }
-        by_shard.into_iter().flatten()
+        export.clone()
     }
 
     /// Every export entry, in export order.
     pub fn entries(&self) -> Vec<Arc<ExportEntry>> {
-        let handles = self.query.handles();
-        self.export_order(&handles)
-            .map(|h| h.slot.clone())
-            .collect()
+        self.export_set().iter().map(|h| h.slot.clone()).collect()
     }
 
     /// Scrape every exported counter: evaluate the cached handles (no
@@ -233,13 +299,12 @@ impl ScrapeEngine {
     /// envelope includes remote scrapers.
     pub fn collect(&self) -> Vec<(Arc<ExportEntry>, Sample)> {
         self.query.refresh();
-        let clock = self.registry.clock();
-        let t0 = clock.now_ns();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let handles = self.query.handles();
-        let out: Vec<(Arc<ExportEntry>, Sample)> = self
-            .export_order(&handles)
-            .map(|h| {
+        let out = self.charged(1, |t0| {
+            let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+            let export = self.export_set();
+            let mut evicted = 0;
+            let mut out = Vec::with_capacity(export.order.len());
+            for h in export.iter() {
                 let v = h.read(false, t0);
                 let sample = Sample {
                     seq,
@@ -247,14 +312,33 @@ impl ScrapeEngine {
                     value: v.scaled(),
                     ok: v.status.is_ok(),
                 };
-                h.slot.ring.push(sample);
-                (h.slot.clone(), sample)
-            })
-            .collect();
-        let dt = clock.now_ns().saturating_sub(t0);
+                evicted += h.slot.ring.push(sample);
+                out.push((h.slot.clone(), sample));
+            }
+            // One shared-word update per batch, not one per eviction.
+            if evicted > 0 {
+                self.stats
+                    .history_dropped
+                    .fetch_add(evicted, Ordering::Relaxed);
+            }
+            out
+        });
         self.stats.scrape_count.fetch_add(1, Ordering::Relaxed);
+        out
+    }
+
+    /// Run `work` (handed its start on the registry clock) and fold its
+    /// wall time into the cost of looking: `/counters/serve/scrape-time`
+    /// and the registry's query-overhead counters, as `batches` evaluated
+    /// batches. The server charges its render and encode windows with
+    /// `batches = 0` — they belong to a batch `collect` already counted.
+    pub(crate) fn charged<R>(&self, batches: u64, work: impl FnOnce(u64) -> R) -> R {
+        let clock = self.registry.clock();
+        let t0 = clock.now_ns();
+        let out = work(t0);
+        let dt = clock.now_ns().saturating_sub(t0);
         self.stats.scrape_time_ns.fetch_add(dt, Ordering::Relaxed);
-        self.registry.record_query_overhead(dt, 1);
+        self.registry.record_query_overhead(dt, batches);
         out
     }
 }
@@ -281,7 +365,8 @@ fn register_serve_counters(registry: &Arc<CounterRegistry>, stats: &Arc<ServeSta
         ),
         (
             "/counters/serve/scrape-time",
-            "total time spent evaluating telemetry scrape batches",
+            "total time spent evaluating telemetry scrape batches, rendering \
+             them for the text endpoint and encoding them for binary subscribers",
             "ns",
             Arc::new(|s| s.scrape_time_ns.load(Ordering::Relaxed)),
         ),

@@ -8,13 +8,16 @@
 //!
 //! ## Architecture
 //!
-//! - [`engine::ScrapeEngine`] — the sharded scrape front-end. Counter
-//!   handles are resolved once per topology
-//!   [generation](rpx_counters::CounterRegistry::generation) and cached in
-//!   per-shard lists; a scrape clones each shard's `Arc` list and
-//!   evaluates handles with no registry lock held. Every exported counter
-//!   carries a fixed-capacity [`engine::HistoryRing`] so late binary
-//!   subscribers can backfill; ring evictions are counted, never silent.
+//! - [`engine::ScrapeEngine`] — the scrape front-end. Counter handles are
+//!   resolved once per topology
+//!   [generation](rpx_counters::CounterRegistry::generation), and with
+//!   them everything about a counter that does not change between
+//!   scrapes: its dictionary id, its place in the export order, its text
+//!   exposition family and line head. A scrape clones the published list
+//!   and evaluates handles with no registry lock held. Every exported
+//!   counter carries a fixed-capacity [`engine::HistoryRing`] so late
+//!   binary subscribers can backfill; ring evictions are counted, never
+//!   silent.
 //! - [`text`] — Prometheus text exposition (name mangling, label
 //!   escaping, HELP/TYPE metadata).
 //! - [`proto`] — the binary framing: `u32` little-endian length prefix,

@@ -83,6 +83,9 @@ const TAG_SAMPLE: u8 = 2;
 const TAG_BACKFILL: u8 = 3;
 const TAG_STATS: u8 = 4;
 
+/// Encoded size of a SAMPLE or BACKFILL frame, length prefix included.
+pub(crate) const SAMPLE_FRAME_LEN: usize = 4 + 30;
+
 /// The 9-byte client hello.
 pub fn encode_hello(backfill: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(9);
@@ -94,16 +97,26 @@ pub fn encode_hello(backfill: u32) -> Vec<u8> {
 
 /// Encode one frame, length prefix included.
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(32);
+    let mut out = Vec::with_capacity(SAMPLE_FRAME_LEN);
+    encode_into(&mut out, frame);
+    out
+}
+
+/// Append one frame, length prefix included, to `out` — what a payload of
+/// many frames is built with, in one buffer.
+pub fn encode_into(out: &mut Vec<u8>, frame: &Frame) {
+    let start = out.len();
+    // The length prefix, patched once the payload is written.
+    out.extend_from_slice(&[0; 4]);
     match frame {
         Frame::Dict { id, kind, name } => {
-            payload.push(TAG_DICT);
-            payload.extend_from_slice(&id.to_le_bytes());
-            payload.push(*kind);
+            out.push(TAG_DICT);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.push(*kind);
             let bytes = name.as_bytes();
             let len = bytes.len().min(u16::MAX as usize);
-            payload.extend_from_slice(&(len as u16).to_le_bytes());
-            payload.extend_from_slice(&bytes[..len]);
+            out.extend_from_slice(&(len as u16).to_le_bytes());
+            out.extend_from_slice(&bytes[..len]);
         }
         Frame::Sample {
             id,
@@ -119,30 +132,28 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             value,
             ok,
         } => {
-            payload.push(if matches!(frame, Frame::Sample { .. }) {
+            out.push(if matches!(frame, Frame::Sample { .. }) {
                 TAG_SAMPLE
             } else {
                 TAG_BACKFILL
             });
-            payload.extend_from_slice(&id.to_le_bytes());
-            payload.extend_from_slice(&seq.to_le_bytes());
-            payload.extend_from_slice(&timestamp_ns.to_le_bytes());
-            payload.extend_from_slice(&value.to_le_bytes());
-            payload.push(u8::from(*ok));
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&seq.to_le_bytes());
+            out.extend_from_slice(&timestamp_ns.to_le_bytes());
+            out.extend_from_slice(&value.to_le_bytes());
+            out.push(u8::from(*ok));
         }
         Frame::Stats {
             history_dropped,
             stream_dropped,
         } => {
-            payload.push(TAG_STATS);
-            payload.extend_from_slice(&history_dropped.to_le_bytes());
-            payload.extend_from_slice(&stream_dropped.to_le_bytes());
+            out.push(TAG_STATS);
+            out.extend_from_slice(&history_dropped.to_le_bytes());
+            out.extend_from_slice(&stream_dropped.to_le_bytes());
         }
     }
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decode one frame from the front of `buf`. Returns the frame and the
@@ -282,12 +293,20 @@ mod tests {
                 stream_dropped: 2,
             },
         ];
+        // Appended to a buffer that already holds something, the frames
+        // read back the same as each `encode`d on its own.
+        let mut joined = b"head".to_vec();
         for frame in &frames {
             let bytes = encode(frame);
             let (decoded, used) = decode(&bytes).unwrap().expect("complete frame");
             assert_eq!(&decoded, frame);
             assert_eq!(used, bytes.len());
+            let before = joined.len();
+            encode_into(&mut joined, frame);
+            assert_eq!(joined[before..], bytes[..]);
         }
+        let decoded = read_frames(&mut &joined[4..], usize::MAX).unwrap();
+        assert_eq!(decoded, frames);
     }
 
     #[test]

@@ -59,7 +59,9 @@ struct Shared {
 
 impl Shared {
     /// Publish one batch: feed history rings, then stream it to every
-    /// subscriber. A subscriber whose socket errors or times out is
+    /// subscriber. The scrape comes before the "no subscribers" return
+    /// because the rings it fills are the backfill a later subscriber
+    /// gets. A subscriber whose socket errors or times out is
     /// disconnected and its undelivered frames are counted as dropped —
     /// a stalled consumer must not stall the publisher.
     fn publish_tick(&self) {
@@ -68,33 +70,47 @@ impl Shared {
         if subs.is_empty() {
             return;
         }
-        subs.retain_mut(|sub| {
-            let mut frames = 0u64;
-            let mut buf = Vec::new();
+        // The tick's SAMPLE + STATS block is the same for every
+        // subscriber: encoded once, and charged to the cost of looking.
+        let block = self.engine.charged(0, |_| {
+            let mut block = Vec::with_capacity((batch.len() + 1) * proto::SAMPLE_FRAME_LEN);
             for (entry, sample) in &batch {
-                if sub.known.insert(entry.id) {
-                    buf.extend_from_slice(&proto::encode(&dict_frame(entry)));
-                    frames += 1;
-                }
-                buf.extend_from_slice(&proto::encode(&proto::Frame::Sample {
+                let frame = proto::Frame::Sample {
                     id: entry.id,
                     seq: sample.seq,
                     timestamp_ns: sample.timestamp_ns,
                     value: sample.value,
                     ok: sample.ok,
-                }));
-                frames += 1;
+                };
+                proto::encode_into(&mut block, &frame);
             }
-            buf.extend_from_slice(&proto::encode(&proto::Frame::Stats {
+            let stats = proto::Frame::Stats {
                 history_dropped: self.stats.history_dropped.load(Ordering::Relaxed),
                 stream_dropped: self.stats.stream_dropped.load(Ordering::Relaxed),
-            }));
-            frames += 1;
-            match sub.stream.write_all(&buf) {
+            };
+            proto::encode_into(&mut block, &stats);
+            block
+        });
+        subs.retain_mut(|sub| {
+            // What differs per subscriber: the DICT frames it still lacks,
+            // sent ahead of the block.
+            let mut frames = batch.len() as u64 + 1;
+            let mut dicts = Vec::new();
+            for (entry, _) in &batch {
+                if sub.known.insert(entry.id) {
+                    proto::encode_into(&mut dicts, &dict_frame(entry));
+                    frames += 1;
+                }
+            }
+            let sent = sub
+                .stream
+                .write_all(&dicts)
+                .and_then(|()| sub.stream.write_all(&block));
+            match sent {
                 Ok(()) => {
                     self.stats
                         .bytes
-                        .fetch_add(buf.len() as u64, Ordering::Relaxed);
+                        .fetch_add((dicts.len() + block.len()) as u64, Ordering::Relaxed);
                     true
                 }
                 Err(_) => {
@@ -228,7 +244,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 /// Complete a binary hello, replay DICT + backfill, and enroll the
-/// subscriber with the publisher.
+/// subscriber with the publisher. The subscriber list stays locked from
+/// before the first ring is read until the subscriber is on it: the
+/// publisher streams a tick under the same lock, so every tick is either
+/// already in the rings read here or streamed to this subscriber live —
+/// none falls between backfill and stream.
 fn subscribe(mut stream: TcpStream, shared: &Arc<Shared>) {
     let mut rest = [0u8; 5];
     if stream.read_exact(&mut rest).is_err() || rest[0] != proto::VERSION {
@@ -236,19 +256,21 @@ fn subscribe(mut stream: TcpStream, shared: &Arc<Shared>) {
     }
     let backfill = u32::from_le_bytes(rest[1..5].try_into().unwrap()) as usize;
     shared.engine.refresh_if_stale();
+    let mut subscribers = shared.subscribers.lock();
     let mut known = HashSet::new();
     let mut buf = Vec::new();
     for entry in shared.engine.entries() {
-        buf.extend_from_slice(&proto::encode(&dict_frame(&entry)));
+        proto::encode_into(&mut buf, &dict_frame(&entry));
         known.insert(entry.id);
         for s in entry.ring.tail(backfill) {
-            buf.extend_from_slice(&proto::encode(&proto::Frame::Backfill {
+            let frame = proto::Frame::Backfill {
                 id: entry.id,
                 seq: s.seq,
                 timestamp_ns: s.timestamp_ns,
                 value: s.value,
                 ok: s.ok,
-            }));
+            };
+            proto::encode_into(&mut buf, &frame);
         }
     }
     if stream.write_all(&buf).is_err() {
@@ -258,7 +280,7 @@ fn subscribe(mut stream: TcpStream, shared: &Arc<Shared>) {
         .stats
         .bytes
         .fetch_add(buf.len() as u64, Ordering::Relaxed);
-    shared.subscribers.lock().push(Subscriber { stream, known });
+    subscribers.push(Subscriber { stream, known });
 }
 
 fn dict_frame(entry: &ExportEntry) -> proto::Frame {
@@ -310,25 +332,27 @@ fn serve_http(mut stream: TcpStream, head: [u8; 4], shared: &Arc<Shared>) {
         )
     } else if path == "/metrics" || path.starts_with("/metrics?") {
         let batch = shared.engine.collect();
-        (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            text::render(&batch),
-        )
+        // Rendering is part of what this endpoint costs the process.
+        let body = shared.engine.charged(0, |_| text::render(&batch));
+        ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
     } else if path == "/healthz" {
         ("200 OK", "text/plain", "ok\n".to_string())
     } else {
         ("404 Not Found", "text/plain", "not found\n".to_string())
     };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+    // Header and body go out as they are: no second copy of the payload.
+    let header = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    if stream.write_all(response.as_bytes()).is_ok() {
+    let sent = stream
+        .write_all(header.as_bytes())
+        .and_then(|()| stream.write_all(body.as_bytes()));
+    if sent.is_ok() {
         shared
             .stats
             .bytes
-            .fetch_add(response.len() as u64, Ordering::Relaxed);
+            .fetch_add((header.len() + body.len()) as u64, Ordering::Relaxed);
     }
 }
 

@@ -11,6 +11,8 @@ use rpx_serve::collect::{http_get, parse_exposition, Merged, MergedRow};
 use rpx_serve::proto::{self, Frame};
 use rpx_serve::server::{attach_runtime, ServeConfig, Server};
 
+mod common;
+
 fn fib(h: &RuntimeHandle, n: u64) -> u64 {
     if n < 2 {
         return n;
@@ -253,5 +255,81 @@ fn slow_subscribers_are_dropped_with_exact_accounting() {
         "undelivered frames must be counted, not silently lost"
     );
     rt.shutdown();
+    server.shutdown();
+}
+
+/// A subscriber that arrives while the publisher is ticking gets every
+/// tick from the oldest one in its backfill on: none falls between the
+/// backfill it was sent and the live stream it was enrolled in. The
+/// export set is wide enough (2 000 counters × 64 samples of history)
+/// that writing the backfill spans many 1 ms ticks.
+#[test]
+fn late_subscriber_sees_every_tick_since_its_backfill() {
+    use std::io::Read;
+
+    const INSTANCES: u32 = 2_000;
+    const LIVE_TICKS: usize = 8;
+
+    let registry = rpx_counters::CounterRegistry::new();
+    common::register_cells(&registry, INSTANCES);
+    let server = Server::start(
+        &registry,
+        ServeConfig {
+            interval: Duration::from_millis(1),
+            history: 64,
+            specs: vec!["/app{locality#0/worker-thread#*}/cell".into()],
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server starts");
+    // Fill the rings, so the backfill is as long as it gets.
+    for _ in 0..64 {
+        assert!(server.flush_now());
+    }
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&proto::encode_hello(64)).unwrap();
+
+    // Every `seq` counter id 0 was sent under, backfilled or live, until
+    // `LIVE_TICKS` live ones arrived.
+    let (mut backfilled, mut live) = (Vec::new(), Vec::new());
+    let (mut buf, mut used) = (Vec::new(), 0);
+    let mut chunk = vec![0u8; 1 << 16];
+    while live.len() < LIVE_TICKS {
+        match proto::decode(&buf[used..]).expect("stream decodes") {
+            Some((frame, len)) => {
+                used += len;
+                match frame {
+                    Frame::Backfill { id: 0, seq, .. } => backfilled.push(seq),
+                    Frame::Sample { id: 0, seq, .. } => live.push(seq),
+                    _ => {}
+                }
+            }
+            None => {
+                buf.drain(..used);
+                used = 0;
+                let n = stream.read(&mut chunk).expect("stream stays open");
+                assert!(n > 0, "stream ended after {} live ticks", live.len());
+                buf.extend_from_slice(&chunk[..n]);
+            }
+        }
+    }
+    assert!(!backfilled.is_empty(), "history must be replayed");
+    let mut seqs: Vec<u64> = backfilled.iter().chain(&live).copied().collect();
+    seqs.sort_unstable();
+    seqs.dedup();
+    let missing: Vec<u64> = seqs.windows(2).flat_map(|w| w[0] + 1..w[1]).collect();
+    assert!(
+        missing.is_empty(),
+        "ticks {missing:?} are neither in the backfill ({:?}..={:?}) nor on the live \
+         stream ({:?}..={:?})",
+        backfilled.first(),
+        backfilled.last(),
+        live.first(),
+        live.last(),
+    );
     server.shutdown();
 }
