@@ -2,10 +2,19 @@
 //! through the same counter interface HPX applications use (Table II: the
 //! port from `std::async` is just the namespace).
 //!
+//! The paper's §IV command-line conveniences work here too: counters can
+//! be listed, or printed at shutdown or on an interval, around the same
+//! fib run.
+//!
 //! ```text
 //! cargo run --example quickstart
+//! cargo run --example quickstart -- --rpx:list-counters
+//! cargo run --example quickstart -- \
+//!     "--rpx:print-counter=/threads{locality#0/total}/time/average" \
+//!     --rpx:print-counter-interval=50
 //! ```
 
+use rpx::counters::cli::{CounterCli, CounterCliOptions};
 use rpx::runtime::{Runtime, RuntimeConfig, RuntimeHandle};
 
 fn fib(h: &RuntimeHandle, n: u64) -> u64 {
@@ -20,8 +29,11 @@ fn fib(h: &RuntimeHandle, n: u64) -> u64 {
 }
 
 fn main() {
+    let (options, _rest) =
+        CounterCliOptions::parse(std::env::args().skip(1)).expect("bad --rpx option");
     let rt = Runtime::new(RuntimeConfig::with_workers(4));
     let registry = rt.registry();
+    let cli = CounterCli::start(registry.clone(), options).expect("counter CLI failed");
 
     // The paper's measurement protocol: activate counters, reset, run the
     // sample, evaluate.
@@ -62,5 +74,6 @@ fn main() {
         derived.value
     );
 
+    cli.finish().expect("counter output failed");
     rt.shutdown();
 }

@@ -1,7 +1,9 @@
 //! Export a task timeline from the runtime's own tracer — post-mortem
 //! analysis without any external tool attaching to the process (the
 //! paper's §II contrast: TAU/HPCToolkit need a thread table and a file
-//! per thread; the runtime just writes what it already knows).
+//! per thread; the runtime just writes what it already knows). Then the
+//! same kind of view in virtual time: an interval-sampled timeline of one
+//! simulated run on the paper's 20-core node.
 //!
 //! ```text
 //! cargo run --release --example task_timeline
@@ -9,8 +11,9 @@
 //! ```
 
 use rpx::causal::CausalProfiler;
-use rpx::inncabs::{self, RpxSpawner};
+use rpx::inncabs::{self, Benchmark, InputScale, RpxSpawner};
 use rpx::runtime::{Runtime, RuntimeConfig};
+use rpx::simnode::{simulate, SimConfig};
 
 fn main() {
     let rt = Runtime::new(RuntimeConfig::with_workers(4));
@@ -74,6 +77,27 @@ fn main() {
     for (i, c) in buckets.iter().enumerate() {
         println!("  bucket {i}: {}", "#".repeat((*c as usize).min(60)));
     }
-
     rt.shutdown();
+
+    // The virtual-time counterpart of `--hpx:print-counter-interval`: core
+    // utilization and off-core bandwidth over a run of Sort on 10 cores of
+    // the simulated node (DESIGN.md §3), from the simulator's spans.
+    let (cores, bins) = (10, 20);
+    let mut config = SimConfig::hpx(cores);
+    config.collect_spans = true;
+    let result = simulate(&Benchmark::Sort.sim_graph(InputScale::Paper), &config);
+    println!("\n# {}", config.machine.describe());
+    println!(
+        "sort on {cores} simulated cores: {:.2} ms makespan, {} tasks, {:.2} GB/s offcore\n",
+        result.makespan_ns as f64 / 1e6,
+        result.tasks_executed,
+        result.offcore_bandwidth_gbps()
+    );
+    let tl = result.timeline(bins);
+    print!("{}", tl.render());
+    println!(
+        "\npeak concurrency: {:.1} busy cores; utilization {:.1}%",
+        tl.peak_busy_cores(),
+        result.utilization() * 100.0
+    );
 }
