@@ -9,10 +9,10 @@
 //!
 //! Hysteresis: reaching the high watermark closes the gate; it reopens only
 //! once pending drains to the low watermark (`resume_pending`). In between,
-//! what happens to a rejected spawn is the caller's decision
-//! ([`OverloadPolicy`](crate::OverloadPolicy)): park until reopen (`Block`,
-//! FIFO ticket order), hand the closure back (`Shed`), or run it inline
-//! (`Degrade`).
+//! what happens to a rejected spawn is the caller's decision: park until
+//! reopen (`Block`, FIFO ticket order) or run it inline (`Degrade`) — the
+//! [`OverloadPolicy`](crate::OverloadPolicy) — or, for `try_spawn`, hand
+//! the closure back.
 //!
 //! The blocked-spawner wakeup uses the same Dekker-style publication
 //! protocol as the scheduler's sleeper list: a waiter advertises itself in
@@ -64,7 +64,7 @@ pub(crate) struct AdmissionGate {
     waiter_count: AtomicUsize,
     /// Spawns admitted through the gate.
     admitted: AtomicU64,
-    /// Spawns rejected under [`OverloadPolicy::Shed`](crate::OverloadPolicy).
+    /// `try_spawn` calls rejected while the gate was closed.
     shed: AtomicU64,
     /// Spawns run inline because the gate was closed.
     degraded: AtomicU64,

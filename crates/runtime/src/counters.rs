@@ -93,24 +93,6 @@ const COUNTERS: &[Decl] = &[
         source: Sum(|s| &s.stolen),
     },
     Decl {
-        path: "/threads/count/steals-local",
-        unit: "1",
-        help: "steals from victims on this worker's own socket segment",
-        source: Sum(|s| &s.stolen_local),
-    },
-    Decl {
-        path: "/threads/count/steals-remote",
-        unit: "1",
-        help: "steals from victims on a remote socket segment",
-        source: Sum(|s| &s.stolen_remote),
-    },
-    Decl {
-        path: "/threads/time/steal-probe-remote",
-        unit: "ns",
-        help: "time spent probing remote-socket queues, hit or miss (idle sub-attribution)",
-        source: Sum(|s| &s.steal_probe_remote_ns),
-    },
-    Decl {
         path: "/threads/count/spawned",
         unit: "1",
         help: "tasks spawned by this worker",
@@ -221,7 +203,8 @@ const COUNTERS: &[Decl] = &[
     },
     // Overload protection (DESIGN.md §14). `/runtime/tasks/*` reads the
     // admission gate when one is configured — exact, CAS-guarded
-    // accounting — and falls back to the ledger's derived view otherwise.
+    // accounting — and `pending` and `admitted` fall back to the ledger's
+    // flow counters otherwise.
     Decl {
         path: "/runtime/tasks/pending",
         unit: "1",
@@ -240,13 +223,16 @@ const COUNTERS: &[Decl] = &[
     Decl {
         path: "/runtime/tasks/admitted",
         unit: "1",
-        help: "spawns admitted through the task-budget gate",
-        source: Count(|i| i.state.gate.as_ref().map_or(0, |g| g.admitted() as i64)),
+        help: "spawns admitted through the admission gate, or without one every task that entered the ledger",
+        source: Count(|i| match &i.state.gate {
+            Some(gate) => gate.admitted() as i64,
+            None => i.state.ledger.flow().queued as i64,
+        }),
     },
     Decl {
         path: "/runtime/health/shed",
         unit: "1",
-        help: "spawns rejected by the admission gate (Shed policy / try_spawn)",
+        help: "try_spawn calls rejected by a closed admission gate",
         source: Count(|i| i.state.gate.as_ref().map_or(0, |g| g.shed() as i64)),
     },
     Decl {
@@ -491,7 +477,6 @@ mod tests {
             slabs: (0..workers)
                 .map(|_| Slab::new(SLAB_SLOTS, Some(state.clone())))
                 .collect(),
-            placement: vec![None; workers],
             state,
             registry: registry.clone(),
             pmu: rpx_papi::Pmu::new(workers),

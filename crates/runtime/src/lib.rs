@@ -52,7 +52,6 @@
 //! ```
 
 pub mod admission;
-pub mod affinity;
 pub mod cancel;
 mod counters;
 pub mod faults;
@@ -73,7 +72,6 @@ mod worker;
 pub mod runtime;
 
 pub use admission::AdmissionControl;
-pub use affinity::{BindSpec, Topology};
 pub use cancel::{CancelToken, TaskCancelled};
 pub use faults::{FaultInjector, FaultPlan, InjectedFault, UnknownFaultVars, KNOWN_FAULT_VARS};
 pub use future::{ready_future, TaskFuture};

@@ -52,9 +52,8 @@ fn sched_park_gate() {
     let worker = thread::spawn(move || {
         let parker = Parker::new();
         let local = s2.deques[0].lock().take().expect("deque unclaimed");
-        let clock = Clock::new();
         loop {
-            if let Some(t) = s2.find(0, &local, &clock).task {
+            if let Some((t, _)) = s2.find(0, &local) {
                 break t.id();
             }
             // Register *before* the final queue re-probe: a push that

@@ -53,6 +53,11 @@ impl LaunchPolicy {
 /// (`max_pending`) and reopens only once pending work drains to the low
 /// watermark (`resume_pending`), so a saturated runtime does not thrash
 /// admission decisions at the boundary.
+///
+/// The policy governs the infallible spawns. The fallible `try_spawn`
+/// never blocks or degrades: under either policy a closed gate makes it
+/// return [`SpawnError::Overloaded`](crate::SpawnError) with the closure
+/// handed back, counted in `/runtime/health/shed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OverloadPolicy {
     /// Park the spawning thread until the gate reopens (caller
@@ -63,11 +68,6 @@ pub enum OverloadPolicy {
     /// gate.
     #[default]
     Block,
-    /// Reject the spawn. The fallible `try_spawn` API returns
-    /// [`SpawnError::Overloaded`](crate::SpawnError) with the closure
-    /// handed back; the infallible `spawn` API degrades to inline
-    /// execution (shedding cannot lose work on an API with no error path).
-    Shed,
     /// Run the task inline in the spawning thread, bounding queue growth
     /// by converting producers into consumers.
     Degrade,
@@ -75,17 +75,12 @@ pub enum OverloadPolicy {
 
 impl OverloadPolicy {
     /// All policies, for exhaustive experiments.
-    pub const ALL: [OverloadPolicy; 3] = [
-        OverloadPolicy::Block,
-        OverloadPolicy::Shed,
-        OverloadPolicy::Degrade,
-    ];
+    pub const ALL: [OverloadPolicy; 2] = [OverloadPolicy::Block, OverloadPolicy::Degrade];
 
-    /// The command-line name of the policy (`--overload=shed`, …).
+    /// The command-line name of the policy (`--overload=degrade`, …).
     pub fn name(self) -> &'static str {
         match self {
             OverloadPolicy::Block => "block",
-            OverloadPolicy::Shed => "shed",
             OverloadPolicy::Degrade => "degrade",
         }
     }

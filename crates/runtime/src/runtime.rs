@@ -13,7 +13,6 @@ use rpx_counters::CounterRegistry;
 use rpx_papi::Pmu;
 
 use crate::admission::{AdmissionControl, AdmissionGate};
-use crate::affinity::{BindSpec, Topology};
 use crate::cancel::CancelToken;
 use crate::faults::{FaultInjector, FaultPlan, InjectedFault};
 use crate::future::TaskFuture;
@@ -69,12 +68,6 @@ pub struct RuntimeConfig {
     /// Upper bound for the exponential restart backoff, which starts at
     /// 1 ms and doubles per consecutive crash.
     pub restart_backoff_max: Duration,
-    /// Worker→hardware-thread placement policy. [`BindSpec::None`]
-    /// (default) neither pins threads nor segments the scheduler; any
-    /// other value pins each worker via `sched_setaffinity` and derives
-    /// per-socket injector segments and hierarchical victim order from
-    /// the placement.
-    pub bind: BindSpec,
 }
 
 impl Default for RuntimeConfig {
@@ -98,7 +91,6 @@ impl Default for RuntimeConfig {
             // loop exhausts it within a window.
             restart_budget: 64,
             restart_backoff_max: Duration::from_millis(100),
-            bind: BindSpec::None,
         }
     }
 }
@@ -233,9 +225,6 @@ pub(crate) struct RuntimeInner {
     /// Per-worker task slabs (the allocation-free spawn path), indexed by
     /// worker.
     pub slabs: Vec<Arc<Slab>>,
-    /// Worker→hardware-thread placement (all `None` under
-    /// [`BindSpec::None`]); workers pin themselves on loop entry.
-    pub placement: Vec<Option<u32>>,
     pub state: Arc<RuntimeState>,
     pub registry: Arc<CounterRegistry>,
     pub pmu: Arc<Pmu>,
@@ -338,23 +327,11 @@ impl Runtime {
             AdmissionGate::new(high, low)
         });
         let state = Arc::new(RuntimeState::new(workers, registry.clock(), faults, gate));
-        // Placement: discover the topology from sysfs, map workers to
-        // hardware threads per the bind policy, and derive the
-        // socket of each worker for the scheduler's injector segments and
-        // victim ordering. `BindSpec::None` keeps everything on one
-        // segment — identical scheduling to a topology-blind build.
-        let topo = Topology::discover();
-        let placement: Vec<Option<u32>> = config.bind.placement(&topo, workers as u32);
-        let worker_sockets: Vec<u32> = placement
-            .iter()
-            .map(|hw| hw.map_or(0, |h| topo.socket_of_hw(h)))
-            .collect();
         let inner = Arc::new(RuntimeInner {
-            scheduler: Scheduler::with_topology(workers, config.mode, &worker_sockets),
+            scheduler: Scheduler::new(workers, config.mode),
             slabs: (0..workers)
                 .map(|_| Slab::new(SLAB_SLOTS, Some(state.clone())))
                 .collect(),
-            placement,
             state,
             registry: registry.clone(),
             pmu: pmu.clone(),
@@ -393,7 +370,7 @@ impl Runtime {
                             match result {
                                 Ok(()) => break,
                                 Err(_) => {
-                                    // Topology event: live wildcard queries
+                                    // Generation bump: live wildcard queries
                                     // (`worker-thread#*`) re-expand on their
                                     // next evaluation and pick up the
                                     // respawned (or retired) worker's

@@ -1,26 +1,15 @@
-//! The task scheduler: per-worker Chase–Lev deques with hierarchical
-//! (socket-aware) work stealing (default), or a single global FIFO queue
-//! (the `std::async` ordering used by the paper to explain the Floorplan
-//! anomaly).
+//! The task scheduler: per-worker Chase–Lev deques with work stealing
+//! (default), or a single global FIFO queue (the `std::async` ordering
+//! used by the paper to explain the Floorplan anomaly).
 //!
 //! The spawn path is lock-light: `push` probes an atomic sleeper count and
 //! skips the `sleepers` mutex entirely when no worker is parked (the steady
 //! state of a saturated fork/join run). The count and the queues form a
 //! Dekker-style flag/flag protocol — see DESIGN.md §"hot path" for the
 //! memory-ordering argument.
-//!
-//! # Topology-aware stealing
-//!
-//! Workers are grouped into *segments* (one per socket, from
-//! `affinity::Topology`). External spawns round-robin across one injector
-//! per segment, and `find` works outward: own deque, own-socket injector,
-//! own-socket victims, and only then — timed, so the causal profiler can
-//! attribute it — remote injectors and remote victims, always in batches
-//! so a cross-socket miss is amortized over up to half the victim's queue.
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use crossbeam::sync::Unparker;
-use rpx_counters::counter::Clock;
 
 use crate::prim::{
     fence, mutation_armed, spin_loop, AtomicU64, AtomicUsize, Mutex, Ordering, Padded,
@@ -49,64 +38,19 @@ impl SchedulerMode {
     }
 }
 
-/// Result of one [`Scheduler::find`] call. The steal counts follow the
-/// PR 3 convention (every migrated task counts, batches included), split
-/// by whether the victim shares the finder's socket; `remote_probe_ns`
-/// is wall time spent probing remote sockets *whether or not* anything
-/// was found there, so idle-time attribution can separate placement
-/// misses from granularity (see DESIGN.md §16).
-pub(crate) struct FindOutcome {
-    pub task: Option<Task>,
-    pub stolen_local: u64,
-    pub stolen_remote: u64,
-    pub remote_probe_ns: u64,
-}
-
-impl FindOutcome {
-    fn empty() -> Self {
-        FindOutcome {
-            task: None,
-            stolen_local: 0,
-            stolen_remote: 0,
-            remote_probe_ns: 0,
-        }
-    }
-
-    fn with_task(mut self, task: Task) -> Self {
-        self.task = Some(task);
-        self
-    }
-
-    /// Total migrated-task count (the legacy `/threads/count/stolen`).
-    #[cfg(test)]
-    pub fn stolen(&self) -> u64 {
-        self.stolen_local + self.stolen_remote
-    }
-}
-
 pub(crate) struct Scheduler {
     pub mode: SchedulerMode,
-    /// One injector segment per socket in use (always exactly one under
-    /// `GlobalQueue`). External spawns round-robin across segments;
-    /// workers claim from their own segment before probing others.
-    pub injectors: Vec<Injector<Task>>,
-    /// Injector segment each worker belongs to.
-    segment_of: Vec<usize>,
-    /// Same-socket victims per worker, in rotation order starting after
-    /// the worker itself.
-    victims_local: Vec<Vec<usize>>,
-    /// Cross-socket victims per worker, same rotation order.
-    victims_remote: Vec<Vec<usize>>,
-    /// Other segments' injectors per worker, rotation order.
-    remote_segments: Vec<Vec<usize>>,
+    /// The other workers, per worker, in rotation order starting after the
+    /// worker itself.
+    victims: Vec<Vec<usize>>,
     /// Local deque of each worker, parked here until its thread claims it.
     pub deques: Vec<Mutex<Option<Deque<Task>>>>,
     pub stealers: Vec<Stealer<Task>>,
     // Everything above is written once, at construction, and read by every
     // `push` and `find`; the words below are written while the runtime
     // runs, so each group is padded onto lines of its own.
-    /// Round-robin cursor for external pushes.
-    next_segment: Padded<AtomicUsize>,
+    /// Where external spawns (and, under `GlobalQueue`, every spawn) land.
+    injector: Padded<Injector<Task>>,
     /// Task-id source. Workers reserve ids in blocks (see
     /// `stats::Shard::next_task_id`), so this is off the per-task path.
     next_id: Padded<AtomicU64>,
@@ -126,66 +70,18 @@ struct Sleepers {
 }
 
 impl Scheduler {
-    /// Single-segment scheduler (every worker on one socket).
-    #[cfg(test)]
     pub(crate) fn new(workers: usize, mode: SchedulerMode) -> Self {
-        Self::with_topology(workers, mode, &vec![0; workers])
-    }
-
-    /// Scheduler with one injector segment per distinct socket id in
-    /// `sockets` (the socket each worker is placed on). `GlobalQueue`
-    /// collapses to a single segment regardless of topology.
-    pub(crate) fn with_topology(workers: usize, mode: SchedulerMode, sockets: &[u32]) -> Self {
-        assert_eq!(sockets.len(), workers);
-        let mut distinct: Vec<u32> = sockets.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let segments = if mode == SchedulerMode::GlobalQueue {
-            1
-        } else {
-            distinct.len().max(1)
-        };
-        let segment_of: Vec<usize> = if segments == 1 {
-            vec![0; workers]
-        } else {
-            sockets
-                .iter()
-                .map(|s| distinct.binary_search(s).unwrap())
-                .collect()
-        };
-        let rotation = |i: usize| (1..workers).map(move |off| (i + off) % workers);
-        let victims_local: Vec<Vec<usize>> = (0..workers)
-            .map(|i| {
-                rotation(i)
-                    .filter(|&v| segment_of[v] == segment_of[i])
-                    .collect()
-            })
-            .collect();
-        let victims_remote: Vec<Vec<usize>> = (0..workers)
-            .map(|i| {
-                rotation(i)
-                    .filter(|&v| segment_of[v] != segment_of[i])
-                    .collect()
-            })
-            .collect();
-        let remote_segments: Vec<Vec<usize>> = (0..workers)
-            .map(|i| {
-                let own = segment_of[i];
-                (1..segments).map(|off| (own + off) % segments).collect()
-            })
+        let victims = (0..workers)
+            .map(|i| (1..workers).map(|off| (i + off) % workers).collect())
             .collect();
         let deques: Vec<Deque<Task>> = (0..workers).map(|_| Deque::new_lifo()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         Scheduler {
             mode,
-            injectors: (0..segments).map(|_| Injector::new()).collect(),
-            segment_of,
-            victims_local,
-            victims_remote,
-            remote_segments,
+            victims,
             deques: deques.into_iter().map(|d| Mutex::new(Some(d))).collect(),
             stealers,
-            next_segment: Padded(AtomicUsize::new(0)),
+            injector: Padded(Injector::new()),
             next_id: Padded(AtomicU64::new(0)),
             sleep: Padded(Sleepers {
                 list: Mutex::new(Vec::new()),
@@ -200,28 +96,15 @@ impl Scheduler {
         self.next_id.fetch_add(n, Ordering::Relaxed)
     }
 
-    /// Injector segments in use (1 unless NUMA placement is active).
-    #[cfg(test)]
-    pub(crate) fn segments(&self) -> usize {
-        self.injectors.len()
-    }
-
     /// Enqueue a task. `local` is the spawning worker's own deque when the
     /// spawn happens on a worker thread (push-local for locality), `None`
-    /// for external spawns (which round-robin across the per-socket
-    /// injector segments). The spawner has already counted the task into
-    /// its ledger shard (`Shard::note_queued`).
+    /// for external spawns (which go to the injector). The spawner has
+    /// already counted the task into its ledger shard
+    /// (`Shard::note_queued`).
     pub(crate) fn push(&self, task: Task, local: Option<&Deque<Task>>) {
         match (self.mode, local) {
             (SchedulerMode::LocalQueues, Some(deque)) => deque.push(task),
-            _ => {
-                let seg = if self.injectors.len() == 1 {
-                    0
-                } else {
-                    self.next_segment.fetch_add(1, Ordering::Relaxed) % self.injectors.len()
-                };
-                self.injectors[seg].push(task);
-            }
+            _ => self.injector.push(task),
         }
         self.wake_one();
     }
@@ -235,102 +118,61 @@ impl Scheduler {
     const RETRY_SWEEPS: usize = 4;
 
     /// Find work for worker `index`, working outward: own deque (LIFO),
-    /// own-segment injector, same-socket victims, then — timed — remote
-    /// injectors and remote victims. Steal counts cover every migrated
-    /// task (batches included), split local/remote by victim socket;
-    /// injector claims are not steals. `remote_probe_ns` accrues whenever
-    /// the remote phase runs, found or not.
-    pub(crate) fn find(&self, index: usize, local: &Deque<Task>, clock: &Clock) -> FindOutcome {
-        let mut out = FindOutcome::empty();
+    /// the injector, then the other workers in rotation — the last two in
+    /// batches that refill `local`. Returns the task and how many tasks
+    /// the find migrated off another worker's deque: the returned one plus
+    /// every batched extra, so those extras, which later come out of
+    /// `local` as plain pops, are counted exactly once. Own-deque pops and
+    /// injector claims are not steals.
+    pub(crate) fn find(&self, index: usize, local: &Deque<Task>) -> Option<(Task, u64)> {
         if self.mode == SchedulerMode::GlobalQueue {
             // Single-task steals only: batching would strand tasks in the
             // local deque, which this mode never reads.
             for _ in 0..Self::RETRY_SWEEPS {
-                match self.injectors[0].steal() {
-                    Steal::Success(t) => return out.with_task(t),
+                match self.injector.steal() {
+                    Steal::Success(t) => return Some((t, 0)),
                     Steal::Retry => std::hint::spin_loop(),
-                    Steal::Empty => return out,
+                    Steal::Empty => return None,
                 }
             }
-            return out;
+            return None;
         }
         // 1. Own deque (LIFO: most recently spawned child first — cache-hot).
         if let Some(t) = local.pop() {
-            return out.with_task(t);
+            return Some((t, 0));
         }
-        let seg = self.segment_of[index];
-        let has_remote =
-            !self.victims_remote[index].is_empty() || !self.remote_segments[index].is_empty();
         for _ in 0..Self::RETRY_SWEEPS {
             let mut contended = false;
-            // 2. Own-segment injector (external spawns); batch-refills
-            // `local`. Claims are not steals.
-            match self.injectors[seg].steal_batch_and_pop_counted(local) {
-                Steal::Success((t, _moved)) => return out.with_task(t),
+            // 2. The injector (external spawns); batch-refills `local`.
+            match self.injector.steal_batch_and_pop_counted(local) {
+                Steal::Success((t, _moved)) => return Some((t, 0)),
                 Steal::Retry => contended = true,
                 Steal::Empty => {}
             }
-            // 3. Same-socket victims, starting after ourselves to spread
-            // load. One batch per victim visit: the returned task plus up
-            // to half the victim's queue moved into `local`.
-            for &victim in &self.victims_local[index] {
+            // 3. Victims, starting after ourselves to spread load. One
+            // batch per victim visit: the returned task plus up to half the
+            // victim's queue moved into `local`.
+            for &victim in &self.victims[index] {
                 match self.stealers[victim].steal_batch_and_pop_counted(local) {
-                    Steal::Success((t, moved)) => {
-                        out.stolen_local = moved as u64 + 1;
-                        return out.with_task(t);
-                    }
+                    Steal::Success((t, moved)) => return Some((t, moved as u64 + 1)),
                     Steal::Retry => contended = true,
                     Steal::Empty => {}
                 }
             }
-            // 4. Remote phase, entered only with the whole local socket
-            // dry. Timed so placement misses are attributable separately
-            // from granularity in idle-time accounting.
-            if has_remote {
-                let probe_start = clock.now_ns();
-                let mut found: Option<(Task, u64)> = None;
-                'remote: {
-                    for &rseg in &self.remote_segments[index] {
-                        match self.injectors[rseg].steal_batch_and_pop_counted(local) {
-                            Steal::Success((t, _moved)) => {
-                                found = Some((t, 0));
-                                break 'remote;
-                            }
-                            Steal::Retry => contended = true,
-                            Steal::Empty => {}
-                        }
-                    }
-                    for &victim in &self.victims_remote[index] {
-                        match self.stealers[victim].steal_batch_and_pop_counted(local) {
-                            Steal::Success((t, moved)) => {
-                                found = Some((t, moved as u64 + 1));
-                                break 'remote;
-                            }
-                            Steal::Retry => contended = true,
-                            Steal::Empty => {}
-                        }
-                    }
-                }
-                out.remote_probe_ns += clock.now_ns().saturating_sub(probe_start);
-                if let Some((t, stolen)) = found {
-                    out.stolen_remote = stolen;
-                    return out.with_task(t);
-                }
-            }
             if !contended {
-                return out;
+                return None;
             }
             spin_loop();
         }
-        out
+        None
     }
 
-    /// Whether any queue (an injector segment or a worker deque) currently
-    /// holds a task. A racy snapshot — used as the park gate, where a false
+    /// Whether any queue (the injector or a worker deque) currently holds a
+    /// task. A racy snapshot — used as the park gate, where a false
     /// positive costs one extra find pass and a false negative is covered
     /// by the sleeper-registration protocol.
     pub(crate) fn has_queued_work(&self) -> bool {
-        self.injectors.iter().any(|i| !i.is_empty()) || self.stealers.iter().any(|s| !s.is_empty())
+        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
     }
 
     /// Park registration: the worker registers its unparker *before* its
@@ -406,18 +248,17 @@ impl Scheduler {
         self.sleep.count.load(Ordering::SeqCst)
     }
 
-    /// Move every task parked in worker `index`'s deque into the worker's
-    /// own injector segment. Used by the restart circuit breaker: a
-    /// retired worker's queued tasks must drain through the survivors.
-    /// The ledger is untouched — the tasks are still queued, just
-    /// somewhere reachable. Returns the number of tasks moved.
+    /// Move every task parked in worker `index`'s deque into the injector.
+    /// Used by the restart circuit breaker: a retired worker's queued tasks
+    /// must drain through the survivors. The ledger is untouched — the
+    /// tasks are still queued, just somewhere reachable. Returns the number
+    /// of tasks moved.
     pub(crate) fn reparent_to_injector(&self, index: usize) -> u64 {
         let guard = self.deques[index].lock();
         let mut moved = 0;
         if let Some(deque) = guard.as_ref() {
-            let seg = self.segment_of[index];
             while let Some(task) = deque.pop() {
-                self.injectors[seg].push(task);
+                self.injector.push(task);
                 moved += 1;
             }
         }
@@ -431,23 +272,17 @@ mod tests {
     use crate::slab::nop_task as task;
     use crossbeam::sync::Parker;
 
-    fn take(s: &Scheduler, index: usize, local: &Deque<Task>) -> Option<(Task, u64)> {
-        let out = s.find(index, local, &Clock::new());
-        let stolen = out.stolen();
-        out.task.map(|t| (t, stolen))
-    }
-
     #[test]
     fn local_push_pop_is_lifo() {
         let s = Scheduler::new(2, SchedulerMode::LocalQueues);
         let local = s.deques[0].lock().take().unwrap();
         s.push(task(1), Some(&local));
         s.push(task(2), Some(&local));
-        let (t, stolen) = take(&s, 0, &local).unwrap();
+        let (t, stolen) = s.find(0, &local).unwrap();
         assert_eq!(t.id(), 2, "own deque must be LIFO");
         assert_eq!(stolen, 0, "local pops are not steals");
-        assert_eq!(take(&s, 0, &local).unwrap().0.id(), 1);
-        assert!(take(&s, 0, &local).is_none());
+        assert_eq!(s.find(0, &local).unwrap().0.id(), 1);
+        assert!(s.find(0, &local).is_none());
     }
 
     #[test]
@@ -456,7 +291,7 @@ mod tests {
         let local = s.deques[0].lock().take().unwrap();
         s.push(task(1), None);
         s.push(task(2), None);
-        let got = take(&s, 0, &local).unwrap().0.id();
+        let got = s.find(0, &local).unwrap().0.id();
         assert_eq!(got, 1, "injector must be FIFO");
     }
 
@@ -467,7 +302,7 @@ mod tests {
         let local1 = s.deques[1].lock().take().unwrap();
         s.push(task(1), Some(&local0));
         s.push(task(2), Some(&local0));
-        let (t, stolen) = take(&s, 1, &local1).unwrap();
+        let (t, stolen) = s.find(1, &local1).unwrap();
         assert!(stolen >= 1, "victim tasks count as stolen");
         assert_eq!(t.id(), 1, "steals take the oldest task");
     }
@@ -480,22 +315,17 @@ mod tests {
         for i in 0..8 {
             s.push(task(i), Some(&local0));
         }
-        let out = s.find(1, &local1, &Clock::new());
-        let t = out.task.unwrap();
+        let (t, stolen) = s.find(1, &local1).unwrap();
         assert_eq!(t.id(), 0, "the returned task is the victim's oldest");
         assert_eq!(
-            out.stolen_local,
+            stolen,
             1 + local1.len() as u64,
             "stolen must count the returned task plus every batched task"
         );
-        assert_eq!(
-            out.stolen_local, 5,
-            "half of 8 ride along with the returned task"
-        );
-        assert_eq!(out.stolen_remote, 0, "same-socket steals are local");
+        assert_eq!(stolen, 5, "half of 8 ride along with the returned task");
         // The batched tasks now come out of worker 1's own deque as local
         // (non-stolen) finds.
-        let (_, restolen) = take(&s, 1, &local1).unwrap();
+        let (_, restolen) = s.find(1, &local1).unwrap();
         assert_eq!(restolen, 0, "batched tasks must not be double-counted");
         // Worker 0 still owns the other three.
         assert_eq!(local0.len(), 3);
@@ -508,7 +338,7 @@ mod tests {
         for i in 0..6 {
             s.push(task(i), None);
         }
-        let (t, stolen) = take(&s, 0, &local).unwrap();
+        let (t, stolen) = s.find(0, &local).unwrap();
         assert_eq!(t.id(), 0, "injector is FIFO");
         assert_eq!(stolen, 0, "injector claims are not steals");
         assert!(
@@ -524,72 +354,7 @@ mod tests {
         s.push(task(7), Some(&local));
         // Task must be findable by the *other* worker too.
         let local1 = s.deques[1].lock().take().unwrap();
-        assert_eq!(take(&s, 1, &local1).unwrap().0.id(), 7);
-    }
-
-    #[test]
-    fn hierarchical_find_prefers_socket_local_victims() {
-        // Workers 0,1 on socket 0; workers 2,3 on socket 1.
-        let s = Scheduler::with_topology(4, SchedulerMode::LocalQueues, &[0, 0, 1, 1]);
-        let local0 = s.deques[0].lock().take().unwrap();
-        let local1 = s.deques[1].lock().take().unwrap();
-        let local2 = s.deques[2].lock().take().unwrap();
-        s.push(task(10), Some(&local1)); // same-socket victim
-        s.push(task(20), Some(&local2)); // remote victim
-        let out = s.find(0, &local0, &Clock::new());
-        assert_eq!(out.task.unwrap().id(), 10, "socket-local victim wins");
-        assert_eq!(out.stolen_local, 1);
-        assert_eq!(out.stolen_remote, 0);
-        assert_eq!(
-            out.remote_probe_ns, 0,
-            "remote phase must not run while the local socket has work"
-        );
-    }
-
-    #[test]
-    fn remote_steals_are_counted_and_timed_separately() {
-        let s = Scheduler::with_topology(4, SchedulerMode::LocalQueues, &[0, 0, 1, 1]);
-        let local0 = s.deques[0].lock().take().unwrap();
-        let local2 = s.deques[2].lock().take().unwrap();
-        s.push(task(20), Some(&local2));
-        s.push(task(21), Some(&local2));
-        let out = s.find(0, &local0, &Clock::new());
-        assert_eq!(out.task.unwrap().id(), 20);
-        assert_eq!(out.stolen_local, 0);
-        assert!(out.stolen_remote >= 1, "cross-socket tasks count as remote");
-        // A miss must still report the remote probe window.
-        let local1 = s.deques[1].lock().take().unwrap();
-        let drained: Vec<u64> = std::iter::from_fn(|| take(&s, 0, &local0).map(|(t, _)| t.id()))
-            .chain(std::iter::from_fn(|| {
-                take(&s, 1, &local1).map(|(t, _)| t.id())
-            }))
-            .collect();
-        assert!(drained.contains(&21));
-        let miss = s.find(2, &local2, &Clock::new());
-        assert!(miss.task.is_none());
-    }
-
-    #[test]
-    fn external_pushes_round_robin_across_segments() {
-        let s = Scheduler::with_topology(2, SchedulerMode::LocalQueues, &[0, 1]);
-        assert_eq!(s.segments(), 2);
-        for i in 0..4 {
-            s.push(task(i), None);
-        }
-        assert!(!s.injectors[0].is_empty(), "segment 0 got external work");
-        assert!(!s.injectors[1].is_empty(), "segment 1 got external work");
-        // Every task remains findable from one worker (remote phase).
-        let local0 = s.deques[0].lock().take().unwrap();
-        let mut ids: Vec<u64> =
-            std::iter::from_fn(|| take(&s, 0, &local0).map(|(t, _)| t.id())).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn global_mode_forces_single_segment() {
-        let s = Scheduler::with_topology(4, SchedulerMode::GlobalQueue, &[0, 0, 1, 1]);
-        assert_eq!(s.segments(), 1, "global FIFO must stay a single queue");
+        assert_eq!(s.find(1, &local1).unwrap().0.id(), 7);
     }
 
     #[test]
@@ -621,7 +386,7 @@ mod tests {
         assert!(!s.has_queued_work());
         s.push(task(1), None);
         assert!(s.has_queued_work(), "probe must see the injector");
-        assert!(take(&s, 0, &local).is_some());
+        assert!(s.find(0, &local).is_some());
         assert!(!s.has_queued_work());
         s.push(task(2), Some(&local));
         assert!(s.has_queued_work(), "probe must see worker deques");
@@ -643,7 +408,7 @@ mod tests {
         // batch refill puts extras in its own deque, all still findable.
         let local1 = s.deques[1].lock().take().unwrap();
         let mut ids = Vec::new();
-        while let Some((t, _)) = take(&s, 1, &local1) {
+        while let Some((t, _)) = s.find(1, &local1) {
             ids.push(t.id());
         }
         ids.sort_unstable();
@@ -665,12 +430,12 @@ mod tests {
         let s = Scheduler::new(2, SchedulerMode::LocalQueues);
         let line = |p: usize| p / 128;
         let read_mostly = [
-            &s.injectors as *const _ as usize,
+            &s.deques as *const _ as usize,
             &s.stealers as *const _ as usize,
-            &s.victims_local as *const _ as usize,
+            &s.victims as *const _ as usize,
         ];
         let written = [
-            &s.next_segment as *const _ as usize,
+            &s.injector as *const _ as usize,
             &s.next_id as *const _ as usize,
             &s.sleep as *const _ as usize,
         ];

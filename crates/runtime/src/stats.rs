@@ -62,16 +62,6 @@ pub struct Shard {
     pub wait_ns: AtomicU64,
     /// Tasks this worker stole from another worker's queue.
     pub stolen: AtomicU64,
-    /// Steals from victims on this worker's own socket segment
-    /// (feeds `/threads/steals-local`).
-    pub stolen_local: AtomicU64,
-    /// Steals from victims on a remote socket segment
-    /// (feeds `/threads/steals-remote`).
-    pub stolen_remote: AtomicU64,
-    /// Nanoseconds spent probing remote-socket queues (hit or miss).
-    /// Sub-attribution of `idle_ns`-adjacent time: the causal profiler
-    /// reads this so placement misses aren't blamed on task granularity.
-    pub steal_probe_remote_ns: AtomicU64,
     /// Tasks this worker spawned.
     pub spawned: AtomicU64,
     /// Nanoseconds spent looking for work unsuccessfully (idle).
@@ -125,9 +115,6 @@ impl Shard {
             overhead_ops: zero(),
             wait_ns: zero(),
             stolen: zero(),
-            stolen_local: zero(),
-            stolen_remote: zero(),
-            steal_probe_remote_ns: zero(),
             spawned: zero(),
             idle_ns: zero(),
             heartbeat: zero(),
@@ -225,20 +212,10 @@ impl Shard {
         self.add(&self.idle_ns, ns);
     }
 
-    /// Record the tasks one find migrated off other workers' deques, split
-    /// by whether the victim shares this worker's socket.
-    pub fn record_steals(&self, local: u64, remote: u64) {
-        if local + remote > 0 {
-            self.add(&self.stolen, local + remote);
-            self.add(&self.stolen_local, local);
-            self.add(&self.stolen_remote, remote);
-        }
-    }
-
-    /// Record time one find spent probing remote sockets.
-    pub fn record_remote_probe(&self, ns: u64) {
-        if ns > 0 {
-            self.add(&self.steal_probe_remote_ns, ns);
+    /// Record the tasks one find migrated off other workers' deques.
+    pub fn record_steals(&self, n: u64) {
+        if n > 0 {
+            self.add(&self.stolen, n);
         }
     }
 
@@ -462,7 +439,7 @@ mod tests {
     fn snapshot_sums_every_shard_and_skips_retired_heartbeats() {
         let ledger = Ledger::new(2);
         ledger.worker(0).record_execution(10, 0);
-        ledger.worker(1).record_steals(2, 1);
+        ledger.worker(1).record_steals(3);
         ledger.worker(1).record_idle(7);
         ledger.worker(1).beat();
         ledger.external().record_execution(5, 0);

@@ -99,9 +99,9 @@ pub(crate) fn current_slab_ptr() -> *const crate::slab::Slab {
 }
 
 /// One `find` on behalf of worker `index`, with its scheduler-side
-/// accounting: the remote-probe window always, and on a hit the dispatch
-/// overhead since `t0` plus the steals. Execution timing lives in
-/// `runtime::run_task` so it is ordered before the future's completion.
+/// accounting on a hit: the dispatch overhead since `t0` plus the steals.
+/// Execution timing lives in `runtime::run_task` so it is ordered before
+/// the future's completion.
 fn find_task(
     inner: &RuntimeInner,
     index: usize,
@@ -109,21 +109,15 @@ fn find_task(
     deque: &Deque<Task>,
     t0: u64,
 ) -> Option<Task> {
-    let found = inner.scheduler.find(index, deque, &inner.state.clock);
-    // Sub-attribution of the find window: time spent probing remote
-    // sockets, successful or not. The overall balance is untouched (the
-    // window still lands in overhead or idle); this lets the causal
-    // profiler separate placement misses from granularity.
-    shard.record_remote_probe(found.remote_probe_ns);
-    let task = found.task?;
+    let (task, stolen) = inner.scheduler.find(index, deque)?;
     shard.record_overhead(inner.state.clock.now_ns().saturating_sub(t0));
-    // The steal counts cover every task the find moved off another
+    // The steal count covers every task the find moved off another
     // worker's deque: the one returned plus any batch-steal extras now
     // parked in our local deque. Those extras come back out as local
     // (unstolen) finds, so crediting them here keeps
     // `/threads/count/stolen` equal to "tasks migrated between workers"
     // without double counting.
-    shard.record_steals(found.stolen_local, found.stolen_remote);
+    shard.record_steals(stolen);
     Some(task)
 }
 
@@ -164,12 +158,6 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, index: usize) {
         index,
         deque: Some(deque),
     };
-    // Bind to the placed hardware thread when a bind policy is active; a
-    // failed pin is tolerated (the socket assignment used for victim
-    // ordering still stands, it is just advisory then).
-    if let Some(hw) = inner.placement.get(index).copied().flatten() {
-        let _ = crate::affinity::pin_current_thread(hw);
-    }
     let local: *const Deque<Task> = guard.deque.as_ref().expect("deque just parked") as *const _;
     CTX.set(Some(Ctx {
         index,

@@ -27,8 +27,6 @@ pub struct ServeConfig {
     pub interval: Duration,
     /// History-ring capacity per exported counter.
     pub history: usize,
-    /// Payload-order shards (see [`ScrapeEngine::new`]).
-    pub shards: usize,
     /// Counter specs to export (wildcards allowed).
     pub specs: Vec<String>,
 }
@@ -39,7 +37,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             interval: Duration::from_secs(1),
             history: 64,
-            shards: 4,
             specs: Vec::new(),
         }
     }
@@ -125,6 +122,9 @@ impl Shared {
     }
 }
 
+/// Payload-order shards of the server's engine (see [`ScrapeEngine::new`]).
+const PAYLOAD_SHARDS: usize = 4;
+
 /// How often the listener is polled for new connections.
 const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
 
@@ -146,7 +146,7 @@ impl Server {
         registry: &Arc<CounterRegistry>,
         config: ServeConfig,
     ) -> Result<Server, CounterError> {
-        let engine = ScrapeEngine::new(registry, &config.specs, config.shards, config.history)?;
+        let engine = ScrapeEngine::new(registry, &config.specs, PAYLOAD_SHARDS, config.history)?;
         let (listener, addr) = TcpListener::bind(&config.addr)
             .and_then(|l| l.local_addr().map(|a| (l, a)))
             .map_err(|e| CounterError::SpawnFailed(format!("bind {}: {e}", config.addr)))?;

@@ -70,7 +70,6 @@ fn ten_thousand_counters_at_one_hz_stay_in_the_overhead_envelope() {
         ServeConfig {
             interval: Duration::from_secs(1), // the 1 Hz of the claim
             history: 8,
-            shards: 8,
             specs: vec![
                 "/app{locality#0/worker-thread#*}/cell".into(),
                 "/threads{locality#0/total}/time/cumulative".into(),

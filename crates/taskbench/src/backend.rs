@@ -258,13 +258,7 @@ impl Backend for RuntimeBackend {
         workers: usize,
         cal: &GrainCalibration,
     ) -> Result<RunStats, BackendError> {
-        // A generous admission gate (it cannot close at benchmark scales)
-        // makes the `/runtime/tasks/admitted` spawn-side counter live, so
-        // RunStats can report counter-backed conservation.
-        let rt = Runtime::new(RuntimeConfig {
-            max_pending: Some(1 << 24),
-            ..RuntimeConfig::with_workers(workers.max(1))
-        });
+        let rt = Runtime::new(RuntimeConfig::with_workers(workers.max(1)));
         let d = Driver::new(graph, *cal);
         let h = rt.handle();
         let roots = graph.roots();

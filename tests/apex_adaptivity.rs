@@ -112,7 +112,7 @@ fn policy_widens_admission_when_the_overload_detector_trips() {
         workers: 2,
         max_pending: Some(8),
         resume_pending: Some(4),
-        overload_policy: OverloadPolicy::Shed,
+        overload_policy: OverloadPolicy::Degrade,
         watchdog_interval: Duration::from_millis(10),
         ..RuntimeConfig::with_workers(2)
     });

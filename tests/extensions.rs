@@ -1,10 +1,9 @@
 //! Integration: the extension features — histogram counters, distributed
-//! (multi-locality) counter access, task tracing, and affinity layouts —
-//! working against live runtimes.
+//! (multi-locality) counter access, and task tracing — working against
+//! live runtimes.
 
 use rpx::counters::histogram::snapshot_of;
 use rpx::counters::{CounterName, DistributedRegistry};
-use rpx::runtime::affinity::{BindSpec, Topology};
 use rpx::runtime::{Runtime, RuntimeConfig};
 
 fn spin(n: u64) -> u64 {
@@ -113,33 +112,6 @@ fn tracer_profile_accounts_for_all_workers_used() {
         profile.len()
     );
     rt.shutdown();
-}
-
-#[test]
-fn affinity_layouts_cover_the_paper_protocol() {
-    // The paper pins fill-first over a 2×10 topology; compact is exactly
-    // that, and every worker count the sweep uses gets a distinct core.
-    let topo = Topology {
-        sockets: 2,
-        cores_per_socket: 10,
-        smt: 1,
-    };
-    for workers in [1u32, 2, 4, 10, 11, 20] {
-        let placement = BindSpec::Compact.placement(&topo, workers);
-        let mut hw: Vec<u32> = placement.iter().map(|p| p.unwrap()).collect();
-        hw.sort_unstable();
-        hw.dedup();
-        assert_eq!(
-            hw.len(),
-            workers as usize,
-            "distinct cores for {workers} workers"
-        );
-        // Fill-first: worker w sits on hw thread w.
-        assert_eq!(placement[0], Some(0));
-        if workers >= 11 {
-            assert_eq!(placement[10], Some(10), "11th worker crosses the socket");
-        }
-    }
 }
 
 #[test]

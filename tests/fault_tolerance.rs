@@ -673,6 +673,8 @@ fn restart_storm_trips_breaker_shrinks_parallelism_loses_no_task() {
     rt.shutdown();
 }
 
+/// `try_spawn` sheds at a closed gate under every overload policy; the
+/// policy set here only governs the infallible blocker spawns.
 #[test]
 fn shed_policy_bounds_pending_exactly_and_returns_the_closure() {
     const MAX: usize = 8;
@@ -682,7 +684,7 @@ fn shed_policy_bounds_pending_exactly_and_returns_the_closure() {
         workers: 2,
         max_pending: Some(MAX),
         resume_pending: Some(4),
-        overload_policy: OverloadPolicy::Shed,
+        overload_policy: OverloadPolicy::Degrade,
         ..RuntimeConfig::with_workers(2)
     });
     let reg = rt.registry();

@@ -153,12 +153,8 @@ fn runtime_counter_plane_agrees_with_oracle() {
 
     let shape = Shape::Stencil { width: 6, steps: 5 };
     let graph = WorkloadSpec::new(shape, 500, SEED).build();
-    // A generous admission gate (never closes at this scale) makes the
-    // `/runtime/tasks/admitted` spawn-side counter live.
-    let rt = Runtime::new(RuntimeConfig {
-        max_pending: Some(1 << 20),
-        ..RuntimeConfig::with_workers(2)
-    });
+    // No admission gate: `/runtime/tasks/admitted` reads the ledger.
+    let rt = Runtime::new(RuntimeConfig::with_workers(2));
     let h = rt.handle();
 
     // Minimal dependence-walking driver, local to the test so the counter
