@@ -26,16 +26,45 @@
 //! durations equals the classical work/span model's span; the closed-form
 //! oracles in the workspace conformance tests hold the profiler to that.
 //!
-//! Ingestion is on-line and cheap — one `HashMap` insert per span — so a
-//! profile can be built incrementally from a live tracer
-//! ([`CausalProfiler::ingest`]) or at once from a drained ring
-//! ([`CausalProfiler::from_spans`]). Analysis ([`CausalProfiler::analyze`])
-//! is O(tasks) via an iterative post-order walk (deep spawn chains —
-//! fib's left spine is thousands of tasks — must not recurse).
+//! Ingestion is on-line and cheap — one insert into a task-id index keyed
+//! by a one-multiply hash — so a profile can be built incrementally from a
+//! live tracer ([`CausalProfiler::ingest`]) or at once from a drained ring
+//! ([`CausalProfiler::from_spans`], which sizes the index once). Analysis
+//! ([`CausalProfiler::analyze`]) is O(tasks) with a handful of allocations,
+//! none per task: the spawn forest is one compressed-sparse-row adjacency,
+//! and the chains are swept over a breadth-first order instead of
+//! recursing (deep spawn chains — fib's left spine is thousands of tasks —
+//! must not overflow the stack).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rpx_runtime::trace::{site_name, TaskSpan};
+
+/// Hashes a task id with one multiply by the 64-bit golden ratio: ids are
+/// runtime-issued integers, so the SipHash default's flooding resistance
+/// buys nothing and costs most of an insert.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// Task id → node index.
+type IdIndex = HashMap<u64, usize, BuildHasherDefault<IdHasher>>;
 
 /// One task's record in the profiler's DAG.
 #[derive(Debug, Clone, Copy)]
@@ -146,8 +175,32 @@ impl WhatIf {
 pub struct CausalProfiler {
     /// task id → index into `nodes` (spans can arrive in any order and,
     /// after a ring wrap, more than once — last record wins).
-    index: HashMap<u64, usize>,
+    index: IdIndex,
     nodes: Vec<Node>,
+}
+
+/// The spawn forest of the ingested nodes, built once per query: child
+/// adjacency in compressed-sparse-row form plus a parents-first order.
+struct Forest {
+    /// The children of node `i` are `children[offsets[i]..offsets[i + 1]]`,
+    /// in ingest order.
+    offsets: Vec<usize>,
+    children: Vec<usize>,
+    /// Every node reachable from a root, each after its parent: the roots
+    /// (in ingest order), then breadth-first.
+    order: Vec<usize>,
+    /// How many of `order`'s first entries are roots.
+    roots: usize,
+}
+
+impl Forest {
+    fn children(&self, i: usize) -> &[usize] {
+        &self.children[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    fn roots(&self) -> &[usize] {
+        &self.order[..self.roots]
+    }
 }
 
 impl CausalProfiler {
@@ -180,9 +233,15 @@ impl CausalProfiler {
         }
     }
 
-    /// Profiler pre-loaded from a batch of spans.
+    /// Profiler pre-loaded from a batch of spans (the index and node list
+    /// are sized once, from the batch's length).
     pub fn from_spans<'a>(spans: impl IntoIterator<Item = &'a TaskSpan>) -> Self {
-        let mut p = CausalProfiler::new();
+        let spans = spans.into_iter();
+        let n = spans.size_hint().0;
+        let mut p = CausalProfiler {
+            index: IdIndex::with_capacity_and_hasher(n, Default::default()),
+            nodes: Vec::with_capacity(n),
+        };
         p.ingest_all(spans);
         p
     }
@@ -197,39 +256,73 @@ impl CausalProfiler {
         self.nodes.is_empty()
     }
 
-    /// Child adjacency + roots. A task whose parent never produced a span
+    /// The spawn forest. A task whose parent never produced a span
     /// (spawned from outside the runtime, or evicted by a ring wrap) is a
     /// root of its own tree — the analysis degrades gracefully instead of
     /// dropping the subtree.
-    fn forest(&self) -> (Vec<Vec<usize>>, Vec<usize>) {
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        let mut roots = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            match n.parent.and_then(|p| self.index.get(&p)) {
-                Some(&p) => children[p].push(i),
-                None => roots.push(i),
+    fn forest(&self) -> Forest {
+        let n = self.nodes.len();
+        // Each node's parent index; `n` marks a root.
+        let parent: Vec<usize> = self
+            .nodes
+            .iter()
+            .map(|node| match node.parent.and_then(|p| self.index.get(&p)) {
+                Some(&p) => p,
+                None => n,
+            })
+            .collect();
+        // Count children into `offsets[p]`, sum to each list's end, then
+        // fill every list back to front, which leaves `offsets[p]` at its
+        // start and the children in ingest order.
+        let mut offsets = vec![0; n + 1];
+        for &p in &parent {
+            if p < n {
+                offsets[p] += 1;
             }
         }
-        (children, roots)
+        let mut end = 0;
+        for o in offsets.iter_mut() {
+            end += *o;
+            *o = end;
+        }
+        let mut children = vec![0; end];
+        for (i, &p) in parent.iter().enumerate().rev() {
+            if p < n {
+                offsets[p] -= 1;
+                children[offsets[p]] = i;
+            }
+        }
+        let mut order = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&i| parent[i] == n));
+        let roots = order.len();
+        let mut head = 0;
+        while let Some(&i) = order.get(head) {
+            order.extend_from_slice(&children[offsets[i]..offsets[i + 1]]);
+            head += 1;
+        }
+        Forest {
+            offsets,
+            children,
+            order,
+            roots,
+        }
     }
 
-    /// `down[i]` = net(i) + max over children of `down` — the heaviest
-    /// chain from each node to any leaf of its subtree. Iterative
-    /// post-order: fib's left spine is O(n) deep and would blow the stack
-    /// recursively.
-    fn down_chains(&self, children: &[Vec<usize>], roots: &[usize]) -> Vec<u64> {
-        let mut down = vec![0u64; self.nodes.len()];
-        let mut stack: Vec<(usize, bool)> = roots.iter().map(|&r| (r, false)).collect();
-        while let Some((i, expanded)) = stack.pop() {
-            if expanded {
-                let heaviest = children[i].iter().map(|&c| down[c]).max().unwrap_or(0);
-                down[i] = self.nodes[i].net_ns + heaviest;
-            } else {
-                stack.push((i, true));
-                for &c in &children[i] {
-                    stack.push((c, false));
-                }
-            }
+    /// `down[i]` = cost(i) + max over children of `down` — the heaviest
+    /// chain from each node to any leaf of its subtree — swept over the
+    /// forest's order backwards, so every child is done before its parent.
+    fn down_chains<T>(&self, forest: &Forest, cost: impl Fn(&Node) -> T) -> Vec<T>
+    where
+        T: Copy + Default + PartialOrd + std::ops::Add<Output = T>,
+    {
+        let mut down = vec![T::default(); self.nodes.len()];
+        for &i in forest.order.iter().rev() {
+            let heaviest = forest
+                .children(i)
+                .iter()
+                .map(|&c| down[c])
+                .fold(T::default(), |a, b| if b > a { b } else { a });
+            down[i] = cost(&self.nodes[i]) + heaviest;
         }
         down
     }
@@ -237,24 +330,12 @@ impl CausalProfiler {
     /// Analyze everything ingested so far: work, span, the critical path,
     /// and per-site profiles.
     pub fn analyze(&self) -> Analysis {
-        let (children, roots) = self.forest();
-        let down = self.down_chains(&children, &roots);
+        self.analyze_in(&self.forest())
+    }
 
+    fn analyze_in(&self, forest: &Forest) -> Analysis {
+        let down = self.down_chains(forest, |n| n.net_ns);
         let work_ns: u64 = self.nodes.iter().map(|n| n.net_ns).sum();
-        let mut critical_path = Vec::new();
-        let mut span_ns = 0;
-        if let Some(&root) = roots.iter().max_by_key(|&&r| down[r]) {
-            span_ns = down[root];
-            // Walk the argmax chain down from the heaviest root.
-            let mut at = root;
-            loop {
-                critical_path.push(self.nodes[at].task_id);
-                match children[at].iter().copied().max_by_key(|&c| down[c]) {
-                    Some(c) if down[c] > 0 => at = c,
-                    _ => break,
-                }
-            }
-        }
 
         let mut sites: HashMap<u32, SiteProfile> = HashMap::new();
         for n in &self.nodes {
@@ -268,11 +349,24 @@ impl CausalProfiler {
             e.tasks += 1;
             e.work_ns += n.net_ns;
         }
-        for &id in &critical_path {
-            let n = &self.nodes[self.index[&id]];
+
+        // Walk the argmax chain down from the heaviest root, crediting each
+        // node's net duration to its site's span share.
+        let mut critical_path = Vec::new();
+        let mut at = forest.roots().iter().copied().max_by_key(|&r| down[r]);
+        let span_ns = at.map_or(0, |root| down[root]);
+        while let Some(i) = at {
+            let n = &self.nodes[i];
+            critical_path.push(n.task_id);
             if let Some(e) = sites.get_mut(&n.site) {
                 e.span_ns += n.net_ns;
             }
+            at = forest
+                .children(i)
+                .iter()
+                .copied()
+                .max_by_key(|&c| down[c])
+                .filter(|&c| down[c] > 0);
         }
         let mut sites: Vec<SiteProfile> = sites.into_values().collect();
         sites.sort_by(|a, b| b.work_ns.cmp(&a.work_ns).then(a.site.cmp(&b.site)));
@@ -292,6 +386,21 @@ impl CausalProfiler {
     /// re-extracted — it may migrate to a chain the optimization does not
     /// touch) and bound the makespan by Brent's `max(W'/P, S')`.
     pub fn what_if(&self, site: u32, factor: f64, workers: usize) -> WhatIf {
+        let forest = self.forest();
+        let baseline = self.analyze_in(&forest);
+        self.project(&forest, &baseline, site, factor, workers)
+    }
+
+    /// [`what_if`](Self::what_if) over a forest and baseline analysis the
+    /// caller computed once.
+    fn project(
+        &self,
+        forest: &Forest,
+        baseline: &Analysis,
+        site: u32,
+        factor: f64,
+        workers: usize,
+    ) -> WhatIf {
         let factor = if factor > 0.0 { factor } else { 1.0 };
         let p = workers.max(1) as f64;
         let scaled = |n: &Node| {
@@ -301,26 +410,9 @@ impl CausalProfiler {
                 n.net_ns as f64
             }
         };
-
-        let (children, roots) = self.forest();
-        // f64 down-chains over the scaled durations (same iterative walk).
-        let mut down = vec![0.0f64; self.nodes.len()];
-        let mut stack: Vec<(usize, bool)> = roots.iter().map(|&r| (r, false)).collect();
-        while let Some((i, expanded)) = stack.pop() {
-            if expanded {
-                let heaviest = children[i].iter().map(|&c| down[c]).fold(0.0, f64::max);
-                down[i] = scaled(&self.nodes[i]) + heaviest;
-            } else {
-                stack.push((i, true));
-                for &c in &children[i] {
-                    stack.push((c, false));
-                }
-            }
-        }
-
+        let down = self.down_chains(forest, scaled);
         let work_ns: f64 = self.nodes.iter().map(scaled).sum();
-        let span_ns = roots.iter().map(|&r| down[r]).fold(0.0, f64::max);
-        let baseline = self.analyze();
+        let span_ns = forest.roots().iter().map(|&r| down[r]).fold(0.0, f64::max);
         WhatIf {
             site,
             factor,
@@ -334,11 +426,22 @@ impl CausalProfiler {
     /// What-if projections for every site, descending by projected
     /// speedup — "optimize this spawn site first".
     pub fn rank_what_if(&self, factor: f64, workers: usize) -> Vec<WhatIf> {
-        let analysis = self.analyze();
-        let mut out: Vec<WhatIf> = analysis
+        let forest = self.forest();
+        let baseline = self.analyze_in(&forest);
+        self.rank(&forest, &baseline, factor, workers)
+    }
+
+    fn rank(
+        &self,
+        forest: &Forest,
+        baseline: &Analysis,
+        factor: f64,
+        workers: usize,
+    ) -> Vec<WhatIf> {
+        let mut out: Vec<WhatIf> = baseline
             .sites
             .iter()
-            .map(|s| self.what_if(s.site, factor, workers))
+            .map(|s| self.project(forest, baseline, s.site, factor, workers))
             .collect();
         out.sort_by(|a, b| {
             b.speedup()
@@ -353,7 +456,8 @@ impl CausalProfiler {
     /// and what-if table (factor 10×, like TASKPROF's "what if this region
     /// were 10× faster" default).
     pub fn report(&self, workers: usize) -> String {
-        let a = self.analyze();
+        let forest = self.forest();
+        let a = self.analyze_in(&forest);
         let mut out = format!(
             "causal profile: {} tasks, work {:.3} ms, span {:.3} ms, parallelism {:.1}\n",
             a.tasks,
@@ -362,7 +466,7 @@ impl CausalProfiler {
             a.parallelism()
         );
         out.push_str("    site  tasks     work[ms]     span[ms]  10x-speedup  spawn site\n");
-        for w in self.rank_what_if(10.0, workers) {
+        for w in self.rank(&forest, &a, 10.0, workers) {
             let s = a.site(w.site).expect("ranked site exists in analysis");
             out.push_str(&format!(
                 "{:>8} {:>6} {:>12.3} {:>12.3} {:>12.2} {}\n",

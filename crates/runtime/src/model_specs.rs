@@ -1,7 +1,8 @@
 //! Model-checked specs for the scheduler's sleeper/park-gate protocol, the
-//! [`crate::sync::EventGate`], the admission gate, the slab, and the task
-//! ledger's quiescence protocol, with paired deliberately-broken mutants
-//! proving the checker catches each lost-wakeup or false-idle class.
+//! [`crate::sync::EventGate`], the admission gate, the slab, the task
+//! ledger's quiescence protocol and the tracer's span rings, with paired
+//! deliberately-broken mutants proving the checker catches each
+//! lost-wakeup, false-idle or torn-copy class.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg rpx_model"`; run with
 //! `RUSTFLAGS="--cfg rpx_model" cargo test -p rpx-runtime model_`.
@@ -21,6 +22,7 @@ use crate::scheduler::{Scheduler, SchedulerMode};
 use crate::slab::{nop_task, Slab};
 use crate::stats::Ledger;
 use crate::sync::EventGate;
+use crate::trace::{TaskSpan, TaskTracer};
 
 /// Serializes the specs in this file: mutants arm a process-global
 /// registry, so an armed mutation must never overlap another spec's
@@ -430,6 +432,97 @@ fn model_gate_probe_relaxed_mutant_is_caught() {
     assert!(
         failure.message.contains("deadlock") || failure.message.contains("step budget"),
         "expected a missed broadcast, got: {}",
+        failure.message
+    );
+}
+
+/// A span whose every field is a function of its id, so a copy that mixes
+/// two writes is recognisable.
+fn stamped(id: u64) -> TaskSpan {
+    TaskSpan {
+        task_id: id,
+        parent: (id % 2 == 0).then_some(id + 40),
+        site: id as u32 + 7,
+        worker: 0,
+        start_ns: id * 10,
+        end_ns: id * 10 + 5,
+        wait_ns: id + 1,
+        nested_ns: id + 2,
+    }
+}
+
+/// Protocol 10 — span-ring copy and re-check (DESIGN.md §15): a worker's
+/// ring owner stores a slot's words and publishes the cursor with a
+/// `Release` store; `spans()` copies, fences, re-reads the cursor and drops
+/// every span the owner may have overwritten meanwhile. The ring holds one
+/// span in two slots. The owner writes spans 0, 1 and 2 — span 2 over span
+/// 0 — and the reader copies once it has seen span 0 published. Whatever
+/// it returns must be a span the owner wrote, whole: not span 0 half
+/// overwritten (no re-check), nor a span read before its words arrived (a
+/// `Relaxed` cursor store).
+fn span_ring_copy_vs_owner() {
+    let tracer = TaskTracer::for_workers(1, 1);
+    tracer.enable();
+    let t2 = tracer.clone();
+    let owner = thread::spawn(move || {
+        for id in 0..3 {
+            t2.record_on(0, stamped(id));
+        }
+    });
+    while tracer.records() == 0 {
+        thread::yield_now();
+    }
+    let spans = tracer.spans();
+    assert!(spans.len() <= 1);
+    for s in spans {
+        assert_eq!(s, stamped(s.task_id), "copied a torn span");
+    }
+    owner.join().unwrap();
+}
+
+#[test]
+fn model_span_ring_copy_never_returns_a_torn_span() {
+    let _g = serial();
+    mutation::disarm_all();
+    check(
+        "model_span_ring_copy_never_returns_a_torn_span",
+        cfg(),
+        span_ring_copy_vs_owner,
+    );
+}
+
+#[test]
+fn model_span_ring_skip_recheck_mutant_is_caught() {
+    let _g = serial();
+    mutation::disarm_all();
+    mutation::arm("span-ring-skip-recheck");
+    let failure = check_expect_failure(
+        "model_span_ring_skip_recheck_mutant_is_caught",
+        cfg(),
+        span_ring_copy_vs_owner,
+    );
+    mutation::disarm_all();
+    assert!(
+        failure.message.contains("torn span"),
+        "expected a copy overwritten mid-read, got: {}",
+        failure.message
+    );
+}
+
+#[test]
+fn model_span_ring_cursor_relaxed_mutant_is_caught() {
+    let _g = serial();
+    mutation::disarm_all();
+    mutation::arm("span-ring-cursor-relaxed");
+    let failure = check_expect_failure(
+        "model_span_ring_cursor_relaxed_mutant_is_caught",
+        cfg(),
+        span_ring_copy_vs_owner,
+    );
+    mutation::disarm_all();
+    assert!(
+        failure.message.contains("torn span"),
+        "expected a published span read before its words, got: {}",
         failure.message
     );
 }

@@ -152,7 +152,7 @@ impl RuntimeState {
             clock,
             ledger: Ledger::new(workers),
             idle: EventGate::new(),
-            tracer: TaskTracer::new(64 * 1024),
+            tracer: TaskTracer::for_workers(64 * 1024, workers),
             quiesce_cancel: AtomicBool::new(false),
             anomalies: Arc::new(AnomalyLog::new(256)),
             faults,
@@ -952,21 +952,27 @@ pub(crate) fn run_task(state: &RuntimeState, shard: &Shard, task: Claimed) {
         // The span records gross start..end plus `nested_ns`, so readers
         // can reconstruct both views; net (gross − nested) is what the
         // profile and the causal analyzer sum — matching the stats below.
-        state.tracer.record(TaskSpan {
-            task_id,
-            parent: (parent != u64::MAX).then_some(parent),
-            site,
-            worker: shard.index(),
-            start_ns: start,
-            end_ns: end,
-            wait_ns,
-            nested_ns: nested_during,
-        });
+        // It goes to the ring of this thread's shard: a worker's own, or
+        // the shared one for the external shard (index = worker count).
+        let ring = shard.index() as usize;
+        state.tracer.record_on(
+            ring,
+            TaskSpan {
+                task_id,
+                parent: (parent != u64::MAX).then_some(parent),
+                site,
+                worker: shard.index(),
+                start_ns: start,
+                end_ns: end,
+                wait_ns,
+                nested_ns: nested_during,
+            },
+        );
         // The tracer's cost on the clock that stamped the span: from the
         // task's `end` to here, one more read (DESIGN.md §15).
         state
             .tracer
-            .note_overhead(state.clock.now_ns().saturating_sub(end));
+            .note_overhead(ring, state.clock.now_ns().saturating_sub(end));
     }
     shard.record_execution(net, wait_ns);
     ran.publish();

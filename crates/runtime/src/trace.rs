@@ -12,9 +12,11 @@
 //! work/span analysis (the `rpx-causal` crate) and the per-worker profile
 //! use: summing gross durations double-counts every help-executed child.
 //!
-//! Tracing is off by default; enabling it installs a bounded ring buffer
-//! so long runs cannot exhaust memory (oldest events are dropped, counted).
-//! The runtime times each recording on the clock that stamped the span
+//! Tracing is off by default; enabling it reserves bounded rings so long
+//! runs cannot exhaust memory (oldest events are dropped, counted): one
+//! per worker, which that worker writes without a lock or an RMW, and one
+//! shared by every other thread (DESIGN.md §15, "Span rings"). The runtime
+//! times each recording on the clock that stamped the span
 //! ([`TaskTracer::overhead_ns`], exported as `/runtime/trace/overhead-time`),
 //! so the paper's ≤10 % instrumentation envelope is checkable from inside
 //! the process.
@@ -22,10 +24,12 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::Location;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
+
+use crate::prim::{fence, mutation_armed, AtomicU64, Ordering};
 
 /// Sentinel site id for spans recorded before site tracking existed or
 /// from paths that bypass the public spawn API.
@@ -148,41 +152,199 @@ impl TaskSpan {
     }
 }
 
-/// Bounded task-event recorder shared by all workers of a runtime.
+/// Words of one span in a ring slot (`TaskSpan` is 64 bytes; see
+/// [`encode`]).
+const SPAN_WORDS: usize = 8;
+
+/// A span as the eight words a ring slot stores. Each word is written and
+/// read with its own atomic operation, so a reader racing the writer may
+/// copy a torn span but never races on memory; the cursor re-check in
+/// [`TaskTracer::spans`] discards every slot a writer may have touched.
+fn encode(s: &TaskSpan) -> [u64; SPAN_WORDS] {
+    [
+        s.task_id,
+        s.parent.unwrap_or(0),
+        s.parent.is_some() as u64,
+        s.site as u64 | (s.worker as u64) << 32,
+        s.start_ns,
+        s.end_ns,
+        s.wait_ns,
+        s.nested_ns,
+    ]
+}
+
+fn decode(w: [u64; SPAN_WORDS]) -> TaskSpan {
+    TaskSpan {
+        task_id: w[0],
+        parent: (w[2] != 0).then_some(w[1]),
+        site: w[3] as u32,
+        worker: (w[3] >> 32) as u32,
+        start_ns: w[4],
+        end_ns: w[5],
+        wait_ns: w[6],
+        nested_ns: w[7],
+    }
+}
+
+/// Word offsets of the two stamps `spans()` reads before it copies a slot.
+const START_WORD: usize = 4;
+const END_WORD: usize = 5;
+
+/// One writer's span buffer of `capacity + 1` slots. Span `n` (counted
+/// over the ring's life) lives in slot `n % (capacity + 1)`; the writer
+/// stores the slot's words, then publishes `cursor = n + 1` with a
+/// `Release` store — the `Shard` idiom, no lock and no RMW. The spare slot
+/// is the one the next write goes to, so the newest `capacity` spans stay
+/// readable while it is under way. Clearing stores `base` (the cursor at
+/// the clear) instead of writing the cursor, so the writer stays its only
+/// writer.
+#[repr(align(128))]
+struct Ring {
+    /// `(capacity + 1) × SPAN_WORDS` words.
+    slots: Box<[AtomicU64]>,
+    /// Spans ever recorded here.
+    cursor: AtomicU64,
+    /// The slot span `cursor` goes to (`cursor % (capacity + 1)`, kept by
+    /// the writer so recording divides nothing).
+    next_slot: AtomicU64,
+    /// `cursor` at the last `clear`: spans before it are out of the window.
+    base: AtomicU64,
+    /// Nanoseconds the runtime spent recording into this ring.
+    overhead_ns: AtomicU64,
+    /// Serializes the shared ring's writers (external threads, inline
+    /// runs, the public [`TaskTracer::record`]); beside the cursor, so a
+    /// hand-off moves one line. Worker rings never take it.
+    writer: Mutex<()>,
+}
+
+impl Ring {
+    fn new(capacity: usize) -> Self {
+        Ring {
+            slots: (0..(capacity + 1) * SPAN_WORDS)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            cursor: AtomicU64::new(0),
+            next_slot: AtomicU64::new(0),
+            base: AtomicU64::new(0),
+            overhead_ns: AtomicU64::new(0),
+            writer: Mutex::new(()),
+        }
+    }
+
+    /// Slots in the ring: `capacity + 1`.
+    fn len(&self) -> u64 {
+        (self.slots.len() / SPAN_WORDS) as u64
+    }
+
+    /// The slot span `n` lives in.
+    fn slot(&self, n: u64) -> usize {
+        (n % self.len()) as usize
+    }
+
+    /// The slot after `slot`, wrapping (a compare, not a division: this
+    /// is on the recording path).
+    fn next(&self, slot: usize) -> usize {
+        if slot as u64 + 1 == self.len() {
+            0
+        } else {
+            slot + 1
+        }
+    }
+
+    /// The slot before `slot`, wrapping.
+    fn prev(&self, slot: usize) -> usize {
+        slot.checked_sub(1).unwrap_or(self.len() as usize - 1)
+    }
+
+    fn words(&self, slot: usize) -> &[AtomicU64] {
+        &self.slots[slot * SPAN_WORDS..][..SPAN_WORDS]
+    }
+
+    /// Append a span. Callers are the ring's one writer (its worker, or
+    /// whoever holds the shared ring's writer lock).
+    fn push(&self, span: &TaskSpan) {
+        let n = self.cursor.load(Ordering::Relaxed);
+        let slot = self.next_slot.load(Ordering::Relaxed) as usize;
+        // A reader that copies any word stored below and then fences sees
+        // `cursor ≥ n` — the store that published span `n − 1` — so its
+        // re-check drops the span this write overwrites.
+        fence(Ordering::Release);
+        for (word, v) in self.words(slot).iter().zip(encode(span)) {
+            word.store(v, Ordering::Relaxed);
+        }
+        let publish = if mutation_armed("span-ring-cursor-relaxed") {
+            Ordering::Relaxed
+        } else {
+            Ordering::Release
+        };
+        self.cursor.store(n + 1, publish);
+        self.next_slot
+            .store(self.next(slot) as u64, Ordering::Relaxed);
+    }
+
+    fn word(&self, slot: usize, word: usize) -> u64 {
+        self.words(slot)[word].load(Ordering::Relaxed)
+    }
+
+    fn read(&self, slot: usize) -> TaskSpan {
+        let mut w = [0; SPAN_WORDS];
+        for (v, word) in w.iter_mut().zip(self.words(slot)) {
+            *v = word.load(Ordering::Relaxed);
+        }
+        decode(w)
+    }
+}
+
+/// What `spans()` takes from one ring: spans `lo..hi` are in its window,
+/// `from..hi` are the ones it returns, and span `from` is in `from_slot`.
+struct Window {
+    lo: u64,
+    hi: u64,
+    from: u64,
+    from_slot: usize,
+}
+
+/// Bounded task-event recorder of a runtime: one ring per worker, written
+/// only by that worker without a lock, and one shared ring for every other
+/// writer. Each ring holds the newest `capacity` spans it recorded;
+/// [`spans`](Self::spans) returns the newest `capacity` over all of them,
+/// so the window has one bound however unevenly the workers fill their
+/// rings. Memory: `(workers + 1) × (capacity + 1)` spans of 64 bytes,
+/// reserved when tracing is first enabled.
 pub struct TaskTracer {
     enabled: AtomicBool,
     capacity: usize,
-    ring: Mutex<Ring>,
-    /// Self-measurement: time the runtime spent recording spans, so the
-    /// tracer's own cost is a counter like any other.
-    overhead_ns: AtomicU64,
-}
-
-/// The span buffer and its one cursor. Span `n` since the last `clear`
-/// lives in slot `n % capacity`, so the drop and record counts are read
-/// off the cursor instead of being counted beside it.
-#[derive(Default)]
-struct Ring {
-    spans: Vec<TaskSpan>,
-    /// Spans recorded since the last `clear`.
-    written: u64,
-    /// Spans recorded before it.
-    earlier: u64,
+    workers: usize,
+    /// One per worker, then the shared one; reserved at the first
+    /// [`enable`](Self::enable).
+    rings: OnceLock<Box<[Ring]>>,
 }
 
 impl TaskTracer {
-    /// A tracer holding up to `capacity` most recent spans.
+    /// A tracer holding up to `capacity` most recent spans, all recorded
+    /// through [`record`](Self::record) (the shared ring only).
     pub fn new(capacity: usize) -> Arc<Self> {
+        TaskTracer::for_workers(capacity, 0)
+    }
+
+    /// A runtime's tracer: a ring for each of `workers` workers besides
+    /// the shared one.
+    pub(crate) fn for_workers(capacity: usize, workers: usize) -> Arc<Self> {
         Arc::new(TaskTracer {
             enabled: AtomicBool::new(false),
             capacity: capacity.max(1),
-            ring: Mutex::new(Ring::default()),
-            overhead_ns: AtomicU64::new(0),
+            workers,
+            rings: OnceLock::new(),
         })
     }
 
-    /// Start recording.
+    /// Start recording (the first call reserves the rings).
     pub fn enable(&self) {
+        self.rings.get_or_init(|| {
+            (0..=self.workers)
+                .map(|_| Ring::new(self.capacity))
+                .collect()
+        });
         self.enabled.store(true, Ordering::Release);
     }
 
@@ -196,62 +358,171 @@ impl TaskTracer {
         self.enabled.load(Ordering::Acquire)
     }
 
-    /// Record one span (no-op while disabled).
+    fn rings(&self) -> &[Ring] {
+        self.rings.get().map_or(&[], |r| r)
+    }
+
+    /// Record one span on the shared ring (no-op while disabled). Safe
+    /// from any thread; concurrent callers take turns on its writer lock.
     pub fn record(&self, span: TaskSpan) {
-        if !self.is_enabled() {
+        if self.is_enabled() {
+            self.record_on(self.workers, span);
+        }
+    }
+
+    /// Record one span on ring `ring`: worker `ring`'s own, which only that
+    /// worker may write, or — for `ring ≥ workers` — the shared one.
+    pub(crate) fn record_on(&self, ring: usize, span: TaskSpan) {
+        let Some(r) = self.rings().get(ring.min(self.workers)) else {
             return;
-        }
-        let mut ring = self.ring.lock();
-        let slot = (ring.written % self.capacity as u64) as usize;
-        if slot < ring.spans.len() {
-            // Ring behaviour: overwrite the oldest slot.
-            ring.spans[slot] = span;
+        };
+        let _writer = (ring >= self.workers).then(|| r.writer.lock());
+        r.push(&span);
+    }
+
+    /// Account `ns` spent recording one span on ring `ring` (`run_task`
+    /// measures it). A worker adds to its own ring's total with a load and
+    /// a store; the shared ring's total takes an RMW.
+    pub(crate) fn note_overhead(&self, ring: usize, ns: u64) {
+        let Some(r) = self.rings().get(ring.min(self.workers)) else {
+            return;
+        };
+        if ring >= self.workers {
+            r.overhead_ns.fetch_add(ns, Ordering::Relaxed);
         } else {
-            ring.spans.push(span);
+            let total = r.overhead_ns.load(Ordering::Relaxed) + ns;
+            r.overhead_ns.store(total, Ordering::Relaxed);
         }
-        ring.written += 1;
     }
 
-    /// Account `ns` spent recording one span (`run_task` measures it).
-    pub(crate) fn note_overhead(&self, ns: u64) {
-        self.overhead_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Copy out the captured spans (ring order is not chronological once
-    /// the buffer wrapped; sorted by `start_ns` here).
+    /// Copy out the newest `capacity` spans over all rings (fewer if fewer
+    /// were recorded since the last `clear`), sorted by `start_ns`.
+    ///
+    /// Each ring's window is read off its base and cursor; a merge from the
+    /// rings' tails on the end stamp keeps the newest `capacity`; those are
+    /// sorted as `(start_ns, ring, slot)` keys and gathered. A writer may
+    /// overwrite a slot while it is copied, so afterwards the cursors are
+    /// read again and every span a writer may have reached is dropped:
+    /// span `n` survives only if `n + capacity ≥ cursor` (the write of span
+    /// `n + capacity + 1`, the next to reuse its slot, had not begun).
     pub fn spans(&self) -> Vec<TaskSpan> {
-        let mut v = self.ring.lock().spans.clone();
-        v.sort_by_key(|s| s.start_ns);
-        v
+        let rings = self.rings();
+        let capacity = self.capacity as u64;
+        let mut windows: Vec<Window> = rings
+            .iter()
+            .map(|r| {
+                let base = r.base.load(Ordering::Acquire);
+                let hi = r.cursor.load(Ordering::Acquire);
+                let lo = base.max(hi.saturating_sub(capacity)).min(hi);
+                Window {
+                    lo,
+                    hi,
+                    from: lo,
+                    from_slot: r.slot(lo),
+                }
+            })
+            .collect();
+        let held: u64 = windows.iter().map(|w| w.hi - w.lo).sum();
+        if held > capacity {
+            // The end stamp of each ring's next-older span, if any is left.
+            let older_end = |r: &Ring, w: &Window| {
+                (w.from > w.lo).then(|| r.word(r.prev(w.from_slot), END_WORD))
+            };
+            let mut ends: Vec<Option<u64>> = Vec::with_capacity(rings.len());
+            for (r, w) in rings.iter().zip(windows.iter_mut()) {
+                w.from = w.hi;
+                w.from_slot = r.slot(w.hi);
+                ends.push(older_end(r, w));
+            }
+            for _ in 0..capacity {
+                // `None` orders below every stamp: a used-up ring wins only
+                // when all are.
+                let newest = ends.iter().enumerate().max_by_key(|&(_, e)| e);
+                let Some((i, Some(_))) = newest else { break };
+                let (r, w) = (&rings[i], &mut windows[i]);
+                w.from -= 1;
+                w.from_slot = r.prev(w.from_slot);
+                ends[i] = older_end(r, w);
+            }
+        }
+        let mut keys: Vec<(u64, u32, u32)> = Vec::with_capacity(held.min(capacity) as usize);
+        for (i, (r, w)) in rings.iter().zip(&windows).enumerate() {
+            let mut slot = w.from_slot;
+            for _ in w.from..w.hi {
+                keys.push((r.word(slot, START_WORD), i as u32, slot as u32));
+                slot = r.next(slot);
+            }
+        }
+        keys.sort_unstable();
+        let mut out: Vec<TaskSpan> = keys
+            .iter()
+            .map(|&(_, i, slot)| rings[i as usize].read(slot as usize))
+            .collect();
+
+        // The re-check: which spans could a writer have reached meanwhile?
+        fence(Ordering::Acquire);
+        let mut overwritten = false;
+        for (r, w) in rings.iter().zip(windows.iter_mut()) {
+            w.hi = r.cursor.load(Ordering::Relaxed);
+            overwritten |= w.from + capacity < w.hi;
+        }
+        if overwritten && !mutation_armed("span-ring-skip-recheck") {
+            let mut kept = 0;
+            for (k, &(_, i, slot)) in keys.iter().enumerate() {
+                let (r, w) = (&rings[i as usize], &windows[i as usize]);
+                // The span of `from..=from + capacity` that `slot` holds.
+                let n = w.from + (slot as u64 + r.len() - w.from_slot as u64) % r.len();
+                if n + capacity >= w.hi {
+                    out[kept] = out[k];
+                    kept += 1;
+                }
+            }
+            out.truncate(kept);
+        }
+        out
     }
 
-    /// Spans that were overwritten after the buffer filled.
+    /// Spans recorded since the last `clear` that no longer fit the
+    /// window: `written − capacity`, clamped at 0.
     pub fn dropped(&self) -> u64 {
-        let ring = self.ring.lock();
-        ring.written.saturating_sub(self.capacity as u64)
+        let written: u64 = self
+            .rings()
+            .iter()
+            .map(|r| {
+                let base = r.base.load(Ordering::Acquire);
+                r.cursor.load(Ordering::Acquire).saturating_sub(base)
+            })
+            .sum();
+        written.saturating_sub(self.capacity as u64)
     }
 
     /// Cumulative time the runtime spent recording spans (the tracer's
     /// own cost; `/runtime/trace/overhead-time`).
     pub fn overhead_ns(&self) -> u64 {
-        self.overhead_ns.load(Ordering::Relaxed)
+        self.rings()
+            .iter()
+            .map(|r| r.overhead_ns.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Spans recorded since construction (including later-overwritten
-    /// ones; `/runtime/trace/records`).
+    /// ones; `/runtime/trace/records`): the sum of the ring cursors.
     pub fn records(&self) -> u64 {
-        let ring = self.ring.lock();
-        ring.earlier + ring.written
+        self.rings()
+            .iter()
+            .map(|r| r.cursor.load(Ordering::Acquire))
+            .sum()
     }
 
     /// Clear captured spans and the drop count (the self-measurement
     /// accumulators keep counting — they describe the tracer, not the
-    /// capture window).
+    /// capture window). Each ring's base moves up to its cursor; no
+    /// writer's cursor is touched.
     pub fn clear(&self) {
-        let mut ring = self.ring.lock();
-        ring.spans.clear();
-        ring.earlier += ring.written;
-        ring.written = 0;
+        for r in self.rings() {
+            r.base
+                .store(r.cursor.load(Ordering::Acquire), Ordering::Release);
+        }
     }
 
     /// Export as Chrome Trace Event Format (a JSON array of complete
@@ -460,6 +731,132 @@ mod tests {
         t.clear();
         assert_eq!(t.dropped(), 0, "clear resets the window's drop count");
         assert_eq!(t.records(), n, "self-measurement survives clear");
+    }
+
+    /// Spans recorded as `(ring, span)`, newest `capacity` by end stamp,
+    /// in start order: what `spans()` must return.
+    fn newest_by_end(recorded: &[(usize, TaskSpan)], capacity: usize) -> Vec<TaskSpan> {
+        let mut all: Vec<TaskSpan> = recorded.iter().map(|&(_, s)| s).collect();
+        all.sort_by_key(|s| s.end_ns);
+        let mut newest = all.split_off(all.len().saturating_sub(capacity));
+        newest.sort_by_key(|s| s.start_ns);
+        newest
+    }
+
+    #[test]
+    fn uneven_rings_keep_the_newest_capacity_overall() {
+        // Worker 0 wraps its ring, worker 1 records a handful whose ends
+        // interleave with worker 0's newest, worker 2 records nothing, the
+        // shared ring two old spans.
+        let capacity = 8;
+        let t = TaskTracer::for_workers(capacity, 3);
+        t.enable();
+        let mut recorded = Vec::new();
+        for i in 0..20u64 {
+            recorded.push((0, span(i, 0, i * 100, i * 100 + 50)));
+        }
+        for (k, end) in [1_425u64, 1_725, 1_999].into_iter().enumerate() {
+            recorded.push((1, span(100 + k as u64, 1, end - 30, end)));
+        }
+        for k in 0..2u64 {
+            recorded.push((3, span(200 + k, 3, k, k + 1)));
+        }
+        for &(ring, s) in &recorded {
+            t.record_on(ring, s);
+        }
+        let written = recorded.len() as u64;
+        let spans = t.spans();
+        assert_eq!(spans.len(), capacity);
+        assert_eq!(spans, newest_by_end(&recorded, capacity));
+        assert!(spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
+        assert_eq!(t.records(), written);
+        assert_eq!(t.dropped(), written - capacity as u64);
+
+        // After a clear, the window restarts on every ring at once.
+        t.clear();
+        t.record_on(2, span(300, 2, 5_000, 5_010));
+        assert_eq!(
+            t.spans().iter().map(|s| s.task_id).collect::<Vec<_>>(),
+            [300]
+        );
+        assert_eq!((t.records(), t.dropped()), (written + 1, 0));
+    }
+
+    #[test]
+    fn fewer_spans_than_capacity_are_all_returned() {
+        let t = TaskTracer::for_workers(16, 2);
+        t.enable();
+        let recorded = [
+            (0, span(1, 0, 10, 20)),
+            (1, span(2, 1, 5, 30)),
+            (2, span(3, 2, 7, 8)),
+        ];
+        for &(ring, s) in &recorded {
+            t.record_on(ring, s);
+        }
+        assert_eq!(t.spans(), newest_by_end(&recorded, 16));
+        assert_eq!((t.records(), t.dropped()), (3, 0));
+    }
+
+    #[test]
+    fn overhead_sums_worker_and_shared_rings() {
+        let t = TaskTracer::for_workers(4, 2);
+        t.note_overhead(0, 5);
+        assert_eq!(t.overhead_ns(), 0, "nothing is reserved before enable");
+        t.enable();
+        t.note_overhead(0, 5);
+        t.note_overhead(1, 7);
+        t.note_overhead(2, 11);
+        t.note_overhead(9, 13);
+        assert_eq!(t.overhead_ns(), 36);
+    }
+
+    /// A span whose every field is a function of its id, so a copy mixing
+    /// two writes is recognisable.
+    fn stamped(id: u64) -> TaskSpan {
+        TaskSpan {
+            task_id: id,
+            parent: (id % 3 != 0).then_some(id * 7),
+            site: id as u32 ^ 0x5a5a,
+            worker: 0,
+            start_ns: id * 10,
+            end_ns: id * 10 + 5,
+            wait_ns: id + 1,
+            nested_ns: id % 5,
+        }
+    }
+
+    #[test]
+    fn readers_racing_an_owner_never_see_a_torn_span() {
+        // One owner fills a four-slot worker ring as fast as it can while
+        // this thread copies and clears it: every span that comes out must
+        // be one the owner wrote, whole, in start order.
+        let t = TaskTracer::for_workers(4, 1);
+        t.enable();
+        let stop = Arc::new(AtomicBool::new(false));
+        let owner = {
+            let (t, stop) = (t.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let mut id = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    t.record_on(0, stamped(id));
+                    id += 1;
+                }
+            })
+        };
+        for round in 0..20_000 {
+            if round % 7 == 0 {
+                t.clear();
+            }
+            let spans = t.spans();
+            assert!(spans.len() <= 4);
+            for s in &spans {
+                assert_eq!(*s, stamped(s.task_id), "torn span");
+            }
+            assert!(spans.windows(2).all(|w| w[0].start_ns < w[1].start_ns));
+        }
+        stop.store(true, Ordering::Relaxed);
+        owner.join().unwrap();
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! (multi-locality) counter access, and task tracing — working against
 //! live runtimes.
 
+use std::sync::{Arc, Barrier};
+
 use rpx::counters::histogram::snapshot_of;
 use rpx::counters::{CounterName, DistributedRegistry};
 use rpx::runtime::{Runtime, RuntimeConfig};
@@ -91,26 +93,37 @@ fn distributed_registry_over_two_runtimes() {
 
 #[test]
 fn tracer_profile_accounts_for_all_workers_used() {
-    let rt = Runtime::new(RuntimeConfig::with_workers(3));
+    // The first three tasks meet at a barrier, so none of them finishes
+    // before three different workers hold one each (an external `get`
+    // blocks rather than helps): every worker runs a task and records it
+    // on its own ring.
+    const WORKERS: usize = 3;
+    const TASKS: usize = 600;
+    let rt = Runtime::new(RuntimeConfig::with_workers(WORKERS));
     let tracer = rt.tracer();
     tracer.enable();
-    let futures: Vec<_> = (0..600)
-        .map(|_| rt.spawn(|| std::hint::black_box(spin(2_000))))
+    let barrier = Arc::new(Barrier::new(WORKERS));
+    let futures: Vec<_> = (0..TASKS)
+        .map(|i| {
+            let barrier = (i < WORKERS).then(|| barrier.clone());
+            rt.spawn(move || {
+                if let Some(barrier) = barrier {
+                    barrier.wait();
+                }
+                std::hint::black_box(spin(2_000))
+            })
+        })
         .collect();
     for f in futures {
         f.get();
     }
+    rt.wait_idle();
     tracer.disable();
     let profile = tracer.per_worker_profile();
+    let workers: Vec<u32> = profile.iter().map(|&(w, _, _)| w).collect();
+    assert_eq!(workers, [0, 1, 2], "profile: {profile:?}");
     let tasks: u64 = profile.iter().map(|(_, _, t)| t).sum();
-    assert!(tasks >= 600);
-    // With 600 tasks on 3 workers, stealing should spread work to several
-    // workers (not a strict guarantee, but 600 tasks make it overwhelming).
-    assert!(
-        profile.len() >= 2,
-        "only {} workers ran tasks",
-        profile.len()
-    );
+    assert_eq!(tasks, TASKS as u64);
     rt.shutdown();
 }
 
