@@ -26,53 +26,85 @@
 //! durations equals the classical work/span model's span; the closed-form
 //! oracles in the workspace conformance tests hold the profiler to that.
 //!
-//! Ingestion is on-line and cheap — one insert into a task-id index keyed
-//! by a one-multiply hash — so a profile can be built incrementally from a
-//! live tracer ([`CausalProfiler::ingest`]) or at once from a drained ring
-//! ([`CausalProfiler::from_spans`], which sizes the index once). Analysis
+//! Ingestion is on-line and cheap — one probe of a flat open-addressed
+//! task-id table and one push onto each of four node arrays — so a profile
+//! can be built incrementally from a live tracer ([`CausalProfiler::ingest`])
+//! or at once from a drained ring ([`CausalProfiler::from_spans`], which
+//! sizes the table and the arrays once). Analysis
 //! ([`CausalProfiler::analyze`]) is O(tasks) with a handful of allocations,
-//! none per task: the spawn forest is one compressed-sparse-row adjacency,
-//! and the chains are swept over a breadth-first order instead of
-//! recursing (deep spawn chains — fib's left spine is thousands of tasks —
-//! must not overflow the stack).
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! none per task: the spawn forest is each node's parent index plus a
+//! parents-first order — ingest order itself when every parent arrived
+//! first, as in a start-sorted ring copy, else breadth-first — and one
+//! backward sweep of that order pushes each chain into its parent instead
+//! of recursing (deep spawn chains — fib's left spine is thousands of tasks
+//! — must not overflow the stack); the per-site table is found through a
+//! one-entry memo, since neighbouring tasks mostly share a site.
 
 use rpx_runtime::trace::{site_name, TaskSpan};
 
-/// Hashes a task id with one multiply by the 64-bit golden ratio: ids are
-/// runtime-issued integers, so the SipHash default's flooding resistance
-/// buys nothing and costs most of an insert.
-#[derive(Default)]
-struct IdHasher(u64);
+#[cfg(test)]
+mod reference;
 
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// A map from `u64` keys to indices into an array that holds the keys
+/// (node ids, profile sites): one `u32` per slot, the index + 1, 0 marking
+/// a vacant slot; linear probing from a one-multiply hash (keys are
+/// runtime-issued integers, so flooding resistance buys nothing), at most
+/// half full. A probe compares a key through `key_of(index)`, so the table
+/// is 4 bytes a slot — a 65 536-task profile's stays in L2. It grows by
+/// doubling; a table built for a known count is sized once.
+#[derive(Debug, Default)]
+struct FlatIndex {
+    slots: Vec<u32>,
+    len: usize,
+}
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ b as u64);
+impl FlatIndex {
+    /// A table that takes `n` keys without growing.
+    fn with_capacity(n: usize) -> Self {
+        FlatIndex {
+            slots: vec![0; (2 * n).next_power_of_two().max(8)],
+            len: 0,
         }
     }
 
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    /// `key`'s index (`Ok`), or the vacant slot it would take (`Err`).
+    fn find(&self, key: u64, key_of: impl Fn(usize) -> u64) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let bits = self.slots.len().trailing_zeros();
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - bits)) as usize;
+        loop {
+            match self.slots[at] {
+                0 => return Err(at),
+                v if key_of(v as usize - 1) == key => return Ok(v as usize - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
     }
-}
 
-/// Task id → node index.
-type IdIndex = HashMap<u64, usize, BuildHasherDefault<IdHasher>>;
+    /// Store `index` in the vacant `slot` that [`find`](Self::find) gave,
+    /// after [`reserve_one`](Self::reserve_one).
+    fn insert(&mut self, slot: usize, index: usize) {
+        self.slots[slot] = u32::try_from(index + 1).expect("fewer than 2^32 − 1 keys");
+        self.len += 1;
+    }
 
-/// One task's record in the profiler's DAG.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    task_id: u64,
-    parent: Option<u64>,
-    site: u32,
-    net_ns: u64,
+    /// Make room for one more key, rehashing into twice the slots when the
+    /// table would pass half full.
+    fn reserve_one(&mut self, key_of: impl Fn(usize) -> u64) {
+        if 2 * (self.len + 1) <= self.slots.len() {
+            return;
+        }
+        let old = std::mem::replace(self, FlatIndex::with_capacity(self.len + 1));
+        for v in old.slots.into_iter().filter(|&v| v != 0) {
+            let i = v as usize - 1;
+            if let Err(slot) = self.find(key_of(i), &key_of) {
+                self.insert(slot, i);
+            }
+        }
+    }
 }
 
 /// Work/span accounting for one spawn site (one source location that
@@ -173,33 +205,111 @@ impl WhatIf {
 /// ```
 #[derive(Debug, Default)]
 pub struct CausalProfiler {
-    /// task id → index into `nodes` (spans can arrive in any order and,
-    /// after a ring wrap, more than once — last record wins).
-    index: IdIndex,
-    nodes: Vec<Node>,
+    /// task id → node index (spans can arrive in any order and, after a
+    /// ring wrap, more than once — last record wins, at the first record's
+    /// index).
+    index: FlatIndex,
+    /// The nodes, one array per field, indexed by first arrival.
+    ids: Vec<u64>,
+    parents: Vec<Option<u64>>,
+    sites: Vec<u32>,
+    nets: Vec<u64>,
 }
 
-/// The spawn forest of the ingested nodes, built once per query: child
-/// adjacency in compressed-sparse-row form plus a parents-first order.
+/// The spawn forest of the ingested nodes, built once per query: each
+/// node's parent and a parents-first order.
 struct Forest {
-    /// The children of node `i` are `children[offsets[i]..offsets[i + 1]]`,
-    /// in ingest order.
-    offsets: Vec<usize>,
-    children: Vec<usize>,
-    /// Every node reachable from a root, each after its parent: the roots
-    /// (in ingest order), then breadth-first.
-    order: Vec<usize>,
-    /// How many of `order`'s first entries are roots.
-    roots: usize,
+    /// Each node's parent index; the node count marks a root.
+    parent: Vec<u32>,
+    /// Every node reachable from a root, each after its parent, and
+    /// siblings in ingest order: ingest order itself when every parent
+    /// arrived before its children (a start-sorted ring copy does: a task
+    /// starts after its parent), else the roots, then breadth-first.
+    order: Vec<u32>,
 }
 
 impl Forest {
-    fn children(&self, i: usize) -> &[usize] {
-        &self.children[self.offsets[i]..self.offsets[i + 1]]
+    /// The roots, in ingest order.
+    fn roots(&self) -> impl Iterator<Item = usize> + '_ {
+        let n = self.parent.len() as u32;
+        (0..self.parent.len()).filter(move |&i| self.parent[i] == n)
     }
+}
 
-    fn roots(&self) -> &[usize] {
-        &self.order[..self.roots]
+/// The nodes reachable from a root, parents first: the roots in ingest
+/// order, then breadth-first, each node's children in ingest order (found
+/// through one compressed-sparse-row adjacency).
+fn breadth_first(parent: &[u32]) -> Vec<u32> {
+    let n = parent.len() as u32;
+    // Count children into `offsets[p]`, sum to each list's end, then fill
+    // every list back to front, which leaves `offsets[p]` at its start and
+    // the children in ingest order.
+    let mut offsets = vec![0u32; n as usize + 1];
+    for &p in parent {
+        if p < n {
+            offsets[p as usize] += 1;
+        }
+    }
+    let mut end = 0;
+    for o in offsets.iter_mut() {
+        end += *o;
+        *o = end;
+    }
+    let mut children = vec![0u32; end as usize];
+    for (i, &p) in parent.iter().enumerate().rev() {
+        if p < n {
+            offsets[p as usize] -= 1;
+            children[offsets[p as usize] as usize] = i as u32;
+        }
+    }
+    let mut order = Vec::with_capacity(n as usize);
+    order.extend((0..n).filter(|&i| parent[i as usize] == n));
+    let mut head = 0;
+    while let Some(&i) = order.get(head) {
+        let i = i as usize;
+        order.extend_from_slice(&children[offsets[i] as usize..offsets[i + 1] as usize]);
+        head += 1;
+    }
+    order
+}
+
+/// The per-site profiles of one analysis in first-seen order, found
+/// through a one-entry memo — neighbouring tasks mostly share a site —
+/// and a [`FlatIndex`] behind it.
+#[derive(Default)]
+struct SiteTable {
+    profiles: Vec<SiteProfile>,
+    index: FlatIndex,
+    /// The last site looked up and its profile's index.
+    last: Option<(u32, usize)>,
+}
+
+impl SiteTable {
+    fn get(&mut self, site: u32) -> &mut SiteProfile {
+        let at = match self.last {
+            Some((s, at)) if s == site => at,
+            _ => {
+                let profiles = &mut self.profiles;
+                self.index.reserve_one(|i| profiles[i].site as u64);
+                let at = match self.index.find(site as u64, |i| profiles[i].site as u64) {
+                    Ok(at) => at,
+                    Err(slot) => {
+                        self.index.insert(slot, profiles.len());
+                        profiles.push(SiteProfile {
+                            site,
+                            name: site_name(site),
+                            tasks: 0,
+                            work_ns: 0,
+                            span_ns: 0,
+                        });
+                        profiles.len() - 1
+                    }
+                };
+                self.last = Some((site, at));
+                at
+            }
+        };
+        &mut self.profiles[at]
     }
 }
 
@@ -211,17 +321,20 @@ impl CausalProfiler {
 
     /// Fold one finished task into the DAG.
     pub fn ingest(&mut self, span: &TaskSpan) {
-        let node = Node {
-            task_id: span.task_id,
-            parent: span.parent,
-            site: span.site,
-            net_ns: span.net_ns(),
-        };
-        match self.index.entry(span.task_id) {
-            std::collections::hash_map::Entry::Occupied(e) => self.nodes[*e.get()] = node,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(self.nodes.len());
-                self.nodes.push(node);
+        let ids = &self.ids;
+        self.index.reserve_one(|i| ids[i]);
+        match self.index.find(span.task_id, |i| ids[i]) {
+            Ok(i) => {
+                self.parents[i] = span.parent;
+                self.sites[i] = span.site;
+                self.nets[i] = span.net_ns();
+            }
+            Err(slot) => {
+                self.index.insert(slot, self.ids.len());
+                self.ids.push(span.task_id);
+                self.parents.push(span.parent);
+                self.sites.push(span.site);
+                self.nets.push(span.net_ns());
             }
         }
     }
@@ -233,14 +346,17 @@ impl CausalProfiler {
         }
     }
 
-    /// Profiler pre-loaded from a batch of spans (the index and node list
-    /// are sized once, from the batch's length).
+    /// Profiler pre-loaded from a batch of spans (the id table and the
+    /// node arrays are sized once, from the batch's length).
     pub fn from_spans<'a>(spans: impl IntoIterator<Item = &'a TaskSpan>) -> Self {
         let spans = spans.into_iter();
         let n = spans.size_hint().0;
         let mut p = CausalProfiler {
-            index: IdIndex::with_capacity_and_hasher(n, Default::default()),
-            nodes: Vec::with_capacity(n),
+            index: FlatIndex::with_capacity(n),
+            ids: Vec::with_capacity(n),
+            parents: Vec::with_capacity(n),
+            sites: Vec::with_capacity(n),
+            nets: Vec::with_capacity(n),
         };
         p.ingest_all(spans);
         p
@@ -248,12 +364,12 @@ impl CausalProfiler {
 
     /// Tasks ingested so far.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.ids.len()
     }
 
     /// Whether nothing has been ingested.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.ids.is_empty()
     }
 
     /// The spawn forest. A task whose parent never produced a span
@@ -261,70 +377,52 @@ impl CausalProfiler {
     /// root of its own tree — the analysis degrades gracefully instead of
     /// dropping the subtree.
     fn forest(&self) -> Forest {
-        let n = self.nodes.len();
+        let n = self.len() as u32;
         // Each node's parent index; `n` marks a root.
-        let parent: Vec<usize> = self
-            .nodes
+        let parent: Vec<u32> = self
+            .parents
             .iter()
-            .map(|node| match node.parent.and_then(|p| self.index.get(&p)) {
-                Some(&p) => p,
-                None => n,
+            .map(|p| {
+                p.and_then(|p| self.index.find(p, |i| self.ids[i]).ok())
+                    .map_or(n, |i| i as u32)
             })
             .collect();
-        // Count children into `offsets[p]`, sum to each list's end, then
-        // fill every list back to front, which leaves `offsets[p]` at its
-        // start and the children in ingest order.
-        let mut offsets = vec![0; n + 1];
-        for &p in &parent {
-            if p < n {
-                offsets[p] += 1;
-            }
-        }
-        let mut end = 0;
-        for o in offsets.iter_mut() {
-            end += *o;
-            *o = end;
-        }
-        let mut children = vec![0; end];
-        for (i, &p) in parent.iter().enumerate().rev() {
-            if p < n {
-                offsets[p] -= 1;
-                children[offsets[p]] = i;
-            }
-        }
-        let mut order = Vec::with_capacity(n);
-        order.extend((0..n).filter(|&i| parent[i] == n));
-        let roots = order.len();
-        let mut head = 0;
-        while let Some(&i) = order.get(head) {
-            order.extend_from_slice(&children[offsets[i]..offsets[i + 1]]);
-            head += 1;
-        }
-        Forest {
-            offsets,
-            children,
-            order,
-            roots,
-        }
+        let ingest_order_will_do = parent
+            .iter()
+            .enumerate()
+            .all(|(i, &p)| p == n || (p as usize) < i);
+        let order = if ingest_order_will_do {
+            (0..n).collect()
+        } else {
+            breadth_first(&parent)
+        };
+        Forest { parent, order }
     }
 
     /// `down[i]` = cost(i) + max over children of `down` — the heaviest
-    /// chain from each node to any leaf of its subtree — swept over the
-    /// forest's order backwards, so every child is done before its parent.
-    fn down_chains<T>(&self, forest: &Forest, cost: impl Fn(&Node) -> T) -> Vec<T>
+    /// chain from node `i` to any leaf of its subtree — swept over the
+    /// forest's order backwards, so every child is done before its parent:
+    /// `down[p]` holds the heaviest chain of `p`'s children until `p` adds
+    /// its own cost. `next[p]` is that child (the node count if every
+    /// child's chain is 0): of equal chains the last in ingest order, the
+    /// one `max_by_key` picks, since siblings are swept last first.
+    fn down_chains<T>(&self, forest: &Forest, cost: impl Fn(usize) -> T) -> (Vec<T>, Vec<u32>)
     where
         T: Copy + Default + PartialOrd + std::ops::Add<Output = T>,
     {
-        let mut down = vec![T::default(); self.nodes.len()];
+        let n = self.len();
+        let mut down = vec![T::default(); n];
+        let mut next = vec![n as u32; n];
         for &i in forest.order.iter().rev() {
-            let heaviest = forest
-                .children(i)
-                .iter()
-                .map(|&c| down[c])
-                .fold(T::default(), |a, b| if b > a { b } else { a });
-            down[i] = cost(&self.nodes[i]) + heaviest;
+            let i = i as usize;
+            down[i] = cost(i) + down[i];
+            let p = forest.parent[i] as usize;
+            if p < n && down[i] > down[p] {
+                down[p] = down[i];
+                next[p] = i as u32;
+            }
         }
-        down
+        (down, next)
     }
 
     /// Analyze everything ingested so far: work, span, the critical path,
@@ -334,52 +432,39 @@ impl CausalProfiler {
     }
 
     fn analyze_in(&self, forest: &Forest) -> Analysis {
-        let down = self.down_chains(forest, |n| n.net_ns);
-        let work_ns: u64 = self.nodes.iter().map(|n| n.net_ns).sum();
+        let n = self.len();
+        let (down, next) = self.down_chains(forest, |i| self.nets[i]);
+        let work_ns: u64 = self.nets.iter().sum();
 
-        let mut sites: HashMap<u32, SiteProfile> = HashMap::new();
-        for n in &self.nodes {
-            let e = sites.entry(n.site).or_insert_with(|| SiteProfile {
-                site: n.site,
-                name: site_name(n.site),
-                tasks: 0,
-                work_ns: 0,
-                span_ns: 0,
-            });
+        let mut sites = SiteTable::default();
+        for (&site, &net) in self.sites.iter().zip(&self.nets) {
+            let e = sites.get(site);
             e.tasks += 1;
-            e.work_ns += n.net_ns;
+            e.work_ns += net;
         }
 
-        // Walk the argmax chain down from the heaviest root, crediting each
-        // node's net duration to its site's span share.
-        let mut critical_path = Vec::new();
-        let mut at = forest.roots().iter().copied().max_by_key(|&r| down[r]);
-        let span_ns = at.map_or(0, |root| down[root]);
-        while let Some(i) = at {
-            let n = &self.nodes[i];
-            critical_path.push(n.task_id);
-            if let Some(e) = sites.get_mut(&n.site) {
-                e.span_ns += n.net_ns;
-            }
-            at = forest
-                .children(i)
-                .iter()
-                .copied()
-                .max_by_key(|&c| down[c])
-                .filter(|&c| down[c] > 0);
+        // Walk the heaviest children down from the heaviest root (the last
+        // of equal ones), crediting each node's net duration to its site's
+        // span share: counted first, so the path is allocated once.
+        let root = forest.roots().max_by_key(|&r| down[r]);
+        let span_ns = root.map_or(0, |r| down[r]);
+        let path = || std::iter::successors(root, |&i| Some(next[i] as usize).filter(|&c| c < n));
+        let mut critical_path = Vec::with_capacity(path().count());
+        for i in path() {
+            critical_path.push(self.ids[i]);
+            sites.get(self.sites[i]).span_ns += self.nets[i];
         }
-        let mut sites: Vec<SiteProfile> = sites.into_values().collect();
+        let mut sites = sites.profiles;
         sites.sort_by(|a, b| b.work_ns.cmp(&a.work_ns).then(a.site.cmp(&b.site)));
 
         Analysis {
-            tasks: self.nodes.len() as u64,
+            tasks: n as u64,
             work_ns,
             span_ns,
             critical_path,
             sites,
         }
     }
-
     /// Project the effect of making every task spawned from `site` run
     /// `factor`× faster, on `workers` cores: recompute work and span with
     /// that site's net durations divided by `factor` (the critical path is
@@ -403,16 +488,16 @@ impl CausalProfiler {
     ) -> WhatIf {
         let factor = if factor > 0.0 { factor } else { 1.0 };
         let p = workers.max(1) as f64;
-        let scaled = |n: &Node| {
-            if n.site == site {
-                n.net_ns as f64 / factor
+        let scaled = |i: usize| {
+            if self.sites[i] == site {
+                self.nets[i] as f64 / factor
             } else {
-                n.net_ns as f64
+                self.nets[i] as f64
             }
         };
-        let down = self.down_chains(forest, scaled);
-        let work_ns: f64 = self.nodes.iter().map(scaled).sum();
-        let span_ns = forest.roots().iter().map(|&r| down[r]).fold(0.0, f64::max);
+        let (down, _) = self.down_chains(forest, scaled);
+        let work_ns: f64 = (0..self.len()).map(scaled).sum();
+        let span_ns = forest.roots().map(|r| down[r]).fold(0.0, f64::max);
         WhatIf {
             site,
             factor,

@@ -325,7 +325,7 @@ const COUNTERS: &[Decl] = &[
     Decl {
         path: "/runtime/trace/overhead-time",
         unit: "ns",
-        help: "time spent inside TaskTracer::record (tracing self-measurement)",
+        help: "time spent recording task spans, estimated from one record in 64: each record whose ring cursor is a multiple of 64 is timed and counts 64 times (sum over rings of ceil(cursor/64) records timed)",
         source: Count(|i| i.state.tracer.overhead_ns() as i64),
     },
     Decl {

@@ -454,22 +454,34 @@ fn stamped(id: u64) -> TaskSpan {
 /// Protocol 10 — span-ring copy and re-check (DESIGN.md §15): a worker's
 /// ring owner stores a slot's words and publishes the cursor with a
 /// `Release` store; `spans()` copies, fences, re-reads the cursor and drops
-/// every span the owner may have overwritten meanwhile. The ring holds one
-/// span in two slots. The owner writes spans 0, 1 and 2 — span 2 over span
-/// 0 — and the reader copies once it has seen span 0 published. Whatever
-/// it returns must be a span the owner wrote, whole: not span 0 half
-/// overwritten (no re-check), nor a span read before its words arrived (a
-/// `Relaxed` cursor store).
+/// every span the owner may have overwritten meanwhile. The window holds
+/// one span, each ring two slots. Worker 0's ring holds one old span (end
+/// stamp 0), so the copy has more than it keeps and first cuts the window
+/// on the end stamps it reads from the live ring — a tie goes to the
+/// higher ring, so the cut always keeps worker 1's newest. Worker 1, the
+/// owner, writes spans 0, 1 and 2 — span 2 over span 0 — and the reader
+/// copies once it has seen span 0 published. Whatever it returns must be a
+/// span the owner wrote, whole: not span 0 half overwritten (no re-check),
+/// nor a span read before its words arrived (a `Relaxed` cursor store).
 fn span_ring_copy_vs_owner() {
-    let tracer = TaskTracer::for_workers(1, 1);
+    let tracer = TaskTracer::for_workers(1, 2);
     tracer.enable();
+    tracer.record_on(
+        0,
+        TaskSpan {
+            start_ns: 0,
+            end_ns: 0,
+            ..stamped(100)
+        },
+        || 0,
+    );
     let t2 = tracer.clone();
     let owner = thread::spawn(move || {
         for id in 0..3 {
-            t2.record_on(0, stamped(id));
+            t2.record_on(1, stamped(id), || 0);
         }
     });
-    while tracer.records() == 0 {
+    while tracer.records() < 2 {
         thread::yield_now();
     }
     let spans = tracer.spans();

@@ -23,7 +23,7 @@ use crate::signals::{AnomalyEvent, AnomalyLog, OverloadState};
 use crate::slab::{Claimed, Slab, SpawnMeta, SLAB_SLOTS};
 use crate::stats::{Ledger, Shard};
 use crate::sync::EventGate;
-use crate::trace::{TaskSpan, TaskTracer};
+use crate::trace::{TaskSpan, TaskTracer, TIMED_EVERY};
 use crate::watchdog::{RestartPolicy, RestartState, RestartVerdict};
 use crate::{watchdog, worker};
 
@@ -952,11 +952,9 @@ pub(crate) fn run_task(state: &RuntimeState, shard: &Shard, task: Claimed) {
         // The span records gross start..end plus `nested_ns`, so readers
         // can reconstruct both views; net (gross − nested) is what the
         // profile and the causal analyzer sum — matching the stats below.
-        // It goes to the ring of this thread's shard: a worker's own, or
-        // the shared one for the external shard (index = worker count).
-        let ring = shard.index() as usize;
-        state.tracer.record_on(
-            ring,
+        record_span(
+            state,
+            shard,
             TaskSpan {
                 task_id,
                 parent: (parent != u64::MAX).then_some(parent),
@@ -968,15 +966,23 @@ pub(crate) fn run_task(state: &RuntimeState, shard: &Shard, task: Claimed) {
                 nested_ns: nested_during,
             },
         );
-        // The tracer's cost on the clock that stamped the span: from the
-        // task's `end` to here, one more read (DESIGN.md §15).
-        state
-            .tracer
-            .note_overhead(ring, state.clock.now_ns().saturating_sub(end));
     }
     shard.record_execution(net, wait_ns);
     ran.publish();
     finish_task(state, shard);
+}
+
+/// Record a finished task's span on the ring of this thread's shard — a
+/// worker's own, or the shared one for the external shard (index = worker
+/// count). One record in `TIMED_EVERY` is timed on the clock that stamped
+/// the span and stands for itself and the ones skipped (DESIGN.md §15).
+/// Out of line, so the untraced path of `run_task` does not carry it.
+#[inline(never)]
+fn record_span(state: &RuntimeState, shard: &Shard, span: TaskSpan) {
+    let ring = shard.index() as usize;
+    if let Some(ns) = state.tracer.record_on(ring, span, || state.clock.now_ns()) {
+        state.tracer.note_overhead(ring, TIMED_EVERY * ns);
+    }
 }
 
 /// Create the task's cell and launch it as decided.

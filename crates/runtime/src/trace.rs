@@ -16,10 +16,10 @@
 //! runs cannot exhaust memory (oldest events are dropped, counted): one
 //! per worker, which that worker writes without a lock or an RMW, and one
 //! shared by every other thread (DESIGN.md §15, "Span rings"). The runtime
-//! times each recording on the clock that stamped the span
-//! ([`TaskTracer::overhead_ns`], exported as `/runtime/trace/overhead-time`),
-//! so the paper's ≤10 % instrumentation envelope is checkable from inside
-//! the process.
+//! times one recording in 64 (`TIMED_EVERY`) on the clock that stamped the
+//! span and charges it that many times over ([`TaskTracer::overhead_ns`],
+//! exported as `/runtime/trace/overhead-time`), so the paper's ≤10 %
+//! instrumentation envelope is checkable from inside the process.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -251,11 +251,6 @@ impl Ring {
         }
     }
 
-    /// The slot before `slot`, wrapping.
-    fn prev(&self, slot: usize) -> usize {
-        slot.checked_sub(1).unwrap_or(self.len() as usize - 1)
-    }
-
     fn words(&self, slot: usize) -> &[AtomicU64] {
         &self.slots[slot * SPAN_WORDS..][..SPAN_WORDS]
     }
@@ -282,6 +277,11 @@ impl Ring {
             .store(self.next(slot) as u64, Ordering::Relaxed);
     }
 
+    /// The end stamp of span `n`.
+    fn end_of(&self, n: u64) -> u64 {
+        self.word(self.slot(n), END_WORD)
+    }
+
     fn word(&self, slot: usize, word: usize) -> u64 {
         self.words(slot)[word].load(Ordering::Relaxed)
     }
@@ -303,6 +303,75 @@ struct Window {
     from: u64,
     from_slot: usize,
 }
+
+/// One span a copy returns: its sort key (the start stamp) and its slot.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    key: u64,
+    ring: u32,
+    slot: u32,
+}
+
+/// The first `n` in `lo..hi` for which `below(n)` is false, when it holds
+/// for a prefix of the range (`hi` if it holds throughout).
+fn first_not(mut lo: u64, mut hi: u64, below: impl Fn(u64) -> bool) -> u64 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Digit width of [`radix_sort`]: 2 048 counters fit in L1.
+const RADIX_BITS: u32 = 11;
+
+/// Sort `entries` by key, stably, so entries pushed in `(ring, slot)` order
+/// come out in `(start_ns, ring, slot)` order: a least-significant-digit
+/// radix sort over `key − min`, every digit's counts taken in one pass,
+/// skipping every digit all keys share.
+fn radix_sort(entries: &mut Vec<Entry>) {
+    let (min, max) = entries
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), e| (lo.min(e.key), hi.max(e.key)));
+    if min >= max {
+        return;
+    }
+    let digits = (u64::BITS - (max - min).leading_zeros()).div_ceil(RADIX_BITS);
+    let digit =
+        |e: &Entry, d: u32| ((e.key - min) >> (d * RADIX_BITS)) as usize & ((1 << RADIX_BITS) - 1);
+    let mut counts = [[0u32; 1 << RADIX_BITS]; u64::BITS.div_ceil(RADIX_BITS) as usize];
+    for e in entries.iter() {
+        for d in 0..digits {
+            counts[d as usize][digit(e, d)] += 1;
+        }
+    }
+    let mut scratch = Vec::new();
+    for d in 0..digits {
+        let at = &mut counts[d as usize];
+        if at.iter().any(|&n| n as usize == entries.len()) {
+            continue;
+        }
+        let mut sum = 0;
+        for n in at.iter_mut() {
+            (*n, sum) = (sum, sum + *n);
+        }
+        scratch.resize(entries.len(), Entry::default());
+        for e in entries.iter() {
+            let slot = &mut at[digit(e, d)];
+            scratch[*slot as usize] = *e;
+            *slot += 1;
+        }
+        std::mem::swap(entries, &mut scratch);
+    }
+}
+
+/// How often `run_task` times a record: the one whose ring cursor is a
+/// multiple of this, charged to the overhead this many times over.
+pub(crate) const TIMED_EVERY: u64 = 64;
 
 /// Bounded task-event recorder of a runtime: one ring per worker, written
 /// only by that worker without a lock, and one shared ring for every other
@@ -366,23 +435,39 @@ impl TaskTracer {
     /// from any thread; concurrent callers take turns on its writer lock.
     pub fn record(&self, span: TaskSpan) {
         if self.is_enabled() {
-            self.record_on(self.workers, span);
+            self.record_on(self.workers, span, || 0);
         }
     }
 
     /// Record one span on ring `ring`: worker `ring`'s own, which only that
-    /// worker may write, or — for `ring ≥ workers` — the shared one.
-    pub(crate) fn record_on(&self, ring: usize, span: TaskSpan) {
-        let Some(r) = self.rings().get(ring.min(self.workers)) else {
-            return;
-        };
+    /// worker may write, or — for `ring ≥ workers` — the shared one. When
+    /// the ring's cursor stands at a multiple of [`TIMED_EVERY`], the write
+    /// is timed between two readings of `now` and its nanoseconds are
+    /// returned. The choice is made before the first reading, so the
+    /// branch on it — taken once in 64, and so mispredicted — is not part
+    /// of what is timed.
+    pub(crate) fn record_on(
+        &self,
+        ring: usize,
+        span: TaskSpan,
+        now: impl Fn() -> u64,
+    ) -> Option<u64> {
+        let r = self.rings().get(ring.min(self.workers))?;
         let _writer = (ring >= self.workers).then(|| r.writer.lock());
-        r.push(&span);
+        if r.cursor.load(Ordering::Relaxed).is_multiple_of(TIMED_EVERY) {
+            let t0 = now();
+            r.push(&span);
+            Some(now().saturating_sub(t0))
+        } else {
+            r.push(&span);
+            None
+        }
     }
 
-    /// Account `ns` spent recording one span on ring `ring` (`run_task`
-    /// measures it). A worker adds to its own ring's total with a load and
-    /// a store; the shared ring's total takes an RMW.
+    /// Account `ns` of recording to ring `ring` (`run_task` charges
+    /// [`TIMED_EVERY`] × the time of each record it times). A worker adds
+    /// to its own ring's total with a load and a store; the shared ring's
+    /// total takes an RMW.
     pub(crate) fn note_overhead(&self, ring: usize, ns: u64) {
         let Some(r) = self.rings().get(ring.min(self.workers)) else {
             return;
@@ -396,16 +481,23 @@ impl TaskTracer {
     }
 
     /// Copy out the newest `capacity` spans over all rings (fewer if fewer
-    /// were recorded since the last `clear`), sorted by `start_ns`.
+    /// were recorded since the last `clear`), sorted by `start_ns` (ties by
+    /// ring, then slot).
     ///
-    /// Each ring's window is read off its base and cursor; a merge from the
-    /// rings' tails on the end stamp keeps the newest `capacity`; those are
-    /// sorted as `(start_ns, ring, slot)` keys and gathered. A writer may
-    /// overwrite a slot while it is copied, so afterwards the cursors are
-    /// read again and every span a writer may have reached is dropped:
-    /// span `n` survives only if `n + capacity ≥ cursor` (the write of span
-    /// `n + capacity + 1`, the next to reuse its slot, had not begun).
+    /// Each ring's window is read off its base and cursor and cut to the
+    /// newest `capacity` spans by end stamp (`select`); the
+    /// chosen slots are radix-sorted on their start stamps and copied in
+    /// that order. A writer may overwrite a slot while it is copied, so
+    /// afterwards the cursors are read again and every span a writer may
+    /// have reached is dropped: span `n` survives only if
+    /// `n + capacity ≥ cursor` (the write of span `n + capacity + 1`, the
+    /// next to reuse its slot, had not begun).
     pub fn spans(&self) -> Vec<TaskSpan> {
+        self.copy(true)
+    }
+
+    /// [`spans`](Self::spans), in ring order when not `sorted`.
+    fn copy(&self, sorted: bool) -> Vec<TaskSpan> {
         let rings = self.rings();
         let capacity = self.capacity as u64;
         let mut windows: Vec<Window> = rings
@@ -423,40 +515,34 @@ impl TaskTracer {
             })
             .collect();
         let held: u64 = windows.iter().map(|w| w.hi - w.lo).sum();
+        let mut entries: Vec<Entry> = Vec::with_capacity(held.min(capacity) as usize);
         if held > capacity {
-            // The end stamp of each ring's next-older span, if any is left.
-            let older_end = |r: &Ring, w: &Window| {
-                (w.from > w.lo).then(|| r.word(r.prev(w.from_slot), END_WORD))
-            };
-            let mut ends: Vec<Option<u64>> = Vec::with_capacity(rings.len());
-            for (r, w) in rings.iter().zip(windows.iter_mut()) {
-                w.from = w.hi;
-                w.from_slot = r.slot(w.hi);
-                ends.push(older_end(r, w));
-            }
-            for _ in 0..capacity {
-                // `None` orders below every stamp: a used-up ring wins only
-                // when all are.
-                let newest = ends.iter().enumerate().max_by_key(|&(_, e)| e);
-                let Some((i, Some(_))) = newest else { break };
-                let (r, w) = (&rings[i], &mut windows[i]);
-                w.from -= 1;
-                w.from_slot = r.prev(w.from_slot);
-                ends[i] = older_end(r, w);
-            }
+            self.select(&mut windows, &mut entries);
+            entries.clear();
         }
-        let mut keys: Vec<(u64, u32, u32)> = Vec::with_capacity(held.min(capacity) as usize);
         for (i, (r, w)) in rings.iter().zip(&windows).enumerate() {
-            let mut slot = w.from_slot;
-            for _ in w.from..w.hi {
-                keys.push((r.word(slot, START_WORD), i as u32, slot as u32));
-                slot = r.next(slot);
+            // The window's slots in ascending order: a wrapped window's
+            // head `0..end` comes before its tail `from_slot..`.
+            let (len, end) = (r.len() as usize, w.from_slot + (w.hi - w.from) as usize);
+            let (head, tail) = if end > len {
+                (0..end - len, w.from_slot..len)
+            } else {
+                (0..0, w.from_slot..end)
+            };
+            for slot in head.chain(tail) {
+                entries.push(Entry {
+                    key: r.word(slot, START_WORD),
+                    ring: i as u32,
+                    slot: slot as u32,
+                });
             }
         }
-        keys.sort_unstable();
-        let mut out: Vec<TaskSpan> = keys
+        if sorted {
+            radix_sort(&mut entries);
+        }
+        let mut out: Vec<TaskSpan> = entries
             .iter()
-            .map(|&(_, i, slot)| rings[i as usize].read(slot as usize))
+            .map(|e| rings[e.ring as usize].read(e.slot as usize))
             .collect();
 
         // The re-check: which spans could a writer have reached meanwhile?
@@ -468,10 +554,10 @@ impl TaskTracer {
         }
         if overwritten && !mutation_armed("span-ring-skip-recheck") {
             let mut kept = 0;
-            for (k, &(_, i, slot)) in keys.iter().enumerate() {
-                let (r, w) = (&rings[i as usize], &windows[i as usize]);
+            for (k, e) in entries.iter().enumerate() {
+                let (r, w) = (&rings[e.ring as usize], &windows[e.ring as usize]);
                 // The span of `from..=from + capacity` that `slot` holds.
-                let n = w.from + (slot as u64 + r.len() - w.from_slot as u64) % r.len();
+                let n = w.from + (e.slot as u64 + r.len() - w.from_slot as u64) % r.len();
                 if n + capacity >= w.hi {
                     out[kept] = out[k];
                     kept += 1;
@@ -480,6 +566,85 @@ impl TaskTracer {
             out.truncate(kept);
         }
         out
+    }
+
+    /// Cut the windows, which hold more than `capacity` spans together, to
+    /// the newest `capacity` by end stamp: the spans a merge from the
+    /// rings' tails would take, a tie going to the higher ring and, within
+    /// a ring, to the newer span. `scratch` must have room for `capacity`
+    /// entries.
+    ///
+    /// A worker ring's end stamps never decrease (its worker records each
+    /// span just after stamping its end), so its spans at or above a stamp
+    /// `v` are a suffix found by binary search, and the cut's stamp is a
+    /// binary search over `v`. The shared ring's writers interleave, so its
+    /// stamps are first replaced by their running minimum from the tail —
+    /// as the merge sees them: an older span with a later end waits behind
+    /// the newer span before it, and the shared ring wins every tie.
+    fn select(&self, windows: &mut [Window], scratch: &mut Vec<Entry>) {
+        let rings = self.rings();
+        let capacity = self.capacity as u64;
+        let shared = rings.len() - 1;
+        let (r, w) = (&rings[shared], &windows[shared]);
+        let mut min = u64::MAX;
+        // Newest first: `scratch[k]` is span `hi − 1 − k`'s stamp.
+        for n in (w.lo..w.hi).rev() {
+            min = min.min(r.end_of(n));
+            scratch.push(Entry {
+                key: min,
+                ..Entry::default()
+            });
+        }
+        let shared_ends = &scratch[..];
+        // Spans of ring `i`'s window `lo..hi` whose stamp is at least `v`.
+        let above = |i: usize, lo: u64, hi: u64, v: u64| {
+            if i == shared {
+                first_not(0, hi - lo, |k| shared_ends[k as usize].key >= v)
+            } else {
+                hi - first_not(lo, hi, |n| rings[i].end_of(n) < v)
+            }
+        };
+        let at_least = |v: u64| -> u64 {
+            windows
+                .iter()
+                .enumerate()
+                .map(|(i, w)| above(i, w.lo, w.hi, v))
+                .sum()
+        };
+        // The largest stamp with `capacity` spans at or above it.
+        let (mut lo, mut hi) = (0, u64::MAX);
+        while lo < hi {
+            let mid = hi - (hi - lo) / 2;
+            if at_least(mid) >= capacity {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        let cut = lo;
+        // Everything above the cut, then the ties, higher rings first (the
+        // `min`s only bite on a ring a writer changed under the search).
+        let mut left = capacity;
+        for i in (0..windows.len()).rev() {
+            let w = &windows[i];
+            let above_cut = match cut.checked_add(1) {
+                Some(v) => above(i, w.lo, w.hi, v),
+                None => 0,
+            };
+            let take = above_cut.min(left);
+            left -= take;
+            windows[i].from = windows[i].hi - take;
+        }
+        for i in (0..windows.len()).rev() {
+            let w = &windows[i];
+            let ties = above(i, w.lo, w.hi, cut).saturating_sub(w.hi - w.from);
+            let take = ties.min(left);
+            left -= take;
+            windows[i].from -= take;
+        }
+        for (r, w) in rings.iter().zip(windows.iter_mut()) {
+            w.from_slot = r.slot(w.from);
+        }
     }
 
     /// Spans recorded since the last `clear` that no longer fit the
@@ -531,7 +696,10 @@ impl TaskTracer {
     /// parent task id (−1 for roots), spawn-site id and name, queue wait,
     /// and net (help-deducted) duration.
     pub fn to_chrome_trace(&self) -> String {
+        use std::fmt::Write;
         let spans = self.spans();
+        // Each distinct site's quoted name, resolved once per call.
+        let mut names: HashMap<u32, String> = HashMap::new();
         let mut out = String::with_capacity(spans.len() * 160 + 2);
         out.push('[');
         for (i, s) in spans.iter().enumerate() {
@@ -539,9 +707,12 @@ impl TaskTracer {
                 out.push(',');
             }
             let parent = s.parent.map(|p| p as i64).unwrap_or(-1);
-            let site_name = json_string(&site_name(s.site).unwrap_or_default());
+            let site_name = names
+                .entry(s.site)
+                .or_insert_with(|| json_string(&site_name(s.site).unwrap_or_default()));
             // Times in the format are microseconds.
-            out.push_str(&format!(
+            write!(
+                out,
                 "{{\"name\":\"task {}\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{:.3},\
                  \"dur\":{:.3},\"pid\":0,\"tid\":{},\"args\":{{\"wait_us\":{:.3},\
                  \"net_us\":{:.3},\"parent\":{},\"site\":{},\"site_name\":{}}}}}",
@@ -554,7 +725,8 @@ impl TaskTracer {
                 parent,
                 s.site,
                 site_name,
-            ));
+            )
+            .expect("writing to a String cannot fail");
         }
         out.push(']');
         out
@@ -565,7 +737,8 @@ impl TaskTracer {
     /// a parent's wait is counted once, in the helped task's span — so the
     /// profiled busy time of a worker never exceeds the window's wall time.
     pub fn per_worker_profile(&self) -> Vec<(u32, u64, u64)> {
-        let spans = self.spans();
+        // A sum needs the window, not its order.
+        let spans = self.copy(false);
         let mut map: std::collections::BTreeMap<u32, (u64, u64)> = Default::default();
         for s in spans {
             let e = map.entry(s.worker).or_insert((0, 0));
@@ -762,7 +935,7 @@ mod tests {
             recorded.push((3, span(200 + k, 3, k, k + 1)));
         }
         for &(ring, s) in &recorded {
-            t.record_on(ring, s);
+            t.record_on(ring, s, || 0);
         }
         let written = recorded.len() as u64;
         let spans = t.spans();
@@ -774,7 +947,7 @@ mod tests {
 
         // After a clear, the window restarts on every ring at once.
         t.clear();
-        t.record_on(2, span(300, 2, 5_000, 5_010));
+        t.record_on(2, span(300, 2, 5_000, 5_010), || 0);
         assert_eq!(
             t.spans().iter().map(|s| s.task_id).collect::<Vec<_>>(),
             [300]
@@ -792,7 +965,7 @@ mod tests {
             (2, span(3, 2, 7, 8)),
         ];
         for &(ring, s) in &recorded {
-            t.record_on(ring, s);
+            t.record_on(ring, s, || 0);
         }
         assert_eq!(t.spans(), newest_by_end(&recorded, 16));
         assert_eq!((t.records(), t.dropped()), (3, 0));
@@ -839,7 +1012,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut id = 0;
                 while !stop.load(Ordering::Relaxed) {
-                    t.record_on(0, stamped(id));
+                    t.record_on(0, stamped(id), || 0);
                     id += 1;
                 }
             })
@@ -857,6 +1030,208 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         owner.join().unwrap();
+    }
+
+    /// The copy as a merge from the rings' tails on the end stamp, a
+    /// comparison sort of `(start_ns, ring, slot)` keys and a gather: what
+    /// `spans()` must return for rings no writer is touching.
+    fn reference_spans(t: &TaskTracer) -> Vec<TaskSpan> {
+        let rings = t.rings();
+        let capacity = t.capacity as u64;
+        let prev = |r: &Ring, slot: usize| slot.checked_sub(1).unwrap_or(r.len() as usize - 1);
+        let mut windows: Vec<Window> = rings
+            .iter()
+            .map(|r| {
+                let base = r.base.load(Ordering::Acquire);
+                let hi = r.cursor.load(Ordering::Acquire);
+                let lo = base.max(hi.saturating_sub(capacity)).min(hi);
+                Window {
+                    lo,
+                    hi,
+                    from: lo,
+                    from_slot: r.slot(lo),
+                }
+            })
+            .collect();
+        let held: u64 = windows.iter().map(|w| w.hi - w.lo).sum();
+        if held > capacity {
+            let older_end = |r: &Ring, w: &Window| {
+                (w.from > w.lo).then(|| r.word(prev(r, w.from_slot), END_WORD))
+            };
+            let mut ends: Vec<Option<u64>> = Vec::new();
+            for (r, w) in rings.iter().zip(windows.iter_mut()) {
+                w.from = w.hi;
+                w.from_slot = r.slot(w.hi);
+                ends.push(older_end(r, w));
+            }
+            for _ in 0..capacity {
+                let newest = ends.iter().enumerate().max_by_key(|&(_, e)| e);
+                let Some((i, Some(_))) = newest else { break };
+                let (r, w) = (&rings[i], &mut windows[i]);
+                w.from -= 1;
+                w.from_slot = prev(r, w.from_slot);
+                ends[i] = older_end(r, w);
+            }
+        }
+        let mut keys: Vec<(u64, u32, u32)> = Vec::new();
+        for (i, (r, w)) in rings.iter().zip(&windows).enumerate() {
+            let mut slot = w.from_slot;
+            for _ in w.from..w.hi {
+                keys.push((r.word(slot, START_WORD), i as u32, slot as u32));
+                slot = r.next(slot);
+            }
+        }
+        keys.sort_unstable();
+        keys.iter()
+            .map(|&(_, i, slot)| rings[i as usize].read(slot as usize))
+            .collect()
+    }
+
+    /// One random recording history, checked against the reference after
+    /// every step: 1–4 worker rings whose end stamps never decrease (ties
+    /// within and across rings are common), a shared ring whose end stamps
+    /// go anywhere, uneven ring weights, wraps, `clear()`s mid-stream,
+    /// repeated start stamps and, now and then, stamps far apart (every
+    /// radix digit in play).
+    fn spans_match_reference_for(seed: u64) {
+        use proptest::test_runner::TestRng;
+        let mut rng = TestRng::from_seed(seed);
+        let workers = 1 + rng.below(4) as usize;
+        let most = if rng.below(4) == 0 { 64 } else { 8 };
+        let capacity = 1 + rng.below(most) as usize;
+        let t = TaskTracer::for_workers(capacity, workers);
+        t.enable();
+        let weights: Vec<u64> = (0..=workers).map(|_| rng.below(8)).collect();
+        let total: u64 = weights.iter().sum::<u64>().max(1);
+        let far = rng.below(3) == 0;
+        let mut now = if far { rng.below(1 << 40) } else { 1_000 };
+        let mut last_end = vec![0u64; workers];
+        let mut last_start = 0;
+        let steps = 1 + rng.below(8 * capacity as u64 + 16);
+        for id in 0..steps {
+            if rng.below(40) == 0 {
+                t.clear();
+            } else {
+                now += rng.below(3);
+                let (mut pick, mut ring) = (rng.below(total), workers);
+                for (i, &w) in weights.iter().enumerate() {
+                    if pick < w {
+                        ring = i;
+                        break;
+                    }
+                    pick -= w;
+                }
+                let end = if ring < workers {
+                    last_end[ring] = last_end[ring].max(now);
+                    last_end[ring]
+                } else {
+                    rng.below(now + 5)
+                };
+                let start = match rng.below(6) {
+                    0 => last_start,
+                    1 if far => rng.next_u64(),
+                    _ => end.saturating_sub(rng.below(8)),
+                };
+                last_start = start;
+                t.record_on(
+                    ring,
+                    TaskSpan {
+                        task_id: id,
+                        parent: id.checked_sub(1 + rng.below(3)),
+                        site: rng.below(4) as u32,
+                        worker: ring as u32,
+                        start_ns: start,
+                        end_ns: end,
+                        wait_ns: rng.below(100),
+                        nested_ns: rng.below(3),
+                    },
+                    || 0,
+                );
+            }
+            let reference = reference_spans(&t);
+            assert_eq!(t.spans(), reference, "after step {id}");
+            let mut profile = std::collections::BTreeMap::new();
+            for s in &reference {
+                let e = profile.entry(s.worker).or_insert((0, 0));
+                (e.0, e.1) = (e.0 + s.net_ns(), e.1 + 1);
+            }
+            let profile: Vec<_> = profile.into_iter().map(|(w, (b, n))| (w, b, n)).collect();
+            assert_eq!(t.per_worker_profile(), profile, "after step {id}");
+        }
+    }
+
+    #[test]
+    fn spans_match_the_merge_sort_gather_reference() {
+        proptest::run_property(
+            "spans_match_the_merge_sort_gather_reference",
+            &proptest::ProptestConfig::with_cases(512),
+            &(0..u64::MAX),
+            spans_match_reference_for,
+        );
+    }
+
+    /// The export's formatting before it cached site names and wrote into
+    /// one buffer: the bytes `to_chrome_trace` must reproduce.
+    fn reference_chrome_trace(spans: &[TaskSpan]) -> String {
+        let mut out = String::with_capacity(spans.len() * 160 + 2);
+        out.push('[');
+        for (i, s) in spans.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let parent = s.parent.map(|p| p as i64).unwrap_or(-1);
+            let site_name = json_string(&site_name(s.site).unwrap_or_default());
+            out.push_str(&format!(
+                "{{\"name\":\"task {}\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{:.3},\
+                 \"dur\":{:.3},\"pid\":0,\"tid\":{},\"args\":{{\"wait_us\":{:.3},\
+                 \"net_us\":{:.3},\"parent\":{},\"site\":{},\"site_name\":{}}}}}",
+                s.task_id,
+                s.start_ns as f64 / 1e3,
+                s.duration_ns() as f64 / 1e3,
+                s.worker,
+                s.wait_ns as f64 / 1e3,
+                s.net_ns() as f64 / 1e3,
+                parent,
+                s.site,
+                site_name,
+            ));
+        }
+        out.push(']');
+        out
+    }
+
+    #[test]
+    fn chrome_trace_bytes_match_the_reference_formatting() {
+        let sites = [UNKNOWN_SITE, site_id(here()), site_id(here()), u32::MAX];
+        let t = TaskTracer::for_workers(16, 2);
+        t.enable();
+        for i in 0..24u64 {
+            t.record_on(
+                (i % 3) as usize,
+                TaskSpan {
+                    task_id: i * 7919,
+                    parent: (!i.is_multiple_of(4)).then_some(i * 31),
+                    site: sites[(i % 4) as usize],
+                    worker: (i % 3) as u32,
+                    start_ns: i * 1_234_567 + 1,
+                    end_ns: i * 1_234_567 + 999 + i,
+                    wait_ns: i * 333,
+                    nested_ns: i % 5,
+                },
+                || 0,
+            );
+        }
+        let json = t.to_chrome_trace();
+        assert_eq!(json, reference_chrome_trace(&t.spans()));
+        assert!(json.contains("trace.rs"), "interned sites are named");
+        assert_eq!(
+            serde_json::from_str::<serde_json::Value>(&json)
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .len(),
+            16
+        );
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! add to the count. Two structural bounds:
 //!
 //! - `CausalProfiler::from_spans` + `analyze` over 65 536 fib-tree spans
-//!   allocate at most 16 times (13 today): the index, the node list, the
-//!   forest's arrays, the chains and the site table — where a forest of one
-//!   `Vec` per parent task allocated 32 816 times;
+//!   allocate at most 16 times (12 today): the id table and the four node
+//!   arrays; the forest's parent indices and order; the chains and each
+//!   node's heaviest child; the site table and its index; the critical
+//!   path — where a forest of one `Vec` per parent task allocated 32 816
+//!   times;
 //! - `TaskTracer::spans()` on a wrapped ring allocates at most 4 times: the
-//!   ring windows, the merge state, the sort keys and the result.
+//!   ring windows, the sort keys, the radix sort's scratch and the result.
 //!
 //! This is its own integration test binary because a global allocator is
 //! process-wide.
