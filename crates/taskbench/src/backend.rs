@@ -106,7 +106,7 @@ impl std::error::Error for BackendError {}
 
 /// A task-graph executor.
 pub trait Backend {
-    /// Stable name used in CSV/JSON cells.
+    /// Stable name (`rpx`, `baseline`, `sim-hpx`, `sim-std`).
     fn name(&self) -> &'static str;
 
     /// Execute `graph` on `workers` workers, spinning each task body for
@@ -118,24 +118,6 @@ pub trait Backend {
         workers: usize,
         cal: &GrainCalibration,
     ) -> Result<RunStats, BackendError>;
-}
-
-/// Parse a comma-separated backend list (`rpx,baseline,sim-hpx,sim-std`).
-pub fn parse_backends(spec: &str) -> Result<Vec<Box<dyn Backend>>, String> {
-    spec.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|name| -> Result<Box<dyn Backend>, String> {
-            match name {
-                "rpx" => Ok(Box::new(RuntimeBackend)),
-                "baseline" => Ok(Box::new(BaselineBackend)),
-                "sim-hpx" | "sim" => Ok(Box::new(SimBackend::hpx())),
-                "sim-std" => Ok(Box::new(SimBackend::std_async())),
-                other => Err(format!(
-                    "unknown backend `{other}` (expected rpx, baseline, sim-hpx, sim-std)"
-                )),
-            }
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -484,12 +466,5 @@ mod tests {
             ..r.clone()
         };
         assert!((chain.efficiency() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parse_backends_accepts_known_rejects_unknown() {
-        let v = parse_backends("rpx,baseline,sim-hpx,sim-std").unwrap();
-        assert_eq!(v.len(), 4);
-        assert!(parse_backends("rpx,warp-drive").is_err());
     }
 }

@@ -11,7 +11,7 @@
 use rpx_simnode::{GraphBuilder, SimTask, TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
 
-use crate::shape::Shape;
+use crate::shape::{tree_arity, Shape};
 
 /// A fully-specified workload: shape knobs, uniform per-task grain, and
 /// the seed for sampled shapes.
@@ -153,7 +153,7 @@ fn butterfly(points_log2: u32, grain_ns: u64) -> TaskGraph {
 
 fn tree(arity: u32, depth: u32, grain_ns: u64) -> TaskGraph {
     let mut b = GraphBuilder::new();
-    build_tree(&mut b, arity.max(1), depth, grain_ns);
+    build_tree(&mut b, tree_arity(arity), depth, grain_ns);
     b.build()
 }
 

@@ -1,7 +1,8 @@
 //! Spin-calibrated task grain.
 //!
-//! An METG sweep needs task bodies whose *useful work* is a controlled
-//! number of nanoseconds, independent of what the compiler or the host's
+//! A grain ladder on the real backends (native METG, `rpx-benchmark`'s
+//! `stencil_ladder_w1`) needs task bodies whose *useful work* is a
+//! controlled number of nanoseconds, whatever the compiler or the host's
 //! turbo state does to any particular loop. The calibrator times a fixed
 //! integer-mixing spin kernel once per process and converts grain
 //! nanoseconds into iteration counts; the kernel itself is branch-free and

@@ -14,10 +14,11 @@
 //! against the graph and against what each backend actually executed,
 //! not "looks plausible" bounds.
 //!
-//! The `metg` binary sweeps grain downward per (shape × workers ×
-//! backend) cell until parallel efficiency drops below 50%, reporting the
-//! minimum effective task granularity (METG) with the interleaved drift
-//! protocol from EXPERIMENTS.md.
+//! [`simulated_metg`] reads the minimum effective task granularity (METG)
+//! off a grain ladder on the simulator; the paper harness renders it per
+//! shape × simulated runtime × workers. Native METG is timed by
+//! `rpx-benchmark`'s `stencil_ladder_w1` workload, the one driver that
+//! times the real runtime.
 //!
 //! ```
 //! use rpx_taskbench::{Backend, GrainCalibration, Shape, SimBackend, WorkloadSpec};
@@ -38,10 +39,8 @@ pub mod grain;
 pub mod metg;
 pub mod shape;
 
-pub use backend::{
-    parse_backends, Backend, BackendError, BaselineBackend, RunStats, RuntimeBackend, SimBackend,
-};
+pub use backend::{Backend, BackendError, BaselineBackend, RunStats, RuntimeBackend, SimBackend};
 pub use gen::{edge_count, graph_hash, WorkloadSpec};
 pub use grain::{spin_iters, GrainCalibration};
-pub use metg::{csv_rows, grain_ladder, sweep_cell, Cell, CurvePoint, MetgBound, SweepConfig};
+pub use metg::{grain_ladder, simulated_metg, MetgBound, Rung};
 pub use shape::Shape;

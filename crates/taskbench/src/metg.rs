@@ -1,29 +1,26 @@
-//! METG sweeps: minimum effective task granularity.
+//! METG: minimum effective task granularity on the simulated node.
 //!
-//! Task Bench's standard overhead metric, computed the way EXPERIMENTS.md
-//! computes every cross-run comparison in this repo: **interleaved
-//! sampling**. A sweep does not finish one grain before starting the next
-//! — each pass visits the whole grain ladder round-robin, so slow host
-//! drift (thermal ramps, background load) lands on every grain equally
-//! instead of biasing one end of the curve. The per-grain wall time is the
-//! median across passes.
+//! Task Bench's standard overhead metric. Efficiency of a run at grain *g*
+//! is `T_ideal / T_meas` with `T_ideal = max(W/P, T∞)` (Brent's bound);
+//! METG is the smallest grain at which efficiency still reaches the floor
+//! (50 % by convention). Because a finite ladder can only bracket the
+//! crossing, the result is a [`MetgBound`]: an interpolated crossing, or a
+//! one-sided bound when the whole ladder sits on one side of the floor.
 //!
-//! Efficiency of a cell at grain *g* is `T_ideal / T_meas` with
-//! `T_ideal = max(W/P, T∞)` (Brent's bound); METG is the smallest grain at
-//! which efficiency still reaches the floor (50% by convention). Because a
-//! finite ladder can only bracket the crossing, the result is a
-//! [`MetgBound`]: an interpolated crossing, or a one-sided bound when the
-//! whole ladder sits on one side of the floor.
+//! Only the simulator is swept here: its runs are deterministic, so one
+//! pass over the ladder is the curve. Native METG is timed by
+//! `rpx-benchmark`'s `stencil_ladder_w1` workload (`metg50_ns`).
 
-use serde::{Deserialize, Serialize};
-
-use crate::backend::{Backend, BackendError, RunStats};
+use crate::backend::{Backend, BackendError, RunStats, SimBackend};
 use crate::gen::WorkloadSpec;
 use crate::grain::GrainCalibration;
 use crate::shape::Shape;
 
+/// Efficiency floor that defines METG.
+const FLOOR: f64 = 0.5;
+
 /// The METG verdict for one (shape × backend × workers) cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MetgBound {
     /// The 50%-efficiency crossing fell inside the ladder; `ns` is the
     /// log-interpolated grain.
@@ -45,16 +42,6 @@ pub enum MetgBound {
     },
 }
 
-impl MetgBound {
-    /// METG in ns when the sweep pinned it down.
-    pub fn value_ns(&self) -> Option<f64> {
-        match self {
-            MetgBound::Crossing { ns } => Some(*ns),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for MetgBound {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -65,63 +52,16 @@ impl std::fmt::Display for MetgBound {
     }
 }
 
-/// One grain on a cell's efficiency curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CurvePoint {
+/// One grain of a cell's efficiency curve.
+#[derive(Debug, Clone)]
+pub struct Rung {
     /// Requested per-task grain, ns.
     pub grain_ns: u64,
-    /// Median wall time across interleaved passes, ns.
-    pub wall_ns: u64,
-    /// All per-pass wall times, ns (diagnosis; drift shows up here).
-    pub samples_ns: Vec<u64>,
-    /// Raw efficiency at the median wall time.
-    pub efficiency: f64,
-    /// Monotone (non-increasing toward finer grain) envelope of the raw
-    /// efficiencies — what the METG crossing is read from.
+    /// The simulated run, or why it failed.
+    pub run: Result<RunStats, BackendError>,
+    /// Running minimum of the efficiencies from the coarsest grain down to
+    /// this one (a failed run counts as 0) — what METG is read from.
     pub efficiency_env: f64,
-    /// Stats of the median run (counters, steals, overhead).
-    pub stats: RunStats,
-}
-
-/// The full sweep result for one (shape × backend × workers) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Cell {
-    /// Shape family + knobs.
-    pub shape: Shape,
-    /// Backend name.
-    pub backend: String,
-    /// Worker count.
-    pub workers: usize,
-    /// Efficiency floor the METG is read at (0.5 by convention).
-    pub floor: f64,
-    /// Curve points, coarsest grain first.
-    pub points: Vec<CurvePoint>,
-    /// The METG verdict.
-    pub metg: MetgBound,
-}
-
-/// Sweep parameters: the grain ladder plus the drift protocol knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepConfig {
-    /// Grains to visit, ns. Sorted descending internally.
-    pub grains_ns: Vec<u64>,
-    /// Interleaved passes over the ladder; per-grain wall is the median.
-    pub runs: usize,
-    /// Seed forwarded to sampled shapes.
-    pub seed: u64,
-    /// Efficiency floor defining METG.
-    pub floor: f64,
-}
-
-impl Default for SweepConfig {
-    fn default() -> Self {
-        SweepConfig {
-            grains_ns: grain_ladder(1_000, 100_000, 6),
-            runs: 3,
-            seed: 0x5eed,
-            floor: 0.5,
-        }
-    }
 }
 
 /// Log-spaced grain ladder from `max_ns` down to `min_ns` (inclusive).
@@ -141,77 +81,55 @@ pub fn grain_ladder(min_ns: u64, max_ns: u64, points: usize) -> Vec<u64> {
     out
 }
 
-/// Run the interleaved sweep for one cell.
-///
-/// Pass order is grain-major within a pass (`pass 0: g0 g1 g2…, pass 1:
-/// g0 g1 g2…`), so every grain sees every epoch of host drift.
-pub fn sweep_cell(
-    backend: &dyn Backend,
+/// Simulate `shape` at every grain of `grains_ns` (coarsest first, as
+/// [`grain_ladder`] returns them) on `workers` simulated cores, and read
+/// the METG off the efficiency envelope. A failed run is kept as its rung's
+/// error rather than ending the sweep.
+pub fn simulated_metg(
+    backend: &SimBackend,
     shape: Shape,
+    seed: u64,
     workers: usize,
-    cfg: &SweepConfig,
-    cal: &GrainCalibration,
-) -> Result<Cell, BackendError> {
-    let mut grains = cfg.grains_ns.clone();
-    grains.sort_unstable_by(|a, b| b.cmp(a));
-    grains.dedup();
-    let runs = cfg.runs.max(1);
-
-    // samples[i][r] = wall of grain i in pass r; stats kept per sample so
-    // the median run's counters can be reported.
-    let mut samples: Vec<Vec<(u64, RunStats)>> = vec![Vec::with_capacity(runs); grains.len()];
-    for _pass in 0..runs {
-        for (i, &grain_ns) in grains.iter().enumerate() {
-            let graph = WorkloadSpec::new(shape, grain_ns, cfg.seed).build();
-            let stats = backend.run(&graph, workers, cal)?;
-            samples[i].push((stats.wall_ns, stats));
-        }
-    }
-
-    let mut points = Vec::with_capacity(grains.len());
+    grains_ns: &[u64],
+) -> (Vec<Rung>, MetgBound) {
+    // The simulator charges task work virtually; the spin rate is unused.
+    let cal = GrainCalibration::fixed(100.0);
     let mut env = f64::INFINITY;
-    for (i, &grain_ns) in grains.iter().enumerate() {
-        let mut cell = std::mem::take(&mut samples[i]);
-        cell.sort_unstable_by_key(|(w, _)| *w);
-        let samples_ns: Vec<u64> = cell.iter().map(|(w, _)| *w).collect();
-        let (wall_ns, stats) = cell.swap_remove(cell.len() / 2);
-        let efficiency = stats.efficiency();
-        env = env.min(efficiency);
-        points.push(CurvePoint {
-            grain_ns,
-            wall_ns,
-            samples_ns,
-            efficiency,
-            efficiency_env: env,
-            stats,
-        });
-    }
-
-    let metg = read_metg(&points, cfg.floor);
-    Ok(Cell {
-        shape,
-        backend: backend.name().to_string(),
-        workers,
-        floor: cfg.floor,
-        points,
-        metg,
-    })
+    let rungs: Vec<Rung> = grains_ns
+        .iter()
+        .map(|&grain_ns| {
+            let graph = WorkloadSpec::new(shape, grain_ns, seed).build();
+            let run = backend.run(&graph, workers, &cal);
+            env = env.min(run.as_ref().map_or(0.0, RunStats::efficiency));
+            Rung {
+                grain_ns,
+                run,
+                efficiency_env: env,
+            }
+        })
+        .collect();
+    let envelope: Vec<(u64, f64)> = rungs
+        .iter()
+        .map(|r| (r.grain_ns, r.efficiency_env))
+        .collect();
+    let metg = read_metg(&envelope, FLOOR);
+    (rungs, metg)
 }
 
-/// Read the METG crossing off a monotone envelope (points coarsest-first).
-fn read_metg(points: &[CurvePoint], floor: f64) -> MetgBound {
-    let Some(first) = points.first() else {
+/// Read the METG crossing off a monotone `(grain_ns, envelope)` curve,
+/// coarsest grain first.
+fn read_metg(envelope: &[(u64, f64)], floor: f64) -> MetgBound {
+    let Some(&(first_ns, first_env)) = envelope.first() else {
         return MetgBound::Above { ns: 0 };
     };
-    if first.efficiency_env < floor {
-        return MetgBound::Above { ns: first.grain_ns };
+    if first_env < floor {
+        return MetgBound::Above { ns: first_ns };
     }
-    for w in points.windows(2) {
-        let (a, b) = (&w[0], &w[1]);
-        if b.efficiency_env < floor {
+    for w in envelope.windows(2) {
+        let ((ga, ea), (gb, eb)) = (w[0], w[1]);
+        if eb < floor {
             // Log-interpolate the grain where the envelope hits the floor.
-            let (ga, gb) = ((a.grain_ns as f64).ln(), (b.grain_ns as f64).ln());
-            let (ea, eb) = (a.efficiency_env, b.efficiency_env);
+            let (ga, gb) = ((ga as f64).ln(), (gb as f64).ln());
             let f = if (ea - eb).abs() < f64::EPSILON {
                 0.0
             } else {
@@ -223,41 +141,8 @@ fn read_metg(points: &[CurvePoint], floor: f64) -> MetgBound {
         }
     }
     MetgBound::AtMost {
-        ns: points.last().map_or(first.grain_ns, |p| p.grain_ns),
+        ns: envelope.last().map_or(first_ns, |&(g, _)| g),
     }
-}
-
-/// CSV header for [`csv_rows`].
-pub const CSV_HEADER: &str =
-    "shape,backend,workers,grain_ns,wall_ns,efficiency,efficiency_env,spawned,completed,\
-     counter_spawned,counter_completed,avg_overhead_ns,steals,metg";
-
-/// Render a cell as CSV rows (no header), one row per curve point.
-pub fn csv_rows(cell: &Cell) -> String {
-    let mut out = String::new();
-    for p in &cell.points {
-        let opt_u = |v: Option<u64>| v.map_or(String::new(), |v| v.to_string());
-        out.push_str(&format!(
-            "{},{},{},{},{},{:.4},{:.4},{},{},{},{},{},{},{}\n",
-            cell.shape.name(),
-            cell.backend,
-            cell.workers,
-            p.grain_ns,
-            p.wall_ns,
-            p.efficiency,
-            p.efficiency_env,
-            p.stats.spawned,
-            p.stats.completed,
-            opt_u(p.stats.counter_spawned),
-            opt_u(p.stats.counter_completed),
-            p.stats
-                .avg_overhead_ns
-                .map_or(String::new(), |v| format!("{v:.1}")),
-            opt_u(p.stats.steals),
-            cell.metg,
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -275,39 +160,17 @@ mod tests {
         assert_eq!(grain_ladder(5, 5, 3), vec![5]);
     }
 
-    fn point(grain_ns: u64, eff: f64, env: f64) -> CurvePoint {
-        CurvePoint {
-            grain_ns,
-            wall_ns: 1,
-            samples_ns: vec![1],
-            efficiency: eff,
-            efficiency_env: env,
-            stats: RunStats {
-                backend: "t".into(),
-                workers: 1,
-                wall_ns: 1,
-                spawned: 1,
-                completed: 1,
-                total_work_ns: 1,
-                span_ns: 1,
-                counter_spawned: None,
-                counter_completed: None,
-                avg_overhead_ns: None,
-                steals: None,
-            },
-        }
-    }
-
     #[test]
     fn metg_bounds_cover_all_three_cases() {
-        let above = vec![point(1_000, 0.3, 0.3)];
-        assert_eq!(read_metg(&above, 0.5), MetgBound::Above { ns: 1_000 });
-
-        let at_most = vec![point(1_000, 0.9, 0.9), point(100, 0.6, 0.6)];
-        assert_eq!(read_metg(&at_most, 0.5), MetgBound::AtMost { ns: 100 });
-
-        let crossing = vec![point(1_000, 0.9, 0.9), point(100, 0.25, 0.25)];
-        match read_metg(&crossing, 0.5) {
+        assert_eq!(
+            read_metg(&[(1_000, 0.3)], 0.5),
+            MetgBound::Above { ns: 1_000 }
+        );
+        assert_eq!(
+            read_metg(&[(1_000, 0.9), (100, 0.6)], 0.5),
+            MetgBound::AtMost { ns: 100 }
+        );
+        match read_metg(&[(1_000, 0.9), (100, 0.25)], 0.5) {
             MetgBound::Crossing { ns } => {
                 assert!(ns > 100.0 && ns < 1_000.0, "interpolated inside: {ns}");
             }
@@ -319,8 +182,7 @@ mod tests {
     fn metg_interpolation_is_exact_at_midpoint() {
         // Envelope falls linearly in log-grain: floor halfway between the
         // efficiencies lands halfway between the log-grains.
-        let pts = vec![point(10_000, 0.8, 0.8), point(100, 0.2, 0.2)];
-        match read_metg(&pts, 0.5) {
+        match read_metg(&[(10_000, 0.8), (100, 0.2)], 0.5) {
             MetgBound::Crossing { ns } => assert!((ns - 1_000.0).abs() < 1.0, "{ns}"),
             other => panic!("{other:?}"),
         }
@@ -328,36 +190,21 @@ mod tests {
 
     #[test]
     fn sweep_on_simulator_yields_monotone_envelope() {
-        let cfg = SweepConfig {
-            grains_ns: grain_ladder(500, 50_000, 4),
-            runs: 2,
-            seed: 1,
-            floor: 0.5,
+        let shape = Shape::Stencil {
+            width: 16,
+            steps: 8,
         };
-        let cal = GrainCalibration::fixed(100.0);
-        let backend = crate::backend::SimBackend::hpx();
-        let cell = sweep_cell(
-            &backend,
-            Shape::Stencil {
-                width: 16,
-                steps: 8,
-            },
-            4,
-            &cfg,
-            &cal,
-        )
-        .unwrap();
-        assert_eq!(cell.points.len(), 4);
-        assert!(cell
-            .points
+        let ladder = grain_ladder(500, 50_000, 4);
+        let sweep = || simulated_metg(&SimBackend::hpx(), shape, 1, 4, &ladder);
+        let (rungs, metg) = sweep();
+        assert_eq!(rungs.len(), 4);
+        assert_eq!(rungs[0].grain_ns, 50_000);
+        assert!(rungs.iter().all(|r| r.run.is_ok()));
+        assert!(rungs
             .windows(2)
             .all(|w| w[0].efficiency_env >= w[1].efficiency_env));
-        // The simulator is deterministic: both passes identical.
-        for p in &cell.points {
-            assert_eq!(p.samples_ns[0], p.samples_ns[1]);
-        }
-        let csv = csv_rows(&cell);
-        assert_eq!(csv.lines().count(), 4);
-        assert!(csv.starts_with("stencil,sim-hpx,4,50000,"));
+        // The simulator is deterministic: two sweeps render identically.
+        let render = |(rungs, metg): (Vec<Rung>, MetgBound)| format!("{rungs:?} {metg}");
+        assert_eq!(render(sweep()), render((rungs, metg)));
     }
 }

@@ -41,7 +41,8 @@ pub enum Shape {
     /// interior nodes split into a fork task and a join task (the shape of
     /// the Inncabs fib/sort family).
     Tree {
-        /// Children per interior node (≥ 1; 2 = binary).
+        /// Children per interior node (2 = binary; 0 builds as 1, the
+        /// chain).
         arity: u32,
         /// Levels of interior nodes above the leaves.
         depth: u32,
@@ -66,7 +67,10 @@ impl Shape {
             Shape::Trivial { tasks } => tasks,
             Shape::Stencil { width, steps } => width as u64 * steps as u64,
             Shape::Butterfly { points_log2 } => (1u64 << points_log2) * (points_log2 as u64 + 1),
-            Shape::Tree { arity, depth } => 2 * tree_interior(arity, depth) + pow_u64(arity, depth),
+            Shape::Tree { arity, depth } => {
+                let arity = tree_arity(arity);
+                2 * tree_interior(arity, depth) + pow_u64(arity, depth)
+            }
             Shape::Random { width, layers, .. } => width as u64 * layers as u64,
         }
     }
@@ -81,7 +85,10 @@ impl Shape {
                 (steps as u64).saturating_sub(1) * per_row
             }
             Shape::Butterfly { points_log2 } => 2 * (1u64 << points_log2) * points_log2 as u64,
-            Shape::Tree { arity, depth } => 2 * arity as u64 * tree_interior(arity, depth),
+            Shape::Tree { arity, depth } => {
+                let arity = tree_arity(arity);
+                2 * arity as u64 * tree_interior(arity, depth)
+            }
             Shape::Random { .. } => return None,
         })
     }
@@ -116,8 +123,9 @@ impl Shape {
         }
     }
 
-    /// Default knob values per family, scaled so a full METG ladder stays
-    /// in the seconds range on a debug build.
+    /// Default knob values per family: about a thousand tasks each, so a
+    /// simulated METG ladder over all five stays under a second on a debug
+    /// build.
     pub fn with_defaults(family: &str) -> Option<Shape> {
         Some(match family {
             "trivial" => Shape::Trivial { tasks: 1024 },
@@ -136,7 +144,7 @@ impl Shape {
         })
     }
 
-    /// All shape family names (for CLI help and sweep defaults).
+    /// All shape family names, in the order the METG artefact lists them.
     pub const FAMILIES: [&'static str; 5] = ["trivial", "stencil", "butterfly", "tree", "random"];
 
     /// Render the knobs compactly (`stencil[width=64,steps=16]`).
@@ -155,6 +163,12 @@ impl Shape {
             } => format!("random[width={width},layers={layers},degree={degree}]"),
         }
     }
+}
+
+/// The arity a `Tree` is built with: 0 children would leave the fork and
+/// join of every interior node unconnected, so it builds as the chain.
+pub(crate) fn tree_arity(arity: u32) -> u32 {
+    arity.max(1)
 }
 
 /// Interior-node count of a depth-`d` `k`-ary tree: `(k^d - 1)/(k - 1)`,
@@ -222,6 +236,11 @@ mod tests {
         assert_eq!(chain.task_count(), 9);
         assert_eq!(chain.edge_count(), Some(8));
         assert_eq!(chain.critical_path_tasks(), 9);
+        // Arity 0 builds as arity 1.
+        let zero = Shape::Tree { arity: 0, depth: 3 };
+        assert_eq!(zero.task_count(), 7);
+        assert_eq!(zero.edge_count(), Some(6));
+        assert_eq!(zero.critical_path_tasks(), 7);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The paper's evaluation, regenerated and checked: every simulated table
 //! and figure under `experiments/` is a view of one strong-scaling sweep
-//! per benchmark and runtime on the simulated node, rendered in memory and
+//! per benchmark and runtime on the simulated node, and `metg.txt` of one
+//! grain sweep per Task Bench shape; each is rendered in memory and
 //! compared byte for byte with the committed file. Beside the check sit
 //! the shape assertions the reproduction rests on (shape, not absolute
 //! numbers — DESIGN.md §3).
@@ -27,6 +28,7 @@ use rpx::simnode::{
     StdCostModel, TaskGraph,
 };
 use rpx::tools::{intrinsic_counters_overhead_pct, RunSummary, ToolModel};
+use rpx_taskbench::{grain_ladder, simulated_metg, Backend, MetgBound, Rung, Shape, SimBackend};
 use serde::Serialize;
 
 // ---------------------------------------------------------------------------
@@ -622,7 +624,97 @@ fn render_figure(fig: &Figure) -> String {
     out
 }
 
-/// Every file under `experiments/`, by name, rendered from `sweeps`.
+// ---------------------------------------------------------------------------
+// METG: one grain sweep per Task Bench shape.
+// ---------------------------------------------------------------------------
+
+/// One (shape × runtime × workers) cell of the METG sweep.
+struct MetgCell {
+    shape: Shape,
+    backend: &'static str,
+    workers: usize,
+    rungs: Vec<Rung>,
+    metg: MetgBound,
+}
+
+/// Every shape family at its default size (the random one seeded) on both
+/// simulated runtimes at one core, two and the whole node, down one ladder
+/// from 100 µs to 1 µs; computed once per test binary.
+fn metg_cells() -> &'static [MetgCell] {
+    static CELLS: OnceLock<Vec<MetgCell>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let ladder = grain_ladder(1_000, 100_000, 6);
+        let mut cells = Vec::new();
+        for family in Shape::FAMILIES {
+            let shape = Shape::with_defaults(family).expect("a known family");
+            for backend in [SimBackend::hpx(), SimBackend::std_async()] {
+                for workers in [1, 2, 20] {
+                    let (rungs, metg) = simulated_metg(&backend, shape, 0x5eed, workers, &ladder);
+                    cells.push(MetgCell {
+                        shape,
+                        backend: backend.name(),
+                        workers,
+                        rungs,
+                        metg,
+                    });
+                }
+            }
+        }
+        cells
+    })
+}
+
+/// Each cell's efficiency curve and METG verdict, then a summary.
+fn render_metg(cells: &[MetgCell]) -> String {
+    let mut out = platform_header();
+    out.push_str(
+        "METG(50 %) — minimum effective task granularity (Task Bench): eff = \
+         max(W/P, T∞) / virtual wall,\nenv = running minimum of eff from the \
+         coarsest grain; METG is read where env crosses 50 %\n",
+    );
+    for c in cells {
+        write!(
+            out,
+            "\n-- {} x {} x {} worker(s): {} tasks --\n    grain_ns       wall_ns     eff     env\n",
+            c.shape.name(),
+            c.backend,
+            c.workers,
+            c.shape.task_count(),
+        )
+        .unwrap();
+        for r in &c.rungs {
+            match &r.run {
+                Ok(run) => writeln!(
+                    out,
+                    "  {:>10}  {:>12}  {:>5.1}%  {:>5.1}%",
+                    r.grain_ns,
+                    run.wall_ns,
+                    run.efficiency() * 100.0,
+                    r.efficiency_env * 100.0
+                ),
+                Err(e) => writeln!(out, "  {:>10}  failed: {e}", r.grain_ns),
+            }
+            .unwrap();
+        }
+        writeln!(out, "  METG: {}", c.metg).unwrap();
+    }
+    out.push_str("\n== METG summary (efficiency floor 50%) ==\n");
+    for c in cells {
+        writeln!(
+            out,
+            "  {:<10} {:<9} {:>3}w  METG {}",
+            c.shape.name(),
+            c.backend,
+            c.workers,
+            c.metg
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// Every file under `experiments/`, by name, rendered from `sweeps` and
+/// the METG sweep.
 fn artifacts(sweeps: &[Sweeps]) -> Vec<(String, String)> {
     let header = format!("{}\n", platform_header());
     let t1 = table1(sweeps);
@@ -666,6 +758,7 @@ fn artifacts(sweeps: &[Sweeps]) -> Vec<(String, String)> {
             .iter()
             .map(|f| (format!("figure{:02}.json", f.id), json(f))),
     );
+    files.push(("metg.txt".to_owned(), render_metg(metg_cells())));
     files
 }
 
@@ -840,6 +933,39 @@ fn scaling_limit_of_flat_series_is_one() {
         })
         .collect();
     assert_eq!(scaling_limit(&sweep), Some(1));
+}
+
+/// The grains `[lower, upper]` in ns a METG verdict brackets.
+fn metg_range(metg: MetgBound) -> (f64, f64) {
+    match metg {
+        MetgBound::Crossing { ns } => (ns, ns),
+        MetgBound::AtMost { ns } => (0.0, ns as f64),
+        MetgBound::Above { ns } => (ns as f64, f64::INFINITY),
+    }
+}
+
+#[test]
+fn thread_per_task_metg_exceeds_work_stealing_metg_in_every_cell() {
+    // EXPERIMENTS §METG: lightweight tasks stay efficient at grains where
+    // one OS thread per task does not — by at least 5× below the socket
+    // boundary, and still strictly on the whole node.
+    let cells = metg_cells();
+    for hpx in cells.iter().filter(|c| c.backend == "sim-hpx") {
+        let std = cells
+            .iter()
+            .find(|c| c.backend == "sim-std" && c.shape == hpx.shape && c.workers == hpx.workers)
+            .expect("both runtimes sweep every cell");
+        let factor = if hpx.workers <= 2 { 5.0 } else { 1.0 };
+        let (std_lower, hpx_upper) = (metg_range(std.metg).0, metg_range(hpx.metg).1);
+        assert!(
+            std_lower > hpx_upper && std_lower >= factor * hpx_upper,
+            "{} x {}w: sim-std METG {} is not {factor}x sim-hpx METG {}",
+            hpx.shape.name(),
+            hpx.workers,
+            std.metg,
+            hpx.metg
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ fn shape() -> impl Strategy<Value = Shape> {
             points_log2: c, // 1..=16 points
         },
         3 => Shape::Tree {
-            arity: 1 + a % 3,
+            arity: a % 4,
             depth: c,
         },
         _ => Shape::Random {
