@@ -11,15 +11,21 @@
 //! - [`LaunchPolicy`] — `async` (child stealing, default), `fork`
 //!   (continuation-stealing approximation), `deferred`, `sync`.
 //! - [`SchedulerMode`] — per-worker deques with stealing (default) or one
-//!   global FIFO (the `std::async` discipline; used for the Floorplan
-//!   ordering experiment).
+//!   global FIFO (the `std::async` discipline). Only unit tests select the
+//!   global FIFO today: the Floorplan ordering experiment runs on
+//!   `rpx-simnode`'s `global_queue`, and the native queue-discipline row of
+//!   the Table IV matrix is its intended caller.
 //! - Futures wait by *helping*: a worker blocked on `get()` executes other
 //!   pending tasks, so deeply recursive fork/join codes keep all cores busy.
 //! - Counters: `/threads/time/average`, `/threads/time/average-overhead`,
 //!   `/threads/time/cumulative`, `/threads/time/cumulative-overhead`,
 //!   `/threads/count/*`, `/threads/idle-rate`, `/scheduler/*`,
 //!   `/runtime/uptime`, `/runtime/health/*`, `/runtime/anomaly/*`,
-//!   `/runtime/trace/*`, `/papi/*`, `/synchronization/*`.
+//!   `/runtime/trace/*`, `/papi/*`, `/synchronization/*`. The `/papi/*`
+//!   counters read each worker's synthetic PMU domain, which no runtime
+//!   code records into (only tests call `rpx_papi::record*`), so they read
+//!   0 on a native run; Figures 13–14 come from `rpx-simnode`'s memory
+//!   model.
 //! - Fault tolerance: [`CancelToken`] cancellation/deadlines, a worker
 //!   watchdog + supervisor (stall and restart health counters), and a
 //!   deterministic fault-injection harness ([`FaultPlan`]) for chaos tests.

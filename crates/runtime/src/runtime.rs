@@ -291,6 +291,8 @@ pub struct QuiesceReport {
 /// A lightweight-task runtime: `N` worker threads, per-worker work-stealing
 /// queues, instrumented task lifecycle, and a counter registry exposing
 /// `/threads/*`, `/scheduler/*`, `/runtime/*`, and `/papi/*` counters.
+/// The `/papi/*` counters read 0 here: each worker is bound to a synthetic
+/// PMU domain, but no runtime or workload code records events into it.
 ///
 /// ```
 /// use rpx_runtime::{Runtime, RuntimeConfig};

@@ -989,7 +989,7 @@ mod tests {
     fn stamped(id: u64) -> TaskSpan {
         TaskSpan {
             task_id: id,
-            parent: (id % 3 != 0).then_some(id * 7),
+            parent: (!id.is_multiple_of(3)).then_some(id * 7),
             site: id as u32 ^ 0x5a5a,
             worker: 0,
             start_ns: id * 10,
@@ -1225,7 +1225,7 @@ mod tests {
         assert_eq!(json, reference_chrome_trace(&t.spans()));
         assert!(json.contains("trace.rs"), "interned sites are named");
         assert_eq!(
-            serde_json::from_str::<serde_json::Value>(&json)
+            serde_json::from_str(&json)
                 .unwrap()
                 .as_array()
                 .unwrap()

@@ -5,10 +5,10 @@
 //! creation in the tens of microseconds, and failure of the `std::async`
 //! versions at 80k–97k live threads (§VI).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Scheduling costs of the lightweight-task (HPX-like) runtime.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HpxCostModel {
     /// Cost the spawning core pays to enqueue one child task.
     pub spawn_ns: u64,
@@ -34,7 +34,6 @@ pub struct HpxCostModel {
     /// of the placement win comes from the victim *order* alone —
     /// remote steals stop being a last resort and their
     /// `remote_steal_extra_ns` surcharge lands on far more steals.
-    #[serde(default)]
     pub topology_blind_steal: bool,
 }
 
@@ -55,7 +54,7 @@ impl Default for HpxCostModel {
 }
 
 /// Scheduling costs of the thread-per-task (`std::async`) runtime.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StdCostModel {
     /// `pthread_create` + first kernel wakeup, paid by the *spawning* core
     /// per child. This is the dominating cost for fine-grained workloads.
@@ -101,7 +100,7 @@ impl Default for StdCostModel {
 }
 
 /// Which runtime the simulator models.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub enum SimRuntimeKind {
     /// Lightweight tasks, per-core deques (or one global FIFO), stealing.
     Hpx {

@@ -8,13 +8,13 @@
 //! begins and which ends each *logical OS thread*, so the thread-per-task
 //! resource model can track live threads.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Index of a task within its [`TaskGraph`].
 pub type TaskId = u32;
 
 /// One node of the workload DAG.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct SimTask {
     /// Pure CPU time of the task body, nanoseconds.
     pub work_ns: u64,
@@ -59,7 +59,7 @@ impl SimTask {
 }
 
 /// A complete workload DAG.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TaskGraph {
     /// All tasks; `deps` and `enables` index into this vector.
     pub tasks: Vec<SimTask>,

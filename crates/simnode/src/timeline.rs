@@ -2,11 +2,11 @@
 //! the paper's interval counter sampling (`--hpx:print-counter-interval`):
 //! core utilization and off-core bandwidth over virtual time.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One executed task occurrence, recorded when
 /// [`SimConfig::collect_spans`](crate::engine::SimConfig) is set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SimSpan {
     /// Start of execution (virtual ns).
     pub start_ns: u64,
@@ -19,7 +19,7 @@ pub struct SimSpan {
 }
 
 /// One bin of a [`Timeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TimelineBin {
     /// Bin start (virtual ns).
     pub t_ns: u64,
@@ -32,7 +32,7 @@ pub struct TimelineBin {
 }
 
 /// A binned timeline computed from spans.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Timeline {
     /// Bin width (virtual ns).
     pub bin_ns: u64,

@@ -21,12 +21,12 @@ use std::time::{Duration, Instant};
 use rpx_baseline::BaselineRuntime;
 use rpx_runtime::{Runtime, RuntimeConfig, RuntimeHandle};
 use rpx_simnode::{simulate, SimConfig, SimRuntimeKind, TaskGraph};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::grain::GrainCalibration;
 
 /// Comparable outcome of one graph execution on one backend.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunStats {
     /// Backend name (`rpx`, `baseline`, `sim-hpx`, `sim-std`).
     pub backend: String,

@@ -9,13 +9,13 @@
 //! [`graph_hash`] turns into a checkable fingerprint.
 
 use rpx_simnode::{GraphBuilder, SimTask, TaskGraph, TaskId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::shape::{tree_arity, Shape};
 
 /// A fully-specified workload: shape knobs, uniform per-task grain, and
 /// the seed for sampled shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WorkloadSpec {
     /// The task-graph family and its size knobs.
     pub shape: Shape,

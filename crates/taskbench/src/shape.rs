@@ -7,14 +7,14 @@
 //! graphs and the measured runs against these formulas, so an METG curve is
 //! backed by exact-count evidence rather than an eyeballed plot.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A parameterized task-graph family.
 ///
 /// The `Random` shape has no closed-form edge count (edges are sampled);
 /// its oracle is conservation (Σ spawned == Σ completed == `task_count`)
 /// plus seed-determinism of the full structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Shape {
     /// `tasks` independent tasks — the embarrassingly-parallel floor every
     /// scheduler should handle at its smallest grain.

@@ -1,103 +1,184 @@
-//! In-tree shim for `serde`: `Serialize`/`Deserialize` expressed over an
-//! explicit [`Content`] tree instead of visitor-based serializers.
+//! In-tree shim for `serde`, serialize only: [`Serialize`] renders a type
+//! into the one JSON tree, [`Value`], instead of driving a visitor-based
+//! serializer.
 //!
-//! `serde_json` (the shim) converts `Content` to and from JSON text, and
-//! the `serde_derive` shim generates `Content`-producing/consuming impls
-//! for structs and enums. Only the data shapes used by this workspace are
-//! supported (named-field structs, unit enums, struct-variant enums,
-//! primitives, strings, tuples, `Vec`, `Option`, maps).
+//! `serde_json` (the shim) re-exports [`Value`], writes it as JSON text and
+//! parses JSON text back into it; the `serde_derive` shim generates
+//! `Value`-producing impls for structs and enums. Only the data shapes used
+//! by this workspace are supported (named-field structs, unit enums,
+//! struct-variant enums, primitives, strings, tuples, arrays, `Vec`,
+//! `Option`, string-keyed maps).
 
 use std::collections::BTreeMap;
 
-/// A self-describing serialized value — the shim's data model, isomorphic
-/// to a JSON document.
+/// An untyped JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Content {
-    /// Absent / null.
+pub enum Value {
+    /// `null`
     Null,
-    /// Boolean.
+    /// `true` / `false`
     Bool(bool),
-    /// Signed integer.
+    /// Integer in `i64` range.
     I64(i64),
-    /// Unsigned integer above `i64::MAX`.
+    /// Integer above `i64::MAX`.
     U64(u64),
     /// Floating point.
     F64(f64),
     /// String.
-    Str(String),
-    /// Ordered sequence.
-    Seq(Vec<Content>),
-    /// Key-ordered map (insertion order preserved).
-    Map(Vec<(String, Content)>),
+    String(String),
+    /// Array.
+    Array(Vec<Value>),
+    /// Object (insertion order preserved).
+    Object(Vec<(String, Value)>),
 }
 
-impl Content {
-    /// The entries if this is a map.
-    pub fn as_map(&self) -> Option<&[(String, Content)]> {
+static NULL: Value = Value::Null;
+
+impl Value {
+    /// The elements if this is an array.
+    pub fn as_array(&self) -> Option<&Vec<Value>> {
         match self {
-            Content::Map(m) => Some(m),
+            Value::Array(a) => Some(a),
             _ => None,
         }
     }
 
-    /// Map lookup by key.
-    pub fn get(&self, key: &str) -> Option<&Content> {
-        self.as_map()
-            .and_then(|m| m.iter().find(|(k, _)| k == key).map(|(_, v)| v))
+    /// The string if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as `u64` if integral and in range.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::I64(v) => u64::try_from(*v).ok(),
+            Value::U64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The value as `i64` if integral and in range.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Value::I64(v) => Some(*v),
+            Value::U64(v) => i64::try_from(*v).ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as `f64` if numeric.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::I64(v) => Some(*v as f64),
+            Value::U64(v) => Some(*v as f64),
+            Value::F64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// Object member lookup.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
 }
 
-/// Deserialization error: a human-readable message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeError(pub String);
-
-impl DeError {
-    /// New error from any message.
-    pub fn new(msg: impl Into<String>) -> Self {
-        DeError(msg.into())
+impl std::ops::Index<usize> for Value {
+    type Output = Value;
+    fn index(&self, index: usize) -> &Value {
+        match self {
+            Value::Array(a) => a.get(index).unwrap_or(&NULL),
+            _ => &NULL,
+        }
     }
 }
 
-impl std::fmt::Display for DeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "deserialization error: {}", self.0)
+impl std::ops::Index<&str> for Value {
+    type Output = Value;
+    fn index(&self, key: &str) -> &Value {
+        self.get(key).unwrap_or(&NULL)
     }
 }
 
-impl std::error::Error for DeError {}
-
-/// Look a key up in derive-generated map content.
-pub fn content_get<'a>(map: &'a [(String, Content)], key: &str) -> Option<&'a Content> {
-    map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+impl PartialEq<&str> for Value {
+    fn eq(&self, other: &&str) -> bool {
+        matches!(self, Value::String(s) if s == other)
+    }
 }
 
-/// A type that can render itself into [`Content`].
+impl PartialEq<str> for Value {
+    fn eq(&self, other: &str) -> bool {
+        matches!(self, Value::String(s) if s == other)
+    }
+}
+
+impl PartialEq<String> for Value {
+    fn eq(&self, other: &String) -> bool {
+        matches!(self, Value::String(s) if s == other)
+    }
+}
+
+impl PartialEq<bool> for Value {
+    fn eq(&self, other: &bool) -> bool {
+        matches!(self, Value::Bool(b) if b == other)
+    }
+}
+
+impl PartialEq<f64> for Value {
+    fn eq(&self, other: &f64) -> bool {
+        matches!(self, Value::F64(v) if v == other)
+    }
+}
+
+macro_rules! eq_int {
+    ($($t:ty),*) => {$(
+        impl PartialEq<$t> for Value {
+            fn eq(&self, other: &$t) -> bool {
+                match self {
+                    Value::I64(v) => i128::from(*v) == i128::from(*other),
+                    Value::U64(v) => i128::from(*v) == i128::from(*other),
+                    _ => false,
+                }
+            }
+        }
+    )*};
+}
+eq_int!(i8, i16, i32, i64, u8, u16, u32, u64);
+
+impl PartialEq<usize> for Value {
+    fn eq(&self, other: &usize) -> bool {
+        match self {
+            Value::I64(v) => i128::from(*v) == *other as i128,
+            Value::U64(v) => i128::from(*v) == *other as i128,
+            _ => false,
+        }
+    }
+}
+
+/// A type that can render itself as a JSON [`Value`].
 pub trait Serialize {
-    /// Convert to the shim data model.
-    fn to_content(&self) -> Content;
+    /// Convert to the JSON tree.
+    fn to_value(&self) -> Value;
 }
-
-/// A type that can be rebuilt from [`Content`].
-pub trait Deserialize: Sized {
-    /// Convert from the shim data model.
-    fn from_content(content: &Content) -> Result<Self, DeError>;
-}
-
-/// Alias so `DeserializeOwned` bounds keep compiling against the shim.
-pub trait DeserializeOwned: Deserialize {}
-impl<T: Deserialize> DeserializeOwned for T {}
 
 #[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
-// ---------------------------------------------------------------------
-// Serialize impls
-// ---------------------------------------------------------------------
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+}
 
 macro_rules! ser_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_content(&self) -> Content { Content::I64(*self as i64) }
+            fn to_value(&self) -> Value { Value::I64(*self as i64) }
         }
     )*};
 }
@@ -106,9 +187,9 @@ ser_int!(i8, i16, i32, i64, isize);
 macro_rules! ser_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_content(&self) -> Content {
+            fn to_value(&self) -> Value {
                 let v = *self as u64;
-                if v <= i64::MAX as u64 { Content::I64(v as i64) } else { Content::U64(v) }
+                if v <= i64::MAX as u64 { Value::I64(v as i64) } else { Value::U64(v) }
             }
         }
     )*};
@@ -116,79 +197,79 @@ macro_rules! ser_uint {
 ser_uint!(u8, u16, u32, u64, usize);
 
 impl Serialize for f32 {
-    fn to_content(&self) -> Content {
-        Content::F64(*self as f64)
+    fn to_value(&self) -> Value {
+        Value::F64(*self as f64)
     }
 }
 
 impl Serialize for f64 {
-    fn to_content(&self) -> Content {
-        Content::F64(*self)
+    fn to_value(&self) -> Value {
+        Value::F64(*self)
     }
 }
 
 impl Serialize for bool {
-    fn to_content(&self) -> Content {
-        Content::Bool(*self)
+    fn to_value(&self) -> Value {
+        Value::Bool(*self)
     }
 }
 
 impl Serialize for str {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_owned())
+    fn to_value(&self) -> Value {
+        Value::String(self.to_owned())
     }
 }
 
 impl Serialize for String {
-    fn to_content(&self) -> Content {
-        Content::Str(self.clone())
+    fn to_value(&self) -> Value {
+        Value::String(self.clone())
     }
 }
 
 impl Serialize for char {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_string())
+    fn to_value(&self) -> Value {
+        Value::String(self.to_string())
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_content(&self) -> Content {
-        (**self).to_content()
+    fn to_value(&self) -> Value {
+        (**self).to_value()
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+    fn to_value(&self) -> Value {
+        self.as_slice().to_value()
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+    fn to_value(&self) -> Value {
+        self.as_slice().to_value()
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_content(&self) -> Content {
+    fn to_value(&self) -> Value {
         match self {
-            Some(v) => v.to_content(),
-            None => Content::Null,
+            Some(v) => v.to_value(),
+            None => Value::Null,
         }
     }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_content(&self) -> Content {
-        Content::Map(
+    fn to_value(&self) -> Value {
+        Value::Object(
             self.iter()
-                .map(|(k, v)| (k.clone(), v.to_content()))
+                .map(|(k, v)| (k.clone(), v.to_value()))
                 .collect(),
         )
     }
@@ -197,8 +278,8 @@ impl<V: Serialize> Serialize for BTreeMap<String, V> {
 macro_rules! ser_tuple {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_content(&self) -> Content {
-                Content::Seq(vec![$(self.$idx.to_content()),+])
+            fn to_value(&self) -> Value {
+                Value::Array(vec![$(self.$idx.to_value()),+])
             }
         }
     };
@@ -208,150 +289,46 @@ ser_tuple!(A: 0, B: 1);
 ser_tuple!(A: 0, B: 1, C: 2);
 ser_tuple!(A: 0, B: 1, C: 2, D: 3);
 
-// ---------------------------------------------------------------------
-// Deserialize impls
-// ---------------------------------------------------------------------
-
-fn as_i128(c: &Content) -> Result<i128, DeError> {
-    match c {
-        Content::I64(v) => Ok(*v as i128),
-        Content::U64(v) => Ok(*v as i128),
-        Content::F64(v) if v.fract() == 0.0 => Ok(*v as i128),
-        other => Err(DeError::new(format!("expected integer, found {other:?}"))),
-    }
-}
-
-macro_rules! de_int {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn from_content(c: &Content) -> Result<Self, DeError> {
-                let v = as_i128(c)?;
-                <$t>::try_from(v)
-                    .map_err(|_| DeError::new(format!("{v} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-de_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
-
-impl Deserialize for f64 {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        match c {
-            Content::F64(v) => Ok(*v),
-            Content::I64(v) => Ok(*v as f64),
-            Content::U64(v) => Ok(*v as f64),
-            other => Err(DeError::new(format!("expected number, found {other:?}"))),
-        }
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        f64::from_content(c).map(|v| v as f32)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        match c {
-            Content::Bool(b) => Ok(*b),
-            other => Err(DeError::new(format!("expected bool, found {other:?}"))),
-        }
-    }
-}
-
-impl Deserialize for String {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        match c {
-            Content::Str(s) => Ok(s.clone()),
-            other => Err(DeError::new(format!("expected string, found {other:?}"))),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        match c {
-            Content::Seq(items) => items.iter().map(T::from_content).collect(),
-            other => Err(DeError::new(format!("expected sequence, found {other:?}"))),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        match c {
-            Content::Null => Ok(None),
-            other => T::from_content(other).map(Some),
-        }
-    }
-}
-
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        match c {
-            Content::Map(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_content(v)?)))
-                .collect(),
-            other => Err(DeError::new(format!("expected map, found {other:?}"))),
-        }
-    }
-}
-
-macro_rules! de_tuple {
-    ($len:expr; $($name:ident : $idx:tt),+) => {
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_content(c: &Content) -> Result<Self, DeError> {
-                match c {
-                    Content::Seq(items) if items.len() == $len => {
-                        Ok(($($name::from_content(&items[$idx])?,)+))
-                    }
-                    other => Err(DeError::new(format!(
-                        "expected {}-tuple, found {other:?}", $len
-                    ))),
-                }
-            }
-        }
-    };
-}
-de_tuple!(1; A: 0);
-de_tuple!(2; A: 0, B: 1);
-de_tuple!(3; A: 0, B: 1, C: 2);
-de_tuple!(4; A: 0, B: 1, C: 2, D: 3);
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn primitives_round_trip() {
-        assert_eq!(u64::from_content(&42u64.to_content()).unwrap(), 42);
-        assert_eq!(i64::from_content(&(-3i64).to_content()).unwrap(), -3);
-        assert_eq!(f64::from_content(&2.5f64.to_content()).unwrap(), 2.5);
-        assert!(bool::from_content(&true.to_content()).unwrap());
-        assert_eq!(String::from_content(&"hi".to_content()).unwrap(), "hi");
-        let big = u64::MAX;
-        assert_eq!(u64::from_content(&big.to_content()).unwrap(), big);
-    }
-
-    #[test]
-    fn collections_round_trip() {
-        let v = vec![(1u32, "a".to_string()), (2, "b".to_string())];
-        let c = v.to_content();
-        let back: Vec<(u32, String)> = Vec::from_content(&c).unwrap();
-        assert_eq!(back, v);
-        assert_eq!(Option::<u32>::from_content(&Content::Null).unwrap(), None);
+    fn each_impl_renders_its_value() {
+        assert_eq!(u64::MAX.to_value(), Value::U64(u64::MAX));
+        assert_eq!((i64::MAX as u64).to_value(), Value::I64(i64::MAX));
+        assert_eq!((-3i32).to_value(), Value::I64(-3));
+        assert_eq!(7usize.to_value(), Value::I64(7));
+        assert_eq!(2.5f32.to_value(), Value::F64(2.5));
+        assert_eq!(true.to_value(), Value::Bool(true));
+        assert_eq!('x'.to_value(), Value::String("x".into()));
+        assert_eq!("hi".to_value(), Value::String("hi".into()));
+        assert_eq!(None::<u32>.to_value(), Value::Null);
+        assert_eq!(Some(5u8).to_value(), Value::I64(5));
         assert_eq!(
-            Option::<u32>::from_content(&5u32.to_content()).unwrap(),
-            Some(5)
+            (1u32, "a", 0.5f64).to_value(),
+            Value::Array(vec![
+                Value::I64(1),
+                Value::String("a".into()),
+                Value::F64(0.5)
+            ])
         );
-    }
-
-    #[test]
-    fn type_mismatch_errors() {
-        assert!(u64::from_content(&Content::Str("x".into())).is_err());
-        assert!(bool::from_content(&Content::I64(1)).is_err());
-        assert!(u8::from_content(&Content::I64(300)).is_err());
+        assert_eq!(
+            [1u8, 2].to_value(),
+            Value::Array(vec![Value::I64(1), Value::I64(2)])
+        );
+        assert_eq!(
+            vec![[1u8, 2]].to_value(),
+            Value::Array(vec![[1u8, 2].to_value()])
+        );
+        let map: BTreeMap<String, u32> = [("b".into(), 2), ("a".into(), 1)].into();
+        assert_eq!(
+            map.to_value(),
+            Value::Object(vec![
+                ("a".into(), Value::I64(1)),
+                ("b".into(), Value::I64(2))
+            ])
+        );
+        assert_eq!(map.to_value().to_value(), map.to_value());
     }
 }

@@ -1,6 +1,6 @@
-//! In-tree shim for `serde_derive`: `#[derive(Serialize)]` and
-//! `#[derive(Deserialize)]` proc macros generating impls of the *shim*
-//! `serde` traits (`to_content`/`from_content` over `serde::Content`).
+//! In-tree shim for `serde_derive`: a `#[derive(Serialize)]` proc macro
+//! generating impls of the *shim* `serde::Serialize` (`to_value`, which
+//! builds a `serde::Value`).
 //!
 //! Written against `proc_macro` directly (no `syn`/`quote` — the build
 //! environment cannot download them). Supported shapes, which cover every
@@ -9,8 +9,7 @@
 //! - structs with named fields (including lifetime-generic structs),
 //! - enums with unit variants,
 //! - enums with struct (named-field) variants, externally tagged,
-//! - field attributes `#[serde(default)]` and
-//!   `#[serde(skip_serializing_if = "path")]`.
+//! - the field attribute `#[serde(skip_serializing_if = "path")]`.
 //!
 //! Anything else (tuple structs, tuple variants, type-parameter generics
 //! needing bounds) fails loudly at expansion time rather than mis-deriving.
@@ -23,7 +22,6 @@ use proc_macro::{Delimiter, Spacing, TokenStream, TokenTree};
 
 struct Field {
     name: String,
-    default: bool,
     skip_if: Option<String>,
 }
 
@@ -86,8 +84,8 @@ fn skip_visibility(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
-/// Parse a `#[serde(...)]` attribute body into (default, skip_if).
-fn parse_serde_attr(stream: TokenStream, default: &mut bool, skip_if: &mut Option<String>) {
+/// Parse a `#[serde(...)]` attribute body into its `skip_serializing_if` path.
+fn parse_serde_attr(stream: TokenStream, skip_if: &mut Option<String>) {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     if tokens.is_empty() || tokens[0].to_string() != "serde" {
         return;
@@ -99,10 +97,6 @@ fn parse_serde_attr(stream: TokenStream, default: &mut bool, skip_if: &mut Optio
     let mut j = 0;
     while j < inner.len() {
         match &inner[j] {
-            TokenTree::Ident(id) if id.to_string() == "default" => {
-                *default = true;
-                j += 1;
-            }
             TokenTree::Ident(id) if id.to_string() == "skip_serializing_if" => {
                 // skip_serializing_if = "path"
                 if j + 2 < inner.len() && is_punct(&inner[j + 1], '=') {
@@ -122,10 +116,9 @@ fn parse_fields(stream: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let mut default = false;
         let mut skip_if = None;
         while let Some(attr) = take_attr(&tokens, &mut i) {
-            parse_serde_attr(attr, &mut default, &mut skip_if);
+            parse_serde_attr(attr, &mut skip_if);
         }
         if i >= tokens.len() {
             break;
@@ -161,11 +154,7 @@ fn parse_fields(stream: TokenStream) -> Vec<Field> {
             }
             i += 1;
         }
-        fields.push(Field {
-            name,
-            default,
-            skip_if,
-        });
+        fields.push(Field { name, skip_if });
     }
     fields
 }
@@ -326,13 +315,13 @@ fn gen_serialize(item: &Item) -> String {
     match &item.body {
         Body::Struct(fields) => {
             body.push_str(
-                "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Content)> \
+                "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> \
                  = ::std::vec::Vec::new();\n",
             );
             for f in fields {
                 let push = format!(
                     "__fields.push((::std::string::String::from(\"{n}\"), \
-                     ::serde::Serialize::to_content(&self.{n})));\n",
+                     ::serde::Serialize::to_value(&self.{n})));\n",
                     n = f.name
                 );
                 match &f.skip_if {
@@ -342,7 +331,7 @@ fn gen_serialize(item: &Item) -> String {
                     None => body.push_str(&push),
                 }
             }
-            body.push_str("::serde::Content::Map(__fields)\n");
+            body.push_str("::serde::Value::Object(__fields)\n");
         }
         Body::Enum(variants) => {
             body.push_str("match self {\n");
@@ -350,7 +339,7 @@ fn gen_serialize(item: &Item) -> String {
                 match &v.fields {
                     None => {
                         body.push_str(&format!(
-                            "{ty}::{v} => ::serde::Content::Str(\
+                            "{ty}::{v} => ::serde::Value::String(\
                              ::std::string::String::from(\"{v}\")),\n",
                             ty = item.name,
                             v = v.name
@@ -361,7 +350,7 @@ fn gen_serialize(item: &Item) -> String {
                         body.push_str(&format!(
                             "{ty}::{v} {{ {binds} }} => {{\n\
                              let mut __inner: ::std::vec::Vec<(::std::string::String, \
-                             ::serde::Content)> = ::std::vec::Vec::new();\n",
+                             ::serde::Value)> = ::std::vec::Vec::new();\n",
                             ty = item.name,
                             v = v.name,
                             binds = bindings.join(", ")
@@ -369,7 +358,7 @@ fn gen_serialize(item: &Item) -> String {
                         for f in fields {
                             let push = format!(
                                 "__inner.push((::std::string::String::from(\"{n}\"), \
-                                 ::serde::Serialize::to_content({n})));\n",
+                                 ::serde::Serialize::to_value({n})));\n",
                                 n = f.name
                             );
                             match &f.skip_if {
@@ -380,9 +369,9 @@ fn gen_serialize(item: &Item) -> String {
                             }
                         }
                         body.push_str(&format!(
-                            "::serde::Content::Map(::std::vec![(\
+                            "::serde::Value::Object(::std::vec![(\
                              ::std::string::String::from(\"{v}\"), \
-                             ::serde::Content::Map(__inner))])\n}}\n",
+                             ::serde::Value::Object(__inner))])\n}}\n",
                             v = v.name
                         ));
                     }
@@ -393,97 +382,7 @@ fn gen_serialize(item: &Item) -> String {
     }
     format!(
         "impl{gf} ::serde::Serialize for {name}{ga} {{\n\
-         fn to_content(&self) -> ::serde::Content {{\n{body}}}\n}}\n",
-        gf = item.generics_full,
-        ga = item.generics_args,
-        name = item.name,
-        body = body
-    )
-}
-
-/// The expression rebuilding one field from map content.
-fn field_expr(f: &Field, map_var: &str, owner: &str) -> String {
-    let missing = if f.default {
-        "::std::default::Default::default()".to_string()
-    } else {
-        // Try Null so `Option` fields tolerate absence, like real serde.
-        format!(
-            "::serde::Deserialize::from_content(&::serde::Content::Null).map_err(|_| \
-             ::serde::DeError::new(\"missing field `{n}` in {owner}\"))?",
-            n = f.name,
-        )
-    };
-    format!(
-        "{n}: match ::serde::content_get({map_var}, \"{n}\") {{\n\
-         ::std::option::Option::Some(__v) => ::serde::Deserialize::from_content(__v)?,\n\
-         ::std::option::Option::None => {missing},\n}},\n",
-        n = f.name,
-    )
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    let mut body = String::new();
-    match &item.body {
-        Body::Struct(fields) => {
-            body.push_str(&format!(
-                "let __map = __c.as_map().ok_or_else(|| ::serde::DeError::new(\
-                 \"expected map for {name}\"))?;\n\
-                 ::std::result::Result::Ok({name} {{\n",
-                name = item.name
-            ));
-            for f in fields {
-                body.push_str(&field_expr(f, "__map", &item.name));
-            }
-            body.push_str("})\n");
-        }
-        Body::Enum(variants) => {
-            body.push_str("match __c {\n::serde::Content::Str(__s) => match __s.as_str() {\n");
-            for v in variants.iter().filter(|v| v.fields.is_none()) {
-                body.push_str(&format!(
-                    "\"{v}\" => ::std::result::Result::Ok({ty}::{v}),\n",
-                    ty = item.name,
-                    v = v.name
-                ));
-            }
-            body.push_str(&format!(
-                "__other => ::std::result::Result::Err(::serde::DeError::new(::std::format!(\
-                 \"unknown variant `{{__other}}` of {ty}\"))),\n}},\n",
-                ty = item.name
-            ));
-            body.push_str(
-                "::serde::Content::Map(__m) if __m.len() == 1 => {\n\
-                 let (__tag, __val) = &__m[0];\nmatch __tag.as_str() {\n",
-            );
-            for v in variants.iter() {
-                let Some(fields) = &v.fields else { continue };
-                body.push_str(&format!(
-                    "\"{v}\" => {{\nlet __imap = __val.as_map().ok_or_else(|| \
-                     ::serde::DeError::new(\"expected map for variant {v}\"))?;\n\
-                     ::std::result::Result::Ok({ty}::{v} {{\n",
-                    ty = item.name,
-                    v = v.name
-                ));
-                for f in fields {
-                    body.push_str(&field_expr(f, "__imap", &v.name));
-                }
-                body.push_str("})\n}\n");
-            }
-            body.push_str(&format!(
-                "__other => ::std::result::Result::Err(::serde::DeError::new(::std::format!(\
-                 \"unknown variant `{{__other}}` of {ty}\"))),\n}}\n}},\n",
-                ty = item.name
-            ));
-            body.push_str(&format!(
-                "__other => ::std::result::Result::Err(::serde::DeError::new(::std::format!(\
-                 \"cannot deserialize {ty} from {{__other:?}}\"))),\n}}\n",
-                ty = item.name
-            ));
-        }
-    }
-    format!(
-        "impl{gf} ::serde::Deserialize for {name}{ga} {{\n\
-         fn from_content(__c: &::serde::Content) -> \
-         ::std::result::Result<Self, ::serde::DeError> {{\n{body}}}\n}}\n",
+         fn to_value(&self) -> ::serde::Value {{\n{body}}}\n}}\n",
         gf = item.generics_full,
         ga = item.generics_args,
         name = item.name,
@@ -502,13 +401,4 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     gen_serialize(&item)
         .parse()
         .expect("serde_derive shim: generated Serialize impl failed to parse")
-}
-
-/// Derive the shim `serde::Deserialize`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
-        .parse()
-        .expect("serde_derive shim: generated Deserialize impl failed to parse")
 }

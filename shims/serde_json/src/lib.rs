@@ -1,11 +1,12 @@
-//! In-tree shim for `serde_json`: converts the shim `serde::Content` tree
-//! to and from JSON text, plus an untyped [`Value`] with the indexing and
-//! comparison conveniences the workspace tests rely on.
+//! In-tree shim for `serde_json`: writes the serde shim's JSON tree,
+//! [`Value`] (re-exported here), as compact or pretty JSON text, and parses
+//! JSON text back into it.
 
-use serde::{Content, DeError, Deserialize, DeserializeOwned, Serialize};
+use serde::Serialize;
+pub use serde::Value;
 use std::fmt;
 
-/// Serialization/deserialization error.
+/// Parse error.
 #[derive(Debug)]
 pub struct Error(String);
 
@@ -17,215 +18,8 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Self {
-        Error(e.0)
-    }
-}
-
 /// Result alias matching the real crate.
 pub type Result<T> = std::result::Result<T, Error>;
-
-// ---------------------------------------------------------------------
-// Value
-// ---------------------------------------------------------------------
-
-/// An untyped JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Integer in `i64` range.
-    I64(i64),
-    /// Integer above `i64::MAX`.
-    U64(u64),
-    /// Floating point.
-    F64(f64),
-    /// String.
-    String(String),
-    /// Array.
-    Array(Vec<Value>),
-    /// Object (insertion order preserved).
-    Object(Vec<(String, Value)>),
-}
-
-static NULL: Value = Value::Null;
-
-impl Value {
-    /// The elements if this is an array.
-    pub fn as_array(&self) -> Option<&Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// The string if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as `u64` if integral and in range.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::I64(v) => u64::try_from(*v).ok(),
-            Value::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as `i64` if integral and in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I64(v) => Some(*v),
-            Value::U64(v) => i64::try_from(*v).ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as `f64` if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::I64(v) => Some(*v as f64),
-            Value::U64(v) => Some(*v as f64),
-            Value::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Object member lookup.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn from_content(c: &Content) -> Value {
-        match c {
-            Content::Null => Value::Null,
-            Content::Bool(b) => Value::Bool(*b),
-            Content::I64(v) => Value::I64(*v),
-            Content::U64(v) => Value::U64(*v),
-            Content::F64(v) => Value::F64(*v),
-            Content::Str(s) => Value::String(s.clone()),
-            Content::Seq(items) => Value::Array(items.iter().map(Value::from_content).collect()),
-            Content::Map(entries) => Value::Object(
-                entries
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::from_content(v)))
-                    .collect(),
-            ),
-        }
-    }
-
-    fn to_content(&self) -> Content {
-        match self {
-            Value::Null => Content::Null,
-            Value::Bool(b) => Content::Bool(*b),
-            Value::I64(v) => Content::I64(*v),
-            Value::U64(v) => Content::U64(*v),
-            Value::F64(v) => Content::F64(*v),
-            Value::String(s) => Content::Str(s.clone()),
-            Value::Array(items) => Content::Seq(items.iter().map(Value::to_content).collect()),
-            Value::Object(entries) => Content::Map(
-                entries
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.to_content()))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-impl Serialize for Value {
-    fn to_content(&self) -> Content {
-        Value::to_content(self)
-    }
-}
-
-impl Deserialize for Value {
-    fn from_content(c: &Content) -> std::result::Result<Self, DeError> {
-        Ok(Value::from_content(c))
-    }
-}
-
-impl std::ops::Index<usize> for Value {
-    type Output = Value;
-    fn index(&self, index: usize) -> &Value {
-        match self {
-            Value::Array(a) => a.get(index).unwrap_or(&NULL),
-            _ => &NULL,
-        }
-    }
-}
-
-impl std::ops::Index<&str> for Value {
-    type Output = Value;
-    fn index(&self, key: &str) -> &Value {
-        self.get(key).unwrap_or(&NULL)
-    }
-}
-
-impl PartialEq<&str> for Value {
-    fn eq(&self, other: &&str) -> bool {
-        matches!(self, Value::String(s) if s == other)
-    }
-}
-
-impl PartialEq<str> for Value {
-    fn eq(&self, other: &str) -> bool {
-        matches!(self, Value::String(s) if s == other)
-    }
-}
-
-impl PartialEq<String> for Value {
-    fn eq(&self, other: &String) -> bool {
-        matches!(self, Value::String(s) if s == other)
-    }
-}
-
-impl PartialEq<bool> for Value {
-    fn eq(&self, other: &bool) -> bool {
-        matches!(self, Value::Bool(b) if b == other)
-    }
-}
-
-impl PartialEq<f64> for Value {
-    fn eq(&self, other: &f64) -> bool {
-        matches!(self, Value::F64(v) if v == other)
-    }
-}
-
-macro_rules! eq_int {
-    ($($t:ty),*) => {$(
-        impl PartialEq<$t> for Value {
-            fn eq(&self, other: &$t) -> bool {
-                match self {
-                    Value::I64(v) => i128::from(*v) == i128::from(*other),
-                    Value::U64(v) => i128::from(*v) == i128::from(*other),
-                    _ => false,
-                }
-            }
-        }
-    )*};
-}
-eq_int!(i8, i16, i32, i64, u8, u16, u32, u64);
-
-impl PartialEq<usize> for Value {
-    fn eq(&self, other: &usize) -> bool {
-        match self {
-            Value::I64(v) => i128::from(*v) == *other as i128,
-            Value::U64(v) => i128::from(*v) == *other as i128,
-            _ => false,
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Writer
@@ -264,15 +58,15 @@ fn write_f64(v: f64, out: &mut String) {
     }
 }
 
-fn write_compact(c: &Content, out: &mut String) {
-    match c {
-        Content::Null => out.push_str("null"),
-        Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::I64(v) => out.push_str(&v.to_string()),
-        Content::U64(v) => out.push_str(&v.to_string()),
-        Content::F64(v) => write_f64(*v, out),
-        Content::Str(s) => escape_into(s, out),
-        Content::Seq(items) => {
+fn write_compact(value: &Value, out: &mut String) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::I64(v) => out.push_str(&v.to_string()),
+        Value::U64(v) => out.push_str(&v.to_string()),
+        Value::F64(v) => write_f64(*v, out),
+        Value::String(s) => escape_into(s, out),
+        Value::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
@@ -282,7 +76,7 @@ fn write_compact(c: &Content, out: &mut String) {
             }
             out.push(']');
         }
-        Content::Map(entries) => {
+        Value::Object(entries) => {
             out.push('{');
             for (i, (k, v)) in entries.iter().enumerate() {
                 if i > 0 {
@@ -297,11 +91,11 @@ fn write_compact(c: &Content, out: &mut String) {
     }
 }
 
-fn write_pretty(c: &Content, indent: usize, out: &mut String) {
+fn write_pretty(value: &Value, indent: usize, out: &mut String) {
     let pad = "  ".repeat(indent + 1);
     let close_pad = "  ".repeat(indent);
-    match c {
-        Content::Seq(items) if !items.is_empty() => {
+    match value {
+        Value::Array(items) if !items.is_empty() => {
             out.push_str("[\n");
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
@@ -314,7 +108,7 @@ fn write_pretty(c: &Content, indent: usize, out: &mut String) {
             out.push_str(&close_pad);
             out.push(']');
         }
-        Content::Map(entries) if !entries.is_empty() => {
+        Value::Object(entries) if !entries.is_empty() => {
             out.push_str("{\n");
             for (i, (k, v)) in entries.iter().enumerate() {
                 if i > 0 {
@@ -336,14 +130,14 @@ fn write_pretty(c: &Content, indent: usize, out: &mut String) {
 /// Serialize a value to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_compact(&value.to_content(), &mut out);
+    write_compact(&value.to_value(), &mut out);
     Ok(out)
 }
 
 /// Serialize a value to human-readable JSON text.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_pretty(&value.to_content(), 0, &mut out);
+    write_pretty(&value.to_value(), 0, &mut out);
     Ok(out)
 }
 
@@ -400,20 +194,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Content> {
+    fn parse_value(&mut self) -> Result<Value> {
         self.skip_ws();
         match self.peek() {
-            Some(b'n') if self.eat_keyword("null") => Ok(Content::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Content::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Content::Bool(false)),
-            Some(b'"') => self.parse_string().map(Content::Str),
+            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
+            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
+            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
+            Some(b'"') => self.parse_string().map(Value::String),
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.pos += 1;
-                    return Ok(Content::Seq(items));
+                    return Ok(Value::Array(items));
                 }
                 loop {
                     items.push(self.parse_value()?);
@@ -422,7 +216,7 @@ impl<'a> Parser<'a> {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
                             self.pos += 1;
-                            return Ok(Content::Seq(items));
+                            return Ok(Value::Array(items));
                         }
                         _ => return Err(self.err("expected `,` or `]`")),
                     }
@@ -434,7 +228,7 @@ impl<'a> Parser<'a> {
                 self.skip_ws();
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
-                    return Ok(Content::Map(entries));
+                    return Ok(Value::Object(entries));
                 }
                 loop {
                     self.skip_ws();
@@ -448,7 +242,7 @@ impl<'a> Parser<'a> {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
                             self.pos += 1;
-                            return Ok(Content::Map(entries));
+                            return Ok(Value::Object(entries));
                         }
                         _ => return Err(self.err("expected `,` or `}`")),
                     }
@@ -515,7 +309,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<Content> {
+    fn parse_number(&mut self) -> Result<Value> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -535,27 +329,27 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.err("invalid number"))?;
         if !is_float {
             if let Ok(v) = text.parse::<i64>() {
-                return Ok(Content::I64(v));
+                return Ok(Value::I64(v));
             }
             if let Ok(v) = text.parse::<u64>() {
-                return Ok(Content::U64(v));
+                return Ok(Value::U64(v));
             }
         }
         text.parse::<f64>()
-            .map(Content::F64)
+            .map(Value::F64)
             .map_err(|_| self.err("invalid number"))
     }
 }
 
-/// Parse JSON text into any deserializable type.
-pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T> {
+/// Parse JSON text into a [`Value`].
+pub fn from_str(s: &str) -> Result<Value> {
     let mut parser = Parser::new(s);
-    let content = parser.parse_value()?;
+    let value = parser.parse_value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(parser.err("trailing characters"));
     }
-    T::from_content(&content).map_err(Error::from)
+    Ok(value)
 }
 
 #[cfg(test)]
