@@ -473,6 +473,7 @@ mod tests {
         let registry = CounterRegistry::new();
         let state = Arc::new(RuntimeState::new(workers, registry.clock(), None, None));
         let inner = Arc::new(RuntimeInner {
+            id: crate::runtime::next_runtime_id(),
             scheduler: Scheduler::new(workers, SchedulerMode::LocalQueues),
             slabs: (0..workers)
                 .map(|_| Slab::new(SLAB_SLOTS, Some(state.clone())))

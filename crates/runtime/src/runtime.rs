@@ -1,7 +1,7 @@
 //! The runtime facade: configuration, worker lifecycle, and the spawn API.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -218,7 +218,43 @@ impl RuntimeState {
     }
 }
 
+/// The next id [`next_runtime_id`] hands out.
+static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(0);
+
+/// A process-unique runtime id. Ids are never reused, so an id names at
+/// most one runtime for the life of the process: a [`RuntimeHandle`] whose
+/// runtime is gone can never match a newer one, wherever that was
+/// allocated.
+pub(crate) fn next_runtime_id() -> u64 {
+    NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Every runtime started by [`Runtime::new`] and not yet dropped, by id.
+/// [`RuntimeHandle`] looks its runtime up here when it is not on one of
+/// that runtime's workers. No per-task path reaches this lock: a worker
+/// spawning into its own runtime matches ids on its thread-local context.
+/// Every update is one `push` or `retain`, so a poisoned lock still guards
+/// a valid list and is recovered rather than propagated.
+static RUNTIMES: std::sync::Mutex<Vec<(u64, Weak<RuntimeInner>)>> =
+    std::sync::Mutex::new(Vec::new());
+
+fn runtimes() -> std::sync::MutexGuard<'static, Vec<(u64, Weak<RuntimeInner>)>> {
+    RUNTIMES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The registered runtime `id`, if it is still alive. The lock is released
+/// before the `Arc` is returned: dropping the last `Arc` runs
+/// `Drop for RuntimeInner`, which takes the lock itself.
+fn live_runtime(id: u64) -> Option<Arc<RuntimeInner>> {
+    runtimes()
+        .iter()
+        .find(|(rid, _)| *rid == id)
+        .and_then(|(_, weak)| weak.upgrade())
+}
+
 pub(crate) struct RuntimeInner {
+    /// This runtime's [`next_runtime_id`]; what a [`RuntimeHandle`] holds.
+    pub id: u64,
     // Field order is load-bearing: `scheduler` (and its queues, whose
     // tasks may sit in slab slots) must drop before `slabs` does.
     pub scheduler: Scheduler,
@@ -237,6 +273,12 @@ pub(crate) struct RuntimeInner {
     /// sampler registers a final-flush here so shutdown under load loses
     /// no counter data.
     pub drain_hooks: Mutex<Vec<Box<dyn Fn() + Send>>>,
+}
+
+impl Drop for RuntimeInner {
+    fn drop(&mut self) {
+        runtimes().retain(|(id, _)| *id != self.id);
+    }
 }
 
 /// Why a fallible spawn was refused. The closure is handed back so no
@@ -330,6 +372,7 @@ impl Runtime {
         });
         let state = Arc::new(RuntimeState::new(workers, registry.clock(), faults, gate));
         let inner = Arc::new(RuntimeInner {
+            id: next_runtime_id(),
             scheduler: Scheduler::new(workers, config.mode),
             slabs: (0..workers)
                 .map(|_| Slab::new(SLAB_SLOTS, Some(state.clone())))
@@ -343,6 +386,7 @@ impl Runtime {
             drain_hooks: Mutex::new(Vec::new()),
         });
 
+        runtimes().push((inner.id, Arc::downgrade(&inner)));
         crate::counters::register_runtime_counters(&inner);
         rpx_papi::register_papi_counters(&registry, &pmu, config.locality);
 
@@ -482,7 +526,7 @@ impl Runtime {
 
     /// The calling thread's identity as one of this runtime's workers.
     fn spawner(&self) -> Option<worker::WorkerRef> {
-        worker::context_for(Arc::as_ptr(&self.inner))
+        worker::context_for(self.inner.id).map(|(_, spawner)| spawner)
     }
 
     /// The active fault injector, if this runtime was configured with an
@@ -520,9 +564,7 @@ impl Runtime {
 
     /// A cloneable, `'static` handle for spawning from inside tasks.
     pub fn handle(&self) -> RuntimeHandle {
-        RuntimeHandle {
-            inner: Arc::downgrade(&self.inner),
-        }
+        RuntimeHandle { id: self.inner.id }
     }
 
     /// Block until no task is pending or running.
@@ -651,35 +693,35 @@ thread_local! {
     static CURRENT_TASK: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
 }
 
-/// Weak, cloneable handle to a [`Runtime`], usable from inside tasks.
+/// A cloneable handle to a [`Runtime`], usable from inside tasks. It holds
+/// only the runtime's process-unique id: cloning it copies 8 bytes and
+/// dropping it does nothing, so passing a handle into every child task
+/// writes no reference count that all workers share. It does not keep the
+/// runtime alive.
 #[derive(Clone)]
 pub struct RuntimeHandle {
-    inner: Weak<RuntimeInner>,
+    id: u64,
 }
 
 impl RuntimeHandle {
     /// Run `f` with the runtime and the caller's identity as one of its
-    /// workers. A worker borrows the runtime its own loop keeps alive, so
-    /// spawning from inside a task upgrades no `Weak` — no write to the
-    /// reference count every worker would otherwise share.
+    /// workers. A worker of this runtime borrows the runtime its own loop
+    /// keeps alive; any other thread looks the id up in the registry of
+    /// live runtimes and holds an `Arc` for the call.
     ///
     /// # Panics
     ///
     /// Panics if the runtime has been dropped.
     fn with_runtime<R>(&self, f: impl FnOnce(&RuntimeInner, Option<worker::WorkerRef>) -> R) -> R {
-        let ptr = self.inner.as_ptr();
-        match worker::context_for(ptr) {
+        match worker::context_for(self.id) {
             // SAFETY: the calling thread is inside the worker loop of the
-            // runtime at `ptr`, which holds a strong reference to it until
-            // after this call returns (see `worker::context_for`); and the
-            // address cannot have been reused for another runtime, because
-            // `self.inner` still holds the allocation.
-            spawner @ Some(_) => f(unsafe { &*ptr }, spawner),
+            // runtime with this id, which holds a strong reference to it
+            // until after this call returns (see `worker::context_for`).
+            // Ids are never reused, so `inner` is that runtime.
+            Some((inner, spawner)) => f(unsafe { &*inner }, Some(spawner)),
             None => {
-                let inner = self
-                    .inner
-                    .upgrade()
-                    .expect("RuntimeHandle used after Runtime was dropped");
+                let inner =
+                    live_runtime(self.id).expect("RuntimeHandle used after Runtime was dropped");
                 f(&inner, None)
             }
         }
@@ -758,7 +800,7 @@ impl RuntimeHandle {
 impl std::fmt::Debug for RuntimeHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuntimeHandle")
-            .field("alive", &(self.inner.strong_count() > 0))
+            .field("alive", &live_runtime(self.id).is_some())
             .finish()
     }
 }

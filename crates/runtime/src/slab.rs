@@ -500,12 +500,19 @@ impl Slab {
 
     /// Return a slot to a free list. The generation bump must be
     /// sequenced *before* the list push so no other thread can observe
-    /// a recycled slot still carrying the old generation.
+    /// a recycled slot still carrying the old generation. The bump is a
+    /// load and a store, not a locked RMW: only the cell's exactly-once
+    /// `cleanup` frees a slot, so the freeing thread is the generation's
+    /// only writer.
     pub(crate) fn free_slot(&self, idx: u32, by_owner: bool) {
         let slot = &self.slots[idx as usize].slot;
+        let bump_gen = || {
+            slot.gen
+                .store(slot.gen.load(Ordering::Relaxed) + 1, Ordering::Release)
+        };
         let bump_first = !mutation_armed("slab-gen-bump-after-push");
         if bump_first {
-            slot.gen.fetch_add(1, Ordering::Release);
+            bump_gen();
         }
         if by_owner {
             let head = self.local_head.load(Ordering::Relaxed);
@@ -539,7 +546,7 @@ impl Slab {
             self.remote_frees.fetch_add(1, Ordering::Relaxed);
         }
         if !bump_first {
-            slot.gen.fetch_add(1, Ordering::Release);
+            bump_gen();
         }
     }
 }

@@ -4,10 +4,11 @@
 //! Everything a scheduling loop writes per task lands in the worker's own
 //! ledger shard ([`crate::stats::Shard`]), and everything it reads beyond
 //! that is borrowed from the `Arc<RuntimeInner>` the loop itself holds —
-//! the per-task path upgrades no `Weak` and clones no `Arc`. The park
-//! decision probes the queues directly (`Scheduler::has_queued_work`), and
-//! the find-miss edge is also where `wait_idle` callers are woken (see
-//! [`idle_step`]).
+//! the per-task path upgrades no `Weak` and clones no runtime `Arc`. It
+//! does clone one `Arc<Slab>` per task: the `Join` half of a slab-resident
+//! task keeps its home slab alive. The park decision probes the queues
+//! directly (`Scheduler::has_queued_work`), and the find-miss edge is also
+//! where `wait_idle` callers are woken (see [`idle_step`]).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,6 +31,8 @@ use crate::stats::Shard;
 #[derive(Clone, Copy)]
 struct Ctx {
     index: usize,
+    /// The runtime's process-unique id (`RuntimeInner::id`).
+    id: u64,
     inner: *const RuntimeInner,
     /// Identity of the runtime's task-lifecycle state.
     state: *const RuntimeState,
@@ -65,19 +68,18 @@ pub(crate) struct WorkerRef {
 }
 
 /// The calling worker's identity, but only when it belongs to the runtime
-/// at `inner`. Spawn paths must use this instead of
-/// [`current_worker_index`]: a worker of runtime A spawning into runtime
-/// B must not index B's per-worker state with A's index. The identity
-/// check compares pointers, so the spawn hot path pays no refcount RMW;
-/// a `Some` also proves the runtime at `inner` is alive for as long as
-/// the caller stays inside the current task (the worker loop holds it).
-pub(crate) fn context_for(inner: *const RuntimeInner) -> Option<WorkerRef> {
-    CTX.get()
-        .filter(|ctx| std::ptr::eq(ctx.inner, inner))
-        .map(|ctx| WorkerRef {
-            index: ctx.index,
-            local: ctx.local,
-        })
+/// with id `id`, together with that runtime. Every spawn path goes through
+/// this instead of [`current_worker_index`]: a worker of runtime A
+/// spawning into runtime B must not index B's per-worker state with A's
+/// index. The check compares ids, which are never reused, so it touches no
+/// shared line; a `Some` also proves the returned runtime is alive for as
+/// long as the caller stays inside the current task (the worker loop holds
+/// it).
+pub(crate) fn context_for(id: u64) -> Option<(*const RuntimeInner, WorkerRef)> {
+    CTX.get().filter(|ctx| ctx.id == id).map(|ctx| {
+        let (index, local) = (ctx.index, ctx.local);
+        (ctx.inner, WorkerRef { index, local })
+    })
 }
 
 /// The ledger shard that accounts for work the calling thread does on
@@ -161,6 +163,7 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, index: usize) {
     let local: *const Deque<Task> = guard.deque.as_ref().expect("deque just parked") as *const _;
     CTX.set(Some(Ctx {
         index,
+        id: inner.id,
         inner: Arc::as_ptr(&inner),
         state: Arc::as_ptr(&inner.state),
         local,

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rpx::runtime::{LaunchPolicy, Runtime, RuntimeConfig};
+use rpx::runtime::{LaunchPolicy, Runtime, RuntimeConfig, RuntimeHandle};
 
 /// Lost-wakeup stress: external threads spawn trivial tasks with gaps long
 /// enough for workers to park between bursts, exercising the racy edge of
@@ -407,7 +407,9 @@ fn recursive_fork_join_via_task_cells() {
 /// the task's runtime's per-worker stats with the calling thread's index in
 /// *its own* runtime. On worker 3 of a 4-worker runtime A, a task of a
 /// 1-worker runtime B read `B.stats[3]` and panicked out of `spawn_with`.
-/// Inline runs by a non-member account to B's external shard.
+/// Inline runs by a non-member account to B's external shard. The same
+/// holds through `b.handle()`: the handle's id check must not take A's
+/// worker fast path.
 #[test]
 fn inline_runs_on_a_foreign_worker_account_to_their_own_runtime() {
     const A_WORKERS: usize = 4;
@@ -421,31 +423,102 @@ fn inline_runs_on_a_foreign_worker_account_to_their_own_runtime() {
     };
     let before = executed_on_b(&b);
     // One task per worker of A, all held at a barrier, so every worker
-    // index is taken and the task on the highest one does the inline runs.
+    // index is taken and the task on the highest one does the inline runs,
+    // first through `b` itself and then through a handle to it.
     let barrier = Arc::new(std::sync::Barrier::new(A_WORKERS));
     let tasks: Vec<_> = (0..A_WORKERS)
         .map(|_| {
-            let (b, barrier) = (b.clone(), barrier.clone());
+            let (b, bh, barrier) = (b.clone(), b.handle(), barrier.clone());
             a.spawn(move || {
                 barrier.wait();
                 if Runtime::current_worker() != Some(A_WORKERS - 1) {
-                    return 0;
+                    return (0, 0);
                 }
                 let sync = b.spawn_with(LaunchPolicy::Sync, || 20);
                 let deferred = b.spawn_with(LaunchPolicy::Deferred, || 22);
-                sync.get() + deferred.get()
+                let by_runtime = sync.get() + deferred.get();
+                let sync = bh.spawn_with(LaunchPolicy::Sync, || 20);
+                let deferred = bh.spawn_with(LaunchPolicy::Deferred, || 22);
+                (by_runtime, sync.get() + deferred.get())
             })
         })
         .collect();
-    let sum: i32 = tasks.into_iter().map(|f| f.get()).sum();
-    assert_eq!(sum, 42, "exactly one task sat on A's highest worker");
+    let sums = tasks
+        .into_iter()
+        .map(|f| f.get())
+        .fold((0, 0), |acc, x| (acc.0 + x.0, acc.1 + x.1));
+    assert_eq!(sums, (42, 42), "exactly one task sat on A's highest worker");
     assert_eq!(
         executed_on_b(&b) - before,
-        2,
-        "both ran, counted once each on B"
+        4,
+        "all four ran, counted once each on B"
     );
     a.shutdown();
     Arc::try_unwrap(b).expect("sole owner").shutdown();
+}
+
+/// A `RuntimeHandle` names its runtime by a process-unique id, so a handle
+/// whose runtime is gone panics on use, on any thread, even once a fresh
+/// runtime (likely at the same address) exists, and never spawns into the
+/// fresh one. The handle is 8 bytes and has no `Drop`, so no reference
+/// count rides along with it.
+#[test]
+fn a_handle_that_outlives_its_runtime_panics_and_never_reaches_a_newer_one() {
+    assert!(!std::mem::needs_drop::<RuntimeHandle>());
+    assert_eq!(std::mem::size_of::<RuntimeHandle>(), 8);
+    let executed = |rt: &Runtime| {
+        rt.registry()
+            .evaluate("/threads{locality#0/total}/count/cumulative", false)
+            .unwrap()
+            .value
+    };
+    let panics_as_dropped = |spawn: Box<dyn FnOnce() + Send>| {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(spawn))
+            .expect_err("a spawn through a dead runtime's handle panics");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        msg.contains("RuntimeHandle used after Runtime was dropped")
+    };
+
+    let old = Runtime::new(RuntimeConfig::with_workers(1));
+    let h = old.handle();
+    assert_eq!(format!("{h:?}"), "RuntimeHandle { alive: true }");
+    old.shutdown();
+    assert_eq!(format!("{h:?}"), "RuntimeHandle { alive: false }");
+
+    let fresh = Runtime::new(RuntimeConfig::with_workers(1));
+    let before = executed(&fresh);
+    // Off any worker.
+    let h_off = h.clone();
+    assert!(panics_as_dropped(Box::new(move || {
+        h_off.spawn(|| 1);
+    })));
+    // On a worker of the fresh runtime: one task there, the spawn inside
+    // it refused.
+    let h_on = h.clone();
+    let refused_on_worker = fresh
+        .spawn(move || {
+            panics_as_dropped(Box::new(move || {
+                h_on.spawn_with(LaunchPolicy::Sync, || 1);
+            }))
+        })
+        .get();
+    assert!(refused_on_worker);
+    fresh.wait_idle();
+    assert_eq!(
+        executed(&fresh) - before,
+        1,
+        "only the probing task ran on the fresh runtime"
+    );
+    assert_eq!(format!("{h:?}"), "RuntimeHandle { alive: false }");
+    assert_eq!(
+        format!("{:?}", fresh.handle()),
+        "RuntimeHandle { alive: true }"
+    );
+    fresh.shutdown();
 }
 
 /// A worker that spawns more children than its slab has slots before
