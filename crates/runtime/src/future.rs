@@ -103,8 +103,7 @@ impl<T: Send + 'static> std::fmt::Debug for TaskFuture<T> {
 pub fn ready_future<T: Send + 'static>(value: T) -> TaskFuture<T> {
     // An external cell born published: no runtime, no queue.
     let (task, join) = crate::slab::place(None, None, SpawnMeta::bare(0), move || value);
-    let claimed = task.claim().expect("a fresh cell is unclaimed");
-    claimed.run().publish();
+    task.claim().run().publish();
     TaskFuture::new(join)
 }
 
@@ -131,7 +130,7 @@ mod tests {
     }
 
     fn run(task: Task) {
-        task.claim().expect("unclaimed").run().publish();
+        task.claim().run().publish();
     }
 
     /// A deferred future of a runtime with one (never started) worker.

@@ -1,6 +1,7 @@
 //! Model-checked specs for the scheduler's sleeper/park-gate protocol, the
-//! [`crate::sync::EventGate`], the admission gate, the slab, the task
-//! ledger's quiescence protocol and the tracer's span rings, with paired
+//! [`crate::sync::EventGate`], the admission gate, the slab and its
+//! retirement, the task cell's release, the task ledger's quiescence
+//! protocol and the tracer's span rings, with paired
 //! deliberately-broken mutants proving the checker catches each
 //! lost-wakeup, false-idle or torn-copy class.
 //!
@@ -19,7 +20,7 @@ use rpx_counters::counter::Clock;
 use crate::admission::AdmissionGate;
 use crate::runtime::RuntimeState;
 use crate::scheduler::{Scheduler, SchedulerMode};
-use crate::slab::{nop_task, Slab};
+use crate::slab::{nop_task, place, Slab, SpawnMeta};
 use crate::stats::Ledger;
 use crate::sync::EventGate;
 use crate::trace::{TaskSpan, TaskTracer};
@@ -200,7 +201,7 @@ fn slab_reclaim_generation() {
     let idx = slab.alloc().expect("fresh slab has a free slot");
     let gen0 = slab.slot(idx).generation();
     let s2 = slab.clone();
-    let freer = thread::spawn(move || s2.free_slot(idx, false));
+    let freer = thread::spawn(move || s2.free(idx, false));
     // Owner: recycle the slot as soon as the remote return lands.
     loop {
         if let Some(again) = slab.alloc() {
@@ -262,8 +263,8 @@ fn slab_remote_return_publishes_chain() {
     let freer = thread::spawn(move || {
         // Push b then a, so the drained chain is a → b and the owner
         // must follow a's freer-written `next_free` link to recover b.
-        s2.free_slot(b, false);
-        s2.free_slot(a, false);
+        s2.free(b, false);
+        s2.free(a, false);
     });
     let mut recovered = 0;
     while recovered < 2 {
@@ -301,6 +302,112 @@ fn model_slab_remote_push_relaxed_mutant_is_caught() {
     assert!(
         failure.message.contains("deadlock") || failure.message.contains("step budget"),
         "expected the unpublished chain to strand a slot, got: {}",
+        failure.message
+    );
+}
+
+/// Protocol 11 — the cell's release (the `slab` module doc, "Cell
+/// lifecycle"): the runner writes the outcome, publishes and releases;
+/// the future side releases with `TAKEN`, here without waiting. Each
+/// release loads `lifecycle` first and cleans up with no RMW if the other
+/// side's bit is already there. Cleanup must run exactly once — the slot
+/// comes back once — and must read the runner's outcome, which
+/// `cleanup` asserts: the `Acquire` probe is what orders the runner's
+/// outcome store before the future side's cleanup.
+fn cell_release_cleans_up_once() {
+    let slab = Slab::new(1, None);
+    let (task, join) = place(Some(&*slab), None, SpawnMeta::bare(0), || 7u64);
+    let runner = thread::spawn(move || task.claim().run().publish());
+    let future = thread::spawn(move || join.release_taken());
+    runner.join().unwrap();
+    future.join().unwrap();
+    assert_eq!(
+        slab.local_frees() + slab.remote_frees(),
+        1,
+        "cleanup ran other than once"
+    );
+    assert_eq!(slab.alloc(), Some(0), "slot recycled");
+}
+
+#[test]
+fn model_cell_release_cleans_up_once() {
+    let _g = serial();
+    mutation::disarm_all();
+    check(
+        "model_cell_release_cleans_up_once",
+        cfg(),
+        cell_release_cleans_up_once,
+    );
+}
+
+#[test]
+fn model_cell_release_probe_relaxed_mutant_is_caught() {
+    let _g = serial();
+    mutation::disarm_all();
+    mutation::arm("cell-release-probe-relaxed");
+    let failure = check_expect_failure(
+        "model_cell_release_probe_relaxed_mutant_is_caught",
+        cfg(),
+        cell_release_cleans_up_once,
+    );
+    mutation::disarm_all();
+    assert!(
+        failure.message.contains("no published outcome"),
+        "expected a cleanup that missed the runner's outcome, got: {}",
+        failure.message
+    );
+}
+
+/// Protocol 12 — retirement vs. the last remote free (the `slab` module
+/// doc, "Retirement"): a 2-slot slab with one slot out, freed remotely
+/// while `retire` folds its target into the remote-free count. Whichever
+/// RMW comes second sees the count reach the target and frees the slab,
+/// so it is freed (its `Weak` reads dead) and nothing reads it after.
+/// Folding the target in with a load and a store can overwrite the
+/// concurrent free, and the slab leaks.
+fn slab_retire_vs_last_remote_free() {
+    let slab = Slab::new(2, None);
+    let out = slab.alloc().expect("slot out");
+    let back = slab.alloc().expect("slot freed by the owner");
+    slab.free(back, true);
+    let weak = Arc::downgrade(&slab);
+    // The freer holds no `Arc`: the slab's only reference is `retire`'s.
+    let addr = Arc::as_ptr(&slab) as usize;
+    let freer = thread::spawn(move || {
+        // SAFETY: slot `out` is out of the slab, which lives until the
+        // last free; this call reads it no more after that.
+        unsafe { Slab::free_slot(addr as *const Slab, out, false) }
+    });
+    Slab::retire(slab);
+    freer.join().unwrap();
+    assert!(weak.upgrade().is_none(), "retired slab leaked");
+}
+
+#[test]
+fn model_slab_retire_frees_once_after_the_last_free() {
+    let _g = serial();
+    mutation::disarm_all();
+    check(
+        "model_slab_retire_frees_once_after_the_last_free",
+        cfg(),
+        slab_retire_vs_last_remote_free,
+    );
+}
+
+#[test]
+fn model_slab_retire_fold_not_rmw_mutant_is_caught() {
+    let _g = serial();
+    mutation::disarm_all();
+    mutation::arm("slab-retire-fold-not-rmw");
+    let failure = check_expect_failure(
+        "model_slab_retire_fold_not_rmw_mutant_is_caught",
+        cfg(),
+        slab_retire_vs_last_remote_free,
+    );
+    mutation::disarm_all();
+    assert!(
+        failure.message.contains("leaked"),
+        "expected a lost free to leak the slab, got: {}",
         failure.message
     );
 }

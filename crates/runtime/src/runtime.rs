@@ -255,11 +255,10 @@ fn live_runtime(id: u64) -> Option<Arc<RuntimeInner>> {
 pub(crate) struct RuntimeInner {
     /// This runtime's [`next_runtime_id`]; what a [`RuntimeHandle`] holds.
     pub id: u64,
-    // Field order is load-bearing: `scheduler` (and its queues, whose
-    // tasks may sit in slab slots) must drop before `slabs` does.
     pub scheduler: Scheduler,
     /// Per-worker task slabs (the allocation-free spawn path), indexed by
-    /// worker.
+    /// worker. Retired, not dropped, with the runtime: a slab lives until
+    /// the last cell out of it is freed (`Slab::retire`).
     pub slabs: Vec<Arc<Slab>>,
     pub state: Arc<RuntimeState>,
     pub registry: Arc<CounterRegistry>,
@@ -278,6 +277,13 @@ pub(crate) struct RuntimeInner {
 impl Drop for RuntimeInner {
     fn drop(&mut self) {
         runtimes().retain(|(id, _)| *id != self.id);
+        // The workers have exited, so each slab's owner-only counters are
+        // final. Cells still out of a slab — futures that outlive the
+        // runtime, and tasks the scheduler's queues cancel when they drop
+        // after this — free it with their last remote free.
+        for slab in self.slabs.drain(..) {
+            Slab::retire(slab);
+        }
     }
 }
 
@@ -1066,7 +1072,7 @@ where
         holds_gate,
         queued,
     };
-    let own_slab = spawner.map(|w| &inner.slabs[w.index]);
+    let own_slab = spawner.map(|w| &*inner.slabs[w.index]);
     let (task, join) = crate::slab::place(own_slab, Some(state), spawn, f);
     if !task.is_slab_resident() {
         shard.note_fallback_alloc();
@@ -1085,8 +1091,7 @@ where
             TaskFuture::new(join)
         }
         Launch::Inline => {
-            let claimed = task.claim().expect("a fresh cell is unclaimed");
-            run_task(state, shard, claimed);
+            run_task(state, shard, task.claim());
             TaskFuture::new(join)
         }
         Launch::Deferred => TaskFuture::new(join.deferred(task)),

@@ -24,17 +24,27 @@
 //!
 //! A cell moves through three phases guarded by two atomics:
 //!
-//! 1. **Claim** — exactly one contender wins
-//!    `lifecycle.fetch_or(CLAIMED)` and owns the closure: the worker
-//!    that dequeued the task or the queue's teardown for a queued cell;
-//!    the first `wait`/`get` or the future's drop for a deferred one.
+//! 1. **Claim** — one owner of the closure. A queued cell has exactly one
+//!    claimant, its one [`Task`] handle, so [`Task::claim`] (the worker
+//!    that dequeued it) and `Drop for Task` (the queue's teardown) claim
+//!    by move, with no RMW. A deferred cell, never queued, is contended
+//!    by concurrent `wait`s: the one that wins
+//!    `lifecycle.fetch_or(CLAIMED)` runs it, and the future's drop claims
+//!    the same way.
 //! 2. **Completion** — the claimant publishes an outcome (`outcome`,
 //!    then `ready` with `SeqCst`, then the gate notify).
 //! 3. **Release** — the runner sets `RUNNER_DONE`, the future side sets
-//!    `FUTURE_DONE` (plus `TAKEN` if it consumed the output). Whichever
-//!    RMW observes the other side's bit already set performs cleanup and
-//!    frees the cell. The RMW total order on `lifecycle` makes the
-//!    cleanup exactly-once — it is the cell's whole reference count.
+//!    `FUTURE_DONE` (plus `TAKEN` if it consumed the output). A releaser
+//!    first loads `lifecycle` (`Acquire`): if the other side's bit is
+//!    already there, that side's RMW is done and did not see this one, so
+//!    this side cleans up with no RMW of its own. Otherwise it sets its
+//!    bit with `fetch_or`, and cleans up if that RMW finds the other
+//!    side's bit. Only RMWs set bits, and the first RMW in the total order
+//!    on `lifecycle` cannot see the other side's bit, so cleanup runs
+//!    exactly once — the two bits are the cell's whole reference count.
+//!    In fib's help-wait the child finishes before its parent joins, and
+//!    a detached spawn drops its future before the task runs: in both the
+//!    second release is the load.
 //!
 //! # Generation protocol
 //!
@@ -54,6 +64,27 @@
 //! nodes there is no ABA. The release sequence on the head makes every
 //! freer's `next_free` store — and its generation bump — visible to the
 //! draining owner (see the `slab-remote-push-relaxed` model mutant).
+//!
+//! # Retirement
+//!
+//! No handle keeps a slab alive: a [`Join`] holds only its cell. While
+//! its runtime lives, the runtime's `Arc` keeps the slab. When the
+//! runtime drops (its workers have exited, so the owner-only counters
+//! are final) it hands each slab to [`Slab::retire`]. Every slot the
+//! owner did not free itself, `allocs − local_frees`, must come back as
+//! a remote free; `retire` subtracts that target from the `remote_frees`
+//! count with one `fetch_add`. If the count it replaced equals the
+//! target, no slot is out and `retire` frees the slab. Otherwise the
+//! count now reads minus the slots still out (its top bit set, which a
+//! live slab's count never reaches), and the remote free whose
+//! `fetch_add` takes it from `u64::MAX` to zero frees the slab. The free
+//! decision travels in the RMW's result, so no freer reads the slab after
+//! its `fetch_add`: a target stored beside the count would have to be
+//! loaded after it, racing the last freer's free. After retirement every
+//! free is remote, because no thread has the slab as its own any more.
+//! Folding the target in with a load and a store instead of the RMW
+//! loses a concurrent free and leaks the slab (the
+//! `slab-retire-fold-not-rmw` model mutant).
 
 use crate::prim::{mutation_armed, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use crate::runtime::RuntimeState;
@@ -233,8 +264,8 @@ pub(crate) struct Slot {
 // SAFETY: access to `meta` and the payload is handed off through the
 // claim/publish protocol documented on the module; every cross-thread
 // edge is an acquire/release (or SeqCst) pair on `lifecycle`, `ready`,
-// or the free-list heads. `home` is immutable after construction and
-// its `Slab` pointer outlives every handle (see `Task`, `Join`).
+// or the free-list heads. `home` is immutable after construction, and a
+// slab outlives every cell that is out of it (module doc, "Retirement").
 unsafe impl Send for Slot {}
 unsafe impl Sync for Slot {}
 
@@ -303,7 +334,8 @@ where
     slot.gen.load(Ordering::Relaxed)
 }
 
-/// Try to become the cell's claimant (exactly-once).
+/// Try to become a deferred cell's claimant (exactly-once among its
+/// contenders: concurrent `wait`s and the future's drop).
 ///
 /// # Safety
 /// `cell` must be live: the caller holds a handle that has not released.
@@ -314,17 +346,30 @@ unsafe fn try_claim(cell: NonNull<Slot>) -> Option<Claimed> {
     (prev & CLAIMED == 0).then_some(Claimed(cell))
 }
 
-/// One side's release: set `mine`; if the other side's bit is already
-/// there this RMW is the second release and cleans the cell up. Takes
-/// the cell by pointer, not `&Slot`: a first releaser's cell may be
-/// freed by the other side the moment the RMW lands.
+/// One side's release. A load first: if the other side's bit is there,
+/// its RMW has landed without seeing ours, so this side is second and
+/// cleans up with no RMW. Otherwise set `mine`, and clean up if that RMW
+/// finds the other side's bit after all. The `Acquire` load pairs with
+/// the other side's `AcqRel` RMW, so its outcome and payload writes are
+/// visible to the cleanup (see the `cell-release-probe-relaxed` model
+/// mutant). Takes the cell by pointer, not `&Slot`: a first releaser's
+/// cell may be freed by the other side the moment the RMW lands.
 ///
 /// # Safety
 /// The caller's side must be live and must not touch the cell again.
 unsafe fn release(cell: NonNull<Slot>, mine: u8, theirs: u8) {
-    let prev = (*cell.as_ptr()).lifecycle.fetch_or(mine, Ordering::AcqRel);
-    if prev & theirs != 0 {
-        cleanup(cell, prev | mine);
+    let lifecycle = &(*cell.as_ptr()).lifecycle;
+    let probe = if mutation_armed("cell-release-probe-relaxed") {
+        Ordering::Relaxed
+    } else {
+        Ordering::Acquire
+    };
+    let mut seen = lifecycle.load(probe);
+    if seen & theirs == 0 {
+        seen = lifecycle.fetch_or(mine, Ordering::AcqRel);
+    }
+    if seen & theirs != 0 {
+        cleanup(cell, seen | mine);
     }
 }
 
@@ -340,6 +385,10 @@ unsafe fn cleanup(cell: NonNull<Slot>, bits: u8) {
     let slot = cell.as_ref();
     let meta = (*slot.meta.get()).take().expect("cell torn down once");
     let outcome = slot.outcome.load(Ordering::Relaxed);
+    debug_assert_ne!(
+        outcome, OUTCOME_PENDING,
+        "cleanup read no published outcome"
+    );
     if bits & TAKEN == 0 && matches!(outcome, OUTCOME_VALUE | OUTCOME_PANICKED) {
         (meta.vtable.drop_output)(payload(cell), outcome);
     }
@@ -348,7 +397,7 @@ unsafe fn cleanup(cell: NonNull<Slot>, bits: u8) {
     match slot.home {
         Home::Slab { slab, index } => {
             let by_owner = std::ptr::eq(crate::worker::current_slab_ptr(), slab);
-            (*slab).free_slot(index, by_owner);
+            Slab::free_slot(slab, index, by_owner);
         }
         Home::Heap(_) => dealloc(cell),
     }
@@ -406,6 +455,7 @@ pub(crate) struct Slab {
     state: Option<Arc<RuntimeState>>,
     allocs: AtomicU64,
     local_frees: AtomicU64,
+    /// Count of remote frees; once retired, minus the slots still out.
     remote_frees: AtomicU64,
     exhausted: AtomicU64,
 }
@@ -504,8 +554,18 @@ impl Slab {
     /// load and a store, not a locked RMW: only the cell's exactly-once
     /// `cleanup` frees a slot, so the freeing thread is the generation's
     /// only writer.
-    pub(crate) fn free_slot(&self, idx: u32, by_owner: bool) {
-        let slot = &self.slots[idx as usize].slot;
+    ///
+    /// Takes the slab by pointer: the remote free that returns a retired
+    /// slab's last slot frees the slab, so no `&Slab` may be live across
+    /// the call, and the call reads nothing of the slab after its
+    /// `fetch_add` on the count.
+    ///
+    /// # Safety
+    /// `this` points at a live slab and slot `idx` is out of it, freed
+    /// here exactly once; `by_owner` only on the slab's owner thread.
+    pub(crate) unsafe fn free_slot(this: *const Slab, idx: u32, by_owner: bool) {
+        let slab = &*this;
+        let slot = &slab.slots[idx as usize].slot;
         let bump_gen = || {
             slot.gen
                 .store(slot.gen.load(Ordering::Relaxed) + 1, Ordering::Release)
@@ -515,13 +575,16 @@ impl Slab {
             bump_gen();
         }
         if by_owner {
-            let head = self.local_head.load(Ordering::Relaxed);
+            let head = slab.local_head.load(Ordering::Relaxed);
             slot.next_free.store(head, Ordering::Relaxed);
-            self.local_head.store(idx as usize, Ordering::Relaxed);
+            slab.local_head.store(idx as usize, Ordering::Relaxed);
+            if !bump_first {
+                bump_gen();
+            }
             // Owner-only counter (`by_owner` means this is the owner
             // thread): load+store, no locked RMW.
-            self.local_frees.store(
-                self.local_frees.load(Ordering::Relaxed) + 1,
+            slab.local_frees.store(
+                slab.local_frees.load(Ordering::Relaxed) + 1,
                 Ordering::Relaxed,
             );
         } else {
@@ -530,10 +593,10 @@ impl Slab {
             } else {
                 Ordering::Release
             };
-            let mut head = self.remote_head.load(Ordering::Relaxed);
+            let mut head = slab.remote_head.load(Ordering::Relaxed);
             loop {
                 slot.next_free.store(head, Ordering::Relaxed);
-                match self.remote_head.compare_exchange_weak(
+                match slab.remote_head.compare_exchange_weak(
                     head,
                     idx as usize,
                     push_order,
@@ -543,10 +606,43 @@ impl Slab {
                     Err(actual) => head = actual,
                 }
             }
-            self.remote_frees.fetch_add(1, Ordering::Relaxed);
+            if !bump_first {
+                bump_gen();
+            }
+            // `AcqRel`: the free that takes a retired count to zero
+            // frees the slab after every other freer's accesses to it.
+            if slab.remote_frees.fetch_add(1, Ordering::AcqRel) == u64::MAX {
+                drop(Arc::from_raw(this));
+            }
         }
-        if !bump_first {
-            bump_gen();
+    }
+
+    /// Hand a slab whose runtime is gone to the slots still out of it:
+    /// free it now if none is, else leave it to the remote free that
+    /// returns the last one (module doc, "Retirement").
+    ///
+    /// Call only after the owner thread has stopped using the slab, so
+    /// `allocs` and `local_frees` are final and every later free is
+    /// remote.
+    pub(crate) fn retire(slab: Arc<Slab>) {
+        let target = slab.allocs() - slab.local_frees();
+        // Once the count holds the target, the last remote free may free
+        // the slab at any moment: hold it by pointer from here on.
+        let this = Arc::into_raw(slab);
+        // SAFETY: the slab stays live until the update below publishes
+        // the target, and this function reads it no more after that.
+        let remote_frees = unsafe { &(*this).remote_frees };
+        let counted = if mutation_armed("slab-retire-fold-not-rmw") {
+            let counted = remote_frees.load(Ordering::Acquire);
+            remote_frees.store(counted.wrapping_sub(target), Ordering::Release);
+            counted
+        } else {
+            remote_frees.fetch_add(target.wrapping_neg(), Ordering::AcqRel)
+        };
+        if counted == target {
+            // SAFETY: no slot is out, so no free takes this reference
+            // back; it is the `Arc` this function was given.
+            drop(unsafe { Arc::from_raw(this) });
         }
     }
 }
@@ -556,7 +652,7 @@ impl Slab {
 /// runtime — when the task fits and a slot is free, an external cell
 /// accounted to `state` otherwise. Every launch policy goes through here.
 pub(crate) fn place<T, F>(
-    own_slab: Option<&Arc<Slab>>,
+    own_slab: Option<&Slab>,
     state: Option<&Arc<RuntimeState>>,
     spawn: SpawnMeta,
     f: F,
@@ -566,42 +662,39 @@ where
     F: FnOnce() -> T + Send + 'static,
 {
     let slot = match own_slab {
-        Some(own) if task_fits::<T, F>() => {
-            own.alloc().map(|idx| (own.cell(idx), Some(own.clone())))
-        }
+        Some(own) if task_fits::<T, F>() => own.alloc().map(|idx| own.cell(idx)),
         _ => None,
     };
-    let (cell, slab) = slot.unwrap_or_else(|| (External::<T, F>::alloc(state.cloned()), None));
+    let cell = slot.unwrap_or_else(|| External::<T, F>::alloc(state.cloned()));
     // SAFETY: fresh storage for this `(T, F)` — a slot just allocated on
     // its owner thread that the task fits, or a new `External<T, F>`.
     let gen = unsafe { arm::<T, F>(cell, spawn, f) };
-    (Task { cell, gen }, Join::new(cell, gen, slab))
+    (Task { cell, gen }, Join::new(cell, gen))
 }
 
-/// The scheduler-side handle: identifies one queued task instance.
-/// Dropping it without running the task tears the task down — the
-/// future completes cancelled and the runtime's ledgers are settled —
-/// so queue destruction cannot leak closures or strand joiners.
+/// The scheduler-side handle: identifies one queued task instance, and
+/// is the cell's only claimant — `place` makes exactly one per cell, so
+/// claiming is a move, not an RMW. Dropping it without running the task
+/// tears the task down — the future completes cancelled and the
+/// runtime's ledgers are settled — so queue destruction cannot leak
+/// closures or strand joiners.
 pub(crate) struct Task {
     cell: NonNull<Slot>,
     gen: u64,
 }
 
-// SAFETY: a slab-resident cell's `Slab` lives in `RuntimeInner` *after*
-// the scheduler field, so every queue (and thus every `Task`) drops
-// before the slab does; an external cell lives until its second
-// release, which a live `Task` has not made. The cell itself is `Sync`.
+// SAFETY: the cell lives until its second release, which a live `Task`
+// (the runner side) has not made; a slab outlives every cell out of it.
+// The cell itself is `Sync`.
 unsafe impl Send for Task {}
 unsafe impl Sync for Task {}
 
 impl Task {
-    /// Become the task's claimant. `None` when another contender already
-    /// owns the closure (a deferred cell raced by a second waiter).
-    pub(crate) fn claim(self) -> Option<Claimed> {
+    /// Become the task's claimant: this handle is the only one.
+    pub(crate) fn claim(self) -> Claimed {
         let task = ManuallyDrop::new(self);
         debug_assert_eq!(task.slot().generation(), task.gen);
-        // SAFETY: this handle has not released.
-        unsafe { try_claim(task.cell) }
+        Claimed(task.cell)
     }
 
     /// Whether the cell sits in a slab slot (as opposed to an external
@@ -619,16 +712,7 @@ impl Task {
 impl Drop for Task {
     fn drop(&mut self) {
         debug_assert_eq!(self.slot().generation(), self.gen);
-        // SAFETY: this handle has not released.
-        let Some(claimed) = (unsafe { try_claim(self.cell) }) else {
-            return;
-        };
-        match claimed.state() {
-            Some(state) => {
-                crate::runtime::cancel_task(&state, crate::worker::shard_in(&state), claimed)
-            }
-            None => claimed.cancel(),
-        }
+        Claimed(self.cell).tear_down();
     }
 }
 
@@ -651,8 +735,8 @@ impl Claimed {
     /// the caller keeps using it after the release that may free the
     /// cell's own reference.
     pub(crate) fn state(&self) -> Option<Arc<RuntimeState>> {
-        // SAFETY: the claimant has not released; a slab outlives its
-        // cells' handles.
+        // SAFETY: the claimant has not released; a slab outlives every
+        // cell out of it.
         match unsafe { &self.0.as_ref().home } {
             Home::Slab { slab, .. } => unsafe { (**slab).state.clone() },
             Home::Heap(state) => state.clone(),
@@ -668,6 +752,17 @@ impl Claimed {
         Ran {
             cell: self.0,
             outcome,
+        }
+    }
+
+    /// Cancel the un-run task and settle its runtime's accounts: what a
+    /// dropped queue or an un-waited deferred future does with its cell.
+    fn tear_down(self) {
+        match self.state() {
+            Some(state) => {
+                crate::runtime::cancel_task(&state, crate::worker::shard_in(&state), self)
+            }
+            None => self.cancel(),
         }
     }
 
@@ -709,8 +804,6 @@ impl Ran {
 pub(crate) struct Join<T> {
     cell: NonNull<Slot>,
     gen: u64,
-    /// Keeps a slab-resident cell's arena alive past its runtime.
-    _slab: Option<Arc<Slab>>,
     consumed: bool,
     /// The cell was never queued: this handle also stands in for its
     /// [`Task`], so the first `wait` runs it and a drop tears it down.
@@ -724,11 +817,10 @@ unsafe impl<T: Send> Send for Join<T> {}
 unsafe impl<T: Send> Sync for Join<T> {}
 
 impl<T> Join<T> {
-    fn new(cell: NonNull<Slot>, gen: u64, slab: Option<Arc<Slab>>) -> Self {
+    fn new(cell: NonNull<Slot>, gen: u64) -> Self {
         Join {
             cell,
             gen,
-            _slab: slab,
             consumed: false,
             deferred: false,
             _result: PhantomData,
@@ -760,12 +852,11 @@ impl<T> Join<T> {
         slot.is_ready() && slot.outcome.load(Ordering::Relaxed) == OUTCOME_CANCELLED
     }
 
-    /// The deferred cell's stand-in queue handle.
-    fn as_task(&self) -> Task {
-        Task {
-            cell: self.cell,
-            gen: self.gen,
-        }
+    /// Claim a deferred cell: the one contended claim.
+    fn try_claim(&self) -> Option<Claimed> {
+        debug_assert!(self.deferred);
+        // SAFETY: the future side has not released.
+        unsafe { try_claim(self.cell) }
     }
 
     /// Block until complete. A deferred cell runs here, on the first
@@ -777,7 +868,7 @@ impl<T> Join<T> {
             return;
         }
         if self.deferred {
-            if let Some(claimed) = self.as_task().claim() {
+            if let Some(claimed) = self.try_claim() {
                 let state = claimed.state().expect("a deferred cell has a runtime");
                 return crate::runtime::run_task(&state, crate::worker::shard_in(&state), claimed);
             }
@@ -842,7 +933,9 @@ impl<T> Drop for Join<T> {
     fn drop(&mut self) {
         if self.deferred {
             // Never waited on: tear it down as a dropped queue would.
-            drop(self.as_task());
+            if let Some(claimed) = self.try_claim() {
+                claimed.tear_down();
+            }
         }
         let bits = FUTURE_DONE | if self.consumed { TAKEN } else { 0 };
         // SAFETY: the future side's one release, its last access.
@@ -878,9 +971,22 @@ mod probes {
         pub(crate) fn slot(&self, idx: u32) -> &Slot {
             &self.slots[idx as usize].slot
         }
+
+        /// Return slot `idx`, which the test allocated and no cell uses.
+        /// The caller's `Arc` keeps the slab alive across the call.
+        pub(crate) fn free(self: &Arc<Self>, idx: u32, by_owner: bool) {
+            // SAFETY: live slab; the slot is out and freed once.
+            unsafe { Slab::free_slot(Arc::as_ptr(self), idx, by_owner) }
+        }
     }
 
     impl<T> Join<T> {
+        /// Release the future side as a `get` that took the output would.
+        #[cfg(rpx_model)]
+        pub(crate) fn release_taken(mut self) {
+            self.consumed = true;
+        }
+
         /// External waiters registered on the cell's gate.
         pub(crate) fn gate_waiters(&self) -> usize {
             self.slot().gate.waiters()
@@ -916,7 +1022,7 @@ mod tests {
         F: FnOnce() -> T + Send + 'static,
     {
         let slab = Slab::new(1, None);
-        let (t0, j0) = place(Some(&slab), None, SpawnMeta::bare(1), f());
+        let (t0, j0) = place(Some(&*slab), None, SpawnMeta::bare(1), f());
         let (t1, j1) = place(None, None, SpawnMeta::bare(2), f());
         [(Some(slab), t0, j0), (None, t1, j1)]
     }
@@ -946,7 +1052,7 @@ mod tests {
         assert!(slab.alloc().is_none());
         assert_eq!(slab.exhausted(), 1);
         let g = slab.slot(a).generation();
-        slab.free_slot(a, true);
+        slab.free(a, true);
         assert_eq!(slab.slot(a).generation(), g + 1);
         assert_eq!(slab.alloc(), Some(a));
         assert_eq!(slab.allocs(), 3);
@@ -960,8 +1066,8 @@ mod tests {
         let b = slab.alloc().unwrap();
         let s2 = Arc::clone(&slab);
         std::thread::spawn(move || {
-            s2.free_slot(a, false);
-            s2.free_slot(b, false);
+            s2.free(a, false);
+            s2.free(b, false);
         })
         .join()
         .unwrap();
@@ -978,15 +1084,15 @@ mod tests {
     #[test]
     fn placement_follows_fit_and_free_slots() {
         let slab = Slab::new(1, None);
-        let (t0, j0) = place(Some(&slab), None, SpawnMeta::bare(0), || 1u8);
+        let (t0, j0) = place(Some(&*slab), None, SpawnMeta::bare(0), || 1u8);
         assert_eq!(slab.allocs(), 1, "fits, slot free: slab-resident");
-        let (t1, j1) = place(Some(&slab), None, SpawnMeta::bare(1), || 2u8);
+        let (t1, j1) = place(Some(&*slab), None, SpawnMeta::bare(1), || 2u8);
         assert_eq!((slab.allocs(), slab.exhausted()), (1, 1), "slab full");
         let big = [7u8; PAYLOAD_BYTES + 1];
         drop((t0, j0));
-        let (t2, mut j2) = place(Some(&slab), None, SpawnMeta::bare(2), move || big);
+        let (t2, mut j2) = place(Some(&*slab), None, SpawnMeta::bare(2), move || big);
         assert_eq!(slab.allocs(), 1, "oversized: external despite a free slot");
-        t2.claim().unwrap().run().publish();
+        t2.claim().run().publish();
         assert_eq!(j2.take()[PAYLOAD_BYTES], 7);
         drop((t1, j1));
     }
@@ -995,7 +1101,7 @@ mod tests {
     fn run_publishes_value_and_join_takes_it() {
         for (slab, task, mut join) in both(|| || 41 + 1) {
             assert!(!join.is_ready());
-            task.claim().unwrap().run().publish();
+            task.claim().run().publish();
             assert!(join.is_ready());
             assert_eq!(join.take(), 42);
             drop(join);
@@ -1006,7 +1112,7 @@ mod tests {
     #[test]
     fn panic_payload_propagates_through_join() {
         for (_slab, task, mut join) in both(|| || -> () { panic!("cell boom") }) {
-            task.claim().unwrap().run().publish();
+            task.claim().run().publish();
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| join.take())).unwrap_err();
             assert_eq!(err.downcast_ref::<&str>(), Some(&"cell boom"));
         }
@@ -1016,7 +1122,7 @@ mod tests {
     fn untaken_output_is_dropped_exactly_once() {
         static DROPS: StdAtomicUsize = StdAtomicUsize::new(0);
         for (i, (slab, task, join)) in both(|| || Probe(&DROPS)).into_iter().enumerate() {
-            task.claim().unwrap().run().publish();
+            task.claim().run().publish();
             drop(join); // never taken
             assert_eq!(DROPS.load(StdOrdering::SeqCst), i + 1);
             assert_recycled(slab);
@@ -1029,7 +1135,7 @@ mod tests {
         // Future side first: the runner's release is the second one.
         for (i, (slab, task, join)) in both(|| || Probe(&DROPS)).into_iter().enumerate() {
             drop(join);
-            task.claim().unwrap().run().publish();
+            task.claim().run().publish();
             assert_eq!(DROPS.load(StdOrdering::SeqCst), i + 1);
             assert_recycled(slab);
         }
@@ -1057,20 +1163,63 @@ mod tests {
         }
     }
 
+    /// A queued cell has one claimant, its `Task`; the one cell whose
+    /// claim is contended is a deferred one, by concurrent `wait`s. The
+    /// waiter that loses the claim waits for the winner's run.
     #[test]
     fn losing_the_claim_is_a_noop() {
-        for (_slab, task, mut join) in both(|| || 7u64) {
-            let dup = Task {
-                cell: task.cell,
-                gen: task.gen,
-            };
-            let ran = task.claim().unwrap().run();
-            // A late teardown (e.g. a second waiter on a deferred cell)
-            // loses the claim and must not disturb the outcome.
-            assert!(dup.claim().is_none());
-            ran.publish();
+        static RUNS: StdAtomicUsize = StdAtomicUsize::new(0);
+        let state = Arc::new(RuntimeState::new(1, Arc::new(Clock::new()), None, None));
+        let slab = Slab::new(1, Some(state.clone()));
+        for own_slab in [Some(&*slab), None] {
+            let (task, join) = place(own_slab, Some(&state), SpawnMeta::bare(0), || {
+                RUNS.fetch_add(1, StdOrdering::SeqCst);
+                std::thread::sleep(Duration::from_millis(5));
+                7u64
+            });
+            let mut join = join.deferred(task);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        join.wait();
+                        assert!(join.is_ready() && !join.is_cancelled());
+                    });
+                }
+            });
             assert_eq!(join.take(), 7);
         }
+        assert_eq!(RUNS.load(StdOrdering::SeqCst), 2, "one run per cell");
+        assert!(state.ledger.is_idle());
+        assert_eq!(slab.alloc(), Some(0), "slot recycled");
+    }
+
+    /// A retired slab is freed exactly when the last slot out of it comes
+    /// back, and at once when none is out.
+    #[test]
+    fn retired_slab_is_freed_by_its_last_remote_free() {
+        let slab = Slab::new(3, None);
+        let (a, b, c) = (
+            slab.alloc().unwrap(),
+            slab.alloc().unwrap(),
+            slab.alloc().unwrap(),
+        );
+        slab.free(a, true);
+        slab.free(b, false);
+        let weak = Arc::downgrade(&slab);
+        // One slot out: `allocs − local_frees` = 2, one remote free made.
+        let ptr = Arc::as_ptr(&slab);
+        Slab::retire(slab);
+        assert!(weak.upgrade().is_some(), "slot c is still out");
+        // SAFETY: slot c is out; after this call the slab may be gone.
+        unsafe { Slab::free_slot(ptr, c, false) };
+        assert!(weak.upgrade().is_none(), "the last free frees the slab");
+
+        let idle = Slab::new(2, None);
+        let a = idle.alloc().unwrap();
+        idle.free(a, true);
+        let weak = Arc::downgrade(&idle);
+        Slab::retire(idle);
+        assert!(weak.upgrade().is_none(), "nothing out: freed by retire");
     }
 
     /// One teardown for both placements: a queue dropped with un-run
@@ -1090,7 +1239,7 @@ mod tests {
         let slab = Slab::new(1, Some(state.clone()));
         let scheduler = Scheduler::new(1, SchedulerMode::LocalQueues);
         let mut joins = Vec::new();
-        for own_slab in [Some(&slab), None] {
+        for own_slab in [Some(&*slab), None] {
             assert!(gate.try_admit());
             state.ledger.external().note_queued();
             let spawn = SpawnMeta {

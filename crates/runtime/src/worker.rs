@@ -4,11 +4,12 @@
 //! Everything a scheduling loop writes per task lands in the worker's own
 //! ledger shard ([`crate::stats::Shard`]), and everything it reads beyond
 //! that is borrowed from the `Arc<RuntimeInner>` the loop itself holds —
-//! the per-task path upgrades no `Weak` and clones no runtime `Arc`. It
-//! does clone one `Arc<Slab>` per task: the `Join` half of a slab-resident
-//! task keeps its home slab alive. The park decision probes the queues
-//! directly (`Scheduler::has_queued_work`), and the find-miss edge is also
-//! where `wait_idle` callers are woken (see [`idle_step`]).
+//! the per-task path upgrades no `Weak` and clones no `Arc`: a
+//! slab-resident task's `Join` holds only its cell, and a slab outlives
+//! its cells by retirement (`Slab::retire`), not by a count. The park
+//! decision probes the queues directly (`Scheduler::has_queued_work`),
+//! and the find-miss edge is also where `wait_idle` callers are woken
+//! (see [`idle_step`]).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -125,9 +126,7 @@ fn find_task(
 
 /// Run one found task on worker `shard`.
 fn execute_task(state: &RuntimeState, shard: &Shard, task: Task) {
-    if let Some(claimed) = task.claim() {
-        crate::runtime::run_task(state, shard, claimed);
-    }
+    crate::runtime::run_task(state, shard, task.claim());
 }
 
 /// Clears the worker context and re-parks the deque into its scheduler

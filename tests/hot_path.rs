@@ -553,3 +553,102 @@ fn slab_exhaustion_falls_back_to_external_cells() {
     );
     rt.shutdown();
 }
+
+/// Regression: a `Join` holds no reference to its slab, so a future whose
+/// cell sits in a worker's slab must stay valid after its runtime is gone
+/// (`Slab::retire`: the slab lives until the last cell out of it is
+/// freed). Three ways to outlive the runtime: the child already ran and
+/// its value is still there; the future is dropped un-taken; the child
+/// was still queued when the runtime dropped, so the scheduler's teardown
+/// cancels it.
+#[test]
+fn a_slab_resident_future_outlives_its_runtime() {
+    static DROPS: AtomicU64 = AtomicU64::new(0);
+    struct Counted(u64);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            DROPS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let slab_allocs = |rt: &Runtime| {
+        rt.registry()
+            .evaluate("/runtime{locality#0/total}/slab/allocs", false)
+            .unwrap()
+            .value
+    };
+    // A child spawned on the worker (so into its slab) that has run.
+    let ran_child = || {
+        let rt = Runtime::new(RuntimeConfig::with_workers(1));
+        let h = rt.handle();
+        let child = rt
+            .spawn(move || {
+                let child = h.spawn(|| Counted(42));
+                child.wait();
+                child
+            })
+            .get();
+        assert!(child.is_ready());
+        assert_eq!(slab_allocs(&rt), 1, "the child's cell is slab-resident");
+        drop(rt);
+        child
+    };
+
+    assert_eq!(ran_child().get().0, 42);
+    assert_eq!(DROPS.load(Ordering::SeqCst), 1, "taken value dropped once");
+    drop(ran_child());
+    assert_eq!(
+        DROPS.load(Ordering::SeqCst),
+        2,
+        "un-taken value dropped once"
+    );
+
+    // Still queued at shutdown. The one worker's first task spawns the
+    // child onto the worker's deque and spins until released 50 ms after
+    // `drop(rt)` has begun, which stores the stop flag at once. The
+    // injected kill after that task ends the worker loop, and a worker
+    // that dies once stop is requested is not restarted, so it never
+    // finds the child; the queue's teardown cancels it. A host that
+    // stalls the drop past 50 ms lets the worker be restarted and run the
+    // child instead: that attempt must still be sound, and another is
+    // made.
+    let mut cancelled = false;
+    for _ in 0..5 {
+        let rt = Runtime::new(RuntimeConfig {
+            faults: Some(rpx::runtime::FaultPlan {
+                worker_kill_ppm: 1_000_000,
+                max_per_category: 1,
+                ..Default::default()
+            }),
+            ..RuntimeConfig::with_workers(1)
+        });
+        let h = rt.handle();
+        let go = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let go_task = go.clone();
+        let parent = rt.spawn(move || {
+            tx.send(h.spawn(|| 7u64)).unwrap();
+            while !go_task.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        });
+        let child = rx.recv().unwrap();
+        let opener = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            go.store(true, Ordering::Release);
+        });
+        drop(rt);
+        opener.join().unwrap();
+        parent.get();
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| child.get())) {
+            Ok(v) => assert_eq!(v, 7, "the child ran before the worker stopped"),
+            Err(payload) => {
+                assert!(payload
+                    .downcast_ref::<rpx::runtime::TaskCancelled>()
+                    .is_some());
+                cancelled = true;
+                break;
+            }
+        }
+    }
+    assert!(cancelled, "no attempt left the child queued at shutdown");
+}
