@@ -242,12 +242,6 @@ const COUNTERS: &[Decl] = &[
         source: Count(|i| i.state.gate.as_ref().map_or(0, |g| g.degraded() as i64)),
     },
     Decl {
-        path: "/runtime/health/blocked-spawns",
-        unit: "1",
-        help: "spawners that parked at least once waiting for admission",
-        source: Count(|i| i.state.gate.as_ref().map_or(0, |g| g.blocked() as i64)),
-    },
-    Decl {
         path: "/runtime/health/gate-closes",
         unit: "1",
         help: "open-to-closed transitions of the admission gate",
@@ -325,7 +319,7 @@ const COUNTERS: &[Decl] = &[
     Decl {
         path: "/runtime/trace/overhead-time",
         unit: "ns",
-        help: "time spent recording task spans, estimated from one record in 64: each record whose ring cursor is a multiple of 64 is timed and counts 64 times (sum over rings of ceil(cursor/64) records timed)",
+        help: "time spent recording task spans, estimated from one record in 64: the middle record of each block of 64 on a ring (cursor 32 mod 64) is timed and counts 64 times (sum over rings of floor((cursor+31)/64) records timed)",
         source: Count(|i| i.state.tracer.overhead_ns() as i64),
     },
     Decl {
@@ -463,7 +457,7 @@ pub(crate) fn register_runtime_counters(inner: &Arc<RuntimeInner>) {
 mod tests {
     use super::*;
     use crate::runtime::{RuntimeConfig, RuntimeState};
-    use crate::scheduler::{Scheduler, SchedulerMode};
+    use crate::scheduler::Scheduler;
     use crate::slab::SLAB_SLOTS;
     use rpx_counters::registry::CounterRegistry;
 
@@ -474,7 +468,7 @@ mod tests {
         let state = Arc::new(RuntimeState::new(workers, registry.clock(), None, None));
         let inner = Arc::new(RuntimeInner {
             id: crate::runtime::next_runtime_id(),
-            scheduler: Scheduler::new(workers, SchedulerMode::LocalQueues),
+            scheduler: Scheduler::new(workers),
             slabs: (0..workers)
                 .map(|_| Slab::new(SLAB_SLOTS, Some(state.clone())))
                 .collect(),

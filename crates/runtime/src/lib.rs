@@ -10,11 +10,10 @@
 //!   [`TaskFuture`]s.
 //! - [`LaunchPolicy`] — `async` (child stealing, default), `fork`
 //!   (continuation-stealing approximation), `deferred`, `sync`.
-//! - [`SchedulerMode`] — per-worker deques with stealing (default) or one
-//!   global FIFO (the `std::async` discipline). Only unit tests select the
-//!   global FIFO today: the Floorplan ordering experiment runs on
-//!   `rpx-simnode`'s `global_queue`, and the native queue-discipline row of
-//!   the Table IV matrix is its intended caller.
+//! - One queue discipline, HPX's default: per-worker deques with stealing,
+//!   external spawns through a shared injector. The `std::async`
+//!   single-queue ordering behind the paper's Floorplan explanation is
+//!   `rpx-simnode`'s `global_queue`.
 //! - Futures wait by *helping*: a worker blocked on `get()` executes other
 //!   pending tasks, so deeply recursive fork/join codes keep all cores busy.
 //! - Counters: `/threads/time/average`, `/threads/time/average-overhead`,
@@ -29,6 +28,9 @@
 //! - Fault tolerance: [`CancelToken`] cancellation/deadlines, a worker
 //!   watchdog + supervisor (stall and restart health counters), and a
 //!   deterministic fault-injection harness ([`FaultPlan`]) for chaos tests.
+//! - Overload: an optional admission gate (`RuntimeConfig::max_pending`)
+//!   closes at the high watermark and reopens at half of it; while it is
+//!   closed a spawn runs inline in its caller and `try_spawn` sheds.
 //!
 //! ## Example
 //!
@@ -81,9 +83,8 @@ pub use admission::AdmissionControl;
 pub use cancel::{CancelToken, TaskCancelled};
 pub use faults::{FaultInjector, FaultPlan, InjectedFault, UnknownFaultVars, KNOWN_FAULT_VARS};
 pub use future::{ready_future, TaskFuture};
-pub use policy::{LaunchPolicy, OverloadPolicy};
+pub use policy::LaunchPolicy;
 pub use runtime::{QuiesceReport, Runtime, RuntimeConfig, RuntimeHandle, SpawnError};
-pub use scheduler::SchedulerMode;
 pub use signals::{AnomalyEvent, AnomalyKind, OverloadState};
 pub use trace::{site_name, TaskSpan, TaskTracer, UNKNOWN_SITE};
 
@@ -143,7 +144,12 @@ mod tests {
     #[test]
     fn all_policies_produce_the_value() {
         let rt = small_rt();
-        for policy in LaunchPolicy::ALL {
+        for policy in [
+            LaunchPolicy::Async,
+            LaunchPolicy::Fork,
+            LaunchPolicy::Deferred,
+            LaunchPolicy::Sync,
+        ] {
             let f = rt.spawn_with(policy, move || 11);
             assert_eq!(f.get(), 11, "policy {policy:?}");
         }
@@ -273,19 +279,6 @@ mod tests {
         }
         rt.wait_idle();
         assert_eq!(done.load(Ordering::Relaxed), 50);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn global_queue_mode_works() {
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            mode: SchedulerMode::GlobalQueue,
-            ..RuntimeConfig::default()
-        });
-        let futures: Vec<_> = (0..200).map(|i| rt.spawn(move || i * 2)).collect();
-        let sum: u64 = futures.into_iter().map(|f| f.get()).sum();
-        assert_eq!(sum, (0..200u64).map(|i| i * 2).sum::<u64>());
         rt.shutdown();
     }
 

@@ -1,5 +1,5 @@
 //! Model-checked specs for the scheduler's sleeper/park-gate protocol, the
-//! [`crate::sync::EventGate`], the admission gate, the slab and its
+//! [`crate::sync::EventGate`], the slab and its
 //! retirement, the task cell's release, the task ledger's quiescence
 //! protocol and the tracer's span rings, with paired
 //! deliberately-broken mutants proving the checker catches each
@@ -17,9 +17,8 @@ use rpx_model::{check, check_expect_failure, mutation, thread, Config};
 
 use rpx_counters::counter::Clock;
 
-use crate::admission::AdmissionGate;
 use crate::runtime::RuntimeState;
-use crate::scheduler::{Scheduler, SchedulerMode};
+use crate::scheduler::Scheduler;
 use crate::slab::{nop_task, place, Slab, SpawnMeta};
 use crate::stats::Ledger;
 use crate::sync::EventGate;
@@ -50,7 +49,7 @@ fn cfg() -> Config {
 /// pushed task is always picked up (a lost wakeup deadlocks: the worker
 /// parks forever while the pusher waits in `join`).
 fn sched_park_gate() {
-    let sched = Arc::new(Scheduler::new(1, SchedulerMode::LocalQueues));
+    let sched = Arc::new(Scheduler::new(1));
     let s2 = sched.clone();
     let worker = thread::spawn(move || {
         let parker = Parker::new();
@@ -131,60 +130,6 @@ fn model_event_gate_complete_vs_wait() {
         "model_event_gate_complete_vs_wait",
         cfg(),
         gate_complete_vs_wait,
-    );
-}
-
-/// Protocol 5 — admission-gate watermark reopen vs. blocked spawner: the
-/// gate is saturated (high = 1, closed), one spawner parks in
-/// `admit_blocking`, and a concurrent `note_started` drains pending to the
-/// low watermark and reopens. The waiter advertises itself in
-/// `waiter_count` (SeqCst store + fence) before its final gate probe; the
-/// reopener stores `closed = false` (SeqCst) + fence before probing
-/// `waiter_count` — in the SC total order one side must see the other, so
-/// the spawner is always admitted (a lost wakeup parks it forever while
-/// the main thread waits in `join`).
-fn admission_reopen_vs_blocked_spawner() {
-    let gate = AdmissionGate::new(1, 0);
-    assert!(gate.try_admit(), "saturate: the gate closes at high = 1");
-    let g2 = gate.clone();
-    let spawner = thread::spawn(move || g2.admit_blocking());
-    let g3 = gate.clone();
-    let finisher = thread::spawn(move || g3.note_started());
-    assert!(
-        spawner.join().unwrap(),
-        "blocked spawner must admit once pending drains to the low watermark"
-    );
-    finisher.join().unwrap();
-    assert_eq!(gate.pending(), 1, "the spawner's slot is held");
-    assert!(gate.peak() <= 1, "watermark never overshoots");
-}
-
-#[test]
-fn model_admission_reopen_no_lost_wakeup() {
-    let _g = serial();
-    mutation::disarm_all();
-    check(
-        "model_admission_reopen_no_lost_wakeup",
-        cfg(),
-        admission_reopen_vs_blocked_spawner,
-    );
-}
-
-#[test]
-fn model_admission_reopen_relaxed_mutant_is_caught() {
-    let _g = serial();
-    mutation::disarm_all();
-    mutation::arm("gate-reopen-relaxed");
-    let failure = check_expect_failure(
-        "model_admission_reopen_relaxed_mutant_is_caught",
-        cfg(),
-        admission_reopen_vs_blocked_spawner,
-    );
-    mutation::disarm_all();
-    assert!(
-        failure.message.contains("deadlock") || failure.message.contains("step budget"),
-        "expected the weakened reopen to lose the wakeup, got: {}",
-        failure.message
     );
 }
 
@@ -481,7 +426,7 @@ fn model_ledger_read_queued_first_mutant_is_caught() {
 /// registration and broadcasts. A lost wake-up parks the waiter forever.
 fn idle_edge_wakes_idle_waiter() {
     let state = Arc::new(RuntimeState::new(1, Arc::new(Clock::new()), None, None));
-    let sched = Arc::new(Scheduler::new(1, SchedulerMode::LocalQueues));
+    let sched = Arc::new(Scheduler::new(1));
     // The last task is running on the worker when the waiter arrives.
     state.ledger.worker(0).note_queued();
     state.ledger.worker(0).note_started(true);

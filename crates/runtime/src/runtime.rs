@@ -16,9 +16,9 @@ use crate::admission::{AdmissionControl, AdmissionGate};
 use crate::cancel::CancelToken;
 use crate::faults::{FaultInjector, FaultPlan, InjectedFault};
 use crate::future::TaskFuture;
-use crate::policy::{LaunchPolicy, OverloadPolicy};
+use crate::policy::LaunchPolicy;
 use crate::prim::{self, Padded};
-use crate::scheduler::{Scheduler, SchedulerMode};
+use crate::scheduler::Scheduler;
 use crate::signals::{AnomalyEvent, AnomalyLog, OverloadState};
 use crate::slab::{Claimed, Slab, SpawnMeta, SLAB_SLOTS};
 use crate::stats::{Ledger, Shard};
@@ -37,8 +37,6 @@ const WORKER_STACK_BYTES: usize = 8 << 20;
 pub struct RuntimeConfig {
     /// Number of worker threads ("cores" in the paper's strong-scaling runs).
     pub workers: usize,
-    /// Queue discipline.
-    pub mode: SchedulerMode,
     /// Locality id used in counter instance names (single-node: 0).
     pub locality: u32,
     /// Fault-injection plan for chaos testing; defaults to
@@ -51,15 +49,11 @@ pub struct RuntimeConfig {
     /// pending) before the watchdog counts a stall episode.
     pub stall_threshold: Duration,
     /// Admission high watermark: maximum queued-but-not-started tasks
-    /// before the admission gate closes and [`overload_policy`](RuntimeConfig::overload_policy) decides each spawn's fate.
+    /// before the admission gate closes. While it is closed an infallible
+    /// spawn runs inline in its caller and [`Runtime::try_spawn`] sheds;
+    /// the gate reopens once pending work drains to `max_pending / 2`.
     /// `None` (the default) disables admission control entirely.
     pub max_pending: Option<usize>,
-    /// Admission low watermark: a closed gate reopens once pending work
-    /// drains to this level (hysteresis). Defaults to `max_pending / 2`
-    /// when `None`.
-    pub resume_pending: Option<usize>,
-    /// What happens to a spawn while the admission gate is closed.
-    pub overload_policy: OverloadPolicy,
     /// Restart budget per worker: maximum supervisor respawns within the
     /// 10 s refill window before the circuit breaker trips and the worker
     /// is retired (its queued tasks re-parent into the global injector).
@@ -76,7 +70,6 @@ impl Default for RuntimeConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            mode: SchedulerMode::LocalQueues,
             locality: 0,
             // Fail fast on misspelled RPX_FAULT_* knobs: silently running a
             // chaos suite with injection disabled is worse than aborting.
@@ -84,8 +77,6 @@ impl Default for RuntimeConfig {
             watchdog_interval: Duration::from_millis(20),
             stall_threshold: Duration::from_millis(500),
             max_pending: None,
-            resume_pending: None,
-            overload_policy: OverloadPolicy::default(),
             // Generous enough that transient fault-injection storms (tens
             // of kills) never trip in ordinary chaos runs; a genuine crash
             // loop exhausts it within a window.
@@ -372,14 +363,11 @@ impl Runtime {
             .clone()
             .filter(FaultPlan::is_active)
             .map(FaultInjector::new);
-        let gate = config.max_pending.map(|high| {
-            let low = config.resume_pending.unwrap_or(high / 2);
-            AdmissionGate::new(high, low)
-        });
+        let gate = config.max_pending.map(AdmissionGate::new);
         let state = Arc::new(RuntimeState::new(workers, registry.clock(), faults, gate));
         let inner = Arc::new(RuntimeInner {
             id: next_runtime_id(),
-            scheduler: Scheduler::new(workers, config.mode),
+            scheduler: Scheduler::new(workers),
             slabs: (0..workers)
                 .map(|_| Slab::new(SLAB_SLOTS, Some(state.clone())))
                 .collect(),
@@ -447,11 +435,6 @@ impl Runtime {
             inner,
             threads,
         }
-    }
-
-    /// Start with default configuration (all available cores).
-    pub fn with_defaults() -> Self {
-        Runtime::new(RuntimeConfig::default())
     }
 
     /// Spawn with the default (`Async`) policy.
@@ -580,10 +563,9 @@ impl Runtime {
 
     /// Gracefully drain the runtime. The protocol:
     ///
-    /// 1. **Stop admission**: infallible spawns run inline from here on,
-    ///    [`try_spawn`](Self::try_spawn) fails with
-    ///    [`SpawnError::Draining`], and parked `Block`-policy spawners are
-    ///    released without queueing.
+    /// 1. **Stop admission**: infallible spawns run inline from here on
+    ///    and [`try_spawn`](Self::try_spawn) fails with
+    ///    [`SpawnError::Draining`].
     /// 2. **Drain**: wait up to `deadline` for outstanding work.
     /// 3. **Cancel stragglers**: if work remains, still-queued tasks are
     ///    cancelled at dispatch (their futures complete cancelled, counted
@@ -684,7 +666,6 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("workers", &self.inner.config.workers)
-            .field("mode", &self.inner.config.mode)
             .finish()
     }
 }
@@ -871,7 +852,7 @@ enum Launch {
     /// Push onto a queue; `holds_gate` means it holds an admission slot.
     Queue { holds_gate: bool },
     /// Run in the caller before `spawn` returns (`Sync`, `Fork` on a
-    /// worker, gate closed and the policy degrades, or runtime draining).
+    /// worker, gate closed, or runtime draining).
     Inline,
     /// Park in the future until its first `wait`/`get`.
     Deferred,
@@ -887,24 +868,8 @@ fn admit_for_queue(inner: &RuntimeInner) -> Launch {
     if gate.try_admit() {
         return Launch::Queue { holds_gate: true };
     }
-    match inner.config.overload_policy {
-        // Backpressure — but only external threads may park: a *worker*
-        // blocking on admission would deadlock the very drain that reopens
-        // the gate, so worker spawns degrade to inline instead. Keyed on
-        // "any worker thread", not "worker of this runtime": parking a
-        // foreign runtime's worker would stall that runtime too.
-        OverloadPolicy::Block if !worker::on_worker_thread() => {
-            if gate.admit_blocking() {
-                Launch::Queue { holds_gate: true }
-            } else {
-                Launch::Inline // the gate drained while we were parked
-            }
-        }
-        _ => {
-            gate.note_degraded();
-            Launch::Inline
-        }
-    }
+    gate.note_degraded();
+    Launch::Inline
 }
 
 /// A task that left the queue (it either runs now or is cancelled) returns

@@ -1,6 +1,8 @@
-//! The task scheduler: per-worker Chase–Lev deques with work stealing
-//! (default), or a single global FIFO queue (the `std::async` ordering
-//! used by the paper to explain the Floorplan anomaly).
+//! The task scheduler: per-worker Chase–Lev deques with work stealing,
+//! HPX's default discipline and the one the paper reports every native
+//! result with. A worker's spawn goes to its own deque; any other spawn
+//! goes to the shared injector. (The `std::async` single-queue ordering the
+//! paper uses to explain Floorplan is `rpx-simnode`'s `global_queue`.)
 //!
 //! The spawn path is lock-light: `push` probes an atomic sleeper count and
 //! skips the `sleepers` mutex entirely when no worker is parked (the steady
@@ -16,30 +18,7 @@ use crate::prim::{
 };
 pub(crate) use crate::slab::Task;
 
-/// Queue discipline used by the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// Per-worker local deques + stealing (HPX-style). Children go to the
-    /// spawning worker's queue; idle workers steal FIFO from victims.
-    #[default]
-    LocalQueues,
-    /// One shared FIFO queue for all workers (the GCC `std::async`
-    /// single-queue discipline).
-    GlobalQueue,
-}
-
-impl SchedulerMode {
-    /// Command-line name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerMode::LocalQueues => "local-queues",
-            SchedulerMode::GlobalQueue => "global-queue",
-        }
-    }
-}
-
 pub(crate) struct Scheduler {
-    pub mode: SchedulerMode,
     /// The other workers, per worker, in rotation order starting after the
     /// worker itself.
     victims: Vec<Vec<usize>>,
@@ -49,7 +28,7 @@ pub(crate) struct Scheduler {
     // Everything above is written once, at construction, and read by every
     // `push` and `find`; the words below are written while the runtime
     // runs, so each group is padded onto lines of its own.
-    /// Where external spawns (and, under `GlobalQueue`, every spawn) land.
+    /// Where external spawns land.
     injector: Padded<Injector<Task>>,
     /// Task-id source. Workers reserve ids in blocks (see
     /// `stats::Shard::next_task_id`), so this is off the per-task path.
@@ -70,14 +49,13 @@ struct Sleepers {
 }
 
 impl Scheduler {
-    pub(crate) fn new(workers: usize, mode: SchedulerMode) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         let victims = (0..workers)
             .map(|i| (1..workers).map(|off| (i + off) % workers).collect())
             .collect();
         let deques: Vec<Deque<Task>> = (0..workers).map(|_| Deque::new_lifo()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         Scheduler {
-            mode,
             victims,
             deques: deques.into_iter().map(|d| Mutex::new(Some(d))).collect(),
             stealers,
@@ -102,9 +80,9 @@ impl Scheduler {
     /// already counted the task into its ledger shard
     /// (`Shard::note_queued`).
     pub(crate) fn push(&self, task: Task, local: Option<&Deque<Task>>) {
-        match (self.mode, local) {
-            (SchedulerMode::LocalQueues, Some(deque)) => deque.push(task),
-            _ => self.injector.push(task),
+        match local {
+            Some(deque) => deque.push(task),
+            None => self.injector.push(task),
         }
         self.wake_one();
     }
@@ -125,18 +103,6 @@ impl Scheduler {
     /// `local` as plain pops, are counted exactly once. Own-deque pops and
     /// injector claims are not steals.
     pub(crate) fn find(&self, index: usize, local: &Deque<Task>) -> Option<(Task, u64)> {
-        if self.mode == SchedulerMode::GlobalQueue {
-            // Single-task steals only: batching would strand tasks in the
-            // local deque, which this mode never reads.
-            for _ in 0..Self::RETRY_SWEEPS {
-                match self.injector.steal() {
-                    Steal::Success(t) => return Some((t, 0)),
-                    Steal::Retry => std::hint::spin_loop(),
-                    Steal::Empty => return None,
-                }
-            }
-            return None;
-        }
         // 1. Own deque (LIFO: most recently spawned child first — cache-hot).
         if let Some(t) = local.pop() {
             return Some((t, 0));
@@ -274,7 +240,7 @@ mod tests {
 
     #[test]
     fn local_push_pop_is_lifo() {
-        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(2);
         let local = s.deques[0].lock().take().unwrap();
         s.push(task(1), Some(&local));
         s.push(task(2), Some(&local));
@@ -287,7 +253,7 @@ mod tests {
 
     #[test]
     fn external_push_lands_in_injector_fifo() {
-        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(2);
         let local = s.deques[0].lock().take().unwrap();
         s.push(task(1), None);
         s.push(task(2), None);
@@ -297,7 +263,7 @@ mod tests {
 
     #[test]
     fn stealing_takes_from_victims() {
-        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(2);
         let local0 = s.deques[0].lock().take().unwrap();
         let local1 = s.deques[1].lock().take().unwrap();
         s.push(task(1), Some(&local0));
@@ -309,7 +275,7 @@ mod tests {
 
     #[test]
     fn batch_steal_reports_every_moved_task() {
-        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(2);
         let local0 = s.deques[0].lock().take().unwrap();
         let local1 = s.deques[1].lock().take().unwrap();
         for i in 0..8 {
@@ -333,7 +299,7 @@ mod tests {
 
     #[test]
     fn injector_batch_claims_are_not_stolen() {
-        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(2);
         let local = s.deques[0].lock().take().unwrap();
         for i in 0..6 {
             s.push(task(i), None);
@@ -348,18 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn global_mode_ignores_local_deques() {
-        let s = Scheduler::new(2, SchedulerMode::GlobalQueue);
-        let local = s.deques[0].lock().take().unwrap();
-        s.push(task(7), Some(&local));
-        // Task must be findable by the *other* worker too.
-        let local1 = s.deques[1].lock().take().unwrap();
-        assert_eq!(s.find(1, &local1).unwrap().0.id(), 7);
-    }
-
-    #[test]
     fn sleeper_count_mirrors_registrations() {
-        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(2);
         let p0 = Parker::new();
         let p1 = Parker::new();
         assert_eq!(s.sleeper_count(), 0);
@@ -381,7 +337,7 @@ mod tests {
 
     #[test]
     fn queued_work_probe_sees_injector_and_deques() {
-        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(2);
         let local = s.deques[0].lock().take().unwrap();
         assert!(!s.has_queued_work());
         s.push(task(1), None);
@@ -394,7 +350,7 @@ mod tests {
 
     #[test]
     fn reparenting_moves_deque_tasks_to_injector() {
-        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(2);
         {
             // Queue three tasks on worker 0's (parked) deque, then re-park.
             let local = s.deques[0].lock().take().unwrap();
@@ -418,7 +374,7 @@ mod tests {
 
     #[test]
     fn reserved_task_id_ranges_do_not_overlap() {
-        let s = Scheduler::new(1, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(1);
         let a = s.reserve_task_ids(1024);
         let b = s.reserve_task_ids(1);
         let c = s.reserve_task_ids(1);
@@ -427,7 +383,7 @@ mod tests {
 
     #[test]
     fn run_time_words_sit_apart_from_the_read_mostly_fields() {
-        let s = Scheduler::new(2, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(2);
         let line = |p: usize| p / 128;
         let read_mostly = [
             &s.deques as *const _ as usize,

@@ -1001,7 +1001,7 @@ mod tests {
     use super::*;
     use crate::admission::AdmissionGate;
     use crate::cancel::TaskCancelled;
-    use crate::scheduler::{Scheduler, SchedulerMode};
+    use crate::scheduler::Scheduler;
     use rpx_counters::counter::Clock;
     use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
 
@@ -1229,7 +1229,7 @@ mod tests {
     #[test]
     fn dropped_queue_tears_down_both_placements_alike() {
         static DROPS: StdAtomicUsize = StdAtomicUsize::new(0);
-        let gate = AdmissionGate::new(8, 4);
+        let gate = AdmissionGate::new(8);
         let state = Arc::new(RuntimeState::new(
             1,
             Arc::new(Clock::new()),
@@ -1237,7 +1237,7 @@ mod tests {
             Some(gate.clone()),
         ));
         let slab = Slab::new(1, Some(state.clone()));
-        let scheduler = Scheduler::new(1, SchedulerMode::LocalQueues);
+        let scheduler = Scheduler::new(1);
         let mut joins = Vec::new();
         for own_slab in [Some(&*slab), None] {
             assert!(gate.try_admit());

@@ -369,9 +369,20 @@ fn radix_sort(entries: &mut Vec<Entry>) {
     }
 }
 
-/// How often `run_task` times a record: the one whose ring cursor is a
-/// multiple of this, charged to the overhead this many times over.
+/// How often `run_task` times a record: the middle one of each block of
+/// this many on a ring (cursor ≡ `TIMED_EVERY / 2`), charged to the
+/// overhead this many times over. Neither end of the block is
+/// representative: the first write of a fresh ring is cold, and a ring's
+/// 64-byte slots start 16 bytes into a page (glibc serves the allocation
+/// from its own mapping), so the last slot of each 64 straddles a page
+/// boundary. Timing either charges its extra cost 64 times over.
 pub(crate) const TIMED_EVERY: u64 = 64;
+
+/// A timed ring write that took this long was interrupted (the thread was
+/// preempted mid-write) and is not charged: a write is ten stores, and one
+/// 4 ms time slice counted 64 times over outweighs a fib(17) run's whole
+/// execution.
+const INTERRUPTED_NS: u64 = 100_000;
 
 /// Bounded task-event recorder of a runtime: one ring per worker, written
 /// only by that worker without a lock, and one shared ring for every other
@@ -441,11 +452,12 @@ impl TaskTracer {
 
     /// Record one span on ring `ring`: worker `ring`'s own, which only that
     /// worker may write, or — for `ring ≥ workers` — the shared one. When
-    /// the ring's cursor stands at a multiple of [`TIMED_EVERY`], the write
-    /// is timed between two readings of `now` and its nanoseconds are
-    /// returned. The choice is made before the first reading, so the
-    /// branch on it — taken once in 64, and so mispredicted — is not part
-    /// of what is timed.
+    /// the write is the middle one of a block of [`TIMED_EVERY`] on the
+    /// ring, it is timed between two readings of `now` and its nanoseconds
+    /// are returned, unless the window was interrupted (≥
+    /// [`INTERRUPTED_NS`]). The choice is made before the first reading, so
+    /// the branch on it — taken once in 64, and so mispredicted — is not
+    /// part of what is timed.
     pub(crate) fn record_on(
         &self,
         ring: usize,
@@ -454,10 +466,10 @@ impl TaskTracer {
     ) -> Option<u64> {
         let r = self.rings().get(ring.min(self.workers))?;
         let _writer = (ring >= self.workers).then(|| r.writer.lock());
-        if r.cursor.load(Ordering::Relaxed).is_multiple_of(TIMED_EVERY) {
+        if r.cursor.load(Ordering::Relaxed) % TIMED_EVERY == TIMED_EVERY / 2 {
             let t0 = now();
             r.push(&span);
-            Some(now().saturating_sub(t0))
+            Some(now().saturating_sub(t0)).filter(|&ns| ns < INTERRUPTED_NS)
         } else {
             r.push(&span);
             None
@@ -982,6 +994,49 @@ mod tests {
         t.note_overhead(2, 11);
         t.note_overhead(9, 13);
         assert_eq!(t.overhead_ns(), 36);
+    }
+
+    #[test]
+    fn a_fresh_rings_first_write_is_not_timed() {
+        // A fresh ring's first write is cold: timing it would charge that
+        // cost 64 times over.
+        let t = TaskTracer::for_workers(256, 1);
+        t.enable();
+        for ring in [0, 1] {
+            let timed: Vec<u64> = (0..2 * TIMED_EVERY + 1)
+                .filter(|&n| t.record_on(ring, span(n, 0, n, n + 1), || n).is_some())
+                .collect();
+            assert_eq!(
+                timed,
+                [TIMED_EVERY / 2, TIMED_EVERY + TIMED_EVERY / 2],
+                "ring {ring}: one write in {TIMED_EVERY} is timed, never the first"
+            );
+        }
+    }
+
+    #[test]
+    fn an_interrupted_timed_write_is_not_charged() {
+        let t = TaskTracer::for_workers(256, 1);
+        t.enable();
+        // One write on a clock that advances `step` per reading, so a
+        // timed write's window is `step`.
+        let write = |step: u64| {
+            let c = Cell::new(0);
+            let now = || {
+                c.set(c.get() + step);
+                c.get()
+            };
+            t.record_on(0, span(0, 0, 0, 1), now)
+        };
+        for _ in 0..TIMED_EVERY / 2 {
+            assert_eq!(write(1), None);
+        }
+        assert_eq!(write(40), Some(40), "a timed write is charged");
+        for _ in 1..TIMED_EVERY {
+            assert_eq!(write(1), None);
+        }
+        assert_eq!(t.records(), TIMED_EVERY + TIMED_EVERY / 2);
+        assert_eq!(write(INTERRUPTED_NS), None, "a preempted window is not");
     }
 
     /// A span whose every field is a function of its id, so a copy mixing

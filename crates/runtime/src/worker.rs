@@ -301,7 +301,6 @@ pub(crate) fn help_while(pred: impl Fn() -> bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::SchedulerMode;
     use crate::slab::nop_task;
     use rpx_counters::counter::Clock;
     use std::time::Instant;
@@ -316,7 +315,7 @@ mod tests {
     /// `idle_step` must accrue the window since `t0` to `idle_ns`.
     #[test]
     fn idle_step_accrues_idle_time_even_when_work_is_queued() {
-        let s = Scheduler::new(1, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(1);
         let state = one_worker_state();
         let parker = Parker::new();
         let shutdown = AtomicBool::new(false);
@@ -340,7 +339,7 @@ mod tests {
 
     #[test]
     fn idle_step_parks_and_accrues_when_no_work() {
-        let s = Scheduler::new(1, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(1);
         let state = one_worker_state();
         let parker = Parker::new();
         let shutdown = AtomicBool::new(false);
@@ -356,7 +355,7 @@ mod tests {
 
     #[test]
     fn idle_step_exits_on_shutdown() {
-        let s = Scheduler::new(1, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(1);
         let state = one_worker_state();
         let parker = Parker::new();
         let shutdown = AtomicBool::new(true);
@@ -369,7 +368,7 @@ mod tests {
     /// an `idle_step`, and not before.
     #[test]
     fn idle_step_wakes_idle_waiters_once_the_ledger_balances() {
-        let s = Scheduler::new(1, SchedulerMode::LocalQueues);
+        let s = Scheduler::new(1);
         let state = one_worker_state();
         let parker = Parker::new();
         let shutdown = AtomicBool::new(false);

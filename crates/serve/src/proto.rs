@@ -238,7 +238,8 @@ fn parse_payload(p: &[u8]) -> io::Result<Frame> {
 }
 
 /// Blocking helper: read frames from `r` until `limit` frames arrived or
-/// the stream ends. Used by tests and `rpx-collect`'s stream mode.
+/// the stream ends. Used by tests (`tests/scrape_e2e.rs` reads a live
+/// stream with it).
 pub fn read_frames(r: &mut impl Read, limit: usize) -> io::Result<Vec<Frame>> {
     let mut frames = Vec::new();
     let mut buf = Vec::new();

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rpx::apex::{rules, Policy, PolicyEngine, Tunable};
-use rpx::runtime::{FaultPlan, OverloadPolicy, Runtime, RuntimeConfig, SpawnError};
+use rpx::runtime::{FaultPlan, Runtime, RuntimeConfig, SpawnError};
 
 fn busy(iters: u64) -> u64 {
     let mut acc = 0u64;
@@ -111,8 +111,6 @@ fn policy_widens_admission_when_the_overload_detector_trips() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         max_pending: Some(8),
-        resume_pending: Some(4),
-        overload_policy: OverloadPolicy::Degrade,
         watchdog_interval: Duration::from_millis(10),
         ..RuntimeConfig::with_workers(2)
     });
@@ -154,9 +152,9 @@ fn policy_widens_admission_when_the_overload_detector_trips() {
     .with_reset(false)
     .with_rule(move |ctx| {
         if ctx.value("/runtime").unwrap_or(0.0) >= 2.0 {
-            let (high, low) = knob.limits();
+            let (high, _) = knob.limits();
             if high < 32 {
-                knob.set_limits(high * 2, low * 2);
+                knob.set_limits(high * 2);
             }
         }
     });

@@ -17,8 +17,7 @@ use rpx_inncabs::spawner::RpxSpawner;
 use rpx_inncabs::{fib, health};
 use rpx_runtime::faults::register_flaky_counter;
 use rpx_runtime::{
-    CancelToken, FaultPlan, InjectedFault, OverloadPolicy, Runtime, RuntimeConfig, SpawnError,
-    TaskCancelled,
+    CancelToken, FaultPlan, InjectedFault, Runtime, RuntimeConfig, SpawnError, TaskCancelled,
 };
 
 /// Silence the default panic hook for *intentional* unwinds (injected
@@ -673,8 +672,7 @@ fn restart_storm_trips_breaker_shrinks_parallelism_loses_no_task() {
     rt.shutdown();
 }
 
-/// `try_spawn` sheds at a closed gate under every overload policy; the
-/// policy set here only governs the infallible blocker spawns.
+/// `try_spawn` sheds at a closed gate; only infallible spawns run inline.
 #[test]
 fn shed_policy_bounds_pending_exactly_and_returns_the_closure() {
     const MAX: usize = 8;
@@ -683,8 +681,6 @@ fn shed_policy_bounds_pending_exactly_and_returns_the_closure() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         max_pending: Some(MAX),
-        resume_pending: Some(4),
-        overload_policy: OverloadPolicy::Degrade,
         ..RuntimeConfig::with_workers(2)
     });
     let reg = rt.registry();
@@ -753,8 +749,6 @@ fn degrade_policy_runs_overflow_inline_and_bounds_pending() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         max_pending: Some(MAX),
-        resume_pending: Some(4),
-        overload_policy: OverloadPolicy::Degrade,
         ..RuntimeConfig::with_workers(2)
     });
     let reg = rt.registry();
