@@ -10,14 +10,16 @@
 //!
 //! - [`engine::ScrapeEngine`] — the scrape front-end. Counter handles are
 //!   resolved once per topology
-//!   [generation](rpx_counters::CounterRegistry::generation), and with
-//!   them everything about a counter that does not change between
-//!   scrapes: its dictionary id, its place in the export order, its text
-//!   exposition family and line head. A scrape clones the published list
-//!   and evaluates handles with no registry lock held. Every exported
-//!   counter carries a fixed-capacity [`engine::HistoryRing`] so late
-//!   binary subscribers can backfill; ring evictions are counted, never
-//!   silent.
+//!   [generation](rpx_counters::CounterRegistry::generation), and each
+//!   published handle list is laid out flat once: the entries in export
+//!   order, the counters in resolution order with their export
+//!   positions, and the text payload's plan (families in name order,
+//!   every line head in one arena). A scrape evaluates those counters
+//!   with no registry lock held into one sample column, an
+//!   [`engine::Batch`]. The engine keeps the columns of the last scrapes
+//!   so late binary subscribers can backfill
+//!   ([`engine::ScrapeEngine::tail`]); a sample that leaves that history
+//!   while its counter is still exported is counted, never silent.
 //! - [`text`] — Prometheus text exposition (name mangling, label
 //!   escaping, HELP/TYPE metadata).
 //! - [`proto`] — the binary framing: `u32` little-endian length prefix,
@@ -25,10 +27,10 @@
 //!   magic `RPXB`, which the listener sniffs to tell binary subscribers
 //!   from HTTP scrapers on one port.
 //! - [`server::Server`] — the dependency-free HTTP/1.1 + TCP listener, a
-//!   1 Hz publisher thread feeding rings and subscribers, self-measurement
-//!   counters (`/counters/serve/{scrape-time,scrape-count,bytes,dropped}`),
-//!   and a quiesce-time final scrape via
-//!   [`server::attach_runtime`].
+//!   1 Hz publisher thread feeding the history and subscribers,
+//!   self-measurement counters
+//!   (`/counters/serve/{scrape-time,scrape-count,bytes,dropped}`), and a
+//!   quiesce-time final scrape via [`server::attach_runtime`].
 //! - [`collect`] — `rpx-collect`'s library: scrape N endpoints, parse the
 //!   exposition, merge into one CSV/JSON table keyed by (source, metric).
 //!
@@ -58,5 +60,18 @@ pub mod proto;
 pub mod server;
 pub mod text;
 
-pub use engine::{ExportEntry, HistoryRing, Sample, ScrapeEngine, ServeStats};
+pub use engine::{Batch, ExportEntry, Sample, ScrapeEngine, ServeStats};
 pub use server::{attach_runtime, ServeConfig, Server};
+
+/// The seed of this crate's seeded tests: `RPX_TEST_SEED` (decimal, or
+/// hex with `0x`), else `0x5eed`.
+#[cfg(test)]
+fn test_seed() -> u64 {
+    std::env::var("RPX_TEST_SEED")
+        .ok()
+        .and_then(|raw| match raw.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => raw.parse().ok(),
+        })
+        .unwrap_or(0x5eed)
+}

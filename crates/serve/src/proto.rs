@@ -13,7 +13,7 @@
 //! |-----|----------|--------------------|
 //! | 1 | DICT     | `u32` id, `u8` kind, `u16` name length, name bytes |
 //! | 2 | SAMPLE   | `u32` id, `u64` seq, `u64` timestamp_ns, `f64` value, `u8` ok |
-//! | 3 | BACKFILL | same layout as SAMPLE; replayed from the history ring |
+//! | 3 | BACKFILL | same layout as SAMPLE; replayed from the engine's history of recent scrapes |
 //! | 4 | STATS    | `u64` history drops, `u64` stream drops |
 //!
 //! A DICT frame precedes the first SAMPLE/BACKFILL of every counter id —
@@ -71,7 +71,7 @@ pub enum Frame {
     },
     /// Drop accounting snapshot.
     Stats {
-        /// History-ring evictions so far.
+        /// Samples dropped from the engine's history so far.
         history_dropped: u64,
         /// Stream frames dropped on slow subscribers so far.
         stream_dropped: u64,

@@ -1,6 +1,6 @@
 //! The dependency-free telemetry listener: HTTP/1.1 text exposition and
 //! binary stream subscribers on one TCP port, plus the publisher that
-//! feeds history rings and subscribers at a fixed cadence. Both are
+//! feeds the engine's history and subscribers at a fixed cadence. Both are
 //! [`TickLoop`] ticks.
 
 use std::collections::HashSet;
@@ -23,9 +23,9 @@ use crate::{proto, text};
 pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (see [`Server::addr`]).
     pub addr: String,
-    /// Publisher cadence feeding history rings and binary subscribers.
+    /// Publisher cadence feeding the history and binary subscribers.
     pub interval: Duration,
-    /// History-ring capacity per exported counter.
+    /// How many scrapes the engine's history keeps for backfill.
     pub history: usize,
     /// Counter specs to export (wildcards allowed).
     pub specs: Vec<String>,
@@ -55,9 +55,9 @@ struct Shared {
 }
 
 impl Shared {
-    /// Publish one batch: feed history rings, then stream it to every
+    /// Publish one batch: feed the history, then stream it to every
     /// subscriber. The scrape comes before the "no subscribers" return
-    /// because the rings it fills are the backfill a later subscriber
+    /// because the history it fills is the backfill a later subscriber
     /// gets. A subscriber whose socket errors or times out is
     /// disconnected and its undelivered frames are counted as dropped —
     /// a stalled consumer must not stall the publisher.
@@ -205,7 +205,7 @@ impl Server {
     }
 
     /// Force an immediate publish tick and block until one complete
-    /// batch — started entirely after this call — reached the rings and
+    /// batch — started entirely after this call — reached the history and
     /// subscribers. The quiesce-time final scrape.
     pub fn flush_now(&self) -> bool {
         self.publisher.flush_now()
@@ -216,7 +216,7 @@ impl Server {
 }
 
 /// Wire a server to a runtime so quiescing flushes one final complete
-/// scrape into the rings and streams before workers park — the remote
+/// scrape into the history and streams before workers park — the remote
 /// twin of the sampler's drain-hook flush.
 pub fn attach_runtime(runtime: &Runtime, server: &Server) {
     // Weak: the hook outlives the server, and must not keep its publisher
@@ -245,9 +245,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 
 /// Complete a binary hello, replay DICT + backfill, and enroll the
 /// subscriber with the publisher. The subscriber list stays locked from
-/// before the first ring is read until the subscriber is on it: the
+/// before the history is read until the subscriber is on it: the
 /// publisher streams a tick under the same lock, so every tick is either
-/// already in the rings read here or streamed to this subscriber live —
+/// already in the history read here or streamed to this subscriber live —
 /// none falls between backfill and stream.
 fn subscribe(mut stream: TcpStream, shared: &Arc<Shared>) {
     let mut rest = [0u8; 5];
@@ -262,7 +262,7 @@ fn subscribe(mut stream: TcpStream, shared: &Arc<Shared>) {
     for entry in shared.engine.entries() {
         proto::encode_into(&mut buf, &dict_frame(&entry));
         known.insert(entry.id);
-        for s in entry.ring.tail(backfill) {
+        for s in shared.engine.tail(entry.id, backfill) {
             let frame = proto::Frame::Backfill {
                 id: entry.id,
                 seq: s.seq,

@@ -9,51 +9,58 @@
 //! `(type path, instance, params)` and those three reconstruct the
 //! canonical name.
 
-use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::sync::Arc;
 
 use rpx_counters::value::CounterKind;
 
-use crate::engine::{ExportEntry, Sample};
+use crate::engine::{Batch, ExportEntry, Sample};
 
 /// Split a canonical counter name into (type path, instance, parameters):
 /// `/threads{locality#0/worker-thread#1}/time/cumulative@w,5` →
 /// `("/threads/time/cumulative", "locality#0/worker-thread#1", "w,5")`.
 pub fn split_canonical(canonical: &str) -> (String, String, String) {
-    let (body, params) = match canonical.split_once('@') {
-        Some((b, p)) => (b, p),
-        None => (canonical, ""),
-    };
-    let (type_path, instance) = match (body.find('{'), body.find('}')) {
-        (Some(open), Some(close)) if close > open => {
-            let mut t = body[..open].to_string();
-            t.push_str(&body[close + 1..]);
-            (t, body[open + 1..close].to_string())
-        }
-        _ => (body.to_string(), String::new()),
-    };
-    (type_path, instance, params.to_string())
+    let (type_path, instance, params) = canonical_parts(canonical);
+    (type_path.concat(), instance.to_string(), params.to_string())
+}
+
+/// [`split_canonical`] as slices of the name: the type path in the two
+/// pieces around the instance block.
+fn canonical_parts(canonical: &str) -> ([&str; 2], &str, &str) {
+    let (body, params) = canonical.split_once('@').unwrap_or((canonical, ""));
+    match (body.find('{'), body.find('}')) {
+        (Some(open), Some(close)) if close > open => (
+            [&body[..open], &body[close + 1..]],
+            &body[open + 1..close],
+            params,
+        ),
+        _ => ([body, ""], "", params),
+    }
 }
 
 /// Mangle a counter type path into a Prometheus metric family name:
 /// `rpx` + the path with every non-alphanumeric byte as `_`.
 pub fn metric_name(type_path: &str) -> String {
     let mut out = String::with_capacity(type_path.len() + 4);
-    out.push_str("rpx");
-    for c in type_path.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
+    push_metric_name(&mut out, &[type_path]);
     out
+}
+
+fn push_metric_name(out: &mut String, type_path: &[&str]) {
+    out.push_str("rpx");
+    for c in type_path.iter().flat_map(|piece| piece.chars()) {
+        out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
+    }
 }
 
 /// Prometheus label-value escaping: backslash, double quote, newline.
 pub fn label_escape(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
+    push_label_escaped(&mut out, value);
+    out
+}
+
+fn push_label_escaped(out: &mut String, value: &str) {
     for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -62,7 +69,6 @@ pub fn label_escape(value: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 /// Append `value` with HELP-text escaping: backslash and newline (quotes
@@ -77,33 +83,32 @@ fn push_help_escaped(out: &mut String, value: &str) {
     }
 }
 
-/// What a canonical counter name contributes to every payload it appears
-/// in: its metric family, and its sample line up to and including the
-/// space before the value — `family{instance="…",params="…"} `, labels
-/// escaped, braces omitted for a bare type-path counter. Both are pure
-/// functions of the name, so the engine computes them once, when the
-/// export entry is created.
-pub(crate) fn resolve_exposition(canonical: &str) -> (String, String) {
-    let (type_path, instance, params) = split_canonical(canonical);
-    let family = metric_name(&type_path);
-    let mut head = String::with_capacity(canonical.len() + 32);
-    head.push_str(&family);
+/// Append what a canonical counter name contributes to every payload it
+/// appears in: its sample line up to and including the space before the
+/// value — `family{instance="…",params="…"} `, labels escaped, braces
+/// omitted for a bare type-path counter. Returns the length of the line's
+/// metric family, which is its prefix.
+fn push_head(out: &mut String, canonical: &str) -> usize {
+    let start = out.len();
+    let (type_path, instance, params) = canonical_parts(canonical);
+    push_metric_name(out, &type_path);
+    let family = out.len() - start;
     let mut open = '{';
-    for (label, value) in [("instance", &instance), ("params", &params)] {
+    for (label, value) in [("instance", instance), ("params", params)] {
         if !value.is_empty() {
-            head.push(open);
-            head.push_str(label);
-            head.push_str("=\"");
-            head.push_str(&label_escape(value));
-            head.push('"');
+            out.push(open);
+            out.push_str(label);
+            out.push_str("=\"");
+            push_label_escaped(out, value);
+            out.push('"');
             open = ',';
         }
     }
     if open == ',' {
-        head.push('}');
+        out.push('}');
     }
-    head.push(' ');
-    (family, head)
+    out.push(' ');
+    family
 }
 
 fn prom_type(kind: CounterKind) -> &'static str {
@@ -113,80 +118,144 @@ fn prom_type(kind: CounterKind) -> &'static str {
     }
 }
 
-/// "No such sample" in a family's chain of batch indices.
-const NONE: u32 = u32::MAX;
-
-/// One metric family of a batch: the entry its header is taken from and
-/// the chain of its ok samples — first and last batch index, the links
-/// between them in `render`'s `next`.
-struct Family<'a> {
-    header: &'a ExportEntry,
-    first: u32,
-    last: u32,
-}
-
 /// Bytes reserved per sample line for the value and the newline; a longer
 /// value only costs the payload a reallocation.
 const VALUE_RESERVE: usize = 24;
 
-/// Render a scrape batch as one exposition payload. Samples are grouped
-/// by metric family, families sorted by name, samples in batch order;
-/// HELP/TYPE are emitted once per family, from its first entry in the
-/// batch. A failed sample emits no line — Prometheus has no "unavailable"
-/// value — but its family header still appears.
-///
-/// Two passes, neither of which parses a name: the first chains the batch
-/// indices of each entry's resolved family, the second appends each
-/// sample's resolved line head and its value to one pre-sized `String`.
-pub fn render(batch: &[(Arc<ExportEntry>, Sample)]) -> String {
-    assert!(batch.len() < NONE as usize, "batch indices fit a u32");
-    let mut families: BTreeMap<&str, Family> = BTreeMap::new();
-    // next[i]: the batch index of the next ok sample of i's family.
-    let mut next = vec![NONE; batch.len()];
-    let mut bytes = 0;
-    for (i, (entry, sample)) in batch.iter().enumerate() {
-        let family = families.entry(&entry.family).or_insert_with(|| {
-            bytes += "# HELP  \n# TYPE  counter\n".len()
-                + 2 * entry.family.len()
-                + entry.info.help.len();
-            Family {
-                header: entry,
-                first: NONE,
-                last: NONE,
+/// A byte range of [`Plan::arena`].
+#[derive(Clone, Copy)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    /// From `start` to the end of what `arena` holds so far.
+    fn since(arena: &str, start: usize) -> Self {
+        Span {
+            start: start as u32,
+            end: arena.len() as u32,
+        }
+    }
+}
+
+/// One metric family: its HELP/TYPE header and where its members end in
+/// [`Plan::members`] (they start where the previous family's end).
+struct PlanFamily {
+    header: Span,
+    members_end: u32,
+}
+
+/// One sample line: the export position of its sample and its head.
+struct Member {
+    position: u32,
+    head: Span,
+}
+
+/// Everything a payload says about an export set apart from the values,
+/// laid out in the order [`render`] writes it. Built once per published
+/// handle list, with the rest of the engine's export set.
+pub(crate) struct Plan {
+    /// Each family's header, then its members' line heads, families in
+    /// name order: `render` walks it front to back.
+    arena: String,
+    families: Vec<PlanFamily>,
+    members: Vec<Member>,
+}
+
+impl Plan {
+    /// The plan of `entries`, which are in export order.
+    pub(crate) fn new(entries: &[Arc<ExportEntry>]) -> Self {
+        // Heads in export order first; a head's family is its prefix.
+        let mut heads = String::new();
+        let mut lines = Vec::with_capacity(entries.len());
+        for entry in entries {
+            let start = heads.len();
+            let family = push_head(&mut heads, &entry.canonical);
+            lines.push((start, start + family, heads.len()));
+        }
+        let family_of = |i: u32| {
+            let (start, family, _) = lines[i as usize];
+            &heads[start..family]
+        };
+        let mut order: Vec<u32> = (0..entries.len() as u32).collect();
+        // Stable, so export order survives within a family.
+        order.sort_by(|&a, &b| family_of(a).cmp(family_of(b)));
+
+        let mut arena = String::with_capacity(heads.len());
+        let mut families = Vec::new();
+        let mut members = Vec::with_capacity(entries.len());
+        for group in order.chunk_by(|&a, &b| family_of(a) == family_of(b)) {
+            let (name, info) = (family_of(group[0]), &entries[group[0] as usize].info);
+            let start = arena.len();
+            arena.push_str("# HELP ");
+            arena.push_str(name);
+            arena.push(' ');
+            push_help_escaped(&mut arena, &info.help);
+            arena.push_str("\n# TYPE ");
+            arena.push_str(name);
+            arena.push(' ');
+            arena.push_str(prom_type(info.kind));
+            arena.push('\n');
+            let header = Span::since(&arena, start);
+            for &i in group {
+                let (start, _, end) = lines[i as usize];
+                let at = arena.len();
+                arena.push_str(&heads[start..end]);
+                members.push(Member {
+                    position: i,
+                    head: Span::since(&arena, at),
+                });
             }
-        });
-        if !sample.ok {
-            continue;
+            families.push(PlanFamily {
+                header,
+                members_end: members.len() as u32,
+            });
         }
-        bytes += entry.head.len() + VALUE_RESERVE;
-        match family.last {
-            NONE => family.first = i as u32,
-            last => next[last as usize] = i as u32,
-        }
-        family.last = i as u32;
-    }
-    let mut out = String::with_capacity(bytes);
-    for (name, family) in &families {
-        let info = &family.header.info;
-        out.push_str("# HELP ");
-        out.push_str(name);
-        out.push(' ');
-        push_help_escaped(&mut out, &info.help);
-        out.push_str("\n# TYPE ");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(prom_type(info.kind));
-        out.push('\n');
-        let mut i = family.first;
-        while i != NONE {
-            let (entry, sample) = &batch[i as usize];
-            out.push_str(&entry.head);
-            push_value(&mut out, sample.value);
-            out.push('\n');
-            i = next[i as usize];
+        assert!(arena.len() < u32::MAX as usize, "arena offsets fit a u32");
+        Plan {
+            arena,
+            families,
+            members,
         }
     }
-    out
+
+    fn text(&self, span: Span) -> &str {
+        &self.arena[span.start as usize..span.end as usize]
+    }
+
+    /// The payload of `samples`, one per entry in export order.
+    fn render(&self, samples: &[Sample]) -> String {
+        let mut out = String::with_capacity(self.arena.len() + self.members.len() * VALUE_RESERVE);
+        let mut members = 0;
+        for family in &self.families {
+            out.push_str(self.text(family.header));
+            let end = family.members_end as usize;
+            for member in &self.members[members..end] {
+                let sample = &samples[member.position as usize];
+                if sample.ok {
+                    out.push_str(self.text(member.head));
+                    push_value(&mut out, sample.value);
+                    out.push('\n');
+                }
+            }
+            members = end;
+        }
+        out
+    }
+}
+
+/// Render a scrape batch as one exposition payload. Families are sorted
+/// by name, each with its HELP/TYPE header from its first entry in export
+/// order, then the line of each ok member in export order; a failed
+/// sample emits no line — Prometheus has no "unavailable" value — but its
+/// family header still appears.
+///
+/// The walk follows a layout built once per export set: a header per
+/// family, then the head, value and `\n` of each ok member. No name is
+/// parsed and no entry is read.
+pub fn render(batch: &Batch) -> String {
+    batch.plan().render(batch.samples())
 }
 
 /// Prometheus floats: integral values render without a fraction so text
@@ -203,8 +272,15 @@ fn push_value(out: &mut String, v: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use rand::SplitMix64;
-    use rpx_counters::{CounterInfo, CounterName};
+    use rpx_counters::value::CounterStatus;
+    use rpx_counters::{Counter, CounterInfo, CounterName, CounterRegistry, CounterValue};
+
+    use crate::engine::ScrapeEngine;
 
     #[test]
     fn split_canonical_extracts_all_parts() {
@@ -280,46 +356,241 @@ mod tests {
         name
     }
 
+    /// `count` random canonical names, each once, in random order.
+    fn random_canonicals(rng: &mut SplitMix64, seed: u64, count: u64) -> Vec<String> {
+        let mut unique = BTreeSet::new();
+        for _ in 0..count {
+            let name: CounterName = random_canonical(rng)
+                .parse()
+                .unwrap_or_else(|e| panic!("RPX_TEST_SEED={seed:#x}: {e}"));
+            unique.insert(name.canonical());
+        }
+        let mut names: Vec<String> = unique.into_iter().collect();
+        for i in (1..names.len()).rev() {
+            names.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        names
+    }
+
+    /// The counter types the random names draw from. `/bad/ctr` panics.
+    const TYPES: [(&str, CounterKind); 4] = [
+        ("/obj0/ctr", CounterKind::Raw),
+        ("/obj1/ctr", CounterKind::MonotonicallyIncreasing),
+        ("/obj2/ctr", CounterKind::Average),
+        ("/bad/ctr", CounterKind::Raw),
+    ];
+
+    /// A counter whose reading is a pure function of its name and the
+    /// scrape round: a quarter-step value, or one time in five a failed
+    /// evaluation.
+    struct Scripted {
+        info: CounterInfo,
+        round: Arc<AtomicU64>,
+    }
+
+    impl Counter for Scripted {
+        fn info(&self) -> CounterInfo {
+            self.info.clone()
+        }
+
+        fn get_value(&self, _reset: bool) -> CounterValue {
+            if self.info.name.starts_with("/bad") {
+                // Unwinds without running the panic hook: no test noise.
+                std::panic::resume_unwind(Box::new("injected counter panic"));
+            }
+            let mut h = DefaultHasher::new();
+            (self.round.load(Ordering::Relaxed), &self.info.name).hash(&mut h);
+            let h = h.finish();
+            if h.is_multiple_of(5) {
+                return CounterValue {
+                    status: CounterStatus::Invalid,
+                    ..CounterValue::new(0, 0)
+                };
+            }
+            CounterValue::scaled_by((h % 4_000) as i64 - 2_000, 4, 0)
+        }
+
+        fn reset(&self) {}
+    }
+
+    /// An engine exporting `canonicals` as [`Scripted`] counters, and the
+    /// round they read. Each instance's help text names it, escapes
+    /// included, so which member a family header comes from shows.
+    fn scripted_engine(
+        canonicals: &[String],
+        shards: usize,
+    ) -> (Arc<ScrapeEngine>, Arc<AtomicU64>) {
+        let reg = CounterRegistry::new();
+        let round = Arc::new(AtomicU64::new(0));
+        for (type_path, kind) in TYPES {
+            let round = round.clone();
+            reg.register_type(
+                CounterInfo::new(type_path, kind, "h", "1"),
+                Arc::new(move |name: &CounterName, _| {
+                    let canonical = name.canonical();
+                    let help = format!("help of {canonical}\\ \"\n");
+                    let info = CounterInfo::new(canonical, kind, help, "1");
+                    let round = round.clone();
+                    Ok(Arc::new(Scripted { info, round }) as Arc<dyn Counter>)
+                }),
+                None,
+            );
+        }
+        let engine = ScrapeEngine::new(&reg, canonicals, shards, 4).expect("the names resolve");
+        (engine, round)
+    }
+
+    /// The reference for `push_head`: a canonical name's metric family
+    /// and its sample line up to the value, built from the public
+    /// helpers.
+    fn resolve_exposition(canonical: &str) -> (String, String) {
+        let (type_path, instance, params) = split_canonical(canonical);
+        let family = metric_name(&type_path);
+        let mut head = family.clone();
+        let mut open = '{';
+        for (label, value) in [("instance", &instance), ("params", &params)] {
+            if !value.is_empty() {
+                head.push(open);
+                head.push_str(label);
+                head.push_str("=\"");
+                head.push_str(&label_escape(value));
+                head.push('"');
+                open = ',';
+            }
+        }
+        if open == ',' {
+            head.push('}');
+        }
+        head.push(' ');
+        (family, head)
+    }
+
+    /// "No such sample" in a family's chain of batch indices.
+    const NONE: u32 = u32::MAX;
+
+    /// One metric family of a batch: the entry its header is taken from
+    /// and the chain of its ok samples.
+    struct Family<'a> {
+        header: &'a ExportEntry,
+        first: u32,
+        last: u32,
+    }
+
+    /// The two-pass renderer the plan replaced, kept as its reference:
+    /// chain the batch indices of each family in a `BTreeMap` (HELP/TYPE
+    /// from the family's first entry), then append each ok sample's head
+    /// and value.
+    fn reference_render(batch: &[(Arc<ExportEntry>, Sample)]) -> String {
+        let resolved: Vec<(String, String)> = batch
+            .iter()
+            .map(|(entry, _)| resolve_exposition(&entry.canonical))
+            .collect();
+        let mut families: BTreeMap<&str, Family> = BTreeMap::new();
+        let mut next = vec![NONE; batch.len()];
+        for (i, (entry, sample)) in batch.iter().enumerate() {
+            let family = families.entry(&resolved[i].0).or_insert(Family {
+                header: entry,
+                first: NONE,
+                last: NONE,
+            });
+            if !sample.ok {
+                continue;
+            }
+            match family.last {
+                NONE => family.first = i as u32,
+                last => next[last as usize] = i as u32,
+            }
+            family.last = i as u32;
+        }
+        let mut out = String::new();
+        for (name, family) in &families {
+            let info = &family.header.info;
+            out.push_str("# HELP ");
+            out.push_str(name);
+            out.push(' ');
+            push_help_escaped(&mut out, &info.help);
+            out.push_str("\n# TYPE ");
+            out.push_str(name);
+            out.push(' ');
+            out.push_str(prom_type(info.kind));
+            out.push('\n');
+            let mut i = family.first;
+            while i != NONE {
+                out.push_str(&resolved[i as usize].1);
+                push_value(&mut out, batch[i as usize].1.value);
+                out.push('\n');
+                i = next[i as usize];
+            }
+        }
+        out
+    }
+
+    /// `render` writes the reference renderer's bytes, over random export
+    /// sets scraped several times: several families whose members differ
+    /// in help text, every escaped character, failed samples and a
+    /// panicking counter. Replay a failure with the `RPX_TEST_SEED` it
+    /// prints.
+    #[test]
+    fn render_matches_the_two_pass_reference_byte_for_byte() {
+        let seed = crate::test_seed();
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let (mut failed, mut panicked, mut shared) = (0, 0, 0);
+        for round in 0..100 {
+            let count = 1 + rng.next_u64() % 24;
+            let mut canonicals = random_canonicals(&mut rng, seed, count);
+            if rng.next_u64().is_multiple_of(2) {
+                canonicals.push("/bad/ctr".into());
+            }
+            let shards = 1 + (rng.next_u64() % 8) as usize;
+            let (engine, scrape_round) = scripted_engine(&canonicals, shards);
+            for scrape in 0..3 {
+                scrape_round.store(rng.next_u64(), Ordering::Relaxed);
+                let batch = engine.collect();
+                let pairs: Vec<(Arc<ExportEntry>, Sample)> =
+                    batch.iter().map(|(e, s)| (e.clone(), *s)).collect();
+                assert_eq!(
+                    render(&batch),
+                    reference_render(&pairs),
+                    "RPX_TEST_SEED={seed:#x}, round {round}, scrape {scrape}"
+                );
+                failed += pairs.iter().filter(|(_, s)| !s.ok).count();
+                panicked += pairs
+                    .iter()
+                    .filter(|(e, _)| e.canonical == "/bad/ctr")
+                    .count();
+            }
+            let families: BTreeSet<String> =
+                canonicals.iter().map(|c| resolve_exposition(c).0).collect();
+            shared += canonicals.len() - families.len();
+        }
+        assert!(
+            failed > 0 && panicked > 0 && shared > 0,
+            "RPX_TEST_SEED={seed:#x}: {failed} failed samples, {panicked} panicking reads, \
+             {shared} family members past the first"
+        );
+    }
+
     /// `parse_exposition(render(batch))` is the batch's ok samples: each
-    /// comes back exactly once, under the head its entry resolved, with
-    /// its value. Replay a failure with the `RPX_TEST_SEED` it prints.
+    /// comes back exactly once, under the head its entry resolves to,
+    /// with its value. Replay a failure with the `RPX_TEST_SEED` it
+    /// prints.
     #[test]
     fn rendered_batches_parse_back_to_their_heads_and_values() {
-        let seed = std::env::var("RPX_TEST_SEED")
-            .ok()
-            .and_then(|raw| match raw.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => raw.parse().ok(),
-            })
-            .unwrap_or(0x5eed);
+        let seed = crate::test_seed();
         let mut rng = SplitMix64::seed_from_u64(seed);
         for round in 0..200 {
-            let mut canonicals = std::collections::BTreeSet::new();
-            for _ in 0..1 + rng.next_u64() % 12 {
-                let name: CounterName = random_canonical(&mut rng)
-                    .parse()
-                    .unwrap_or_else(|e| panic!("RPX_TEST_SEED={seed:#x}: {e}"));
-                canonicals.insert(name.canonical());
-            }
-            let batch: Vec<(Arc<ExportEntry>, Sample)> = canonicals
-                .iter()
-                .enumerate()
-                .map(|(id, canonical)| {
-                    let info = CounterInfo::new(canonical.clone(), CounterKind::Raw, "h", "1");
-                    let entry = ExportEntry::new(id as u32, canonical, info, 1, 4);
-                    let sample = Sample {
-                        seq: 1,
-                        timestamp_ns: 0,
-                        value: (rng.next_u64() % 4_000) as f64 / 4.0 - 500.0,
-                        ok: !rng.next_u64().is_multiple_of(5),
-                    };
-                    (Arc::new(entry), sample)
-                })
-                .collect();
+            let count = 1 + rng.next_u64() % 12;
+            let canonicals = random_canonicals(&mut rng, seed, count);
+            let (engine, scrape_round) = scripted_engine(&canonicals, 4);
+            scrape_round.store(rng.next_u64(), Ordering::Relaxed);
+            let batch = engine.collect();
             let mut expected: Vec<(String, f64)> = batch
                 .iter()
                 .filter(|(_, sample)| sample.ok)
-                .map(|(entry, sample)| (entry.head.trim_end().to_owned(), sample.value))
+                .map(|(entry, sample)| {
+                    let head = resolve_exposition(&entry.canonical).1;
+                    (head.trim_end().to_owned(), sample.value)
+                })
                 .collect();
             let payload = render(&batch);
             let mut parsed = crate::collect::parse_exposition(&payload);

@@ -166,7 +166,7 @@ fn exposition_matches_the_golden_file_byte_for_byte() {
     let engine = ScrapeEngine::new(&reg, &specs, 4, 2).expect("the fixture resolves");
     let rendered = text::render(&engine.collect());
     // A second scrape renders the same bytes: nothing in the payload
-    // depends on the scrape sequence or on ring state.
+    // depends on the scrape sequence or on the history.
     assert_eq!(text::render(&engine.collect()), rendered);
     assert_eq!(
         rendered, GOLDEN,

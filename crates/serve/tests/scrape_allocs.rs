@@ -3,9 +3,9 @@
 //! A counting `#[global_allocator]` wraps the system allocator (as in the
 //! umbrella crate's `tests/zero_alloc.rs`); after a warm-up scrape, one
 //! `collect()` + `render()` must allocate the same number of times over
-//! 1 000 export entries as over 4 000 — the batch, the payload and a few
-//! per-family nodes — where a renderer that builds each line from its
-//! counter name allocates some 18 times per entry.
+//! 1 000 export entries as over 4 000 — the sample column, its copy in
+//! the history and the payload — where a renderer that builds each line
+//! from its counter name allocates some 18 times per entry.
 //!
 //! This is its own integration test binary because a global allocator is
 //! process-wide: the count would otherwise see every other test's traffic.
@@ -87,5 +87,7 @@ fn a_scrape_allocates_per_payload_not_per_counter() {
         "allocations per scrape grew with the export set: {small} at 1 000 entries, \
          {large} at 4 000"
     );
-    assert!(small < 64, "{small} allocations for one scrape");
+    // The sample column, its copy in the history (until the history is
+    // full, when the evicted column's buffer is reused) and the payload.
+    assert!(small <= 3, "{small} allocations for one scrape");
 }

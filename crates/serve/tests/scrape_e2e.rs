@@ -282,7 +282,7 @@ fn late_subscriber_sees_every_tick_since_its_backfill() {
         },
     )
     .expect("server starts");
-    // Fill the rings, so the backfill is as long as it gets.
+    // Fill the history, so the backfill is as long as it gets.
     for _ in 0..64 {
         assert!(server.flush_now());
     }
