@@ -34,7 +34,7 @@ pub struct QueryHandle<S = ()> {
     /// The resolved counter instance.
     pub counter: Arc<dyn Counter>,
     /// Consumer state attached to this counter (a sampler's backoff, a
-    /// scrape engine's history ring). Created when the canonical name
+    /// scrape engine's export entry). Created when the canonical name
     /// first resolves and carried over every re-expansion for as long as
     /// the name stays resolvable.
     pub slot: S,

@@ -183,7 +183,7 @@ impl<W: Write + Send> SampleSink for JsonSink<W> {
 /// [`bounded`](Self::bounded) turns it into a fixed-capacity ring: the
 /// newest batches are kept, each evicted oldest batch counts as exactly
 /// one drop — the ring-buffer drop-accounting rule every lossy sink in
-/// the pipeline follows (tracer ring, serve history ring).
+/// the pipeline follows (tracer ring, serve scrape history).
 #[derive(Default)]
 pub struct MemorySink {
     batches: Arc<Mutex<Vec<SampleBatch>>>,
