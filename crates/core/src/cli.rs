@@ -17,9 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::CounterError;
-use crate::query::ResolvedQuery;
 use crate::registry::CounterRegistry;
-use crate::sampler::{CsvSink, JsonSink, SampleSink, Sampler, SamplerConfig};
+use crate::sampler::{CsvSink, JsonSink, SampleSink, Sampler, SamplerConfig, Sampling};
 
 /// Output format for `--rpx:print-counter-destination`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -179,21 +178,13 @@ impl CounterCli {
         if self.options.print_counters.is_empty() {
             return Ok(());
         }
-        let mut sink = make_sink(&self.options)?;
-        // Resolve once through the handle-cached path; the final read is
+        // One tick of a sampler's engine and sink: the final read is
         // lock-free, accounted in the overhead counters like any other
         // batch, and guarded: a counter that panics prints as unavailable
         // instead of losing the whole shutdown report.
-        let query = ResolvedQuery::resolve(&self.registry, &self.options.print_counters)?;
-        let (timestamp_ns, readings) =
-            query.batch(|h, t0| (h.canonical.clone(), h.read(false, t0)));
-        sink.begin(&query.names());
-        sink.record(&crate::sampler::SampleBatch {
-            sequence: 0,
-            timestamp_ns,
-            readings,
-        });
-        sink.finish();
+        let config = SamplerConfig::new(self.options.print_counters.clone(), Duration::ZERO);
+        let sink = make_sink(&self.options)?;
+        Sampling::new(&self.registry, &config, sink, Arc::default())?.tick();
         Ok(())
     }
 }

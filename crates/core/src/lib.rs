@@ -26,8 +26,14 @@
 //! - **Active set**: `add_active` + [`registry::CounterRegistry::evaluate_active_counters`] /
 //!   [`registry::CounterRegistry::reset_active_counters`] implement the
 //!   paper's per-sample measurement protocol.
-//! - **Sampler & CLI** ([`sampler`], [`cli`]): periodic collection into
-//!   CSV/JSON sinks and the `--rpx:print-counter*` command-line options.
+//! - **Scrape engine** ([`engine::ScrapeEngine`], [`text`]): the one
+//!   periodic read path. A `collect` reads a resolved set into one column
+//!   of samples with no registry lock, backs a failing counter off and
+//!   accounts its own cost; [`text::render`] writes a batch as a
+//!   Prometheus exposition. `rpx-serve` serves it over the wire.
+//! - **Sampler & CLI** ([`sampler`], [`cli`]): a `TickLoop` over a private
+//!   engine feeding CSV/JSON sinks, and the `--rpx:print-counter*`
+//!   command-line options, whose shutdown print is one such read.
 //!
 //! ## Quick example
 //!
@@ -59,6 +65,7 @@
 pub mod cli;
 pub mod counter;
 pub mod derived;
+pub mod engine;
 pub mod error;
 pub mod histogram;
 pub mod locality;
@@ -71,6 +78,7 @@ pub mod registry;
 pub mod sampler;
 pub mod statistics;
 pub mod stats;
+pub mod text;
 pub mod value;
 
 pub use counter::{Clock, ClockDrift, Counter};

@@ -45,11 +45,15 @@ impl<S> QueryHandle<S> {
     /// becomes an unavailable placeholder stamped `timestamp_ns`, so one
     /// broken counter cannot unwind a periodic reader's thread.
     pub fn read(&self, reset: bool, timestamp_ns: u64) -> CounterValue {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.counter.get_value(reset)
-        }))
-        .unwrap_or_else(|_| CounterValue::unavailable(timestamp_ns))
+        read_counter(&*self.counter, reset, timestamp_ns)
     }
+}
+
+/// [`QueryHandle::read`] for a bare counter: the one guarded read, shared
+/// with the scrape engine.
+pub(crate) fn read_counter(counter: &dyn Counter, reset: bool, timestamp_ns: u64) -> CounterValue {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| counter.get_value(reset)))
+        .unwrap_or_else(|_| CounterValue::unavailable(timestamp_ns))
 }
 
 /// What the set resolves: the stored specs (wildcards preserved, insertion

@@ -1,23 +1,19 @@
 //! Interval-driven counter sampling, mirroring HPX's
 //! `--hpx:print-counter` / `--hpx:print-counter-interval` convenience
-//! layer: a background thread evaluates a set of counters periodically and
-//! hands each batch of readings to a sink (stdout, CSV, JSON, or custom).
+//! layer: a background thread reads a set of counters periodically and
+//! hands each [`Batch`] to a sink (stdout, CSV, JSON, or custom).
 //!
-//! Sampling is *resilient*: a counter whose evaluation returns a non-ok
-//! status — or panics — does not kill the run. The failure is recorded in
-//! [`SamplerHealth`], the reading is emitted as an unavailable placeholder
-//! (an empty CSV cell; rows keep their full width), the remaining counters
-//! are still sampled, and the failing counter is backed off exponentially
-//! (with jitter, capped at 32 intervals) so a persistently broken counter
+//! A [`Sampler`] is a [`TickLoop`] over a private
+//! [`ScrapeEngine`], the one periodic read path (DESIGN.md §12): names
+//! are resolved once per topology
+//! [generation](CounterRegistry::generation), each tick is one
+//! `collect`, and a topology move re-expands wildcard specs and
+//! re-announces the schema to the sink (CSV emits a fresh header row).
+//! The engine's per-counter backoff makes sampling *resilient*: a counter
+//! whose read fails — or panics — reads as unavailable (an empty CSV
+//! cell; rows keep their full width), is counted in [`SamplerHealth`],
+//! and is backed off exponentially so a persistently broken counter
 //! cannot dominate the sampling budget.
-//!
-//! Sampling is also *live*: names are resolved into counter handles once
-//! per topology [generation](CounterRegistry::generation) via
-//! [`ResolvedQuery`], not once per tick and not once per run. When the
-//! topology moves (a worker respawned, a type registered late), the next
-//! tick re-expands any wildcard specs, re-announces the schema to the sink,
-//! and keeps sampling — per-counter backoff state lives in the handle's
-//! slot, so it survives for counters present across the change.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,22 +23,10 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::counter::Clock;
+use crate::engine::{Batch, ScrapeEngine, ServeStats};
 use crate::error::CounterError;
 use crate::prim;
-use crate::query::{QueryHandle, ResolvedQuery};
 use crate::registry::CounterRegistry;
-use crate::value::CounterValue;
-
-/// One batch of readings taken at the same sampling point.
-#[derive(Debug, Clone)]
-pub struct SampleBatch {
-    /// Sequence number of the batch (0-based).
-    pub sequence: u64,
-    /// Registry-clock timestamp (ns) when the batch was started.
-    pub timestamp_ns: u64,
-    /// (counter name, value) pairs in configuration order.
-    pub readings: Vec<(String, CounterValue)>,
-}
 
 /// Consumer of sample batches.
 pub trait SampleSink: Send {
@@ -51,7 +35,7 @@ pub trait SampleSink: Send {
         let _ = names;
     }
     /// Called for every batch.
-    fn record(&mut self, batch: &SampleBatch);
+    fn record(&mut self, batch: &Batch);
     /// Called when sampling stops.
     fn finish(&mut self) {}
     /// Cumulative number of records this sink failed to deliver (write
@@ -65,7 +49,8 @@ pub trait SampleSink: Send {
     }
 }
 
-/// Sink writing one CSV row per batch: `sequence,timestamp_ns,<value...>`.
+/// Sink writing one CSV row per batch: `sequence,timestamp_ns,<value...>`,
+/// an unavailable reading as an empty cell.
 ///
 /// A row whose write fails (full disk, closed pipe) is counted in
 /// [`dropped`](SampleSink::dropped) — once per row, however many of its
@@ -104,11 +89,11 @@ impl<W: Write + Send> SampleSink for CsvSink<W> {
         let _ = writeln!(self.out);
     }
 
-    fn record(&mut self, batch: &SampleBatch) {
+    fn record(&mut self, batch: &Batch) {
         let mut ok = write!(self.out, "{},{}", batch.sequence, batch.timestamp_ns).is_ok();
-        for (_, v) in &batch.readings {
-            ok &= if v.status.is_ok() {
-                write!(self.out, ",{}", v.scaled()).is_ok()
+        for sample in batch.samples() {
+            ok &= if sample.ok {
+                write!(self.out, ",{}", sample.value).is_ok()
             } else {
                 write!(self.out, ",").is_ok()
             };
@@ -128,7 +113,9 @@ impl<W: Write + Send> SampleSink for CsvSink<W> {
     }
 }
 
-/// Sink writing one JSON object per line (JSONL) per batch. Rows lost to
+/// Sink writing one JSON object per line (JSONL) per batch: `sequence`,
+/// `timestamp_ns` and `readings`, a `[name, value]` pair per counter whose
+/// value is the CSV cell's (`null` when unavailable). Rows lost to
 /// serialization or write failure are counted in
 /// [`dropped`](SampleSink::dropped).
 pub struct JsonSink<W: Write + Send> {
@@ -144,20 +131,19 @@ impl<W: Write + Send> JsonSink<W> {
 }
 
 impl<W: Write + Send> SampleSink for JsonSink<W> {
-    fn record(&mut self, batch: &SampleBatch) {
+    fn record(&mut self, batch: &Batch) {
         #[derive(serde::Serialize)]
         struct Row<'a> {
             sequence: u64,
             timestamp_ns: u64,
-            readings: Vec<(&'a str, &'a CounterValue)>,
+            readings: Vec<(&'a str, Option<f64>)>,
         }
         let row = Row {
             sequence: batch.sequence,
             timestamp_ns: batch.timestamp_ns,
             readings: batch
-                .readings
                 .iter()
-                .map(|(n, v)| (n.as_str(), v))
+                .map(|(e, s)| (e.canonical.as_str(), s.ok.then_some(s.value)))
                 .collect(),
         };
         let ok = match serde_json::to_string(&row) {
@@ -186,10 +172,10 @@ impl<W: Write + Send> SampleSink for JsonSink<W> {
 /// the pipeline follows (tracer ring, serve scrape history).
 #[derive(Default)]
 pub struct MemorySink {
-    batches: Arc<Mutex<Vec<SampleBatch>>>,
+    batches: Arc<Mutex<Vec<Batch>>>,
     /// `Some(cap)` bounds the buffer to the `cap` most recent batches.
     capacity: Option<usize>,
-    dropped: Arc<AtomicU64>,
+    dropped: u64,
 }
 
 impl MemorySink {
@@ -200,7 +186,7 @@ impl MemorySink {
 
     /// An empty in-memory sink keeping only the `capacity` most recent
     /// batches; evictions are counted exactly in
-    /// [`dropped_handle`](Self::dropped_handle).
+    /// [`dropped`](SampleSink::dropped).
     pub fn bounded(capacity: usize) -> Self {
         MemorySink {
             capacity: Some(capacity.max(1)),
@@ -209,30 +195,25 @@ impl MemorySink {
     }
 
     /// Shared handle to the collected batches.
-    pub fn batches(&self) -> Arc<Mutex<Vec<SampleBatch>>> {
+    pub fn batches(&self) -> Arc<Mutex<Vec<Batch>>> {
         self.batches.clone()
-    }
-
-    /// Shared handle to the eviction count (live; one per evicted batch).
-    pub fn dropped_handle(&self) -> Arc<AtomicU64> {
-        self.dropped.clone()
     }
 }
 
 impl SampleSink for MemorySink {
-    fn record(&mut self, batch: &SampleBatch) {
+    fn record(&mut self, batch: &Batch) {
         let mut batches = self.batches.lock();
         if let Some(cap) = self.capacity {
             while batches.len() >= cap {
                 batches.remove(0);
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+                self.dropped += 1;
             }
         }
         batches.push(batch.clone());
     }
 
     fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped
     }
 }
 
@@ -260,25 +241,23 @@ impl SamplerConfig {
 /// Failure accounting of a sampling run, shared with the caller.
 #[derive(Debug, Default)]
 pub struct SamplerHealth {
-    /// Counter evaluations that failed (panicked or returned a non-ok
-    /// status) and were replaced by an unavailable placeholder.
-    read_errors: AtomicU64,
-    /// Times a repeatedly failing counter was put into (a longer) backoff.
-    backoffs: AtomicU64,
+    /// The sampler engine's stats: its read errors and backoffs.
+    reads: Arc<ServeStats>,
     /// Records the sink reported dropped (mirror of
     /// [`SampleSink::dropped`], refreshed after every batch).
     sink_dropped: AtomicU64,
 }
 
 impl SamplerHealth {
-    /// Failed counter evaluations so far.
+    /// Counter reads that failed (panicked or returned a non-ok status)
+    /// so far; each reads as unavailable.
     pub fn read_errors(&self) -> u64 {
-        self.read_errors.load(Ordering::Relaxed)
+        self.reads.read_errors.load(Ordering::Relaxed)
     }
 
     /// Backoff episodes entered so far.
     pub fn backoffs(&self) -> u64 {
-        self.backoffs.load(Ordering::Relaxed)
+        self.reads.backoffs.load(Ordering::Relaxed)
     }
 
     /// Records the sink failed to deliver so far (write errors, capacity
@@ -286,17 +265,6 @@ impl SamplerHealth {
     pub fn sink_dropped(&self) -> u64 {
         self.sink_dropped.load(Ordering::Relaxed)
     }
-}
-
-/// Longest backoff, in sampling intervals, for a persistently failing
-/// counter.
-const MAX_BACKOFF_INTERVALS: u64 = 32;
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The one owner of a periodic thread: "run `tick` every so often until
@@ -441,84 +409,43 @@ pub struct Sampler {
     health: Arc<SamplerHealth>,
 }
 
-/// Per-counter resilience state, kept in the counter's handle slot.
-#[derive(Default)]
-struct ReadState {
-    consecutive_failures: u32,
-    /// Batches left to skip (emit a placeholder without evaluating).
-    skip: u64,
-}
-
-/// What the sampling thread owns. Dropping it — the loop has ended —
-/// finishes the sink.
-struct Sampling {
-    query: ResolvedQuery<Arc<Mutex<ReadState>>>,
+/// A sampler's engine and sink. Dropping it finishes the sink.
+pub(crate) struct Sampling {
+    engine: ScrapeEngine,
     sink: Box<dyn SampleSink>,
     health: Arc<SamplerHealth>,
-    reset_on_read: bool,
-    interval: Duration,
-    sequence: u64,
 }
 
 impl Sampling {
-    /// Sample one batch into the sink; returns the delay to the next.
-    fn tick(&mut self) -> Duration {
-        if self.query.refresh() {
-            // The resolved set changed: announce the new schema (CSV
-            // emits a fresh header row).
-            self.sink.begin(&self.query.names());
-        }
-        let (timestamp_ns, readings) = self
-            .query
-            .batch(|h, timestamp_ns| (h.canonical.clone(), self.sample_one(h, timestamp_ns)));
-        self.sink.record(&SampleBatch {
-            sequence: self.sequence,
-            timestamp_ns,
-            readings,
-        });
-        self.mirror_drops();
-        self.sequence += 1;
-        self.interval
+    /// Resolve `config`'s counters (eagerly — unknown counters are an
+    /// error now) into a private engine whose reads `health` accounts.
+    pub(crate) fn new(
+        registry: &Arc<CounterRegistry>,
+        config: &SamplerConfig,
+        sink: Box<dyn SampleSink>,
+        health: Arc<SamplerHealth>,
+    ) -> Result<Self, CounterError> {
+        // One shard, so the export order is the configuration order; no
+        // history; the engine's read errors and backoffs are the health's.
+        let (specs, reset, reads) = (&config.counters, config.reset_on_read, health.reads.clone());
+        let engine = ScrapeEngine::with(registry, specs, 1, 0, reset, reads)?;
+        Ok(Sampling {
+            engine,
+            sink,
+            health,
+        })
     }
 
-    /// Evaluate one counter defensively. A panic or non-ok status becomes an
-    /// unavailable placeholder and pushes the counter into exponential backoff
-    /// (skipped batches still emit the placeholder, so every batch keeps the
-    /// full set of readings and CSV rows keep their width).
-    fn sample_one(
-        &self,
-        handle: &QueryHandle<Arc<Mutex<ReadState>>>,
-        timestamp_ns: u64,
-    ) -> CounterValue {
-        let mut st = handle.slot.lock();
-        if st.skip > 0 {
-            st.skip -= 1;
-            return CounterValue::unavailable(timestamp_ns);
+    /// Read one batch into the sink, announcing the schema first if the
+    /// resolved set changed.
+    pub(crate) fn tick(&mut self) {
+        let batch = self.engine.collect();
+        if batch.sequence == 0 || batch.renamed {
+            let names: Vec<String> = batch.iter().map(|(e, _)| e.canonical.clone()).collect();
+            self.sink.begin(&names);
         }
-        match handle.read(self.reset_on_read, timestamp_ns) {
-            v if v.status.is_ok() => {
-                st.consecutive_failures = 0;
-                v
-            }
-            _ => {
-                self.health.read_errors.fetch_add(1, Ordering::Relaxed);
-                st.consecutive_failures = st.consecutive_failures.saturating_add(1);
-                if st.consecutive_failures > 1 {
-                    // Repeated failure: back off 2, 4, ... up to 32 intervals,
-                    // jittered by one batch so a set of counters broken by the
-                    // same cause doesn't retry in lockstep forever.
-                    let base = 1u64
-                        .checked_shl(st.consecutive_failures.min(6))
-                        .unwrap_or(MAX_BACKOFF_INTERVALS)
-                        .min(MAX_BACKOFF_INTERVALS);
-                    let jitter =
-                        splitmix64(self.sequence ^ (st.consecutive_failures as u64) << 32) & 1;
-                    st.skip = base - 1 + jitter;
-                    self.health.backoffs.fetch_add(1, Ordering::Relaxed);
-                }
-                CounterValue::unavailable(timestamp_ns)
-            }
-        }
+        self.sink.record(&batch);
+        self.mirror_drops();
     }
 
     fn mirror_drops(&self) {
@@ -537,14 +464,13 @@ impl Drop for Sampling {
 
 impl Sampler {
     /// Resolve the configured names (eagerly — unknown counters are an
-    /// error now) and start the sampling thread. The resolved handles are
-    /// cached per topology generation: each tick evaluates them with no
-    /// registry lock held, and only a generation bump triggers
-    /// re-resolution (see [`ResolvedQuery`]).
+    /// error now) and start the sampling thread. Each tick is one
+    /// [`collect`](ScrapeEngine::collect) of the sampler's engine, which
+    /// re-resolves only on a generation bump.
     pub fn start(
         registry: &Arc<CounterRegistry>,
         config: SamplerConfig,
-        mut sink: Box<dyn SampleSink>,
+        sink: Box<dyn SampleSink>,
     ) -> Result<Self, CounterError> {
         let health = Arc::new(SamplerHealth::default());
         // Export the sink-drop mirror before resolving, so the sampler can
@@ -556,22 +482,17 @@ impl Sampler {
             "1",
             Arc::new(move || h.sink_dropped() as i64),
         );
-        let query = ResolvedQuery::resolve_with(registry, &config.counters, |_, _| {
-            Arc::new(Mutex::new(ReadState::default()))
-        })?;
-        sink.begin(&query.names());
-        let mut sampling = Sampling {
-            query,
-            sink,
-            health: health.clone(),
-            reset_on_read: config.reset_on_read,
-            interval: config.interval,
-            sequence: 0,
-        };
-        let clock = registry.clock();
-        let ticks = TickLoop::spawn("rpx-counter-sampler", clock, Duration::ZERO, move |_| {
-            sampling.tick()
-        })?;
+        let mut sampling = Sampling::new(registry, &config, sink, health.clone())?;
+        let interval = config.interval;
+        let ticks = TickLoop::spawn(
+            "rpx-counter-sampler",
+            registry.clock(),
+            Duration::ZERO,
+            move |_| {
+                sampling.tick();
+                interval
+            },
+        )?;
         Ok(Sampler { ticks, health })
     }
 
@@ -602,6 +523,8 @@ impl Sampler {
 mod tests {
     use super::*;
     use crate::counter::ValueFn;
+    use crate::engine::tests::scripted_batch;
+    use crate::query::ResolvedQuery;
     use std::sync::atomic::AtomicI64;
 
     #[test]
@@ -632,9 +555,9 @@ mod tests {
 
         let collected = batches.lock();
         assert!(collected.len() >= 3);
-        assert_eq!(collected[0].readings.len(), 1);
-        assert_eq!(collected[0].readings[0].0, "/test/v");
-        assert_eq!(collected[0].readings[0].1.value, 1);
+        assert_eq!(collected[0].len(), 1);
+        assert_eq!(collected[0].iter().next().unwrap().0.canonical, "/test/v");
+        assert_eq!(collected[0].samples()[0].value, 1.0);
         // Sequence numbers are consecutive, timestamps monotone.
         for w in collected.windows(2) {
             assert_eq!(w[1].sequence, w[0].sequence + 1);
@@ -667,7 +590,7 @@ mod tests {
         sampler.stop();
 
         let collected = batches.lock();
-        let sampled: i64 = collected.iter().map(|b| b.readings[0].1.value).sum();
+        let sampled: i64 = collected.iter().map(|b| b.samples()[0].value as i64).sum();
         // Whatever the sampler did not yet see is still pending in the
         // counter; sampled deltas plus the remainder must equal the total
         // increment exactly (no double counting, no loss).
@@ -724,14 +647,14 @@ mod tests {
         for (i, b) in collected.iter().enumerate() {
             // Every batch keeps the full set of readings: the bad counter
             // is an unavailable placeholder, the good one stays sampled.
-            assert_eq!(b.readings.len(), 2, "batch {i} lost a column");
+            assert_eq!(b.len(), 2, "batch {i} lost a column");
             assert_eq!(b.sequence, i as u64);
-            assert!(!b.readings[0].1.status.is_ok());
+            assert!(!b.samples()[0].ok);
         }
         // The good counter was really evaluated, not placeholdered.
         assert!(collected
             .iter()
-            .all(|b| { b.readings[1].1.status.is_ok() && b.readings[1].1.value == 5 }));
+            .all(|b| { b.samples()[1].ok && b.samples()[1].value == 5.0 }));
         // Backoff throttles the failing counter: far fewer evaluations
         // than batches.
         assert!(health.read_errors() < collected.len() as u64);
@@ -743,14 +666,11 @@ mod tests {
         {
             let mut sink = CsvSink::new(&mut buf);
             sink.begin(&["/a/bad".into(), "/a/good".into()]);
-            sink.record(&SampleBatch {
-                sequence: 0,
-                timestamp_ns: 50,
-                readings: vec![
-                    ("/a/bad".into(), CounterValue::unavailable(50)),
-                    ("/a/good".into(), CounterValue::new(8, 50)),
-                ],
-            });
+            sink.record(&scripted_batch(
+                0,
+                50,
+                &[("/a/bad", None), ("/a/good", Some(8.0))],
+            ));
             sink.finish();
         }
         let s = String::from_utf8(buf).unwrap();
@@ -774,11 +694,7 @@ mod tests {
         {
             let mut sink = CsvSink::new(&mut buf);
             sink.begin(&["/a/b".into()]);
-            sink.record(&SampleBatch {
-                sequence: 0,
-                timestamp_ns: 123,
-                readings: vec![("/a/b".into(), CounterValue::new(7, 123))],
-            });
+            sink.record(&scripted_batch(0, 123, &[("/a/b", Some(7.0))]));
             sink.finish();
         }
         let s = String::from_utf8(buf).unwrap();
@@ -796,15 +712,11 @@ mod tests {
                 "/app/\"quoted\"".into(),
                 "/plain/name".into(),
             ]);
-            sink.record(&SampleBatch {
-                sequence: 0,
-                timestamp_ns: 1,
-                readings: vec![
-                    ("a".into(), CounterValue::new(1, 1)),
-                    ("b".into(), CounterValue::new(2, 1)),
-                    ("c".into(), CounterValue::new(3, 1)),
-                ],
-            });
+            sink.record(&scripted_batch(
+                0,
+                1,
+                &[("a", Some(1.0)), ("b", Some(2.0)), ("c", Some(3.0))],
+            ));
             sink.finish();
         }
         let s = String::from_utf8(buf).unwrap();
@@ -888,7 +800,7 @@ mod tests {
         // Second consecutive failure: worker 0 enters a >= 3-tick backoff.
         assert!(sampler.flush_now());
         assert_eq!((health.read_errors(), health.backoffs()), (2, 1));
-        assert_eq!(batches.lock().last().unwrap().readings.len(), 2);
+        assert_eq!(batches.lock().last().unwrap().len(), 2);
 
         // Topology change mid-run: one generation bump, and the next tick
         // re-expands the wildcard without restarting the sampler.
@@ -899,7 +811,7 @@ mod tests {
         std::panic::set_hook(prev);
 
         let wide = batches.lock().last().cloned().unwrap();
-        let sampled: Vec<String> = wide.readings.iter().map(|(n, _)| n.clone()).collect();
+        let sampled: Vec<String> = wide.iter().map(|(e, _)| e.canonical.clone()).collect();
         assert_eq!(sampled.len(), 3, "the post-bump batch samples all three");
         assert!(sampled[2].contains("worker-thread#2"));
         assert_eq!(reg.active_names(), sampled);
@@ -908,8 +820,8 @@ mod tests {
         // The backoff survived the re-expansion: worker 0 was skipped, not
         // read a third time, and the newcomer was really evaluated.
         assert_eq!(health.read_errors(), 2);
-        assert!(!wide.readings[0].1.status.is_ok());
-        assert_eq!(wide.readings[2].1.value, 1);
+        assert!(!wide.samples()[0].ok);
+        assert_eq!(wide.samples()[2].value, 1.0);
     }
 
     #[test]
@@ -944,12 +856,16 @@ mod tests {
         // The flushed batch started after the store above, so it must see
         // the new value — a pre-request in-flight batch doesn't count.
         let last = batches.lock().last().cloned().expect("flushed batch");
-        assert_eq!(last.readings[0].1.value, 7);
+        assert_eq!(last.samples()[0].value, 7.0);
 
         v.store(9, Ordering::Relaxed);
         assert!(sampler.flush_now());
         let last = batches.lock().last().cloned().unwrap();
-        assert_eq!(last.readings[0].1.value, 9, "each flush yields a fresh row");
+        assert_eq!(
+            last.samples()[0].value,
+            9.0,
+            "each flush yields a fresh row"
+        );
         sampler.stop();
     }
 
@@ -1085,12 +1001,8 @@ mod tests {
         assert!(count.value >= n, "every tick is one accounted batch");
     }
 
-    fn batch(sequence: u64) -> SampleBatch {
-        SampleBatch {
-            sequence,
-            timestamp_ns: sequence,
-            readings: vec![("/a/b".into(), CounterValue::new(sequence as i64, sequence))],
-        }
+    fn batch(sequence: u64) -> Batch {
+        scripted_batch(sequence, sequence, &[("/a/b", Some(sequence as f64))])
     }
 
     #[test]
@@ -1182,16 +1094,19 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut sink = JsonSink::new(&mut buf);
-            sink.record(&SampleBatch {
-                sequence: 1,
-                timestamp_ns: 9,
-                readings: vec![("/a/b".into(), CounterValue::new(3, 9))],
-            });
+            sink.record(&scripted_batch(
+                1,
+                9,
+                &[("/a/b", Some(3.5)), ("/a/c", None)],
+            ));
             sink.finish();
         }
         let s = String::from_utf8(buf).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(s.trim()).unwrap();
         assert_eq!(parsed["sequence"], 1);
         assert_eq!(parsed["readings"][0][0], "/a/b");
+        // A reading is the CSV cell's value, `null` when unavailable.
+        assert_eq!(parsed["readings"][0][1], 3.5);
+        assert_eq!(parsed["readings"][1][1], serde_json::Value::Null);
     }
 }

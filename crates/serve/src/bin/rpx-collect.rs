@@ -14,6 +14,15 @@ use std::time::Duration;
 
 use rpx_serve::collect::{scrape_and_merge, Merged};
 
+/// Refuse the command line: what was wrong, the usage line, exit code 2.
+fn usage(why: &str) -> ! {
+    eprintln!("rpx-collect: {why}");
+    eprintln!(
+        "usage: rpx-collect <endpoint>... [--format csv|json] [--samples N] [--interval-ms M] [--out FILE]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut endpoints: Vec<String> = Vec::new();
@@ -23,17 +32,21 @@ fn main() {
     let mut out_path: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
+        let why = format!("bad or missing value for {arg}");
+        let mut value = || it.next().unwrap_or_else(|| usage(&why));
         match arg.as_str() {
-            "--format" => format = it.next().unwrap_or_default(),
-            "--samples" => samples = it.next().and_then(|v| v.parse().ok()).unwrap_or(1),
-            "--interval-ms" => interval_ms = it.next().and_then(|v| v.parse().ok()).unwrap_or(1000),
-            "--out" => out_path = it.next(),
+            "--format" => format = value(),
+            "--samples" => samples = value().parse().unwrap_or_else(|_| usage(&why)),
+            "--interval-ms" => interval_ms = value().parse().unwrap_or_else(|_| usage(&why)),
+            "--out" => out_path = Some(value()),
             _ => endpoints.push(arg),
         }
     }
+    if !matches!(format.as_str(), "csv" | "json") {
+        usage(&format!("unknown format {format:?}"));
+    }
     if endpoints.is_empty() {
-        eprintln!("usage: rpx-collect <endpoint>... [--format csv|json] [--samples N] [--interval-ms M] [--out FILE]");
-        std::process::exit(2);
+        usage("no endpoint");
     }
 
     let mut merged = Merged::default();
@@ -52,11 +65,7 @@ fn main() {
 
     let rendered = match format.as_str() {
         "json" => merged.to_json(),
-        "csv" => merged.to_csv(),
-        other => {
-            eprintln!("rpx-collect: unknown format {other:?} (csv|json)");
-            std::process::exit(2);
-        }
+        _ => merged.to_csv(),
     };
     match out_path {
         Some(path) => {

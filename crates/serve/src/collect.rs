@@ -9,6 +9,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use rpx_counters::sampler::csv_escape;
+pub use rpx_counters::text::parse_exposition;
 use serde::Serialize;
 
 /// One merged reading.
@@ -80,26 +81,6 @@ pub fn http_get(addr: &str, path: &str) -> io::Result<String> {
         return Err(io::Error::other(format!("scrape failed: {status}")));
     }
     Ok(body.to_string())
-}
-
-/// Parse a Prometheus text exposition into `(metric line head, value)`
-/// pairs, skipping comments and malformed lines.
-pub fn parse_exposition(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // The value is the last whitespace-separated token; label values
-        // may contain spaces, so split from the right.
-        if let Some((metric, value)) = line.rsplit_once(char::is_whitespace) {
-            if let Ok(v) = value.parse::<f64>() {
-                out.push((metric.trim_end().to_string(), v));
-            }
-        }
-    }
-    out
 }
 
 /// Scrape every endpoint's `/metrics` and merge the results. An endpoint

@@ -8,8 +8,10 @@
 //!
 //! ## Architecture
 //!
-//! - [`engine::ScrapeEngine`] — the scrape front-end. Counter handles are
-//!   resolved once per topology
+//! - [`engine::ScrapeEngine`] and [`text`], re-exported from
+//!   `rpx-counters`, where the sampler reads through the same engine —
+//!   the one periodic read path. Counter handles are resolved once per
+//!   topology
 //!   [generation](rpx_counters::CounterRegistry::generation), and each
 //!   published handle list is laid out flat once: the entries in export
 //!   order, the counters in resolution order with their export
@@ -20,8 +22,8 @@
 //!   so late binary subscribers can backfill
 //!   ([`engine::ScrapeEngine::tail`]); a sample that leaves that history
 //!   while its counter is still exported is counted, never silent.
-//! - [`text`] — Prometheus text exposition (name mangling, label
-//!   escaping, HELP/TYPE metadata).
+//!   [`text`] is the Prometheus text exposition (name mangling, label
+//!   escaping, HELP/TYPE metadata) and its parser.
 //! - [`proto`] — the binary framing: `u32` little-endian length prefix,
 //!   then DICT / SAMPLE / BACKFILL / STATS frames. A client opens with the
 //!   magic `RPXB`, which the listener sniffs to tell binary subscribers
@@ -55,23 +57,10 @@
 //! ```
 
 pub mod collect;
-pub mod engine;
 pub mod proto;
 pub mod server;
-pub mod text;
+
+pub use rpx_counters::{engine, text};
 
 pub use engine::{Batch, ExportEntry, Sample, ScrapeEngine, ServeStats};
 pub use server::{attach_runtime, ServeConfig, Server};
-
-/// The seed of this crate's seeded tests: `RPX_TEST_SEED` (decimal, or
-/// hex with `0x`), else `0x5eed`.
-#[cfg(test)]
-fn test_seed() -> u64 {
-    std::env::var("RPX_TEST_SEED")
-        .ok()
-        .and_then(|raw| match raw.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16).ok(),
-            None => raw.parse().ok(),
-        })
-        .unwrap_or(0x5eed)
-}

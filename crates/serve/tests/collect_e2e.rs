@@ -114,3 +114,28 @@ fn rpx_collect_fails_loudly_on_a_dead_endpoint() {
         .expect("run rpx-collect");
     assert!(!out.status.success());
 }
+
+/// A bad value or a flag missing its value is refused before any scrape:
+/// exit code 2, the usage line, nothing on stdout.
+#[test]
+fn rpx_collect_rejects_bad_arguments_with_the_usage_line() {
+    let bad: [&[&str]; 5] = [
+        &["--samples", "abc"],
+        &["--interval-ms", "abc"],
+        &["--out"],
+        &["--samples"],
+        &["--format", "xml"],
+    ];
+    for args in bad {
+        // Nothing listens on port 1: a scrape would fail with exit 1.
+        let out = Command::new(env!("CARGO_BIN_EXE_rpx-collect"))
+            .arg("127.0.0.1:1")
+            .args(args)
+            .output()
+            .expect("run rpx-collect");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: rpx-collect"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+    }
+}

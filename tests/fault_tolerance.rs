@@ -470,8 +470,8 @@ fn wildcard_active_set_survives_worker_respawn() {
     sampler.stop();
     let collected = batches.lock();
     let last = collected.last().unwrap();
-    assert_eq!(last.readings.len(), WORKERS);
-    assert!(last.readings.iter().all(|(_, v)| v.status.is_ok()));
+    assert_eq!(last.len(), WORKERS);
+    assert!(last.samples().iter().all(|s| s.ok));
     rt.shutdown();
 }
 
