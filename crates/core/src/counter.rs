@@ -484,6 +484,15 @@ pub trait Counter: Send + Sync {
     /// counter's accumulation after reading (HPX `evaluate(reset=true)`).
     fn get_value(&self, reset: bool) -> CounterValue;
 
+    /// [`get_value`](Self::get_value) stamped `now_ns` instead of a clock
+    /// read of its own: a batch reader reads the clock once and hands every
+    /// counter the batch's stamp. The default reads through `get_value`
+    /// and keeps the stamp that returns.
+    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
+        let _ = now_ns;
+        self.get_value(reset)
+    }
+
     /// Restart accumulation without reading.
     fn reset(&self);
 
@@ -520,8 +529,12 @@ impl Counter for RawCounter {
         self.info.clone()
     }
 
-    fn get_value(&self, _reset: bool) -> CounterValue {
-        CounterValue::new((self.read)(), self.clock.now_ns())
+    fn get_value(&self, reset: bool) -> CounterValue {
+        self.get_value_at(reset, self.clock.now_ns())
+    }
+
+    fn get_value_at(&self, _reset: bool, now_ns: u64) -> CounterValue {
+        CounterValue::new((self.read)(), now_ns)
     }
 
     fn reset(&self) {}
@@ -558,13 +571,17 @@ impl Counter for MonotonicCounter {
     }
 
     fn get_value(&self, reset: bool) -> CounterValue {
+        self.get_value_at(reset, self.clock.now_ns())
+    }
+
+    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
         let raw = (self.read)();
         let base = if reset {
             self.baseline.swap(raw, Ordering::AcqRel)
         } else {
             self.baseline.load(Ordering::Acquire)
         };
-        CounterValue::new(raw - base, self.clock.now_ns())
+        CounterValue::new(raw - base, now_ns)
     }
 
     fn reset(&self) {
@@ -631,12 +648,15 @@ impl Counter for AverageCounter {
     }
 
     fn get_value(&self, reset: bool) -> CounterValue {
-        let ts = self.clock.now_ns();
+        self.get_value_at(reset, self.clock.now_ns())
+    }
+
+    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
         let (sum, count) = self.snapshot(reset);
         if count == 0 {
-            return CounterValue::empty(ts);
+            return CounterValue::empty(now_ns);
         }
-        CounterValue::new((sum / count) as i64, ts).with_count(count)
+        CounterValue::new((sum / count) as i64, now_ns).with_count(count)
     }
 
     fn reset(&self) {
@@ -671,13 +691,16 @@ impl Counter for ElapsedTimeCounter {
     }
 
     fn get_value(&self, reset: bool) -> CounterValue {
-        let now = self.clock.now_ns();
+        self.get_value_at(reset, self.clock.now_ns())
+    }
+
+    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
         let started = if reset {
-            self.started_ns.swap(now, Ordering::AcqRel)
+            self.started_ns.swap(now_ns, Ordering::AcqRel)
         } else {
             self.started_ns.load(Ordering::Acquire)
         };
-        CounterValue::new(now.saturating_sub(started) as i64, now)
+        CounterValue::new(now_ns.saturating_sub(started) as i64, now_ns)
     }
 
     fn reset(&self) {
@@ -721,13 +744,16 @@ impl Counter for ValueCell {
     }
 
     fn get_value(&self, reset: bool) -> CounterValue {
-        let ts = self.clock.now_ns();
+        self.get_value_at(reset, self.clock.now_ns())
+    }
+
+    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
         let v = if reset {
             self.value.swap(0, Ordering::AcqRel)
         } else {
             self.value.load(Ordering::Acquire)
         };
-        CounterValue::new(v, ts)
+        CounterValue::new(v, now_ns)
     }
 
     fn reset(&self) {

@@ -41,9 +41,10 @@ pub struct QueryHandle<S = ()> {
 }
 
 impl<S> QueryHandle<S> {
-    /// Evaluate the counter defensively: a panic inside `get_value`
-    /// becomes an unavailable placeholder stamped `timestamp_ns`, so one
-    /// broken counter cannot unwind a periodic reader's thread.
+    /// Evaluate the counter defensively at the caller's `timestamp_ns`
+    /// ([`Counter::get_value_at`]): a panic inside the read becomes an
+    /// unavailable placeholder with that stamp, so one broken counter
+    /// cannot unwind a periodic reader's thread.
     pub fn read(&self, reset: bool, timestamp_ns: u64) -> CounterValue {
         read_counter(&*self.counter, reset, timestamp_ns)
     }
@@ -52,7 +53,8 @@ impl<S> QueryHandle<S> {
 /// [`QueryHandle::read`] for a bare counter: the one guarded read, shared
 /// with the scrape engine.
 pub(crate) fn read_counter(counter: &dyn Counter, reset: bool, timestamp_ns: u64) -> CounterValue {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| counter.get_value(reset)))
+    let read = || counter.get_value_at(reset, timestamp_ns);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(read))
         .unwrap_or_else(|_| CounterValue::unavailable(timestamp_ns))
 }
 
@@ -310,9 +312,10 @@ impl<S: Clone> ResolvedQuery<S> {
         (t0, out)
     }
 
-    /// Evaluate every handle as one [`batch`](Self::batch). A panicking
-    /// counter unwinds into the caller; periodic readers that must survive
-    /// one use [`QueryHandle::read`] per handle instead.
+    /// Evaluate every handle as one [`batch`](Self::batch). Each value
+    /// carries a stamp its counter took when read, not the batch's. A
+    /// panicking counter unwinds into the caller; periodic readers that
+    /// must survive one use [`QueryHandle::read`] per handle instead.
     pub fn evaluate(&self, reset: bool) -> Vec<(String, CounterValue)> {
         self.batch(|h, _| (h.canonical.clone(), h.counter.get_value(reset)))
             .1

@@ -260,15 +260,29 @@ pub fn parse_exposition(text: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Prometheus floats: integral values render without a fraction so text
-/// diffs and tests stay exact.
-fn push_value(out: &mut String, v: f64) {
-    let written = if v.fract() == 0.0 && v.abs() < 1e15 {
-        write!(out, "{}", v as i64)
+/// Append a sample value: the one number formatter of the exposition,
+/// the CSV cells and the JSON readings. An integral value below 10^15 in
+/// magnitude renders as its integer, digit by digit with no `core::fmt`
+/// (−0.0 as `0`); anything else as `{v}`, so text diffs and tests stay
+/// exact.
+pub(crate) fn push_value(out: &mut String, v: f64) {
+    if v.fract() == 0.0 && v.abs() < 1e15 {
+        let (mut n, mut digits, mut at) = (v.abs() as u64, [0u8; 16], 16);
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        if v < 0.0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     } else {
-        write!(out, "{v}")
-    };
-    written.expect("writing to a String cannot fail");
+        write!(out, "{v}").expect("writing to a String cannot fail");
+    }
 }
 
 #[cfg(test)]
@@ -591,6 +605,62 @@ mod tests {
             "RPX_TEST_SEED={seed:#x}: {failed} failed samples, {panicked} panicking reads, \
              {shared} family members past the first"
         );
+    }
+
+    /// `push_value` writes what `{}` writes, except that zero of either
+    /// sign is `0`: over the ends of the integer fast path, the values
+    /// past it, the non-finite ones and random ones. Replay a failure
+    /// with the `RPX_TEST_SEED` it prints.
+    #[test]
+    fn push_value_matches_display_except_for_negative_zero() {
+        let seed = crate::engine::tests::test_seed();
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            1e15 - 1.0,
+            -(1e15 - 1.0),
+            1e15,
+            -1e15,
+            9_007_199_254_740_992.0, // 2^53
+            0.5,
+            -0.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        for _ in 0..10_000 {
+            let r = rng.next_u64();
+            values.push(match r % 4 {
+                // Any bit pattern: subnormals, huge, NaN payloads.
+                0 => f64::from_bits(rng.next_u64()),
+                // An integer inside the fast path.
+                1 => (rng.next_u64() % 2_000_000_000_000_000) as f64 - 1e15,
+                // An integer of any digit count.
+                2 => (rng.next_u64() >> (r % 64)) as f64 * if r & 64 == 0 { 1.0 } else { -1.0 },
+                // A quarter step, as scaled counters read.
+                _ => (rng.next_u64() % 1_000_000) as f64 / 4.0 - 125_000.0,
+            });
+        }
+        for v in values {
+            let mut out = String::from("x");
+            push_value(&mut out, v);
+            let expected = if v == 0.0 {
+                "0".to_owned()
+            } else {
+                format!("{v}")
+            };
+            assert_eq!(
+                out[1..],
+                expected,
+                "RPX_TEST_SEED={seed:#x}: {v:?} ({:#x})",
+                v.to_bits()
+            );
+        }
     }
 
     /// `parse_exposition(render(batch))` is the batch's ok samples: each
