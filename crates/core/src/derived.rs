@@ -119,10 +119,28 @@ impl Counter for ArithmeticCounter {
     }
 
     fn get_value(&self, _reset: bool) -> CounterValue {
+        self.fold(|c| c.get_value(false))
+    }
+
+    fn get_value_at(&self, _reset: bool, now_ns: u64) -> CounterValue {
+        self.fold(|c| c.get_value_at(false, now_ns))
+    }
+
+    fn reset(&self) {
+        for c in &self.children {
+            c.reset();
+        }
+    }
+}
+
+impl ArithmeticCounter {
+    /// Apply the operation to the children's values, each read through
+    /// `read`, stamped with the latest child stamp.
+    fn fold(&self, read: impl Fn(&dyn Counter) -> CounterValue) -> CounterValue {
         let mut values = Vec::with_capacity(self.children.len());
         let mut ts = 0;
         for c in &self.children {
-            let v = c.get_value(false);
+            let v = read(&**c);
             ts = ts.max(v.timestamp_ns);
             if !v.status.is_ok() {
                 return CounterValue {
@@ -134,12 +152,6 @@ impl Counter for ArithmeticCounter {
         }
         let result = self.op.apply(&values);
         CounterValue::new(result.round() as i64, ts).with_count(values.len() as u64)
-    }
-
-    fn reset(&self) {
-        for c in &self.children {
-            c.reset();
-        }
     }
 }
 

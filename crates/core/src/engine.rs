@@ -4,8 +4,8 @@
 //! shared one. Each handle slot carries its counter's export identity;
 //! each published handle list is laid out flat once, with a read backoff
 //! per counter; a scrape reads that layout at one clock stamp into one
-//! sample column, and the engine keeps the columns of recent scrapes, with
-//! exact drop accounting.
+//! sample column and hands it out as a [`Batch`]. The engine keeps no
+//! scrape once it is handed out.
 //!
 //! ## Scrape-vs-update memory ordering
 //!
@@ -20,8 +20,7 @@
 //! publishes a whole new list, so a scraper sees either the whole old
 //! export set or the whole new one.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -31,13 +30,12 @@ use crate::text;
 use crate::value::{CounterInfo, CounterValue};
 use crate::{Counter, CounterError, CounterRegistry, ResolvedQuery};
 
-/// One scraped value, stamped with the engine-wide scrape sequence so a
-/// subscriber that receives both a backfill and the live stream can
-/// deduplicate exactly.
+/// One scraped value, stamped with the engine-wide scrape sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
-    /// Engine-wide scrape sequence number (1-based; every counter sampled
-    /// in the same scrape shares it).
+    /// Engine-wide scrape sequence number: its batch's
+    /// [`sequence`](Batch::sequence) plus one, shared by every counter
+    /// sampled in that scrape.
     pub seq: u64,
     /// Registry-clock timestamp (ns since epoch) of the scrape: its
     /// batch's [`timestamp_ns`](Batch::timestamp_ns), the one clock read
@@ -51,11 +49,11 @@ pub struct Sample {
 
 /// One exported counter: stable identity (`id`, `canonical`) and cached
 /// metadata. It lives in the counter's handle slot, so the entry — with
-/// the binary-stream dictionary id its history and read backoff are kept
-/// under — survives topology refreshes as long as the canonical name
-/// stays resolvable.
+/// the id its read backoff is carried under — survives topology refreshes
+/// as long as the canonical name stays resolvable.
 pub struct ExportEntry {
-    /// Stable dictionary id for the binary stream.
+    /// Stable export id: issued once per canonical name in resolution
+    /// order, never reissued to another name.
     pub id: u32,
     /// Canonical counter name (`/object{instance}/counter`).
     pub canonical: String,
@@ -72,38 +70,24 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Self-measurement of an engine. The engine `rpx-serve` builds exports
-/// it as `/counters/serve/{scrape-count,scrape-time,bytes,dropped}`; a
-/// sampler reports its read errors and backoffs through
+/// Self-measurement of an engine. An engine built with
+/// [`ScrapeEngine::new`] exports it as
+/// `/counters/serve/{scrape-count,scrape-time,bytes}`; a sampler reports
+/// its read errors and backoffs through
 /// [`SamplerHealth`](crate::sampler::SamplerHealth).
 #[derive(Debug, Default)]
 pub struct ServeStats {
-    /// Completed scrapes (text endpoint + publisher ticks).
+    /// Completed scrapes.
     pub scrape_count: AtomicU64,
-    /// Total ns spent producing scrape payloads: evaluating batches,
-    /// rendering them for the text endpoint, encoding them for binary
-    /// subscribers.
+    /// Total ns spent producing scrape payloads: evaluating batches and
+    /// rendering them for the text endpoint.
     pub scrape_time_ns: AtomicU64,
-    /// Response/stream payload bytes written to clients.
+    /// Response payload bytes written to clients.
     pub bytes: AtomicU64,
-    /// Samples that left the engine's history while their counter was
-    /// still exported ([`ScrapeEngine::tail`]).
-    pub history_dropped: AtomicU64,
-    /// Binary-stream frames dropped because a subscriber could not keep
-    /// up (its connection is then closed — a stalled stream must not
-    /// stall the publisher).
-    pub stream_dropped: AtomicU64,
     /// Counter reads that failed (panicked or returned a non-ok status).
     pub read_errors: AtomicU64,
     /// Times a repeatedly failing counter was put into (a longer) backoff.
     pub backoffs: AtomicU64,
-}
-
-impl ServeStats {
-    /// All records lost anywhere in the serve pipeline.
-    pub fn dropped(&self) -> u64 {
-        self.history_dropped.load(Ordering::Relaxed) + self.stream_dropped.load(Ordering::Relaxed)
-    }
 }
 
 type Handles = Arc<Vec<QueryHandle<Arc<ExportEntry>>>>;
@@ -133,7 +117,7 @@ struct ExportSet {
 
 impl ExportSet {
     /// The set of `handles`, with the backoff of every counter `previous`
-    /// also exports carried over by dictionary id.
+    /// also exports carried over by export id.
     fn new(handles: Handles, previous: Option<&ExportSet>) -> Self {
         assert!(handles.len() < u32::MAX as usize, "positions fit a u32");
         let mut order: Vec<u32> = (0..handles.len() as u32).collect();
@@ -188,18 +172,6 @@ impl ExportSet {
         let at = self.by_id.binary_search_by_key(&id, |&(id, _)| id).ok()?;
         Some(self.by_id[at].1 as usize)
     }
-
-    /// How many of this set's counters `later` still exports.
-    fn still_exported_in(&self, later: &ExportSet) -> u64 {
-        if std::ptr::eq(self, later) {
-            return self.entries.len() as u64;
-        }
-        let kept = self
-            .entries
-            .iter()
-            .filter(|e| later.position(e.id).is_some());
-        kept.count() as u64
-    }
 }
 
 /// One scrape: a sample per exported counter, in export order, beside the
@@ -212,10 +184,8 @@ pub struct Batch {
     pub sequence: u64,
     /// Registry-clock timestamp (ns) at which the scrape started.
     pub timestamp_ns: u64,
-    /// Whether the specs were re-resolved into other names than before
-    /// since the previous batch: by this scrape's refresh, or by a
-    /// [`ScrapeEngine::refresh_if_stale`] in between. One batch reports
-    /// each such change.
+    /// Whether this scrape's refresh re-resolved the specs into other
+    /// names than before. One batch reports each such change.
     pub renamed: bool,
     set: Arc<ExportSet>,
     samples: Vec<Sample>,
@@ -259,82 +229,6 @@ impl<'a> IntoIterator for &'a Batch {
     }
 }
 
-/// The sample columns of the last `cap` scrapes, for late binary-stream
-/// subscribers to backfill from.
-///
-/// Drop rule: a sample is dropped when its column leaves the history
-/// while its counter is still exported. It is counted in the engine-wide
-/// total behind `/counters/serve/dropped`, never silent. With one
-/// scraper this is exactly what a ring of `cap` samples per counter
-/// evicts: an id is never reissued once its counter leaves the export
-/// set, so a counter exported in the oldest column and in the newest is
-/// exported in every column between them.
-struct History {
-    cap: usize,
-    /// Oldest first.
-    columns: VecDeque<Vec<Sample>>,
-    /// The export set of each run of consecutive columns taken from one
-    /// set, oldest first, with the run's length.
-    runs: VecDeque<(Arc<ExportSet>, usize)>,
-}
-
-impl History {
-    fn new(cap: usize) -> Self {
-        History {
-            cap,
-            columns: VecDeque::with_capacity(cap),
-            runs: VecDeque::new(),
-        }
-    }
-
-    /// Append `batch`'s column and return how many samples that dropped.
-    /// A history of no scrapes keeps nothing and drops nothing.
-    fn push(&mut self, batch: &Batch) -> u64 {
-        if self.cap == 0 {
-            return 0;
-        }
-        let mut dropped = 0;
-        let column = if self.columns.len() < self.cap {
-            batch.samples.clone()
-        } else {
-            // Full: the oldest column leaves, and its buffer takes the new
-            // one.
-            let mut column = self.columns.pop_front().expect("a full history");
-            let (oldest, run) = self.runs.front_mut().expect("a column has a run");
-            dropped = oldest.still_exported_in(&batch.set);
-            *run -= 1;
-            if *run == 0 {
-                self.runs.pop_front();
-            }
-            column.clear();
-            column.extend_from_slice(&batch.samples);
-            column
-        };
-        self.columns.push_back(column);
-        match self.runs.back_mut() {
-            Some((set, run)) if Arc::ptr_eq(set, &batch.set) => *run += 1,
-            _ => self.runs.push_back((batch.set.clone(), 1)),
-        }
-        dropped
-    }
-
-    /// See [`ScrapeEngine::tail`].
-    fn tail(&self, id: u32, n: usize) -> Vec<Sample> {
-        let mut out = Vec::new();
-        let mut end = self.columns.len();
-        for (set, run) in self.runs.iter().rev() {
-            let start = end - run;
-            if let Some(at) = set.position(id) {
-                let newest_first = self.columns.range(start..end).rev();
-                out.extend(newest_first.map(|column| column[at]).take(n - out.len()));
-            }
-            end = start;
-        }
-        out.reverse();
-        out
-    }
-}
-
 /// Generation-cached scrape engine over one registry.
 pub struct ScrapeEngine {
     registry: Arc<CounterRegistry>,
@@ -343,11 +237,7 @@ pub struct ScrapeEngine {
     /// The flat views of the handle list `query` published last, keyed
     /// by that list's identity: a re-expansion publishes a new `Arc`.
     export: Mutex<Arc<ExportSet>>,
-    history: Mutex<History>,
     seq: AtomicU64,
-    /// A name change [`refresh_if_stale`](Self::refresh_if_stale) found,
-    /// held until the next batch reports it.
-    renamed: AtomicBool,
     stats: Arc<ServeStats>,
     /// Whether each read resets its counter (a sampler's per-interval
     /// deltas).
@@ -357,29 +247,28 @@ pub struct ScrapeEngine {
 impl ScrapeEngine {
     /// Resolve `specs` (wildcards allowed; unknown names are an error
     /// *now*). Registers the serve self-measurement counters on
-    /// `registry`. `shards` fixes the export order only; `history_cap` is
-    /// how many scrapes the history keeps (at least one).
+    /// `registry`. `shards` fixes the export order only. `_history_cap` is
+    /// ignored: the engine keeps no scrape history. It stays in the
+    /// signature until the benchmark driver's calls drop it.
     pub fn new(
         registry: &Arc<CounterRegistry>,
         specs: &[String],
         shards: usize,
-        history_cap: usize,
+        _history_cap: usize,
     ) -> Result<Arc<Self>, CounterError> {
         // Register the self-measurement counters before resolving, so the
         // export specs may include the serve layer's own counters.
         let stats = Arc::new(ServeStats::default());
         register_serve_counters(registry, &stats);
-        Self::with(registry, specs, shards, history_cap.max(1), false, stats).map(Arc::new)
+        Self::with(registry, specs, shards, false, stats).map(Arc::new)
     }
 
-    /// [`new`](Self::new) with no counter registered: a history of
-    /// `history_cap` scrapes (none at 0), `reset_on_read` resetting each
-    /// counter it reads, reads accounted in `stats`.
+    /// [`new`](Self::new) with no counter registered: `reset_on_read`
+    /// resetting each counter it reads, reads accounted in `stats`.
     pub(crate) fn with(
         registry: &Arc<CounterRegistry>,
         specs: &[String],
         shards: usize,
-        history_cap: usize,
         reset_on_read: bool,
         stats: Arc<ServeStats>,
     ) -> Result<Self, CounterError> {
@@ -398,9 +287,7 @@ impl ScrapeEngine {
             registry: registry.clone(),
             query,
             export,
-            history: Mutex::new(History::new(history_cap)),
             seq: AtomicU64::new(0),
-            renamed: AtomicBool::new(false),
             stats,
             reset_on_read,
         })
@@ -409,18 +296,6 @@ impl ScrapeEngine {
     /// Self-measurement counters (shared with the server).
     pub fn stats(&self) -> Arc<ServeStats> {
         self.stats.clone()
-    }
-
-    /// Re-resolve the specs if the registry topology moved. Entries whose
-    /// canonical name survives keep their dictionary id, and with it their
-    /// history. Returns `true` if the export set changed; the next batch
-    /// then reports [`renamed`](Batch::renamed).
-    pub fn refresh_if_stale(&self) -> bool {
-        let renamed = self.query.refresh();
-        if renamed {
-            self.renamed.store(true, Ordering::Relaxed);
-        }
-        renamed
     }
 
     /// The flat views of the currently published handles. They are built
@@ -443,13 +318,12 @@ impl ScrapeEngine {
     /// Scrape every exported counter: read the counters in resolution
     /// order through their backoff (no registry lock; a counter that
     /// panics reads as not ok), each at the scrape's one stamp, write each
-    /// sample at its export position, keep the column in the history, and
-    /// return the batch. The batch's wall time is folded into the engine's
+    /// sample at its export position, and return the batch. The batch's wall time is folded into the engine's
     /// stats *and* the registry's own query-overhead counters, so the
     /// paper's overhead envelope covers every periodic reader; its two
     /// ends are the scrape's only clock reads.
     pub fn collect(&self) -> Batch {
-        let renamed = self.query.refresh() | self.renamed.swap(false, Ordering::Relaxed);
+        let renamed = self.query.refresh();
         let batch = self.charged(1, |t0| {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
             let set = self.export_set();
@@ -468,20 +342,13 @@ impl ScrapeEngine {
                     ..unread
                 };
             }
-            let batch = Batch {
+            Batch {
                 sequence: seq - 1,
                 timestamp_ns: t0,
                 renamed,
                 set,
                 samples,
-            };
-            let dropped = self.history.lock().push(&batch);
-            if dropped > 0 {
-                self.stats
-                    .history_dropped
-                    .fetch_add(dropped, Ordering::Relaxed);
             }
-            batch
         });
         self.stats.scrape_count.fetch_add(1, Ordering::Relaxed);
         batch
@@ -527,18 +394,11 @@ impl ScrapeEngine {
         v
     }
 
-    /// The most recent `n` samples of the counter exported under `id`,
-    /// oldest first, from the history of the last `history_cap` scrapes:
-    /// a late subscriber's backfill.
-    pub fn tail(&self, id: u32, n: usize) -> Vec<Sample> {
-        self.history.lock().tail(id, n)
-    }
-
     /// Run `work` (handed its start on the registry clock) and fold its
     /// wall time into the cost of looking: `/counters/serve/scrape-time`
     /// and the registry's query-overhead counters, as `batches` evaluated
-    /// batches. The server charges its render and encode windows with
-    /// `batches = 0` — they belong to a batch `collect` already counted.
+    /// batches. The server charges its render window with `batches = 0`
+    /// — it belongs to a batch `collect` already counted.
     pub fn charged<R>(&self, batches: u64, work: impl FnOnce(u64) -> R) -> R {
         let clock = self.registry.clock();
         let t0 = clock.now_ns();
@@ -563,17 +423,17 @@ fn shard_of(canonical: &str, shards: usize) -> usize {
 type StatReader = Arc<dyn Fn(&ServeStats) -> u64 + Send + Sync>;
 
 fn register_serve_counters(registry: &Arc<CounterRegistry>, stats: &Arc<ServeStats>) {
-    let specs: [(&str, &str, &str, StatReader); 4] = [
+    let specs: [(&str, &str, &str, StatReader); 3] = [
         (
             "/counters/serve/scrape-count",
-            "completed telemetry scrapes (text endpoint and publisher ticks)",
+            "completed telemetry scrapes",
             "1",
             Arc::new(|s| s.scrape_count.load(Ordering::Relaxed)),
         ),
         (
             "/counters/serve/scrape-time",
-            "total time spent evaluating telemetry scrape batches, rendering \
-             them for the text endpoint and encoding them for binary subscribers",
+            "total time spent evaluating telemetry scrape batches and rendering \
+             them for the text endpoint",
             "ns",
             Arc::new(|s| s.scrape_time_ns.load(Ordering::Relaxed)),
         ),
@@ -582,13 +442,6 @@ fn register_serve_counters(registry: &Arc<CounterRegistry>, stats: &Arc<ServeSta
             "telemetry payload bytes written to clients",
             "bytes",
             Arc::new(|s| s.bytes.load(Ordering::Relaxed)),
-        ),
-        (
-            "/counters/serve/dropped",
-            "telemetry records lost (samples dropped from the scrape history + \
-             stream frames dropped on slow subscribers)",
-            "1",
-            Arc::new(|s| s.dropped()),
         ),
     ];
     for (name, help, unit, read) in specs {
@@ -600,8 +453,6 @@ fn register_serve_counters(registry: &Arc<CounterRegistry>, stats: &Arc<ServeSta
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use rand::SplitMix64;
-    use std::collections::HashMap;
     use std::sync::atomic::AtomicI64;
 
     /// The seed of this crate's seeded tests: `RPX_TEST_SEED` (decimal, or
@@ -663,10 +514,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn engine_with(
-        specs: &[&str],
-        history: usize,
-    ) -> (Arc<CounterRegistry>, Arc<ScrapeEngine>, Arc<AtomicI64>) {
+    fn engine_with(specs: &[&str]) -> (Arc<CounterRegistry>, Arc<ScrapeEngine>, Arc<AtomicI64>) {
         let reg = CounterRegistry::new();
         let v = Arc::new(AtomicI64::new(0));
         let v2 = v.clone();
@@ -677,46 +525,25 @@ pub(crate) mod tests {
             Arc::new(move || v2.load(Ordering::Relaxed)),
         );
         let specs: Vec<String> = specs.iter().map(|s| s.to_string()).collect();
-        let engine = ScrapeEngine::new(&reg, &specs, 4, history).unwrap();
+        let engine = ScrapeEngine::new(&reg, &specs, 4, 8).unwrap();
         (reg, engine, v)
     }
 
     #[test]
-    fn collect_samples_and_feeds_history() {
-        let (_reg, engine, v) = engine_with(&["/app/requests"], 8);
+    fn collect_samples_in_increasing_sequence() {
+        let (_reg, engine, v) = engine_with(&["/app/requests"]);
         v.store(3, Ordering::Relaxed);
         let batch = engine.collect();
         assert_eq!(batch.len(), 1);
-        let (entry, sample) = batch.iter().next().unwrap();
+        let (entry, first) = batch.iter().next().unwrap();
         assert_eq!(entry.canonical, "/app/requests");
-        assert_eq!(sample.value, 3.0);
-        assert!(sample.ok);
+        assert_eq!(first.value, 3.0);
+        assert!(first.ok);
         v.store(9, Ordering::Relaxed);
-        engine.collect();
-        let tail = engine.tail(engine.entries()[0].id, 8);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].value, 3.0);
-        assert_eq!(tail[1].value, 9.0);
+        let second = engine.collect().samples()[0];
+        assert_eq!(second.value, 9.0);
         // Scrape sequence numbers are engine-wide and increasing.
-        assert_eq!(tail[0].seq + 1, tail[1].seq);
-    }
-
-    #[test]
-    fn history_ring_counts_evictions_exactly() {
-        let (reg, engine, _v) = engine_with(&["/app/requests"], 4);
-        for _ in 0..10 {
-            engine.collect();
-        }
-        let entry = &engine.entries()[0];
-        assert_eq!(engine.tail(entry.id, 100).len(), 4);
-        assert_eq!(
-            engine.stats().history_dropped.load(Ordering::Relaxed),
-            6,
-            "10 pushes into 4 slots evict 6"
-        );
-        assert_eq!(engine.stats().dropped(), 6);
-        let exported = reg.evaluate("/counters/serve/dropped", false).unwrap();
-        assert_eq!(exported.value, 6);
+        assert_eq!(first.seq + 1, second.seq);
     }
 
     /// `/pool{locality#0/worker-thread#N}/size` for N below `count`: a
@@ -747,7 +574,7 @@ pub(crate) mod tests {
     /// The serve-side leg of `sampler_picks_up_topology_changes`: after a
     /// bump with a grown discoverer the engine exports the names the
     /// active set and a bare query report, and the entries that stayed
-    /// keep their dictionary id and history.
+    /// keep their export id.
     #[test]
     fn refresh_preserves_entry_identity_across_generations() {
         let reg = CounterRegistry::new();
@@ -757,10 +584,10 @@ pub(crate) mod tests {
         let query = ResolvedQuery::resolve(&reg, &[POOL.into()]).unwrap();
         let engine = ScrapeEngine::new(&reg, &[POOL.into()], 4, 8).unwrap();
         engine.collect();
-        let before: Vec<(String, u32, Vec<Sample>)> = engine
+        let before: Vec<(String, u32)> = engine
             .entries()
             .iter()
-            .map(|e| (e.canonical.clone(), e.id, engine.tail(e.id, 8)))
+            .map(|e| (e.canonical.clone(), e.id))
             .collect();
         assert_eq!(before.len(), 2);
 
@@ -773,12 +600,9 @@ pub(crate) mod tests {
         assert_eq!(exported, reg.active_names());
         query.refresh();
         assert_eq!(exported, query.names());
-        for (canonical, id, ring) in before {
+        for (canonical, id) in before {
             let entry = after.iter().find(|e| e.canonical == canonical).unwrap();
-            assert_eq!(entry.id, id, "dictionary id must survive a bump");
-            let tail = engine.tail(entry.id, 8);
-            assert_eq!(tail[..ring.len()], ring[..], "history must survive a bump");
-            assert_eq!(tail.len(), ring.len() + 1, "…and keep accumulating");
+            assert_eq!(entry.id, id, "export id must survive a bump");
         }
         let newcomer = after.iter().find(|e| e.canonical.contains("#2")).unwrap();
         assert_eq!(newcomer.id, 2, "ids are issued in resolution order");
@@ -829,81 +653,6 @@ pub(crate) mod tests {
         assert_eq!(names.len(), by_id.len(), "a counter got a second id");
         assert_eq!(by_id.len() as i64, GROWN, "an instance was lost");
         assert_eq!(engine.entries().len() as i64, GROWN);
-    }
-
-    /// The per-counter history ring the engine's history replaced, kept
-    /// as the reference it is held to: `cap` samples per counter, an
-    /// eviction forced by a full ring counted.
-    struct ModelRing {
-        buf: VecDeque<Sample>,
-        dropped: u64,
-    }
-
-    impl ModelRing {
-        fn push(&mut self, cap: usize, s: Sample) {
-            while self.buf.len() >= cap {
-                self.buf.pop_front();
-                self.dropped += 1;
-            }
-            self.buf.push_back(s);
-        }
-
-        fn tail(&self, n: usize) -> Vec<Sample> {
-            let skip = self.buf.len().saturating_sub(n);
-            self.buf.iter().skip(skip).copied().collect()
-        }
-    }
-
-    /// One scraper scrapes while the topology grows and shrinks; a ring
-    /// per dictionary id is fed the same batches. Every exported id's
-    /// tail equals its ring's, a departed id's tail is a suffix of its
-    /// ring's, and `/counters/serve/dropped` equals the rings' evictions.
-    /// Replay a failure with the `RPX_TEST_SEED` it prints.
-    #[test]
-    fn history_tails_and_drops_match_a_per_counter_ring_model() {
-        const CAP: usize = 4;
-        let seed = test_seed();
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        let reg = CounterRegistry::new();
-        let workers = Arc::new(AtomicI64::new(3));
-        register_growable(&reg, workers.clone());
-        let engine = ScrapeEngine::new(&reg, &[POOL.into()], 4, CAP).unwrap();
-        let mut model: HashMap<u32, ModelRing> = HashMap::new();
-        let mut shrank = false;
-        for scrape in 0..300 {
-            if rng.next_u64().is_multiple_of(3) {
-                let next = 1 + (rng.next_u64() % 8) as i64;
-                shrank |= next < workers.swap(next, Ordering::Relaxed);
-                reg.bump_generation();
-            }
-            let batch = engine.collect();
-            for (entry, sample) in &batch {
-                let ring = model.entry(entry.id).or_insert_with(|| ModelRing {
-                    buf: VecDeque::new(),
-                    dropped: 0,
-                });
-                ring.push(CAP, *sample);
-            }
-            let context = format!("RPX_TEST_SEED={seed:#x}, scrape {scrape}");
-            let exported: Vec<u32> = engine.entries().iter().map(|e| e.id).collect();
-            for (&id, ring) in &model {
-                for n in [1, CAP - 1, CAP + 2] {
-                    let (tail, expected) = (engine.tail(id, n), ring.tail(n));
-                    if exported.contains(&id) {
-                        assert_eq!(tail, expected, "{context}: id {id}, n {n}");
-                    } else {
-                        assert!(
-                            expected.ends_with(&tail),
-                            "{context}: departed id {id}, n {n}: {tail:?} vs {expected:?}"
-                        );
-                    }
-                }
-            }
-            let dropped: u64 = model.values().map(|r| r.dropped).sum();
-            let counted = reg.evaluate("/counters/serve/dropped", false).unwrap();
-            assert_eq!(counted.value as u64, dropped, "{context}");
-        }
-        assert!(shrank, "RPX_TEST_SEED={seed:#x}: the topology never shrank");
     }
 
     /// A `/test/flaky` counter that panics while the returned flag is set,
@@ -1034,11 +783,13 @@ pub(crate) mod tests {
     }
 
     /// A scrape reads the clock once: the counter that records its stamp
-    /// is handed the batch's, and every sample carries it — a
-    /// monotonic counter's, and one whose own read stamps differently.
+    /// is handed the batch's — read directly and as the child of a
+    /// statistics, an arithmetic and a histogram counter — and every
+    /// sample carries it: a monotonic counter's, and one whose own read
+    /// stamps differently.
     #[test]
     fn a_scrape_stamps_every_sample_with_its_start() {
-        let (reg, _engine, _v) = engine_with(&["/app/requests"], 0);
+        let (reg, _engine, _v) = engine_with(&["/app/requests"]);
         let handed = Arc::new(Mutex::new(Vec::new()));
         let h = handed.clone();
         reg.register_type(
@@ -1056,12 +807,22 @@ pub(crate) mod tests {
             Arc::new(|_, _| Ok(Arc::new(OwnStamp) as Arc<dyn Counter>)),
             None,
         );
-        let specs = ["/app/requests", "/test/stamp", "/test/own"].map(String::from);
+        let specs = [
+            "/app/requests",
+            "/test/stamp",
+            "/test/own",
+            "/statistics/average@/test/stamp",
+            "/arithmetics/add@/test/stamp,/test/stamp",
+            "/statistics/histogram@/test/stamp,0,10,5",
+        ]
+        .map(String::from);
+        // The direct read, and one per child of each composite.
+        const READS_PER_SCRAPE: usize = 5;
         let engine = ScrapeEngine::new(&reg, &specs, 4, 2).unwrap();
         let mut stamps = Vec::new();
         for _ in 0..3 {
             let batch = engine.collect();
-            assert_eq!(batch.len(), 3);
+            assert_eq!(batch.len(), specs.len());
             assert!(batch.samples().iter().all(|s| s.ok));
             for (entry, sample) in &batch {
                 assert_eq!(
@@ -1070,42 +831,38 @@ pub(crate) mod tests {
                     entry.canonical
                 );
             }
-            stamps.push(batch.timestamp_ns);
+            stamps.extend([batch.timestamp_ns; READS_PER_SCRAPE]);
         }
         assert_eq!(*handed.lock(), stamps);
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    /// A name change picked up by `refresh_if_stale` (the server's
-    /// subscribe does this on a shared engine) is reported by the next
-    /// batch, and by that batch only.
+    /// A name change is reported by the batch whose refresh found it, and
+    /// by that batch only.
     #[test]
-    fn a_rename_found_outside_collect_is_reported_once() {
+    fn a_rename_is_reported_by_one_batch() {
         let reg = CounterRegistry::new();
         let workers = Arc::new(AtomicI64::new(2));
         register_growable(&reg, workers.clone());
         let engine = ScrapeEngine::new(&reg, &[POOL.into()], 4, 8).unwrap();
         assert!(!engine.collect().renamed);
-        assert!(!engine.refresh_if_stale(), "nothing moved");
-        assert!(!engine.collect().renamed);
+        assert!(!engine.collect().renamed, "nothing moved");
 
         workers.store(3, Ordering::Relaxed);
         reg.bump_generation();
-        assert!(engine.refresh_if_stale());
         let batch = engine.collect();
-        assert!(batch.renamed, "the next batch reports the change");
+        assert!(batch.renamed, "the batch after the change reports it");
         assert_eq!(batch.len(), 3);
         assert!(!engine.collect().renamed, "…and only that batch");
 
         // A bump that changes no name is no rename.
         reg.bump_generation();
-        assert!(!engine.refresh_if_stale());
         assert!(!engine.collect().renamed);
     }
 
     #[test]
     fn collect_tracks_topology_growth() {
-        let (reg, engine, _v) = engine_with(&["/app/requests"], 8);
+        let (reg, engine, _v) = engine_with(&["/app/requests"]);
         assert_eq!(engine.collect().len(), 1);
         reg.register_raw("/app/errors", "h", "1", Arc::new(|| 0));
         // The new type is only exported if a spec matches it; /app/requests

@@ -108,7 +108,29 @@ impl Counter for HistogramCounter {
     }
 
     fn get_value(&self, reset: bool) -> CounterValue {
-        let sample = self.child.get_value(false);
+        self.fold(reset, self.child.get_value(false))
+    }
+
+    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
+        self.fold(reset, self.child.get_value_at(false, now_ns))
+    }
+
+    fn reset(&self) {
+        let mut s = self.state.lock();
+        s.buckets.iter_mut().for_each(|b| *b = 0);
+        s.underflow = 0;
+        s.overflow = 0;
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
+    }
+}
+
+impl HistogramCounter {
+    /// Bucket the child's `sample` and report the total count, stamped as
+    /// the sample is.
+    fn fold(&self, reset: bool, sample: CounterValue) -> CounterValue {
         let mut s = self.state.lock();
         if sample.status.is_ok() && sample.count > 0 {
             let x = sample.scaled();
@@ -134,17 +156,6 @@ impl Counter for HistogramCounter {
             s.overflow = 0;
         }
         CounterValue::new(total as i64, sample.timestamp_ns).with_count(total)
-    }
-
-    fn reset(&self) {
-        let mut s = self.state.lock();
-        s.buckets.iter_mut().for_each(|b| *b = 0);
-        s.underflow = 0;
-        s.overflow = 0;
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 

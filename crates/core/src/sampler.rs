@@ -190,8 +190,8 @@ impl<W: Write + Send> SampleSink for JsonSink<W> {
 ///
 /// [`bounded`](Self::bounded) turns it into a fixed-capacity ring: the
 /// newest batches are kept, each evicted oldest batch counts as exactly
-/// one drop — the ring-buffer drop-accounting rule every lossy sink in
-/// the pipeline follows (tracer ring, serve scrape history).
+/// one drop — the ring-buffer drop-accounting rule the tracer ring
+/// follows too.
 #[derive(Default)]
 pub struct MemorySink {
     batches: Arc<Mutex<Vec<Batch>>>,
@@ -290,9 +290,9 @@ impl SamplerHealth {
 }
 
 /// The one owner of a periodic thread: "run `tick` every so often until
-/// stopped", for the [`Sampler`], the `rpx-serve` publisher and accept
-/// poll, the apex policy engine and the runtime's watchdog (DESIGN.md,
-/// "Time and ticks").
+/// stopped", for the [`Sampler`], the `rpx-serve` accept poll, the apex
+/// policy engine and the runtime's watchdog (DESIGN.md, "Time and
+/// ticks").
 ///
 /// The thread waits on a condition variable until its next due time on
 /// the registry [`Clock`], a [`flush_now`](Self::flush_now) or a
@@ -447,10 +447,10 @@ impl Sampling {
         sink: Box<dyn SampleSink>,
         health: Arc<SamplerHealth>,
     ) -> Result<Self, CounterError> {
-        // One shard, so the export order is the configuration order; no
-        // history; the engine's read errors and backoffs are the health's.
+        // One shard, so the export order is the configuration order; the
+        // engine's read errors and backoffs are the health's.
         let (specs, reset, reads) = (&config.counters, config.reset_on_read, health.reads.clone());
-        let engine = ScrapeEngine::with(registry, specs, 1, 0, reset, reads)?;
+        let engine = ScrapeEngine::with(registry, specs, 1, reset, reads)?;
         Ok(Sampling {
             engine,
             sink,

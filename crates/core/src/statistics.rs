@@ -87,7 +87,24 @@ impl Counter for StatisticsCounter {
     }
 
     fn get_value(&self, reset: bool) -> CounterValue {
-        let sample = self.child.get_value(false);
+        self.fold(reset, self.child.get_value(false))
+    }
+
+    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
+        self.fold(reset, self.child.get_value_at(false, now_ns))
+    }
+
+    fn reset(&self) {
+        let mut state = self.state.lock();
+        state.running.reset();
+        state.window.reset();
+    }
+}
+
+impl StatisticsCounter {
+    /// Add the child's `sample` and report the statistic, stamped as the
+    /// sample is.
+    fn fold(&self, reset: bool, sample: CounterValue) -> CounterValue {
         let mut state = self.state.lock();
         if sample.status.is_ok() && sample.status != CounterStatus::NewData {
             let x = sample.scaled();
@@ -104,12 +121,6 @@ impl Counter for StatisticsCounter {
             state.window.reset();
         }
         statistic_to_value(value, sample.timestamp_ns, n)
-    }
-
-    fn reset(&self) {
-        let mut state = self.state.lock();
-        state.running.reset();
-        state.window.reset();
     }
 }
 

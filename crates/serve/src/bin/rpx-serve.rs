@@ -1,14 +1,14 @@
 //! Serve live telemetry for a runtime under a fib workload.
 //!
 //! Starts the lightweight runtime, exports its counters over HTTP
-//! (`/metrics`) and the binary stream on one port, and keeps a fib load
-//! running so there is something to watch. Prints `listening on <addr>`
-//! once the port is bound — harnesses parse that line to find a
-//! dynamically chosen port.
+//! (`/metrics`), and keeps a fib load running so there is something to
+//! watch. Every scrape is a client's `GET /metrics`. Prints
+//! `listening on <addr>` once the port is bound — harnesses parse that
+//! line to find a dynamically chosen port.
 //!
 //! ```sh
-//! rpx-serve [--workers N] [--addr 127.0.0.1:0] [--interval-ms 1000]
-//!           [--fib 24] [--duration-ms 0] [--assert-overhead-pct 0]
+//! rpx-serve [--workers N] [--addr 127.0.0.1:0] [--fib 24]
+//!           [--duration-ms 0] [--assert-overhead-pct 0]
 //! ```
 //!
 //! With `--duration-ms D` the process runs the load for D ms, prints a
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rpx_runtime::{Runtime, RuntimeConfig, RuntimeHandle};
-use rpx_serve::server::{attach_runtime, ServeConfig, Server};
+use rpx_serve::server::{ServeConfig, Server};
 
 fn fib(h: &RuntimeHandle, n: u64) -> u64 {
     if n < 2 {
@@ -46,9 +46,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(2);
     let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
-    let interval_ms: u64 = arg_value(&args, "--interval-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
     let fib_n: u64 = arg_value(&args, "--fib")
         .and_then(|v| v.parse().ok())
         .unwrap_or(24);
@@ -65,7 +62,6 @@ fn main() {
         &registry,
         ServeConfig {
             addr,
-            interval: Duration::from_millis(interval_ms.max(1)),
             specs: vec![
                 "/threads{locality#0/worker-thread#*}/count/cumulative".into(),
                 "/threads{locality#0/total}/count/cumulative".into(),
@@ -76,16 +72,13 @@ fn main() {
                 "/counters/serve/scrape-count".into(),
                 "/counters/serve/scrape-time".into(),
                 "/counters/serve/bytes".into(),
-                "/counters/serve/dropped".into(),
             ],
-            ..ServeConfig::default()
         },
     )
     .unwrap_or_else(|e| {
         eprintln!("rpx-serve: {e}");
         std::process::exit(2);
     });
-    attach_runtime(&rt, &server);
     println!("listening on {}", server.addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
@@ -121,7 +114,6 @@ fn main() {
     let scrape_count = read("/counters/serve/scrape-count");
     let scrape_ns = read("/counters/serve/scrape-time");
     let bytes = read("/counters/serve/bytes");
-    let dropped = read("/counters/serve/dropped");
     let exec_ns = read("/threads{locality#0/total}/time/cumulative");
     let overhead_pct = if exec_ns > 0 {
         scrape_ns as f64 * 100.0 / exec_ns as f64
@@ -131,7 +123,6 @@ fn main() {
     println!("/counters/serve/scrape-count   {scrape_count}");
     println!("/counters/serve/scrape-time    {scrape_ns} ns");
     println!("/counters/serve/bytes          {bytes}");
-    println!("/counters/serve/dropped        {dropped}");
     println!("/threads/time/cumulative       {exec_ns} ns");
     println!("serve-overhead                 {overhead_pct:.3} %");
 

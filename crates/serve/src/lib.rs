@@ -2,9 +2,9 @@
 //!
 //! The paper's premise is that intrinsic counters are cheap enough to stay
 //! on in production; this crate is the consumer that premise earns. It
-//! exposes a running registry to *other processes* — a Prometheus-style
-//! text exposition endpoint and a compact length-prefixed binary stream —
-//! without ever taking a registry lock on the scrape path.
+//! exposes a running registry to *other processes* as a Prometheus-style
+//! text exposition endpoint, without ever taking a registry lock on the
+//! scrape path. Every scrape is pulled by a client; nothing is pushed.
 //!
 //! ## Architecture
 //!
@@ -18,21 +18,14 @@
 //!   positions, and the text payload's plan (families in name order,
 //!   every line head in one arena). A scrape evaluates those counters
 //!   with no registry lock held into one sample column, an
-//!   [`engine::Batch`]. The engine keeps the columns of the last scrapes
-//!   so late binary subscribers can backfill
-//!   ([`engine::ScrapeEngine::tail`]); a sample that leaves that history
-//!   while its counter is still exported is counted, never silent.
-//!   [`text`] is the Prometheus text exposition (name mangling, label
-//!   escaping, HELP/TYPE metadata) and its parser.
-//! - [`proto`] — the binary framing: `u32` little-endian length prefix,
-//!   then DICT / SAMPLE / BACKFILL / STATS frames. A client opens with the
-//!   magic `RPXB`, which the listener sniffs to tell binary subscribers
-//!   from HTTP scrapers on one port.
-//! - [`server::Server`] — the dependency-free HTTP/1.1 + TCP listener, a
-//!   1 Hz publisher thread feeding the history and subscribers,
-//!   self-measurement counters
-//!   (`/counters/serve/{scrape-time,scrape-count,bytes,dropped}`), and a
-//!   quiesce-time final scrape via [`server::attach_runtime`].
+//!   [`engine::Batch`]. [`text`] is the Prometheus text exposition (name
+//!   mangling, label escaping, HELP/TYPE metadata) and its parser.
+//! - [`server::Server`] — the dependency-free HTTP/1.1 + TCP listener:
+//!   `GET /metrics` collects and renders one batch, `GET /healthz` is a
+//!   liveness probe, and the engine measures itself
+//!   (`/counters/serve/{scrape-time,scrape-count,bytes}`).
+//! - [`proto`] — a length-prefixed binary SAMPLE frame, the compact
+//!   encoding of one sample. No endpoint serves it.
 //! - [`collect`] — `rpx-collect`'s library: scrape N endpoints, parse the
 //!   exposition, merge into one CSV/JSON table keyed by (source, metric).
 //!
@@ -63,4 +56,4 @@ pub mod server;
 pub use rpx_counters::{engine, text};
 
 pub use engine::{Batch, ExportEntry, Sample, ScrapeEngine, ServeStats};
-pub use server::{attach_runtime, ServeConfig, Server};
+pub use server::{ServeConfig, Server};

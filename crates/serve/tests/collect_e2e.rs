@@ -12,16 +12,7 @@ struct ServeProc {
 impl ServeProc {
     fn spawn() -> ServeProc {
         let mut child = Command::new(env!("CARGO_BIN_EXE_rpx-serve"))
-            .args([
-                "--workers",
-                "1",
-                "--fib",
-                "16",
-                "--interval-ms",
-                "100",
-                "--duration-ms",
-                "0",
-            ])
+            .args(["--workers", "1", "--fib", "16", "--duration-ms", "0"])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
