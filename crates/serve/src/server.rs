@@ -12,7 +12,7 @@ use std::time::Duration;
 use rpx_counters::sampler::TickLoop;
 use rpx_counters::{CounterError, CounterRegistry};
 
-use crate::engine::{ScrapeEngine, ServeStats};
+use crate::engine::ScrapeEngine;
 use crate::text;
 
 /// Configuration of a telemetry server.
@@ -84,11 +84,6 @@ impl Server {
     /// The scrape engine behind the endpoints.
     pub fn engine(&self) -> Arc<ScrapeEngine> {
         self.engine.clone()
-    }
-
-    /// Self-measurement counters.
-    pub fn stats(&self) -> Arc<ServeStats> {
-        self.engine.stats()
     }
 
     /// Stop the listener and join it.
