@@ -26,19 +26,24 @@
 //! durations equals the classical work/span model's span; the closed-form
 //! oracles in the workspace conformance tests hold the profiler to that.
 //!
-//! Ingestion is on-line and cheap — one probe of a flat open-addressed
-//! task-id table and one push onto each of four node arrays — so a profile
-//! can be built incrementally from a live tracer ([`CausalProfiler::ingest`])
-//! or at once from a drained ring ([`CausalProfiler::from_spans`], which
-//! sizes the table and the arrays once). Analysis
-//! ([`CausalProfiler::analyze`]) is O(tasks) with a handful of allocations,
-//! none per task: the spawn forest is each node's parent index plus a
-//! parents-first order — ingest order itself when every parent arrived
-//! first, as in a start-sorted ring copy, else breadth-first — and one
-//! backward sweep of that order pushes each chain into its parent instead
-//! of recursing (deep spawn chains — fib's left spine is thousands of tasks
-//! — must not overflow the stack); the per-site table is found through a
-//! one-entry memo, since neighbouring tasks mostly share a site.
+//! Ingestion is on-line and cheap — two probes of a flat open-addressed
+//! task-id table (the task's parent, then the task) and one push onto each
+//! of four node arrays, the parent stored as a resolved `u32` node index —
+//! so a profile can be built incrementally from a live tracer
+//! ([`CausalProfiler::ingest`]) or at once from a drained ring
+//! ([`CausalProfiler::from_spans`], which sizes the table and the arrays
+//! once). Analysis ([`CausalProfiler::analyze`]) is O(tasks) with a handful
+//! of allocations, none per task. When every parent arrived before its
+//! children, as in a start-sorted ring copy, the spawn forest is those
+//! parent indices in ingest order and costs nothing to build; parents that
+//! arrived late are looked up once more and order the forest
+//! breadth-first. One backward sweep of that order pushes each chain into
+//! its parent instead of recursing (deep spawn chains — fib's left spine
+//! is thousands of tasks — must not overflow the stack); the per-site
+//! table is filled a run of equal sites at a time, since neighbouring
+//! tasks mostly share a site.
+
+use std::borrow::Cow;
 
 use rpx_runtime::trace::{site_name, TaskSpan};
 
@@ -211,28 +216,46 @@ pub struct CausalProfiler {
     index: FlatIndex,
     /// The nodes, one array per field, indexed by first arrival.
     ids: Vec<u64>,
-    parents: Vec<Option<u64>>,
+    /// Each node's parent as a node index, resolved when its span arrived:
+    /// [`ROOT`] when the span named none, [`LATE`] when the parent had not
+    /// arrived yet (`late` keeps its id).
+    parents: Vec<u32>,
     sites: Vec<u32>,
     nets: Vec<u64>,
+    /// `(node, parent id)` of every span whose parent had not arrived, in
+    /// ingest order: [`forest`](Self::forest) looks them up again.
+    late: Vec<(u32, u64)>,
+    /// Whether a repeated span gave its node a parent that arrived after
+    /// it, so ingest order is not parents first.
+    reparented: bool,
 }
+
+/// A node's parent index when it has none.
+const ROOT: u32 = u32::MAX;
+
+/// A node's parent index while its parent's span has not arrived: a root
+/// unless [`CausalProfiler::forest`] finds the parent.
+const LATE: u32 = u32::MAX - 1;
 
 /// The spawn forest of the ingested nodes, built once per query: each
 /// node's parent and a parents-first order.
-struct Forest {
-    /// Each node's parent index; the node count marks a root.
-    parent: Vec<u32>,
+struct Forest<'a> {
+    /// Each node's parent index; any index past the last node marks a
+    /// root. The profiler's own array unless a late parent arrived.
+    parent: Cow<'a, [u32]>,
     /// Every node reachable from a root, each after its parent, and
-    /// siblings in ingest order: ingest order itself when every parent
-    /// arrived before its children (a start-sorted ring copy does: a task
-    /// starts after its parent), else the roots, then breadth-first.
-    order: Vec<u32>,
+    /// siblings in ingest order: `None` for ingest order itself, which
+    /// holds when every parent arrived before its children (a start-sorted
+    /// ring copy does: a task starts after its parent), else the roots,
+    /// then breadth-first.
+    order: Option<Vec<u32>>,
 }
 
-impl Forest {
+impl Forest<'_> {
     /// The roots, in ingest order.
     fn roots(&self) -> impl Iterator<Item = usize> + '_ {
         let n = self.parent.len() as u32;
-        (0..self.parent.len()).filter(move |&i| self.parent[i] == n)
+        (0..self.parent.len()).filter(move |&i| self.parent[i] >= n)
     }
 }
 
@@ -263,7 +286,7 @@ fn breadth_first(parent: &[u32]) -> Vec<u32> {
         }
     }
     let mut order = Vec::with_capacity(n as usize);
-    order.extend((0..n).filter(|&i| parent[i as usize] == n));
+    order.extend((0..n).filter(|&i| parent[i as usize] >= n));
     let mut head = 0;
     while let Some(&i) = order.get(head) {
         let i = i as usize;
@@ -273,40 +296,53 @@ fn breadth_first(parent: &[u32]) -> Vec<u32> {
     order
 }
 
+/// The sweep of [`CausalProfiler::down_chains`] over `order`: each node
+/// adds its own cost to the heaviest chain of its children and offers the
+/// sum to its parent's.
+fn sweep<T>(
+    order: impl Iterator<Item = usize>,
+    parent: &[u32],
+    cost: impl Fn(usize) -> T,
+    (down, next): (&mut [T], &mut [u32]),
+) where
+    T: Copy + PartialOrd + std::ops::Add<Output = T>,
+{
+    let n = down.len();
+    for i in order {
+        let chain = cost(i) + down[i];
+        down[i] = chain;
+        let p = parent[i] as usize;
+        if p < n && chain > down[p] {
+            down[p] = chain;
+            next[p] = i as u32;
+        }
+    }
+}
+
 /// The per-site profiles of one analysis in first-seen order, found
-/// through a one-entry memo — neighbouring tasks mostly share a site —
-/// and a [`FlatIndex`] behind it.
+/// through a [`FlatIndex`] keyed by site id.
 #[derive(Default)]
 struct SiteTable {
     profiles: Vec<SiteProfile>,
     index: FlatIndex,
-    /// The last site looked up and its profile's index.
-    last: Option<(u32, usize)>,
 }
 
 impl SiteTable {
     fn get(&mut self, site: u32) -> &mut SiteProfile {
-        let at = match self.last {
-            Some((s, at)) if s == site => at,
-            _ => {
-                let profiles = &mut self.profiles;
-                self.index.reserve_one(|i| profiles[i].site as u64);
-                let at = match self.index.find(site as u64, |i| profiles[i].site as u64) {
-                    Ok(at) => at,
-                    Err(slot) => {
-                        self.index.insert(slot, profiles.len());
-                        profiles.push(SiteProfile {
-                            site,
-                            name: site_name(site),
-                            tasks: 0,
-                            work_ns: 0,
-                            span_ns: 0,
-                        });
-                        profiles.len() - 1
-                    }
-                };
-                self.last = Some((site, at));
-                at
+        let profiles = &mut self.profiles;
+        self.index.reserve_one(|i| profiles[i].site as u64);
+        let at = match self.index.find(site as u64, |i| profiles[i].site as u64) {
+            Ok(at) => at,
+            Err(slot) => {
+                self.index.insert(slot, profiles.len());
+                profiles.push(SiteProfile {
+                    site,
+                    name: site_name(site),
+                    tasks: 0,
+                    work_ns: 0,
+                    span_ns: 0,
+                });
+                profiles.len() - 1
             }
         };
         &mut self.profiles[at]
@@ -319,23 +355,33 @@ impl CausalProfiler {
         CausalProfiler::default()
     }
 
-    /// Fold one finished task into the DAG.
+    /// Fold one finished task into the DAG: its parent is looked up now,
+    /// before the task itself is added.
     pub fn ingest(&mut self, span: &TaskSpan) {
         let ids = &self.ids;
         self.index.reserve_one(|i| ids[i]);
-        match self.index.find(span.task_id, |i| ids[i]) {
+        let parent = span.parent.map_or(ROOT, |p| {
+            self.index.find(p, |i| ids[i]).map_or(LATE, |i| i as u32)
+        });
+        let node = match self.index.find(span.task_id, |i| ids[i]) {
             Ok(i) => {
-                self.parents[i] = span.parent;
+                self.reparented |= parent < LATE && parent as usize >= i;
+                self.parents[i] = parent;
                 self.sites[i] = span.site;
                 self.nets[i] = span.net_ns();
+                i
             }
             Err(slot) => {
                 self.index.insert(slot, self.ids.len());
                 self.ids.push(span.task_id);
-                self.parents.push(span.parent);
+                self.parents.push(parent);
                 self.sites.push(span.site);
                 self.nets.push(span.net_ns());
+                self.ids.len() - 1
             }
+        };
+        if let (LATE, Some(p)) = (parent, span.parent) {
+            self.late.push((node as u32, p));
         }
     }
 
@@ -357,6 +403,8 @@ impl CausalProfiler {
             parents: Vec::with_capacity(n),
             sites: Vec::with_capacity(n),
             nets: Vec::with_capacity(n),
+            late: Vec::new(),
+            reparented: false,
         };
         p.ingest_all(spans);
         p
@@ -375,26 +423,27 @@ impl CausalProfiler {
     /// The spawn forest. A task whose parent never produced a span
     /// (spawned from outside the runtime, or evicted by a ring wrap) is a
     /// root of its own tree — the analysis degrades gracefully instead of
-    /// dropping the subtree.
-    fn forest(&self) -> Forest {
-        let n = self.len() as u32;
-        // Each node's parent index; `n` marks a root.
-        let parent: Vec<u32> = self
-            .parents
-            .iter()
-            .map(|p| {
-                p.and_then(|p| self.index.find(p, |i| self.ids[i]).ok())
-                    .map_or(n, |i| i as u32)
-            })
-            .collect();
-        let ingest_order_will_do = parent
-            .iter()
-            .enumerate()
-            .all(|(i, &p)| p == n || (p as usize) < i);
-        let order = if ingest_order_will_do {
-            (0..n).collect()
-        } else {
-            breadth_first(&parent)
+    /// dropping the subtree. Parents were resolved at ingest; only those
+    /// that arrived after their children are looked up here, and only they
+    /// (or a repeated span) cost the breadth-first order.
+    fn forest(&self) -> Forest<'_> {
+        let mut parent = Cow::Borrowed(&self.parents[..]);
+        // A node's last record wins: its entries are in ingest order.
+        for &(i, p) in &self.late {
+            let i = i as usize;
+            if self.parents[i] == LATE {
+                let found = self
+                    .index
+                    .find(p, |j| self.ids[j])
+                    .map_or(LATE, |j| j as u32);
+                if parent[i] != found {
+                    parent.to_mut()[i] = found;
+                }
+            }
+        }
+        let order = match parent {
+            Cow::Borrowed(_) if !self.reparented => None,
+            _ => Some(breadth_first(&parent)),
         };
         Forest { parent, order }
     }
@@ -413,14 +462,15 @@ impl CausalProfiler {
         let n = self.len();
         let mut down = vec![T::default(); n];
         let mut next = vec![n as u32; n];
-        for &i in forest.order.iter().rev() {
-            let i = i as usize;
-            down[i] = cost(i) + down[i];
-            let p = forest.parent[i] as usize;
-            if p < n && down[i] > down[p] {
-                down[p] = down[i];
-                next[p] = i as u32;
-            }
+        let chains = (&mut down[..], &mut next[..]);
+        match &forest.order {
+            None => sweep((0..n).rev(), &forest.parent, cost, chains),
+            Some(order) => sweep(
+                order.iter().rev().map(|&i| i as usize),
+                &forest.parent,
+                cost,
+                chains,
+            ),
         }
         (down, next)
     }
@@ -434,14 +484,17 @@ impl CausalProfiler {
     fn analyze_in(&self, forest: &Forest) -> Analysis {
         let n = self.len();
         let (down, next) = self.down_chains(forest, |i| self.nets[i]);
-        let work_ns: u64 = self.nets.iter().sum();
-
+        // Neighbouring tasks mostly share a site: each run of one site is
+        // summed, then added to its profile.
         let mut sites = SiteTable::default();
-        for (&site, &net) in self.sites.iter().zip(&self.nets) {
-            let e = sites.get(site);
-            e.tasks += 1;
-            e.work_ns += net;
+        let mut at = 0;
+        for run in self.sites.chunk_by(|a, b| a == b) {
+            let e = sites.get(run[0]);
+            e.tasks += run.len() as u64;
+            e.work_ns += self.nets[at..at + run.len()].iter().sum::<u64>();
+            at += run.len();
         }
+        let work_ns = sites.profiles.iter().map(|s| s.work_ns).sum();
 
         // Walk the heaviest children down from the heaviest root (the last
         // of equal ones), crediting each node's net duration to its site's

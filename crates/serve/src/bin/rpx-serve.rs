@@ -16,6 +16,8 @@
 //! overhead relative to cumulative task execution time) and exits; with
 //! `--assert-overhead-pct P` it additionally exits non-zero when the
 //! self-measured scrape overhead exceeds P percent — the CI smoke gate.
+//! An unknown flag or a value that does not parse prints the usage line
+//! and exits with code 2.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,27 +36,36 @@ fn fib(h: &RuntimeHandle, n: u64) -> u64 {
     a.get() + b
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Refuse the command line: what was wrong, the usage line, exit code 2.
+fn usage(why: &str) -> ! {
+    eprintln!("rpx-serve: {why}");
+    eprintln!(
+        "usage: rpx-serve [--workers N] [--addr HOST:PORT] [--fib N] [--duration-ms D] [--assert-overhead-pct P]"
+    );
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let workers: usize = arg_value(&args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
-    let fib_n: u64 = arg_value(&args, "--fib")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24);
-    let duration_ms: u64 = arg_value(&args, "--duration-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let assert_overhead_pct: u64 = arg_value(&args, "--assert-overhead-pct")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let mut workers: usize = 2;
+    let mut addr = "127.0.0.1:0".to_string();
+    let mut fib_n: u64 = 24;
+    let mut duration_ms: u64 = 0;
+    let mut assert_overhead_pct: u64 = 0;
+    let mut it = std::env::args().skip(1);
+    while let Some(arg) = it.next() {
+        let why = format!("bad or missing value for {arg}");
+        let mut value = || it.next().unwrap_or_else(|| usage(&why));
+        match arg.as_str() {
+            "--workers" => workers = value().parse().unwrap_or_else(|_| usage(&why)),
+            "--addr" => addr = value(),
+            "--fib" => fib_n = value().parse().unwrap_or_else(|_| usage(&why)),
+            "--duration-ms" => duration_ms = value().parse().unwrap_or_else(|_| usage(&why)),
+            "--assert-overhead-pct" => {
+                assert_overhead_pct = value().parse().unwrap_or_else(|_| usage(&why))
+            }
+            _ => usage(&format!("unknown argument {arg}")),
+        }
+    }
 
     let rt = Runtime::new(RuntimeConfig::with_workers(workers));
     let registry = rt.registry();

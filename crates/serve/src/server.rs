@@ -1,13 +1,19 @@
 //! The dependency-free telemetry listener: HTTP/1.1 text exposition on
 //! one TCP port. Every scrape is pulled: `GET /metrics` collects and
 //! renders one batch on the shared engine. The accept loop is a
-//! [`TickLoop`] tick.
+//! [`TickLoop`] tick; it hands each connection to one of `HANDLERS`
+//! threads, so a client that connects and sends nothing holds up no
+//! other.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+use parking_lot::Mutex;
 
 use rpx_counters::sampler::TickLoop;
 use rpx_counters::{CounterError, CounterRegistry};
@@ -38,12 +44,18 @@ const PAYLOAD_SHARDS: usize = 4;
 /// How often the listener is polled for new connections.
 const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
 
+/// Threads serving connections, and connections that may wait for one:
+/// the accept loop waits on clients only when this many are being served
+/// and as many more are queued.
+const HANDLERS: usize = 8;
+
 /// A running telemetry server; [`shutdown`](Server::shutdown) (or drop)
 /// stops it.
 pub struct Server {
     addr: SocketAddr,
     engine: Arc<ScrapeEngine>,
-    _accept: TickLoop,
+    accept: TickLoop,
+    handlers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -60,10 +72,22 @@ impl Server {
             .set_nonblocking(true)
             .map_err(|e| CounterError::SpawnFailed(format!("nonblocking listener: {e}")))?;
 
-        let e = engine.clone();
+        let (to_handler, connections) = sync_channel::<TcpStream>(HANDLERS);
+        let connections = Arc::new(Mutex::new(connections));
+        let handlers = (0..HANDLERS)
+            .map(|_| {
+                let (connections, engine) = (connections.clone(), engine.clone());
+                std::thread::Builder::new()
+                    .name("rpx-serve-http".into())
+                    .spawn(move || handle(&connections, &engine))
+                    .map_err(|e| CounterError::SpawnFailed(format!("http handler: {e}")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let accept = move |_| {
             while let Ok((stream, _)) = listener.accept() {
-                serve_http(stream, &e);
+                // Fails only once every handler has returned: the
+                // connection is then dropped, which closes it.
+                let _ = to_handler.send(stream);
             }
             ACCEPT_INTERVAL
         };
@@ -72,7 +96,8 @@ impl Server {
         Ok(Server {
             addr,
             engine,
-            _accept: accept,
+            accept,
+            handlers,
         })
     }
 
@@ -86,8 +111,33 @@ impl Server {
         self.engine.clone()
     }
 
-    /// Stop the listener and join it.
+    /// Stop the listener and join it and the handlers (each first serves
+    /// the connections it holds or that are queued, within their 2 s read
+    /// and write timeouts).
     pub fn shutdown(self) {}
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        // The accept loop owns the channel's sender: once it is joined,
+        // every idle handler's receive fails and the handler returns.
+        self.accept.stop();
+        for handler in self.handlers.drain(..) {
+            let _ = handler.join();
+        }
+    }
+}
+
+/// A handler thread: serve the connections the accept loop hands over
+/// until it stops.
+fn handle(connections: &Mutex<Receiver<TcpStream>>, engine: &ScrapeEngine) {
+    loop {
+        let next = connections.lock().recv();
+        match next {
+            Ok(stream) => serve_http(stream, engine),
+            Err(_) => return,
+        }
+    }
 }
 
 /// Minimal HTTP/1.1: read the request head, answer `/metrics` with a

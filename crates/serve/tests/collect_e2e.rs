@@ -130,3 +130,21 @@ fn rpx_collect_rejects_bad_arguments_with_the_usage_line() {
         assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
     }
 }
+
+/// An unknown flag or a value that does not parse is refused before the
+/// runtime starts: exit code 2, the usage line, nothing on stdout.
+#[test]
+fn rpx_serve_rejects_bad_arguments_with_the_usage_line() {
+    let bad: [&[&str]; 2] = [&["--bogus", "1"], &["--workers", "abc"]];
+    for args in bad {
+        let out = Command::new(env!("CARGO_BIN_EXE_rpx-serve"))
+            .args(args)
+            .args(["--duration-ms", "1"])
+            .output()
+            .expect("run rpx-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: rpx-serve"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+    }
+}

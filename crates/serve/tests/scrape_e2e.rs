@@ -120,3 +120,26 @@ fn http_misc_routes_behave() {
     rt.shutdown();
     server.shutdown();
 }
+
+/// A client that connects and sends nothing holds one handler, not the
+/// accept loop: another client's probe is answered at once, not after the
+/// idle connection's 2 s read timeout.
+#[test]
+fn an_idle_client_does_not_stall_other_scrapes() {
+    let (rt, server) = start_serving();
+    let addr = server.addr().to_string();
+    let idle = std::net::TcpStream::connect(&addr).expect("idle client connects");
+    // Let the accept loop (5 ms poll) take the idle connection first.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let t0 = std::time::Instant::now();
+    assert_eq!(http_get(&addr, "/healthz").unwrap(), "ok\n");
+    let waited = t0.elapsed();
+    assert!(
+        waited < std::time::Duration::from_millis(500),
+        "/healthz took {waited:?} beside an idle connection"
+    );
+    assert!(http_get(&addr, "/metrics").unwrap().contains("rpx_"));
+    drop(idle);
+    rt.shutdown();
+    server.shutdown();
+}

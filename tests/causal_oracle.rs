@@ -288,3 +288,103 @@ fn tracer_overhead_stays_inside_ten_percent_envelope() {
     assert_eq!(records as u64, tracer.records());
     rt.shutdown();
 }
+
+/// One `fib(n)` rep as the benchmark's `fib_traced_w2` runs it: the root
+/// spawned from this thread, one branch spawned and one run inline below
+/// it, and (traced) the wait for every span to land.
+fn fib_rep(rt: &Runtime, n: u64) -> std::time::Duration {
+    fn fib(h: &rpx::runtime::RuntimeHandle, n: u64) -> u64 {
+        if n < 2 {
+            return n;
+        }
+        let h2 = h.clone();
+        let a = h.spawn(move || fib(&h2, n - 1));
+        let b = fib(h, n - 2);
+        a.get() + b
+    }
+    let h = rt.handle();
+    let t0 = std::time::Instant::now();
+    assert_eq!(rt.spawn(move || fib(&h, n)).get(), fib_u64(n));
+    rt.wait_idle();
+    t0.elapsed()
+}
+
+/// Median and quartiles of `ms`, as `p50 [p25–p75]`.
+fn quartiles(ms: &mut [f64]) -> String {
+    ms.sort_by(f64::total_cmp);
+    let at = |q: f64| ms[((ms.len() - 1) as f64 * q).round() as usize];
+    format!("{:7.3} [{:.3}–{:.3}]", at(0.5), at(0.25), at(0.75))
+}
+
+/// What a traced `fib` rep and the profile after it cost, run by hand:
+/// `cargo test --release --test causal_oracle -- --ignored --nocapture
+/// profile_cost_decomposition`. Fresh 2-worker runtimes run `fib(25)`
+/// reps in three modes, taken in turn: untraced; traced with only a
+/// `clear` after each rep; traced with the benchmark's profile after each
+/// rep (`spans()`, `CausalProfiler::from_spans`, `analyze`, `clear`). It
+/// prints each mode's rep wall and the profile's three phases, in ms.
+#[test]
+#[ignore = "a timing probe: run by hand in release"]
+fn profile_cost_decomposition() {
+    const N: u64 = 25;
+    const REPS: usize = 20;
+    const RUNTIMES: usize = 6;
+    const WARM_UP: usize = 3;
+    let mut untraced = Vec::new();
+    let mut cleared = Vec::new();
+    let mut profiled = Vec::new();
+    let (mut copy, mut ingest, mut analyze) = (Vec::new(), Vec::new(), Vec::new());
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    for _ in 0..RUNTIMES {
+        for mode in 0..3 {
+            let rt = Runtime::new(RuntimeConfig::with_workers(2));
+            let tracer = rt.tracer();
+            if mode > 0 {
+                tracer.enable();
+            }
+            for rep in 0..WARM_UP + REPS {
+                let wall = ms(fib_rep(&rt, N));
+                let timed = rep >= WARM_UP;
+                match mode {
+                    0 => {}
+                    1 => tracer.clear(),
+                    _ => {
+                        let t0 = std::time::Instant::now();
+                        let spans = tracer.spans();
+                        let t1 = std::time::Instant::now();
+                        let profiler = CausalProfiler::from_spans(&spans);
+                        let t2 = std::time::Instant::now();
+                        let analysis = profiler.analyze();
+                        let t3 = std::time::Instant::now();
+                        tracer.clear();
+                        assert_eq!(analysis.tasks, spans.len() as u64);
+                        if timed {
+                            copy.push(ms(t1 - t0));
+                            ingest.push(ms(t2 - t1));
+                            analyze.push(ms(t3 - t2));
+                        }
+                    }
+                }
+                if timed {
+                    [&mut untraced, &mut cleared, &mut profiled][mode].push(wall);
+                }
+            }
+            rt.shutdown();
+        }
+    }
+    println!(
+        "fib({N}) on 2 workers, {RUNTIMES} runtimes x {REPS} reps per mode, ms p50 [p25–p75]:"
+    );
+    println!(
+        "  untraced rep                 {}",
+        quartiles(&mut untraced)
+    );
+    println!("  traced rep, clear only       {}", quartiles(&mut cleared));
+    println!(
+        "  traced rep after a profile   {}",
+        quartiles(&mut profiled)
+    );
+    println!("  profile: spans()             {}", quartiles(&mut copy));
+    println!("  profile: from_spans          {}", quartiles(&mut ingest));
+    println!("  profile: analyze             {}", quartiles(&mut analyze));
+}
