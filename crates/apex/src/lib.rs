@@ -10,7 +10,8 @@
 //! - a [`Policy`] names a set of counters, a period, and a rule that turns
 //!   fresh counter readings into knob adjustments;
 //! - the [`PolicyEngine`] evaluates due policies on a background thread
-//!   with the same evaluate/reset protocol the paper's measurements use.
+//!   with the same evaluate/reset protocol the paper's measurements use,
+//!   each policy reading through a private [`ScrapeEngine`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -46,8 +47,9 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use rpx_counters::engine::{Batch, ScrapeEngine};
 use rpx_counters::sampler::TickLoop;
-use rpx_counters::{CounterError, CounterName, CounterRegistry, CounterValue, ResolvedQuery};
+use rpx_counters::{CounterError, CounterRegistry};
 
 /// A bounded integer knob adjusted by policies and read on hot paths.
 #[derive(Clone)]
@@ -114,8 +116,8 @@ impl Tunable {
 /// What a rule sees on each firing.
 pub struct PolicyContext<'a> {
     /// The policy's counter readings for this period (evaluate-with-reset:
-    /// each firing sees only its own interval).
-    pub readings: &'a [(CounterName, CounterValue)],
+    /// each firing sees only its own interval); a failed read is not ok.
+    pub batch: &'a Batch,
     /// How many times this policy has fired before (0 on the first firing).
     pub fires: u64,
 }
@@ -125,10 +127,10 @@ impl PolicyContext<'_> {
     /// (readings are wildcard-expanded, so prefix match is the ergonomic
     /// lookup).
     fn values<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = f64> + 'a {
-        self.readings
+        self.batch
             .iter()
-            .filter(move |(n, v)| n.to_string().starts_with(prefix) && v.status.is_ok())
-            .map(|(_, v)| v.scaled())
+            .filter(move |(entry, sample)| sample.ok && entry.canonical.starts_with(prefix))
+            .map(|(_, sample)| sample.value)
     }
 
     /// The scaled value of the first reading whose name starts with
@@ -243,7 +245,7 @@ struct ArmedPolicy {
     /// The policy's counters, re-resolved when the registry topology moves
     /// (a respawned worker must not leave a `worker-thread#*` policy reading
     /// stale handles).
-    query: ResolvedQuery,
+    engine: ScrapeEngine,
     period_ns: u64,
     reset_on_read: bool,
     rule: Rule,
@@ -279,7 +281,7 @@ impl PolicyEngine {
         for p in policies {
             armed.push(ArmedPolicy {
                 name: p.name,
-                query: ResolvedQuery::resolve(registry, &p.counters)?,
+                engine: ScrapeEngine::with(registry, &p.counters, 1, Arc::default())?,
                 period_ns: u64::try_from(p.period.as_nanos()).unwrap_or(u64::MAX),
                 reset_on_read: p.reset_on_read,
                 rule: p.rule.unwrap_or_else(|| Box::new(|_| {})),
@@ -297,16 +299,13 @@ impl PolicyEngine {
             let mut next_ns = u64::MAX;
             for p in &mut armed {
                 if now_ns >= p.next_due_ns {
-                    p.query.refresh();
                     // An accounted batch: a policy's reads cost what a
                     // sampler's do (`/counters/overhead/*`), and a counter
                     // that panics reads as unavailable.
-                    let (_, readings) = p
-                        .query
-                        .batch(|h, t0| (h.name.clone(), h.read(p.reset_on_read, t0)));
+                    let batch = p.engine.read(p.reset_on_read);
                     let t0 = clock.now_ns();
                     let ctx = PolicyContext {
-                        readings: &readings,
+                        batch: &batch,
                         fires: p.fires,
                     };
                     (p.rule)(&ctx);
@@ -512,7 +511,7 @@ mod tests {
     #[test]
     fn wildcard_policy_follows_topology_and_accounts_its_reads() {
         use rpx_counters::value::{CounterInfo, CounterKind};
-        use rpx_counters::{counter::RawCounter, Counter, CounterInstance};
+        use rpx_counters::{counter::RawCounter, Counter, CounterInstance, CounterName};
 
         let reg = CounterRegistry::new();
         let workers = Arc::new(AtomicI64::new(1));
@@ -540,7 +539,7 @@ mod tests {
             vec!["/threads{locality#0/worker-thread#*}/count".into()],
         )
         .with_period(Duration::from_millis(1))
-        .with_rule(move |ctx| s2.store(ctx.readings.len() as i64, Ordering::Relaxed));
+        .with_rule(move |ctx| s2.store(ctx.batch.len() as i64, Ordering::Relaxed));
         let engine = PolicyEngine::start(&reg, vec![policy]).unwrap();
         assert!(wait_until(2_000, || seen.load(Ordering::Relaxed) == 1));
 
@@ -656,12 +655,12 @@ mod tests {
         let reg = CounterRegistry::new();
         reg.register_raw("/a/x", "h", "1", Arc::new(|| 3));
         reg.register_raw("/a/y", "h", "1", Arc::new(|| 4));
-        let readings = vec![
-            ("/a/x".parse().unwrap(), CounterValue::new(3, 0)),
-            ("/a/y".parse().unwrap(), CounterValue::new(4, 0)),
-        ];
+        let specs = ["/a/x".into(), "/a/y".into()];
+        let batch = ScrapeEngine::with(&reg, &specs, 1, Arc::default())
+            .unwrap()
+            .collect();
         let ctx = PolicyContext {
-            readings: &readings,
+            batch: &batch,
             fires: 0,
         };
         assert_eq!(ctx.sum("/a/"), 7.0);

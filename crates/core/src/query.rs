@@ -4,15 +4,13 @@
 //! A [`ResolvedQuery`] holds counter specs (wildcards allowed), expands
 //! them into concrete `Arc<dyn Counter>` handles *once*, stamps the result
 //! with the registry's topology [generation](CounterRegistry::generation)
-//! and publishes it as an immutable list. Readers clone that list and call
-//! [`Counter::get_value`] with no lock held; [`refresh`](ResolvedQuery::refresh)
-//! re-expands only when the generation moved (a respawned worker, a
-//! late-registered type), so a topology change is observed within one
-//! refresh and never on every use. Every consumer goes through this one
-//! type: the registry's active set, the
-//! [`Sampler`](crate::sampler::Sampler), the command-line printer, the
-//! `rpx-serve` scrape engine and the `rpx-apex` policy engine. DESIGN.md
-//! §12 has the protocol and its memory-ordering argument.
+//! and publishes it as an immutable list. Readers clone that list and read
+//! it with no lock held; [`refresh`](ResolvedQuery::refresh) re-expands
+//! only when the generation moved (a respawned worker, a late-registered
+//! type), so a topology change is observed within one refresh and never on
+//! every use. A query only resolves: every in-process consumer reads
+//! through a [`ScrapeEngine`](crate::engine::ScrapeEngine) over one.
+//! DESIGN.md §12 has the protocol and its memory-ordering argument.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
@@ -20,38 +18,31 @@ use std::sync::{Arc, Weak};
 use crate::counter::{Clock, Counter};
 use crate::error::CounterError;
 use crate::name::CounterName;
-use crate::prim::{mutation_armed, Mutex, RwLock};
+use crate::prim::{mutation_armed, Mutex, Ordering, RwLock};
 use crate::registry::CounterRegistry;
 use crate::value::CounterValue;
 
-/// One resolved counter: its concrete name (canonical form cached), the
-/// live handle, and the consumer's per-counter state.
+/// One resolved counter: its canonical name, the live handle, and the
+/// consumer's per-counter state.
 pub struct QueryHandle<S = ()> {
-    /// Concrete (wildcard-free) counter name.
-    pub name: CounterName,
-    /// `name.canonical()`, cached because rendering a name allocates.
-    pub canonical: String,
+    /// The concrete name, never read: held so an expansion's names are not
+    /// freed while it copies the canonical strings into their chunks (a
+    /// 10 002-counter re-expansion then took about 1.4× as long).
+    _name: CounterName,
+    /// The concrete name's canonical form, rendered once.
+    pub(crate) canonical: String,
     /// The resolved counter instance.
-    pub counter: Arc<dyn Counter>,
-    /// Consumer state attached to this counter (a sampler's backoff, a
-    /// scrape engine's export entry). Created when the canonical name
-    /// first resolves and carried over every re-expansion for as long as
-    /// the name stays resolvable.
-    pub slot: S,
+    pub(crate) counter: Arc<dyn Counter>,
+    /// Consumer state attached to this counter (a scrape engine's export
+    /// entry). Created when the canonical name first resolves and carried
+    /// over every re-expansion for as long as the name stays resolvable.
+    pub(crate) slot: S,
 }
 
-impl<S> QueryHandle<S> {
-    /// Evaluate the counter defensively at the caller's `timestamp_ns`
-    /// ([`Counter::get_value_at`]): a panic inside the read becomes an
-    /// unavailable placeholder with that stamp, so one broken counter
-    /// cannot unwind a periodic reader's thread.
-    pub fn read(&self, reset: bool, timestamp_ns: u64) -> CounterValue {
-        read_counter(&*self.counter, reset, timestamp_ns)
-    }
-}
-
-/// [`QueryHandle::read`] for a bare counter: the one guarded read, shared
-/// with the scrape engine.
+/// The one guarded read: `counter` at the caller's `timestamp_ns`
+/// ([`Counter::get_value_at`]). A panic inside the read becomes an
+/// unavailable placeholder with that stamp, so one broken counter cannot
+/// unwind its reader.
 pub(crate) fn read_counter(counter: &dyn Counter, reset: bool, timestamp_ns: u64) -> CounterValue {
     let read = || counter.get_value_at(reset, timestamp_ns);
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(read))
@@ -81,11 +72,11 @@ struct Resolved<S> {
 type SlotInit<S> = Box<dyn Fn(&str, &Arc<dyn Counter>) -> S + Send + Sync>;
 
 /// A set of counter specs resolved against a registry, cached per topology
-/// generation. `S` is the consumer's per-counter [slot](QueryHandle::slot).
+/// generation. `S` is the consumer's per-counter state, one slot per handle.
 ///
-/// The registry is held weakly (the registry's own active set is one of
-/// these); once it is dropped the set stops refreshing and its reads are
-/// no longer accounted.
+/// The registry is held weakly (the registry's own active set reads
+/// through one of these); once it is dropped the set stops refreshing and
+/// its reads are no longer accounted.
 pub struct ResolvedQuery<S = ()> {
     registry: Weak<CounterRegistry>,
     clock: Arc<Clock>,
@@ -103,32 +94,34 @@ impl ResolvedQuery {
         registry: &Arc<CounterRegistry>,
         specs: &[String],
     ) -> Result<Self, CounterError> {
-        Self::resolve_with(registry, specs, |_, _| ())
+        let query = Self::unresolved(
+            Arc::downgrade(registry),
+            registry.clock(),
+            Box::new(|_, _| ()),
+        );
+        query.store(registry, specs)?;
+        Ok(query)
     }
 }
 
 impl<S: Clone> ResolvedQuery<S> {
-    /// [`resolve`](ResolvedQuery::resolve) for a consumer that keeps state
-    /// per counter: `init` builds the [slot](QueryHandle::slot) of each
-    /// newly resolved counter. It runs in handle order with re-expansions
-    /// serialized, so a slot is created exactly once per resolvable name.
-    pub fn resolve_with(
+    /// Parse, store and resolve `specs` eagerly, as
+    /// [`resolve`](ResolvedQuery::resolve) does; a constructor's step.
+    pub(crate) fn store(
+        &self,
         registry: &Arc<CounterRegistry>,
         specs: &[String],
-        init: impl Fn(&str, &Arc<dyn Counter>) -> S + Send + Sync + 'static,
-    ) -> Result<Self, CounterError> {
-        let query = Self::unresolved(Arc::downgrade(registry), registry.clock(), Box::new(init));
-        {
-            let mut stored = query.specs.lock();
-            for spec in specs {
-                stored.queries.push(spec.parse()?);
-            }
-            query.expand(registry, &stored, true)?;
+    ) -> Result<(), CounterError> {
+        let mut stored = self.specs.lock();
+        for spec in specs {
+            stored.queries.push(spec.parse()?);
         }
-        Ok(query)
+        self.expand(registry, &stored, true).map(drop)
     }
 
-    /// An empty set; the registry builds its active set from this.
+    /// An empty set. `init` builds the slot of each newly resolved
+    /// counter; it runs in handle order with re-expansions serialized, so
+    /// a slot is created exactly once per resolvable name.
     pub(crate) fn unresolved(
         registry: Weak<CounterRegistry>,
         clock: Arc<Clock>,
@@ -259,7 +252,7 @@ impl<S: Clone> ResolvedQuery<S> {
                     None => (self.init)(&canonical, &counter),
                 };
                 handles.push(QueryHandle {
-                    name,
+                    _name: name,
                     canonical,
                     counter,
                     slot,
@@ -299,36 +292,35 @@ impl<S: Clone> ResolvedQuery<S> {
         self.resolved.read().generation
     }
 
-    /// Map `each` over the handles as one accounted batch: no lock is held,
-    /// `each` gets the batch's start timestamp (returned with the results),
-    /// and the batch's wall time is folded into the registry's overhead
-    /// counters — the paper's intrinsic-overhead ratio covers every reader.
-    pub fn batch<R>(&self, mut each: impl FnMut(&QueryHandle<S>, u64) -> R) -> (u64, Vec<R>) {
+    /// Run `work`, handed its start on the registry clock, and fold its
+    /// wall time (returned with its result) into `/counters/overhead/*` as
+    /// `batches` batches: every reader's one accounting, so the paper's
+    /// overhead ratio covers them all.
+    pub(crate) fn charged<R>(&self, batches: u64, work: impl FnOnce(u64) -> R) -> (R, u64) {
         let t0 = self.clock.now_ns();
-        let out = self.handles().iter().map(|h| each(h, t0)).collect();
+        let out = work(t0);
+        let dt = self.clock.now_ns().saturating_sub(t0);
         if let Some(registry) = self.registry.upgrade() {
-            registry.record_query_overhead(self.clock.now_ns().saturating_sub(t0), 1);
+            registry.overhead_time_ns.fetch_add(dt, Ordering::Relaxed);
+            registry
+                .overhead_batches
+                .fetch_add(batches, Ordering::Relaxed);
         }
-        (t0, out)
+        (out, dt)
     }
 
-    /// Evaluate every handle as one [`batch`](Self::batch). Each value
-    /// carries a stamp its counter took when read, not the batch's. A
-    /// panicking counter unwinds into the caller; periodic readers that
-    /// must survive one use [`QueryHandle::read`] per handle instead.
-    pub fn evaluate(&self, reset: bool) -> Vec<(String, CounterValue)> {
-        self.batch(|h, _| (h.canonical.clone(), h.counter.get_value(reset)))
-            .1
-    }
-}
-
-impl<S: Clone> std::fmt::Debug for ResolvedQuery<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResolvedQuery")
-            .field("specs", &self.specs.lock().queries.len())
-            .field("handles", &self.handles().len())
-            .field("generation", &self.generation())
-            .finish()
+    /// Evaluate every handle, in handle order, as one accounted batch: the
+    /// guarded read at the batch's one stamp, a panic read as unavailable.
+    /// A reader that names values or backs failures off uses an engine.
+    pub fn evaluate(&self, reset: bool) -> Vec<CounterValue> {
+        let handles = self.handles();
+        let read = |t0| {
+            handles
+                .iter()
+                .map(|h| read_counter(&*h.counter, reset, t0))
+                .collect()
+        };
+        self.charged(1, read).0
     }
 }
 
@@ -408,12 +400,12 @@ mod tests {
         register_workers(&reg, workers.clone());
         let created = Arc::new(AtomicI64::new(0));
         let c2 = created.clone();
-        let q = ResolvedQuery::resolve_with(
-            &reg,
-            &["/threads{locality#0/worker-thread#*}/count".into()],
-            move |_, _| Arc::new(AtomicI64::new(c2.fetch_add(1, Ordering::Relaxed))),
-        )
-        .unwrap();
+        let init = move |_: &str, _: &Arc<dyn Counter>| {
+            Arc::new(AtomicI64::new(c2.fetch_add(1, Ordering::Relaxed)))
+        };
+        let q = ResolvedQuery::unresolved(Arc::downgrade(&reg), reg.clock(), Box::new(init));
+        q.store(&reg, &["/threads{locality#0/worker-thread#*}/count".into()])
+            .unwrap();
         q.handles()[1].slot.store(41, Ordering::Relaxed);
 
         workers.store(3, Ordering::Relaxed);
@@ -459,7 +451,7 @@ mod tests {
         let q = ResolvedQuery::resolve(&reg, &["/test/bad".into()]).unwrap();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let v = q.handles()[0].read(false, 77);
+        let v = read_counter(&*q.handles()[0].counter, false, 77);
         std::panic::set_hook(prev);
         assert_eq!(v, CounterValue::unavailable(77));
     }
@@ -471,7 +463,7 @@ mod tests {
         let q = ResolvedQuery::resolve(&reg, &["/test/v".into()]).unwrap();
         for _ in 0..32 {
             let vals = q.evaluate(false);
-            assert_eq!(vals[0].1.value, 7);
+            assert_eq!(vals[0].value, 7);
         }
         let batches = reg
             .evaluate("/counters{locality#0/total}/overhead/count", false)

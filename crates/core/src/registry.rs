@@ -3,21 +3,19 @@
 //! demand when a name is resolved; an *active set* supports the paper's
 //! `evaluate_active_counters` / `reset_active_counters` protocol.
 //!
-//! # The active set is a resolved query
+//! # The active set is a private scrape engine
 //!
-//! The active set is one [`ResolvedQuery`] that `add_active` /
-//! `remove_active` edit: readers (`evaluate_active_counters`,
-//! `active_names`) clone its published handle list and then call
-//! [`Counter::get_value`] with **no registry lock held**, so a counter may
-//! freely re-enter the registry — resolve children, list the active set,
-//! evaluate other counters — without self-deadlocking, and concurrent
-//! `add_active`/`remove_active` calls never serialize against a running
-//! evaluation. Wildcard queries are *live*: any topology change (a counter
-//! type registered or unregistered late, a worker respawned by the runtime
-//! watchdog — signalled through [`CounterRegistry::bump_generation`]) makes
-//! the published list stale, and the next evaluation re-expands the queries
-//! against the current instance population. See [`crate::query`] and
-//! DESIGN.md §12 for the protocol and its memory-ordering argument.
+//! The active set is one [`ScrapeEngine`] the registry owns (one shard,
+//! nothing registered, like a sampler's) whose query `add_active` /
+//! `remove_active` edit. It reaches the registry only through a `Weak`, so
+//! there is no cycle. An evaluation is one read of that engine: a [`Batch`]
+//! at one clock stamp, names borrowed in insertion order, with **no
+//! registry lock held**, so a counter may re-enter the registry without
+//! self-deadlocking and concurrent `add_active`/`remove_active` calls never
+//! block it. Wildcard queries are *live*: a topology change (a type
+//! registered late, a worker respawned by the watchdog — signalled through
+//! [`CounterRegistry::bump_generation`]) makes the next evaluation
+//! re-expand them. See [`crate::engine`] and DESIGN.md §12.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -26,9 +24,9 @@ use crate::prim::{AtomicU64, Ordering, RwLock};
 
 use crate::counter::{AverageCounter, MonotonicCounter, RawCounter};
 use crate::counter::{Clock, Counter, PairFn, ValueCell, ValueFn};
+use crate::engine::{Batch, ScrapeEngine};
 use crate::error::CounterError;
 use crate::name::{CounterInstance, CounterName, InstanceIndex};
-use crate::query::ResolvedQuery;
 use crate::value::{CounterInfo, CounterKind, CounterValue};
 
 /// Factory creating a counter instance for a concrete (non-wildcard) name.
@@ -61,19 +59,19 @@ pub struct CounterRegistry {
     clock: Arc<Clock>,
     types: RwLock<BTreeMap<String, CounterTypeEntry>>,
     instances: RwLock<HashMap<String, Arc<dyn Counter>>>,
-    /// The active set: the stored queries and exclusions plus their
-    /// published resolution (holds this registry weakly — no cycle).
-    active: ResolvedQuery,
+    /// The active set: a private engine whose query holds the stored
+    /// specs and exclusions (and this registry weakly — no cycle).
+    active: ScrapeEngine,
     /// Topology generation: bumped on type (un)registration and by the
     /// runtime on worker respawn; a resolved query whose stamp lags this
     /// value is re-expanded on its next refresh.
     generation: AtomicU64,
-    /// Self-measurement: cumulative wall time spent evaluating active /
-    /// sampled batches, exposed as `/counters/overhead/time`.
-    overhead_time_ns: AtomicU64,
+    /// Self-measurement: cumulative wall time every reader spent
+    /// evaluating batches, exposed as `/counters/overhead/time`.
+    pub(crate) overhead_time_ns: AtomicU64,
     /// Self-measurement: number of batches evaluated
     /// (`/counters/overhead/count`).
-    overhead_batches: AtomicU64,
+    pub(crate) overhead_batches: AtomicU64,
 }
 
 impl CounterRegistry {
@@ -83,7 +81,7 @@ impl CounterRegistry {
     pub fn new() -> Arc<Self> {
         let clock = Arc::new(Clock::new());
         let reg = Arc::new_cyclic(|weak| CounterRegistry {
-            active: ResolvedQuery::unresolved(weak.clone(), clock.clone(), Box::new(|_, _| ())),
+            active: ScrapeEngine::unresolved(weak.clone(), clock.clone(), 1, Arc::default()),
             clock,
             types: RwLock::new(BTreeMap::new()),
             instances: RwLock::new(HashMap::new()),
@@ -147,7 +145,8 @@ impl CounterRegistry {
         });
     }
 
-    /// The current topology generation. A [`ResolvedQuery`] stamped with
+    /// The current topology generation. A
+    /// [`ResolvedQuery`](crate::query::ResolvedQuery) stamped with
     /// an older value re-expands its wildcards on its next refresh.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
@@ -326,7 +325,7 @@ impl CounterRegistry {
     /// join the set on the evaluation after the next generation bump.
     /// Returns the number of concrete counters the call added.
     pub fn add_active(self: &Arc<Self>, name: &str) -> Result<usize, CounterError> {
-        self.active.add(self, name.parse()?)
+        self.active.query.add(self, name.parse()?)
     }
 
     /// Remove counters from the active set.
@@ -342,7 +341,7 @@ impl CounterRegistry {
         let Ok(parsed) = name.parse::<CounterName>() else {
             return false;
         };
-        self.active.remove(self, &parsed.canonical())
+        self.active.query.remove(self, &parsed.canonical())
     }
 
     /// Canonical names currently in the active set, in query insertion
@@ -350,41 +349,28 @@ impl CounterRegistry {
     /// lock while returning — safe to call from inside a counter's
     /// `get_value`.
     pub fn active_names(self: &Arc<Self>) -> Vec<String> {
-        self.active.refresh();
-        self.active.names()
+        self.active.query.refresh();
+        self.active.query.names()
     }
 
     /// Evaluate every active counter (the paper's
-    /// `hpx::evaluate_active_counters`). With `reset`, accumulation restarts
-    /// atomically with the read.
-    ///
-    /// No registry lock is held across any `get_value` call: the resolved
-    /// set is an immutable list, so counters may re-enter the registry
-    /// and concurrent `add_active`/`remove_active` calls never block the
-    /// evaluation (they publish a new list for the *next* batch). The
-    /// batch's wall time is accumulated into `/counters/overhead/time`.
-    pub fn evaluate_active_counters(self: &Arc<Self>, reset: bool) -> Vec<(String, CounterValue)> {
-        self.active.refresh();
-        self.active.evaluate(reset)
+    /// `hpx::evaluate_active_counters`): one read of the active set's
+    /// engine, in insertion order, with `reset` restarting accumulation
+    /// atomically with each read. Every sample carries the batch's stamp; a
+    /// counter that panics reads as not ok, and is backed off after its
+    /// second failure in a row. The read is in `/counters/overhead/*`.
+    pub fn evaluate_active_counters(self: &Arc<Self>, reset: bool) -> Batch {
+        self.active.read(reset)
     }
 
     /// Reset every active counter without reading
     /// (`hpx::reset_active_counters`). Lock-free against evaluations, like
     /// [`evaluate_active_counters`](Self::evaluate_active_counters).
     pub fn reset_active_counters(self: &Arc<Self>) {
-        self.active.refresh();
-        for h in self.active.handles().iter() {
+        self.active.query.refresh();
+        for h in self.active.query.handles().iter() {
             h.counter.reset();
         }
-    }
-
-    /// Fold one evaluated batch into the self-measurement counters
-    /// (`/counters/overhead/time`, `/counters/overhead/count`). Called by
-    /// every reader of a [`ResolvedQuery`] batch.
-    pub fn record_query_overhead(&self, elapsed_ns: u64, batches: u64) {
-        self.overhead_time_ns
-            .fetch_add(elapsed_ns, Ordering::Relaxed);
-        self.overhead_batches.fetch_add(batches, Ordering::Relaxed);
     }
 
     // ------------------------------------------------------------------
@@ -482,7 +468,7 @@ impl std::fmt::Debug for CounterRegistry {
         f.debug_struct("CounterRegistry")
             .field("types", &self.types.read().len())
             .field("instances", &self.instances.read().len())
-            .field("active", &self.active.handles().len())
+            .field("active", &self.active.query.handles().len())
             .field("generation", &self.generation())
             .finish()
     }
@@ -711,19 +697,63 @@ mod tests {
         v.store(5, Ordering::Relaxed);
         let vals = reg.evaluate_active_counters(true);
         assert_eq!(vals.len(), 1);
-        assert_eq!(vals[0].1.value, 5);
+        assert_eq!(vals.samples()[0].value, 5.0);
 
         v.store(7, Ordering::Relaxed);
         let vals = reg.evaluate_active_counters(false);
-        assert_eq!(vals[0].1.value, 2, "evaluate(reset) must rebaseline");
+        assert_eq!(
+            vals.samples()[0].value,
+            2.0,
+            "evaluate(reset) must rebaseline"
+        );
 
         reg.reset_active_counters();
         let vals = reg.evaluate_active_counters(false);
-        assert_eq!(vals[0].1.value, 0);
+        assert_eq!(vals.samples()[0].value, 0.0);
 
         assert!(reg.remove_active("/test/mono"));
         assert!(!reg.remove_active("/test/mono"));
         assert!(reg.evaluate_active_counters(false).is_empty());
+    }
+
+    /// An active counter that panics reads as not ok beside a healthy
+    /// one, and the caller keeps running; its second failure backs it off
+    /// with the counts a plain engine reports
+    /// (`a_failing_counter_is_skipped_then_read_again_within_the_cap`);
+    /// every sample carries its batch's stamp.
+    #[test]
+    fn a_panicking_active_counter_reads_as_not_ok_and_backs_off() {
+        let reg = CounterRegistry::new();
+        let (_broken, evaluations) = crate::engine::tests::register_flaky(&reg);
+        reg.register_raw("/test/value", "h", "1", Arc::new(|| 7));
+        reg.add_active("/test/flaky").unwrap();
+        reg.add_active("/test/value").unwrap();
+        // Two failed reads, then 2^2 - 1 skips plus the jitter read 1
+        // draws: six reads evaluate the broken counter twice.
+        for _ in 0..6 {
+            let batch = reg.evaluate_active_counters(false);
+            let names: Vec<&str> = batch.iter().map(|(e, _)| e.canonical.as_str()).collect();
+            assert_eq!(names, ["/test/flaky", "/test/value"]);
+            let [broken, healthy] = batch.samples() else {
+                panic!("one sample per active counter");
+            };
+            assert!(!broken.ok, "a panicking counter reads as not ok");
+            assert!(healthy.ok && healthy.value == 7.0);
+            for sample in batch.samples() {
+                assert_eq!(sample.timestamp_ns, batch.timestamp_ns);
+            }
+        }
+        let stats = reg.active.stats();
+        let read_errors = stats.read_errors.load(Ordering::Relaxed);
+        assert_eq!(
+            (read_errors, stats.backoffs.load(Ordering::Relaxed)),
+            (2, 1)
+        );
+        assert_eq!(
+            evaluations.load(Ordering::Relaxed),
+            2,
+            "skipped reads evaluate nothing"
+        );
     }
 
     #[test]
@@ -808,7 +838,7 @@ mod tests {
         assert_eq!(vals.len(), 3, "new instance joins within one evaluation");
         assert!(vals
             .iter()
-            .any(|(n, _)| n == "/threads{locality#0/worker-thread#2}/count"));
+            .any(|(e, _)| e.canonical == "/threads{locality#0/worker-thread#2}/count"));
 
         workers.store(1, Ordering::Relaxed);
         reg.bump_generation();
@@ -837,7 +867,7 @@ mod tests {
         reg.add_active("/derived/reentrant").unwrap();
         let vals = reg.evaluate_active_counters(false);
         assert_eq!(vals.len(), 1);
-        assert_eq!(vals[0].1.value, 42);
+        assert_eq!(vals.samples()[0].value, 42.0);
     }
 
     #[test]
@@ -853,18 +883,19 @@ mod tests {
         );
         reg.add_active("/src/child").unwrap();
         reg.add_active("/statistics/average@/src/child").unwrap();
-        let mut last = CounterValue::empty(0);
+        let mut last = 0.0;
         for x in [10, 20, 30] {
             v.store(x, Ordering::Relaxed);
             let vals = reg.evaluate_active_counters(false);
             assert_eq!(vals.len(), 2);
             last = vals
                 .iter()
-                .find(|(n, _)| n == "/statistics/average@/src/child")
+                .find(|(e, _)| e.canonical == "/statistics/average@/src/child")
                 .unwrap()
-                .1;
+                .1
+                .value;
         }
-        assert_eq!(last.scaled(), 20.0);
+        assert_eq!(last, 20.0);
     }
 
     #[test]

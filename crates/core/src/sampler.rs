@@ -7,7 +7,7 @@
 //! [`ScrapeEngine`], the one periodic read path (DESIGN.md §12): names
 //! are resolved once per topology
 //! [generation](CounterRegistry::generation), each tick is one
-//! `collect`, and a topology move re-expands wildcard specs and
+//! [`read`](ScrapeEngine::read), and a topology move re-expands wildcard specs and
 //! re-announces the schema to the sink (CSV emits a fresh header row).
 //! The engine's per-counter backoff makes sampling *resilient*: a counter
 //! whose read fails — or panics — reads as unavailable (an empty CSV
@@ -434,6 +434,8 @@ pub struct Sampler {
 /// A sampler's engine and sink. Dropping it finishes the sink.
 pub(crate) struct Sampling {
     engine: ScrapeEngine,
+    /// Whether each read resets its counters.
+    reset: bool,
     sink: Box<dyn SampleSink>,
     health: Arc<SamplerHealth>,
 }
@@ -449,10 +451,10 @@ impl Sampling {
     ) -> Result<Self, CounterError> {
         // One shard, so the export order is the configuration order; the
         // engine's read errors and backoffs are the health's.
-        let (specs, reset, reads) = (&config.counters, config.reset_on_read, health.reads.clone());
-        let engine = ScrapeEngine::with(registry, specs, 1, reset, reads)?;
+        let engine = ScrapeEngine::with(registry, &config.counters, 1, health.reads.clone())?;
         Ok(Sampling {
             engine,
+            reset: config.reset_on_read,
             sink,
             health,
         })
@@ -461,7 +463,7 @@ impl Sampling {
     /// Read one batch into the sink, announcing the schema first if the
     /// resolved set changed.
     pub(crate) fn tick(&mut self) {
-        let batch = self.engine.collect();
+        let batch = self.engine.read(self.reset);
         if batch.sequence == 0 || batch.renamed {
             let names: Vec<String> = batch.iter().map(|(e, _)| e.canonical.clone()).collect();
             self.sink.begin(&names);
@@ -487,7 +489,7 @@ impl Drop for Sampling {
 impl Sampler {
     /// Resolve the configured names (eagerly — unknown counters are an
     /// error now) and start the sampling thread. Each tick is one
-    /// [`collect`](ScrapeEngine::collect) of the sampler's engine, which
+    /// [`read`](ScrapeEngine::read) of the sampler's engine, which
     /// re-resolves only on a generation bump.
     pub fn start(
         registry: &Arc<CounterRegistry>,

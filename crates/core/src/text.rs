@@ -261,11 +261,11 @@ pub fn parse_exposition(text: &str) -> Vec<(String, f64)> {
 }
 
 /// Append a sample value: the one number formatter of the exposition,
-/// the CSV cells and the JSON readings. An integral value below 10^15 in
-/// magnitude renders as its integer, digit by digit with no `core::fmt`
-/// (−0.0 as `0`); anything else as `{v}`, so text diffs and tests stay
-/// exact.
-pub(crate) fn push_value(out: &mut String, v: f64) {
+/// the sampler's CSV cells and JSON readings, and `rpx-collect`'s merged
+/// table. An integral value below 10^15 in magnitude renders as its
+/// integer, digit by digit with no `core::fmt` (−0.0 as `0`); anything
+/// else as `{v}`, so text diffs and tests stay exact.
+pub fn push_value(out: &mut String, v: f64) {
     if v.fract() == 0.0 && v.abs() < 1e15 {
         let (mut n, mut digits, mut at) = (v.abs() as u64, [0u8; 16], 16);
         loop {

@@ -180,10 +180,10 @@ mod tests {
             .unwrap();
         pmu.record(0, HwEvent::OffcoreDemandRfo, 100);
         let v = reg.evaluate_active_counters(true);
-        assert_eq!(v[0].1.value, 100);
+        assert_eq!(v.samples()[0].value, 100.0);
         pmu.record(0, HwEvent::OffcoreDemandRfo, 30);
         let v = reg.evaluate_active_counters(true);
-        assert_eq!(v[0].1.value, 30);
+        assert_eq!(v.samples()[0].value, 30.0);
     }
 
     #[test]

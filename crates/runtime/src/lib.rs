@@ -202,8 +202,8 @@ mod tests {
             f.get();
         }
         let values = reg.evaluate_active_counters(false);
-        let executed = values[0].1.value;
-        let avg_ns = values[1].1.value;
+        let executed = values.samples()[0].value as i64;
+        let avg_ns = values.samples()[1].value as i64;
         assert!(executed >= 100, "expected ≥100 tasks, counted {executed}");
         assert!(avg_ns > 0, "average task duration should be positive");
         rt.shutdown();

@@ -1,19 +1,22 @@
 //! The multi-process collector: scrape N `rpx-serve` endpoints and merge
-//! the expositions into one table keyed by `(source, metric)` — the
-//! separate-process monitor architecture from ROADMAP item 1. CSV output
-//! follows RFC 4180 (shared escaping with the in-process sampler's
-//! [`CsvSink`](rpx_counters::sampler::CsvSink)).
+//! the expositions into one long table, `source,metric,value`. That is its
+//! own schema, not the sampler's wide rows: a metric is an exposition line
+//! head (`family{labels}`), and a row has no sequence or timestamp. Both
+//! formats spell each value as the exposition does ([`text::push_value`]);
+//! CSV follows RFC 4180 with the sampler's
+//! [`CsvSink`](rpx_counters::sampler::CsvSink) escaping.
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use rpx_counters::sampler::csv_escape;
+use rpx_counters::text;
 pub use rpx_counters::text::parse_exposition;
-use serde::Serialize;
 
 /// One merged reading.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MergedRow {
     /// The endpoint the reading came from.
     pub source: String,
@@ -24,7 +27,7 @@ pub struct MergedRow {
 }
 
 /// Scrapes merged across processes.
-#[derive(Debug, Default, Serialize)]
+#[derive(Debug, Default)]
 pub struct Merged {
     /// All rows, source-major in scrape order.
     pub rows: Vec<MergedRow>,
@@ -35,29 +38,31 @@ impl Merged {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("source,metric,value\n");
         for row in &self.rows {
-            out.push_str(&format!(
-                "{},{},{}\n",
-                csv_escape(&row.source),
-                csv_escape(&row.metric),
-                row.value
-            ));
+            let (source, metric) = (csv_escape(&row.source), csv_escape(&row.metric));
+            let _ = write!(out, "{source},{metric},");
+            text::push_value(&mut out, row.value);
+            out.push('\n');
         }
         out
     }
 
-    /// JSON array of `{source, metric, value}` objects.
+    /// JSON array of `{source, metric, value}` objects; a value that is
+    /// not finite is `null`.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.rows).unwrap_or_else(|_| "[]".into())
-    }
-
-    /// Endpoints that contributed at least one row.
-    pub fn sources(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for row in &self.rows {
-            if out.last() != Some(&row.source.as_str()) && !out.contains(&row.source.as_str()) {
-                out.push(&row.source);
+        let string = |s: &str| serde_json::to_string(s).expect("a string serializes");
+        let mut out = String::from("[");
+        for (i, row) in self.rows.iter().enumerate() {
+            let (source, metric) = (string(&row.source), string(&row.metric));
+            out.push_str(if i == 0 { "{" } else { ",{" });
+            let _ = write!(out, "\"source\":{source},\"metric\":{metric},\"value\":");
+            if row.value.is_finite() {
+                text::push_value(&mut out, row.value);
+            } else {
+                out.push_str("null");
             }
+            out.push('}');
         }
+        out.push(']');
         out
     }
 }
@@ -137,6 +142,33 @@ mod tests {
             csv.lines().nth(1).unwrap(),
             "127.0.0.1:9100,\"rpx_x{params=\"\"w,5\"\"}\",1"
         );
+    }
+
+    /// Both formats spell a value as the exposition line it was scraped
+    /// from does: `42`, not `42.0`.
+    #[test]
+    fn merged_values_are_spelled_as_in_the_exposition() {
+        for (value, spelled) in [(42.0, "42"), (0.5, "0.5"), (1e20, "100000000000000000000")] {
+            let mut exposition = String::from("rpx_m ");
+            text::push_value(&mut exposition, value);
+            assert_eq!(exposition, format!("rpx_m {spelled}"));
+            let parsed = parse_exposition(&exposition);
+            let merged = Merged {
+                rows: vec![MergedRow {
+                    source: "a".into(),
+                    metric: parsed[0].0.clone(),
+                    value: parsed[0].1,
+                }],
+            };
+            assert_eq!(
+                merged.to_csv(),
+                format!("source,metric,value\na,rpx_m,{spelled}\n")
+            );
+            assert_eq!(
+                merged.to_json(),
+                format!("[{{\"source\":\"a\",\"metric\":\"rpx_m\",\"value\":{spelled}}}]")
+            );
+        }
     }
 
     #[test]

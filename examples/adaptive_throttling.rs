@@ -54,8 +54,8 @@ fn main() {
         std::hint::black_box(sink);
 
         let values = registry.evaluate_active_counters(true);
-        let avg_task = values[0].1.scaled().max(1.0);
-        let avg_ovh = values[1].1.scaled();
+        let avg_task = values.samples()[0].value.max(1.0);
+        let avg_ovh = values.samples()[1].value;
         let ratio = avg_ovh / avg_task;
         println!("{wave:>5} {chunk:>10} {avg_task:>14.0} {avg_ovh:>16.0} {ratio:>10.3}");
 

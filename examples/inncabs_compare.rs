@@ -79,11 +79,8 @@ fn main() {
         let (hpx_sum, hpx_t) = run_bench(name, &RpxSpawner::new(rt.handle())).unwrap();
         rt.wait_idle();
         let counters = reg.evaluate_active_counters(false);
-        let (tasks, avg, ovh) = (
-            counters[0].1.value,
-            counters[1].1.value,
-            counters[2].1.value,
-        );
+        let values = counters.samples();
+        let (tasks, avg, ovh) = (values[0].value, values[1].value, values[2].value);
         rt.shutdown();
 
         // Thread-per-task baseline.

@@ -56,8 +56,8 @@ fn main() {
     println!("fib(23) = {result}\n");
     println!("{:<55} {:>15}", "counter", "value");
     // reset=false: the derived counter below still needs the cumulatives.
-    for (name, value) in registry.evaluate_active_counters(false) {
-        println!("{name:<55} {:>15.0}", value.scaled());
+    for (entry, sample) in &registry.evaluate_active_counters(false) {
+        println!("{:<55} {:>15.0}", entry.canonical, sample.value);
     }
 
     // Derived counters compose on the fly: average task duration recomputed

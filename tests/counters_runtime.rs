@@ -38,7 +38,7 @@ fn per_sample_protocol_measures_each_sample_independently() {
         reg.reset_active_counters();
         spawn_burst(&rt, 50 + sample * 10, 100);
         let values = reg.evaluate_active_counters(true);
-        counts.push(values[0].1.value);
+        counts.push(values.samples()[0].value as i64);
     }
     // Each sample sees exactly its own tasks.
     assert_eq!(counts, vec![50, 60, 70, 80, 90]);

@@ -449,16 +449,17 @@ fn wildcard_active_set_survives_worker_respawn() {
         vals.len(),
         WORKERS,
         "active set lost a respawned worker's counter: {:?}",
-        vals.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>()
+        vals.iter().map(|(e, _)| &e.canonical).collect::<Vec<_>>()
     );
-    for (name, v) in &vals {
+    for (entry, v) in &vals {
         assert!(
-            v.status.is_ok(),
-            "`{name}` stopped evaluating after respawn"
+            v.ok,
+            "`{}` stopped evaluating after respawn",
+            entry.canonical
         );
     }
     // Work after the respawn is still attributed across all workers.
-    let total: i64 = vals.iter().map(|(_, v)| v.value).sum();
+    let total: i64 = vals.iter().map(|(_, v)| v.value as i64).sum();
     assert!(total >= 100, "per-worker counters lost task attribution");
 
     // The sampler saw the respawn too: post-respawn batches keep sampling
