@@ -1,20 +1,21 @@
 //! The [`Counter`] trait and the generic counter implementations every
-//! subsystem builds on: raw gauges, monotonic counters, (sum, count)
-//! averages, and elapsed-time counters.
+//! subsystem builds on: raw gauges, cumulative counters (monotonic,
+//! `(sum, count)` averages, `(part, whole)` shares and elapsed time, all
+//! with one reset protocol), and settable application values.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
+use crate::prim::{mutation_armed, Mutex};
 use crate::value::{CounterInfo, CounterKind, CounterValue};
 
-/// Times any [`AverageCounter`] observed its (sum, count) source *below*
-/// the stored baseline — impossible while sources are non-decreasing and
-/// rebasing is serialized, so any nonzero value means a broken source (or
-/// a regression in the rebase protocol). Process-global because averages
-/// are constructed per registry instance; exposed as the
+/// Times any [`CumulativeCounter`] observed its pair source (an average's
+/// `(sum, count)` or a share's `(part, whole)`) *below* the stored base —
+/// impossible while sources are non-decreasing and rebasing is serialized,
+/// so any nonzero value means a broken source (or a regression in the
+/// rebase protocol). Process-global because counters are constructed per
+/// registry instance; exposed as the
 /// `/counters/health/average-underflows` counter and via
 /// [`average_underflows`].
 static AVERAGE_UNDERFLOWS: AtomicU64 = AtomicU64::new(0);
@@ -482,6 +483,11 @@ pub trait Counter: Send + Sync {
 
     /// Evaluate the counter. With `reset`, atomically restart the
     /// counter's accumulation after reading (HPX `evaluate(reset=true)`).
+    /// For a [`CumulativeCounter`] each reset-read returns the interval
+    /// since the previous reset, ≥ 0, and the intervals partition the
+    /// source's growth. The base is the instance's, and the registry hands
+    /// every reader the same instance of a name: one reader's reset also
+    /// starts every other reader's interval.
     fn get_value(&self, reset: bool) -> CounterValue;
 
     /// [`get_value`](Self::get_value) stamped `now_ns` instead of a clock
@@ -540,109 +546,99 @@ impl Counter for RawCounter {
     fn reset(&self) {}
 }
 
-/// A monotonically increasing counter over a non-decreasing source.
+/// What a [`CumulativeCounter`]'s source is a running total of, and with
+/// that how the growth since the last reset is finished into a value.
+#[derive(Clone)]
+pub enum Cumulative {
+    /// A non-decreasing value (a negative one reads as 0); reads its
+    /// growth.
+    Monotonic(ValueFn),
+    /// A non-decreasing `(sum, count)`, e.g. mean task duration =
+    /// cumulative execution time / tasks executed; reads `Δsum / Δcount`,
+    /// or `NewData` when no count arrived.
+    Average(PairFn),
+    /// A non-decreasing `(part, whole)`; reads `Δpart / Δwhole` in units of
+    /// 0.01 %, rounded, or 0 when the whole did not grow.
+    Share(PairFn),
+    /// The read's own stamp: reads the time since creation or the last
+    /// reset (`/runtime/uptime`).
+    Elapsed,
+}
+
+/// A counter over a running total that reports its growth since the last
+/// reset. This is what makes per-sample measurement (`evaluate`, `reset`,
+/// run, `evaluate`) work while the runtime keeps counting globally.
 ///
-/// Reset semantics: resetting records the current source value as a
-/// baseline; subsequent reads report the delta since the last reset. This
-/// is what makes per-sample measurement (`evaluate`, `reset`, run,
-/// `evaluate`) work while the underlying runtime keeps counting globally.
-pub struct MonotonicCounter {
+/// One protocol serves every kind: the source is read *under* the lock
+/// that holds the base, so each stored base was observed no later than the
+/// next caller's read, every reset-read returns an interval ≥ 0, and the
+/// reset-reads partition the growth exactly (no increment is lost or
+/// counted twice). Rebasing with an unlocked swap instead lets two readers
+/// interleave read A → read B → swap B → swap A: A's older base goes back
+/// in, A reads negative and the next reader counts B's interval again.
+///
+/// An elapsed-time source is the stamp its reader hands in, and
+/// concurrent readers can hand stamps out of order: a stamp below the base
+/// reads 0 and leaves the base where it is.
+pub struct CumulativeCounter {
     info: CounterInfo,
     clock: Arc<Clock>,
-    read: ValueFn,
-    baseline: AtomicI64,
-}
-
-impl MonotonicCounter {
-    /// Build from metadata and a non-decreasing source closure.
-    pub fn new(info: CounterInfo, clock: Arc<Clock>, read: ValueFn) -> Self {
-        MonotonicCounter {
-            info,
-            clock,
-            read,
-            baseline: AtomicI64::new(0),
-        }
-    }
-}
-
-impl Counter for MonotonicCounter {
-    fn info(&self) -> CounterInfo {
-        self.info.clone()
-    }
-
-    fn get_value(&self, reset: bool) -> CounterValue {
-        self.get_value_at(reset, self.clock.now_ns())
-    }
-
-    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
-        let raw = (self.read)();
-        let base = if reset {
-            self.baseline.swap(raw, Ordering::AcqRel)
-        } else {
-            self.baseline.load(Ordering::Acquire)
-        };
-        CounterValue::new(raw - base, now_ns)
-    }
-
-    fn reset(&self) {
-        self.baseline.store((self.read)(), Ordering::Release);
-    }
-}
-
-/// An average maintained as a (sum, count) pair, e.g. mean task duration
-/// = cumulative execution time / number of tasks.
-///
-/// Reset stores baselines for both components, so after a reset the counter
-/// reports the average over the *new* interval only — exactly the paper's
-/// per-sample protocol.
-pub struct AverageCounter {
-    info: CounterInfo,
-    clock: Arc<Clock>,
-    read: PairFn,
-    /// Baseline (sum, count) of the last reset, read and replaced as one
-    /// unit. A lock (not a pair of atomics): with independent swaps, two
-    /// concurrent reset-reads could interleave source read A → read B →
-    /// swap B → swap A, re-installing A's *older* baseline so the
-    /// increments between A's and B's reads are counted twice by one
-    /// caller and never again by anyone — and a mismatched (sum from A,
-    /// count from B) pair corrupts the quotient besides.
+    source: Cumulative,
+    /// The running total at the last reset (the second word is 0 for a
+    /// single-valued source).
     base: Mutex<(u64, u64)>,
 }
 
-impl AverageCounter {
-    /// Build from metadata and a (sum, count) source closure.
-    pub fn new(info: CounterInfo, clock: Arc<Clock>, read: PairFn) -> Self {
-        AverageCounter {
+impl CumulativeCounter {
+    /// Build from metadata and a source; an elapsed-time counter starts
+    /// counting now.
+    pub fn new(info: CounterInfo, clock: Arc<Clock>, source: Cumulative) -> Self {
+        let start = match source {
+            Cumulative::Elapsed => clock.now_ns(),
+            _ => 0,
+        };
+        CumulativeCounter {
             info,
             clock,
-            read,
-            base: Mutex::new((0, 0)),
+            source,
+            base: Mutex::new((start, 0)),
         }
     }
 
-    fn snapshot(&self, reset: bool) -> (u64, u64) {
-        // The source must be read *under* the lock: serialized read-and-
-        // rebase is what guarantees every stored baseline was actually
-        // observed at a point no later than the next caller's read, so
-        // deltas partition the source's growth exactly (no increment is
-        // lost or double-counted across resets).
+    fn total(&self, now_ns: u64) -> (u64, u64) {
+        match &self.source {
+            Cumulative::Monotonic(read) => ((read)().max(0) as u64, 0),
+            Cumulative::Average(read) | Cumulative::Share(read) => (read)(),
+            Cumulative::Elapsed => (now_ns, 0),
+        }
+    }
+
+    /// The growth since the last reset and, with `reset`, a new base: one
+    /// read and one rebase under one lock.
+    fn interval(&self, reset: bool, now_ns: u64) -> (u64, u64) {
+        let early = mutation_armed("cumulative-read-before-lock").then(|| self.total(now_ns));
         let mut base = self.base.lock();
-        let (sum, count) = (self.read)();
-        let (bs, bc) = *base;
-        if sum < bs || count < bc {
-            // A non-decreasing source read under the same lock that stored
-            // the baseline cannot go backwards; don't let saturating_sub
-            // silently mask a broken source.
+        let total = early.unwrap_or_else(|| self.total(now_ns));
+        let behind = total.0 < base.0 || total.1 < base.1;
+        if behind && matches!(self.source, Cumulative::Average(_) | Cumulative::Share(_)) {
+            // A non-decreasing pair read under the lock that stored the
+            // base cannot go backwards; don't let saturating_sub silently
+            // mask a broken source.
             AVERAGE_UNDERFLOWS.fetch_add(1, Ordering::Relaxed);
         }
-        if reset {
-            *base = (sum, count);
+        let delta = (
+            total.0.saturating_sub(base.0),
+            total.1.saturating_sub(base.1),
+        );
+        // A stale stamp leaves the base where it is.
+        if reset && !(behind && matches!(self.source, Cumulative::Elapsed)) {
+            *base = total;
         }
-        (sum.saturating_sub(bs), count.saturating_sub(bc))
+        delta
     }
 }
 
-impl Counter for AverageCounter {
+impl Counter for CumulativeCounter {
     fn info(&self) -> CounterInfo {
         self.info.clone()
     }
@@ -652,60 +648,25 @@ impl Counter for AverageCounter {
     }
 
     fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
-        let (sum, count) = self.snapshot(reset);
-        if count == 0 {
-            return CounterValue::empty(now_ns);
+        let (delta, count) = self.interval(reset, now_ns);
+        match self.source {
+            Cumulative::Average(_) if count == 0 => CounterValue::empty(now_ns),
+            Cumulative::Average(_) => {
+                CounterValue::new((delta / count) as i64, now_ns).with_count(count)
+            }
+            Cumulative::Share(_) if count == 0 => CounterValue::new(0, now_ns),
+            Cumulative::Share(_) => {
+                let share = (delta as f64 / count as f64 * 10_000.0).round() as i64;
+                CounterValue::new(share, now_ns)
+            }
+            Cumulative::Monotonic(_) | Cumulative::Elapsed => {
+                CounterValue::new(delta as i64, now_ns)
+            }
         }
-        CounterValue::new((sum / count) as i64, now_ns).with_count(count)
     }
 
     fn reset(&self) {
-        let mut base = self.base.lock();
-        *base = (self.read)();
-    }
-}
-
-/// Nanoseconds elapsed since creation or since the last reset
-/// (`/runtime/uptime`).
-pub struct ElapsedTimeCounter {
-    info: CounterInfo,
-    clock: Arc<Clock>,
-    started_ns: AtomicU64,
-}
-
-impl ElapsedTimeCounter {
-    /// Build with the reference point set to "now".
-    pub fn new(info: CounterInfo, clock: Arc<Clock>) -> Self {
-        let started = clock.now_ns();
-        ElapsedTimeCounter {
-            info,
-            clock,
-            started_ns: AtomicU64::new(started),
-        }
-    }
-}
-
-impl Counter for ElapsedTimeCounter {
-    fn info(&self) -> CounterInfo {
-        self.info.clone()
-    }
-
-    fn get_value(&self, reset: bool) -> CounterValue {
-        self.get_value_at(reset, self.clock.now_ns())
-    }
-
-    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
-        let started = if reset {
-            self.started_ns.swap(now_ns, Ordering::AcqRel)
-        } else {
-            self.started_ns.load(Ordering::Acquire)
-        };
-        CounterValue::new(now_ns.saturating_sub(started) as i64, now_ns)
-    }
-
-    fn reset(&self) {
-        self.started_ns
-            .store(self.clock.now_ns(), Ordering::Release);
+        self.interval(true, self.clock.now_ns());
     }
 }
 
@@ -803,10 +764,10 @@ mod tests {
     fn monotonic_counter_reset_rebaselines() {
         let src = Arc::new(TestAtomic::new(0));
         let s2 = src.clone();
-        let c = MonotonicCounter::new(
+        let c = CumulativeCounter::new(
             test_info("/t/mono"),
             clock(),
-            Arc::new(move || s2.load(Ordering::Relaxed)),
+            Cumulative::Monotonic(Arc::new(move || s2.load(Ordering::Relaxed))),
         );
         src.store(10, Ordering::Relaxed);
         assert_eq!(c.get_value(true).value, 10); // read + reset
@@ -821,10 +782,12 @@ mod tests {
         let sum = Arc::new(AtomicU64::new(0));
         let count = Arc::new(AtomicU64::new(0));
         let (s2, c2) = (sum.clone(), count.clone());
-        let c = AverageCounter::new(
+        let c = CumulativeCounter::new(
             test_info("/t/avg"),
             clock(),
-            Arc::new(move || (s2.load(Ordering::Relaxed), c2.load(Ordering::Relaxed))),
+            Cumulative::Average(Arc::new(move || {
+                (s2.load(Ordering::Relaxed), c2.load(Ordering::Relaxed))
+            })),
         );
         sum.store(100, Ordering::Relaxed);
         count.store(4, Ordering::Relaxed);
@@ -851,10 +814,12 @@ mod tests {
         let sum = Arc::new(AtomicU64::new(0));
         let count = Arc::new(AtomicU64::new(0));
         let (s2, c2) = (sum.clone(), count.clone());
-        let counter = Arc::new(AverageCounter::new(
+        let counter = Arc::new(CumulativeCounter::new(
             test_info("/t/avg"),
             clock(),
-            Arc::new(move || (s2.load(Ordering::Relaxed), c2.load(Ordering::Relaxed))),
+            Cumulative::Average(Arc::new(move || {
+                (s2.load(Ordering::Relaxed), c2.load(Ordering::Relaxed))
+            })),
         ));
         let underflows_before = average_underflows();
 
@@ -903,10 +868,10 @@ mod tests {
         // counter instead of being silently clamped by saturating_sub.
         let src = Arc::new(AtomicU64::new(100));
         let s2 = src.clone();
-        let broken = AverageCounter::new(
+        let broken = CumulativeCounter::new(
             test_info("/t/avg-broken"),
             clock(),
-            Arc::new(move || (s2.load(Ordering::Relaxed), 1)),
+            Cumulative::Average(Arc::new(move || (s2.load(Ordering::Relaxed), 1))),
         );
         let _ = broken.get_value(true); // baseline (100, 1)
         src.store(40, Ordering::Relaxed); // source goes backwards
@@ -921,7 +886,11 @@ mod tests {
 
     #[test]
     fn average_counter_empty_interval_reports_new_data() {
-        let c = AverageCounter::new(test_info("/t/avg"), clock(), Arc::new(|| (0, 0)));
+        let c = CumulativeCounter::new(
+            test_info("/t/avg"),
+            clock(),
+            Cumulative::Average(Arc::new(|| (0, 0))),
+        );
         let v = c.get_value(false);
         assert_eq!(v.status, crate::value::CounterStatus::NewData);
         assert_eq!(v.count, 0);
@@ -929,13 +898,94 @@ mod tests {
 
     #[test]
     fn elapsed_time_counter_grows_and_resets() {
-        let c = ElapsedTimeCounter::new(test_info("/t/up"), clock());
+        let c = CumulativeCounter::new(test_info("/t/up"), clock(), Cumulative::Elapsed);
         std::thread::sleep(std::time::Duration::from_millis(2));
         let v1 = c.get_value(false).value;
         assert!(v1 >= 1_000_000, "expected >=1ms elapsed, got {v1}ns");
         let _ = c.get_value(true);
         let v2 = c.get_value(false).value;
         assert!(v2 < v1, "reset should restart the reference point");
+    }
+
+    /// Two threads reset-read `counter` `reads` times each; returns every
+    /// reading.
+    fn reset_read_concurrently(counter: &Arc<dyn Counter>, reads: usize) -> Vec<i64> {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let counter = counter.clone();
+                std::thread::spawn(move || {
+                    (0..reads)
+                        .map(|_| counter.get_value(true).value)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        readers
+            .into_iter()
+            .flat_map(|r| r.join().unwrap())
+            .collect()
+    }
+
+    /// The reset-read race on a registry's monotonic counter whose source
+    /// sums 16 shards, as the runtime's ledger does, while a writer keeps
+    /// growing them: an unlocked rebase (read A → read B → swap B → swap
+    /// A) reads negative and counts an interval twice. Every reading is
+    /// ≥ 0, and the readings plus what is left since the last reset are
+    /// the growth, exactly.
+    #[test]
+    fn concurrent_reset_reads_of_a_monotonic_counter_partition_the_growth() {
+        let reg = crate::registry::CounterRegistry::new();
+        let shards: Arc<Vec<TestAtomic>> = Arc::new((0..16).map(|_| TestAtomic::new(0)).collect());
+        let sum = |shards: &[TestAtomic]| shards.iter().map(|s| s.load(Ordering::Relaxed)).sum();
+        let s2 = shards.clone();
+        reg.register_monotonic("/t/grow", "test", "1", Arc::new(move || sum(&s2)));
+        let counter = reg.get_counter(&"/t/grow".parse().unwrap()).unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writer = {
+            let (shards, stop) = (shards.clone(), stop.clone());
+            std::thread::spawn(move || {
+                for shard in shards.iter().cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    shard.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        };
+        let readings = reset_read_concurrently(&counter, 400_000);
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+        let negative = readings.iter().filter(|v| **v < 0).count();
+        assert_eq!(negative, 0, "negative readings of a monotonic counter");
+        let remainder = counter.get_value(false).value;
+        assert_eq!(
+            readings.iter().sum::<i64>() + remainder,
+            sum(&shards),
+            "reset-reads plus the remainder must be the growth"
+        );
+    }
+
+    /// The elapsed-time counterpart: concurrent readers hand their stamps
+    /// in out of order, and no interval is counted twice, so the readings
+    /// plus the remainder never exceed the time since creation.
+    #[test]
+    fn concurrent_reset_reads_of_an_elapsed_counter_stay_inside_its_life() {
+        let clock = clock();
+        let born = clock.now_ns();
+        let counter: Arc<dyn Counter> = Arc::new(CumulativeCounter::new(
+            test_info("/t/up"),
+            clock.clone(),
+            Cumulative::Elapsed,
+        ));
+        let readings = reset_read_concurrently(&counter, 1_000_000);
+        assert!(readings.iter().all(|v| *v >= 0), "negative elapsed time");
+        let remainder = counter.get_value(false).value;
+        let life = clock.now_ns() - born;
+        let counted = readings.iter().sum::<i64>() + remainder;
+        assert!(
+            counted as u64 <= life,
+            "{counted} ns counted over a {life} ns life"
+        );
     }
 
     #[test]

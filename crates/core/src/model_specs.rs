@@ -1,8 +1,9 @@
 //! Model-checked specs for the resolved set's publication protocol
 //! (stamp-before-expand vs. concurrent generation bump), entered through
-//! the registry's active set and through `ResolvedQuery::refresh`, and for
-//! `TickLoop`'s flush rendezvous — each with a paired deliberately-broken
-//! mutant proving the checker catches the bug.
+//! the registry's active set and through `ResolvedQuery::refresh`, for
+//! `TickLoop`'s flush rendezvous, and for the cumulative counter's
+//! read-under-lock reset — each with a paired deliberately-broken mutant
+//! proving the checker catches the bug.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg rpx_model"`; run with
 //! `RUSTFLAGS="--cfg rpx_model" cargo test -p rpx-counters model_`.
@@ -12,7 +13,7 @@ use std::sync::{Arc, Mutex as StdMutex, MutexGuard, OnceLock};
 
 use rpx_model::{check, check_expect_failure, mutation, thread, Config};
 
-use crate::counter::{Clock, Counter, RawCounter};
+use crate::counter::{Clock, Counter, Cumulative, CumulativeCounter, RawCounter};
 use crate::name::{CounterInstance, CounterName};
 use crate::prim::AtomicU64;
 use crate::query::ResolvedQuery;
@@ -221,6 +222,69 @@ fn model_tickloop_complete_before_tick_mutant_is_caught() {
     assert!(
         failure.message.contains("before a later tick ended"),
         "expected an early flush return, got: {}",
+        failure.message
+    );
+}
+
+/// The cumulative counter's reset protocol: two readers reset-read one
+/// monotonic counter while a writer adds 2 to its source. Every reading is
+/// ≥ 0, and the readings plus the remainder are the writes.
+fn cumulative_reset_reads_vs_writer() {
+    static CLOCK: OnceLock<Arc<Clock>> = OnceLock::new();
+    let clock = CLOCK.get_or_init(|| Arc::new(Clock::new())).clone();
+    let source = Arc::new(AtomicU64::new(0));
+    let s = source.clone();
+    let counter = Arc::new(CumulativeCounter::new(
+        CounterInfo::new("/t/grow", CounterKind::MonotonicallyIncreasing, "h", "1"),
+        clock,
+        Cumulative::Monotonic(Arc::new(move || s.load(Ordering::Relaxed) as i64)),
+    ));
+    let writer = thread::spawn(move || {
+        for _ in 0..2 {
+            source.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    let readers = [counter.clone(), counter.clone()]
+        .map(|c| thread::spawn(move || c.get_value_at(true, 0).value));
+    writer.join().unwrap();
+    let readings = readers.map(|r| r.join().unwrap());
+    let remainder = counter.get_value_at(false, 0).value;
+    assert!(
+        readings.iter().all(|v| *v >= 0),
+        "negative interval: {readings:?}"
+    );
+    assert_eq!(
+        readings.iter().sum::<i64>() + remainder,
+        2,
+        "reset-reads {readings:?} and remainder {remainder} do not partition the growth"
+    );
+}
+
+#[test]
+fn model_cumulative_reset_reads_partition_the_growth() {
+    let _g = serial();
+    mutation::disarm_all();
+    check(
+        "model_cumulative_reset_reads_partition_the_growth",
+        cfg(),
+        cumulative_reset_reads_vs_writer,
+    );
+}
+
+#[test]
+fn model_cumulative_read_before_lock_mutant_is_caught() {
+    let _g = serial();
+    mutation::disarm_all();
+    mutation::arm("cumulative-read-before-lock");
+    let failure = check_expect_failure(
+        "model_cumulative_read_before_lock_mutant_is_caught",
+        cfg(),
+        cumulative_reset_reads_vs_writer,
+    );
+    mutation::disarm_all();
+    assert!(
+        failure.message.contains("do not partition the growth"),
+        "expected a broken partition, got: {}",
         failure.message
     );
 }

@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use crate::prim::{AtomicU64, Ordering, RwLock};
 
-use crate::counter::{AverageCounter, MonotonicCounter, RawCounter};
-use crate::counter::{Clock, Counter, PairFn, ValueCell, ValueFn};
+use crate::counter::{Clock, Counter, Cumulative, CumulativeCounter, PairFn, RawCounter};
+use crate::counter::{ValueCell, ValueFn};
 use crate::engine::{Batch, ScrapeEngine};
 use crate::error::CounterError;
 use crate::name::{CounterInstance, CounterName, InstanceIndex};
@@ -418,10 +418,11 @@ impl CounterRegistry {
         read: ValueFn,
     ) {
         let info = CounterInfo::new(type_path, CounterKind::MonotonicallyIncreasing, help, unit);
+        let source = Cumulative::Monotonic(read);
         self.register_made(
             info,
             single_instance_discoverer(type_path),
-            move |i, clock| Arc::new(MonotonicCounter::new(i, clock, read.clone())),
+            move |i, clock| Arc::new(CumulativeCounter::new(i, clock, source.clone())),
         );
     }
 
@@ -434,10 +435,11 @@ impl CounterRegistry {
         read: PairFn,
     ) {
         let info = CounterInfo::new(type_path, CounterKind::Average, help, unit);
+        let source = Cumulative::Average(read);
         self.register_made(
             info,
             single_instance_discoverer(type_path),
-            move |i, clock| Arc::new(AverageCounter::new(i, clock, read.clone())),
+            move |i, clock| Arc::new(CumulativeCounter::new(i, clock, source.clone())),
         );
     }
 
@@ -513,7 +515,8 @@ fn register_overhead_counters(reg: &Arc<CounterRegistry>) {
     ];
     for (path, help, unit, read) in specs {
         let weak = Arc::downgrade(reg);
-        let value: ValueFn = Arc::new(move || weak.upgrade().map_or(0, |r| read(&r)));
+        let source =
+            Cumulative::Monotonic(Arc::new(move || weak.upgrade().map_or(0, |r| read(&r))));
         let info = CounterInfo::new(path, CounterKind::MonotonicallyIncreasing, help, unit);
         let Ok(advertised) = path.parse::<CounterName>() else {
             continue;
@@ -521,7 +524,7 @@ fn register_overhead_counters(reg: &Arc<CounterRegistry>) {
         let advertised = advertised.with_instance(CounterInstance::total(0));
         let discoverer: CounterDiscoverer = Arc::new(move |f| f(advertised.clone()));
         reg.register_made(info, Some(discoverer), move |i, clock| {
-            Arc::new(MonotonicCounter::new(i, clock, value.clone()))
+            Arc::new(CumulativeCounter::new(i, clock, source.clone()))
         });
     }
     // Signed gauge: the last TSC−Instant error a completed drift check

@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use rpx_counters::counter::{Cumulative, CumulativeCounter};
 use rpx_counters::name::{CounterInstance, CounterName, InstanceIndex};
 use rpx_counters::registry::CounterRegistry;
 use rpx_counters::value::CounterKind;
@@ -47,11 +48,9 @@ pub fn register_papi_counters(registry: &Arc<CounterRegistry>, pmu: &Arc<Pmu>, l
                     event.description(),
                     "1",
                 );
-                Ok(Arc::new(rpx_counters::counter::MonotonicCounter::new(
-                    info,
-                    clock.clone(),
-                    read,
-                )) as Arc<dyn rpx_counters::Counter>)
+                let counter =
+                    CumulativeCounter::new(info, clock.clone(), Cumulative::Monotonic(read));
+                Ok(Arc::new(counter) as Arc<dyn rpx_counters::Counter>)
             }),
             Some(Arc::new(move |f: &mut dyn FnMut(CounterName)| {
                 let base = CounterName::new("papi", event.papi_name());

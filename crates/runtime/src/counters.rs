@@ -20,7 +20,7 @@
 
 use std::sync::{Arc, Weak};
 
-use rpx_counters::counter::{AverageCounter, ElapsedTimeCounter, MonotonicCounter, RawCounter};
+use rpx_counters::counter::{Counter, Cumulative, CumulativeCounter, RawCounter};
 use rpx_counters::name::{CounterInstance, CounterName, InstanceIndex};
 use rpx_counters::value::{CounterInfo, CounterKind};
 use rpx_counters::CounterError;
@@ -41,7 +41,8 @@ enum Source {
     /// Average, per worker: a summable `(sum, count)` of shard statistics.
     Mean(fn(&Shard) -> (u64, u64)),
     /// Raw, per worker: a summable `(part, whole)` of shard statistics,
-    /// reported as `part / whole` in units of 0.01 %.
+    /// reported as `Δpart / Δwhole` since the last reset, in units of
+    /// 0.01 %.
     Share(fn(&Shard) -> (u64, u64)),
     /// Monotone, per worker: a statistic of the worker's task slab.
     SlabSum(fn(&Slab) -> u64),
@@ -389,11 +390,7 @@ impl Decl {
             Sum(field) => shards.iter().map(|s| load(field(s))).sum::<u64>() as i64,
             SlabSum(stat) => slabs.iter().map(|s| stat(s)).sum::<u64>() as i64,
             Count(read) | Gauge(read) => read(inner),
-            Share(_) => match self.pair(inner, worker) {
-                (_, 0) => 0,
-                (part, whole) => (part as f64 / whole as f64 * 10_000.0).round() as i64,
-            },
-            Mean(_) | Uptime => 0,
+            Mean(_) | Share(_) | Uptime => 0,
         }
     }
 }
@@ -413,7 +410,7 @@ fn scope(inner: &RuntimeInner, worker: Option<usize>) -> (&[Shard], &[Arc<Slab>]
 /// what is common to all rows: instance selection, the weak back-reference
 /// (a counter must not keep its runtime alive, and reads 0 once it is
 /// gone), `total` + `worker-thread#N` discovery, and the choice of counter
-/// type by kind.
+/// type by source.
 pub(crate) fn register_runtime_counters(inner: &Arc<RuntimeInner>) {
     let (workers, locality) = (inner.config.workers, inner.config.locality);
     for decl in COUNTERS {
@@ -427,18 +424,17 @@ pub(crate) fn register_runtime_counters(inner: &Arc<RuntimeInner>) {
                 let worker = decl.select(name, workers)?;
                 let info = CounterInfo::new(name.canonical(), decl.kind(), decl.help, decl.unit);
                 let (clock, weak, weak2) = (clock.clone(), weak.clone(), weak.clone());
-                let value = move || weak.upgrade().map_or(0, |i| decl.value(&i, worker));
-                let pair = move || weak2.upgrade().map_or((0, 0), |i| decl.pair(&i, worker));
-                Ok(match decl.kind() {
-                    CounterKind::ElapsedTime => Arc::new(ElapsedTimeCounter::new(info, clock)),
-                    CounterKind::Average => {
-                        Arc::new(AverageCounter::new(info, clock, Arc::new(pair)))
-                    }
-                    CounterKind::MonotonicallyIncreasing => {
-                        Arc::new(MonotonicCounter::new(info, clock, Arc::new(value)))
-                    }
-                    _ => Arc::new(RawCounter::new(info, clock, Arc::new(value))),
-                })
+                let value = Arc::new(move || weak.upgrade().map_or(0, |i| decl.value(&i, worker)));
+                let pair =
+                    Arc::new(move || weak2.upgrade().map_or((0, 0), |i| decl.pair(&i, worker)));
+                let source = match decl.source {
+                    Gauge(_) => return Ok(Arc::new(RawCounter::new(info, clock, value))),
+                    Mean(_) => Cumulative::Average(pair),
+                    Share(_) => Cumulative::Share(pair),
+                    Uptime => Cumulative::Elapsed,
+                    Sum(_) | SlabSum(_) | Count(_) => Cumulative::Monotonic(value),
+                };
+                Ok(Arc::new(CumulativeCounter::new(info, clock, source)) as Arc<dyn Counter>)
             }),
             Some(Arc::new(move |found: &mut dyn FnMut(CounterName)| {
                 if matches!(decl.source, Uptime) {
@@ -540,5 +536,22 @@ mod tests {
         shard.record_execution(1000, 0);
         let name = "/threads{locality#0/total}/time/average-overhead";
         assert_eq!(inner.registry.evaluate(name, false).unwrap().value, 40);
+    }
+
+    /// `/threads/idle-rate` is per interval after a reset, as in HPX: idle
+    /// over idle + busy of what accrued since the last reset-read.
+    #[test]
+    fn idle_rate_is_per_interval_after_a_reset() {
+        let inner = thread_less_runtime(1);
+        let shard = inner.state.ledger.worker(0);
+        let name = "/threads{locality#0/total}/idle-rate";
+        // (idle, idle + exec + overhead) = (30, 100).
+        shard.record_idle(30);
+        shard.record_execution(60, 0);
+        shard.record_overhead(10);
+        assert_eq!(inner.registry.evaluate(name, true).unwrap().value, 3_000);
+        // (30, 150): the interval since the reset held no idle time.
+        shard.record_execution(50, 0);
+        assert_eq!(inner.registry.evaluate(name, false).unwrap().value, 0);
     }
 }
