@@ -1,7 +1,9 @@
 //! The [`Counter`] trait and the generic counter implementations every
 //! subsystem builds on: raw gauges, cumulative counters (monotonic,
 //! `(sum, count)` averages, `(part, whole)` shares and elapsed time, all
-//! with one reset protocol), and settable application values.
+//! with one reset protocol), and settable application values. A counter
+//! has one way in, [`Counter::get_value_at`]: its reader hands it the
+//! stamp, and a reset is only ever a reset-read.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -481,26 +483,16 @@ pub trait Counter: Send + Sync {
     /// Metadata (canonical name, kind, help text, unit).
     fn info(&self) -> CounterInfo;
 
-    /// Evaluate the counter. With `reset`, atomically restart the
-    /// counter's accumulation after reading (HPX `evaluate(reset=true)`).
-    /// For a [`CumulativeCounter`] each reset-read returns the interval
-    /// since the previous reset, ≥ 0, and the intervals partition the
-    /// source's growth. The base is the instance's, and the registry hands
-    /// every reader the same instance of a name: one reader's reset also
-    /// starts every other reader's interval.
-    fn get_value(&self, reset: bool) -> CounterValue;
-
-    /// [`get_value`](Self::get_value) stamped `now_ns` instead of a clock
-    /// read of its own: a batch reader reads the clock once and hands every
-    /// counter the batch's stamp. The default reads through `get_value`
-    /// and keeps the stamp that returns.
-    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
-        let _ = now_ns;
-        self.get_value(reset)
-    }
-
-    /// Restart accumulation without reading.
-    fn reset(&self);
+    /// Evaluate the counter at the reader's stamp `now_ns`. With `reset`,
+    /// atomically restart the counter's accumulation with the read (HPX
+    /// `get_counter_value(reset)`); a reset is only ever such a read, and
+    /// a composite passes it on to its children. For a
+    /// [`CumulativeCounter`] each reset-read returns the interval since the
+    /// previous reset, ≥ 0, and the intervals partition the source's
+    /// growth. The base is the instance's, and the registry hands every
+    /// reader the same instance of a name: one reader's reset also starts
+    /// every other reader's interval.
+    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue;
 
     /// Downcast hook for counters with richer payloads than a scalar
     /// (e.g. [`crate::histogram::HistogramCounter`]).
@@ -516,17 +508,17 @@ pub type ValueFn = Arc<dyn Fn() -> i64 + Send + Sync>;
 pub type PairFn = Arc<dyn Fn() -> (u64, u64) + Send + Sync>;
 
 /// An instantaneous gauge: every evaluation re-reads the source closure.
-/// `reset` is a no-op because the quantity is not accumulated.
+/// A reset does nothing because the quantity is not accumulated.
 pub struct RawCounter {
     info: CounterInfo,
-    clock: Arc<Clock>,
     read: ValueFn,
 }
 
 impl RawCounter {
-    /// Build from metadata and a source closure.
-    pub fn new(info: CounterInfo, clock: Arc<Clock>, read: ValueFn) -> Self {
-        RawCounter { info, clock, read }
+    /// Build from metadata and a source closure. `_clock` is unused: the
+    /// reader hands every read its stamp.
+    pub fn new(info: CounterInfo, _clock: Arc<Clock>, read: ValueFn) -> Self {
+        RawCounter { info, read }
     }
 }
 
@@ -535,15 +527,9 @@ impl Counter for RawCounter {
         self.info.clone()
     }
 
-    fn get_value(&self, reset: bool) -> CounterValue {
-        self.get_value_at(reset, self.clock.now_ns())
-    }
-
     fn get_value_at(&self, _reset: bool, now_ns: u64) -> CounterValue {
         CounterValue::new((self.read)(), now_ns)
     }
-
-    fn reset(&self) {}
 }
 
 /// What a [`CumulativeCounter`]'s source is a running total of, and with
@@ -582,7 +568,6 @@ pub enum Cumulative {
 /// reads 0 and leaves the base where it is.
 pub struct CumulativeCounter {
     info: CounterInfo,
-    clock: Arc<Clock>,
     source: Cumulative,
     /// The running total at the last reset (the second word is 0 for a
     /// single-valued source).
@@ -599,7 +584,6 @@ impl CumulativeCounter {
         };
         CumulativeCounter {
             info,
-            clock,
             source,
             base: Mutex::new((start, 0)),
         }
@@ -643,10 +627,6 @@ impl Counter for CumulativeCounter {
         self.info.clone()
     }
 
-    fn get_value(&self, reset: bool) -> CounterValue {
-        self.get_value_at(reset, self.clock.now_ns())
-    }
-
     fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
         let (delta, count) = self.interval(reset, now_ns);
         match self.source {
@@ -664,26 +644,20 @@ impl Counter for CumulativeCounter {
             }
         }
     }
-
-    fn reset(&self) {
-        self.interval(true, self.clock.now_ns());
-    }
 }
 
 /// A settable gauge owned by application code (`register_value`): the
 /// producer stores values, consumers read them through the counter API.
 pub struct ValueCell {
     info: CounterInfo,
-    clock: Arc<Clock>,
     value: AtomicI64,
 }
 
 impl ValueCell {
     /// Build with an initial value of zero.
-    pub fn new(info: CounterInfo, clock: Arc<Clock>) -> Self {
+    pub fn new(info: CounterInfo) -> Self {
         ValueCell {
             info,
-            clock,
             value: AtomicI64::new(0),
         }
     }
@@ -704,10 +678,6 @@ impl Counter for ValueCell {
         self.info.clone()
     }
 
-    fn get_value(&self, reset: bool) -> CounterValue {
-        self.get_value_at(reset, self.clock.now_ns())
-    }
-
     fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
         let v = if reset {
             self.value.swap(0, Ordering::AcqRel)
@@ -715,10 +685,6 @@ impl Counter for ValueCell {
             self.value.load(Ordering::Acquire)
         };
         CounterValue::new(v, now_ns)
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Release);
     }
 }
 
@@ -737,8 +703,15 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicI64 as TestAtomic;
 
+    /// The one clock these tests' counters are built with and read at.
     fn clock() -> Arc<Clock> {
-        Arc::new(Clock::new())
+        static CLOCK: std::sync::OnceLock<Arc<Clock>> = std::sync::OnceLock::new();
+        CLOCK.get_or_init(|| Arc::new(Clock::new())).clone()
+    }
+
+    /// `c` read at a fresh stamp of [`clock`].
+    fn read(c: &(impl Counter + ?Sized), reset: bool) -> CounterValue {
+        c.get_value_at(reset, clock().now_ns())
     }
 
     fn test_info(name: &str) -> CounterInfo {
@@ -754,10 +727,10 @@ mod tests {
             clock(),
             Arc::new(move || s2.load(Ordering::Relaxed)),
         );
-        assert_eq!(c.get_value(false).value, 5);
+        assert_eq!(read(&c, false).value, 5);
         src.store(9, Ordering::Relaxed);
-        assert_eq!(c.get_value(true).value, 9); // reset is a no-op
-        assert_eq!(c.get_value(false).value, 9);
+        assert_eq!(read(&c, true).value, 9); // reset is a no-op
+        assert_eq!(read(&c, false).value, 9);
     }
 
     #[test]
@@ -770,11 +743,11 @@ mod tests {
             Cumulative::Monotonic(Arc::new(move || s2.load(Ordering::Relaxed))),
         );
         src.store(10, Ordering::Relaxed);
-        assert_eq!(c.get_value(true).value, 10); // read + reset
+        assert_eq!(read(&c, true).value, 10); // read + reset
         src.store(25, Ordering::Relaxed);
-        assert_eq!(c.get_value(false).value, 15); // delta since reset
-        c.reset();
-        assert_eq!(c.get_value(false).value, 0);
+        assert_eq!(read(&c, false).value, 15); // delta since reset
+        let _ = read(&c, true);
+        assert_eq!(read(&c, false).value, 0);
     }
 
     #[test]
@@ -791,13 +764,13 @@ mod tests {
         );
         sum.store(100, Ordering::Relaxed);
         count.store(4, Ordering::Relaxed);
-        let v = c.get_value(true);
+        let v = read(&c, true);
         assert_eq!(v.value, 25);
         assert_eq!(v.count, 4);
         // After reset, only new contributions count.
         sum.store(160, Ordering::Relaxed);
         count.store(6, Ordering::Relaxed);
-        let v = c.get_value(false);
+        let v = read(&c, false);
         assert_eq!(v.value, 30); // (160-100)/(6-4)
         assert_eq!(v.count, 2);
     }
@@ -842,7 +815,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut harvested = 0u64;
                     for _ in 0..2_000 {
-                        harvested += counter.get_value(true).count;
+                        harvested += read(&*counter, true).count;
                     }
                     harvested
                 })
@@ -850,7 +823,7 @@ mod tests {
             .collect();
         writer.join().unwrap();
         let harvested: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        let remainder = counter.get_value(false).count;
+        let remainder = read(&*counter, false).count;
         assert_eq!(
             harvested + remainder,
             INCREMENTS,
@@ -873,9 +846,9 @@ mod tests {
             clock(),
             Cumulative::Average(Arc::new(move || (s2.load(Ordering::Relaxed), 1))),
         );
-        let _ = broken.get_value(true); // baseline (100, 1)
+        let _ = read(&broken, true); // baseline (100, 1)
         src.store(40, Ordering::Relaxed); // source goes backwards
-        let v = broken.get_value(false);
+        let v = read(&broken, false);
         assert_eq!(v.count, 0, "clamped, not wrapped");
         assert_eq!(
             average_underflows(),
@@ -891,7 +864,7 @@ mod tests {
             clock(),
             Cumulative::Average(Arc::new(|| (0, 0))),
         );
-        let v = c.get_value(false);
+        let v = read(&c, false);
         assert_eq!(v.status, crate::value::CounterStatus::NewData);
         assert_eq!(v.count, 0);
     }
@@ -900,10 +873,10 @@ mod tests {
     fn elapsed_time_counter_grows_and_resets() {
         let c = CumulativeCounter::new(test_info("/t/up"), clock(), Cumulative::Elapsed);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let v1 = c.get_value(false).value;
+        let v1 = read(&c, false).value;
         assert!(v1 >= 1_000_000, "expected >=1ms elapsed, got {v1}ns");
-        let _ = c.get_value(true);
-        let v2 = c.get_value(false).value;
+        let _ = read(&c, true);
+        let v2 = read(&c, false).value;
         assert!(v2 < v1, "reset should restart the reference point");
     }
 
@@ -915,7 +888,7 @@ mod tests {
                 let counter = counter.clone();
                 std::thread::spawn(move || {
                     (0..reads)
-                        .map(|_| counter.get_value(true).value)
+                        .map(|_| read(&*counter, true).value)
                         .collect::<Vec<_>>()
                 })
             })
@@ -957,7 +930,7 @@ mod tests {
         writer.join().unwrap();
         let negative = readings.iter().filter(|v| **v < 0).count();
         assert_eq!(negative, 0, "negative readings of a monotonic counter");
-        let remainder = counter.get_value(false).value;
+        let remainder = read(&*counter, false).value;
         assert_eq!(
             readings.iter().sum::<i64>() + remainder,
             sum(&shards),
@@ -979,7 +952,7 @@ mod tests {
         ));
         let readings = reset_read_concurrently(&counter, 1_000_000);
         assert!(readings.iter().all(|v| *v >= 0), "negative elapsed time");
-        let remainder = counter.get_value(false).value;
+        let remainder = read(&*counter, false).value;
         let life = clock.now_ns() - born;
         let counted = readings.iter().sum::<i64>() + remainder;
         assert!(
@@ -990,19 +963,19 @@ mod tests {
 
     #[test]
     fn value_cell_set_add_reset() {
-        let c = ValueCell::new(test_info("/t/cell"), clock());
+        let c = ValueCell::new(test_info("/t/cell"));
         c.set(7);
-        assert_eq!(c.get_value(false).value, 7);
+        assert_eq!(read(&c, false).value, 7);
         assert_eq!(c.add(3), 10);
-        assert_eq!(c.get_value(true).value, 10); // read-and-clear
-        assert_eq!(c.get_value(false).value, 0);
+        assert_eq!(read(&c, true).value, 10); // read-and-clear
+        assert_eq!(read(&c, false).value, 0);
     }
 
     #[test]
     fn timestamps_are_monotonic() {
-        let c = ValueCell::new(test_info("/t/cell"), clock());
-        let t1 = c.get_value(false).timestamp_ns;
-        let t2 = c.get_value(false).timestamp_ns;
+        let c = ValueCell::new(test_info("/t/cell"));
+        let t1 = read(&c, false).timestamp_ns;
+        let t2 = read(&c, false).timestamp_ns;
         assert!(t2 >= t1);
     }
 

@@ -7,9 +7,9 @@
 //! /arithmetics/divide@/threads{locality#0/total}/time/cumulative,/threads{locality#0/total}/count/cumulative
 //! ```
 //!
-//! Evaluating an arithmetic counter evaluates its children *without*
-//! resetting them (several derived counters may share a child); `reset` on
-//! the derived counter resets the children.
+//! Evaluating an arithmetic counter evaluates its children; a reset-read
+//! of the derived counter reset-reads them, as HPX does (so a child shared
+//! by several derived counters restarts for all of them).
 
 use std::sync::Arc;
 
@@ -118,37 +118,22 @@ impl Counter for ArithmeticCounter {
         self.info.clone()
     }
 
-    fn get_value(&self, _reset: bool) -> CounterValue {
-        self.fold(|c| c.get_value(false))
-    }
-
-    fn get_value_at(&self, _reset: bool, now_ns: u64) -> CounterValue {
-        self.fold(|c| c.get_value_at(false, now_ns))
-    }
-
-    fn reset(&self) {
+    /// Apply the operation to the children's values, each read at `now_ns`
+    /// (and reset with `reset`, every child even past a failing one),
+    /// stamped with the latest child stamp.
+    fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
+        let (mut values, mut ts, mut ok) = (Vec::with_capacity(self.children.len()), 0, true);
         for c in &self.children {
-            c.reset();
-        }
-    }
-}
-
-impl ArithmeticCounter {
-    /// Apply the operation to the children's values, each read through
-    /// `read`, stamped with the latest child stamp.
-    fn fold(&self, read: impl Fn(&dyn Counter) -> CounterValue) -> CounterValue {
-        let mut values = Vec::with_capacity(self.children.len());
-        let mut ts = 0;
-        for c in &self.children {
-            let v = read(&**c);
+            let v = c.get_value_at(reset, now_ns);
             ts = ts.max(v.timestamp_ns);
-            if !v.status.is_ok() {
-                return CounterValue {
-                    status: CounterStatus::Invalid,
-                    ..CounterValue::empty(ts)
-                };
-            }
+            ok &= v.status.is_ok();
             values.push(v.scaled());
+        }
+        if !ok {
+            return CounterValue {
+                status: CounterStatus::Invalid,
+                ..CounterValue::empty(ts)
+            };
         }
         let result = self.op.apply(&values);
         CounterValue::new(result.round() as i64, ts).with_count(values.len() as u64)
@@ -328,10 +313,11 @@ mod tests {
         reg.register_raw("/x/one", "h", "1", Arc::new(|| 1));
         let name: CounterName = "/arithmetics/add@/x/m,/x/one".parse().unwrap();
         let c = reg.get_counter(&name).unwrap();
+        let read = |reset| c.get_value_at(reset, reg.clock().now_ns());
         v.store(10, Ordering::Relaxed);
-        assert_eq!(c.get_value(false).value, 11);
-        c.reset();
-        assert_eq!(c.get_value(false).value, 1, "monotonic child rebaselined");
+        assert_eq!(read(false).value, 11);
+        read(true);
+        assert_eq!(read(false).value, 1, "monotonic child rebaselined");
     }
 
     #[test]

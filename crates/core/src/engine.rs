@@ -765,19 +765,14 @@ pub(crate) mod tests {
             self.info.clone()
         }
 
-        fn get_value(&self, _reset: bool) -> CounterValue {
-            unreachable!("a scrape hands every counter its stamp")
-        }
-
         fn get_value_at(&self, _reset: bool, now_ns: u64) -> CounterValue {
             self.handed.lock().push(now_ns);
             CounterValue::new(1, now_ns)
         }
-
-        fn reset(&self) {}
     }
 
-    /// A counter that takes a stamp of its own: `get_value_at`'s default.
+    /// A counter that stamps its read on its own, ignoring the stamp it is
+    /// handed.
     struct OwnStamp;
 
     impl Counter for OwnStamp {
@@ -785,11 +780,9 @@ pub(crate) mod tests {
             CounterInfo::new("/test/own", crate::value::CounterKind::Raw, "h", "1")
         }
 
-        fn get_value(&self, _reset: bool) -> CounterValue {
+        fn get_value_at(&self, _reset: bool, _now_ns: u64) -> CounterValue {
             CounterValue::new(2, u64::MAX)
         }
-
-        fn reset(&self) {}
     }
 
     /// A scrape reads the clock once: the counter that records its stamp

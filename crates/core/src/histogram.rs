@@ -107,19 +107,8 @@ impl Counter for HistogramCounter {
         self.info.clone()
     }
 
-    fn get_value(&self, reset: bool) -> CounterValue {
-        self.fold(reset, self.child.get_value(false))
-    }
-
     fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
         self.fold(reset, self.child.get_value_at(false, now_ns))
-    }
-
-    fn reset(&self) {
-        let mut s = self.state.lock();
-        s.buckets.iter_mut().for_each(|b| *b = 0);
-        s.underflow = 0;
-        s.overflow = 0;
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -246,7 +235,7 @@ mod tests {
         let (_reg, src, c) = setup();
         for x in [5, 15, 15, 95, 42] {
             src.store(x, Ordering::Relaxed);
-            c.get_value(false);
+            c.get_value_at(false, 0);
         }
         let snap = snapshot_of(&c).unwrap();
         assert_eq!(snap.buckets[0], 1); // 5
@@ -262,7 +251,7 @@ mod tests {
         let (_reg, src, c) = setup();
         for x in [-5, 100, 250] {
             src.store(x, Ordering::Relaxed);
-            c.get_value(false);
+            c.get_value_at(false, 0);
         }
         let snap = snapshot_of(&c).unwrap();
         assert_eq!(snap.underflow, 1);
@@ -274,11 +263,11 @@ mod tests {
     fn scalar_value_is_sample_count_and_reset_clears() {
         let (_reg, src, c) = setup();
         src.store(50, Ordering::Relaxed);
-        assert_eq!(c.get_value(false).value, 1);
-        assert_eq!(c.get_value(false).value, 2);
-        assert_eq!(c.get_value(true).value, 3); // read-then-clear
-        assert_eq!(c.get_value(false).value, 1);
-        c.reset();
+        assert_eq!(c.get_value_at(false, 0).value, 1);
+        assert_eq!(c.get_value_at(false, 0).value, 2);
+        assert_eq!(c.get_value_at(true, 0).value, 3); // read-then-clear
+        assert_eq!(c.get_value_at(false, 0).value, 1);
+        c.get_value_at(true, 0);
         let snap = snapshot_of(&c).unwrap();
         assert_eq!(snap.total(), 0);
     }

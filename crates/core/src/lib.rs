@@ -13,9 +13,12 @@
 //!   structured names like
 //!   `/threads{locality#0/worker-thread#1}/time/average`. Wildcards
 //!   (`worker-thread#*`) expand to every live instance.
-//! - **Counters** ([`counter::Counter`]): cheap, thread-safe, resettable
-//!   value sources. Generic kinds (raw gauge, monotonic, average,
-//!   elapsed-time, app-owned cells) cover almost every subsystem need.
+//! - **Counters** ([`counter::Counter`]): cheap, thread-safe value sources
+//!   with one read method, `get_value_at(reset, now_ns)`: the reader hands
+//!   in the stamp, and a reset is only ever a reset-read. Generic kinds (raw
+//!   gauge, one cumulative type for monotonic, average, share and
+//!   elapsed-time sources, app-owned cells) cover almost every subsystem
+//!   need.
 //! - **Registry** ([`registry::CounterRegistry`]): counter *types* register
 //!   a factory + discovery function; *instances* are created and cached
 //!   when names are resolved. Derived counters (`/arithmetics/*`,
@@ -31,7 +34,8 @@
 //! - **Active set**: `add_active` + [`registry::CounterRegistry::evaluate_active_counters`] /
 //!   [`registry::CounterRegistry::reset_active_counters`] implement the
 //!   paper's per-sample measurement protocol over a private engine; an
-//!   evaluation is that engine's [`engine::Batch`].
+//!   evaluation is that engine's [`engine::Batch`], and a reset is its
+//!   reset-read with the batch dropped.
 //! - **Sampler & CLI** ([`sampler`], [`cli`]): a `TickLoop` over a private
 //!   engine feeding CSV/JSON sinks, and the `--rpx:print-counter*`
 //!   command-line options, whose shutdown print is one such read.

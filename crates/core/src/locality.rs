@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use crate::error::CounterError;
 use crate::name::{CounterName, InstanceIndex};
+use crate::query::read_counter;
 use crate::registry::{CounterRegistry, ResolvedCounters};
 use crate::value::CounterValue;
 
@@ -74,34 +75,44 @@ impl DistributedRegistry {
     /// Resolve a (possibly locality- and worker-wildcard) name to every
     /// matching counter across the addressed localities.
     pub fn get_counters(&self, name: &str) -> Result<ResolvedCounters, CounterError> {
+        Ok(self.hops(name)?.into_iter().flat_map(|(_, c)| c).collect())
+    }
+
+    /// The addressed localities' registries, each with the counters it
+    /// resolves the name to (the locality index pinned for that hop).
+    fn hops(
+        &self,
+        name: &str,
+    ) -> Result<Vec<(&Arc<CounterRegistry>, ResolvedCounters)>, CounterError> {
         let parsed: CounterName = name.parse()?;
         let mut out = Vec::new();
         for l in self.route(&parsed)? {
-            // Pin the locality index for this hop.
             let mut pinned = parsed.clone();
             if let Some(inst) = &mut pinned.instance {
                 inst.parent.index = Some(InstanceIndex::At(l));
             }
             let reg = &self.localities[l as usize];
-            out.extend(reg.get_counters(&pinned.to_string())?);
+            out.push((reg, reg.get_counters(&pinned.to_string())?));
         }
         Ok(out)
     }
 
     /// Evaluate one (possibly fanned-out) name; returns per-counter values.
+    /// Each locality's counters take the guarded read at one stamp of that
+    /// locality's clock, so a counter that panics reads as not ok.
     pub fn evaluate(
         &self,
         name: &str,
         reset: bool,
     ) -> Result<Vec<(CounterName, CounterValue)>, CounterError> {
-        Ok(self
-            .get_counters(name)?
-            .into_iter()
-            .map(|(n, c)| {
-                let v = c.get_value(reset);
-                (n, v)
-            })
-            .collect())
+        let mut out = Vec::new();
+        for (reg, counters) in self.hops(name)? {
+            let t0 = reg.clock().now_ns();
+            for (n, c) in counters {
+                out.push((n, read_counter(&*c, reset, t0)));
+            }
+        }
+        Ok(out)
     }
 
     /// Evaluate and sum the scaled values across every matching counter —

@@ -52,7 +52,7 @@ pub(crate) fn read_counter(counter: &dyn Counter, reset: bool, timestamp_ns: u64
 /// What the set resolves: the stored specs (wildcards preserved, insertion
 /// order) and the concrete names removed from underneath a wildcard spec.
 /// Its mutex serializes re-expansions and is **never** held across a
-/// `Counter::get_value` call.
+/// `Counter::get_value_at` call.
 #[derive(Default)]
 struct Specs {
     queries: Vec<CounterName>,

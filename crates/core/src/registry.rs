@@ -27,6 +27,7 @@ use crate::counter::{ValueCell, ValueFn};
 use crate::engine::{Batch, ScrapeEngine};
 use crate::error::CounterError;
 use crate::name::{CounterInstance, CounterName, InstanceIndex};
+use crate::query::read_counter;
 use crate::value::{CounterInfo, CounterKind, CounterValue};
 
 /// Factory creating a counter instance for a concrete (non-wildcard) name.
@@ -298,14 +299,16 @@ impl CounterRegistry {
         Ok(out)
     }
 
-    /// Evaluate one counter by name (convenience for one-shot queries).
+    /// Evaluate one counter by name (convenience for one-shot queries):
+    /// the guarded read at one stamp of this registry's clock, so a counter
+    /// that panics reads as not ok.
     pub fn evaluate(
         self: &Arc<Self>,
         name: &str,
         reset: bool,
     ) -> Result<CounterValue, CounterError> {
-        let parsed: CounterName = name.parse()?;
-        Ok(self.get_counter(&parsed)?.get_value(reset))
+        let counter = self.get_counter(&name.parse()?)?;
+        Ok(read_counter(&*counter, reset, self.clock.now_ns()))
     }
 
     /// Number of live (cached) counter instances.
@@ -347,7 +350,7 @@ impl CounterRegistry {
     /// Canonical names currently in the active set, in query insertion
     /// order, re-expanded first if the registry topology moved. Holds no
     /// lock while returning — safe to call from inside a counter's
-    /// `get_value`.
+    /// `get_value_at`.
     pub fn active_names(self: &Arc<Self>) -> Vec<String> {
         self.active.query.refresh();
         self.active.query.names()
@@ -363,14 +366,12 @@ impl CounterRegistry {
         self.active.read(reset)
     }
 
-    /// Reset every active counter without reading
-    /// (`hpx::reset_active_counters`). Lock-free against evaluations, like
-    /// [`evaluate_active_counters`](Self::evaluate_active_counters).
+    /// Reset every active counter (`hpx::reset_active_counters`): a
+    /// reset-read of the active set with the batch dropped, so it is
+    /// guarded, backed off and accounted as an evaluation is. A counter in
+    /// backoff is skipped, and so not reset.
     pub fn reset_active_counters(self: &Arc<Self>) {
-        self.active.query.refresh();
-        for h in self.active.query.handles().iter() {
-            h.counter.reset();
-        }
+        self.active.read(true);
     }
 
     // ------------------------------------------------------------------
@@ -453,7 +454,7 @@ impl CounterRegistry {
         unit: &str,
     ) -> Arc<ValueCell> {
         let info = CounterInfo::new(type_path, CounterKind::Raw, help, unit);
-        let cell = Arc::new(ValueCell::new(info.clone(), self.clock()));
+        let cell = Arc::new(ValueCell::new(info.clone()));
         let c2 = cell.clone();
         self.register_type(
             info,
@@ -663,7 +664,7 @@ mod tests {
         assert_eq!(resolved.len(), 4);
         let values: Vec<i64> = resolved
             .iter()
-            .map(|(_, c)| c.get_value(false).value)
+            .map(|(_, c)| c.get_value_at(false, 0).value)
             .collect();
         assert_eq!(values, vec![0, 1, 2, 3]);
     }
@@ -757,6 +758,84 @@ mod tests {
             2,
             "skipped reads evaluate nothing"
         );
+    }
+
+    /// `reset_active_counters` and `evaluate_active_counters(true)` leave
+    /// every kind of counter at the same next reading, the one that counts
+    /// from the reset: a cumulative counter, an arithmetic over a monotonic
+    /// child (which passes the reset on), a statistics counter, a histogram
+    /// and a value cell. The sources grow by 10 and 20 before the reset and
+    /// by 40 after it.
+    #[test]
+    fn a_reset_and_a_reset_read_leave_the_same_next_reading() {
+        let rows = [
+            ("/x/m", 40.0),
+            ("/arithmetics/add@/x/m,/x/g", 40.0 + 70.0),
+            ("/statistics/average@/x/g", 70.0),
+            ("/statistics/histogram@/x/g,0,100,10", 1.0),
+            ("/x/cell", 40.0),
+        ];
+        let resets: [fn(&Arc<CounterRegistry>); 2] = [
+            |reg| reg.reset_active_counters(),
+            |reg| drop(reg.evaluate_active_counters(true)),
+        ];
+        for (name, expected) in rows {
+            let next = resets.map(|reset| {
+                let reg = CounterRegistry::new();
+                let src = Arc::new(AtomicI64::new(0));
+                let (s1, s2) = (src.clone(), src.clone());
+                reg.register_monotonic(
+                    "/x/m",
+                    "h",
+                    "1",
+                    Arc::new(move || s1.load(Ordering::Relaxed)),
+                );
+                reg.register_raw(
+                    "/x/g",
+                    "h",
+                    "1",
+                    Arc::new(move || s2.load(Ordering::Relaxed)),
+                );
+                let cell = reg.register_value("/x/cell", "h", "1");
+                let grow = |by| {
+                    src.fetch_add(by, Ordering::Relaxed);
+                    cell.add(by);
+                };
+                reg.add_active(name).unwrap();
+                grow(10);
+                reg.evaluate_active_counters(false);
+                grow(20);
+                reset(&reg);
+                grow(40);
+                reg.evaluate_active_counters(false).samples()[0].value
+            });
+            assert_eq!(next, [expected; 2], "{name}: after a reset, a reset-read");
+        }
+    }
+
+    /// The one-shot reads are the guarded read: a counter that panics reads
+    /// as not ok through a registry's and a distributed registry's
+    /// `evaluate`, and a reset of an active set holding it returns, counts
+    /// one read error and is accounted as one batch.
+    #[test]
+    fn one_shot_reads_and_resets_of_a_panicking_counter_return() {
+        let reg = CounterRegistry::new();
+        let (_broken, evaluations) = crate::engine::tests::register_flaky(&reg);
+        let v = reg.evaluate("/test/flaky", false).unwrap();
+        assert!(!v.status.is_ok(), "{v:?}");
+        let localities = crate::DistributedRegistry::new(vec![reg.clone()]);
+        let read = localities.evaluate("/test/flaky", true).unwrap();
+        let [(_, v)] = &read[..] else {
+            panic!("one counter, read {read:?}");
+        };
+        assert!(!v.status.is_ok(), "{v:?}");
+        reg.add_active("/test/flaky").unwrap();
+        let batches = reg.overhead_batches.load(Ordering::Relaxed);
+        reg.reset_active_counters();
+        let read_errors = reg.active.stats().read_errors.load(Ordering::Relaxed);
+        assert_eq!(read_errors, 1);
+        assert_eq!(reg.overhead_batches.load(Ordering::Relaxed), batches + 1);
+        assert_eq!(evaluations.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -970,7 +1049,7 @@ mod tests {
     #[test]
     fn evaluation_holds_no_registry_lock() {
         // A counter that mutates the registry *during* evaluation: with a
-        // lock held across get_value this would deadlock; with snapshots it
+        // lock held across get_value_at this would deadlock; with snapshots it
         // must merely take effect on the next batch.
         let reg = CounterRegistry::new();
         let weak = Arc::downgrade(&reg);

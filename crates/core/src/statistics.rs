@@ -86,18 +86,8 @@ impl Counter for StatisticsCounter {
         self.info.clone()
     }
 
-    fn get_value(&self, reset: bool) -> CounterValue {
-        self.fold(reset, self.child.get_value(false))
-    }
-
     fn get_value_at(&self, reset: bool, now_ns: u64) -> CounterValue {
         self.fold(reset, self.child.get_value_at(false, now_ns))
-    }
-
-    fn reset(&self) {
-        let mut state = self.state.lock();
-        state.running.reset();
-        state.window.reset();
     }
 }
 
@@ -236,7 +226,7 @@ mod tests {
         let mut last = 0;
         for &s in samples {
             src.store(s, Ordering::Relaxed);
-            last = c.get_value(false).value;
+            last = c.get_value_at(false, 0).value;
         }
         last
     }
@@ -291,10 +281,10 @@ mod tests {
         let name: CounterName = "/statistics/average@/src/value".parse().unwrap();
         let c = reg.get_counter(&name).unwrap();
         src.store(100, Ordering::Relaxed);
-        assert_eq!(c.get_value(true).value, 100);
+        assert_eq!(c.get_value_at(true, 0).value, 100);
         src.store(10, Ordering::Relaxed);
         // History was cleared, so the next average sees only the new sample.
-        assert_eq!(c.get_value(false).value, 10);
+        assert_eq!(c.get_value_at(false, 0).value, 10);
     }
 
     #[test]
@@ -304,7 +294,7 @@ mod tests {
         reg.register_average("/src/avg", "h", "ns", Arc::new(|| (0, 0)));
         let name: CounterName = "/statistics/average@/src/avg".parse().unwrap();
         let c = reg.get_counter(&name).unwrap();
-        let v = c.get_value(false);
+        let v = c.get_value_at(false, 0);
         assert_eq!(v.status, CounterStatus::NewData);
     }
 
@@ -334,9 +324,9 @@ mod tests {
         let name: CounterName = "/statistics/average@/src/value".parse().unwrap();
         let c = reg.get_counter(&name).unwrap();
         src.store(10, Ordering::Relaxed);
-        let _ = c.get_value(false);
+        let _ = c.get_value_at(false, 0);
         src.store(15, Ordering::Relaxed);
-        let v = c.get_value(false);
+        let v = c.get_value_at(false, 0);
         // Mean of {10, 15} is 12.5 — transported as 12500/1000, not
         // rounded to 12 or 13.
         assert_eq!(v.scaled(), 12.5);

@@ -430,7 +430,7 @@ mod tests {
             self.info.clone()
         }
 
-        fn get_value(&self, _reset: bool) -> CounterValue {
+        fn get_value_at(&self, _reset: bool, _now_ns: u64) -> CounterValue {
             if self.info.name.starts_with("/bad") {
                 // Unwinds without running the panic hook: no test noise.
                 std::panic::resume_unwind(Box::new("injected counter panic"));
@@ -446,8 +446,6 @@ mod tests {
             }
             CounterValue::scaled_by((h % 4_000) as i64 - 2_000, 4, 0)
         }
-
-        fn reset(&self) {}
     }
 
     /// An engine exporting `canonicals` as [`Scripted`] counters, and the

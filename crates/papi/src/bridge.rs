@@ -160,7 +160,10 @@ mod tests {
             .get_counters("/papi{locality#0/worker-thread#*}/LLC_MISSES")
             .unwrap();
         assert_eq!(counters.len(), 4);
-        let sum: i64 = counters.iter().map(|(_, c)| c.get_value(false).value).sum();
+        let sum: i64 = counters
+            .iter()
+            .map(|(_, c)| c.get_value_at(false, 0).value)
+            .sum();
         assert_eq!(sum, 100);
     }
 

@@ -224,7 +224,7 @@ mod tests {
         assert_eq!(per_worker.len(), 3);
         let sum: i64 = per_worker
             .iter()
-            .map(|(_, c)| c.get_value(false).value)
+            .map(|(_, c)| c.get_value_at(false, 0).value)
             .sum();
         let total = reg
             .evaluate("/threads{locality#0/total}/count/cumulative", false)

@@ -27,11 +27,9 @@ impl Counter for Probe {
         self.info.clone()
     }
 
-    fn get_value(&self, _reset: bool) -> CounterValue {
+    fn get_value_at(&self, _reset: bool, _now_ns: u64) -> CounterValue {
         value_of(&self.name)
     }
-
-    fn reset(&self) {}
 }
 
 /// The index of the last instance part (`worker-thread#3` → 3).

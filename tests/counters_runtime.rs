@@ -59,7 +59,7 @@ fn cumulative_time_equals_sum_over_workers() {
         .get_counters("/threads{locality#0/worker-thread#*}/time/cumulative")
         .unwrap()
         .iter()
-        .map(|(_, c)| c.get_value(false).value)
+        .map(|(_, c)| c.get_value_at(false, 0).value)
         .sum();
     assert_eq!(total, per_worker);
     assert!(total > 0);
@@ -76,10 +76,10 @@ fn statistics_counter_tracks_task_duration_samples() {
 
     for _ in 0..4 {
         spawn_burst(&rt, 50, 1_000);
-        let v = stat.get_value(false);
+        let v = stat.get_value_at(false, 0);
         assert!(v.status.is_ok());
     }
-    let max = stat.get_value(false).value;
+    let max = stat.get_value_at(false, 0).value;
     assert!(max > 0, "max of sampled averages must be positive");
     rt.shutdown();
 }
@@ -321,10 +321,9 @@ impl rpx::counters::Counter for Quarters {
     fn info(&self) -> rpx::counters::CounterInfo {
         self.0.clone()
     }
-    fn get_value(&self, _reset: bool) -> rpx::counters::CounterValue {
+    fn get_value_at(&self, _reset: bool, _now_ns: u64) -> rpx::counters::CounterValue {
         rpx::counters::CounterValue::scaled_by(10, 4, 0)
     }
-    fn reset(&self) {}
 }
 
 /// The sampler's CSV output over a scripted registry, byte for byte with

@@ -33,7 +33,7 @@ fn histogram_of_live_task_durations() {
         for f in futures {
             f.get();
         }
-        hist.get_value(false); // sample the average into the histogram
+        hist.get_value_at(false, 0); // sample the average into the histogram
     }
 
     let snap = snapshot_of(&hist).expect("histogram downcast");

@@ -88,8 +88,8 @@ proptest! {
         let maxc = reg.get_counter(&maxc).unwrap();
         for &x in &samples {
             src.store(x, Ordering::Relaxed);
-            avg.get_value(false);
-            maxc.get_value(false);
+            avg.get_value_at(false, 0);
+            maxc.get_value_at(false, 0);
         }
         // One extra evaluation appends one extra sample of the last value;
         // account for it in the reference.
@@ -99,14 +99,14 @@ proptest! {
         // Fractional means are transported via the scaling fields
         // (milli-units), so the scaled value tracks the reference to
         // sub-unit precision instead of the old ±1 rounding slack.
-        let got_mean = avg.get_value(false).scaled();
+        let got_mean = avg.get_value_at(false, 0).scaled();
         prop_assert!((got_mean - ref_mean).abs() <= 1e-3,
             "mean {got_mean} vs reference {ref_mean}");
         let ref_max = *ref_samples.iter().max().unwrap();
         // The max window holds the most recent len(samples) entries of
         // ref_samples — the first sample may have been evicted.
         let windowed_max = *ref_samples[ref_samples.len() - samples.len()..].iter().max().unwrap();
-        let got_max = maxc.get_value(false).value;
+        let got_max = maxc.get_value_at(false, 0).value;
         prop_assert!(got_max == ref_max || got_max == windowed_max,
             "max {got_max} vs {ref_max}/{windowed_max}");
     }
