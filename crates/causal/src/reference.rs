@@ -440,8 +440,30 @@ fn assert_same_analysis(got: &Analysis, want: &Analysis, seed: u64) {
     assert_eq!(got.sites, want.sites, "sites, seed {seed:#x}");
 }
 
+/// Interns seven spawn sites, so ids 1 to 7 are named from now on: a site
+/// interned later, by a spawn in another test of this binary, gets a
+/// larger id and renames none that [`random_forest`] draws, so both
+/// profilers of a case name its sites alike.
+fn name_the_small_site_ids() {
+    use std::panic::Location;
+    let sites = [
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+    ];
+    for site in sites {
+        rpx_runtime::trace::site_id(site);
+    }
+    assert!(site_name(7).is_some());
+}
+
 #[test]
 fn profile_matches_the_hash_index_reference() {
+    name_the_small_site_ids();
     for case in 0..400u64 {
         let seed = case.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0x00C0_FFEE;
         let mut rng = Rng(seed);
@@ -493,29 +515,13 @@ fn profile_matches_the_hash_index_reference() {
 /// parent then arrives after its children, so each is looked up late and
 /// the forest is ordered breadth-first.
 ///
-/// A spawn interns its call site in the process-wide site registry, and
-/// `profile_matches_the_hash_index_reference` names its sites through
-/// that registry twice per case, once per profiler: a registration in
-/// between would tell them apart. So this test runs the runtime in a child
-/// process of this test binary, filtered to this one test.
+/// Its spawns intern their call sites in the process-wide site registry
+/// while `profile_matches_the_hash_index_reference` may be running; that
+/// test names the site ids it draws before its first case, so it runs in
+/// this process beside this one.
 #[test]
 fn a_wrapped_runtime_window_matches_the_reference_in_either_order() {
     use rpx_runtime::{Runtime, RuntimeConfig, RuntimeHandle};
-
-    const NAME: &str = "reference::a_wrapped_runtime_window_matches_the_reference_in_either_order";
-    const CHILD: &str = "RPX_CAUSAL_REAL_WINDOW_CHILD";
-    if std::env::var_os(CHILD).is_none() {
-        let exe = std::env::current_exe().expect("the test binary's path");
-        let out = std::process::Command::new(exe)
-            .args(["--exact", NAME, "--test-threads", "1", "--nocapture"])
-            .env(CHILD, "1")
-            .output()
-            .expect("run the test binary");
-        let log = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "child failed:\n{log}");
-        assert!(log.contains("1 passed"), "child ran no test:\n{log}");
-        return;
-    }
 
     fn fib(h: &RuntimeHandle, n: u64) -> u64 {
         if n < 2 {

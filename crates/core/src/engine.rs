@@ -1,10 +1,10 @@
 //! The scrape engine: the one read path over a resolved counter set. The
 //! registry's active set, the [`Sampler`](crate::sampler::Sampler), the
 //! shutdown printer and each `rpx-apex` policy read through a private
-//! engine, `rpx-serve`'s endpoints through a shared one. Each handle slot
-//! carries its counter's export identity; each published handle list is
-//! laid out flat once, with a read backoff per counter; a scrape reads
-//! that layout at one stamp into one sample column, a [`Batch`].
+//! engine, `rpx-serve`'s endpoints through a shared one. Each published
+//! handle list is laid out flat once, an export entry and a read backoff
+//! per counter, both carried by name from the previous layout; a scrape
+//! reads that layout at one stamp into one sample column, a [`Batch`].
 //!
 //! ## Scrape-vs-update memory ordering
 //!
@@ -19,6 +19,7 @@
 //! publishes a whole new list, so a scraper sees either the whole old
 //! export set or the whole new one.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -48,12 +49,13 @@ pub struct Sample {
 }
 
 /// One exported counter: stable identity (`id`, `canonical`) and cached
-/// metadata. It lives in the counter's handle slot, so the entry — with
-/// the id its read backoff is carried under — survives topology refreshes
-/// as long as the canonical name stays resolvable.
+/// metadata. Each layout carries it over from the previous one by
+/// canonical name, so it survives topology refreshes as long as the name
+/// stays resolvable.
 pub struct ExportEntry {
     /// Stable export id: issued once per canonical name in resolution
-    /// order, never reissued to another name.
+    /// order, never reissued to another name. A name absent from one
+    /// layout gets a new id when it returns.
     pub id: u32,
     /// Canonical counter name (`/object{instance}/counter`).
     pub canonical: String,
@@ -90,8 +92,6 @@ pub struct ServeStats {
     pub backoffs: AtomicU64,
 }
 
-type Handles = Arc<Vec<QueryHandle<Arc<ExportEntry>>>>;
-
 /// A published handle list, laid out flat for the scrape once, when the
 /// list is first scraped. The export order — the order every payload
 /// lists the counters in — is by FNV-1a shard of the canonical name,
@@ -100,7 +100,7 @@ type Handles = Arc<Vec<QueryHandle<Arc<ExportEntry>>>>;
 struct ExportSet {
     /// The list this set was built from: compared by identity to tell a
     /// re-expansion, and held so its address cannot be reused.
-    handles: Handles,
+    handles: Arc<Vec<QueryHandle>>,
     /// The entries, in export order.
     entries: Vec<Arc<ExportEntry>>,
     /// The counters in resolution order, each with its export position.
@@ -109,68 +109,67 @@ struct ExportSet {
     /// reads in the high half, scrapes left to skip in the low half; one
     /// atomic, because scrapes may run concurrently.
     backoff: Vec<AtomicU64>,
-    /// `(id, export position)` of every entry, sorted by id.
-    by_id: Vec<(u32, u32)>,
+    /// The id the next newcomer gets.
+    next_id: u32,
     /// The text payload's layout.
     plan: text::Plan,
 }
 
 impl ExportSet {
-    /// The set of `handles`, with the backoff of every counter `previous`
-    /// also exports carried over by export id.
-    fn new(handles: Handles, previous: Option<&ExportSet>) -> Self {
+    /// The set of `handles`, laid out after `previous` (the engine's
+    /// `export` mutex held): the one place a reader's per-counter state
+    /// crosses a re-expansion. A name `previous` exports keeps its entry
+    /// and its backoff; a newcomer gets the next id, in resolution order.
+    fn new(handles: Arc<Vec<QueryHandle>>, previous: Option<&ExportSet>, shards: usize) -> Self {
         assert!(handles.len() < u32::MAX as usize, "positions fit a u32");
+        let mut next_id = previous.map_or(0, |p| p.next_id);
+        let mut carried = HashMap::new();
+        if let Some(p) = previous {
+            for ((_, at), backoff) in p.sources.iter().zip(&p.backoff) {
+                let entry = &p.entries[*at as usize];
+                carried.insert(entry.canonical.as_str(), (entry, backoff));
+            }
+        }
+        let (resolved, backoff): (Vec<_>, Vec<_>) = handles
+            .iter()
+            .map(|h| match carried.get(h.canonical.as_str()) {
+                Some(&(entry, state)) => (entry.clone(), state.load(Ordering::Relaxed)),
+                None => {
+                    next_id += 1;
+                    let entry = ExportEntry {
+                        id: next_id - 1,
+                        canonical: h.canonical.clone(),
+                        info: h.counter.info(),
+                        shard: shard_of(&h.canonical, shards),
+                    };
+                    (Arc::new(entry), 0)
+                }
+            })
+            .unzip();
         let mut order: Vec<u32> = (0..handles.len() as u32).collect();
         // Stable, so resolution order survives within a shard.
-        order.sort_by_key(|&i| handles[i as usize].slot.shard);
+        order.sort_by_key(|&i| resolved[i as usize].shard);
         let mut position = vec![0; handles.len()];
         for (at, &i) in order.iter().enumerate() {
             position[i as usize] = at as u32;
         }
         let entries: Vec<_> = order
             .iter()
-            .map(|&i| handles[i as usize].slot.clone())
+            .map(|&i| resolved[i as usize].clone())
             .collect();
         let sources = handles
             .iter()
             .zip(position)
             .map(|(h, at)| (h.counter.clone(), at))
             .collect();
-        let backoff = handles.iter().map(|_| AtomicU64::new(0)).collect();
-        let mut by_id: Vec<(u32, u32)> = (0..)
-            .zip(&entries)
-            .map(|(at, entry)| (entry.id, at))
-            .collect();
-        by_id.sort_unstable();
-        let plan = text::Plan::new(&entries);
-        let set = ExportSet {
+        ExportSet {
+            plan: text::Plan::new(&entries),
             handles,
             entries,
             sources,
-            backoff,
-            by_id,
-            plan,
-        };
-        if let Some(p) = previous {
-            for ((_, at), state) in p.sources.iter().zip(&p.backoff) {
-                let state = state.load(Ordering::Relaxed);
-                // Only a failing counter has a backoff to carry.
-                if state == 0 {
-                    continue;
-                }
-                if let Some(to) = set.position(p.entries[*at as usize].id) {
-                    set.backoff[order[to] as usize].store(state, Ordering::Relaxed);
-                }
-            }
+            backoff: backoff.into_iter().map(AtomicU64::new).collect(),
+            next_id,
         }
-        set
-    }
-
-    /// The export position of the counter exported under `id`, if this
-    /// set exports it.
-    fn position(&self, id: u32) -> Option<usize> {
-        let at = self.by_id.binary_search_by_key(&id, |&(id, _)| id).ok()?;
-        Some(self.by_id[at].1 as usize)
     }
 }
 
@@ -232,11 +231,13 @@ impl<'a> IntoIterator for &'a Batch {
 /// Generation-cached scrape engine over one registry, reached only through
 /// its query's `Weak`, so the registry can own one: its active set.
 pub struct ScrapeEngine {
-    /// The export set; each handle's slot is its [`ExportEntry`].
-    pub(crate) query: ResolvedQuery<Arc<ExportEntry>>,
+    /// The resolved counters.
+    pub(crate) query: ResolvedQuery,
     /// The flat views of the handle list `query` published last, keyed
     /// by that list's identity: a re-expansion publishes a new `Arc`.
     export: Mutex<Arc<ExportSet>>,
+    /// Payload shards, which fix the export order.
+    shards: usize,
     seq: AtomicU64,
     stats: Arc<ServeStats>,
 }
@@ -284,21 +285,13 @@ impl ScrapeEngine {
         shards: usize,
         stats: Arc<ServeStats>,
     ) -> Self {
-        let (shards, next_id) = (shards.max(1), AtomicU64::new(0));
-        // Export ids are issued once per name, in resolution order.
-        let entry = move |canonical: &str, counter: &Arc<dyn Counter>| {
-            Arc::new(ExportEntry {
-                id: next_id.fetch_add(1, Ordering::Relaxed) as u32,
-                canonical: canonical.to_owned(),
-                info: counter.info(),
-                shard: shard_of(canonical, shards),
-            })
-        };
-        let query = ResolvedQuery::unresolved(registry, clock, Box::new(entry));
-        let export = Mutex::new(Arc::new(ExportSet::new(query.handles(), None)));
+        let shards = shards.max(1);
+        let query = ResolvedQuery::unresolved(registry, clock);
+        let export = Mutex::new(Arc::new(ExportSet::new(query.handles(), None, shards)));
         ScrapeEngine {
             query,
             export,
+            shards,
             seq: AtomicU64::new(0),
             stats,
         }
@@ -310,13 +303,13 @@ impl ScrapeEngine {
     }
 
     /// The flat views of the currently published handles. They are built
-    /// only when `query` published a new list; concurrent scrapers holding
-    /// different lists each get a consistent set.
+    /// only when `query` published a new list, read under the lock so each
+    /// layout follows a list at least as new as the one before.
     fn export_set(&self) -> Arc<ExportSet> {
-        let handles = self.query.handles();
         let mut export = self.export.lock();
+        let handles = self.query.handles();
         if !Arc::ptr_eq(&export.handles, &handles) {
-            *export = Arc::new(ExportSet::new(handles, Some(&export)));
+            *export = Arc::new(ExportSet::new(handles, Some(&export), self.shards));
         }
         export.clone()
     }
@@ -509,7 +502,7 @@ pub(crate) mod tests {
             .collect();
         let set = ExportSet {
             handles: Arc::new(Vec::new()),
-            by_id: (0..).zip(&entries).map(|(at, e)| (e.id, at)).collect(),
+            next_id: entries.len() as u32,
             plan: text::Plan::new(&entries),
             entries,
             sources: Vec::new(),
@@ -663,6 +656,58 @@ pub(crate) mod tests {
         assert_eq!(names.len(), by_id.len(), "a counter got a second id");
         assert_eq!(by_id.len() as i64, GROWN, "an instance was lost");
         assert_eq!(engine.entries().len() as i64, GROWN);
+    }
+
+    /// A layout carries each entry over by name: a name that stays keeps
+    /// its entry, one absent from a laid-out set returns under a new id,
+    /// and no id ever names two counters.
+    #[test]
+    fn export_entries_follow_their_name_across_layouts() {
+        let reg = CounterRegistry::new();
+        let workers = Arc::new(AtomicI64::new(2));
+        register_growable(&reg, workers.clone());
+        let engine = ScrapeEngine::new(&reg, &[POOL.into()], 4, 8).unwrap();
+        let mut owners = std::collections::BTreeMap::new();
+        let mut layout = |count: i64| {
+            workers.store(count, Ordering::Relaxed);
+            reg.bump_generation();
+            let entries = engine.collect().set.entries.clone();
+            for e in &entries {
+                let owner = owners.entry(e.id).or_insert_with(|| e.canonical.clone());
+                assert_eq!(*owner, e.canonical, "id {} names two counters", e.id);
+            }
+            entries
+        };
+        let find = |entries: &[Arc<ExportEntry>], worker: u32| {
+            let instance = format!("worker-thread#{worker}}}");
+            entries
+                .iter()
+                .find(|e| e.canonical.contains(&instance))
+                .cloned()
+                .unwrap()
+        };
+        let before = layout(2);
+        let grown = layout(3);
+        for w in 0..2 {
+            assert!(Arc::ptr_eq(&find(&before, w), &find(&grown, w)), "#{w}");
+        }
+        assert_eq!(find(&grown, 2).id, 2);
+
+        // Shrunk and regrown between two layouts: nothing left a laid-out
+        // set, so nothing changes id.
+        workers.store(1, Ordering::Relaxed);
+        reg.bump_generation();
+        assert!(engine.query.refresh());
+        let regrown = layout(3);
+        assert_eq!(find(&regrown, 2).id, 2);
+
+        // Laid out without #1 and #2: they return under new ids, in
+        // resolution order, and #0 keeps its entry throughout.
+        layout(1);
+        let back = layout(3);
+        assert_eq!((find(&back, 1).id, find(&back, 2).id), (3, 4));
+        assert!(Arc::ptr_eq(&find(&before, 0), &find(&back, 0)));
+        assert_eq!(owners.len(), 5);
     }
 
     /// A `/test/flaky` counter that panics while the returned flag is set,

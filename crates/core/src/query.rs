@@ -8,11 +8,13 @@
 //! it with no lock held; [`refresh`](ResolvedQuery::refresh) re-expands
 //! only when the generation moved (a respawned worker, a late-registered
 //! type), so a topology change is observed within one refresh and never on
-//! every use. A query only resolves: every in-process consumer reads
-//! through a [`ScrapeEngine`](crate::engine::ScrapeEngine) over one.
+//! every use. A query only resolves: a handle is its name, its canonical
+//! string and its counter. Every in-process consumer reads through a
+//! [`ScrapeEngine`](crate::engine::ScrapeEngine) over one, whose export
+//! set carries each counter's reader state across a re-expansion.
 //! DESIGN.md §12 has the protocol and its memory-ordering argument.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Weak};
 
 use crate::counter::{Clock, Counter};
@@ -22,9 +24,8 @@ use crate::prim::{mutation_armed, Mutex, Ordering, RwLock};
 use crate::registry::CounterRegistry;
 use crate::value::CounterValue;
 
-/// One resolved counter: its canonical name, the live handle, and the
-/// consumer's per-counter state.
-pub struct QueryHandle<S = ()> {
+/// One resolved counter: its name, canonical form and live handle.
+pub struct QueryHandle {
     /// The concrete name, never read: held so an expansion's names are not
     /// freed while it copies the canonical strings into their chunks (a
     /// 10 002-counter re-expansion then took about 1.4× as long).
@@ -33,10 +34,6 @@ pub struct QueryHandle<S = ()> {
     pub(crate) canonical: String,
     /// The resolved counter instance.
     pub(crate) counter: Arc<dyn Counter>,
-    /// Consumer state attached to this counter (a scrape engine's export
-    /// entry). Created when the canonical name first resolves and carried
-    /// over every re-expansion for as long as the name stays resolvable.
-    pub(crate) slot: S,
 }
 
 /// The one guarded read: `counter` at the caller's `timestamp_ns`
@@ -61,28 +58,23 @@ struct Specs {
 
 /// The published resolution. The lock around it guards only the swap —
 /// readers clone the `Arc` and release immediately.
-struct Resolved<S> {
+struct Resolved {
     /// Registry generation the expansion was taken against.
     generation: u64,
-    handles: Arc<Vec<QueryHandle<S>>>,
+    handles: Arc<Vec<QueryHandle>>,
 }
 
-/// Creates the slot of a newly resolved counter from its canonical name
-/// and handle.
-type SlotInit<S> = Box<dyn Fn(&str, &Arc<dyn Counter>) -> S + Send + Sync>;
-
 /// A set of counter specs resolved against a registry, cached per topology
-/// generation. `S` is the consumer's per-counter state, one slot per handle.
+/// generation.
 ///
 /// The registry is held weakly (the registry's own active set reads
 /// through one of these); once it is dropped the set stops refreshing and
 /// its reads are no longer accounted.
-pub struct ResolvedQuery<S = ()> {
+pub struct ResolvedQuery {
     registry: Weak<CounterRegistry>,
     clock: Arc<Clock>,
     specs: Mutex<Specs>,
-    resolved: RwLock<Resolved<S>>,
-    init: SlotInit<S>,
+    resolved: RwLock<Resolved>,
 }
 
 impl ResolvedQuery {
@@ -94,17 +86,11 @@ impl ResolvedQuery {
         registry: &Arc<CounterRegistry>,
         specs: &[String],
     ) -> Result<Self, CounterError> {
-        let query = Self::unresolved(
-            Arc::downgrade(registry),
-            registry.clock(),
-            Box::new(|_, _| ()),
-        );
+        let query = Self::unresolved(Arc::downgrade(registry), registry.clock());
         query.store(registry, specs)?;
         Ok(query)
     }
-}
 
-impl<S: Clone> ResolvedQuery<S> {
     /// Parse, store and resolve `specs` eagerly, as
     /// [`resolve`](ResolvedQuery::resolve) does; a constructor's step.
     pub(crate) fn store(
@@ -119,14 +105,8 @@ impl<S: Clone> ResolvedQuery<S> {
         self.expand(registry, &stored, true).map(drop)
     }
 
-    /// An empty set. `init` builds the slot of each newly resolved
-    /// counter; it runs in handle order with re-expansions serialized, so
-    /// a slot is created exactly once per resolvable name.
-    pub(crate) fn unresolved(
-        registry: Weak<CounterRegistry>,
-        clock: Arc<Clock>,
-        init: SlotInit<S>,
-    ) -> Self {
+    /// An empty set.
+    pub(crate) fn unresolved(registry: Weak<CounterRegistry>, clock: Arc<Clock>) -> Self {
         ResolvedQuery {
             registry,
             clock,
@@ -135,7 +115,6 @@ impl<S: Clone> ResolvedQuery<S> {
                 generation: 0,
                 handles: Arc::new(Vec::new()),
             }),
-            init,
         }
     }
 
@@ -221,11 +200,7 @@ impl<S: Clone> ResolvedQuery<S> {
         // changes are never lost, at worst re-observed once more.
         let mut generation = registry.generation();
         let previous = self.handles();
-        let carried: HashMap<&str, &S> = previous
-            .iter()
-            .map(|h| (h.canonical.as_str(), &h.slot))
-            .collect();
-        let mut handles: Vec<QueryHandle<S>> = Vec::with_capacity(previous.len());
+        let mut handles = Vec::with_capacity(previous.len());
         let mut seen: HashSet<String> = HashSet::with_capacity(previous.len());
         for query in &specs.queries {
             let names = match registry.expand_rendered(query) {
@@ -247,15 +222,10 @@ impl<S: Clone> ResolvedQuery<S> {
                 // discovery order, before the sort.
                 let canonical = rendered.clone();
                 seen.insert(rendered);
-                let slot = match carried.get(canonical.as_str()) {
-                    Some(slot) => (*slot).clone(),
-                    None => (self.init)(&canonical, &counter),
-                };
                 handles.push(QueryHandle {
                     _name: name,
                     canonical,
                     counter,
-                    slot,
                 });
             }
         }
@@ -278,7 +248,7 @@ impl<S: Clone> ResolvedQuery<S> {
 
     /// The resolved handles, in spec order then expansion order, each
     /// counter once. An immutable list: iterate it with no lock held.
-    pub fn handles(&self) -> Arc<Vec<QueryHandle<S>>> {
+    pub fn handles(&self) -> Arc<Vec<QueryHandle>> {
         self.resolved.read().handles.clone()
     }
 
@@ -391,42 +361,6 @@ mod tests {
         // A bump without a topology change refreshes but reports no change.
         reg.bump_generation();
         assert!(!q.refresh());
-    }
-
-    #[test]
-    fn slots_are_created_once_and_follow_their_counter() {
-        let reg = CounterRegistry::new();
-        let workers = Arc::new(AtomicI64::new(2));
-        register_workers(&reg, workers.clone());
-        let created = Arc::new(AtomicI64::new(0));
-        let c2 = created.clone();
-        let init = move |_: &str, _: &Arc<dyn Counter>| {
-            Arc::new(AtomicI64::new(c2.fetch_add(1, Ordering::Relaxed)))
-        };
-        let q = ResolvedQuery::unresolved(Arc::downgrade(&reg), reg.clock(), Box::new(init));
-        q.store(&reg, &["/threads{locality#0/worker-thread#*}/count".into()])
-            .unwrap();
-        q.handles()[1].slot.store(41, Ordering::Relaxed);
-
-        workers.store(3, Ordering::Relaxed);
-        reg.bump_generation();
-        assert!(q.refresh());
-        let slots: Vec<i64> = q
-            .handles()
-            .iter()
-            .map(|h| h.slot.load(Ordering::Relaxed))
-            .collect();
-        assert_eq!(slots, vec![0, 41, 2], "stayers keep their slot");
-
-        // A counter that leaves and comes back starts from a fresh slot.
-        workers.store(1, Ordering::Relaxed);
-        reg.bump_generation();
-        q.refresh();
-        workers.store(2, Ordering::Relaxed);
-        reg.bump_generation();
-        q.refresh();
-        assert_eq!(q.handles()[1].slot.load(Ordering::Relaxed), 3);
-        assert_eq!(created.load(Ordering::Relaxed), 4);
     }
 
     #[test]
