@@ -23,9 +23,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
-
 use crate::counter::Clock;
+use crate::prim::{mutation_armed, Mutex};
 use crate::query::{read_counter, QueryHandle};
 use crate::text;
 use crate::value::{CounterInfo, CounterValue};
@@ -306,8 +305,9 @@ impl ScrapeEngine {
     /// only when `query` published a new list, read under the lock so each
     /// layout follows a list at least as new as the one before.
     fn export_set(&self) -> Arc<ExportSet> {
+        let early = mutation_armed("engine-list-before-export-lock").then(|| self.query.handles());
         let mut export = self.export.lock();
-        let handles = self.query.handles();
+        let handles = early.unwrap_or_else(|| self.query.handles());
         if !Arc::ptr_eq(&export.handles, &handles) {
             *export = Arc::new(ExportSet::new(handles, Some(&export), self.shards));
         }

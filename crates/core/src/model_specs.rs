@@ -1,9 +1,9 @@
 //! Model-checked specs for the resolved set's publication protocol
 //! (stamp-before-expand vs. concurrent generation bump), entered through
 //! the registry's active set and through `ResolvedQuery::refresh`, for
-//! `TickLoop`'s flush rendezvous, and for the cumulative counter's
-//! read-under-lock reset — each with a paired deliberately-broken mutant
-//! proving the checker catches the bug.
+//! the scrape engine's layout order, for `TickLoop`'s flush rendezvous,
+//! and for the cumulative counter's read-under-lock reset — each with a
+//! paired deliberately-broken mutant proving the checker catches the bug.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg rpx_model"`; run with
 //! `RUSTFLAGS="--cfg rpx_model" cargo test -p rpx-counters model_`.
@@ -14,6 +14,7 @@ use std::sync::{Arc, Mutex as StdMutex, MutexGuard, OnceLock};
 use rpx_model::{check, check_expect_failure, mutation, thread, Config};
 
 use crate::counter::{Clock, Counter, Cumulative, CumulativeCounter, RawCounter};
+use crate::engine::{Batch, ScrapeEngine, ServeStats};
 use crate::name::{CounterInstance, CounterName};
 use crate::prim::AtomicU64;
 use crate::query::ResolvedQuery;
@@ -154,6 +155,68 @@ fn model_registry_stamp_after_expand_mutant_is_caught() {
     assert!(
         failure.message.contains("topology change lost"),
         "expected a lost topology change, got: {}",
+        failure.message
+    );
+}
+
+/// The scrape engine's layout order: two scrapers `collect` while a third
+/// thread grows the topology and bumps the generation, then this thread
+/// scrapes once more. Layouts follow the published lists in publication
+/// order, so a name, once laid out, keeps its export id in every later
+/// batch (the topology only grows here, so every name stays).
+fn engine_collects_vs_bump() {
+    let reg = CounterRegistry::new();
+    let workers = Arc::new(AtomicI64::new(1));
+    register_growable(&reg, workers.clone());
+    let specs = ["/threads{locality#0/worker-thread#*}/count".to_string()];
+    let stats = Arc::new(ServeStats::default());
+    let engine = Arc::new(ScrapeEngine::with(&reg, &specs, 1, stats).unwrap());
+    let (r2, w2) = (reg.clone(), workers.clone());
+    let bumper = thread::spawn(move || {
+        w2.store(2, Ordering::Relaxed);
+        r2.bump_generation();
+    });
+    let scrapers = [engine.clone(), engine.clone()].map(|e| thread::spawn(move || e.collect()));
+    bumper.join().unwrap();
+    let mut batches: Vec<Batch> = scrapers.map(|s| s.join().unwrap()).into();
+    batches.push(engine.collect());
+    let mut ids = std::collections::HashMap::new();
+    for (entry, _) in batches.iter().flatten() {
+        let first = *ids.entry(entry.canonical.clone()).or_insert(entry.id);
+        assert_eq!(
+            first, entry.id,
+            "{} came back under a second id",
+            entry.canonical
+        );
+    }
+    assert_eq!(ids.len(), 2, "the last scrape sees the new worker: {ids:?}");
+}
+
+#[test]
+fn model_engine_layouts_follow_publication_order() {
+    let _g = serial();
+    mutation::disarm_all();
+    check(
+        "model_engine_layouts_follow_publication_order",
+        cfg(),
+        engine_collects_vs_bump,
+    );
+}
+
+#[test]
+fn model_engine_list_before_export_lock_mutant_is_caught() {
+    let _g = serial();
+    mutation::disarm_all();
+    mutation::arm("engine-list-before-export-lock");
+    let failure = check_expect_failure(
+        "model_engine_list_before_export_lock_mutant_is_caught",
+        cfg(),
+        engine_collects_vs_bump,
+    );
+    mutation::disarm_all();
+    assert!(
+        failure.message.contains("came back under a second id"),
+        "expected a name under a second id, got: {}",
         failure.message
     );
 }

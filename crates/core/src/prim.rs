@@ -1,7 +1,8 @@
 //! `cfg(rpx_model)` indirection for the registry's snapshot-publication
-//! primitives (generation counter, snapshot `RwLock`, active-set mutex) and
-//! for what [`TickLoop`](crate::sampler::TickLoop) is built from (mutex,
-//! condition variable, a thread it can join).
+//! primitives (generation counter, snapshot `RwLock`, active-set mutex),
+//! for the scrape engine's layout mutex and for what
+//! [`TickLoop`](crate::sampler::TickLoop) is built from (mutex, condition
+//! variable, a thread it can join).
 //!
 //! Production builds re-export `std::sync::atomic` and the workspace
 //! `parking_lot` shim — pure renaming, zero overhead. Under

@@ -1,29 +1,21 @@
-//! # rpx-papi — a synthetic PMU behind a PAPI-like interface
+//! # rpx-papi — the analytic cache model behind the bandwidth figures
 //!
 //! The paper reads Ivy Bridge off-core request counters through HPX's PAPI
-//! component to estimate memory bandwidth. This environment has no PMU
-//! access, so this crate substitutes a *software-accounted* PMU (see
-//! DESIGN.md §3): instrumented code (workload kernels, the node simulator)
-//! records hardware-equivalent events into per-domain accumulators, and a
-//! bridge exposes them as `/papi/<EVENT>` performance counters with the
-//! same names, units, and reset semantics the paper uses.
+//! component to estimate memory bandwidth. The reproduction reads no PMU,
+//! so the node simulator (`rpx-simnode`) derives off-core requests
+//! from each task's memory footprint with the cache model here (see
+//! DESIGN.md §3) and applies the paper's `requests × 64 B / time`
+//! bandwidth estimate. No `/papi/<EVENT>` counter is registered: a
+//! hardware counter that cannot be read is absent, not a made-up number.
 //!
-//! - [`events::HwEvent`] — the event set (off-core requests, instructions,
-//!   cycles, cache misses, branches).
-//! - [`pmu::Pmu`] — per-domain accumulators + ambient thread binding.
-//! - [`model`] — the analytic cache model that converts task memory
-//!   footprints into off-core request counts, and the paper's
-//!   `requests × 64 B / time` bandwidth estimate.
-//! - [`bridge::register_papi_counters`] — counter-framework integration.
+//! - [`CacheModel`] and [`MemoryFootprint`] — a three-level hierarchy and
+//!   a task's memory behaviour.
+//! - [`estimate_offcore`] → [`OffcoreRequests`] — the off-core requests
+//!   a footprint generates.
+//! - [`bandwidth_gb_per_s`] — the paper's bandwidth estimate.
 
-pub mod bridge;
-pub mod events;
 pub mod model;
-pub mod pmu;
 
-pub use bridge::register_papi_counters;
-pub use events::HwEvent;
 pub use model::{
     bandwidth_gb_per_s, estimate_offcore, CacheModel, MemoryFootprint, OffcoreRequests, CACHE_LINE,
 };
-pub use pmu::{record, record_footprint, DomainGuard, Pmu};

@@ -9,9 +9,6 @@
 //! roughly constant, aggregate bandwidth growing with cores until the
 //! per-socket controllers saturate), not absolute Ivy Bridge numbers.
 
-use crate::events::HwEvent;
-use crate::pmu::Pmu;
-
 /// Cache-line size used throughout (bytes). The paper's bandwidth estimate
 /// multiplies off-core request counts by this.
 pub const CACHE_LINE: u64 = 64;
@@ -113,19 +110,6 @@ impl OffcoreRequests {
     /// Bytes of memory traffic these requests represent.
     pub fn bytes(&self) -> u64 {
         self.total() * CACHE_LINE
-    }
-
-    /// Record the requests into a PMU domain.
-    pub fn record_into(&self, pmu: &Pmu, domain: usize) {
-        if self.data_rd > 0 {
-            pmu.record(domain, HwEvent::OffcoreAllDataRd, self.data_rd);
-        }
-        if self.code_rd > 0 {
-            pmu.record(domain, HwEvent::OffcoreDemandCodeRd, self.code_rd);
-        }
-        if self.rfo > 0 {
-            pmu.record(domain, HwEvent::OffcoreDemandRfo, self.rfo);
-        }
     }
 }
 
@@ -242,18 +226,6 @@ mod tests {
         let gb = bandwidth_gb_per_s(1_000_000_000, 1_000_000_000);
         assert!((gb - 64.0).abs() < 1e-9);
         assert_eq!(bandwidth_gb_per_s(100, 0), 0.0);
-    }
-
-    #[test]
-    fn record_into_pmu() {
-        let pmu = Pmu::new(1);
-        OffcoreRequests {
-            data_rd: 5,
-            code_rd: 2,
-            rfo: 1,
-        }
-        .record_into(&pmu, 0);
-        assert_eq!(pmu.offcore_requests_total(), 8);
     }
 
     #[test]

@@ -469,8 +469,7 @@ mod tests {
                 .map(|_| Slab::new(SLAB_SLOTS, Some(state.clone())))
                 .collect(),
             state,
-            registry: registry.clone(),
-            pmu: rpx_papi::Pmu::new(workers),
+            registry,
             shutdown: Default::default(),
             config: RuntimeConfig::with_workers(workers),
             draining: Default::default(),

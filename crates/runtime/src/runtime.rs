@@ -10,7 +10,6 @@ use parking_lot::Mutex;
 use rpx_counters::counter::Clock;
 use rpx_counters::sampler::TickLoop;
 use rpx_counters::CounterRegistry;
-use rpx_papi::Pmu;
 
 use crate::admission::{AdmissionControl, AdmissionGate};
 use crate::cancel::CancelToken;
@@ -253,7 +252,6 @@ pub(crate) struct RuntimeInner {
     pub slabs: Vec<Arc<Slab>>,
     pub state: Arc<RuntimeState>,
     pub registry: Arc<CounterRegistry>,
-    pub pmu: Arc<Pmu>,
     pub shutdown: AtomicBool,
     pub config: RuntimeConfig,
     /// Set by [`Runtime::quiesce`]: no new task enters a queue (spawns run
@@ -329,9 +327,7 @@ pub struct QuiesceReport {
 
 /// A lightweight-task runtime: `N` worker threads, per-worker work-stealing
 /// queues, instrumented task lifecycle, and a counter registry exposing
-/// `/threads/*`, `/scheduler/*`, `/runtime/*`, and `/papi/*` counters.
-/// The `/papi/*` counters read 0 here: each worker is bound to a synthetic
-/// PMU domain, but no runtime or workload code records events into it.
+/// `/threads/*`, `/scheduler/*` and `/runtime/*` counters.
 ///
 /// ```
 /// use rpx_runtime::{Runtime, RuntimeConfig};
@@ -357,7 +353,6 @@ impl Runtime {
     pub fn new(config: RuntimeConfig) -> Self {
         let workers = config.workers.max(1);
         let registry = CounterRegistry::new();
-        let pmu = Pmu::new(workers);
         let faults = config
             .faults
             .clone()
@@ -372,8 +367,7 @@ impl Runtime {
                 .map(|_| Slab::new(SLAB_SLOTS, Some(state.clone())))
                 .collect(),
             state,
-            registry: registry.clone(),
-            pmu: pmu.clone(),
+            registry,
             shutdown: AtomicBool::new(false),
             config: config.clone(),
             draining: AtomicBool::new(false),
@@ -382,7 +376,6 @@ impl Runtime {
 
         runtimes().push((inner.id, Arc::downgrade(&inner)));
         crate::counters::register_runtime_counters(&inner);
-        rpx_papi::register_papi_counters(&registry, &pmu, config.locality);
 
         let restart_policy = RestartPolicy::from_config(&config);
         let threads = (0..workers)
@@ -528,11 +521,6 @@ impl Runtime {
     /// The runtime's counter registry.
     pub fn registry(&self) -> Arc<CounterRegistry> {
         self.inner.registry.clone()
-    }
-
-    /// The runtime's synthetic PMU (one domain per worker).
-    pub fn pmu(&self) -> Arc<Pmu> {
-        self.inner.pmu.clone()
     }
 
     /// The task tracer (disabled by default; `tracer().enable()` starts

@@ -153,7 +153,6 @@ pub(crate) fn worker_loop(inner: Arc<RuntimeInner>, index: usize) {
         .lock()
         .take()
         .expect("worker deque claimed twice");
-    let _pmu_guard = rpx_papi::DomainGuard::enter(inner.pmu.clone(), index);
     let guard = LoopGuard {
         inner: &inner,
         index,

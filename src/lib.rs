@@ -13,7 +13,8 @@
 //!   work stealing and full counter instrumentation.
 //! - [`baseline`] — the C++11 `std::async` baseline: one OS thread per
 //!   task, with the paper's resource-exhaustion behaviour.
-//! - [`papi`] — the synthetic PMU behind `/papi/<EVENT>` counters.
+//! - [`papi`] — the analytic cache model and the paper's bandwidth
+//!   estimate, which the simulator applies for Figures 13–14.
 //! - [`simnode`] — the discrete-event multicore-node simulator used to
 //!   regenerate the 20-core scaling experiments in virtual time.
 //! - [`inncabs`] — the 14 Inncabs benchmarks (native + task-graph forms).

@@ -85,35 +85,6 @@ fn statistics_counter_tracks_task_duration_samples() {
 }
 
 #[test]
-fn derived_bandwidth_composition_over_papi_counters() {
-    // The paper's bandwidth metric as one derived counter expression.
-    let rt = Runtime::new(RuntimeConfig::with_workers(2));
-    let reg = rt.registry();
-    let futures: Vec<_> = (0..64)
-        .map(|_| {
-            rt.spawn(|| {
-                // Tasks report their memory footprint to the synthetic PMU.
-                rpx::papi::record_footprint(64 * 1024, 16 * 1024, 0);
-            })
-        })
-        .collect();
-    for f in futures {
-        f.get();
-    }
-    let total = reg
-        .evaluate(
-            "/arithmetics/add@/papi{locality#0/total}/OFFCORE_REQUESTS::ALL_DATA_RD,\
-             /papi{locality#0/total}/OFFCORE_REQUESTS::DEMAND_CODE_RD,\
-             /papi{locality#0/total}/OFFCORE_REQUESTS::DEMAND_RFO",
-            false,
-        )
-        .unwrap();
-    // 64 tasks × (1024 + 256) lines.
-    assert_eq!(total.value, 64 * 1280);
-    rt.shutdown();
-}
-
-#[test]
 fn sampler_watches_a_live_runtime() {
     let rt = Runtime::new(RuntimeConfig::with_workers(2));
     let sink = MemorySink::new();
