@@ -15,8 +15,9 @@
 //!   thread-level supervisor re-enters the loop (the worker's deque is
 //!   re-parented to the respawned loop) and
 //!   `/runtime/health/restarts` increments.
-//! - **worker stall** — before running a found task the worker sleeps,
-//!   freezing its heartbeat; the watchdog records the episode in
+//! - **worker stall** — before running a found task the worker sleeps
+//!   for the watchdog's stall threshold plus four of its intervals
+//!   (580 ms), freezing its heartbeat; the watchdog records the episode in
 //!   `/runtime/health/stalls`.
 //! - **counter-read failure** — a counter registered through
 //!   [`register_flaky_counter`] panics on evaluation; the sampler must
@@ -32,10 +33,22 @@ use std::time::Duration;
 
 use rpx_counters::CounterRegistry;
 
+use crate::watchdog::{STALL_THRESHOLD, WATCHDOG_INTERVAL};
+
 /// Synthetic steals added per storming watchdog tick by an injected steal
 /// storm — far above any plausible per-tick steal rate, so the anomaly
 /// detector's ratio test trips regardless of real workload activity.
 pub const STEAL_STORM_PER_TICK: u64 = 10_000;
+
+/// How long an injected stall sleeps: the watchdog's stall threshold plus
+/// four of its intervals. Two intervals are the most the watchdog can lag
+/// (the tick that first sees the stalled heartbeat comes up to one
+/// interval after the stall starts, and the tick that finds it static
+/// past the threshold up to one more); the other two absorb a watchdog
+/// thread that wakes late on a loaded host. So every injected stall is
+/// counted, once.
+const INJECTED_STALL: Duration =
+    STALL_THRESHOLD.saturating_add(WATCHDOG_INTERVAL.saturating_mul(4));
 
 /// Panic payload used by every injected fault, so tests and panic hooks
 /// can tell injected unwinds from real bugs.
@@ -60,10 +73,9 @@ pub struct FaultPlan {
     pub task_panic_ppm: u32,
     /// Probability (ppm) the worker loop panics after a task completes.
     pub worker_kill_ppm: u32,
-    /// Probability (ppm) a worker stalls before running a found task.
+    /// Probability (ppm) a worker stalls, for long enough that the
+    /// watchdog counts it, before running a found task.
     pub stall_ppm: u32,
-    /// How long an injected stall sleeps.
-    pub stall: Duration,
     /// Probability (ppm) a flaky counter read fails.
     pub counter_fail_ppm: u32,
     /// Inject a synthetic steal storm for this many initial watchdog
@@ -103,7 +115,6 @@ impl Default for FaultPlan {
             task_panic_ppm: 0,
             worker_kill_ppm: 0,
             stall_ppm: 0,
-            stall: Duration::from_millis(200),
             counter_fail_ppm: 0,
             steal_storm_ticks: 0,
             max_per_category: u64::MAX,
@@ -113,12 +124,11 @@ impl Default for FaultPlan {
 
 /// The complete set of recognized `RPX_FAULT_*` variables. Anything else
 /// with that prefix is a misspelling and gets rejected, not ignored.
-pub const KNOWN_FAULT_VARS: [&str; 8] = [
+pub const KNOWN_FAULT_VARS: [&str; 7] = [
     "RPX_FAULT_SEED",
     "RPX_FAULT_TASK_PANIC_PPM",
     "RPX_FAULT_WORKER_KILL_PPM",
     "RPX_FAULT_STALL_PPM",
-    "RPX_FAULT_STALL_MS",
     "RPX_FAULT_COUNTER_FAIL_PPM",
     "RPX_FAULT_STEAL_STORM_TICKS",
     "RPX_FAULT_MAX",
@@ -157,7 +167,6 @@ impl FaultPlan {
     /// | `RPX_FAULT_TASK_PANIC_PPM` | recovered task panics (ppm) | 0 |
     /// | `RPX_FAULT_WORKER_KILL_PPM` | worker-loop kills (ppm) | 0 |
     /// | `RPX_FAULT_STALL_PPM` | worker stalls (ppm) | 0 |
-    /// | `RPX_FAULT_STALL_MS` | stall duration (ms) | 200 |
     /// | `RPX_FAULT_COUNTER_FAIL_PPM` | counter-read failures (ppm) | 0 |
     /// | `RPX_FAULT_STEAL_STORM_TICKS` | synthetic steal-storm watchdog ticks | 0 |
     /// | `RPX_FAULT_MAX` | cap per category | unlimited |
@@ -178,17 +187,12 @@ impl FaultPlan {
         if values.iter().all(Option::is_none) {
             return Ok(None);
         }
-        let [seed, task_panic, worker_kill, stall, stall_ms, counter_fail, steal_storm, max] =
-            values;
-        let defaults = FaultPlan::default();
+        let [seed, task_panic, worker_kill, stall, counter_fail, steal_storm, max] = values;
         Ok(Some(FaultPlan {
-            seed: seed.unwrap_or(defaults.seed),
+            seed: seed.unwrap_or_else(default_seed),
             task_panic_ppm: task_panic.unwrap_or(0) as u32,
             worker_kill_ppm: worker_kill.unwrap_or(0) as u32,
             stall_ppm: stall.unwrap_or(0) as u32,
-            stall: stall_ms
-                .map(Duration::from_millis)
-                .unwrap_or(defaults.stall),
             counter_fail_ppm: counter_fail.unwrap_or(0) as u32,
             steal_storm_ticks: steal_storm.unwrap_or(0) as u32,
             max_per_category: max.unwrap_or(u64::MAX),
@@ -320,10 +324,11 @@ impl FaultInjector {
         self.roll(self.plan.worker_kill_ppm, &self.worker_kills, 2)
     }
 
-    /// Should the worker stall, and for how long?
+    /// Should the worker stall, and for how long (580 ms: the watchdog's
+    /// stall threshold plus four of its intervals)?
     pub fn inject_stall(&self) -> Option<Duration> {
         self.roll(self.plan.stall_ppm, &self.stalls, 3)
-            .then_some(self.plan.stall)
+            .then_some(INJECTED_STALL)
     }
 
     /// Should this flaky-counter read fail?
@@ -450,10 +455,8 @@ mod tests {
         assert_eq!(FaultPlan::from_env().unwrap(), None, "no vars → no plan");
 
         std::env::set_var("RPX_FAULT_TASK_PANIC_PPM", "1234");
-        std::env::set_var("RPX_FAULT_STALL_MS", "77");
         let plan = FaultPlan::from_env().unwrap().expect("plan when vars set");
         assert_eq!(plan.task_panic_ppm, 1234);
-        assert_eq!(plan.stall, Duration::from_millis(77));
 
         // RPX_TEST_SEED seeds the draw stream unless RPX_FAULT_SEED
         // overrides it.
@@ -470,12 +473,16 @@ mod tests {
         // Unknown RPX_FAULT_* keys are rejected, not ignored: a misspelled
         // knob silently disabling injection is exactly the failure mode a
         // chaos suite cannot afford.
+        // The stall length is derived from the watchdog's timing, so
+        // `RPX_FAULT_STALL_MS` is not a knob either.
         std::env::set_var("RPX_FAULT_TASK_PANICS_PPM", "5"); // misspelled
         std::env::set_var("RPX_FAULT_WORKER_KILLS", "1"); // misspelled
+        std::env::set_var("RPX_FAULT_STALL_MS", "77"); // removed
         let err = FaultPlan::from_env().expect_err("unknown keys must error");
         assert_eq!(
             err.0,
             vec![
+                "RPX_FAULT_STALL_MS".to_string(),
                 "RPX_FAULT_TASK_PANICS_PPM".to_string(),
                 "RPX_FAULT_WORKER_KILLS".to_string(),
             ],
@@ -490,6 +497,7 @@ mod tests {
             assert!(msg.contains(knob), "lists valid knob {knob}: {msg}");
         }
         std::env::remove_var("RPX_FAULT_WORKER_KILLS");
+        std::env::remove_var("RPX_FAULT_STALL_MS");
         // One unknown key rejects even with valid keys also present.
         let err = FaultPlan::from_env().expect_err("mixed valid+unknown must error");
         assert_eq!(err.0, vec!["RPX_FAULT_TASK_PANICS_PPM".to_string()]);
@@ -497,6 +505,5 @@ mod tests {
         assert!(FaultPlan::from_env().is_ok(), "valid-only env parses again");
 
         std::env::remove_var("RPX_FAULT_TASK_PANIC_PPM");
-        std::env::remove_var("RPX_FAULT_STALL_MS");
     }
 }

@@ -20,9 +20,9 @@
 //!   `/threads/time/cumulative`, `/threads/time/cumulative-overhead`,
 //!   `/threads/count/*`, `/threads/idle-rate`, `/scheduler/*`,
 //!   `/runtime/uptime`, `/runtime/health/*`, `/runtime/anomaly/*`,
-//!   `/runtime/trace/*`, `/synchronization/*`. There is no `/papi/*`
-//!   counter: no hardware event is read here, and Figures 13–14 come from
-//!   `rpx-simnode`'s cache model.
+//!   `/runtime/trace/*`. There is no `/papi/*` counter: no hardware event
+//!   is read here, and Figures 13–14 come from `rpx-simnode`'s cache
+//!   model.
 //! - Fault tolerance: [`CancelToken`] cancellation/deadlines, a worker
 //!   watchdog + supervisor (stall and restart health counters), and a
 //!   deterministic fault-injection harness ([`FaultPlan`]) for chaos tests.

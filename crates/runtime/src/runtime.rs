@@ -18,12 +18,12 @@ use crate::future::TaskFuture;
 use crate::policy::LaunchPolicy;
 use crate::prim::{self, Padded};
 use crate::scheduler::Scheduler;
-use crate::signals::{AnomalyEvent, AnomalyLog, OverloadState};
+use crate::signals::{AnomalyEvent, AnomalyLog};
 use crate::slab::{Claimed, Slab, SpawnMeta, SLAB_SLOTS};
 use crate::stats::{Ledger, Shard};
 use crate::sync::EventGate;
 use crate::trace::{TaskSpan, TaskTracer, TIMED_EVERY};
-use crate::watchdog::{RestartPolicy, RestartState, RestartVerdict};
+use crate::watchdog::{RestartPolicy, RestartState, RestartVerdict, RESTART_BACKOFF_MAX};
 use crate::{watchdog, worker};
 
 /// Worker stack size. The paper had to move Alignment's large arrays to
@@ -42,11 +42,6 @@ pub struct RuntimeConfig {
     /// [`FaultPlan::from_env`] (`None` — disabled — unless `RPX_FAULT_*`
     /// variables are set).
     pub faults: Option<FaultPlan>,
-    /// How often the watchdog samples worker heartbeats.
-    pub watchdog_interval: Duration,
-    /// How long a heartbeat may stay static (while work is live or
-    /// pending) before the watchdog counts a stall episode.
-    pub stall_threshold: Duration,
     /// Admission high watermark: maximum queued-but-not-started tasks
     /// before the admission gate closes. While it is closed an infallible
     /// spawn runs inline in its caller and [`Runtime::try_spawn`] sheds;
@@ -56,11 +51,16 @@ pub struct RuntimeConfig {
     /// Restart budget per worker: maximum supervisor respawns within the
     /// 10 s refill window before the circuit breaker trips and the worker
     /// is retired (its queued tasks re-parent into the global injector).
-    /// The token bucket refills continuously at `budget / window`.
+    /// The token bucket refills continuously at `budget / window`; the
+    /// backoff between respawns starts at 1 ms and doubles per consecutive
+    /// crash up to 100 ms.
+    ///
+    /// A knob, not a constant, because no one value serves both of its
+    /// uses: at 64 a breaker test needs about 18 s of crashes (at the
+    /// 100 ms backoff the refill returns 0.64 token per crash) before it
+    /// trips, and at 3 a chaos run with `RPX_FAULT_MAX=50` worker kills
+    /// would trip breakers it is not testing.
     pub restart_budget: u32,
-    /// Upper bound for the exponential restart backoff, which starts at
-    /// 1 ms and doubles per consecutive crash.
-    pub restart_backoff_max: Duration,
 }
 
 impl Default for RuntimeConfig {
@@ -73,14 +73,11 @@ impl Default for RuntimeConfig {
             // Fail fast on misspelled RPX_FAULT_* knobs: silently running a
             // chaos suite with injection disabled is worse than aborting.
             faults: FaultPlan::from_env().unwrap_or_else(|e| panic!("rpx: {e}")),
-            watchdog_interval: Duration::from_millis(20),
-            stall_threshold: Duration::from_millis(500),
             max_pending: None,
             // Generous enough that transient fault-injection storms (tens
             // of kills) never trip in ordinary chaos runs; a genuine crash
             // loop exhausts it within a window.
             restart_budget: 64,
-            restart_backoff_max: Duration::from_millis(100),
         }
     }
 }
@@ -126,8 +123,8 @@ pub(crate) struct RuntimeState {
     /// Workers not retired by a tripped restart breaker (effective
     /// parallelism; feeds `/runtime/health/live-workers`).
     pub live_workers: Padded<AtomicUsize>,
-    /// Latest [`OverloadState`] the watchdog's detector published
-    /// (feeds `/runtime/health/overload-state`).
+    /// Latest [`OverloadState`](crate::OverloadState) the watchdog's
+    /// detector published (feeds `/runtime/health/overload-state`).
     pub overload_state: Padded<AtomicI64>,
 }
 
@@ -470,7 +467,9 @@ impl Runtime {
     /// task is dispatched, the body never runs, the future completes in the
     /// cancelled state ([`TaskFuture::get`] re-raises
     /// [`TaskCancelled`](crate::TaskCancelled)), and the worker's
-    /// `/runtime/health/cancelled-tasks` counter increments.
+    /// `/runtime/health/cancelled-tasks` counter increments. A
+    /// [`CancelToken::with_deadline`] token cancels a task that is not
+    /// dispatched in time.
     #[track_caller]
     pub fn spawn_cancellable<T, F>(&self, token: &CancelToken, f: F) -> TaskFuture<T>
     where
@@ -487,23 +486,6 @@ impl Runtime {
             f,
             token,
         )
-    }
-
-    /// Spawn a task that auto-cancels if not dispatched within `deadline`.
-    /// Returns the future and the deadline token (for explicit earlier
-    /// cancellation or body-side polling).
-    #[track_caller]
-    pub fn spawn_with_deadline<T, F>(
-        &self,
-        deadline: Duration,
-        f: F,
-    ) -> (TaskFuture<T>, CancelToken)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let token = CancelToken::with_deadline(deadline);
-        (self.spawn_cancellable(&token, f), token)
     }
 
     /// The calling thread's identity as one of this runtime's workers.
@@ -607,12 +589,6 @@ impl Runtime {
             .gate
             .as_ref()
             .map(|gate| AdmissionControl { gate: gate.clone() })
-    }
-
-    /// The overload detector's latest verdict (also exposed as the
-    /// `/runtime/health/overload-state` counter).
-    pub fn overload_state(&self) -> OverloadState {
-        OverloadState::from_i64(self.inner.state.overload_state.load(Ordering::Acquire))
     }
 
     /// Anomaly episodes the watchdog's detector has recorded so far,
@@ -755,21 +731,6 @@ impl RuntimeHandle {
             spawn_inner(inner, spawner, LaunchPolicy::Async, site, f, token)
         })
     }
-
-    /// Spawn with a dispatch deadline; see [`Runtime::spawn_with_deadline`].
-    #[track_caller]
-    pub fn spawn_with_deadline<T, F>(
-        &self,
-        deadline: Duration,
-        f: F,
-    ) -> (TaskFuture<T>, CancelToken)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let token = CancelToken::with_deadline(deadline);
-        (self.spawn_cancellable(&token, f), token)
-    }
 }
 
 impl std::fmt::Debug for RuntimeHandle {
@@ -804,7 +765,7 @@ fn supervise_crash(inner: &Arc<RuntimeInner>, index: usize, restart: &mut Restar
             if !claimed {
                 // Sole survivor: keep respawning, at the maximum backoff.
                 stats.note_restart();
-                backoff_sleep(inner, stats, inner.config.restart_backoff_max);
+                backoff_sleep(inner, stats, RESTART_BACKOFF_MAX);
                 return true;
             }
             stats.note_breaker_trip();

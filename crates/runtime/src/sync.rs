@@ -1,71 +1,17 @@
-//! Instrumented synchronization primitives (`hpx::lcos::local::mutex`
-//! analogue) and the waiter-counted [`EventGate`] used by the runtime's
-//! hot paths. Lock traffic is counted process-wide and can be exposed as
-//! `/synchronization/*` counters on any registry.
+//! Synchronization primitives: the mutex of Table II's `hpx::mutex` row and
+//! the waiter-counted [`EventGate`] used by the runtime's hot paths.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use rpx_counters::CounterRegistry;
-
-// The instrumented `Mutex<T>` stays on the plain `parking_lot` shim (its
-// guard type is part of the public API); only the `EventGate` internals go
-// through the model facade, since the gate's flag/flag protocol is what
+// `Mutex` is the plain `parking_lot` shim; only the `EventGate` internals
+// go through the model facade, since the gate's flag/flag protocol is what
 // the model-checked specs exercise.
 use crate::prim;
 
-static LOCK_ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
-static LOCK_CONTENTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// A mutex that counts acquisitions and contended acquisitions.
-///
-/// Used by the co-dependent Inncabs benchmarks (Round: 2 mutexes/task,
-/// Intersim: multiple mutexes/task) so lock pressure is visible through
-/// the counter framework.
-pub struct Mutex<T> {
-    inner: parking_lot::Mutex<T>,
-}
-
-impl<T> Mutex<T> {
-    /// A new instrumented mutex.
-    pub fn new(value: T) -> Self {
-        Mutex {
-            inner: parking_lot::Mutex::new(value),
-        }
-    }
-
-    /// Acquire the lock, recording whether the fast path succeeded.
-    pub fn lock(&self) -> parking_lot::MutexGuard<'_, T> {
-        LOCK_ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = self.inner.try_lock() {
-            return g;
-        }
-        LOCK_CONTENTIONS.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock()
-    }
-
-    /// Try to acquire without blocking (counted as an acquisition only on
-    /// success).
-    pub fn try_lock(&self) -> Option<parking_lot::MutexGuard<'_, T>> {
-        let g = self.inner.try_lock();
-        if g.is_some() {
-            LOCK_ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        g
-    }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
-    }
-}
+/// The mutex co-dependent task bodies share (Inncabs Round: 2 mutexes per
+/// task, Intersim: several).
+pub use parking_lot::Mutex;
 
 /// A waiter-counted wakeup gate: `notify()` is a single atomic load when
 /// nobody is blocked, so producers that complete events nobody waits on
@@ -172,77 +118,11 @@ impl EventGate {
     }
 }
 
-/// Current process-wide (acquisitions, contended acquisitions).
-pub fn lock_stats() -> (u64, u64) {
-    (
-        LOCK_ACQUISITIONS.load(Ordering::Relaxed),
-        LOCK_CONTENTIONS.load(Ordering::Relaxed),
-    )
-}
-
-/// Register `/synchronization/locks/{acquisitions,contentions}` on a
-/// registry. The values are process-wide (all runtimes share them).
-pub fn register_sync_counters(registry: &Arc<CounterRegistry>) {
-    registry.register_monotonic(
-        "/synchronization/locks/acquisitions",
-        "instrumented mutex acquisitions (process-wide)",
-        "1",
-        Arc::new(|| LOCK_ACQUISITIONS.load(Ordering::Relaxed) as i64),
-    );
-    registry.register_monotonic(
-        "/synchronization/locks/contentions",
-        "instrumented mutex acquisitions that had to block (process-wide)",
-        "1",
-        Arc::new(|| LOCK_CONTENTIONS.load(Ordering::Relaxed) as i64),
-    );
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-
-    #[test]
-    fn lock_counts_acquisitions() {
-        let (a0, _) = lock_stats();
-        let m = Mutex::new(5);
-        {
-            let mut g = m.lock();
-            *g += 1;
-        }
-        assert_eq!(*m.lock(), 6);
-        let (a1, _) = lock_stats();
-        assert!(a1 >= a0 + 2);
-    }
-
-    #[test]
-    fn contention_counted_when_blocking() {
-        let (_, c0) = lock_stats();
-        let m = Arc::new(Mutex::new(0u64));
-        let m2 = m.clone();
-        let g = m.lock();
-        let t = std::thread::spawn(move || {
-            let mut g = m2.lock(); // must block
-            *g += 1;
-        });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        drop(g);
-        t.join().unwrap();
-        let (_, c1) = lock_stats();
-        assert!(c1 > c0, "blocking acquisition must count as contention");
-        assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
-    fn try_lock_fails_without_counting_contention() {
-        let m = Mutex::new(());
-        let g = m.lock();
-        let (_, c0) = lock_stats();
-        assert!(m.try_lock().is_none());
-        let (_, c1) = lock_stats();
-        assert_eq!(c0, c1);
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
 
     #[test]
     fn event_gate_wakes_blocked_waiter() {
@@ -275,19 +155,5 @@ mod tests {
         // fast path is exercised, and a later waiter still works.
         gate.notify();
         assert!(gate.wait_timeout(std::time::Duration::from_millis(1), || true));
-    }
-
-    #[test]
-    fn counters_visible_through_registry() {
-        let reg = CounterRegistry::new();
-        register_sync_counters(&reg);
-        reg.add_active("/synchronization/locks/acquisitions")
-            .unwrap();
-        reg.reset_active_counters();
-        let m = Mutex::new(());
-        drop(m.lock());
-        drop(m.lock());
-        let v = reg.evaluate_active_counters(false);
-        assert!(v.samples()[0].value >= 2.0);
     }
 }

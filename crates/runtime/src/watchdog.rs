@@ -5,8 +5,8 @@
 //! Every worker bumps its shard's [`heartbeat`](crate::stats::Shard)
 //! once per scheduling-loop iteration and once per work-helping iteration —
 //! and from nowhere inside task bodies. The tick samples the heartbeats
-//! every `watchdog_interval`: a heartbeat that stays static for longer than
-//! `stall_threshold` while the runtime has live or pending work means the
+//! every [`WATCHDOG_INTERVAL`]: a heartbeat that stays static for longer than
+//! [`STALL_THRESHOLD`] while the runtime has live or pending work means the
 //! worker is wedged inside a task (a stall). Each episode is counted once
 //! (the flag clears when the heartbeat moves again), and the watchdog wakes
 //! the sleeping workers so the stalled worker's queued tasks get stolen
@@ -32,16 +32,24 @@ use crate::runtime::{RuntimeConfig, RuntimeInner, RuntimeState};
 use crate::signals::{Detector, Sample};
 use crate::stats::Snapshot;
 
+/// How often the watchdog samples worker heartbeats.
+pub(crate) const WATCHDOG_INTERVAL: Duration = Duration::from_millis(20);
+/// How long a heartbeat may stay static (while work is live or pending)
+/// before the watchdog counts a stall episode.
+pub(crate) const STALL_THRESHOLD: Duration = Duration::from_millis(500);
 /// Token-bucket refill window for the restart budget; also the calm
 /// period after which the consecutive-crash backoff resets.
 const RESTART_WINDOW: Duration = Duration::from_secs(10);
 /// Backoff before the first respawn of a crash streak; doubles per
-/// consecutive crash up to `RuntimeConfig::restart_backoff_max`.
+/// consecutive crash up to [`RESTART_BACKOFF_MAX`].
 const RESTART_BACKOFF: Duration = Duration::from_millis(1);
+/// Ceiling of the restart backoff; also the backoff of a sole surviving
+/// worker that keeps crashing past its budget.
+pub(crate) const RESTART_BACKOFF_MAX: Duration = Duration::from_millis(100);
 
-/// Token-bucket restart budget + exponential backoff parameters (the two
-/// constants above plus the two [`RuntimeConfig`] knobs; one copy per
-/// worker supervisor).
+/// Token-bucket restart budget + exponential backoff parameters (the
+/// constants above plus the [`RuntimeConfig::restart_budget`] knob; one
+/// copy per worker supervisor).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RestartPolicy {
     /// Maximum respawns per `window` (bucket capacity and refill amount).
@@ -61,7 +69,7 @@ impl RestartPolicy {
             budget: config.restart_budget.max(1),
             window: RESTART_WINDOW,
             backoff: RESTART_BACKOFF,
-            backoff_max: config.restart_backoff_max.max(RESTART_BACKOFF),
+            backoff_max: RESTART_BACKOFF_MAX,
         }
     }
 }
@@ -139,11 +147,11 @@ struct Watch {
 }
 
 /// Start the watchdog for `inner`: first tick one interval in, then every
-/// `watchdog_interval` until the returned loop is stopped or dropped.
+/// [`WATCHDOG_INTERVAL`] until the returned loop is stopped or dropped.
 pub(crate) fn spawn(inner: &Arc<RuntimeInner>) -> TickLoop {
     let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
-    let interval = inner.config.watchdog_interval;
-    let threshold_ns = inner.config.stall_threshold.as_nanos() as u64;
+    let interval = WATCHDOG_INTERVAL;
+    let threshold_ns = STALL_THRESHOLD.as_nanos() as u64;
     // The registry clock's TSC drift cross-check rides the watchdog tick
     // (the Clock holds no back-reference, so this keeps nothing alive).
     let clock = inner.registry.clock();

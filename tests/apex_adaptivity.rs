@@ -111,7 +111,6 @@ fn policy_widens_admission_when_the_overload_detector_trips() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         max_pending: Some(8),
-        watchdog_interval: Duration::from_millis(10),
         ..RuntimeConfig::with_workers(2)
     });
     let reg = rt.registry();
@@ -219,7 +218,6 @@ fn policy_reacts_to_anomaly_events() {
             steal_storm_ticks: 6,
             ..FaultPlan::default()
         }),
-        watchdog_interval: Duration::from_millis(10),
         ..RuntimeConfig::with_workers(2)
     });
     let reg = rt.registry();

@@ -126,28 +126,3 @@ fn tracer_profile_accounts_for_all_workers_used() {
     assert_eq!(tasks, TASKS as u64);
     rt.shutdown();
 }
-
-#[test]
-fn sync_counters_visible_through_runtime_registry() {
-    let rt = Runtime::new(RuntimeConfig::with_workers(2));
-    let reg = rt.registry();
-    rpx::runtime::sync::register_sync_counters(&reg);
-    let m = std::sync::Arc::new(rpx::runtime::sync::Mutex::new(0u64));
-    let futures: Vec<_> = (0..100)
-        .map(|_| {
-            let m = m.clone();
-            rt.spawn(move || {
-                *m.lock() += 1;
-            })
-        })
-        .collect();
-    for f in futures {
-        f.get();
-    }
-    assert_eq!(*m.lock(), 100);
-    let acq = reg
-        .evaluate("/synchronization/locks/acquisitions", false)
-        .unwrap();
-    assert!(acq.value >= 100);
-    rt.shutdown();
-}

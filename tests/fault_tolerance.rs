@@ -183,24 +183,54 @@ fn watchdog_counts_each_injected_stall_exactly_once() {
         workers: 2,
         faults: Some(FaultPlan {
             stall_ppm: 1_000_000,
-            stall: Duration::from_millis(300),
             max_per_category: 4,
             ..FaultPlan::default()
         }),
-        watchdog_interval: Duration::from_millis(15),
-        stall_threshold: Duration::from_millis(60),
         ..RuntimeConfig::with_workers(2)
     });
     let injector = rt.fault_injector().unwrap();
     let reg = rt.registry();
 
     // One task at a time: each of the first 4 dispatches stalls its worker
-    // for 300ms (≫ threshold + watchdog interval), then the cap disarms
-    // the fault and the rest run clean.
+    // past the watchdog's threshold, then the cap disarms the fault and the
+    // rest run clean.
     for i in 0..12u64 {
         assert_eq!(rt.spawn(move || i * 2).get(), i * 2);
     }
     assert_eq!(injector.stalls(), 4, "cap bounds the injected stalls");
+    assert!(
+        wait_until(
+            || health_total(&reg, "stalls") as u64 == injector.stalls(),
+            Duration::from_secs(5),
+        ),
+        "stall episodes {} never matched injected stalls {}",
+        health_total(&reg, "stalls"),
+        injector.stalls()
+    );
+    rt.shutdown();
+}
+
+/// An injected stall on a runtime with the default watchdog timing — the
+/// case a plan from `RPX_FAULT_STALL_PPM` alone is in — lasts long enough
+/// for the watchdog to count it, and it is counted once.
+#[test]
+fn a_default_injected_stall_is_counted_once() {
+    install_quiet_hook();
+    let rt = Runtime::new(RuntimeConfig {
+        faults: Some(FaultPlan {
+            stall_ppm: 1_000_000,
+            max_per_category: 1,
+            ..FaultPlan::default()
+        }),
+        ..RuntimeConfig::with_workers(1)
+    });
+    let injector = rt.fault_injector().unwrap();
+    let reg = rt.registry();
+
+    for i in 0..4u64 {
+        assert_eq!(rt.spawn(move || i + 1).get(), i + 1);
+    }
+    assert_eq!(injector.stalls(), 1, "the cap bounds the injected stalls");
     assert!(
         wait_until(
             || health_total(&reg, "stalls") as u64 == injector.stalls(),
@@ -281,7 +311,8 @@ fn deadline_cancels_task_not_dispatched_in_time() {
     // Keep the only worker busy past the deadline.
     let blocker = rt.spawn(|| std::thread::sleep(Duration::from_millis(150)));
     let started = Instant::now();
-    let (fut, token) = rt.spawn_with_deadline(Duration::from_millis(30), || 1);
+    let token = CancelToken::with_deadline(Duration::from_millis(30));
+    let fut = rt.spawn_cancellable(&token, || 1);
     assert!(token.deadline().is_some());
 
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || fut.get()))
@@ -608,7 +639,6 @@ fn restart_storm_trips_breaker_shrinks_parallelism_loses_no_task() {
         // The 10 s refill window returns < 0.01 token over the storm and
         // never resets the streak within the test.
         restart_budget: 3,
-        restart_backoff_max: Duration::from_millis(4),
         ..RuntimeConfig::with_workers(2)
     });
     let injector = rt.fault_injector().unwrap();
@@ -918,7 +948,6 @@ fn injected_steal_storm_raises_exactly_one_anomaly_event() {
             steal_storm_ticks: 6,
             ..FaultPlan::default()
         }),
-        watchdog_interval: Duration::from_millis(10),
         ..RuntimeConfig::with_workers(2)
     });
     let reg = rt.registry();
@@ -944,7 +973,7 @@ fn injected_steal_storm_raises_exactly_one_anomaly_event() {
         "steal-storm episode never detected: {}",
         anomaly_total("steal-storms")
     );
-    // Outlast the storm (6 ticks × 10ms, plus slack): the count must hold
+    // Outlast the storm (6 ticks × 20ms, plus slack): the count must hold
     // at exactly one — neither re-armed mid-storm nor after it cleared.
     std::thread::sleep(Duration::from_millis(200));
     assert_eq!(anomaly_total("steal-storms"), 1, "exactly one episode");
