@@ -96,11 +96,6 @@ impl CounterCliOptions {
         }
         Ok((opts, rest))
     }
-
-    /// Whether any counter output was requested.
-    pub fn wants_output(&self) -> bool {
-        !self.print_counters.is_empty() || self.list_counters || self.list_counter_infos
-    }
 }
 
 /// Render the list of discoverable counter names (one per line).
@@ -251,7 +246,6 @@ mod tests {
             CounterCliOptions::parse(["--rpx:list-counters", "--rpx:list-counter-infos"]).unwrap();
         assert!(opts.list_counters);
         assert!(opts.list_counter_infos);
-        assert!(opts.wants_output());
     }
 
     #[test]

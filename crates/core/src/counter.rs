@@ -12,21 +12,6 @@ use std::time::Instant;
 use crate::prim::{mutation_armed, Mutex};
 use crate::value::{CounterInfo, CounterKind, CounterValue};
 
-/// Times any [`CumulativeCounter`] observed its pair source (an average's
-/// `(sum, count)` or a share's `(part, whole)`) *below* the stored base —
-/// impossible while sources are non-decreasing and rebasing is serialized,
-/// so any nonzero value means a broken source (or a regression in the
-/// rebase protocol). Process-global because counters are constructed per
-/// registry instance; exposed as the
-/// `/counters/health/average-underflows` counter and via
-/// [`average_underflows`].
-static AVERAGE_UNDERFLOWS: AtomicU64 = AtomicU64::new(0);
-
-/// Total average-counter underflow observations in this process.
-pub fn average_underflows() -> u64 {
-    AVERAGE_UNDERFLOWS.load(Ordering::Relaxed)
-}
-
 /// Outcome of one [`Clock::check_drift`] cross-check against `Instant`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClockDrift {
@@ -566,18 +551,32 @@ pub enum Cumulative {
 /// An elapsed-time source is the stamp its reader hands in, and
 /// concurrent readers can hand stamps out of order: a stamp below the base
 /// reads 0 and leaves the base where it is.
+///
+/// Built through [`CounterRegistry::cumulative`](crate::registry::CounterRegistry::cumulative).
 pub struct CumulativeCounter {
     info: CounterInfo,
     source: Cumulative,
     /// The running total at the last reset (the second word is 0 for a
     /// single-valued source).
     base: Mutex<(u64, u64)>,
+    /// Times a pair source (an average's `(sum, count)` or a share's
+    /// `(part, whole)`) read *below* the base — impossible while sources
+    /// are non-decreasing and rebasing is serialized, so any nonzero value
+    /// means a broken source (or a regression in the rebase protocol).
+    /// Shared by every counter of one registry, which reads it as
+    /// `/counters/health/average-underflows`.
+    underflows: Arc<AtomicU64>,
 }
 
 impl CumulativeCounter {
-    /// Build from metadata and a source; an elapsed-time counter starts
-    /// counting now.
-    pub fn new(info: CounterInfo, clock: Arc<Clock>, source: Cumulative) -> Self {
+    /// Build from metadata, a source and the tally its underflows go to;
+    /// an elapsed-time counter starts counting now.
+    pub(crate) fn new(
+        info: CounterInfo,
+        clock: Arc<Clock>,
+        source: Cumulative,
+        underflows: Arc<AtomicU64>,
+    ) -> Self {
         let start = match source {
             Cumulative::Elapsed => clock.now_ns(),
             _ => 0,
@@ -586,6 +585,7 @@ impl CumulativeCounter {
             info,
             source,
             base: Mutex::new((start, 0)),
+            underflows,
         }
     }
 
@@ -608,7 +608,7 @@ impl CumulativeCounter {
             // A non-decreasing pair read under the lock that stored the
             // base cannot go backwards; don't let saturating_sub silently
             // mask a broken source.
-            AVERAGE_UNDERFLOWS.fetch_add(1, Ordering::Relaxed);
+            self.underflows.fetch_add(1, Ordering::Relaxed);
         }
         let delta = (
             total.0.saturating_sub(base.0),
@@ -741,6 +741,7 @@ mod tests {
             test_info("/t/mono"),
             clock(),
             Cumulative::Monotonic(Arc::new(move || s2.load(Ordering::Relaxed))),
+            Arc::default(),
         );
         src.store(10, Ordering::Relaxed);
         assert_eq!(read(&c, true).value, 10); // read + reset
@@ -761,6 +762,7 @@ mod tests {
             Cumulative::Average(Arc::new(move || {
                 (s2.load(Ordering::Relaxed), c2.load(Ordering::Relaxed))
             })),
+            Arc::default(),
         );
         sum.store(100, Ordering::Relaxed);
         count.store(4, Ordering::Relaxed);
@@ -787,14 +789,15 @@ mod tests {
         let sum = Arc::new(AtomicU64::new(0));
         let count = Arc::new(AtomicU64::new(0));
         let (s2, c2) = (sum.clone(), count.clone());
+        let underflows = Arc::new(AtomicU64::new(0));
         let counter = Arc::new(CumulativeCounter::new(
             test_info("/t/avg"),
             clock(),
             Cumulative::Average(Arc::new(move || {
                 (s2.load(Ordering::Relaxed), c2.load(Ordering::Relaxed))
             })),
+            underflows.clone(),
         ));
-        let underflows_before = average_underflows();
 
         const INCREMENTS: u64 = 100_000;
         let writer = {
@@ -829,12 +832,9 @@ mod tests {
             INCREMENTS,
             "reset-read deltas must partition the source exactly"
         );
-        // The underflow checks live in this same test because the detector
-        // is process-global: a sibling test tripping it on purpose would
-        // race these assertions.
         assert_eq!(
-            average_underflows(),
-            underflows_before,
+            underflows.load(Ordering::Relaxed),
+            0,
             "a monotonic source must never trip the underflow detector"
         );
         // A *broken* (decreasing) source must be surfaced in the health
@@ -845,16 +845,13 @@ mod tests {
             test_info("/t/avg-broken"),
             clock(),
             Cumulative::Average(Arc::new(move || (s2.load(Ordering::Relaxed), 1))),
+            underflows.clone(),
         );
         let _ = read(&broken, true); // baseline (100, 1)
         src.store(40, Ordering::Relaxed); // source goes backwards
         let v = read(&broken, false);
         assert_eq!(v.count, 0, "clamped, not wrapped");
-        assert_eq!(
-            average_underflows(),
-            underflows_before + 1,
-            "underflow recorded"
-        );
+        assert_eq!(underflows.load(Ordering::Relaxed), 1, "underflow recorded");
     }
 
     #[test]
@@ -863,6 +860,7 @@ mod tests {
             test_info("/t/avg"),
             clock(),
             Cumulative::Average(Arc::new(|| (0, 0))),
+            Arc::default(),
         );
         let v = read(&c, false);
         assert_eq!(v.status, crate::value::CounterStatus::NewData);
@@ -871,7 +869,12 @@ mod tests {
 
     #[test]
     fn elapsed_time_counter_grows_and_resets() {
-        let c = CumulativeCounter::new(test_info("/t/up"), clock(), Cumulative::Elapsed);
+        let c = CumulativeCounter::new(
+            test_info("/t/up"),
+            clock(),
+            Cumulative::Elapsed,
+            Arc::default(),
+        );
         std::thread::sleep(std::time::Duration::from_millis(2));
         let v1 = read(&c, false).value;
         assert!(v1 >= 1_000_000, "expected >=1ms elapsed, got {v1}ns");
@@ -949,6 +952,7 @@ mod tests {
             test_info("/t/up"),
             clock.clone(),
             Cumulative::Elapsed,
+            Arc::default(),
         ));
         let readings = reset_read_concurrently(&counter, 1_000_000);
         assert!(readings.iter().all(|v| *v >= 0), "negative elapsed time");

@@ -301,6 +301,7 @@ fn cumulative_reset_reads_vs_writer() {
         CounterInfo::new("/t/grow", CounterKind::MonotonicallyIncreasing, "h", "1"),
         clock,
         Cumulative::Monotonic(Arc::new(move || s.load(Ordering::Relaxed) as i64)),
+        Arc::default(),
     ));
     let writer = thread::spawn(move || {
         for _ in 0..2 {

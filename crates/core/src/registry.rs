@@ -63,7 +63,7 @@ pub struct CounterRegistry {
     /// The active set: a private engine whose query holds the stored
     /// specs and exclusions (and this registry weakly — no cycle).
     active: ScrapeEngine,
-    /// Topology generation: bumped on type (un)registration and by the
+    /// Topology generation: bumped on type registration and by the
     /// runtime on worker respawn; a resolved query whose stamp lags this
     /// value is re-expanded on its next refresh.
     generation: AtomicU64,
@@ -73,6 +73,9 @@ pub struct CounterRegistry {
     /// Self-measurement: number of batches evaluated
     /// (`/counters/overhead/count`).
     pub(crate) overhead_batches: AtomicU64,
+    /// Pair-source underflows seen by the cumulative counters this
+    /// registry built (`/counters/health/average-underflows`).
+    underflows: Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl CounterRegistry {
@@ -89,6 +92,7 @@ impl CounterRegistry {
             generation: AtomicU64::new(1),
             overhead_time_ns: AtomicU64::new(0),
             overhead_batches: AtomicU64::new(0),
+            underflows: Arc::default(),
         });
         crate::derived::register_arithmetics(&reg);
         crate::histogram::register_histogram(&reg);
@@ -100,6 +104,13 @@ impl CounterRegistry {
     /// The registry's monotonic clock (shared with its counters).
     pub fn clock(&self) -> Arc<Clock> {
         self.clock.clone()
+    }
+
+    /// A cumulative counter over `source`, started at this registry's
+    /// clock, whose underflows count in this registry's
+    /// `/counters/health/average-underflows`.
+    pub fn cumulative(&self, info: CounterInfo, source: Cumulative) -> CumulativeCounter {
+        CumulativeCounter::new(info, self.clock(), source, self.underflows.clone())
     }
 
     // ------------------------------------------------------------------
@@ -130,14 +141,6 @@ impl CounterRegistry {
         self.bump_generation();
     }
 
-    /// Remove a counter type and all cached instances of it. Bumps the
-    /// topology [generation](Self::generation).
-    pub fn unregister_type(&self, type_path: &str) {
-        self.types.write().remove(type_path);
-        self.evict_instances(type_path);
-        self.bump_generation();
-    }
-
     fn evict_instances(&self, type_path: &str) {
         self.instances.write().retain(|name, _| {
             name.parse::<CounterName>()
@@ -155,7 +158,7 @@ impl CounterRegistry {
 
     /// Advance the topology generation, invalidating every resolved
     /// query (the active set included). Called internally on type
-    /// (un)registration; the runtime calls it when the instance population
+    /// registration; the runtime calls it when the instance population
     /// behind a discoverer changes (e.g. a worker was respawned by the
     /// watchdog supervisor) so running samplers re-expand `worker-thread#*`
     /// wildcards.
@@ -166,11 +169,6 @@ impl CounterRegistry {
     /// Metadata of every registered counter type, sorted by type path.
     pub fn counter_types(&self) -> Vec<CounterInfo> {
         self.types.read().values().map(|e| e.info.clone()).collect()
-    }
-
-    /// Metadata for one type path, if registered.
-    pub fn type_info(&self, type_path: &str) -> Option<CounterInfo> {
-        self.types.read().get(type_path).map(|e| e.info.clone())
     }
 
     /// Enumerate the concrete instances a type advertises via its
@@ -311,11 +309,6 @@ impl CounterRegistry {
         Ok(read_counter(&*counter, reset, self.clock.now_ns()))
     }
 
-    /// Number of live (cached) counter instances.
-    pub fn instance_count(&self) -> usize {
-        self.instances.read().len()
-    }
-
     // ------------------------------------------------------------------
     // Active set (the paper's measurement protocol)
     // ------------------------------------------------------------------
@@ -378,22 +371,21 @@ impl CounterRegistry {
     // Convenience registration helpers for simple single-instance types
     // ------------------------------------------------------------------
 
-    /// Register a type whose every instance is `make(info, clock)`, `info`
-    /// being the type's with the instance's canonical name filled in.
+    /// Register a type whose every instance is `make(info, registry)`,
+    /// `info` being the type's with the instance's canonical name filled in.
     fn register_made(
         self: &Arc<Self>,
         info: CounterInfo,
         discoverer: Option<CounterDiscoverer>,
-        make: impl Fn(CounterInfo, Arc<Clock>) -> Arc<dyn Counter> + Send + Sync + 'static,
+        make: impl Fn(CounterInfo, &CounterRegistry) -> Arc<dyn Counter> + Send + Sync + 'static,
     ) {
-        let clock = self.clock();
         let template = info.clone();
         self.register_type(
             info,
-            Arc::new(move |name, _reg| {
+            Arc::new(move |name, reg| {
                 let mut info = template.clone();
                 info.name = name.canonical();
-                Ok(make(info, clock.clone()))
+                Ok(make(info, reg))
             }),
             discoverer,
         );
@@ -406,7 +398,7 @@ impl CounterRegistry {
         self.register_made(
             info,
             single_instance_discoverer(type_path),
-            move |i, clock| Arc::new(RawCounter::new(i, clock, read.clone())),
+            move |i, reg| Arc::new(RawCounter::new(i, reg.clock(), read.clone())),
         );
     }
 
@@ -423,7 +415,7 @@ impl CounterRegistry {
         self.register_made(
             info,
             single_instance_discoverer(type_path),
-            move |i, clock| Arc::new(CumulativeCounter::new(i, clock, source.clone())),
+            move |i, reg| Arc::new(reg.cumulative(i, source.clone())),
         );
     }
 
@@ -440,7 +432,7 @@ impl CounterRegistry {
         self.register_made(
             info,
             single_instance_discoverer(type_path),
-            move |i, clock| Arc::new(CumulativeCounter::new(i, clock, source.clone())),
+            move |i, reg| Arc::new(reg.cumulative(i, source.clone())),
         );
     }
 
@@ -504,7 +496,7 @@ fn register_overhead_counters(reg: &Arc<CounterRegistry>) {
             "times an average counter's (sum, count) source went backwards \
              past its baseline (nonzero means a broken source)",
             "1",
-            |_| crate::counter::average_underflows() as i64,
+            |r| r.underflows.load(Ordering::Relaxed) as i64,
         ),
         (
             "/counters/clock/recalibrations",
@@ -524,8 +516,8 @@ fn register_overhead_counters(reg: &Arc<CounterRegistry>) {
         };
         let advertised = advertised.with_instance(CounterInstance::total(0));
         let discoverer: CounterDiscoverer = Arc::new(move |f| f(advertised.clone()));
-        reg.register_made(info, Some(discoverer), move |i, clock| {
-            Arc::new(CumulativeCounter::new(i, clock, source.clone()))
+        reg.register_made(info, Some(discoverer), move |i, reg| {
+            Arc::new(reg.cumulative(i, source.clone()))
         });
     }
     // Signed gauge: the last TSC−Instant error a completed drift check
@@ -615,7 +607,11 @@ mod tests {
         let a = reg.get_counter(&n).unwrap();
         let b = reg.get_counter(&n).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(reg.instance_count(), 1);
+        // Re-registration evicts the instances the old factory made.
+        reg.register_raw("/test/value", "h", "1", Arc::new(|| 2));
+        let c = reg.get_counter(&n).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(reg.evaluate("/test/value", false).unwrap().value, 2);
     }
 
     #[test]
@@ -858,24 +854,47 @@ mod tests {
     }
 
     #[test]
-    fn unregister_removes_type_and_instances() {
-        let reg = CounterRegistry::new();
-        reg.register_raw("/test/value", "h", "1", Arc::new(|| 1));
-        let _ = reg.evaluate("/test/value", false).unwrap();
-        assert_eq!(reg.instance_count(), 1);
-        reg.unregister_type("/test/value");
-        assert!(reg.evaluate("/test/value", false).is_err());
-        assert_eq!(reg.instance_count(), 0);
-    }
-
-    #[test]
     fn type_info_round_trip() {
         let reg = CounterRegistry::new();
         reg.register_raw("/test/value", "the help", "µs", Arc::new(|| 1));
-        let info = reg.type_info("/test/value").unwrap();
+        let types = reg.counter_types();
+        let info = types.iter().find(|t| t.name == "/test/value").unwrap();
         assert_eq!(info.help, "the help");
         assert_eq!(info.unit, "µs");
-        assert!(reg.type_info("/nope/x").is_none());
+        assert!(!types.iter().any(|t| t.name == "/nope/x"));
+    }
+
+    /// Each registry counts the underflows of the counters it built: a
+    /// pair source going backwards in one leaves another's tally at 0.
+    #[test]
+    fn average_underflows_count_per_registry() {
+        let (broken, healthy) = (CounterRegistry::new(), CounterRegistry::new());
+        let sum = Arc::new(std::sync::atomic::AtomicU64::new(100));
+        let s2 = sum.clone();
+        broken.register_average(
+            "/test/avg",
+            "h",
+            "1",
+            Arc::new(move || (s2.load(Ordering::Relaxed), 1)),
+        );
+        healthy.register_average("/test/avg", "h", "1", Arc::new(|| (100, 1)));
+        for reg in [&broken, &healthy] {
+            reg.evaluate("/test/avg", true).unwrap(); // base (100, 1)
+        }
+        sum.store(40, Ordering::Relaxed); // the source goes backwards
+        for reg in [&broken, &healthy] {
+            reg.evaluate("/test/avg", false).unwrap();
+        }
+        let underflows = |reg: &Arc<CounterRegistry>| {
+            reg.evaluate(
+                "/counters{locality#0/total}/health/average-underflows",
+                false,
+            )
+            .unwrap()
+            .value
+        };
+        assert_eq!(underflows(&broken), 1);
+        assert_eq!(underflows(&healthy), 0, "another registry's underflow");
     }
 
     /// Register a worker-style type whose discoverer advertises however

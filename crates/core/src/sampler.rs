@@ -41,9 +41,8 @@ pub trait SampleSink: Send {
     /// Called when sampling stops.
     fn finish(&mut self) {}
     /// Cumulative number of records this sink failed to deliver (write
-    /// errors, capacity evictions, …). Sinks that can lose data MUST
-    /// count every loss here — silent drops corrupt downstream rate
-    /// computations invisibly. Mirrored into
+    /// errors, …). Sinks that can lose data MUST count every loss here —
+    /// silent drops corrupt downstream rate computations invisibly. Mirrored into
     /// [`SamplerHealth::sink_dropped`] and the
     /// `/counters/sampler/dropped` counter by the sampling loop.
     fn dropped(&self) -> u64 {
@@ -186,34 +185,16 @@ impl<W: Write + Send> SampleSink for JsonSink<W> {
     }
 }
 
-/// Sink collecting batches in memory (for tests and harnesses).
-///
-/// [`bounded`](Self::bounded) turns it into a fixed-capacity ring: the
-/// newest batches are kept, each evicted oldest batch counts as exactly
-/// one drop — the ring-buffer drop-accounting rule the tracer ring
-/// follows too.
+/// Sink collecting every batch in memory (for tests and harnesses).
 #[derive(Default)]
 pub struct MemorySink {
     batches: Arc<Mutex<Vec<Batch>>>,
-    /// `Some(cap)` bounds the buffer to the `cap` most recent batches.
-    capacity: Option<usize>,
-    dropped: u64,
 }
 
 impl MemorySink {
-    /// An empty in-memory sink with unbounded capacity.
+    /// An empty in-memory sink.
     pub fn new() -> Self {
         MemorySink::default()
-    }
-
-    /// An empty in-memory sink keeping only the `capacity` most recent
-    /// batches; evictions are counted exactly in
-    /// [`dropped`](SampleSink::dropped).
-    pub fn bounded(capacity: usize) -> Self {
-        MemorySink {
-            capacity: Some(capacity.max(1)),
-            ..MemorySink::default()
-        }
     }
 
     /// Shared handle to the collected batches.
@@ -224,18 +205,7 @@ impl MemorySink {
 
 impl SampleSink for MemorySink {
     fn record(&mut self, batch: &Batch) {
-        let mut batches = self.batches.lock();
-        if let Some(cap) = self.capacity {
-            while batches.len() >= cap {
-                batches.remove(0);
-                self.dropped += 1;
-            }
-        }
-        batches.push(batch.clone());
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped
+        self.batches.lock().push(batch.clone());
     }
 }
 
@@ -282,8 +252,8 @@ impl SamplerHealth {
         self.reads.backoffs.load(Ordering::Relaxed)
     }
 
-    /// Records the sink failed to deliver so far (write errors, capacity
-    /// evictions); also exported as `/counters/sampler/dropped`.
+    /// Records the sink failed to deliver so far (write errors); also
+    /// exported as `/counters/sampler/dropped`.
     pub fn sink_dropped(&self) -> u64 {
         self.sink_dropped.load(Ordering::Relaxed)
     }
@@ -502,7 +472,7 @@ impl Sampler {
         let h = health.clone();
         registry.register_monotonic(
             "/counters/sampler/dropped",
-            "records the sampler sink failed to deliver (write errors, capacity evictions)",
+            "records the sampler sink failed to deliver (write errors)",
             "1",
             Arc::new(move || h.sink_dropped() as i64),
         );
@@ -1029,20 +999,6 @@ mod tests {
         scripted_batch(sequence, sequence, &[("/a/b", Some(sequence as f64))])
     }
 
-    #[test]
-    fn bounded_memory_sink_counts_every_eviction_exactly() {
-        let mut sink = MemorySink::bounded(4);
-        let batches = sink.batches();
-        for s in 0..10 {
-            sink.record(&batch(s));
-        }
-        // Forced wrap: 10 records into capacity 4 evicts exactly 6, and
-        // the survivors are the 4 most recent.
-        assert_eq!(sink.dropped(), 6);
-        let kept: Vec<u64> = batches.lock().iter().map(|b| b.sequence).collect();
-        assert_eq!(kept, vec![6, 7, 8, 9]);
-    }
-
     /// Writer that starts failing after `ok_rows` newline-terminated
     /// writes, like a pipe whose reader went away mid-run.
     struct FailingWriter {
@@ -1087,18 +1043,14 @@ mod tests {
     fn sampler_exports_sink_drop_counter() {
         let reg = CounterRegistry::new();
         reg.register_raw("/test/v", "h", "1", Arc::new(|| 1));
-        let sink = MemorySink::bounded(2);
-        let batches = sink.batches();
+        // Every row written to a dead writer is one drop.
+        let sink = CsvSink::new(FailingWriter { ok_writes: 0 });
         let sampler = Sampler::start(
             &reg,
             SamplerConfig::new(vec!["/test/v".into()], Duration::from_millis(1)),
             Box::new(sink),
         )
         .unwrap();
-        // Run long enough to wrap the 2-slot ring several times.
-        while batches.lock().len() < 2 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
         for _ in 0..200 {
             if sampler.health().sink_dropped() >= 3 {
                 break;
@@ -1108,7 +1060,7 @@ mod tests {
         let health = sampler.health();
         sampler.stop();
         let mirrored = health.sink_dropped();
-        assert!(mirrored >= 3, "ring wrap must surface as sink drops");
+        assert!(mirrored >= 3, "failed rows must surface as sink drops");
         let exported = reg.evaluate("/counters/sampler/dropped", false).unwrap();
         assert_eq!(exported.value as u64, mirrored);
     }

@@ -93,7 +93,6 @@ pub struct SampleWindow {
     samples: Vec<f64>,
     capacity: usize,
     next: usize,
-    filled: bool,
 }
 
 impl SampleWindow {
@@ -104,7 +103,6 @@ impl SampleWindow {
             samples: Vec::with_capacity(capacity),
             capacity,
             next: 0,
-            filled: false,
         }
     }
 
@@ -112,9 +110,6 @@ impl SampleWindow {
     pub fn push(&mut self, x: f64) {
         if self.samples.len() < self.capacity {
             self.samples.push(x);
-            if self.samples.len() == self.capacity {
-                self.filled = true;
-            }
         } else {
             self.samples[self.next] = x;
             self.next = (self.next + 1) % self.capacity;
@@ -129,11 +124,6 @@ impl SampleWindow {
     /// Whether the window holds no samples.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Whether the window has reached capacity at least once.
-    pub fn is_full(&self) -> bool {
-        self.filled
     }
 
     /// Mean over the window (0 when empty).
@@ -194,7 +184,6 @@ impl SampleWindow {
     pub fn reset(&mut self) {
         self.samples.clear();
         self.next = 0;
-        self.filled = false;
     }
 }
 
@@ -259,7 +248,6 @@ mod tests {
         }
         // window now holds {4, 2, 3}
         assert_eq!(w.len(), 3);
-        assert!(w.is_full());
         assert!((w.mean() - 3.0).abs() < 1e-12);
         assert_eq!(w.min(), 2.0);
         assert_eq!(w.max(), 4.0);
@@ -307,9 +295,7 @@ mod tests {
         let mut w = SampleWindow::new(2);
         w.push(1.0);
         w.push(2.0);
-        assert!(w.is_full());
         w.reset();
         assert!(w.is_empty());
-        assert!(!w.is_full());
     }
 }

@@ -198,11 +198,6 @@ impl AdmissionControl {
         self.gate.pending() as usize
     }
 
-    /// Lifetime high-water mark of `pending`.
-    pub fn peak_pending(&self) -> usize {
-        self.gate.peak() as usize
-    }
-
     /// Whether the gate is currently refusing admission.
     pub fn is_closed(&self) -> bool {
         self.gate.is_closed()

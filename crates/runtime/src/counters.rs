@@ -20,7 +20,7 @@
 
 use std::sync::{Arc, Weak};
 
-use rpx_counters::counter::{Counter, Cumulative, CumulativeCounter, RawCounter};
+use rpx_counters::counter::{Counter, Cumulative, RawCounter};
 use rpx_counters::name::{CounterInstance, CounterName, InstanceIndex};
 use rpx_counters::value::{CounterInfo, CounterKind};
 use rpx_counters::CounterError;
@@ -415,26 +415,27 @@ pub(crate) fn register_runtime_counters(inner: &Arc<RuntimeInner>) {
     let (workers, locality) = (inner.config.workers, inner.config.locality);
     for decl in COUNTERS {
         let weak: Weak<RuntimeInner> = Arc::downgrade(inner);
-        let clock = inner.registry.clock();
         let base: CounterName = decl.path.parse().expect("declared type paths parse");
         let instances = if decl.per_worker() { workers as u32 } else { 0 };
         inner.registry.register_type(
             CounterInfo::new(decl.path, decl.kind(), decl.help, decl.unit),
-            Arc::new(move |name, _registry| {
+            Arc::new(move |name, registry| {
                 let worker = decl.select(name, workers)?;
                 let info = CounterInfo::new(name.canonical(), decl.kind(), decl.help, decl.unit);
-                let (clock, weak, weak2) = (clock.clone(), weak.clone(), weak.clone());
+                let (weak, weak2) = (weak.clone(), weak.clone());
                 let value = Arc::new(move || weak.upgrade().map_or(0, |i| decl.value(&i, worker)));
                 let pair =
                     Arc::new(move || weak2.upgrade().map_or((0, 0), |i| decl.pair(&i, worker)));
                 let source = match decl.source {
-                    Gauge(_) => return Ok(Arc::new(RawCounter::new(info, clock, value))),
+                    Gauge(_) => {
+                        return Ok(Arc::new(RawCounter::new(info, registry.clock(), value)))
+                    }
                     Mean(_) => Cumulative::Average(pair),
                     Share(_) => Cumulative::Share(pair),
                     Uptime => Cumulative::Elapsed,
                     Sum(_) | SlabSum(_) | Count(_) => Cumulative::Monotonic(value),
                 };
-                Ok(Arc::new(CumulativeCounter::new(info, clock, source)) as Arc<dyn Counter>)
+                Ok(Arc::new(registry.cumulative(info, source)) as Arc<dyn Counter>)
             }),
             Some(Arc::new(move |found: &mut dyn FnMut(CounterName)| {
                 if matches!(decl.source, Uptime) {

@@ -19,9 +19,6 @@
 //!   for the watchdog's stall threshold plus four of its intervals
 //!   (580 ms), freezing its heartbeat; the watchdog records the episode in
 //!   `/runtime/health/stalls`.
-//! - **counter-read failure** — a counter registered through
-//!   [`register_flaky_counter`] panics on evaluation; the sampler must
-//!   recover and keep sampling the remaining counters.
 //!
 //! Plans come from the builder API (`faults` on
 //! [`RuntimeConfig`](crate::RuntimeConfig)) or from `RPX_FAULT_*` environment variables
@@ -30,8 +27,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use rpx_counters::CounterRegistry;
 
 use crate::watchdog::{STALL_THRESHOLD, WATCHDOG_INTERVAL};
 
@@ -62,9 +57,9 @@ impl std::fmt::Display for InjectedFault {
 }
 
 /// What to inject and how often. Rates are per-million per opportunity
-/// (one opportunity = one task dispatch, task completion, or counter
-/// read); `max_per_category` bounds every category so chaos runs stay
-/// finite and assertable.
+/// (one opportunity = one task dispatch or task completion);
+/// `max_per_category` bounds every category so chaos runs stay finite and
+/// assertable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed of the deterministic draw stream.
@@ -76,8 +71,6 @@ pub struct FaultPlan {
     /// Probability (ppm) a worker stalls, for long enough that the
     /// watchdog counts it, before running a found task.
     pub stall_ppm: u32,
-    /// Probability (ppm) a flaky counter read fails.
-    pub counter_fail_ppm: u32,
     /// Inject a synthetic steal storm for this many initial watchdog
     /// ticks: the watchdog adds a large fake steal count to the anomaly
     /// detector's signals each of those ticks, which must open exactly one
@@ -115,7 +108,6 @@ impl Default for FaultPlan {
             task_panic_ppm: 0,
             worker_kill_ppm: 0,
             stall_ppm: 0,
-            counter_fail_ppm: 0,
             steal_storm_ticks: 0,
             max_per_category: u64::MAX,
         }
@@ -124,12 +116,11 @@ impl Default for FaultPlan {
 
 /// The complete set of recognized `RPX_FAULT_*` variables. Anything else
 /// with that prefix is a misspelling and gets rejected, not ignored.
-pub const KNOWN_FAULT_VARS: [&str; 7] = [
+pub const KNOWN_FAULT_VARS: [&str; 6] = [
     "RPX_FAULT_SEED",
     "RPX_FAULT_TASK_PANIC_PPM",
     "RPX_FAULT_WORKER_KILL_PPM",
     "RPX_FAULT_STALL_PPM",
-    "RPX_FAULT_COUNTER_FAIL_PPM",
     "RPX_FAULT_STEAL_STORM_TICKS",
     "RPX_FAULT_MAX",
 ];
@@ -167,7 +158,6 @@ impl FaultPlan {
     /// | `RPX_FAULT_TASK_PANIC_PPM` | recovered task panics (ppm) | 0 |
     /// | `RPX_FAULT_WORKER_KILL_PPM` | worker-loop kills (ppm) | 0 |
     /// | `RPX_FAULT_STALL_PPM` | worker stalls (ppm) | 0 |
-    /// | `RPX_FAULT_COUNTER_FAIL_PPM` | counter-read failures (ppm) | 0 |
     /// | `RPX_FAULT_STEAL_STORM_TICKS` | synthetic steal-storm watchdog ticks | 0 |
     /// | `RPX_FAULT_MAX` | cap per category | unlimited |
     pub fn from_env() -> Result<Option<Self>, UnknownFaultVars> {
@@ -187,13 +177,12 @@ impl FaultPlan {
         if values.iter().all(Option::is_none) {
             return Ok(None);
         }
-        let [seed, task_panic, worker_kill, stall, counter_fail, steal_storm, max] = values;
+        let [seed, task_panic, worker_kill, stall, steal_storm, max] = values;
         Ok(Some(FaultPlan {
             seed: seed.unwrap_or_else(default_seed),
             task_panic_ppm: task_panic.unwrap_or(0) as u32,
             worker_kill_ppm: worker_kill.unwrap_or(0) as u32,
             stall_ppm: stall.unwrap_or(0) as u32,
-            counter_fail_ppm: counter_fail.unwrap_or(0) as u32,
             steal_storm_ticks: steal_storm.unwrap_or(0) as u32,
             max_per_category: max.unwrap_or(u64::MAX),
         }))
@@ -201,11 +190,7 @@ impl FaultPlan {
 
     /// Whether any category can fire at all.
     pub fn is_active(&self) -> bool {
-        ((self.task_panic_ppm
-            | self.worker_kill_ppm
-            | self.stall_ppm
-            | self.counter_fail_ppm
-            | self.steal_storm_ticks)
+        ((self.task_panic_ppm | self.worker_kill_ppm | self.stall_ppm | self.steal_storm_ticks)
             != 0)
             && self.max_per_category > 0
     }
@@ -226,7 +211,6 @@ pub struct FaultInjector {
     task_panics: Category,
     worker_kills: Category,
     stalls: Category,
-    counter_fails: Category,
 }
 
 /// One fault category's draw stream and injection count.
@@ -287,7 +271,6 @@ impl FaultInjector {
             task_panics: Category::default(),
             worker_kills: Category::default(),
             stalls: Category::default(),
-            counter_fails: Category::default(),
         })
     }
 
@@ -331,11 +314,6 @@ impl FaultInjector {
             .then_some(INJECTED_STALL)
     }
 
-    /// Should this flaky-counter read fail?
-    pub fn inject_counter_fail(&self) -> bool {
-        self.roll(self.plan.counter_fail_ppm, &self.counter_fails, 4)
-    }
-
     /// Cumulative *synthetic* steals the watchdog folds into the anomaly
     /// detector's steal signal as of its `tick`-th sample (0-based): each
     /// of the first `steal_storm_ticks` ticks contributes
@@ -360,34 +338,6 @@ impl FaultInjector {
     pub fn stalls(&self) -> u64 {
         self.stalls.injected.load(Ordering::Relaxed)
     }
-
-    /// Counter-read failures injected so far.
-    pub fn counter_fails(&self) -> u64 {
-        self.counter_fails.injected.load(Ordering::Relaxed)
-    }
-}
-
-/// Register a raw counter at `type_path` that panics on evaluation whenever
-/// the injector says so — the chaos suite points the counter
-/// sampler (`rpx_counters::sampler::Sampler`) at it to prove sampling survives
-/// counter-read failures.
-pub fn register_flaky_counter(
-    registry: &Arc<CounterRegistry>,
-    injector: &Arc<FaultInjector>,
-    type_path: &str,
-) {
-    let injector = injector.clone();
-    registry.register_raw(
-        type_path,
-        "fault-injection test counter; reads fail on injector demand",
-        "1",
-        Arc::new(move || {
-            if injector.inject_counter_fail() {
-                std::panic::panic_any(InjectedFault("counter-read"));
-            }
-            1
-        }),
-    );
 }
 
 #[cfg(test)]
@@ -474,14 +424,18 @@ mod tests {
         // knob silently disabling injection is exactly the failure mode a
         // chaos suite cannot afford.
         // The stall length is derived from the watchdog's timing, so
-        // `RPX_FAULT_STALL_MS` is not a knob either.
+        // `RPX_FAULT_STALL_MS` is not a knob either; nothing reads a
+        // counter-read failure rate, so `RPX_FAULT_COUNTER_FAIL_PPM` is
+        // not one.
         std::env::set_var("RPX_FAULT_TASK_PANICS_PPM", "5"); // misspelled
         std::env::set_var("RPX_FAULT_WORKER_KILLS", "1"); // misspelled
         std::env::set_var("RPX_FAULT_STALL_MS", "77"); // removed
+        std::env::set_var("RPX_FAULT_COUNTER_FAIL_PPM", "1000"); // removed
         let err = FaultPlan::from_env().expect_err("unknown keys must error");
         assert_eq!(
             err.0,
             vec![
+                "RPX_FAULT_COUNTER_FAIL_PPM".to_string(),
                 "RPX_FAULT_STALL_MS".to_string(),
                 "RPX_FAULT_TASK_PANICS_PPM".to_string(),
                 "RPX_FAULT_WORKER_KILLS".to_string(),
@@ -498,6 +452,7 @@ mod tests {
         }
         std::env::remove_var("RPX_FAULT_WORKER_KILLS");
         std::env::remove_var("RPX_FAULT_STALL_MS");
+        std::env::remove_var("RPX_FAULT_COUNTER_FAIL_PPM");
         // One unknown key rejects even with valid keys also present.
         let err = FaultPlan::from_env().expect_err("mixed valid+unknown must error");
         assert_eq!(err.0, vec!["RPX_FAULT_TASK_PANICS_PPM".to_string()]);

@@ -50,15 +50,6 @@ impl<T: Send + 'static> TaskFuture<T> {
         self.join.take()
     }
 
-    /// The result if already available (consumes the future on success).
-    pub fn try_get(self) -> Result<T, TaskFuture<T>> {
-        if self.is_ready() {
-            Ok(self.get())
-        } else {
-            Err(self)
-        }
-    }
-
     /// Whether the task was cancelled before it ran. `get` on a cancelled
     /// future re-raises [`TaskCancelled`](crate::TaskCancelled).
     pub fn is_cancelled(&self) -> bool {
@@ -175,17 +166,6 @@ mod tests {
         // straight off the ready flag.
         assert_eq!(f.join.gate_waiters(), 0);
         assert_eq!(f.get(), 1);
-    }
-
-    #[test]
-    fn try_get_returns_future_when_pending() {
-        let (task, f) = pending(|| 1);
-        let f = match f.try_get() {
-            Ok(_) => panic!("future should not be ready"),
-            Err(f) => f,
-        };
-        run(task);
-        assert_eq!(f.try_get().ok(), Some(1));
     }
 
     #[test]

@@ -56,8 +56,6 @@ pub struct Shard {
     /// (spawn-path cost accrues on the spawner, dispatch-path cost on the
     /// executing worker).
     pub overhead_ns: AtomicU64,
-    /// Number of scheduling operations folded into `overhead_ns`.
-    pub overhead_ops: AtomicU64,
     /// Nanoseconds tasks executed here spent queued (spawn → start).
     pub wait_ns: AtomicU64,
     /// Tasks this worker stole from another worker's queue.
@@ -112,7 +110,6 @@ impl Shard {
             executed: zero(),
             exec_ns: zero(),
             overhead_ns: zero(),
-            overhead_ops: zero(),
             wait_ns: zero(),
             stolen: zero(),
             spawned: zero(),
@@ -202,7 +199,6 @@ impl Shard {
     /// Record scheduling-path cost (spawn or dispatch).
     pub fn record_overhead(&self, ns: u64) {
         self.add(&self.overhead_ns, ns);
-        self.add(&self.overhead_ops, 1);
     }
 
     /// Record time spent looking for work unsuccessfully (including parked
@@ -431,7 +427,7 @@ mod tests {
         s.record_overhead(30);
         let read = |f: &AtomicU64| f.load(Ordering::Relaxed);
         assert_eq!((read(&s.exec_ns), read(&s.wait_ns)), (400, 60));
-        assert_eq!((read(&s.executed), read(&s.overhead_ops)), (2, 2));
+        assert_eq!(read(&s.executed), 2);
         assert_eq!(read(&s.overhead_ns), 40);
     }
 

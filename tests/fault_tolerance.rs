@@ -15,7 +15,6 @@ use rpx_counters::registry::CounterRegistry;
 use rpx_counters::sampler::{CsvSink, Sampler, SamplerConfig};
 use rpx_inncabs::spawner::RpxSpawner;
 use rpx_inncabs::{fib, health};
-use rpx_runtime::faults::register_flaky_counter;
 use rpx_runtime::{
     CancelToken, FaultPlan, InjectedFault, Runtime, RuntimeConfig, SpawnError, TaskCancelled,
 };
@@ -525,18 +524,33 @@ impl Write for SharedBuf {
 #[test]
 fn sampler_rows_stay_uninterrupted_under_counter_read_faults() {
     install_quiet_hook();
+    // No fault plan, so an `RPX_FAULT_*` environment cannot add failures:
+    // the only failing reads are the flaky counter's own.
     let rt = Runtime::new(RuntimeConfig {
-        workers: 2,
-        faults: Some(FaultPlan {
-            counter_fail_ppm: 1_000_000,
-            max_per_category: 5,
-            ..FaultPlan::default()
-        }),
+        faults: None,
         ..RuntimeConfig::with_workers(2)
     });
-    let injector = rt.fault_injector().unwrap();
     let reg = rt.registry();
-    register_flaky_counter(&reg, &injector, "/chaos/flaky");
+    // A raw counter whose first 5 reads panic; it counts them itself.
+    const FAILS: u64 = 5;
+    let failed = Arc::new(AtomicU64::new(0));
+    let reads = failed.clone();
+    reg.register_raw(
+        "/chaos/flaky",
+        "test counter; its first reads panic",
+        "1",
+        Arc::new(move || {
+            if reads
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                    (n < FAILS).then_some(n + 1)
+                })
+                .is_ok()
+            {
+                std::panic::panic_any(InjectedFault("counter-read"));
+            }
+            1
+        }),
+    );
 
     let buf = SharedBuf::default();
     let sampler = Sampler::start(
@@ -553,8 +567,7 @@ fn sampler_rows_stay_uninterrupted_under_counter_read_faults() {
     .expect("sampler starts");
     let sampler_health = sampler.health();
 
-    // Keep the runtime busy while the first 5 flaky reads fail (then the
-    // cap disarms the fault); backoff stretches those failures over many
+    // Keep the runtime busy while the first 5 flaky reads fail; backoff stretches those failures over many
     // batches, so poll on the health accounting.
     let stop_spawning = Arc::new(AtomicBool::new(false));
     let spam = {
@@ -569,7 +582,7 @@ fn sampler_rows_stay_uninterrupted_under_counter_read_faults() {
     };
     assert!(
         wait_until(
-            || sampler_health.read_errors() == 5,
+            || sampler_health.read_errors() == FAILS,
             Duration::from_secs(10)
         ),
         "sampler saw {} read errors, expected all 5 injected",
@@ -582,10 +595,10 @@ fn sampler_rows_stay_uninterrupted_under_counter_read_faults() {
     spam.join().unwrap();
     sampler.stop();
 
-    // Exact agreement: every injected counter failure was recorded as a
-    // sampler read error, and nothing else failed.
-    assert_eq!(injector.counter_fails(), 5);
-    assert_eq!(sampler_health.read_errors(), injector.counter_fails());
+    // Exact agreement: every failed read was recorded as a sampler read
+    // error, and nothing else failed.
+    assert_eq!(failed.load(Ordering::Relaxed), FAILS);
+    assert_eq!(sampler_health.read_errors(), FAILS);
     assert!(
         sampler_health.backoffs() >= 1,
         "repeated failures must back off"
@@ -620,7 +633,10 @@ fn sampler_rows_stay_uninterrupted_under_counter_read_faults() {
         }
     }
     assert!(saw_flaky_gap, "the failing counter should have empty cells");
-    assert!(saw_flaky_value, "the flaky counter recovers after the cap");
+    assert!(
+        saw_flaky_value,
+        "the flaky counter recovers after its failures"
+    );
     rt.shutdown();
 }
 
