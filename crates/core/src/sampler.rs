@@ -42,8 +42,8 @@ pub trait SampleSink: Send {
     fn finish(&mut self) {}
     /// Cumulative number of records this sink failed to deliver (write
     /// errors, …). Sinks that can lose data MUST count every loss here —
-    /// silent drops corrupt downstream rate computations invisibly. Mirrored into
-    /// [`SamplerHealth::sink_dropped`] and the
+    /// silent drops corrupt downstream rate computations invisibly.
+    /// Mirrored into [`SamplerHealth::sink_dropped`] and the
     /// `/counters/sampler/dropped` counter by the sampling loop.
     fn dropped(&self) -> u64 {
         0

@@ -567,8 +567,9 @@ fn sampler_rows_stay_uninterrupted_under_counter_read_faults() {
     .expect("sampler starts");
     let sampler_health = sampler.health();
 
-    // Keep the runtime busy while the first 5 flaky reads fail; backoff stretches those failures over many
-    // batches, so poll on the health accounting.
+    // Keep the runtime busy while the first 5 flaky reads fail; backoff
+    // stretches those failures over many batches, so poll on the health
+    // accounting.
     let stop_spawning = Arc::new(AtomicBool::new(false));
     let spam = {
         let stop = stop_spawning.clone();
