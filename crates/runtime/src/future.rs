@@ -2,11 +2,14 @@
 //!
 //! Unlike `std::future::Future`, a [`TaskFuture`] is a *blocking* future in
 //! the C++ `std::future` / `hpx::future` sense: `get()` waits for the value.
-//! The crucial runtime property is how it waits: a worker thread that would
-//! block instead *helps* — it executes other pending tasks until the value
-//! arrives. This keeps every core busy during deeply recursive fork/join
-//! patterns (Fib, Sort, Strassen, …) without stackful coroutines, while
-//! external (non-worker) threads block on a waiter-counted gate.
+//! The crucial runtime property is how it waits. A worker thread whose
+//! awaited task is on top of its own deque pops it and runs it inline, as
+//! a child of the waiting task (run-as-child; no find window, so no clock
+//! read and no overhead record). Any other worker wait *helps* — it
+//! executes other pending tasks until the value arrives. This keeps every
+//! core busy during deeply recursive fork/join patterns (Fib, Sort,
+//! Strassen, …) without stackful coroutines, while external (non-worker)
+//! threads block on a waiter-counted gate.
 //!
 //! Completion is lock-free: the runner publishes the outcome into the
 //! task's cell (the `slab` module), flips its `ready` flag, and wakes

@@ -14,8 +14,10 @@
 //!   external spawns through a shared injector. The `std::async`
 //!   single-queue ordering behind the paper's Floorplan explanation is
 //!   `rpx-simnode`'s `global_queue`.
-//! - Futures wait by *helping*: a worker blocked on `get()` executes other
-//!   pending tasks, so deeply recursive fork/join codes keep all cores busy.
+//! - Futures wait by *helping*: a worker blocked on `get()` runs the
+//!   awaited task inline if it is on top of its own deque, and otherwise
+//!   executes other pending tasks, so deeply recursive fork/join codes
+//!   keep all cores busy.
 //! - Counters: `/threads/time/average`, `/threads/time/average-overhead`,
 //!   `/threads/time/cumulative`, `/threads/time/cumulative-overhead`,
 //!   `/threads/count/*`, `/threads/idle-rate`, `/scheduler/*`,

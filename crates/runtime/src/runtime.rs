@@ -511,6 +511,12 @@ impl Runtime {
         self.inner.state.tracer.clone()
     }
 
+    /// The task-lifecycle state: unit tests read the ledger shards.
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> Arc<RuntimeState> {
+        self.inner.state.clone()
+    }
+
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.inner.config.workers

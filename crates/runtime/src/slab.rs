@@ -859,10 +859,18 @@ impl<T> Join<T> {
         unsafe { try_claim(self.cell) }
     }
 
+    /// Whether `task` is this handle's own queue side. Compares the two
+    /// handles' fields only, never the cell behind `task`.
+    fn is_task(&self, task: &Task) -> bool {
+        task.cell == self.cell && task.gen == self.gen
+    }
+
     /// Block until complete. A deferred cell runs here, on the first
-    /// caller to win its claim; otherwise workers help-execute other
-    /// tasks (the scheduler equivalent of HPX suspending the waiting
-    /// lightweight thread) and external threads wait on the cell's gate.
+    /// caller to win its claim, and a queued one on top of the calling
+    /// worker's own deque is popped and run here as an inline child;
+    /// otherwise workers help-execute other tasks (the scheduler
+    /// equivalent of HPX suspending the waiting lightweight thread) and
+    /// external threads wait on the cell's gate.
     pub(crate) fn wait(&self) {
         if self.is_ready() {
             return;
@@ -872,6 +880,12 @@ impl<T> Join<T> {
                 let state = claimed.state().expect("a deferred cell has a runtime");
                 return crate::runtime::run_task(&state, crate::worker::shard_in(&state), claimed);
             }
+        }
+        // SAFETY: `is_task` compares the handles' fields only. A deque only
+        // ever holds tasks of its worker's own runtime, so a hit runs on
+        // the right shard.
+        if unsafe { crate::worker::run_if_on_top(|top| self.is_task(top)) } {
+            return;
         }
         if crate::worker::on_worker_thread() {
             crate::worker::help_while(|| !self.is_ready());

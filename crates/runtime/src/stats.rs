@@ -190,8 +190,9 @@ impl Shard {
         self.add(&self.wait_ns, wait_ns);
     }
 
-    /// Bump the liveness heartbeat (called from scheduling loops only —
-    /// never from task bodies, so an injected stall freezes it).
+    /// Bump the liveness heartbeat (called from scheduling loops and
+    /// run-as-child joins only — never from task bodies' own code, so an
+    /// injected stall freezes it).
     pub fn beat(&self) {
         self.add(&self.heartbeat, 1);
     }

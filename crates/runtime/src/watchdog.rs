@@ -3,8 +3,9 @@
 //! feeds the [signal detector](crate::signals) one ledger reading per tick.
 //!
 //! Every worker bumps its shard's [`heartbeat`](crate::stats::Shard)
-//! once per scheduling-loop iteration and once per work-helping iteration —
-//! and from nowhere inside task bodies. The tick samples the heartbeats
+//! once per scheduling-loop iteration, once per work-helping iteration and
+//! once per join that runs its child inline — and from nowhere else inside
+//! task bodies. The tick samples the heartbeats
 //! every [`WATCHDOG_INTERVAL`]: a heartbeat that stays static for longer than
 //! [`STALL_THRESHOLD`] while the runtime has live or pending work means the
 //! worker is wedged inside a task (a stall). Each episode is counted once

@@ -1,5 +1,6 @@
 //! Worker threads: the scheduling loop, the thread-local worker context,
-//! and the work-helping wait used by futures.
+//! and the two ways a future waits on a worker: the run-as-child join and
+//! the work-helping wait.
 //!
 //! Everything a scheduling loop writes per task lands in the worker's own
 //! ledger shard ([`crate::stats::Shard`]), and everything it reads beyond
@@ -257,6 +258,44 @@ fn run_loop(inner: &RuntimeInner, index: usize, deque: &Deque<Task>) {
     }
 }
 
+/// Run-as-child: when the task `is_child` picks out is on top of the
+/// calling worker's own deque, pop it and run it here, on this worker's
+/// shard, the way a `Fork` child runs — what Rayon's `join` does with its
+/// own job. Returns whether it ran; false off a worker thread, on a miss
+/// (the task was stolen, is buried under later spawns, or is not queued),
+/// or when a stealer won the task between the peek and the pop.
+///
+/// The help loop would have popped the same task first, so only the
+/// accounting differs: there is no find window, so no clock read, no
+/// `record_overhead` and no `record_steals`. The pop lands in the
+/// joiner's exec, and the child's gross time is deducted from it as any
+/// nested body's is.
+///
+/// # Safety
+///
+/// `is_child` sees the top task while a thief may be claiming and running
+/// it (see `Worker::pop_if`): it may compare the handle's own fields, but
+/// must not dereference its cell.
+pub(crate) unsafe fn run_if_on_top(is_child: impl FnOnce(&Task) -> bool) -> bool {
+    let Some(ctx) = CTX.get() else {
+        return false;
+    };
+    // SAFETY: this thread's worker loop is below us on the stack and keeps
+    // both the runtime and its deque alive (see `Ctx`).
+    let (inner, deque) = unsafe { (&*ctx.inner, &*ctx.local) };
+    // SAFETY: the caller's contract is `pop_if`'s.
+    let Some(task) = (unsafe { deque.pop_if(is_child) }) else {
+        return false;
+    };
+    let state: &RuntimeState = &inner.state;
+    let shard = state.ledger.worker(ctx.index);
+    // The watchdog's progress signal, as each help-loop turn gives it: a
+    // long join chain that always hits would otherwise look stalled.
+    shard.beat();
+    execute_task(state, shard, task);
+    true
+}
+
 /// Work-helping wait: while `pred()` holds, execute other pending tasks on
 /// the calling worker; spin/yield briefly when no work is available. Falls
 /// back to yielding when called off a worker thread.
@@ -300,8 +339,10 @@ pub(crate) fn help_while(pred: impl Fn() -> bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{Runtime, RuntimeConfig, RuntimeHandle};
     use crate::slab::nop_task;
     use rpx_counters::counter::Clock;
+    use std::sync::atomic::AtomicU64;
     use std::time::Instant;
 
     fn one_worker_state() -> RuntimeState {
@@ -360,6 +401,171 @@ mod tests {
         let shutdown = AtomicBool::new(true);
         let t0 = state.clock.now_ns();
         assert!(!idle_step(&s, &shutdown, &parker, &state, 0, t0));
+    }
+
+    fn fib(h: &RuntimeHandle, n: u64) -> u64 {
+        if n < 2 {
+            return n;
+        }
+        let h2 = h.clone();
+        let a = h.spawn(move || fib(&h2, n - 1));
+        let b = fib(h, n - 2);
+        a.get() + b
+    }
+
+    /// The miss path: `a` is buried under `b` when it is joined, so the
+    /// join falls through to the help loop, which runs the top task `b`
+    /// and then `a`; `b`'s join then finds it done. Each task runs once
+    /// and every queued task starts and finishes once.
+    #[test]
+    fn a_buried_child_is_joined_through_the_help_loop() {
+        let rt = Runtime::new(RuntimeConfig::with_workers(1));
+        let h = rt.handle();
+        let runs = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let r = runs.clone();
+        let root = rt.spawn(move || {
+            let (ra, rb) = (r.clone(), r.clone());
+            let a = h.spawn(move || {
+                ra[0].fetch_add(1, Ordering::Relaxed);
+                1
+            });
+            let b = h.spawn(move || {
+                rb[1].fetch_add(1, Ordering::Relaxed);
+                2
+            });
+            let va = a.get();
+            let b_ran_in_a_join = r[1].load(Ordering::Relaxed) == 1;
+            (va, b.get(), b_ran_in_a_join)
+        });
+        let (va, vb, b_ran_in_a_join) = root.get();
+        assert_eq!((va, vb), (1, 2));
+        assert!(b_ran_in_a_join, "the help loop runs the top task, b, first");
+        rt.wait_idle();
+        for (task, n) in ["a", "b"].iter().zip(runs.iter()) {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "{task} ran once");
+        }
+        let flow = rt.state().ledger.flow();
+        assert_eq!((flow.queued, flow.started, flow.finished), (3, 3, 3));
+        rt.shutdown();
+    }
+
+    /// Two workers: one root task spawns two children per round and joins
+    /// them, while the other worker, idle but woken by every push, steals.
+    /// Even rounds join newest first (each child on top of the joiner's
+    /// deque: a hit unless the thief takes it between the peek and the
+    /// pop), odd rounds oldest first (a miss into the help loop). No child
+    /// is lost or run twice, and the ledger balances. A join that took a
+    /// child without `pop`'s claim would run it twice or lose one; the
+    /// timeout turns a lost one into a failure, not a hang.
+    #[test]
+    fn children_stolen_between_peek_and_pop_run_exactly_once() {
+        const ROUNDS: usize = 10_000;
+        let rt = Runtime::new(RuntimeConfig::with_workers(2));
+        let runs: Arc<Vec<AtomicU64>> =
+            Arc::new((0..2 * ROUNDS).map(|_| AtomicU64::new(0)).collect());
+        let (h, r) = (rt.handle(), runs.clone());
+        let root = rt.spawn(move || {
+            let mut sum = 0;
+            for round in 0..ROUNDS {
+                let [a, b] = [2 * round, 2 * round + 1].map(|i| {
+                    let r = r.clone();
+                    h.spawn(move || {
+                        r[i].fetch_add(1, Ordering::Relaxed);
+                        i
+                    })
+                });
+                let (first, second) = if round % 2 == 0 { (b, a) } else { (a, b) };
+                sum += first.get();
+                sum += second.get();
+            }
+            sum
+        });
+        let sum = root
+            .get_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("a child was lost"));
+        assert_eq!(sum, (2 * ROUNDS) * (2 * ROUNDS - 1) / 2);
+        rt.wait_idle();
+        for (i, n) in runs.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "child {i} ran once");
+        }
+        let state = rt.state();
+        let total = (1 + 2 * ROUNDS) as u64;
+        let flow = state.ledger.flow();
+        assert_eq!(
+            (flow.queued, flow.started, flow.finished),
+            (total, total, total)
+        );
+        let executed = state.ledger.total(|s| s.executed.load(Ordering::Relaxed));
+        assert_eq!(executed, total);
+        rt.shutdown();
+    }
+
+    /// A child on top of its joiner's deque runs inline in the join: no
+    /// find window is recorded, and its span names the joiner as parent,
+    /// the joiner's worker, and lies inside the joiner's window, whose
+    /// nested time covers it.
+    #[test]
+    fn an_inline_joined_child_spans_under_its_joiner() {
+        let rt = Runtime::new(RuntimeConfig::with_workers(1));
+        let tracer = rt.tracer();
+        tracer.enable();
+        let (h, state) = (rt.handle(), rt.state());
+        let root = rt.spawn(move || {
+            let child = h.spawn(|| 7);
+            let overhead = || state.ledger.worker(0).overhead_ns.load(Ordering::Relaxed);
+            let before = overhead();
+            let v = child.get();
+            (v, overhead() - before)
+        });
+        let (v, join_overhead) = root.get();
+        assert_eq!(v, 7);
+        assert_eq!(join_overhead, 0, "an inline join has no find window");
+        rt.wait_idle();
+        tracer.disable();
+        let spans = tracer.spans();
+        assert_eq!(spans.len(), 2, "{spans:?}");
+        let joiner = spans
+            .iter()
+            .find(|s| s.parent.is_none())
+            .expect("root span");
+        let child = spans
+            .iter()
+            .find(|s| s.parent == Some(joiner.task_id))
+            .expect("the child names its joiner as parent");
+        assert_eq!(child.worker, joiner.worker);
+        assert!(joiner.start_ns <= child.start_ns && child.end_ns <= joiner.end_ns);
+        assert!(joiner.nested_ns >= child.duration_ns());
+        rt.shutdown();
+    }
+
+    /// One task joins for longer than the stall threshold, and every one of
+    /// fib's joins finds its child on top, so the help loop (and its
+    /// heartbeat) never runs: the inline path's own heartbeat keeps the
+    /// watchdog from counting a stall.
+    #[test]
+    fn a_long_inline_join_chain_counts_no_stall() {
+        let rt = Runtime::new(RuntimeConfig::with_workers(1));
+        let h = rt.handle();
+        let window = crate::watchdog::STALL_THRESHOLD + Duration::from_millis(200);
+        let rounds = rt
+            .spawn(move || {
+                let t = Instant::now();
+                let mut rounds = 0u64;
+                while t.elapsed() < window {
+                    assert_eq!(fib(&h, 12), 144);
+                    rounds += 1;
+                }
+                rounds
+            })
+            .get();
+        assert!(rounds > 0);
+        let stalls = rt
+            .registry()
+            .evaluate("/runtime{locality#0/total}/health/stalls", false)
+            .unwrap()
+            .value;
+        assert_eq!(stalls, 0, "a join chain that always hits is progress");
+        rt.shutdown();
     }
 
     /// The find-miss edge is where idle waiters are woken: a waiter blocked

@@ -15,7 +15,7 @@
 
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::mem::MaybeUninit;
+use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ptr;
 // The retired-buffer list stays on a plain `std` mutex even in model
 // builds: its critical sections contain no model yield points, so it can
@@ -307,6 +307,47 @@ impl<T> Worker<T> {
         }
     }
 
+    /// Shim extension (not in crossbeam's API): [`Worker::pop`], but only
+    /// when `pred` holds for the item `pop` would return. The peek before
+    /// the claim has no fence and no RMW: a miss costs two relaxed index
+    /// loads and one slot read, and leaves the deque untouched. The claim
+    /// is still `pop`, and with no push between the peek and the `pop`,
+    /// `pop` returns the peeked item or `None` (a stealer won it).
+    ///
+    /// A stale `top` can only make the peek see an item a stealer has
+    /// already taken — one whose bits are still in the slot, since only
+    /// the owner writes slots — and `pop` then reports `None`. A slot that
+    /// `grow` did not copy lies below the `top` this thread read there,
+    /// so the peek never reads one.
+    ///
+    /// # Safety
+    ///
+    /// `pred` sees the item while a stealer may be claiming, running and
+    /// dropping it: it may compare the value's own fields, but must not
+    /// follow a pointer or reference out of it.
+    pub unsafe fn pop_if(&self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
+        let b = self.inner.bottom.load(Ordering::Relaxed);
+        let t = self.inner.top.load(Ordering::Relaxed);
+        if b.wrapping_sub(t) <= 0 {
+            return None;
+        }
+        let b = b.wrapping_sub(1);
+        let buf = self.inner.buffer.load(Ordering::Relaxed);
+        // Never dropped here: the item is not ours until `pop` says so.
+        let top = ManuallyDrop::new(unsafe { (*buf).read(b).assume_init() });
+        if !pred(&top) {
+            return None;
+        }
+        if mutation_armed("deque-peek-take") {
+            // Mutant spec `deque-peek-take`: take the peeked slot by moving
+            // `bottom` alone — no fence, no last-element CAS — so a stealer
+            // that read the old `bottom` claims the same item.
+            self.inner.bottom.store(b, Ordering::Relaxed);
+            return Some(ManuallyDrop::into_inner(top));
+        }
+        self.pop()
+    }
+
     /// Whether the deque is currently empty (racy snapshot).
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
@@ -417,6 +458,21 @@ mod tests {
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), None);
         assert_eq!(s.steal(), Steal::Empty);
+    }
+
+    #[test]
+    fn pop_if_takes_the_top_only_when_it_matches() {
+        let w = Worker::new_lifo();
+        // SAFETY (all calls): the predicates compare plain integers.
+        assert_eq!(unsafe { w.pop_if(|_| true) }, None, "empty deque");
+        w.push(1);
+        w.push(2);
+        assert_eq!(unsafe { w.pop_if(|&v| v == 1) }, None, "1 is buried");
+        assert_eq!(w.len(), 2, "a miss leaves the deque untouched");
+        assert_eq!(unsafe { w.pop_if(|&v| v == 2) }, Some(2));
+        assert_eq!(w.stealer().steal(), Steal::Success(1));
+        assert_eq!(unsafe { w.pop_if(|_| true) }, None, "a stealer took it");
+        assert!(w.is_empty());
     }
 
     #[test]

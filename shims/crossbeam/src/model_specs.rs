@@ -114,6 +114,85 @@ fn model_deque_pop_fence_mutant_is_caught() {
     );
 }
 
+/// Protocol 1b — the owner's peek-then-pop (`pop_if`) vs a stealer, on a
+/// deque of `items` (1 or 2): the owner takes the top item only if the
+/// peek names it, then pops the rest; the stealer steals until empty.
+/// Every item is delivered exactly once — a peek that saw an item the
+/// stealer is claiming must lose it in `pop`'s protocol, not take it.
+fn deque_peek_pop_exact_once(items: usize) {
+    let w = Worker::new_lifo_with_min_capacity(2);
+    for i in 0..items {
+        w.push(i);
+    }
+    let s = w.stealer();
+    let stealer = thread::spawn(move || {
+        let mut got = Vec::new();
+        let mut retries = 0;
+        loop {
+            match s.steal() {
+                Steal::Success(v) => got.push(v),
+                Steal::Empty => break,
+                Steal::Retry => {
+                    retries += 1;
+                    if retries > 8 {
+                        break;
+                    }
+                    rpx_model::hint::spin_loop();
+                }
+            }
+        }
+        got
+    });
+    let top = items - 1;
+    // SAFETY: the predicate compares a plain integer.
+    let mut taken: Vec<usize> = unsafe { w.pop_if(|&v| v == top) }.into_iter().collect();
+    while let Some(v) = w.pop() {
+        taken.push(v);
+    }
+    let stolen = stealer.join().unwrap();
+    let mut seen = HashSet::new();
+    for v in taken.iter().chain(stolen.iter()) {
+        assert!(seen.insert(*v), "item {v} delivered twice");
+    }
+    assert_eq!(
+        seen.len(),
+        items,
+        "items lost: taken={taken:?} stolen={stolen:?}"
+    );
+}
+
+#[test]
+fn model_deque_owner_peek_pop_vs_steal_exact_once() {
+    let _g = serial();
+    mutation::disarm_all();
+    for items in [1, 2] {
+        check(
+            "model_deque_owner_peek_pop_vs_steal_exact_once",
+            cfg(),
+            move || deque_peek_pop_exact_once(items),
+        );
+    }
+}
+
+#[test]
+fn model_deque_peek_take_mutant_is_caught() {
+    let _g = serial();
+    mutation::disarm_all();
+    mutation::arm("deque-peek-take");
+    for items in [1, 2] {
+        let failure =
+            check_expect_failure("model_deque_peek_take_mutant_is_caught", cfg(), move || {
+                deque_peek_pop_exact_once(items)
+            });
+        assert!(
+            failure.message.contains("delivered twice"),
+            "{items} items: expected a duplicate, got: {}",
+            failure.message
+        );
+    }
+    mutation::disarm_all();
+}
+
 /// Protocol 2 — injector block claim/free: two producers race the tail
 /// CAS across a lap boundary (model blocks hold 3 slots), the consumer
 /// crosses the boundary and frees the exhausted block via the done

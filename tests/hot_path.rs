@@ -376,11 +376,14 @@ fn find_loop_time_accounting_balances_against_wall_clock() {
     rt.shutdown();
 }
 
-/// Deep fork/join through the single-allocation task cells: results stay
-/// correct and the overhead counter stays well-formed while every join is
-/// a helping wait.
+/// Deep fork/join through the single-allocation task cells, on every kind
+/// of join: the test thread's root join waits on the cell's gate, a
+/// worker's join whose child is on top of its own deque runs the child
+/// inline, and any other worker join helps. Results stay correct, every
+/// spawned task is counted executed exactly once, and the ledger balances.
 #[test]
 fn recursive_fork_join_via_task_cells() {
+    const N: u64 = 18;
     let rt = Runtime::new(RuntimeConfig::with_workers(2));
     let h = rt.handle();
     fn fib(h: &rpx::runtime::RuntimeHandle, n: u64) -> u64 {
@@ -392,13 +395,20 @@ fn recursive_fork_join_via_task_cells() {
         let b = fib(h, n - 2);
         a.get() + b
     }
-    assert_eq!(fib(&h, 18), 2584);
+    assert_eq!(fib(&h, N), 2584);
     rt.wait_idle();
-    let overhead = rt
-        .registry()
-        .evaluate("/threads{locality#0/total}/time/average-overhead", false)
-        .unwrap();
-    assert!(overhead.value >= 0);
+    let eval = |path: &str| rt.registry().evaluate(path, false).unwrap().value;
+    // Each call with n >= 2 spawns one task, so fib(n) spawns
+    // S(n) = 1 + S(n-1) + S(n-2) = F(n+1) - 1 tasks: F(19) - 1 = 4180.
+    assert_eq!(eval("/threads{locality#0/total}/count/cumulative"), 4180);
+    for gauge in ["pending", "active"] {
+        let path = format!("/threads{{locality#0/total}}/count/instantaneous/{gauge}");
+        assert_eq!(eval(&path), 0, "{gauge} gauge");
+    }
+    assert_eq!(
+        eval("/runtime{locality#0/total}/health/pending-underflows"),
+        0
+    );
     rt.shutdown();
 }
 
